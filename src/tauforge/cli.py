@@ -2,9 +2,7 @@
 descriptions, run verification suites, emit deterministic JSON reports.
 
 Randomized suites draw every sample from one seeded generator recorded in
-the report, so a fixed seed reproduces a byte-identical report.  The
-TAU_FORGE_THREADS variable is accepted for compatibility but checks run
-serially: the report is deterministic regardless of scheduling.
+the report, so a fixed seed reproduces a byte-identical report.
 """
 
 from __future__ import annotations
@@ -458,7 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify":
+        # a weight cutoff is >= 0; the KP operator D1^4 + 3 D2^2 - 4 D1 D3 needs t_3
+        least = 3 if args.suite in ("all", "kp") else 0
+        if args.cutoff < least:
+            parser.error(f"verify --suite {args.suite} needs --cutoff >= {least}")
     return args.func(args)
 
 

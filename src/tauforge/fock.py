@@ -174,10 +174,6 @@ class FockVector:
             self.dual,
         )
 
-    def one_norm(self) -> Fraction:
-        """Sum of |coefficient|; rational coefficients only."""
-        return sum((abs(Fraction(c)) for c in self.states.values()), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FockVector)

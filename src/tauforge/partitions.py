@@ -287,7 +287,3 @@ def enumerate_partitions(
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     return list(_enumerate_cached(max_weight, max_rows, max_cols))
-
-
-def partitions_of(weight: int, max_rows: int | None = None) -> list[Partition]:
-    return [p for p in enumerate_partitions(weight, max_rows) if p.weight == weight]

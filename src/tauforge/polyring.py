@@ -11,6 +11,13 @@ cannot enter a weight-<=D monomial), optional second-family times, and
 unit-weight formal parameters (inverse spectral points, couplings) that may
 share a grading with the times so that "total weight" bounds shift degree
 and time weight together.
+
+Products are graded: each operand's terms are bucketed by their weight in
+every bounded grading, and only bucket pairs whose weights sum within the
+cutoffs are multiplied.  Weights add under multiplication, so every
+monomial formed survives the truncation and none is formed only to be
+dropped.  A polynomial's terms always lie within its own cutoffs, so a sum
+re-truncates only when a cutoff tightens.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping
+from operator import le
+from typing import Iterable, Mapping
 
 Scalar = Fraction | int
 
@@ -72,10 +80,6 @@ def time_variables(grading: str, count: int, prefix: str = "t") -> list[Variable
     return [Variable(f"{prefix}{k}", grading, k) for k in range(1, count + 1)]
 
 
-def unit_variables(grading: str, names: Iterable[str]) -> list[Variable]:
-    return [Variable(n, grading, 1) for n in names]
-
-
 class Poly:
     """Sparse truncated polynomial attached to a table and per-grading cutoffs."""
 
@@ -125,7 +129,8 @@ class Poly:
         table: VariableTable, cutoffs: Mapping[str, int | None], c: Scalar
     ) -> "Poly":
         c = Fraction(c)
-        return Poly(table, cutoffs, {(): c} if c else {}, _trusted=True)
+        keep = c and all(cut is None or cut >= 0 for cut in cutoffs.values())
+        return Poly(table, cutoffs, {(): c} if keep else {}, _trusted=True)
 
     @staticmethod
     def variable(
@@ -195,7 +200,9 @@ class Poly:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        out.terms = {k: c for k, c in terms.items() if out._within(k)}
+        if self.cutoffs != cut or o.cutoffs != cut:  # a cutoff tightened
+            terms = {k: c for k, c in terms.items() if out._within(k)}
+        out.terms = terms
         return out
 
     __radd__ = __add__
@@ -225,21 +232,30 @@ class Poly:
         if o is None:
             return NotImplemented
         cut = self._merged_cutoffs(o)
-        out = Poly.zero(self.table, cut)
+        graded = [g for g, c in cut.items() if c is not None]
+        caps = [cut[g] for g in graded]
+
+        def buckets(p: Poly) -> dict[tuple[int, ...], list]:
+            out: dict[tuple[int, ...], list] = {}
+            for key, c in p.terms.items():
+                w = tuple([self.table.weight_of(key, g) for g in graded])
+                out.setdefault(w, []).append((key, c))
+            return out
+
+        right = buckets(o).items()
         acc: dict[MonomialKey, Fraction] = {}
-        small, big = (self, o) if len(self.terms) <= len(o.terms) else (o, self)
-        for k1, c1 in small.terms.items():
-            d1 = dict(k1)
-            for k2, c2 in big.terms.items():
-                merged = dict(d1)
-                for i, e in k2:
-                    merged[i] = merged.get(i, 0) + e
-                key = tuple(sorted(merged.items()))
-                if not out._within(key):
-                    continue
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        out.terms = {k: c for k, c in acc.items() if c != 0}
-        return out
+        for w1, left in buckets(self).items():
+            room = [c - x for x, c in zip(w1, caps)]
+            fit = [t for w2, ts in right if all(map(le, w2, room)) for t in ts]
+            for k1, c1 in left:
+                d1 = dict(k1)
+                for k2, c2 in fit:
+                    merged = dict(d1)
+                    for i, e in k2:
+                        merged[i] = merged.get(i, 0) + e
+                    key = tuple(sorted(merged.items()))
+                    acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+        return Poly(self.table, cut, {k: c for k, c in acc.items() if c}, _trusted=True)
 
     __rmul__ = __mul__
 
@@ -348,9 +364,6 @@ class Poly:
             old = merged.get(g)
             merged[g] = c if old is None else (old if c is None else min(old, c))
         return Poly(self.table, merged, self.terms)
-
-    def map_coefficients(self, fn: Callable[[Fraction], Fraction]) -> "Poly":
-        return self._spawn({k: fn(c) for k, c in self.terms.items() if fn(c) != 0})
 
     # -- series helpers ----------------------------------------------------
 
@@ -564,14 +577,6 @@ class TimeFamily:
         for k in range(1, self.depth + 1):
             ypow = ypow * y
             mapping[self.names[k - 1]] = self.time(k) + ypow * Fraction(sign, k)
-        return p.substitute(mapping)
-
-    def miwa_shift_value(self, p: Poly, sign: int, value: Scalar) -> Poly:
-        v = Fraction(value)
-        mapping = {
-            self.names[k - 1]: self.time(k) + Fraction(sign) * v**k / k
-            for k in range(1, self.depth + 1)
-        }
         return p.substitute(mapping)
 
     def miwa_times(self, u: Scalar, w: Scalar) -> dict[str, Fraction]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tauforge.fock import Letter, ModeWindow, combo
+from tauforge.fock import Letter, combo
 from tauforge.grouplike import (
     Diagonal,
     ExponentBilinear,
@@ -147,7 +147,3 @@ def sample_quadruples(rng, count: int, charges=(-1, 0, 1), weight: int = 2):
             )
         )
     return quads
-
-
-def wide_window(weight: int = 6) -> ModeWindow:
-    return ModeWindow(-8 - weight, 8 + weight)

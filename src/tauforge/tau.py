@@ -82,6 +82,7 @@ def window_for_element(g, charges, depth: int, margin: int = 2) -> ModeWindow:
     return window_for(marks, depth, margin)
 
 
+# the latest element's coefficients only: a memo of every element grows with the job count
 _coeff_cache: dict = {}
 
 
@@ -122,6 +123,8 @@ def pluecker_coefficient(g, shape: Partition, n: int, window: ModeWindow | None 
         val = inner(bra, apply_element(g, vacuum(window, n - q)))
     out = val * sign
     if key is not None:
+        if _coeff_cache and next(iter(_coeff_cache))[0] != g:
+            _coeff_cache.clear()
         _coeff_cache[key] = out
     return out
 

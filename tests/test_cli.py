@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tauforge.cli import main
 
 
@@ -159,3 +161,17 @@ def test_row_major_matrix_and_stdin(capsys, monkeypatch):
     )
     code, out2 = run(capsys, ["expand", "--element", spec2, "--cutoff", "3"])
     assert code == 0
+
+
+def test_verify_rejects_cutoff_below_suite_minimum(capsys):
+    for argv in (["--suite", "kp", "--cutoff", "2"], ["--suite", "all", "--cutoff", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1].endswith("needs --cutoff >= 3")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "schur", "--cutoff", "-1"])
+    assert exc.value.code == 2
+    code, out = run(capsys, ["verify", "--suite", "schur", "--cutoff", "0"])
+    assert code == 0 and json.loads(out)["ok"]

@@ -55,6 +55,22 @@ def test_coefficient_trivial_and_projector():
     assert got == (-1) ** mu.sign_exponent()
 
 
+def test_coefficient_memo_keeps_only_the_latest_element():
+    from tauforge import tau
+
+    shapes = enumerate_partitions(2)
+    g = Diagonal(((0, F(2)), (1, F(3))))
+    first = [pluecker_coefficient(g, lam, 0, W) for lam in shapes]
+    again = [pluecker_coefficient(g, lam, 0, W) for lam in shapes]
+    assert all(a is b for a, b in zip(first, again))  # repeat lookups hit
+    for k in range(2, 60):
+        h = Diagonal(((0, F(k)), (-1, F(1, k))))
+        for lam in shapes:
+            pluecker_coefficient(h, lam, 0, W)
+    assert len(tau._coeff_cache) == len(shapes)
+    assert all(key[0] == h for key in tau._coeff_cache)
+
+
 def test_character_series():
     # element |lam,0><0| gives the signed Schur function
     fam = standard_single_family(5)
