@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from tauforge.fock import ModeWindow
+from tauforge.fock import ModeWindow, WindowViolation
 from tauforge.grouplike import (
     Diagonal,
     ExponentBilinear,
@@ -46,6 +46,10 @@ from tauforge.schur import (
 )
 from tauforge.tau import expand_mkp, expand_mkp_direct
 from tauforge.wick import correlator_window, wick_generalized, wick_standard
+
+
+class InputError(Exception):
+    """Bad command-line input: reported on one line with exit code 2."""
 
 
 def _frac(x) -> Fraction:
@@ -99,9 +103,13 @@ def element_from_json(spec: dict):
         mults = tuple((int(m["mode"]), _frac(m["value"])) for m in spec["mults"])
         return Diagonal(mults, ordered=bool(spec.get("ordered", True)))
     if kind == "projector":
-        shape = spec.get("partition")
+        side, shape = spec["side"], spec.get("partition")
+        if side not in ("plus", "minus", "plus_state", "minus_state"):
+            raise ValueError(f"unknown projector side {side!r}")
+        if side.endswith("_state") and shape is None:
+            raise ValueError(f"projector side {side!r} needs a partition")
         return ProjectorElement(
-            spec["side"],
+            side,
             int(spec.get("charge", 0)),
             None if shape is None else Partition(shape),
         )
@@ -110,6 +118,10 @@ def element_from_json(spec: dict):
             tuple((_frac(t["coeff"]), t["species"], int(t["mode"])) for t in lt)
             for lt in spec["letters"]
         )
+        for lt in letters:
+            species = {s for _, s, _ in lt}
+            if species not in ({"psi"}, {"psi*"}):
+                raise ValueError(f"a letter needs one species, psi or psi*: {sorted(species)}")
         return LinearWord(letters)
     if kind == "product":
         return Product(tuple(element_from_json(f) for f in spec["factors"]))
@@ -121,22 +133,33 @@ def _parse_window(text: str | None, charges, depth: int) -> ModeWindow:
         from tauforge.fock import window_for
 
         return window_for(charges, depth)
-    lo, hi = text.split("..")
-    return ModeWindow(int(lo), int(hi))
+    try:
+        lo, hi = text.split("..")
+        return ModeWindow(int(lo), int(hi))
+    except ValueError as err:
+        raise InputError(f"bad --window {text!r}: {err}") from None
 
 
-def _read_element(text: str) -> dict:
-    if text == "-":
-        return json.loads(sys.stdin.read())
-    return json.loads(text)
+def _decode_element(text: str):
+    """The element described by JSON text; bad input raises InputError."""
+    try:
+        return element_from_json(json.loads(text))
+    except KeyError as err:
+        raise InputError(f"bad --element: missing field {err}") from None
+    except (ValueError, TypeError, AttributeError) as err:
+        raise InputError(f"bad --element: {err}") from None
 
 
 def cmd_expand(args) -> int:
-    spec = _read_element(args.element)
-    g = element_from_json(spec)
+    g = _decode_element(sys.stdin.read() if args.element == "-" else args.element)
     fam = standard_single_family(args.cutoff)
     window = _parse_window(args.window, (args.charge, args.charge - charge_of(g)), args.cutoff)
-    series = expand_mkp(g, args.charge, fam, args.cutoff, window)
+    try:
+        series = expand_mkp(g, args.charge, fam, args.cutoff, window)
+    except WindowViolation as err:
+        if not args.window:
+            raise  # an auto-sized window must fit: that is a defect, not bad input
+        raise InputError(f"--window {args.window} is too small: {err}") from None
     payload = series.to_json()
     payload["schema"] = 1
     _emit(args, payload)
@@ -226,7 +249,7 @@ def _suite_schur(depth: int, rng) -> list[dict]:
 def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[dict]:
     fam, shift = paired_family(depth)
     if element_json:
-        g = element_from_json(json.loads(element_json))
+        g = _decode_element(element_json)
     else:
         g = sample_element(rng, allow_products=False)
     from tauforge.fock import window_for
@@ -463,7 +486,12 @@ def main(argv: list[str] | None = None) -> int:
         least = 3 if args.suite in ("all", "kp") else 0
         if args.cutoff < least:
             parser.error(f"verify --suite {args.suite} needs --cutoff >= {least}")
-    return args.func(args)
+    elif args.cutoff < 0:
+        parser.error(f"{args.command} needs --cutoff >= 0")
+    try:
+        return args.func(args)
+    except InputError as err:
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 Basis states are (charge, shape) pairs with the phase fixed by the
 operator construction: hole operators at the Frobenius leg positions,
 particle operators at the arm positions, applied to the shifted sea.
-Internally a state is its occupied-mode set; a mode insertion or removal
-carries the wedge sign (-1)^(occupied modes above), and the conversion
-between the wedge-canonical phase and the operator-built phase is the
+The operators work in the semi-infinite wedge: each converts a state's
+occupied modes n + part_i - i to an int whose bit j is mode window.lo + j
+(every mode below the window filled and left implicit), flips or hops
+bits with the wedge sign (-1)^(occupied modes passed), and converts back.
+At both ends the operator-built phase differs from the wedge order by the
 shape's sign exponent.  The route-agreement tests rebuild every basis
 state three independent ways to pin this down.
 
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from tauforge.partitions import (
-    Partition,
-    enumerate_partitions,
-    maya_canonicalize,
-    maya_set,
-)
+from tauforge.partitions import Partition, enumerate_partitions
 from tauforge.polyring import Poly, TimeFamily, poly_matrix_det
 from tauforge.schur import schur_jt, skew_schur
 
@@ -65,54 +62,60 @@ def window_for(charges: Iterable[int], weight: int, margin: int = 2) -> ModeWind
     return ModeWindow(min(cs) - weight - margin, max(cs) + weight + margin)
 
 
-# -- single-letter action on a basis state -----------------------------------
+# -- occupation bitmasks --------------------------------------------------------
 
 
-def _occupied_above(n: int, parts: tuple[int, ...], k: int) -> int:
-    """Number of occupied modes strictly above k at charge n."""
-    count = 0
-    i = 1
-    while True:
-        mode = n + (parts[i - 1] if i <= len(parts) else 0) - i
-        if mode <= k:
-            return count
-        count += 1
-        i += 1
+def occupation_bits(n: int, parts: tuple[int, ...], base: int) -> int:
+    """Occupied modes of the charge-n state of shape `parts` as an int whose
+    bit j is mode base + j.  Every mode below `base` is filled and left
+    implicit, so `base` must not exceed the lowest hole n - len(parts)."""
+    top = n - base
+    bits = (1 << (top - len(parts))) - 1
+    for i, p in enumerate(parts, start=1):
+        bits |= 1 << (top + p - i)
+    return bits
 
 
-def _shape_sign(parts: tuple[int, ...]) -> int:
-    return (-1) ** Partition(parts).sign_exponent()
+def _state_of_bits(bits: int, base: int) -> State:
+    """(charge, shape parts) of an occupation int read from mode `base` up."""
+    hole = (~bits & (bits + 1)).bit_length() - 1  # lowest empty mode
+    rest = bits >> hole
+    ell = rest.bit_count()
+    parts = []
+    for i in range(1, ell + 1):
+        j = rest.bit_length() - 1
+        parts.append(j - ell + i)
+        rest ^= 1 << j
+    return base + hole + ell, tuple(parts)
 
 
-def _letter_on_state(kind: str, k: int, state: State, dual: bool):
-    """Apply one mode operator; returns ((charge, parts), sign) or None.
+def _phase(parts: tuple[int, ...]) -> int:
+    """The shape's sign exponent, sum_i min(part_i, d) - d(d-1)/2 with d the
+    Durfee size: the phase between the wedge-ordered occupation state and
+    the operator-built basis state."""
+    d = 0
+    while d < len(parts) and parts[d] > d:
+        d += 1
+    return d * (d + 1) // 2 + sum(parts[d:])
 
-    kind "psi" fills mode k (charge +1 on kets), "psi*" empties it; the
-    roles transpose on bras.  The sign combines the wedge parity with the
-    phase conversion of source and target shapes.
-    """
-    n, parts = state
-    filling = (kind == "psi") != dual
-    occupied = maya_set(n, Partition(parts)).contains(k)
-    if filling == occupied:
-        return None
-    floor = min(k, n - len(parts)) - 2
-    modes = set()
-    i = 1
-    while True:
-        m = n + (parts[i - 1] if i <= len(parts) else 0) - i
-        if m < floor:
-            break
-        modes.add(m)
-        i += 1
-    above = _occupied_above(n, parts, k)
-    if filling:
-        modes.add(k)
-    else:
-        modes.remove(k)
-    n2, lam2 = maya_canonicalize(floor, modes)
-    sign = ((-1) ** above) * _shape_sign(parts) * _shape_sign(lam2.parts)
-    return (n2, lam2.parts), sign
+
+def occupancy(n: int, parts: tuple[int, ...]) -> Callable[[int], bool]:
+    """Membership test for the occupied modes of a charged shape."""
+    base = n - len(parts)
+    bits = occupation_bits(n, parts, base)
+    return lambda k: k < base or bool(bits >> (k - base) & 1)
+
+
+def _add_into(out: dict, key: State, term) -> None:
+    acc = out.get(key)
+    out[key] = term if acc is None else acc + term
+
+
+def accumulate(out: dict, v: "FockVector", coeff=None) -> None:
+    """Add coeff * v into the state dict `out` in place; zeros are dropped
+    when a FockVector is built from it."""
+    for s, c in v.states.items():
+        _add_into(out, s, c if coeff is None else c * coeff)
 
 
 # -- vectors ------------------------------------------------------------------
@@ -145,13 +148,7 @@ class FockVector:
         if self.window != other.window or self.dual != other.dual:
             raise ValueError("vectors live in different spaces")
         out = dict(self.states)
-        for s, c in other.states.items():
-            acc = out.get(s)
-            acc = c if acc is None else acc + c
-            if _is_zero(acc):
-                out.pop(s, None)
-            else:
-                out[s] = acc
+        accumulate(out, other)
         return FockVector(self.window, out, self.dual)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
@@ -194,12 +191,10 @@ class FockVector:
         ]
 
 
-def _check_state_window(window: ModeWindow, n: int, shape: Partition):
+def _check_state_window(window: ModeWindow, n: int, parts: tuple[int, ...]):
     # top occupied mode is n + part_1 - 1, deepest hole is n - length
-    if n + shape.part(1) - 1 >= window.hi or n - shape.length < window.lo:
-        raise WindowViolation(
-            f"state (charge {n}, shape {shape.parts}) exceeds window {window}"
-        )
+    if n + (parts[0] if parts else 0) - 1 >= window.hi or n - len(parts) < window.lo:
+        raise WindowViolation(f"state (charge {n}, shape {parts}) exceeds window {window}")
 
 
 def vacuum(window: ModeWindow, n: int, dual: bool = False) -> FockVector:
@@ -209,26 +204,35 @@ def vacuum(window: ModeWindow, n: int, dual: bool = False) -> FockVector:
 def basis_vector(
     window: ModeWindow, n: int, shape: Partition, dual: bool = False
 ) -> FockVector:
-    _check_state_window(window, n, shape)
+    _check_state_window(window, n, shape.parts)
     return FockVector(window, {(n, shape.parts): Fraction(1)}, dual)
 
 
-def apply_mode(kind: str, k: int, v: FockVector) -> FockVector:
-    v.window.require(k)
-    out: dict[State, object] = {}
-    for s, c in v.states.items():
-        hit = _letter_on_state(kind, k, s, v.dual)
-        if hit is None:
+def _mode_into(out: dict, kind: str, k: int, v: FockVector, coeff=None) -> None:
+    """Add coeff * (mode operator at k) v into `out`: flip bit k, with the
+    wedge sign of the occupied modes above k and the phases of the source
+    and target shapes."""
+    window = v.window
+    window.require(k)
+    lo = window.lo
+    filling = (kind == "psi") != v.dual
+    j = k - lo
+    for (n, parts), c in v.states.items():
+        base = min(lo, n - len(parts))
+        bits = occupation_bits(n, parts, base)
+        if (bits >> (k - base) & 1) == filling:
             continue
-        s2, sign = hit
-        _check_state_window(v.window, s2[0], Partition(s2[1]))
-        term = c * sign
-        acc = out.get(s2)
-        acc = term if acc is None else acc + term
-        if _is_zero(acc):
-            out.pop(s2, None)
-        else:
-            out[s2] = acc
+        # k lies in the window, so only a source outside it leaves it
+        _check_state_window(window, n, parts)
+        key = _state_of_bits(bits ^ (1 << j), lo)
+        odd = ((bits >> (j + 1)).bit_count() + _phase(parts) + _phase(key[1])) & 1
+        term = c if coeff is None else c * coeff
+        _add_into(out, key, -term if odd else term)
+
+
+def apply_mode(kind: str, k: int, v: FockVector) -> FockVector:
+    out: dict[State, object] = {}
+    _mode_into(out, kind, k, v)
     return FockVector(v.window, out, v.dual)
 
 
@@ -253,10 +257,10 @@ def combo(parts: Iterable[tuple[object, str, int]]) -> Letter:
 
 
 def apply_letter(lt: Letter, v: FockVector) -> FockVector:
-    out = FockVector(v.window, {}, v.dual)
+    out: dict[State, object] = {}
     for coeff, kind, k in lt:
-        out = out + apply_mode(kind, k, v).scale(coeff)
-    return out
+        _mode_into(out, kind, k, v, coeff)
+    return FockVector(v.window, out, v.dual)
 
 
 def apply_word(letters: Iterable[Letter], v: FockVector) -> FockVector:
@@ -385,30 +389,24 @@ def apply_normal_ordered_word(
             return kind == "psi*"
         return (kind == "psi" and mode >= n) or (kind == "psi*" and mode < n)
 
-    out = FockVector(v.window, {}, v.dual)
+    out: dict[State, object] = {}
 
     def rec(chosen: list[tuple[str, int]], remaining: list[Letter], coeff):
-        nonlocal out
         if not remaining:
             order = sorted(
                 range(len(chosen)),
                 key=lambda i: (not is_creation(*chosen[i]), i),
             )
-            parity = sum(
-                1
-                for x in range(len(order))
-                for y in range(x)
-                if order[y] > order[x]
-            )
+            parity = sum(order[y] > order[x] for x in range(len(order)) for y in range(x))
             word = [letter(*chosen[i]) for i in order]
-            out = out + apply_word(word, v).scale(coeff * (-1) ** (parity % 2))
+            accumulate(out, apply_word(word, v), coeff * (-1) ** (parity % 2))
             return
         head, *tail = remaining
         for c, kind, mode in head:
             rec(chosen + [(kind, mode)], tail, coeff * c)
 
     rec([], list(letters), Fraction(1))
-    return out
+    return FockVector(v.window, out, v.dual)
 
 
 # -- projectors ----------------------------------------------------------------
@@ -424,20 +422,18 @@ def project(
     "plus_state"/"minus_state": occupied set contains / is contained in the
     reference state's occupied set.
     """
-    ref = maya_set(n, shape) if shape is not None else None
     out = {}
     for (m, parts), c in v.states.items():
-        lam = Partition(parts)
         if kind == "plus":
-            keep = lam.length <= m - n
+            keep = len(parts) <= m - n
         elif kind == "minus":
-            keep = lam.part(1) <= n - m
+            keep = (parts[0] if parts else 0) <= n - m
         elif kind in ("plus_state", "minus_state"):
-            assert ref is not None and shape is not None
-            floor = min(n - shape.length, m - lam.length) - 2
-            mine = maya_set(m, lam).occupied_above(floor)
-            refset = ref.occupied_above(floor)
-            keep = refset <= mine if kind == "plus_state" else mine <= refset
+            assert shape is not None
+            base = min(n - shape.length, m - len(parts))
+            mine = occupation_bits(m, parts, base)
+            ref = occupation_bits(n, shape.parts, base)
+            keep = not (ref & ~mine if kind == "plus_state" else mine & ~ref)
         else:
             raise ValueError(f"unknown projector {kind!r}")
         if keep:
@@ -454,7 +450,7 @@ def outer_project(
     c = v.states.get((bra_n, bra_shape.parts))
     if c is None:
         return FockVector(v.window, {})
-    _check_state_window(v.window, ket_n, ket_shape)
+    _check_state_window(v.window, ket_n, ket_shape.parts)
     return FockVector(v.window, {(ket_n, ket_shape.parts): c})
 
 
@@ -470,35 +466,53 @@ def apply_current(k: int, v: FockVector) -> FockVector:
     (transpose on bras); the charge operator at k = 0."""
     if k == 0:
         return apply_charge(v)
-    out = FockVector(v.window, {}, v.dual)
+    out: dict[State, object] = {}
+    _current_into(out, k, v)
+    return FockVector(v.window, out, v.dual)
+
+
+def _current_into(out: dict, k: int, v: FockVector, coeff=None) -> None:
+    """Add coeff * J_k v (k != 0) into `out`: each particle that can move by
+    |k| hops over the set bits.  A hop's two wedge signs reduce to the parity
+    of the occupied modes it passes; the source and target phases complete
+    the sign (the intermediate phase cancels).  A hop from below the window
+    or to at or above it raises, as does any hop from a state outside it."""
+    window = v.window
+    lo, width = window.lo, window.hi - window.lo
+    up = (k < 0) != v.dual  # kets hop m -> m - k, bras m -> m + k
+    s = abs(k)
+    low, passed = (1 << s) - 1, (1 << (s - 1)) - 1
     for (n, parts), c in v.states.items():
-        base = FockVector(v.window, {(n, parts): c}, v.dual)
-        maya = maya_set(n, Partition(parts))
-        floor = n - len(parts) - abs(k) - 1
-        i = 1
-        while True:
-            m = n + (parts[i - 1] if i <= len(parts) else 0) - i
-            if m < floor:
-                break
-            i += 1
-            target = m - k if not v.dual else m + k
-            if maya.contains(target):
-                continue
-            if not v.dual:
-                step = apply_psi(target, apply_psi_star(m, base))
-            else:
-                step = apply_psi_star(target, apply_psi(m, base))
-            out = out + step
-    return out
+        base = min(lo, n - len(parts))
+        bits = occupation_bits(n, parts, base)
+        # an upward hop into the lowest s modes starts below lo; one from the
+        # top s modes lands at or past hi
+        if up and (~bits & low or bits >> max(width - s, 0)):
+            raise WindowViolation(f"J_{k} on state ({n}, {parts}) leaves window {window}")
+        hops = bits & ~(bits >> s) if up else bits & ~((bits << s) | low)
+        if not hops:
+            continue
+        _check_state_window(window, n, parts)
+        phase = _phase(parts)
+        term = c if coeff is None else c * coeff
+        signed = (term, -term)
+        while hops:
+            m = hops.bit_length() - 1
+            hops ^= 1 << m
+            t = m + s if up else m - s
+            key = _state_of_bits(bits ^ (1 << m) ^ (1 << t), lo)
+            between = (bits >> (min(m, t) + 1) & passed).bit_count()
+            _add_into(out, key, signed[(between + phase + _phase(key[1])) & 1])
 
 
 def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> FockVector:
-    out = FockVector(v.window, {}, v.dual)
+    out: dict[State, object] = {}
     for k, c in coeffs.items():
-        if _is_zero(c):
-            continue
-        out = out + apply_current(k, v).scale(c)
-    return out
+        if k == 0:
+            accumulate(out, apply_charge(v), c)
+        elif not _is_zero(c):
+            _current_into(out, k, v, c)
+    return FockVector(v.window, out, v.dual)
 
 
 def skew_schur_signed(
@@ -534,28 +548,17 @@ def apply_current_exp(
     out: dict[State, object] = {}
     for (n, parts), c in v.states.items():
         lam = Partition(parts)
-        if grow:
-            shapes = [
-                mu for mu in enumerate_partitions(lam.weight + depth) if mu.contains(lam)
-            ]
-        else:
-            shapes = [mu for mu in enumerate_partitions(lam.weight) if lam.contains(mu)]
-        for mu in shapes:
+        for mu in enumerate_partitions(lam.weight + depth if grow else lam.weight):
             big, small = (mu, lam) if grow else (lam, mu)
+            if not big.contains(small):
+                continue
             coeff = skew_schur_signed(family, big, small, sign)
             if coeff.is_zero:
                 continue
             phase = (-1) ** (big.sign_exponent() - small.sign_exponent())
             if grow:
-                _check_state_window(v.window, n, mu)
-            term = c * coeff * phase
-            key = (n, mu.parts)
-            acc = out.get(key)
-            acc = term if acc is None else acc + term
-            if _is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
+                _check_state_window(v.window, n, mu.parts)
+            _add_into(out, (n, mu.parts), c * coeff * phase)
     return FockVector(v.window, out, v.dual)
 
 
@@ -570,20 +573,17 @@ def apply_current_exp_direct(
     mode_sign = -1 if direction == "lower" else +1
     coeffs = {mode_sign * k: family.time(k) * sign for k in range(1, depth + 1)}
     cap = max((sum(p) for _, p in v.states), default=0) + depth
-    out = v.scale(family.one())
-    term = out
+    term = v.scale(family.one())
+    out = dict(term.states)
     step = 1
     while True:
-        term = apply_current_combination(coeffs, term).scale(Fraction(1, step))
+        scaled = {k: c * Fraction(1, step) for k, c in coeffs.items()}
+        term = apply_current_combination(scaled, term)
         if direction == "lower":
-            term = FockVector(
-                v.window,
-                {s: c for s, c in term.states.items() if sum(s[1]) <= cap},
-                v.dual,
-            )
+            term.states = {s: c for s, c in term.states.items() if sum(s[1]) <= cap}
         if term.is_zero:
-            return out
-        out = out + term
+            return FockVector(v.window, out, v.dual)
+        accumulate(out, term)
         step += 1
         if step > 4 * (depth + 4) + sum(len(p) + sum(p) for _, p in v.states):
             raise RuntimeError("current exponential failed to terminate")
@@ -599,15 +599,15 @@ def apply_scaled_current_schur(
     fam = standard_single_family(max(shape.weight, 1))
     poly = schur_jt(fam, shape)
     mode_sign = -1 if direction == "lower" else +1
-    out = FockVector(v.window, {}, v.dual)
+    out: dict[State, object] = {}
     for key, c in poly.terms.items():
         piece = v.scale(c)
         for idx, e in key:
             k = idx + 1  # the single-family table orders t_1..t_D
             for _ in range(e):
                 piece = apply_current(mode_sign * k, piece).scale(Fraction(1, k))
-        out = out + piece
-    return out
+        accumulate(out, piece)
+    return FockVector(v.window, out, v.dual)
 
 
 # -- diagonal flows --------------------------------------------------------------
@@ -656,15 +656,14 @@ def apply_diagonal_multipliers(
     j >= 0 and divide by mult(j) for each empty j < 0, over the window."""
     out = {}
     for (n, parts), c in v.states.items():
-        lam = Partition(parts)
-        _check_state_window(v.window, n, lam)
-        maya = maya_set(n, lam)
+        _check_state_window(v.window, n, parts)
+        occupied = occupancy(n, parts)
         factor = Fraction(1)
         for j in range(0, v.window.hi):
-            if maya.contains(j):
+            if occupied(j):
                 factor *= Fraction(mult(j))
         for j in range(v.window.lo, 0):
-            if not maya.contains(j):
+            if not occupied(j):
                 factor /= Fraction(mult(j))
         out[(n, parts)] = c * factor
     return FockVector(v.window, out, v.dual)

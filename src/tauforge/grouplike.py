@@ -21,6 +21,7 @@ from tauforge.fock import (
     FockVector,
     Letter,
     ModeWindow,
+    accumulate,
     apply_diagonal_exp,
     apply_diagonal_multipliers,
     apply_mode,
@@ -29,6 +30,7 @@ from tauforge.fock import (
     basis_vector,
     inner,
     letter,
+    occupancy,
     outer_project,
     project,
     vacuum,
@@ -265,11 +267,11 @@ def field_letter_to_window(term_list: Iterable[FieldTerm], window: ModeWindow) -
     return tuple(parts)
 
 
-def _apply_bilinear_once(mat: ModeMatrix, v: FockVector) -> FockVector:
-    out = FockVector(v.window, {}, v.dual)
+def _apply_bilinear_once(mat: ModeMatrix, v: FockVector, scale) -> FockVector:
+    out: dict = {}
     for (i, k), c in mat.entries.items():
-        out = out + apply_word([letter("psi*", i), letter("psi", k)], v).scale(c)
-    return out
+        accumulate(out, apply_word([letter("psi*", i), letter("psi", k)], v), c * scale)
+    return FockVector(v.window, out, v.dual)
 
 
 def _pair_subsets(entries: list[tuple[tuple[int, int], Fraction]]):
@@ -292,49 +294,46 @@ def _apply_ordered_exponent(g: "NormalOrderedBilinear", v: FockVector) -> FockVe
     pruned per input state: a pair whose annihilation-side letter dies on
     the state is never extended, which keeps dense (moment-type) matrices
     tractable."""
-    from tauforge.partitions import Partition, maya_set
-
     entries = g.mat.items()
     n0 = g.ordering
-    out = FockVector(v.window, {}, v.dual)
+    out: dict = {}
     for state, amp in v.states.items():
         sv = FockVector(v.window, {state: amp}, v.dual)
-        maya = maya_set(state[0], Partition(state[1]))
+        occupied = occupancy(*state)
 
         def admissible(i: int, k: int) -> bool:
             # necessary screens on whichever letters reach the state first:
             # kets meet the annihilation side, bras the creation side
             if not v.dual:
                 if n0 is None:
-                    return not maya.contains(k)  # the filling letters act first
+                    return not occupied(k)  # the filling letters act first
                 ok = True
                 if i >= n0:
-                    ok = ok and maya.contains(i)
+                    ok = ok and occupied(i)
                 if k < n0:
-                    ok = ok and not maya.contains(k)
+                    ok = ok and not occupied(k)
                 return ok
             if n0 is None:
-                return not maya.contains(i)  # starred letters insert into the bra
+                return not occupied(i)  # starred letters insert into the bra
             ok = True
             if i < n0:
-                ok = ok and not maya.contains(i)
+                ok = ok and not occupied(i)
             if k >= n0:
-                ok = ok and maya.contains(k)
+                ok = ok and occupied(k)
             return ok
 
         def rec(idx: int, pairs, rows, cols, coeff):
-            nonlocal out
             if pairs:
                 word = [letter("psi*", i) for i, _ in pairs]
                 word += [letter("psi", k) for _, k in reversed(pairs)]
                 # the all-stars-left arrangement is bare-normal ordered as
                 # written; vacuum orderings re-sort with parity
                 if n0 is None:
-                    out = out + apply_word(word, sv).scale(coeff)
+                    accumulate(out, apply_word(word, sv), coeff)
                 else:
-                    out = out + apply_normal_ordered_word(word, n0, sv).scale(coeff)
+                    accumulate(out, apply_normal_ordered_word(word, n0, sv), coeff)
             else:
-                out = out + sv.scale(coeff)
+                accumulate(out, sv, coeff)
             for j in range(idx, len(entries)):
                 (i, k), c = entries[j]
                 if i in rows or k in cols or not admissible(i, k):
@@ -342,7 +341,7 @@ def _apply_ordered_exponent(g: "NormalOrderedBilinear", v: FockVector) -> FockVe
                 rec(j + 1, pairs + [(i, k)], rows | {i}, cols | {k}, coeff * c)
 
         rec(0, [], set(), set(), Fraction(1))
-    return out
+    return FockVector(v.window, out, v.dual)
 
 
 def apply_element(g, v: FockVector) -> FockVector:
@@ -350,14 +349,14 @@ def apply_element(g, v: FockVector) -> FockVector:
     if isinstance(g, Identity):
         return v
     if isinstance(g, ExponentBilinear):
-        out = v
+        out = dict(v.states)
         term = v
         cap = len(g.b.modes()) ** 2 + 8
         for step in range(1, cap + 2):
-            term = _apply_bilinear_once(g.b, term).scale(Fraction(1, step))
+            term = _apply_bilinear_once(g.b, term, Fraction(1, step))
             if term.is_zero:
-                return out
-            out = out + term
+                return FockVector(v.window, out, v.dual)
+            accumulate(out, term)
         raise RuntimeError("bilinear exponential did not terminate")
     if isinstance(g, NormalOrderedBilinear):
         return _apply_ordered_exponent(g, v)
@@ -367,13 +366,11 @@ def apply_element(g, v: FockVector) -> FockVector:
         if g.ordered:
             return apply_diagonal_multipliers(g.mult, v)
         out = {}
-        from tauforge.partitions import maya_set
-
         for (n, parts), c in v.states.items():
             factor = Fraction(1)
-            maya = maya_set(n, Partition(parts))
+            occupied = occupancy(n, parts)
             for mode, m in g.mults:
-                if maya.contains(mode):
+                if occupied(mode):
                     factor *= m
             out[(n, parts)] = c * factor
         return FockVector(v.window, out, v.dual)
@@ -389,7 +386,7 @@ def apply_element(g, v: FockVector) -> FockVector:
         word = [field_letter_to_window(lt, v.window) for lt in g.letters]
         return apply_word(word, v)
     if isinstance(g, SolitonExponent):
-        out = FockVector(v.window, {}, v.dual)
+        out = {}
         n = len(g.ps)
         entries = [
             ((i, k), g.a_rows[i][k]) for i in range(n) for k in range(n)
@@ -397,7 +394,7 @@ def apply_element(g, v: FockVector) -> FockVector:
         ]
         for pairs, coeff in _pair_subsets(entries):
             if not pairs:
-                out = out + v.scale(coeff)
+                accumulate(out, v, coeff)
                 continue
             word = [
                 field_letter_to_window(
@@ -409,8 +406,8 @@ def apply_element(g, v: FockVector) -> FockVector:
                 field_letter_to_window([(Fraction(1), "psi", g.ps[k], 0)], v.window)
                 for _, k in reversed(pairs)
             ]
-            out = out + apply_word(word, v).scale(coeff)
-        return out
+            accumulate(out, apply_word(word, v), coeff)
+        return FockVector(v.window, out, v.dual)
     if isinstance(g, Product):
         seq = list(g.factors)
         if not v.dual:

@@ -175,3 +175,59 @@ def test_verify_rejects_cutoff_below_suite_minimum(capsys):
     assert exc.value.code == 2
     code, out = run(capsys, ["verify", "--suite", "schur", "--cutoff", "0"])
     assert code == 0 and json.loads(out)["ok"]
+
+
+def usage_error(capsys, argv) -> str:
+    """Run argv, expect exit code 2, and return the one-line message."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1]
+
+
+def test_expand_rejects_negative_cutoff(capsys):
+    msg = usage_error(capsys, ["expand", "--element", '{"kind": "identity"}', "--cutoff", "-1"])
+    assert msg.endswith("expand needs --cutoff >= 0")
+
+
+def test_model_rejects_negative_cutoff(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "unitary", "--cutoff", "-1"])
+    assert msg.endswith("model needs --cutoff >= 0")
+
+
+def test_expand_rejects_unknown_element_kind(capsys):
+    msg = usage_error(capsys, ["expand", "--element", '{"kind": "bogus"}'])
+    assert "bad --element" in msg and "bogus" in msg
+
+
+def test_expand_rejects_element_that_is_not_json(capsys):
+    assert "bad --element" in usage_error(capsys, ["expand", "--element", "notjson"])
+
+
+def test_expand_rejects_increasing_partition(capsys):
+    spec = '{"kind": "character", "partition": [1, 2]}'
+    msg = usage_error(capsys, ["expand", "--element", spec])
+    assert "bad --element" in msg and "weakly decreasing" in msg
+
+
+def test_expand_reports_a_user_window_that_is_too_small(capsys):
+    spec = '{"kind": "character", "partition": [3]}'
+    msg = usage_error(capsys, ["expand", "--element", spec, "--window=-1..1", "--cutoff", "3"])
+    assert "--window -1..1 is too small" in msg
+
+
+def test_expand_rejects_unknown_species_and_mixed_letters(capsys):
+    # an unknown species used to run as psi* and exit 0 with a wrong series
+    for species in (["phi"], ["psi", "psi*"]):
+        letter = [{"coeff": "1", "species": s, "mode": i} for i, s in enumerate(species)]
+        spec = json.dumps({"kind": "linear_word", "letters": [letter]})
+        msg = usage_error(capsys, ["expand", "--element", spec])
+        assert "bad --element" in msg and "one species" in msg
+
+
+def test_expand_rejects_unknown_projector_side(capsys):
+    for spec in ({"kind": "projector", "side": "bogus"}, {"kind": "projector", "side": "plus_state"}):
+        msg = usage_error(capsys, ["expand", "--element", json.dumps(spec)])
+        assert "bad --element" in msg and "projector side" in msg
