@@ -37,9 +37,8 @@ def bosonize(v: FockVector, family: TimeFamily, depth: int) -> dict[int, Poly]:
         sector = v.restrict_charge(l)
         raised = apply_current_exp("raise", family, sector, depth)
         val = raised.component(l, Partition([]))
-        poly = family.constant(val) if isinstance(val, Fraction) else val
-        if not poly.is_zero:
-            out[l] = poly
+        if val:
+            out[l] = val
     return out
 
 

@@ -28,12 +28,6 @@ from tauforge.schur import schur_jt, skew_schur
 State = tuple[int, tuple[int, ...]]  # (charge, shape parts)
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero
-    return c == 0
-
-
 class WindowViolation(Exception):
     """A computation referenced a mode the window does not materialize."""
 
@@ -134,7 +128,7 @@ class FockVector:
     ):
         self.window = window
         self.dual = dual
-        self.states = {s: c for s, c in (states or {}).items() if not _is_zero(c)}
+        self.states = {s: c for s, c in (states or {}).items() if c}
 
     @property
     def is_zero(self) -> bool:
@@ -155,7 +149,7 @@ class FockVector:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FockVector":
-        if _is_zero(c):
+        if not c:
             return FockVector(self.window, {}, self.dual)
         return FockVector(
             self.window, {s: v * c for s, v in self.states.items()}, self.dual
@@ -510,7 +504,7 @@ def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> Fo
     for k, c in coeffs.items():
         if k == 0:
             accumulate(out, apply_charge(v), c)
-        elif not _is_zero(c):
+        elif c:
             _current_into(out, k, v, c)
     return FockVector(v.window, out, v.dual)
 

@@ -387,10 +387,7 @@ def diagonal_model_tau_fock(
     mults = tuple((j, model.g(j)) for j in range(0, window.hi))
     v = apply_element(Diagonal(mults, ordered=False), v)
     raised = apply_current_exp("raise", family_plus, v, depth)
-    out = raised.component(count, Partition([]))
-    if isinstance(out, Fraction):
-        return family_plus.constant(out)
-    return out
+    return raised.component(count, Partition([])) or family_plus.zero()
 
 
 def diagonal_model_tau_closed(
@@ -494,10 +491,7 @@ def hermitian_fermionic_tau(count: int, family: TimeFamily, depth: int) -> Poly:
         {s: c for s, c in ket.states.items() if sum(s[1]) <= depth},
     )
     raised = apply_current_exp("raise", family, ket, depth)
-    out = raised.component(count, Partition([]))
-    if isinstance(out, Fraction):
-        return family.constant(out)
-    return out
+    return raised.component(count, Partition([])) or family.zero()
 
 
 def hermitian_moment_element(span: int) -> NormalOrderedBilinear:
@@ -524,10 +518,7 @@ def hermitian_two_family_tau(
     v = project("plus", v, 0)
     v = type(v)(window, {s: c for s, c in v.states.items() if sum(s[1]) <= depth})
     raised = apply_current_exp("raise", family_plus, v, depth)
-    out = raised.component(count, Partition([]))
-    if isinstance(out, Fraction):
-        return family_plus.constant(out)
-    return out
+    return raised.component(count, Partition([])) or family_plus.zero()
 
 
 # -- cut-and-join family ---------------------------------------------------------------
@@ -578,10 +569,7 @@ def cut_and_join_tau_operator(
     v = apply_current_exp("lower", family_minus, vacuum(window, 0), depth, sign=-1)
     v = apply_element(cut_and_join_element(e_half_beta, q), v)
     raised = apply_current_exp("raise", family_plus, v, depth)
-    out = raised.component(0, Partition([]))
-    if isinstance(out, Fraction):
-        return family_plus.constant(out)
-    return out
+    return raised.component(0, Partition([])) or family_plus.zero()
 
 
 # -- Hamiltonian-evolution tau in the auxiliary times -------------------------------------

@@ -149,6 +149,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
@@ -258,6 +261,13 @@ class Poly:
         return Poly(self.table, cut, {k: c for k, c in acc.items() if c}, _trusted=True)
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other) -> "Poly":
+        """A rational divided by a series; raises ZeroDivisionError when the
+        constant term vanishes."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.series_inverse() * other
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -648,19 +658,25 @@ def hirota_bilinear(
     return out
 
 
-def poly_matrix_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant by column-subset memoized expansion; prunes zero entries.
+def poly_matrix_det(rows: list[list[Poly | Scalar]]) -> Poly | Fraction:
+    """The one determinant: column-subset memoized expansion that prunes
+    zero entries.
 
-    Exact over the truncated ring (no division), fast on the banded
-    matrices that arise from generator-index determinants.
+    Entries may mix `Poly` and rational values (an absent state reads as a
+    scalar zero); the ring's zero and one come from the first `Poly`
+    entry.  Exact over the truncated ring (no division), fast on the banded
+    matrices that arise from generator-index determinants.  A matrix with
+    no `Poly` entry is rational and goes to `fraction_matrix_det`, so the
+    empty matrix gives 1.
     """
     n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    zero = rows[0][0].zero_like()
-    one = rows[0][0].one_like()
+    ring = next((x for r in rows for x in r if isinstance(x, Poly)), None)
+    if ring is None:
+        return fraction_matrix_det(rows)
+    zero = ring.zero_like()
+    one = ring.one_like()
     memo: dict[frozenset[int], Poly] = {}
 
     def minor(cols: frozenset[int]) -> Poly:
@@ -673,10 +689,10 @@ def poly_matrix_det(rows: list[list[Poly]]) -> Poly:
         acc = zero
         for pos, j in enumerate(sorted(cols)):
             entry = rows[i][j]
-            if entry.is_zero:
+            if not entry:
                 continue
             sub = minor(cols - {j})
-            if sub.is_zero:
+            if not sub:
                 continue
             acc = acc + entry * sub * ((-1) ** pos)
         memo[cols] = acc

@@ -33,7 +33,7 @@ from tauforge.grouplike import (
     charge_of,
 )
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius, hook_shape
-from tauforge.polyring import Poly, TimeFamily
+from tauforge.polyring import Poly, TimeFamily, poly_matrix_det
 from tauforge.schur import schur_jt
 from tauforge.wick import correlator_exact, kmode
 
@@ -182,9 +182,7 @@ def expand_mkp(
     poly = family.zero()
     for lam in enumerate_partitions(depth):
         c = pluecker_coefficient(g, lam, n, window)
-        if isinstance(c, Fraction) and c == 0:
-            continue
-        if isinstance(c, Poly) and c.is_zero:
+        if not c:
             continue
         coeffs[lam] = c
         poly = poly + schur_jt(family, lam) * c
@@ -213,10 +211,7 @@ def expand_mkp_direct(
         {s: c for s, c in ket.states.items() if s[0] == n and sum(s[1]) <= depth},
     )
     raised = apply_current_exp("raise", family, ket, depth)
-    out = raised.component(n, Partition([]))
-    if isinstance(out, Fraction):
-        return family.constant(out)
-    return out
+    return raised.component(n, Partition([])) or family.zero()
 
 
 def expand_2dtl(
@@ -248,10 +243,7 @@ def expand_2dtl(
                 )
             else:
                 val = ket.component(n, lam)
-            if isinstance(val, Fraction):
-                if val == 0:
-                    continue
-            elif val.is_zero:
+            if not val:
                 continue
             c = val * sign
             coeffs[(lam, mu)] = c
@@ -274,30 +266,18 @@ def _schur_neg(family: TimeFamily, shape: Partition) -> Poly:
 # -- coefficient identities ------------------------------------------------------
 
 
-def _invert(value):
-    if isinstance(value, Poly):
-        return value.series_inverse()
-    if value == 0:
-        raise ZeroDivisionError
-    return 1 / value
-
-
-def _det(entries):
-    from tauforge.wick import _det_generic
-
-    return _det_generic(entries)
-
-
 def giambelli_coeff_check(g, n: int, shape: Partition, window: ModeWindow | None = None):
     """Coefficient of a shape = hook-coefficient determinant divided by
     the central value to the power (diagonal size - 1).  Returns True,
     False, or None when the central coefficient vanishes."""
-    window = window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
-    central = pluecker_coefficient(g, Partition([]), n, window)
-    if _is_zero_scalar(central):
-        return None
     alphas, betas = shape.frobenius()
     d = len(alphas)
+    if d == 0:
+        return True
+    window = window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
+    central = pluecker_coefficient(g, Partition([]), n, window)
+    if not central:
+        return None
     entries = [
         [
             pluecker_coefficient(g, hook_shape(alphas[i], betas[j]), n, window)
@@ -305,17 +285,12 @@ def giambelli_coeff_check(g, n: int, shape: Partition, window: ModeWindow | None
         ]
         for i in range(d)
     ]
-    det = _det(entries)
     lhs = pluecker_coefficient(g, shape, n, window)
-    inv = _invert(central)
-    rhs = det
+    inv = 1 / central
+    rhs = poly_matrix_det(entries)
     for _ in range(d - 1):
         rhs = rhs * inv
     return lhs == rhs
-
-
-def _is_zero_scalar(x) -> bool:
-    return x.is_zero if isinstance(x, Poly) else x == 0
 
 
 def _row_coefficient(g, s: int, n: int, window):
@@ -357,7 +332,7 @@ def quantum_jt_check(
         pref = Fraction(1)
         for k in range(1, ell):
             c0 = pluecker_coefficient(g, Partition([]), n - k, window)
-            if _is_zero_scalar(c0):
+            if not c0:
                 return None
             pref = pref * c0
         entries = [
@@ -367,7 +342,7 @@ def quantum_jt_check(
             ]
             for i in range(1, ell + 1)
         ]
-        return lhs * pref == _det(entries)
+        return lhs * pref == poly_matrix_det(entries)
     if orientation == "columns":
         width = shape.part(1)
         if width == 0:
@@ -376,7 +351,7 @@ def quantum_jt_check(
         pref = Fraction(1)
         for k in range(1, width):
             c0 = pluecker_coefficient(g, Partition([]), n + k, window)
-            if _is_zero_scalar(c0):
+            if not c0:
                 return None
             pref = pref * c0
         entries = [
@@ -386,7 +361,7 @@ def quantum_jt_check(
             ]
             for i in range(1, width + 1)
         ]
-        return lhs * pref == _det(entries)
+        return lhs * pref == poly_matrix_det(entries)
     raise ValueError(f"unknown orientation {orientation!r}")
 
 

@@ -33,10 +33,11 @@ from tauforge.grouplike import (
     Identity,
     LinearWord,
     SolitonExponent,
+    _falling,
     _pair_subsets,
     apply_element,
 )
-from tauforge.polyring import Poly, TimeFamily
+from tauforge.polyring import Poly, TimeFamily, fraction_matrix_det, poly_matrix_det
 
 # -- truncated bivariate Taylor arithmetic over exact rationals -------------
 
@@ -104,13 +105,6 @@ class Taylor2:
 
     def coeff(self, a: int, b: int) -> Fraction:
         return self.c.get((a, b), Fraction(0))
-
-
-def _falling(k: int, m: int) -> int:
-    out = 1
-    for j in range(m):
-        out *= k - j
-    return out
 
 
 def _field_field_kernel(
@@ -218,7 +212,7 @@ def kernel_vev(n: int, letters: Sequence[KLetter]):
             if p is None:
                 continue
             sub = rec(tuple(x for x in rest if x != j))
-            if isinstance(sub, Fraction) and sub == 0:
+            if not sub:
                 continue
             term = p * sub * ((-1) ** pos)
             total = term if total is None else total + term
@@ -428,25 +422,9 @@ def wick_standard(window: ModeWindow, n: int, vs: Sequence[Letter], ws: Sequence
     if len(ws) != m:
         raise ValueError("need equally many starred and unstarred letters")
     from tauforge.fock import pair_vev
-    from tauforge.polyring import fraction_matrix_det
 
     mat = [[pair_vev(n, vs[i], ws[j]) for j in range(m)] for i in range(m)]
     return fraction_matrix_det(mat)
-
-
-def _det_generic(entries: list[list[object]]):
-    """Determinant over a commutative ring via Laplace expansion with
-    column-subset memoization (entries may be polynomials)."""
-    n = len(entries)
-    if n == 0:
-        return Fraction(1)
-    if isinstance(entries[0][0], Poly):
-        from tauforge.polyring import poly_matrix_det
-
-        return poly_matrix_det(entries)
-    from tauforge.polyring import fraction_matrix_det
-
-    return fraction_matrix_det([[Fraction(x) for x in row] for row in entries])
 
 
 def wick_generalized(
@@ -467,20 +445,17 @@ def wick_generalized(
     if m == 0:
         raise ValueError("need at least one insertion pair")
     central = evaluate(None, None)
-    if isinstance(central, Fraction) and central == 0:
+    if not central:
         raise ZeroDivisionError("central correlator vanishes")
     entries = [
         [evaluate(vs[j], ws[i]) for j in range(m)] for i in range(m)
     ]
-    det = _det_generic(entries)
     # normalize: det of (entry/central) = det / central^m
-    if isinstance(det, Poly) or isinstance(central, Poly):
-        inv = central.series_inverse() if isinstance(central, Poly) else 1 / central
-        out = det
-        for _ in range(m - 1):
-            out = out * inv
-        return out
-    return det / central ** (m - 1)
+    out = poly_matrix_det(entries)
+    inv = 1 / central
+    for _ in range(m - 1):
+        out = out * inv
+    return out
 
 
 def three_term_column_identity(window: ModeWindow, g, n: int, l: int, w: Letter) -> bool:
@@ -601,7 +576,7 @@ def wick_column_forms(
             [corr(n, [letter("psi", n - j), inserts[i - 1]], n) for j in range(1, m + 1)]
             for i in range(1, m + 1)
         ]
-        insertion = _det_generic(ins) / central ** (m - 1)
+        insertion = poly_matrix_det(ins) / central ** (m - 1)
         stepped = [
             [
                 corr(n - j, [inserts[i - 1]], n - j + 1) / corr(n - j + 1, [], n - j + 1)
@@ -612,7 +587,7 @@ def wick_column_forms(
         return {
             "direct": direct,
             "insertion": insertion,
-            "stepped": central * _det_generic(stepped),
+            "stepped": central * poly_matrix_det(stepped),
         }
     if side == "particles":
         direct = corr(n + m, list(reversed(inserts)), n)
@@ -623,7 +598,7 @@ def wick_column_forms(
             ]
             for i in range(1, m + 1)
         ]
-        insertion = _det_generic(ins) / central ** (m - 1)
+        insertion = poly_matrix_det(ins) / central ** (m - 1)
         stepped = [
             [
                 corr(n + j, [inserts[i - 1]], n + j - 1) / corr(n + j - 1, [], n + j - 1)
@@ -634,7 +609,7 @@ def wick_column_forms(
         return {
             "direct": direct,
             "insertion": insertion,
-            "stepped": central * _det_generic(stepped),
+            "stepped": central * poly_matrix_det(stepped),
         }
     if side == "right_particles":
         direct = corr(n, [], n - m, post=list(inserts))
@@ -649,7 +624,7 @@ def wick_column_forms(
         return {
             "direct": direct,
             "insertion": None,
-            "stepped": central * _det_generic(stepped),
+            "stepped": central * poly_matrix_det(stepped),
         }
     if side == "right_holes":
         direct = corr(n, [], n + m, post=list(inserts))
@@ -664,6 +639,6 @@ def wick_column_forms(
         return {
             "direct": direct,
             "insertion": None,
-            "stepped": central * _det_generic(stepped),
+            "stepped": central * poly_matrix_det(stepped),
         }
     raise ValueError(f"unknown side {side!r}")

@@ -1,0 +1,53 @@
+"""Golden digests of CLI reports: a refactor that claims equal behaviour
+must leave every report byte-identical.
+
+The sha256 of each stdout report and each exit code were written down
+from a run of the commands below; a change that alters any report (or
+exit code) fails here and must re-derive the table deliberately.
+"""
+
+import hashlib
+
+import pytest
+
+from tauforge.cli import main
+
+GOLDEN = [
+    (
+        "verify --suite all --cutoff 6 --seed 1",
+        0,
+        "f269f4d6bf7674d1c3426121369a65dc5bf543a3be87249d5c21914901bd3a3d",
+    ),
+    (
+        "verify --suite all --cutoff 8 --seed 2",
+        0,
+        "b73a32746e8adf9fd29047894358178e124e0c8763115f7397e72f402a9ba785",
+    ),
+    (
+        "verify --suite all --cutoff 6 --seed 1 --corrupt",
+        1,
+        "cd4157104b3bf095b2aa05620f660e0e710833625f0cf5cf8c8bbadbd9284875",
+    ),
+    (
+        "model --kind unitary --size 2 --cutoff 6",
+        0,
+        "b9aa8d5b61062ec077b73dd898280fec6683f09ae3db61552b99da2539ef9b59",
+    ),
+    (
+        "model --kind hciz --size 2 --cutoff 6",
+        0,
+        "161886926846ce62195d1c199c510ba45eb782c1707f18266354db5efbe57ebc",
+    ),
+    (
+        "model --kind soliton --size 2 --cutoff 6",
+        0,
+        "1c6b011ad807ac26547c4350565390662ddeb6873626c0dde5b83c91873bd2b7",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_report_digest(capsys, command, code, digest):
+    got = main(command.split())
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -278,3 +278,52 @@ def test_embed_weight_mismatch_rejected():
     )
     with pytest.raises(ValueError):
         small.h(2).embed(table, {"t": 5})
+
+
+def test_poly_truth_value_is_nonzero():
+    fam = standard_single_family(4)
+    rng = random.Random(31)
+    for p in [fam.zero(), fam.one(), fam.time(4), fam.time(2) * fam.time(3)] + [
+        _random_poly(fam, rng) for _ in range(8)
+    ]:
+        assert bool(p) == (not p.is_zero)
+
+
+def test_rational_over_poly_is_series_inverse():
+    fam = standard_single_family(5)
+    rng = random.Random(37)
+    for _ in range(6):
+        p = _random_poly(fam, rng) + F(rng.randint(1, 5), rng.randint(1, 3))
+        if p.constant_term() == 0:
+            continue
+        assert 1 / p == p.series_inverse()
+        assert F(2, 3) / p == p.series_inverse() * F(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        1 / fam.time(1)
+
+
+def test_det_of_empty_and_rational_matrices():
+    assert poly_matrix_det([]) == 1
+    rng = random.Random(41)
+    for size in (1, 2, 3, 4):
+        mat = [
+            [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(size)]
+            for _ in range(size)
+        ]
+        assert poly_matrix_det(mat) == fraction_matrix_det(mat)
+
+
+def test_det_of_mixed_scalar_and_poly_entries():
+    fam = standard_single_family(3)
+    t1 = fam.time(1)
+    mixed = [
+        [[F(0), t1], [t1, 1]],
+        [[t1, F(0)], [F(0), t1]],
+        [[F(2), t1], [F(0), F(1, 2)]],
+    ]
+    for mat in mixed:
+        lifted = [
+            [x if isinstance(x, Poly) else fam.constant(x) for x in row] for row in mat
+        ]
+        assert poly_matrix_det(mat) == poly_matrix_det(lifted)
+    assert poly_matrix_det([[F(0), t1], [t1, 1]]) == -t1 * t1

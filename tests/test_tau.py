@@ -271,3 +271,8 @@ def test_series_json_is_deterministic():
     a = expand_mkp(g, 0, fam, 3, W).to_json()
     b = expand_mkp(g, 0, fam, 3, W).to_json()
     assert a == b
+
+
+def test_giambelli_empty_shape_is_trivially_true():
+    g = Diagonal(((-1, 3), (-2, 5)), ordered=False)
+    assert giambelli_coeff_check(g, 0, Partition([]), ModeWindow(-10, 10)) is True

@@ -388,3 +388,15 @@ def test_coincident_field_points_hit_pole():
     z = F(1, 3)
     with _pytest.raises(ZeroDivisionError):
         kernel_vev(0, [(kfield("psi*", z),), (kfield("psi", z),)])
+
+
+def test_wick_generalized_mixes_scalar_zero_and_poly_entries():
+    # an absent state reads as Fraction(0) next to polynomial correlators
+    fam = standard_single_family(3)
+    t1 = fam.time(1)
+    table = [[F(0), t1], [t1, fam.one()]]
+
+    def evaluate(v, w):
+        return fam.one() if v is None else table[w][v]
+
+    assert wick_generalized(evaluate, 0, [0, 1], [0, 1]) == -t1 * t1
