@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tauforge.polyring import Poly, TimeFamily, hirota_bilinear
+from tauforge.polyring import Poly, TimeFamily, _Partials, _Sum, hirota_bilinear
 
 
 @dataclass
@@ -70,18 +70,18 @@ def residue_check(
     depth = family.cutoffs[family.grading]
     minus = family.shift_by(tau_left, shift, -1)
     plus = family.shift_by(tau_right, shift, +1)
-    product = minus * plus
+    partials = _Partials(minus * plus)
     neg2 = {shift.names[k - 1]: shift.time(k) * -2 for k in range(1, shift.depth + 1)}
-    total = product.zero_like()
+    total = _Sum(partials.poly.zero_like())
     for j in range(charge_gap + 1, depth + 2):
-        derived = shift.apply_diff(shift.h(j), product)
+        derived = shift.apply_diff(shift.h(j), partials)
         if derived.is_zero:
             continue
         factor = shift.h(j - charge_gap - 1).substitute(neg2)
-        total = total + factor * derived
+        total.add(factor * derived)
     name = "kp_residue" if charge_gap == 0 else f"mkp_residue_gap{charge_gap}"
     # each term consumes gap+1 net derivative orders of the truncated input
-    return _report(name, total, depth - 1 - charge_gap, family.grading)
+    return _report(name, total.poly(), depth - 1 - charge_gap, family.grading)
 
 
 def kp_residue_check(tau: Poly, family: TimeFamily, shift: TimeFamily) -> CheckReport:

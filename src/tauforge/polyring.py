@@ -18,13 +18,20 @@ cutoffs are multiplied.  Weights add under multiplication, so every
 monomial formed survives the truncation and none is formed only to be
 dropped.  A polynomial's terms always lie within its own cutoffs, so a sum
 re-truncates only when a cutoff tightens.
+
+Loops that sum many polynomials add in place into one private dict
+(`_Sum`).  Operators applied to one target share its partial derivatives,
+memoized by multi-index (`_Partials`), and time shifts expand each power
+of a shifted time by integer binomials instead of multiplying `Poly`
+powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, perm, prod
 from operator import le
 from typing import Iterable, Mapping
 
@@ -105,17 +112,11 @@ class Poly:
             if c == 0:
                 continue
             key = tuple(sorted((i, e) for i, e in key if e != 0))
-            if self._within(key):
+            if _within(table, self.cutoffs, key):
                 self.terms[key] = self.terms.get(key, Fraction(0)) + c
         self.terms = {k: c for k, c in self.terms.items() if c != 0}
 
     # -- basics ---------------------------------------------------------
-
-    def _within(self, key: MonomialKey) -> bool:
-        for g, cut in self.cutoffs.items():
-            if cut is not None and self.table.weight_of(key, g) > cut:
-                return False
-        return True
 
     def _spawn(self, terms: dict[MonomialKey, Fraction]) -> "Poly":
         return Poly(self.table, self.cutoffs, terms, _trusted=True)
@@ -178,35 +179,13 @@ class Poly:
             return Poly.constant(self.table, self.cutoffs, other)
         return None
 
-    def _merged_cutoffs(self, other: "Poly") -> dict[str, int | None]:
-        out = {}
-        for g in self.table.gradings:
-            a, b = self.cutoffs.get(g), other.cutoffs.get(g)
-            if a is None:
-                out[g] = b
-            elif b is None:
-                out[g] = a
-            else:
-                out[g] = min(a, b)
-        return out
-
     def __add__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cut = self._merged_cutoffs(o)
-        out = Poly.zero(self.table, cut)
-        terms = dict(self.terms)
-        for k, c in o.terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        if self.cutoffs != cut or o.cutoffs != cut:  # a cutoff tightened
-            terms = {k: c for k, c in terms.items() if out._within(k)}
-        out.terms = terms
-        return out
+        acc = _Sum(self)
+        acc.add(o)
+        return acc.poly()
 
     __radd__ = __add__
 
@@ -234,7 +213,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cut = self._merged_cutoffs(o)
+        cut = _merge_cutoffs(self.table, self.cutoffs, o.cutoffs)
         graded = [g for g, c in cut.items() if c is not None]
         caps = [cut[g] for g in graded]
 
@@ -293,23 +272,35 @@ class Poly:
 
     # -- calculus ---------------------------------------------------------
 
-    def derivative(self, name: str, order: int = 1) -> "Poly":
+    def _var_index(self, name: str) -> int:
         if name not in self.table.index:
             raise KeyError(f"unknown variable {name}")
-        idx = self.table.index[name]
-        cur = self
-        for _ in range(order):
-            terms: dict[MonomialKey, Fraction] = {}
-            for key, c in cur.terms.items():
-                d = dict(key)
-                e = d.get(idx, 0)
-                if not e:
-                    continue
-                d[idx] = e - 1
-                newkey = tuple(sorted((i, x) for i, x in d.items() if x))
-                terms[newkey] = terms.get(newkey, Fraction(0)) + c * e
-            cur = cur._spawn({k: c for k, c in terms.items() if c})
-        return cur
+        return self.table.index[name]
+
+    def derivative(self, name: str, order: int = 1) -> "Poly":
+        idx = self._var_index(name)
+        if order < 0:
+            raise ValueError(f"negative derivative order {order} in {name}")
+        return self._derive(idx, order) if order else self
+
+    def _derive(self, idx: int, order: int) -> "Poly":
+        """d^order/dx^order for the variable at table index `idx`, in one
+        pass: distinct monomials stay distinct, the exponent is edited in
+        place in the sorted key, and each coefficient is multiplied once by
+        the falling factorial e (e-1) ... (e-order+1)."""
+        terms: dict[MonomialKey, Fraction] = {}
+        for key, c in self.terms.items():
+            for pos, (i, e) in enumerate(key):
+                if i >= idx:
+                    break
+            else:
+                continue
+            if i != idx or e < order:
+                continue
+            rest = key[pos + 1 :]
+            key = key[:pos] + ((idx, e - order),) + rest if e > order else key[:pos] + rest
+            terms[key] = c * perm(e, order)
+        return self._spawn(terms)
 
     def substitute(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
         """Simultaneous substitution; result re-truncated eagerly."""
@@ -485,6 +476,95 @@ class Poly:
         return "Poly(" + " + ".join(bits) + more + ")"
 
 
+def _within(
+    table: VariableTable, cutoffs: Mapping[str, int | None], key: MonomialKey
+) -> bool:
+    for g, cut in cutoffs.items():
+        if cut is not None and table.weight_of(key, g) > cut:
+            return False
+    return True
+
+
+def _merge_cutoffs(
+    table: VariableTable, *cutoffs: Mapping[str, int | None]
+) -> dict[str, int | None]:
+    """The tightest bound per grading; None where no side bounds it."""
+    out = {}
+    for g in table.gradings:
+        bounds = [c for cut in cutoffs if (c := cut.get(g)) is not None]
+        out[g] = min(bounds) if bounds else None
+    return out
+
+
+class _Sum:
+    """A running sum of polynomials, added in place.
+
+    The terms live in a dict of the sum's own, copied from the start value
+    and held by no caller; `poly()` hands that dict to the result, after
+    which the sum is not used again.  Each addition merges the cutoffs the
+    way `Poly.__add__` does, truncating only the side whose cutoff
+    tightened.
+    """
+
+    __slots__ = ("table", "cutoffs", "terms")
+
+    def __init__(self, start: Poly):
+        self.table = start.table
+        self.cutoffs = dict(start.cutoffs)
+        self.terms = dict(start.terms)
+
+    def add(self, p: Poly, scale: Scalar | None = None) -> None:
+        """Add `p`, or `p * scale` for a rational `scale`."""
+        if p.table is not self.table and p.table != self.table:
+            raise ValueError("polynomials live on different variable tables")
+        cut = _merge_cutoffs(self.table, self.cutoffs, p.cutoffs)
+        terms = self.terms
+        if cut != self.cutoffs:
+            self.terms = terms = {k: c for k, c in terms.items() if _within(self.table, cut, k)}
+            self.cutoffs = cut
+        if scale is not None and not scale:
+            return
+        clip = p.cutoffs != cut
+        for k, c in p.terms.items():
+            if clip and not _within(self.table, cut, k):
+                continue
+            if scale is not None:
+                c = c * scale
+            s = terms.get(k)
+            if s is None:
+                terms[k] = c
+            elif s := s + c:
+                terms[k] = s
+            else:
+                del terms[k]
+
+    def poly(self) -> Poly:
+        out = Poly.zero(self.table, self.cutoffs)
+        out.terms = self.terms
+        return out
+
+
+class _Partials:
+    """The partial derivatives of one polynomial, memoized by multi-index
+    (sorted ((table index, order), ...)).  Each is one first-order step
+    from its parent, the multi-index with its last order lowered by one,
+    so a family of operators over one target derives every partial once."""
+
+    __slots__ = ("poly", "_memo")
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+        self._memo: dict[MonomialKey, Poly] = {(): poly}
+
+    def get(self, alpha: MonomialKey) -> Poly:
+        got = self._memo.get(alpha)
+        if got is None:
+            idx, e = alpha[-1]
+            parent = alpha[:-1] + ((idx, e - 1),) if e > 1 else alpha[:-1]
+            got = self._memo[alpha] = self.get(parent)._derive(idx, 1)
+        return got
+
+
 class TimeFamily:
     """A half-infinite family of graded times t_1..t_K inside one table.
 
@@ -581,13 +661,10 @@ class TimeFamily:
 
     def miwa_shift(self, p: Poly, sign: int, param: str) -> Poly:
         """Substitute t_k -> t_k +- param^k / k (the one-point Miwa shift)."""
-        y = Poly.variable(self.table, self.cutoffs, param)
-        mapping: dict[str, Poly] = {}
-        ypow = self.one()
-        for k in range(1, self.depth + 1):
-            ypow = ypow * y
-            mapping[self.names[k - 1]] = self.time(k) + ypow * Fraction(sign, k)
-        return p.substitute(mapping)
+        y = self.table.index[param]
+        return self._binomial_shift(
+            p, {k: (y, k, sign, k) for k in range(1, self.depth + 1)}, self.cutoffs
+        )
 
     def miwa_times(self, u: Scalar, w: Scalar) -> dict[str, Fraction]:
         """Assignment t_k = u * w^(-k) / k."""
@@ -600,32 +677,83 @@ class TimeFamily:
 
     def shift_by(self, p: Poly, other: "TimeFamily", sign: int) -> Poly:
         """Substitute t_k -> t_k + sign * s_k for a parallel family s."""
-        mapping = {
-            self.names[k - 1]: self.time(k) + other.time(k) * sign
+        shifts = {
+            k: (other.table.index[other.names[k - 1]], 1, sign, 1)
             for k in range(1, min(self.depth, other.depth) + 1)
         }
-        return p.substitute(mapping)
+        return self._binomial_shift(p, shifts, self.cutoffs, other.cutoffs)
 
-    def apply_diff(self, op: Poly, target: Poly, scaled: bool = True) -> Poly:
+    def _binomial_shift(
+        self,
+        p: Poly,
+        shifts: Mapping[int, tuple[int, int, int, int]],
+        *cutoffs: Mapping[str, int | None],
+    ) -> Poly:
+        """Substitute t_k -> t_k + (num/den) v^m simultaneously, for each
+        k -> (table index of v, m, num, den) in `shifts`, expanding each
+        power of a shifted time by the binomial theorem in integers.
+
+        The result is truncated to `p`'s cutoffs merged with `cutoffs`, the
+        cutoffs of the substituted values, once some monomial of `p` holds a
+        shifted time (`p` is returned unchanged otherwise).
+        """
+        if p.table is not self.table and p.table != self.table:
+            raise ValueError("substitute values must share the table")
+        moves = {self.table.index[self.names[k - 1]]: move for k, move in shifts.items()}
+        terms: dict[MonomialKey, Fraction] = {}
+        touched = False
+        for key, c in p.terms.items():
+            # (exponents, numerator, denominator) of the expansion so far
+            parts = [({i: e for i, e in key if i not in moves}, 1, 1)]
+            for i, e in key:
+                move = moves.get(i)
+                if move is None:
+                    continue
+                touched = True
+                v, m, num, den = move
+                grown = []
+                for exps, pn, pd in parts:
+                    for r in range(e + 1):
+                        d = dict(exps)
+                        if r < e:
+                            d[i] = d.get(i, 0) + e - r
+                        if r:
+                            d[v] = d.get(v, 0) + m * r
+                        grown.append((d, pn * comb(e, r) * num**r, pd * den**r))
+                parts = grown
+            for exps, pn, pd in parts:
+                k = tuple(sorted(exps.items()))
+                val = Fraction(c.numerator * pn, c.denominator * pd)
+                terms[k] = terms[k] + val if k in terms else val
+        if not touched:
+            return p
+        return Poly(self.table, _merge_cutoffs(self.table, p.cutoffs, *cutoffs), terms)
+
+    def apply_diff(self, op: Poly, target: "Poly | _Partials", scaled: bool = True) -> Poly:
         """Interpret `op` (a polynomial in this family's times) as a
         differential operator: t_k becomes d/dt_k, divided by k when
-        `scaled` (the tilde-derivative convention)."""
-        out = target.zero_like()
+        `scaled` (the tilde-derivative convention).
+
+        `target` may be a `_Partials` memo of the target, so that several
+        operators on one target share its partial derivatives."""
+        partials = target if isinstance(target, _Partials) else _Partials(target)
+        target = partials.poly
+        rank = {name: k for k, name in enumerate(self.names, start=1)}
+        out = _Sum(target.zero_like())
         for key, c in op.terms.items():
-            piece = target
-            coeff = c
+            alpha = []
+            scale = 1
             for idx, e in key:
                 name = op.table.variables[idx].name
-                if name not in self.names:
+                if name not in rank:
                     raise ValueError(f"operator touches non-time variable {name}")
-                k = self.names.index(name) + 1
                 if scaled:
-                    coeff *= Fraction(1, k) ** e
-                piece = piece.derivative(name, e)
-                if piece.is_zero:
-                    break
-            out = out + piece * coeff
-        return out
+                    scale *= rank[name] ** e
+                alpha.append((target._var_index(name), e))
+            piece = partials.get(tuple(sorted(alpha)))
+            if piece:
+                out.add(piece, c / scale)
+        return out.poly()
 
 
 def hirota_bilinear(
@@ -634,28 +762,39 @@ def hirota_bilinear(
     """Evaluate P(D) f.g: apply P(d/dX) to f(t+X) g(t-X) at X = 0.
 
     `op_terms` lists (coefficient, {variable name: derivative order}).
-    Expanded by the Leibniz rule term by term.
+    Expanded by the Leibniz rule, sum over beta <= alpha of
+    prod_i C(alpha_i, beta_i) (-1)^(alpha_i - beta_i) d^beta f d^(alpha-beta) g,
+    with the partial derivatives of f and g memoized across all terms.
+    When `f is g`, the products for beta and alpha - beta coincide and
+    are formed once, with the two Leibniz weights added.
     """
-    out = f.zero_like()
+    f_partials = _Partials(f)
+    g_partials = f_partials if g is f else _Partials(g)
+    out = _Sum(f.zero_like())
     for coeff, orders in op_terms:
-        names = [n for n, a in orders.items() if a]
-        arities = [orders[n] for n in names]
-
-        def rec(i: int, fp: Poly, gp: Poly, factor: Fraction):
-            nonlocal out
-            if i == len(names):
-                out = out + fp * gp * factor
-                return
-            n, a = names[i], arities[i]
-            for b in range(a + 1):
-                fd = fp.derivative(n, b)
-                gd = gp.derivative(n, a - b)
-                if fd.is_zero or gd.is_zero:
-                    continue
-                rec(i + 1, fd, gd, factor * comb(a, b) * (-1) ** (a - b))
-
-        rec(0, f, g, Fraction(coeff))
-    return out
+        if any(a < 0 for a in orders.values()):
+            raise ValueError(f"negative derivative order in {dict(orders)}")
+        alpha = sorted((f._var_index(name), a) for name, a in orders.items() if a)
+        idx = [i for i, _ in alpha]
+        arity = [a for _, a in alpha]
+        for beta in product(*(range(a + 1) for a in arity)):
+            rest = tuple(a - b for a, b in zip(arity, beta))
+            if g is f and rest < beta:
+                continue  # counted with its mirror image
+            binom = prod(map(comb, arity, beta))
+            weight = binom * (-1) ** sum(rest)
+            if g is f and rest != beta:
+                weight += binom * (-1) ** sum(beta)
+            if not weight:
+                continue
+            fp = f_partials.get(tuple((i, b) for i, b in zip(idx, beta) if b))
+            gp = g_partials.get(tuple((i, r) for i, r in zip(idx, rest) if r))
+            # a vanishing term is skipped, but with no derivative at all
+            # f * g is added as it stands, merging the two cutoffs
+            if alpha and not (fp and gp):
+                continue
+            out.add(fp * gp, Fraction(coeff) * weight)
+    return out.poly()
 
 
 def poly_matrix_det(rows: list[list[Poly | Scalar]]) -> Poly | Fraction:

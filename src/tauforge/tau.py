@@ -33,7 +33,7 @@ from tauforge.grouplike import (
     charge_of,
 )
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius, hook_shape
-from tauforge.polyring import Poly, TimeFamily, poly_matrix_det
+from tauforge.polyring import Poly, TimeFamily, _Sum, poly_matrix_det
 from tauforge.schur import schur_jt
 from tauforge.wick import correlator_exact, kmode
 
@@ -114,19 +114,24 @@ def pluecker_coefficient(g, shape: Partition, n: int, window: ModeWindow | None 
     except TypeError:
         key = None
     q = charge_of(g)
-    sign = (-1) ** shape.sign_exponent()
     if is_field_based(g):
         val = correlator_exact(n, bra_letters(shape, n) + [g], n - q)
+        out = val * (-1) ** shape.sign_exponent()
     else:
         window = window or window_for_element(g, (n, n - q), shape.weight + 1)
-        bra = basis_vector(window, n, shape, dual=True)
-        val = inner(bra, apply_element(g, vacuum(window, n - q)))
-    out = val * sign
+        out = _signed_component(apply_element(g, vacuum(window, n - q)), shape, n)
     if key is not None:
         if _coeff_cache and next(iter(_coeff_cache))[0] != g:
             _coeff_cache.clear()
         _coeff_cache[key] = out
     return out
+
+
+def _signed_component(ket: FockVector, shape: Partition, n: int):
+    """(-1)^(sign exponent) <shape, n|ket>, the coefficient of one basis
+    state in an element's ket; the state must fit the ket's window."""
+    bra = basis_vector(ket.window, n, shape, dual=True)
+    return inner(bra, ket) * (-1) ** shape.sign_exponent()
 
 
 # -- series -------------------------------------------------------------------
@@ -176,18 +181,27 @@ def expand_mkp(
     depth: int,
     window: ModeWindow | None = None,
 ) -> TauSeries:
-    """tau_n as the Schur expansion with signed bra coefficients."""
-    window = window or window_for_element(g, (n, n - charge_of(g)), depth)
+    """tau_n as the Schur expansion with signed bra coefficients.
+
+    A window element is applied to the vacuum once, and every shape's
+    coefficient is read off that ket; a field-based element is paired
+    shape by shape."""
+    q = charge_of(g)
+    window = window or window_for_element(g, (n, n - q), depth)
+    ket = None if is_field_based(g) else apply_element(g, vacuum(window, n - q))
     coeffs = {}
-    poly = family.zero()
+    total = _Sum(family.zero())
     for lam in enumerate_partitions(depth):
-        c = pluecker_coefficient(g, lam, n, window)
+        if ket is None:
+            c = pluecker_coefficient(g, lam, n, window)
+        else:
+            c = _signed_component(ket, lam, n)
         if not c:
             continue
         coeffs[lam] = c
-        poly = poly + schur_jt(family, lam) * c
+        total.add(schur_jt(family, lam) * c)
     return TauSeries(
-        "MKP", n, poly, coeffs, {"depth": depth, "element": repr(g)}
+        "MKP", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)}
     )
 
 

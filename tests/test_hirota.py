@@ -146,3 +146,31 @@ def test_three_term_four_point():
     broken = tau + fam.time(2) * F(1, 9)
     assert not three_term_check_kp4(broken, fam, ("y0", "y1", "y2", "y3")).ok
     assert not three_term_check_kp({frozenset(): broken}, fam, ("y1", "y2", "y3")).ok
+
+
+def _perturbed_charge_pairs(fam):
+    """An mKP pair (tau_1, tau_0) and the pair with either side perturbed;
+    a t1 term would be no perturbation: (tau_1 + c t1, tau_0) still solves
+    the mKP equation for this element."""
+    g = sample_exponent_bilinear(random.Random(5))
+    up, down = (expand_mkp(g, n, fam, 6, W).poly for n in (1, 0))
+    bump = fam.time(2) * F(1, 7)
+    return (up, down), [(up + bump, down), (up, down + bump)]
+
+
+def test_mkp_equation_fails_on_a_perturbed_series():
+    fam, _ = paired_family(6)
+    (up, down), broken = _perturbed_charge_pairs(fam)
+    assert mkp_equation_check(up, down, fam).ok
+    for bad_up, bad_down in broken:
+        rep = mkp_equation_check(bad_up, bad_down, fam)
+        assert not rep.ok and rep.counterexample is not None
+
+
+def test_charge_step_residue_fails_on_a_perturbed_series():
+    fam, shift = paired_family(6)
+    (up, down), broken = _perturbed_charge_pairs(fam)
+    assert residue_check(up, down, fam, shift, charge_gap=1).ok
+    for bad_up, bad_down in broken:
+        rep = residue_check(bad_up, bad_down, fam, shift, charge_gap=1)
+        assert not rep.ok and rep.counterexample is not None

@@ -1,0 +1,264 @@
+"""Differential tests for the kernels the KP checks run on.
+
+`Poly.derivative` takes any order in one pass, `apply_diff` and
+`hirota_bilinear` share memoized partial derivatives, `shift_by` and
+`miwa_shift` expand binomially, and `expand_mkp` reads every coefficient
+off one application of a window element.  Each is compared here with the
+implementation it replaced, kept below as the reference: iterated
+first-order derivatives, substitution of `Poly` powers, and one element
+application per shape.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tauforge.fock import window_for
+from tauforge.grouplike import charge_of
+from tauforge.partitions import enumerate_partitions
+from tauforge.polyring import (
+    Poly,
+    hirota_bilinear,
+    paired_family,
+    standard_double_family,
+    standard_single_family,
+)
+from tauforge.sampling import sample_element
+from tauforge.schur import schur_jt
+from tauforge.tau import expand_mkp, mode_support, pluecker_coefficient
+
+# -- references: the implementations before the rewrite -------------------------
+
+
+def old_derivative(p: Poly, name: str, order: int = 1) -> Poly:
+    idx = p.table.index[name]
+    cur = p
+    for _ in range(order):
+        terms = {}
+        for key, c in cur.terms.items():
+            d = dict(key)
+            e = d.get(idx, 0)
+            if not e:
+                continue
+            d[idx] = e - 1
+            newkey = tuple(sorted((i, x) for i, x in d.items() if x))
+            terms[newkey] = terms.get(newkey, Fraction(0)) + c * e
+        cur = Poly(cur.table, cur.cutoffs, {k: c for k, c in terms.items() if c}, _trusted=True)
+    return cur
+
+
+def old_miwa_shift(family, p: Poly, sign: int, param: str) -> Poly:
+    y = Poly.variable(family.table, family.cutoffs, param)
+    mapping = {}
+    ypow = family.one()
+    for k in range(1, family.depth + 1):
+        ypow = ypow * y
+        mapping[family.names[k - 1]] = family.time(k) + ypow * Fraction(sign, k)
+    return p.substitute(mapping)
+
+
+def old_shift_by(family, p: Poly, other, sign: int) -> Poly:
+    mapping = {
+        family.names[k - 1]: family.time(k) + other.time(k) * sign
+        for k in range(1, min(family.depth, other.depth) + 1)
+    }
+    return p.substitute(mapping)
+
+
+def old_apply_diff(family, op: Poly, target: Poly, scaled: bool = True) -> Poly:
+    out = target.zero_like()
+    for key, c in op.terms.items():
+        piece = target
+        coeff = c
+        for idx, e in key:
+            name = op.table.variables[idx].name
+            k = family.names.index(name) + 1
+            if scaled:
+                coeff *= Fraction(1, k) ** e
+            piece = old_derivative(piece, name, e)
+            if piece.is_zero:
+                break
+        out = out + piece * coeff
+    return out
+
+
+def old_hirota_bilinear(op_terms, f: Poly, g: Poly) -> Poly:
+    out = f.zero_like()
+    for coeff, orders in op_terms:
+        names = [n for n, a in orders.items() if a]
+        arities = [orders[n] for n in names]
+
+        def rec(i, fp, gp, factor):
+            nonlocal out
+            if i == len(names):
+                out = out + fp * gp * factor
+                return
+            n, a = names[i], arities[i]
+            for b in range(a + 1):
+                fd = old_derivative(fp, n, b)
+                gd = old_derivative(gp, n, a - b)
+                if fd.is_zero or gd.is_zero:
+                    continue
+                rec(i + 1, fd, gd, factor * comb(a, b) * (-1) ** (a - b))
+
+        rec(0, f, g, Fraction(coeff))
+    return out
+
+
+def per_shape_expansion(g, n: int, family, depth: int, window) -> tuple[Poly, dict]:
+    coeffs = {}
+    poly = family.zero()
+    for lam in enumerate_partitions(depth):
+        c = pluecker_coefficient(g, lam, n, window)
+        if not c:
+            continue
+        coeffs[lam] = c
+        poly = poly + schur_jt(family, lam) * c
+    return poly, coeffs
+
+
+def same(a: Poly, b: Poly) -> bool:
+    return a.terms == b.terms and a.cutoffs == b.cutoffs
+
+
+# -- strategies ---------------------------------------------------------------------
+
+DEPTH = 4
+TIMES, SHIFTS = paired_family(DEPTH, extra_unit=("y",))
+TABLE = TIMES.table
+PLUS, MINUS = standard_double_family(DEPTH, DEPTH - 1, extra_unit_plus=("y",))
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+cutoff_values = st.one_of(st.none(), st.just(-1), st.integers(0, DEPTH + 2))
+
+
+def polys(table, gradings, max_size=10):
+    keys = st.dictionaries(
+        st.integers(0, len(table.variables) - 1), st.integers(1, 3), max_size=3
+    ).map(lambda d: tuple(sorted(d.items())))
+
+    @st.composite
+    def build(draw):
+        cutoffs = {g: draw(cutoff_values) for g in gradings}
+        return Poly(table, cutoffs, draw(st.dictionaries(keys, coefficients, max_size=max_size)))
+
+    return build()
+
+
+def operators(family, max_size=6):
+    """Polynomials in the family's times only, at its own cutoffs."""
+    idx = [family.table.index[n] for n in family.names]
+    keys = st.dictionaries(st.sampled_from(idx), st.integers(1, 3), max_size=2).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    return st.dictionaries(keys, coefficients, max_size=max_size).map(
+        lambda terms: Poly(family.table, family.cutoffs, terms)
+    )
+
+
+names = st.sampled_from([v.name for v in TABLE.variables])
+orders = st.dictionaries(names, st.integers(0, 3), max_size=3)
+op_terms = st.lists(st.tuples(coefficients, orders), max_size=3)
+
+
+# -- derivative ------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys(TABLE, ("t",)), names, st.integers(0, 4))
+def test_derivative_matches_iterated_first_derivatives(p, name, order):
+    assert same(p.derivative(name, order), old_derivative(p, name, order))
+
+
+def test_negative_derivative_order_is_rejected():
+    fam = standard_single_family(3)
+    p = fam.h(3)
+    with pytest.raises(ValueError):
+        p.derivative("t1", -1)
+    with pytest.raises(ValueError):
+        hirota_bilinear([(1, {"t1": -1})], p, p)
+    with pytest.raises(ValueError):
+        hirota_bilinear([(1, {"t1": 2, "t2": -1})], p, fam.h(2))
+
+
+# -- binomial time shifts ------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys(TABLE, ("t",)), st.sampled_from((-1, 1)))
+def test_shift_by_matches_power_substitution(p, sign):
+    assert same(TIMES.shift_by(p, SHIFTS, sign), old_shift_by(TIMES, p, SHIFTS, sign))
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys(PLUS.table, ("tp", "tm")), st.sampled_from((-1, 1)))
+def test_shift_by_across_gradings_matches_power_substitution(p, sign):
+    # the shift family has its own grading and a smaller cutoff, so the
+    # shifted monomials are truncated there
+    assert same(PLUS.shift_by(p, MINUS, sign), old_shift_by(PLUS, p, MINUS, sign))
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys(TABLE, ("t",)), st.sampled_from((-1, 1)))
+def test_miwa_shift_matches_power_substitution(p, sign):
+    assert same(TIMES.miwa_shift(p, sign, "y"), old_miwa_shift(TIMES, p, sign, "y"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys(PLUS.table, ("tp", "tm")), st.sampled_from((-1, 1)))
+def test_miwa_shift_in_a_bounded_grading_matches_power_substitution(p, sign):
+    assert same(PLUS.miwa_shift(p, sign, "y"), old_miwa_shift(PLUS, p, sign, "y"))
+
+
+# -- differential operators ------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(operators(SHIFTS), polys(TABLE, ("t",)), st.booleans())
+def test_apply_diff_matches_the_derivative_per_monomial(op, target, scaled):
+    assert same(SHIFTS.apply_diff(op, target, scaled), old_apply_diff(SHIFTS, op, target, scaled))
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys(TABLE, ("t",)))
+def test_apply_diff_sharing_partials_over_a_family_of_operators(target):
+    from tauforge.polyring import _Partials
+
+    partials = _Partials(target)
+    for j in range(DEPTH + 2):
+        op = SHIFTS.h(j)
+        assert same(SHIFTS.apply_diff(op, partials), old_apply_diff(SHIFTS, op, target))
+
+
+@settings(deadline=None, max_examples=100)
+@given(op_terms, polys(TABLE, ("t",), 8), polys(TABLE, ("t",), 8))
+# a term with no derivative adds f * g even when it vanishes, merging the cutoffs
+@example([(Fraction(1), {})], Poly.zero(TABLE, {"t": None}), Poly.zero(TABLE, {"t": 2}))
+def test_hirota_bilinear_matches_the_leibniz_recursion(ops, f, g):
+    assert same(hirota_bilinear(ops, f, g), old_hirota_bilinear(ops, f, g))
+
+
+@settings(deadline=None, max_examples=100)
+@given(op_terms, polys(TABLE, ("t",), 8))
+def test_hirota_bilinear_of_one_series_matches_the_leibniz_recursion(ops, f):
+    # f is g: mirror-image Leibniz terms share one product
+    assert same(hirota_bilinear(ops, f, f), old_hirota_bilinear(ops, f, f))
+
+
+# -- one element application per expansion ------------------------------------------
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10**6), st.integers(-1, 1), st.integers(0, 8))
+def test_one_ket_expansion_matches_per_shape_coefficients(seed, n, depth):
+    g = sample_element(random.Random(seed))
+    fam = standard_single_family(max(depth, 1))
+    window = window_for([n, n - charge_of(g)] + mode_support(g), depth)
+    series = expand_mkp(g, n, fam, depth, window)
+    poly, coeffs = per_shape_expansion(g, n, fam, depth, window)
+    assert series.coefficients == coeffs
+    assert same(series.poly, poly)
