@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from tauforge.fock import ModeWindow, WindowViolation
 from tauforge.grouplike import (
@@ -418,8 +419,75 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def report_text(payload) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)`, written directly:
+    the standard encoder runs in pure Python whenever it indents.  Each
+    polynomial term ({"den", "exp", "num"}) is formatted from one
+    template, since a model report is mostly those."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, nl: str, out: list[str]) -> None:
+    """Append the text of `obj`; `nl` is a newline plus the indentation of
+    the line `obj` starts on."""
+    if isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{_quote(_json_key(key))}: ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            text = _term_text(value, inner)
+            if text is None:
+                _write_json(value, inner, out)
+            else:
+                out.append(text)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:  # a scalar, {} or []: the standard encoder's C path
+        out.append(json.dumps(obj))
+
+
+def _term_text(obj, nl: str) -> str | None:
+    """A polynomial term {"den": str, "exp": {str: int}, "num": str} from
+    the template; None for anything else."""
+    if type(obj) is not dict or len(obj) != 3:
+        return None
+    den, num, exp = obj.get("den"), obj.get("num"), obj.get("exp")
+    if type(den) is not str or type(num) is not str or type(exp) is not dict:
+        return None
+    inner = nl + "  "
+    if not exp:
+        return f'{{{inner}"den": {_quote(den)},{inner}"exp": {{}},{inner}"num": {_quote(num)}{nl}}}'
+    if not all([type(k) is str and type(v) is int for k, v in exp.items()]):
+        return None
+    deeper = inner + "  "
+    body = ("," + deeper).join([f"{_quote(k)}: {v!r}" for k, v in sorted(exp.items())])
+    return (
+        f'{{{inner}"den": {_quote(den)},{inner}"exp": {{{deeper}{body}{inner}}},'
+        f'{inner}"num": {_quote(num)}{nl}}}'
+    )
+
+
+def _json_key(key) -> str:
+    """A dict key as the standard encoder converts it, after sorting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(args, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = report_text(payload)
     out = getattr(args, "out", None)
     if out and out != "-":
         with open(out, "w") as fh:

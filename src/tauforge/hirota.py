@@ -71,13 +71,12 @@ def residue_check(
     minus = family.shift_by(tau_left, shift, -1)
     plus = family.shift_by(tau_right, shift, +1)
     partials = _Partials(minus * plus)
-    neg2 = {shift.names[k - 1]: shift.time(k) * -2 for k in range(1, shift.depth + 1)}
     total = _Sum(partials.poly.zero_like())
     for j in range(charge_gap + 1, depth + 2):
         derived = shift.apply_diff(shift.h(j), partials)
         if derived.is_zero:
             continue
-        factor = shift.h(j - charge_gap - 1).substitute(neg2)
+        factor = shift.h(j - charge_gap - 1, -2)
         total.add(factor * derived)
     name = "kp_residue" if charge_gap == 0 else f"mkp_residue_gap{charge_gap}"
     # each term consumes gap+1 net derivative orders of the truncated input

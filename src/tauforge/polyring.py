@@ -2,8 +2,16 @@
 
 Variables carry a grading tag and an integer weight; a polynomial carries
 one cutoff per grading and drops any monomial exceeding a cutoff, eagerly,
-in every operation.  Coefficients are `fractions.Fraction` throughout; the
-ring never touches floating point.
+in every operation.  The ring is exact and never touches floating point.
+
+A `Poly` stores integer numerators over one common denominator
+(`nums: dict[key, int]`, `den: int`), kept canonical: `den > 0`, no
+factor common to `den` and every numerator, and `den == 1` for zero, so
+equal polynomials have equal storage and `==` and `hash` compare it
+directly.  Every operation works on the integers and divides out one gcd
+at the end; no per-term `Fraction` is formed.  `terms` is a read-only
+`Fraction` view for readers, built on access and never cached.  A `Poly`
+is not changed after it is built.
 
 The standard setup has time variables t_1..t_D of weight k in one grading
 (only K = D of them are materialized at cutoff D, since t_k with k > D
@@ -16,24 +24,26 @@ Products are graded: each operand's terms are bucketed by their weight in
 every bounded grading, and only bucket pairs whose weights sum within the
 cutoffs are multiplied.  Weights add under multiplication, so every
 monomial formed survives the truncation and none is formed only to be
-dropped.  A polynomial's terms always lie within its own cutoffs, so a sum
-re-truncates only when a cutoff tightens.
+dropped.  A polynomial caches its buckets on first use, so an operand that
+enters many products is bucketed once.  A polynomial's terms always lie
+within its own cutoffs, so a sum re-truncates only when a cutoff tightens.
 
-Loops that sum many polynomials add in place into one private dict
-(`_Sum`).  Operators applied to one target share its partial derivatives,
-memoized by multi-index (`_Partials`), and time shifts expand each power
-of a shifted time by integer binomials instead of multiplying `Poly`
-powers.
+Loops that sum many polynomials add in place into one private dict over a
+running denominator (`_Sum`), rescaled to the lcm only when an addend's
+denominator does not divide it.  Operators applied to one target share
+its partial derivatives, memoized by multi-index (`_Partials`), and time
+shifts expand each power of a shifted time by integer binomials instead of
+multiplying `Poly` powers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, perm, prod
+from math import comb, gcd, lcm, perm, prod
 from operator import le
-from typing import Iterable, Mapping
 
 Scalar = Fraction | int
 
@@ -87,86 +97,145 @@ def time_variables(grading: str, count: int, prefix: str = "t") -> list[Variable
     return [Variable(f"{prefix}{k}", grading, k) for k in range(1, count + 1)]
 
 
-class Poly:
-    """Sparse truncated polynomial attached to a table and per-grading cutoffs."""
+class _TermView(Mapping):
+    """Read-only `Fraction` view of a polynomial's terms, formed on access:
+    each value is built when it is read and nothing is cached."""
 
-    __slots__ = ("table", "cutoffs", "terms")
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict[MonomialKey, int], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key: MonomialKey) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class Poly:
+    """Sparse truncated polynomial attached to a table and per-grading cutoffs.
+
+    The value is sum(nums[key] * monomial(key)) / den, kept canonical: `den`
+    is positive, shares no factor with every numerator at once, and is 1 for
+    the zero polynomial.  Numerators are never zero.  A `Poly` is never
+    changed after it is built.
+    """
+
+    __slots__ = ("table", "cutoffs", "nums", "den", "_buckets")
 
     def __init__(
         self,
         table: VariableTable,
         cutoffs: Mapping[str, int | None],
-        terms: Mapping[MonomialKey, Fraction] | None = None,
+        terms: Mapping[MonomialKey, Scalar] | None = None,
         _trusted: bool = False,
     ):
-        self.table = table
-        self.cutoffs = dict(cutoffs)
-        for g in table.gradings:
-            self.cutoffs.setdefault(g, None)
-        if _trusted:
-            self.terms = dict(terms or {})
-            return
-        self.terms = {}
+        """Build from rational coefficients.  Keys are sorted, zero
+        exponents dropped, repeated keys summed and monomials beyond a
+        cutoff dropped, unless `_trusted` vouches that keys are sorted,
+        distinct and within the cutoffs."""
+        cut = _complete(table, cutoffs)
+        acc: dict[MonomialKey, Fraction] = {}
         for key, c in (terms or {}).items():
             c = Fraction(c)
-            if c == 0:
+            if not c:
                 continue
-            key = tuple(sorted((i, e) for i, e in key if e != 0))
-            if _within(table, self.cutoffs, key):
-                self.terms[key] = self.terms.get(key, Fraction(0)) + c
-        self.terms = {k: c for k, c in self.terms.items() if c != 0}
+            if not _trusted:
+                key = tuple(sorted((i, e) for i, e in key if e != 0))
+                if not _within(table, cut, key):
+                    continue
+            acc[key] = acc[key] + c if key in acc else c
+        den = lcm(*(c.denominator for c in acc.values()))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
+        self._set(table, cut, nums, den)
+
+    def _set(self, table, cutoffs, nums, den) -> None:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+        self.table = table
+        self.cutoffs = cutoffs
+        self.nums = nums
+        self.den = den
+        self._buckets = None
+
+    @staticmethod
+    def _reduced(
+        table: VariableTable,
+        cutoffs: dict[str, int | None],
+        nums: dict[MonomialKey, int],
+        den: int,
+    ) -> "Poly":
+        """The polynomial nums / den from nonzero numerators on keys within
+        `cutoffs` (a dict over every grading, shared, never changed), with
+        the common factor of `den` and the numerators divided out."""
+        p = Poly.__new__(Poly)
+        p._set(table, cutoffs, nums, den)
+        return p
 
     # -- basics ---------------------------------------------------------
 
-    def _spawn(self, terms: dict[MonomialKey, Fraction]) -> "Poly":
-        return Poly(self.table, self.cutoffs, terms, _trusted=True)
+    @property
+    def terms(self) -> Mapping[MonomialKey, Fraction]:
+        return _TermView(self.nums, self.den)
 
     @staticmethod
     def zero(table: VariableTable, cutoffs: Mapping[str, int | None]) -> "Poly":
-        return Poly(table, cutoffs, {}, _trusted=True)
+        return Poly._reduced(table, _complete(table, cutoffs), {}, 1)
 
     @staticmethod
     def constant(
         table: VariableTable, cutoffs: Mapping[str, int | None], c: Scalar
     ) -> "Poly":
         c = Fraction(c)
-        keep = c and all(cut is None or cut >= 0 for cut in cutoffs.values())
-        return Poly(table, cutoffs, {(): c} if keep else {}, _trusted=True)
+        if not (c and all(cut is None or cut >= 0 for cut in cutoffs.values())):
+            return Poly.zero(table, cutoffs)
+        return Poly._reduced(table, _complete(table, cutoffs), {(): c.numerator}, c.denominator)
 
     @staticmethod
     def variable(
         table: VariableTable, cutoffs: Mapping[str, int | None], name: str
     ) -> "Poly":
-        idx = table.index[name]
-        return Poly(table, cutoffs, {((idx, 1),): Fraction(1)})
+        key = ((table.index[name], 1),)
+        cut = _complete(table, cutoffs)
+        return Poly._reduced(table, cut, {key: 1} if _within(table, cut, key) else {}, 1)
 
     def one_like(self) -> "Poly":
         return Poly.constant(self.table, self.cutoffs, 1)
 
     def zero_like(self) -> "Poly":
-        return Poly.zero(self.table, self.cutoffs)
+        return Poly._reduced(self.table, self.cutoffs, {}, 1)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.nums.get((), 0), self.den)
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         key = tuple(
             sorted((self.table.index[n], e) for n, e in exponents.items() if e)
         )
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.nums.get(key, 0), self.den)
 
     def weight(self, key: MonomialKey, grading: str) -> int:
         return self.table.weight_of(key, grading)
 
     def max_weight(self, grading: str) -> int:
-        return max((self.weight(k, grading) for k in self.terms), default=0)
+        return max((self.weight(k, grading) for k in self.nums), default=0)
 
     # -- ring operations --------------------------------------------------
 
@@ -190,7 +259,9 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return self._spawn({k: -c for k, c in self.terms.items()})
+        return Poly._reduced(
+            self.table, self.cutoffs, {k: -n for k, n in self.nums.items()}, self.den
+        )
 
     def __sub__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -204,40 +275,63 @@ class Poly:
             return NotImplemented
         return o + (-self)
 
+    def _buckets_by(self, graded: tuple[str, ...]) -> list:
+        """The terms as [(weight vector in `graded`, [(key, numerator), ...])],
+        cached for the last `graded` asked for."""
+        got = self._buckets
+        if got is None or got[0] != graded:
+            out: dict[tuple[int, ...], list] = {}
+            weight_of = self.table.weight_of
+            for key, n in self.nums.items():
+                out.setdefault(tuple([weight_of(key, g) for g in graded]), []).append((key, n))
+            got = self._buckets = (graded, list(out.items()))
+        return got[1]
+
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if not other:
                 return self.zero_like()
-            return self._spawn({k: v * c for k, v in self.terms.items()})
+            num, den = other.numerator, other.denominator
+            if num == den == 1:
+                return self
+            nums = {k: n * num for k, n in self.nums.items()}
+            return Poly._reduced(self.table, self.cutoffs, nums, self.den * den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         cut = _merge_cutoffs(self.table, self.cutoffs, o.cutoffs)
-        graded = [g for g, c in cut.items() if c is not None]
+        graded = tuple(g for g, c in cut.items() if c is not None)
         caps = [cut[g] for g in graded]
-
-        def buckets(p: Poly) -> dict[tuple[int, ...], list]:
-            out: dict[tuple[int, ...], list] = {}
-            for key, c in p.terms.items():
-                w = tuple([self.table.weight_of(key, g) for g in graded])
-                out.setdefault(w, []).append((key, c))
-            return out
-
-        right = buckets(o).items()
-        acc: dict[MonomialKey, Fraction] = {}
-        for w1, left in buckets(self).items():
+        right = o._buckets_by(graded)
+        acc: dict[MonomialKey, int] = {}
+        get = acc.get
+        for w1, left in self._buckets_by(graded):
             room = [c - x for x, c in zip(w1, caps)]
             fit = [t for w2, ts in right if all(map(le, w2, room)) for t in ts]
+            if not fit:
+                continue
             for k1, c1 in left:
-                d1 = dict(k1)
+                if not k1:
+                    for k2, c2 in fit:
+                        acc[k2] = get(k2, 0) + c1 * c2
+                    continue
+                first, last = k1[0][0], k1[-1][0]
                 for k2, c2 in fit:
-                    merged = dict(d1)
-                    for i, e in k2:
-                        merged[i] = merged.get(i, 0) + e
-                    key = tuple(sorted(merged.items()))
-                    acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
-        return Poly(self.table, cut, {k: c for k, c in acc.items() if c}, _trusted=True)
+                    # keys are sorted by variable: disjoint ranges concatenate
+                    if not k2:
+                        key = k1
+                    elif last < k2[0][0]:
+                        key = k1 + k2
+                    elif k2[-1][0] < first:
+                        key = k2 + k1
+                    else:
+                        merged = dict(k1)
+                        for i, e in k2:
+                            merged[i] = merged.get(i, 0) + e
+                        key = tuple(sorted(merged.items()))
+                    acc[key] = get(key, 0) + c1 * c2
+        nums = {k: n for k, n in acc.items() if n}
+        return Poly._reduced(self.table, cut, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -265,10 +359,12 @@ class Poly:
             other = Poly.constant(self.table, self.cutoffs, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return (
+            self.den == other.den and self.nums == other.nums and self.table == other.table
+        )
 
     def __hash__(self) -> int:
-        return hash((self.table, tuple(sorted(self.terms.items()))))
+        return hash((self.table, self.den, tuple(sorted(self.nums.items()))))
 
     # -- calculus ---------------------------------------------------------
 
@@ -286,10 +382,10 @@ class Poly:
     def _derive(self, idx: int, order: int) -> "Poly":
         """d^order/dx^order for the variable at table index `idx`, in one
         pass: distinct monomials stay distinct, the exponent is edited in
-        place in the sorted key, and each coefficient is multiplied once by
+        place in the sorted key, and each numerator is multiplied once by
         the falling factorial e (e-1) ... (e-order+1)."""
-        terms: dict[MonomialKey, Fraction] = {}
-        for key, c in self.terms.items():
+        nums: dict[MonomialKey, int] = {}
+        for key, n in self.nums.items():
             for pos, (i, e) in enumerate(key):
                 if i >= idx:
                     break
@@ -299,8 +395,8 @@ class Poly:
                 continue
             rest = key[pos + 1 :]
             key = key[:pos] + ((idx, e - order),) + rest if e > order else key[:pos] + rest
-            terms[key] = c * perm(e, order)
-        return self._spawn(terms)
+            nums[key] = n * perm(e, order)
+        return Poly._reduced(self.table, self.cutoffs, nums, self.den)
 
     def substitute(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
         """Simultaneous substitution; result re-truncated eagerly."""
@@ -333,15 +429,15 @@ class Poly:
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         out = Fraction(0)
-        for key, c in self.terms.items():
-            val = c
+        for key, n in self.nums.items():
+            val = Fraction(n)
             for i, e in key:
                 name = self.table.variables[i].name
                 if name not in assignment:
                     raise KeyError(f"no value for variable {name}")
                 val *= Fraction(assignment[name]) ** e
             out += val
-        return out
+        return out / self.den
 
     def embed(self, table: VariableTable, cutoffs: Mapping[str, int | None]) -> "Poly":
         """Transport into a larger table, matching variables by name; the
@@ -353,23 +449,26 @@ class Poly:
             if table.var(v.name).weight != v.weight:
                 raise ValueError(f"variable {v.name} changes weight under embedding")
             remap[i] = table.index[v.name]
-        terms = {
-            tuple(sorted((remap[i], e) for i, e in key)): c
-            for key, c in self.terms.items()
-        }
-        return Poly(table, cutoffs, terms)
+        cut = _complete(table, cutoffs)
+        nums = {}
+        for key, n in self.nums.items():
+            key = tuple(sorted((remap[i], e) for i, e in key))
+            if _within(table, cut, key):
+                nums[key] = n
+        return Poly._reduced(table, cut, nums, self.den)
 
     def truncate(self, cutoffs: Mapping[str, int | None]) -> "Poly":
         merged = dict(self.cutoffs)
         for g, c in cutoffs.items():
             old = merged.get(g)
             merged[g] = c if old is None else (old if c is None else min(old, c))
-        return Poly(self.table, merged, self.terms)
+        nums = {k: n for k, n in self.nums.items() if _within(self.table, merged, k)}
+        return Poly._reduced(self.table, merged, nums, self.den)
 
     # -- series helpers ----------------------------------------------------
 
     def _check_locally_nilpotent(self):
-        for key in self.terms:
+        for key in self.nums:
             ok = False
             for g, cut in self.cutoffs.items():
                 if cut is not None and self.table.weight_of(key, g) > 0:
@@ -382,27 +481,27 @@ class Poly:
 
     def series_exp(self) -> "Poly":
         self._check_locally_nilpotent()
-        out = self.one_like()
+        out = _Sum(self.one_like())
         term = self.one_like()
         k = 1
         while True:
             term = term * self * Fraction(1, k)
             if term.is_zero:
-                return out
-            out = out + term
+                return out.poly()
+            out.add(term)
             k += 1
 
     def series_log1p(self) -> "Poly":
         """log(1 + self); argument must be truncation-nilpotent."""
         self._check_locally_nilpotent()
-        out = self.zero_like()
+        out = _Sum(self.zero_like())
         power = self.one_like()
         k = 1
         while True:
             power = power * self
             if power.is_zero:
-                return out
-            out = out + power * Fraction((-1) ** (k + 1), k)
+                return out.poly()
+            out.add(power, Fraction((-1) ** (k + 1), k))
             k += 1
 
     def series_inverse(self) -> "Poly":
@@ -411,41 +510,51 @@ class Poly:
             raise ZeroDivisionError("series has no constant term")
         u = self * Fraction(1, c) - 1
         u._check_locally_nilpotent()
-        out = self.one_like()
+        out = _Sum(self.one_like())
         power = self.one_like()
         sign = -1
         while True:
             power = power * u
             if power.is_zero:
-                return out * Fraction(1, c)
-            out = out + power * sign
+                return out.poly() * Fraction(1, c)
+            out.add(power, sign)
             sign = -sign
 
     # -- serialization ------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[MonomialKey, Fraction]]:
+    def _sorted_nums(self) -> list[tuple[MonomialKey, int]]:
+        weight_of, gradings = self.table.weight_of, self.table.gradings
+
         def sortkey(item):
             key, _ = item
-            tot = tuple(self.weight(key, g) for g in self.table.gradings)
+            tot = tuple([weight_of(key, g) for g in gradings])
             return (sum(tot), tot, key)
 
-        return sorted(self.terms.items(), key=sortkey)
+        return sorted(self.nums.items(), key=sortkey)
+
+    def sorted_terms(self) -> list[tuple[MonomialKey, Fraction]]:
+        return [(key, Fraction(n, self.den)) for key, n in self._sorted_nums()]
 
     def to_json(self) -> dict:
+        names = [v.name for v in self.table.variables]
+        den = self.den
+        terms = []
+        for key, n in self._sorted_nums():
+            g = gcd(n, den)
+            terms.append(
+                {
+                    "exp": {names[i]: e for i, e in key},
+                    "num": str(n // g),
+                    "den": str(den // g),
+                }
+            )
         return {
             "vars": [
                 {"name": v.name, "grading": v.grading, "weight": v.weight}
                 for v in self.table.variables
             ],
             "cutoff": {g: c for g, c in self.cutoffs.items() if c is not None},
-            "terms": [
-                {
-                    "exp": {self.table.variables[i].name: e for i, e in key},
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-                for key, c in self.sorted_terms()
-            ],
+            "terms": terms,
         }
 
     @staticmethod
@@ -472,8 +581,18 @@ class Poly:
                 for i, e in key
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        more = "" if len(self.terms) <= 8 else f" ... ({len(self.terms)} terms)"
+        more = "" if len(self.nums) <= 8 else f" ... ({len(self.nums)} terms)"
         return "Poly(" + " + ".join(bits) + more + ")"
+
+
+def _complete(
+    table: VariableTable, cutoffs: Mapping[str, int | None]
+) -> dict[str, int | None]:
+    """A fresh copy of `cutoffs` holding every grading of `table`."""
+    out = dict(cutoffs)
+    for g in table.gradings:
+        out.setdefault(g, None)
+    return out
 
 
 def _within(
@@ -499,49 +618,60 @@ def _merge_cutoffs(
 class _Sum:
     """A running sum of polynomials, added in place.
 
-    The terms live in a dict of the sum's own, copied from the start value
-    and held by no caller; `poly()` hands that dict to the result, after
-    which the sum is not used again.  Each addition merges the cutoffs the
+    The numerators live in a dict of the sum's own over one running
+    denominator, copied from the start value and held by no caller;
+    `poly()` hands that dict to the result, after which the sum is not used
+    again.  An addend whose denominator does not divide the running one
+    rescales the sum to their lcm.  Each addition merges the cutoffs the
     way `Poly.__add__` does, truncating only the side whose cutoff
     tightened.
     """
 
-    __slots__ = ("table", "cutoffs", "terms")
+    __slots__ = ("table", "cutoffs", "nums", "den")
 
     def __init__(self, start: Poly):
         self.table = start.table
-        self.cutoffs = dict(start.cutoffs)
-        self.terms = dict(start.terms)
+        self.cutoffs = start.cutoffs
+        self.nums = dict(start.nums)
+        self.den = start.den
 
     def add(self, p: Poly, scale: Scalar | None = None) -> None:
         """Add `p`, or `p * scale` for a rational `scale`."""
         if p.table is not self.table and p.table != self.table:
             raise ValueError("polynomials live on different variable tables")
         cut = _merge_cutoffs(self.table, self.cutoffs, p.cutoffs)
-        terms = self.terms
+        nums = self.nums
         if cut != self.cutoffs:
-            self.terms = terms = {k: c for k, c in terms.items() if _within(self.table, cut, k)}
+            self.nums = nums = {k: n for k, n in nums.items() if _within(self.table, cut, k)}
             self.cutoffs = cut
-        if scale is not None and not scale:
+        if scale is None:
+            num, pden = 1, p.den
+        elif not scale:
             return
+        else:
+            num, pden = scale.numerator, p.den * scale.denominator
+        den = self.den
+        if den % pden:
+            grown = lcm(den, pden)
+            factor = grown // den
+            for k in nums:
+                nums[k] *= factor
+            self.den = den = grown
+        num *= den // pden
         clip = p.cutoffs != cut
-        for k, c in p.terms.items():
+        for k, n in p.nums.items():
             if clip and not _within(self.table, cut, k):
                 continue
-            if scale is not None:
-                c = c * scale
-            s = terms.get(k)
+            s = nums.get(k)
             if s is None:
-                terms[k] = c
-            elif s := s + c:
-                terms[k] = s
+                nums[k] = n * num
+            elif s := s + n * num:
+                nums[k] = s
             else:
-                del terms[k]
+                del nums[k]
 
     def poly(self) -> Poly:
-        out = Poly.zero(self.table, self.cutoffs)
-        out.terms = self.terms
-        return out
+        return Poly._reduced(self.table, self.cutoffs, self.nums, self.den)
 
 
 class _Partials:
@@ -588,7 +718,7 @@ class TimeFamily:
             v = table.var(n)
             if v.weight != k:
                 raise ValueError(f"time {n} must have weight {k}")
-        self._h_cache: dict[tuple[int, int], Poly] = {}
+        self._h_cache: dict[tuple[int, Scalar], Poly] = {}
 
     @property
     def depth(self) -> int:
@@ -606,11 +736,12 @@ class TimeFamily:
     def time(self, k: int) -> Poly:
         return Poly.variable(self.table, self.cutoffs, self.names[k - 1])
 
-    def h(self, k: int, sign: int = 1) -> Poly:
-        """Complete homogeneous generator h_k(+-t): coefficients of the
-        exponential of the time series; h_0 = 1, h_{k<0} = 0.
+    def h(self, k: int, sign: Scalar = 1) -> Poly:
+        """Complete homogeneous generator h_k(c*t) for the rational scale
+        c = `sign`: coefficients of the exponential of the scaled time
+        series; h_0 = 1, h_{k<0} = 0.  Memoized per (k, c).
 
-        Recurrence: k*h_k = sum_{j=1..k} j*(+-t_j)*h_{k-j}.
+        Recurrence: k*h_k = sum_{j=1..k} j*c*t_j*h_{k-j}.
         """
         if k < 0:
             return self.zero()
@@ -624,11 +755,10 @@ class TimeFamily:
         cached = self._h_cache.get((k, sign))
         if cached is not None:
             return cached
-        acc = self.zero()
+        acc = _Sum(self.zero())
         for j in range(1, k + 1):
-            acc = acc + self.time(j) * (sign * j) * self.h(k - j, sign)
-        out = acc * Fraction(1, k)
-        self._h_cache[(k, sign)] = out
+            acc.add(self.time(j) * self.h(k - j, sign), Fraction(sign) * j / k)
+        out = self._h_cache[(k, sign)] = acc.poly()
         return out
 
     def e(self, k: int) -> Poly:
@@ -700,11 +830,11 @@ class TimeFamily:
         if p.table is not self.table and p.table != self.table:
             raise ValueError("substitute values must share the table")
         moves = {self.table.index[self.names[k - 1]]: move for k, move in shifts.items()}
-        terms: dict[MonomialKey, Fraction] = {}
+        # (exponents, numerator, denominator) of each expanded term
+        pieces: list[tuple[dict[int, int], int, int]] = []
         touched = False
-        for key, c in p.terms.items():
-            # (exponents, numerator, denominator) of the expansion so far
-            parts = [({i: e for i, e in key if i not in moves}, 1, 1)]
+        for key, n in p.nums.items():
+            parts = [({i: e for i, e in key if i not in moves}, n, 1)]
             for i, e in key:
                 move = moves.get(i)
                 if move is None:
@@ -721,13 +851,18 @@ class TimeFamily:
                             d[v] = d.get(v, 0) + m * r
                         grown.append((d, pn * comb(e, r) * num**r, pd * den**r))
                 parts = grown
-            for exps, pn, pd in parts:
-                k = tuple(sorted(exps.items()))
-                val = Fraction(c.numerator * pn, c.denominator * pd)
-                terms[k] = terms[k] + val if k in terms else val
+            pieces += parts
         if not touched:
             return p
-        return Poly(self.table, _merge_cutoffs(self.table, p.cutoffs, *cutoffs), terms)
+        cut = _merge_cutoffs(self.table, p.cutoffs, *cutoffs)
+        common = lcm(*{pd for _, _, pd in pieces})
+        nums: dict[MonomialKey, int] = {}
+        for exps, pn, pd in pieces:
+            k = tuple(sorted(exps.items()))
+            if _within(self.table, cut, k):
+                nums[k] = nums.get(k, 0) + pn * (common // pd)
+        nums = {k: n for k, n in nums.items() if n}
+        return Poly._reduced(self.table, cut, nums, p.den * common)
 
     def apply_diff(self, op: Poly, target: "Poly | _Partials", scaled: bool = True) -> Poly:
         """Interpret `op` (a polynomial in this family's times) as a
@@ -740,7 +875,7 @@ class TimeFamily:
         target = partials.poly
         rank = {name: k for k, name in enumerate(self.names, start=1)}
         out = _Sum(target.zero_like())
-        for key, c in op.terms.items():
+        for key, n in op.nums.items():
             alpha = []
             scale = 1
             for idx, e in key:
@@ -752,7 +887,7 @@ class TimeFamily:
                 alpha.append((target._var_index(name), e))
             piece = partials.get(tuple(sorted(alpha)))
             if piece:
-                out.add(piece, c / scale)
+                out.add(piece, Fraction(n, op.den * scale))
         return out.poly()
 
 
@@ -825,7 +960,7 @@ def poly_matrix_det(rows: list[list[Poly | Scalar]]) -> Poly | Fraction:
         if got is not None:
             return got
         i = n - len(cols)
-        acc = zero
+        acc = _Sum(zero)
         for pos, j in enumerate(sorted(cols)):
             entry = rows[i][j]
             if not entry:
@@ -833,9 +968,13 @@ def poly_matrix_det(rows: list[list[Poly | Scalar]]) -> Poly | Fraction:
             sub = minor(cols - {j})
             if not sub:
                 continue
-            acc = acc + entry * sub * ((-1) ** pos)
-        memo[cols] = acc
-        return acc
+            sign = -1 if pos & 1 else 1
+            if isinstance(entry, Poly):
+                acc.add(entry * sub, sign)
+            else:
+                acc.add(sub, entry * sign)
+        got = memo[cols] = acc.poly()
+        return got
 
     return minor(frozenset(range(n)))
 
