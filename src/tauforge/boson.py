@@ -153,50 +153,41 @@ def correspondence_check(
 # -- bosonization rules -------------------------------------------------------------
 
 
+def _field_series(
+    n: int, kind: str, window: ModeWindow, weight_cap: int, dual: bool
+) -> dict[int, FockVector]:
+    out: dict[int, FockVector] = {}
+    for e in range(-window.hi - weight_cap, window.hi + weight_cap):
+        mode = e if kind == "psi" else -e
+        if not window.contains(mode):
+            continue
+        vec = apply_mode(kind, mode, vacuum(window, n, dual)).truncated(weight_cap)
+        if not vec.is_zero:
+            out[e] = vec
+    return out
+
+
 def bra_field_series(
     n: int, kind: str, window: ModeWindow, weight_cap: int
 ) -> dict[int, FockVector]:
     """<n| field(z) as a spectral-exponent family of bras, keeping states
     of weight at most weight_cap."""
-    out: dict[int, FockVector] = {}
-    for e in range(-window.hi - weight_cap, window.hi + weight_cap):
-        mode = e if kind == "psi" else -e
-        if not window.contains(mode):
-            continue
-        bra = apply_mode(kind, mode, vacuum(window, n, dual=True))
-        bra = FockVector(
-            window,
-            {s: c for s, c in bra.states.items() if sum(s[1]) <= weight_cap},
-            dual=True,
-        )
-        if not bra.is_zero:
-            out[e] = bra
-    return out
+    return _field_series(n, kind, window, weight_cap, dual=True)
 
 
 def ket_field_series(
     n: int, kind: str, window: ModeWindow, weight_cap: int
 ) -> dict[int, FockVector]:
-    out: dict[int, FockVector] = {}
-    for e in range(-window.hi - weight_cap, window.hi + weight_cap):
-        mode = e if kind == "psi" else -e
-        if not window.contains(mode):
-            continue
-        ket = apply_mode(kind, mode, vacuum(window, n))
-        ket = FockVector(
-            window, {s: c for s, c in ket.states.items() if sum(s[1]) <= weight_cap}
-        )
-        if not ket.is_zero:
-            out[e] = ket
-    return out
+    return _field_series(n, kind, window, weight_cap, dual=False)
 
 
-def raising_miwa_series(
-    v: FockVector, strength: int, weight_cap: int, direction: int = -1
+def _current_exp_series(
+    v: FockVector, mode_sign: int, c: int, weight_cap: int
 ) -> dict[int, FockVector]:
-    """exp(direction * strength * sum_m z^-m J_m / m) applied to a bra or
-    ket, as a map from the inverse-spectral exponent to vectors, truncated
-    at total flow weight weight_cap."""
+    """exp(c * sum_m x^m J_{mode_sign m} / m) applied to v, as a map from
+    the exponent of x to vectors, truncated at total flow weight
+    weight_cap (x is z^-1 for the raising currents, z for the lowering
+    ones)."""
     out: dict[int, FockVector] = {0: v}
     term: dict[int, FockVector] = {0: v}
     order = 1
@@ -204,7 +195,7 @@ def raising_miwa_series(
         new: dict[int, FockVector] = {}
         for e, vec in term.items():
             for m in range(1, weight_cap - e + 1):
-                hop = apply_current(m, vec).scale(Fraction(direction * strength, m))
+                hop = apply_current(mode_sign * m, vec).scale(Fraction(c, m))
                 if hop.is_zero:
                     continue
                 key = e + m
@@ -221,6 +212,15 @@ def raising_miwa_series(
             else:
                 out[e] = vec
         order += 1
+
+
+def raising_miwa_series(
+    v: FockVector, strength: int, weight_cap: int, direction: int = -1
+) -> dict[int, FockVector]:
+    """exp(direction * strength * sum_m z^-m J_m / m) applied to a bra or
+    ket, as a map from the inverse-spectral exponent to vectors, truncated
+    at total flow weight weight_cap."""
+    return _current_exp_series(v, +1, direction * strength, weight_cap)
 
 
 def left_bosonization_series(
@@ -261,33 +261,8 @@ def right_bosonization_series(
         base = vacuum(window, n - 1)
         offset = 1 - n
         direction = -1
-    out: dict[int, FockVector] = {0: base}
-    term: dict[int, FockVector] = {0: base}
-    order = 1
-    while True:
-        new: dict[int, FockVector] = {}
-        for e, vec in term.items():
-            for m in range(1, weight_cap - e + 1):
-                hop = apply_current(-m, vec).scale(Fraction(direction, m))
-                if hop.is_zero:
-                    continue
-                key = e + m
-                if key in new:
-                    new[key] = new[key] + hop
-                else:
-                    new[key] = hop
-        term = {
-            e: vec.scale(Fraction(1, order)) for e, vec in new.items() if not vec.is_zero
-        }
-        if not term:
-            break
-        for e, vec in term.items():
-            if e in out:
-                out[e] = out[e] + vec
-            else:
-                out[e] = vec
-        order += 1
-    return {offset + e: vec for e, vec in out.items()}
+    flow = _current_exp_series(base, -1, direction, weight_cap)
+    return {offset + e: vec for e, vec in flow.items()}
 
 
 def merged_point_bra_series(
@@ -318,16 +293,8 @@ def merged_point_bra_series(
         out = {e: v for e, v in new.items() if not v.is_zero}
     # intermediate weights may overshoot the cap and come back, so trim
     # only the final family
-    trimmed: dict[int, FockVector] = {}
-    for e, bra in out.items():
-        keep = FockVector(
-            window,
-            {s: c for s, c in bra.states.items() if sum(s[1]) <= weight_cap},
-            dual=True,
-        )
-        if not keep.is_zero:
-            trimmed[e] = keep
-    return trimmed
+    trimmed = {e: bra.truncated(weight_cap) for e, bra in out.items()}
+    return {e: bra for e, bra in trimmed.items() if not bra.is_zero}
 
 
 def merged_point_prediction(

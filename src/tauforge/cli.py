@@ -30,7 +30,12 @@ from tauforge.grouplike import (
     charge_of,
     verify_charge,
 )
-from tauforge.hirota import kp_equation_check, kp_residue_check, mkp_equation_check
+from tauforge.hirota import (
+    CheckReport,
+    kp_equation_check,
+    kp_residue_check,
+    mkp_equation_check,
+)
 from tauforge.partitions import Partition, enumerate_partitions
 from tauforge.polyring import paired_family, standard_single_family
 from tauforge.sampling import (
@@ -151,6 +156,18 @@ def _decode_element(text: str):
         raise InputError(f"bad --element: {err}") from None
 
 
+def _rationals(text: str, flag: str, count: int | None = None) -> list[Fraction]:
+    """The comma-separated rationals given to `flag`; bad input raises
+    InputError."""
+    try:
+        values = [Fraction(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"bad {flag} {text!r}: {err}") from None
+    if count is not None and len(values) != count:
+        raise InputError(f"bad {flag} {text!r}: expected {count} comma-separated rationals")
+    return values
+
+
 def cmd_expand(args) -> int:
     g = _decode_element(sys.stdin.read() if args.element == "-" else args.element)
     fam = standard_single_family(args.cutoff)
@@ -178,17 +195,18 @@ def cmd_model(args) -> int:
     )
     from tauforge.polyring import standard_double_family
 
+    if args.size < 0:
+        raise InputError("model needs --size >= 0")
     depth = args.cutoff
     if args.kind == "soliton":
         fam = standard_single_family(depth)
-        data = SolitonData(
-            tuple(_frac(x) for x in args.points_p.split(",")),
-            tuple(_frac(x) for x in args.points_q.split(",")),
-            tuple(
-                tuple(_frac(x) for x in row.split(","))
-                for row in args.couplings.split(";")
-            ),
-        )
+        ps = tuple(_rationals(args.points_p, "--points-p"))
+        qs = tuple(_rationals(args.points_q, "--points-q"))
+        rows = tuple(tuple(_rationals(r, "--couplings")) for r in args.couplings.split(";"))
+        try:
+            data = SolitonData(ps, qs, rows)
+        except ValueError as err:
+            raise InputError(f"bad soliton data: {err}") from None
         series = soliton_tau(data, args.charge, fam, depth, "determinant")
         payload = {"schema": 1, "kind": "soliton", "tau": series.poly.to_json()}
         _emit(args, payload)
@@ -197,17 +215,21 @@ def cmd_model(args) -> int:
     if args.kind == "unitary":
         poly = unitary_model_tau(args.size, plus, minus, depth)
     elif args.kind == "gaussian-normal":
+        (c,) = _rationals(args.parameter or "1", "--parameter", 1)
+        if c == 0:
+            raise InputError(
+                f"bad --parameter {args.parameter!r}: gaussian-normal needs a nonzero rational"
+            )
         poly = diagonal_model_tau_closed(
-            DiagonalModel.gaussian(_frac(args.parameter or "1")), args.size, plus, minus, depth
+            DiagonalModel.gaussian(c), args.size, plus, minus, depth
         )
     elif args.kind == "hciz":
-        poly = diagonal_model_tau_closed(
-            DiagonalModel.hciz(_frac(args.parameter or "1")), args.size, plus, minus, depth
-        )
+        (c,) = _rationals(args.parameter or "1", "--parameter", 1)
+        poly = diagonal_model_tau_closed(DiagonalModel.hciz(c), args.size, plus, minus, depth)
     elif args.kind == "log-squared":
-        r, e = (args.parameter or "1,1").split(",")
+        r, e = _rationals(args.parameter or "1,1", "--parameter", 2)
         poly = diagonal_model_tau_closed(
-            DiagonalModel.log_squared(_frac(r), _frac(e)), args.size, plus, minus, depth
+            DiagonalModel.log_squared(r, e), args.size, plus, minus, depth
         )
     elif args.kind == "gaussian-hermitian":
         fam = standard_single_family(depth)
@@ -219,35 +241,26 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _suite_schur(depth: int, rng) -> list[dict]:
+def _suite_schur(depth: int, rng) -> list[CheckReport]:
     fam = standard_single_family(depth)
     bad = []
     for lam in enumerate_partitions(depth):
         a = schur_jt(fam, lam)
         if schur_dual_jt(fam, lam) != a or schur_giambelli(fam, lam) != a:
             bad.append(lam.to_json())
-    results = [
-        {
-            "check": "schur_route_agreement",
-            "ok": not bad,
-            "verified_weight": depth,
-            **({"counterexample": bad[:3]} if bad else {}),
-        }
-    ]
     cl_depth = min(depth, 8)
     try:
         cauchy_littlewood_check(cl_depth)
-        results.append(
-            {"check": "cauchy_littlewood", "ok": True, "verified_weight": cl_depth}
-        )
+        cl_ok = True
     except AssertionError:
-        results.append(
-            {"check": "cauchy_littlewood", "ok": False, "verified_weight": cl_depth}
-        )
-    return results
+        cl_ok = False
+    return [
+        CheckReport("schur_route_agreement", not bad, depth, bad[:3] or None),
+        CheckReport("cauchy_littlewood", cl_ok, cl_depth),
+    ]
 
 
-def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[dict]:
+def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[CheckReport]:
     fam, shift = paired_family(depth)
     if element_json:
         g = _decode_element(element_json)
@@ -266,10 +279,10 @@ def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[
         if corrupt:
             tau1 = tau1 + fam.time(1) * Fraction(1, 5)
         reports.append(mkp_equation_check(tau1, tau, fam))
-    return [r.to_json() for r in reports]
+    return reports
 
 
-def _suite_wick(depth: int, rng) -> list[dict]:
+def _suite_wick(depth: int, rng) -> list[CheckReport]:
     window = ModeWindow(-8 - depth, 8 + depth)
     ok = True
     detail = None
@@ -285,14 +298,6 @@ def _suite_wick(depth: int, rng) -> list[dict]:
             ok = False
             detail = {"n": n, "m": m}
             break
-    results = [
-        {
-            "check": "wick_standard",
-            "ok": ok,
-            "verified_weight": depth,
-            **({"counterexample": detail} if detail else {}),
-        }
-    ]
     ok2 = True
     done = 0
     while done < 6:
@@ -326,11 +331,13 @@ def _suite_wick(depth: int, rng) -> list[dict]:
             ok2 = False
             break
         done += 1
-    results.append({"check": "wick_generalized", "ok": ok2, "verified_weight": depth})
-    return results
+    return [
+        CheckReport("wick_standard", ok, depth, detail),
+        CheckReport("wick_generalized", ok2, depth),
+    ]
 
 
-def _suite_bbc(depth: int, rng) -> list[dict]:
+def _suite_bbc(depth: int, rng) -> list[CheckReport]:
     window = ModeWindow(-8 - depth, 8 + depth)
     failures = []
     for _ in range(12):
@@ -338,17 +345,10 @@ def _suite_bbc(depth: int, rng) -> list[dict]:
         bad = bbc_check(g, window, sample_quadruples(rng, 4))
         if bad is not None:
             failures.append(repr(bad))
-    return [
-        {
-            "check": "bbc",
-            "ok": not failures,
-            "verified_weight": depth,
-            **({"counterexample": failures[:2]} if failures else {}),
-        }
-    ]
+    return [CheckReport("bbc", not failures, depth, failures[:2] or None)]
 
 
-def _suite_charge(depth: int, rng) -> list[dict]:
+def _suite_charge(depth: int, rng) -> list[CheckReport]:
     window = ModeWindow(-8 - depth, 8 + depth)
     failures = []
     for _ in range(12):
@@ -357,17 +357,10 @@ def _suite_charge(depth: int, rng) -> list[dict]:
             verify_charge(g, window, sample_states(rng, 4, weight=2))
         except AssertionError as err:
             failures.append(str(err))
-    return [
-        {
-            "check": "definite_charge",
-            "ok": not failures,
-            "verified_weight": depth,
-            **({"counterexample": failures[:2]} if failures else {}),
-        }
-    ]
+    return [CheckReport("definite_charge", not failures, depth, failures[:2] or None)]
 
 
-def _suite_tau_routes(depth: int, rng) -> list[dict]:
+def _suite_tau_routes(depth: int, rng) -> list[CheckReport]:
     fam = standard_single_family(depth)
     from tauforge.fock import window_for
     from tauforge.tau import mode_support
@@ -381,38 +374,37 @@ def _suite_tau_routes(depth: int, rng) -> list[dict]:
         direct = expand_mkp_direct(g, n, fam, depth, window)
         if series.poly != direct:
             failures.append({"charge": n})
-    return [
-        {
-            "check": "tau_route_equality",
-            "ok": not failures,
-            "verified_weight": depth,
-            **({"counterexample": failures} if failures else {}),
-        }
-    ]
+    return [CheckReport("tau_route_equality", not failures, depth, failures or None)]
 
 
+# suite name -> (least --cutoff, runner); a weight cutoff is >= 0, and the
+# KP operator D1^4 + 3 D2^2 - 4 D1 D3 needs t_3
 SUITES = {
-    "schur": lambda args, rng: _suite_schur(args.cutoff, rng),
-    "kp": lambda args, rng: _suite_kp(args.cutoff, rng, args.corrupt, args.element),
-    "wick": lambda args, rng: _suite_wick(args.cutoff, rng),
-    "bbc": lambda args, rng: _suite_bbc(args.cutoff, rng),
-    "charge": lambda args, rng: _suite_charge(args.cutoff, rng),
-    "tau-routes": lambda args, rng: _suite_tau_routes(args.cutoff, rng),
+    "schur": (0, lambda args, rng: _suite_schur(args.cutoff, rng)),
+    "kp": (3, lambda args, rng: _suite_kp(args.cutoff, rng, args.corrupt, args.element)),
+    "wick": (0, lambda args, rng: _suite_wick(args.cutoff, rng)),
+    "bbc": (0, lambda args, rng: _suite_bbc(args.cutoff, rng)),
+    "charge": (0, lambda args, rng: _suite_charge(args.cutoff, rng)),
+    "tau-routes": (0, lambda args, rng: _suite_tau_routes(args.cutoff, rng)),
 }
+
+
+def _suite_names(suite: str) -> list[str]:
+    return list(SUITES) if suite == "all" else [suite]
 
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = []
+    names = _suite_names(args.suite)
+    reports: list[CheckReport] = []
     for name in names:
-        results.extend(SUITES[name](args, rng))
-    ok = all(r["ok"] for r in results)
+        reports.extend(SUITES[name][1](args, rng))
+    ok = all(r.ok for r in reports)
     payload = {
         "schema": 1,
         "seed": args.seed,
         "suites": names,
-        "results": results,
+        "results": [r.to_json() for r in reports],
         "ok": ok,
     }
     _emit(args, payload)
@@ -550,8 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        # a weight cutoff is >= 0; the KP operator D1^4 + 3 D2^2 - 4 D1 D3 needs t_3
-        least = 3 if args.suite in ("all", "kp") else 0
+        least = max(SUITES[name][0] for name in _suite_names(args.suite))
         if args.cutoff < least:
             parser.error(f"verify --suite {args.suite} needs --cutoff >= {least}")
     elif args.cutoff < 0:

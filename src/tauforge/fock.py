@@ -155,6 +155,14 @@ class FockVector:
             self.window, {s: v * c for s, v in self.states.items()}, self.dual
         )
 
+    def truncated(self, weight: int) -> "FockVector":
+        """The states of weight (partition size) at most `weight`."""
+        return FockVector(
+            self.window,
+            {s: c for s, c in self.states.items() if sum(s[1]) <= weight},
+            self.dual,
+        )
+
     def charges(self) -> set[int]:
         return {n for (n, _) in self.states}
 

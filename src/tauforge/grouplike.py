@@ -69,7 +69,7 @@ class ModeMatrix:
         modes = self.modes()
         if not modes:
             return True
-        dense = [[self.get(i, k) for k in modes] for i in modes]
+        dense = _dense(self, modes)
         power = dense
         for _ in range(len(modes)):
             if all(all(x == 0 for x in row) for row in power):
@@ -92,6 +92,28 @@ def _matmul(a, b):
     return [
         [sum((a[i][j] * b[j][k] for j in range(n)), Fraction(0)) for k in range(n)]
         for i in range(n)
+    ]
+
+
+def _dense(mat: ModeMatrix, modes: list[int]) -> list[list[Fraction]]:
+    """The matrix as a dense array over `modes` (rows and columns)."""
+    return [[mat.get(i, k) for k in modes] for i in modes]
+
+
+def _sparse(dense, modes: list[int], sign: int = 1) -> ModeMatrix:
+    """`sign` times a dense array over `modes`, back as a ModeMatrix."""
+    return ModeMatrix(
+        {(i, k): sign * x for i, row in zip(modes, dense) for k, x in zip(modes, row)}
+    )
+
+
+def _one_plus(sign: int, dense, kept: list[bool], left: bool):
+    """I + sign P A (left) or I + sign A P, where the diagonal projector
+    P keeps the modes whose `kept` flag is set."""
+    n = len(dense)
+    return [
+        [int(a == b) + (sign * dense[a][b] if kept[a if left else b] else 0) for b in range(n)]
+        for a in range(n)
     ]
 
 
@@ -528,47 +550,21 @@ def rotation_of(g):
         return ModeMatrix({}), None  # R = I, stored as I + (empty correction)
     if isinstance(g, ExponentBilinear):
         modes = g.b.modes()
-        dense = [[g.b.get(i, k) for k in modes] for i in modes]
-        r = _mat_exp_nilpotent(dense)
-        out = {}
-        for a, i in enumerate(modes):
-            for b, k in enumerate(modes):
-                val = r[a][b] - (1 if i == k else 0)
-                if val:
-                    out[(i, k)] = val
-        return ModeMatrix(out), None
+        r = _mat_exp_nilpotent(_dense(g.b, modes))
+        for a in range(len(modes)):
+            r[a][a] -= 1
+        return _sparse(r, modes), None
     if isinstance(g, Diagonal):
         # a multiplier m on occupied mode j rotates the starred operator
         # by 1/m (the bilinear in the exponent pairs with the particle side)
         return ModeMatrix({(j, j): 1 / m - 1 for j, m in g.mults}), None
     if isinstance(g, NormalOrderedBilinear):
-        n0 = 0 if g.ordering is None else g.ordering
-        if g.ordering is None:
-            return ModeMatrix(dict(g.mat.entries)), None
-        modes = g.mat.modes()
-        dense = [[g.mat.get(i, k) for k in modes] for i in modes]
-        proj = [
-            [Fraction(int(i == j and modes[i] >= n0)) for j in range(len(modes))]
-            for i in range(len(modes))
-        ]
-        eye = [
-            [Fraction(int(i == j)) for j in range(len(modes))] for i in range(len(modes))
-        ]
-        iap = [
-            [eye[i][j] - sum(dense[i][m] * proj[m][j] for m in range(len(modes))) for j in range(len(modes))]
-            for i in range(len(modes))
-        ]
+        # the rotation is the bare-ordering matrix B = (I - A P)^(-1) A;
+        # det(I - P A) = det(I - A P), so reorder fails exactly when it does
         try:
-            inv = fraction_matrix_inverse(iap)
+            return reorder(g, None)[1].mat, None
         except ZeroDivisionError:
             return None, "no rotation: the ordering transform matrix is singular"
-        b = _matmul(inv, dense)
-        out = {}
-        for a, i in enumerate(modes):
-            for c, k in enumerate(modes):
-                if b[a][c]:
-                    out[(i, k)] = b[a][c]
-        return ModeMatrix(out), None
     return None, f"variant {type(g).__name__} carries no rotation matrix"
 
 
@@ -577,30 +573,14 @@ def rotation_prime_of(g):
     R' = I - (I + A P_<n)^(-1) A, returned as the correction to I."""
     if not isinstance(g, NormalOrderedBilinear) or g.ordering is None:
         return None, "variant carries no R'"
-    n0 = g.ordering
     modes = g.mat.modes()
-    m = len(modes)
-    dense = [[g.mat.get(i, k) for k in modes] for i in modes]
-    eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    proj = [[Fraction(int(i == j and modes[i] < n0)) for j in range(m)] for i in range(m)]
-    iap = [
-        [
-            eye[i][j] + sum(dense[i][x] * proj[x][j] for x in range(m))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+    dense = _dense(g.mat, modes)
+    below = [k < g.ordering for k in modes]
     try:
-        inv = fraction_matrix_inverse(iap)
+        inv = fraction_matrix_inverse(_one_plus(+1, dense, below, left=False))
     except ZeroDivisionError:
         return None, "no R': singular transform"
-    b = _matmul(inv, dense)
-    out = {}
-    for a, i in enumerate(modes):
-        for c, k in enumerate(modes):
-            if b[a][c]:
-                out[(i, k)] = -b[a][c]
-    return ModeMatrix(out), None
+    return _sparse(_matmul(inv, dense), modes, -1), None
 
 
 def reorder(g: NormalOrderedBilinear, target: int | None) -> tuple[Fraction, NormalOrderedBilinear]:
@@ -620,47 +600,22 @@ def reorder(g: NormalOrderedBilinear, target: int | None) -> tuple[Fraction, Nor
     n0 = target if g.ordering is None else g.ordering
     assert n0 is not None
     modes = g.mat.modes()
-    m = len(modes)
-    dense = [[g.mat.get(i, k) for k in modes] for i in modes]
-    eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    proj = [[Fraction(int(i == j and modes[i] >= n0)) for j in range(m)] for i in range(m)]
+    dense = _dense(g.mat, modes)
+    above = [k >= n0 for k in modes]
     if g.ordering is None:
         # B given; A = B (I + P B)^{-1}; scalar = det(I + P B)
-        ipb = [
-            [eye[i][j] + sum(proj[i][x] * dense[x][j] for x in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
+        ipb = _one_plus(+1, dense, above, left=True)
         scalar = fraction_matrix_det(ipb)
         if scalar == 0:
             raise ZeroDivisionError("ordering transform is singular")
         a = _matmul(dense, fraction_matrix_inverse(ipb))
-        out = {
-            (modes[i], modes[k]): a[i][k]
-            for i in range(m)
-            for k in range(m)
-            if a[i][k] != 0
-        }
-        return scalar, NormalOrderedBilinear(ModeMatrix(out), ordering=n0)
+        return scalar, NormalOrderedBilinear(_sparse(a, modes), ordering=n0)
     # A given; B = (I - A P)^{-1} A; scalar = det(I - P A)
-    iap = [
-        [eye[i][j] - sum(dense[i][x] * proj[x][j] for x in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
-    ipa = [
-        [eye[i][j] - sum(proj[i][x] * dense[x][j] for x in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
-    scalar = fraction_matrix_det(ipa)
+    scalar = fraction_matrix_det(_one_plus(-1, dense, above, left=True))
     if scalar == 0:
         raise ZeroDivisionError("ordering transform is singular")
-    b = _matmul(fraction_matrix_inverse(iap), dense)
-    out = {
-        (modes[i], modes[k]): b[i][k]
-        for i in range(m)
-        for k in range(m)
-        if b[i][k] != 0
-    }
-    return scalar, NormalOrderedBilinear(ModeMatrix(out), ordering=None)
+    b = _matmul(fraction_matrix_inverse(_one_plus(-1, dense, above, left=False)), dense)
+    return scalar, NormalOrderedBilinear(_sparse(b, modes), ordering=None)
 
 
 def compose_bare_ordered(
@@ -670,19 +625,11 @@ def compose_bare_ordered(
     if gp.ordering is not None or g.ordering is not None:
         raise ValueError("composition law holds for the bare ordering")
     modes = sorted(set(gp.mat.modes()) | set(g.mat.modes()))
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), c in gp.mat.entries.items():
-        out[(i, k)] = out.get((i, k), Fraction(0)) + c
-    for (i, k), c in g.mat.entries.items():
-        out[(i, k)] = out.get((i, k), Fraction(0)) + c
-    for i in modes:
-        for k in modes:
-            s = sum(
-                (gp.mat.get(i, x) * g.mat.get(x, k) for x in modes), Fraction(0)
-            )
-            if s:
-                out[(i, k)] = out.get((i, k), Fraction(0)) + s
-    return NormalOrderedBilinear(ModeMatrix(out), ordering=None)
+    bp, b = _dense(gp.mat, modes), _dense(g.mat, modes)
+    total = [
+        [x + y + z for x, y, z in zip(*rows)] for rows in zip(b, bp, _matmul(bp, b))
+    ]
+    return NormalOrderedBilinear(_sparse(total, modes), ordering=None)
 
 
 def exponent_to_bare(b: ModeMatrix) -> NormalOrderedBilinear:

@@ -26,7 +26,7 @@ class CheckReport:
     name: str
     ok: bool
     verified_weight: int
-    counterexample: dict | None = None
+    counterexample: dict | list | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -43,7 +43,12 @@ class CheckReport:
 
 
 def _report(name: str, residual: Poly, verified: int, grading: str) -> CheckReport:
-    bad = residual.truncate({grading: verified})
+    return _verdict(name, residual.truncate({grading: verified}), verified)
+
+
+def _verdict(name: str, bad: Poly, verified: int) -> CheckReport:
+    """Pass when `bad` (the residual within the verified range) vanishes,
+    else report its first term as the counterexample."""
     if bad.is_zero:
         return CheckReport(name, True, verified)
     key, coeff = bad.sorted_terms()[0]
@@ -131,16 +136,8 @@ def toda_equation_check(
     residual = hirota_bilinear(op, tau_mid, tau_mid) + tau_up * tau_down
     dp = family_plus.cutoffs[family_plus.grading] - 1
     dm = family_minus.cutoffs[family_minus.grading] - 1
-    bad = residual.truncate(
-        {family_plus.grading: dp, family_minus.grading: dm}
-    )
-    if bad.is_zero:
-        return CheckReport("toda_equation", True, dp + dm)
-    key, coeff = bad.sorted_terms()[0]
-    mono = {bad.table.variables[i].name: e for i, e in key}
-    return CheckReport(
-        "toda_equation", False, dp + dm, {"monomial": mono, "coefficient": str(coeff)}
-    )
+    bad = residual.truncate({family_plus.grading: dp, family_minus.grading: dm})
+    return _verdict("toda_equation", bad, dp + dm)
 
 
 def three_term_check_kp(
@@ -274,17 +271,7 @@ def three_term_check_toda(
     residual = lhs - rhs
     dp = family_plus.cutoffs[family_plus.grading]
     dm = family_minus.cutoffs[family_minus.grading]
-    bad = residual
-    if bad.is_zero:
-        return CheckReport("three_term_two_family", True, dp + dm)
-    key, coeff = bad.sorted_terms()[0]
-    mono = {bad.table.variables[i].name: e for i, e in key}
-    return CheckReport(
-        "three_term_two_family",
-        False,
-        dp + dm,
-        {"monomial": mono, "coefficient": str(coeff)},
-    )
+    return _verdict("three_term_two_family", residual, dp + dm)
 
 
 def scalar_kp_field_check(tau: Poly, family: TimeFamily) -> CheckReport:

@@ -486,10 +486,7 @@ def hermitian_fermionic_tau(count: int, family: TimeFamily, depth: int) -> Poly:
     factorials (the tracked unit aside)."""
     window = window_for([count], depth + 2)
     ket = apply_element(weight_shift_element(window), vacuum(window, count))
-    ket = type(ket)(
-        window,
-        {s: c for s, c in ket.states.items() if sum(s[1]) <= depth},
-    )
+    ket = ket.truncated(depth)
     raised = apply_current_exp("raise", family, ket, depth)
     return raised.component(count, Partition([])) or family.zero()
 
@@ -516,7 +513,7 @@ def hermitian_two_family_tau(
     v = project("plus", v, 0)
     v = apply_element(hermitian_moment_element(window.hi), v)
     v = project("plus", v, 0)
-    v = type(v)(window, {s: c for s, c in v.states.items() if sum(s[1]) <= depth})
+    v = v.truncated(depth)
     raised = apply_current_exp("raise", family_plus, v, depth)
     return raised.component(count, Partition([])) or family_plus.zero()
 

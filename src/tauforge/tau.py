@@ -220,10 +220,7 @@ def expand_mkp_direct(
         return correlator_exact(n, [g], n - q, family=family)
     window = window or window_for_element(g, (n, n - q), depth)
     ket = apply_element(g, vacuum(window, n - q))
-    ket = FockVector(
-        window,
-        {s: c for s, c in ket.states.items() if s[0] == n and sum(s[1]) <= depth},
-    )
+    ket = ket.restrict_charge(n).truncated(depth)
     raised = apply_current_exp("raise", family, ket, depth)
     return raised.component(n, Partition([])) or family.zero()
 

@@ -542,6 +542,15 @@ def vacuum_kernel(
     raise ValueError(f"unknown arrangement {arrangement!r}")
 
 
+# side -> (charge step of each inserted letter, letters left of g)
+_COLUMN_SIDES = {
+    "holes": (-1, True),
+    "particles": (+1, True),
+    "right_particles": (-1, False),
+    "right_holes": (+1, False),
+}
+
+
 def wick_column_forms(
     window: ModeWindow,
     g,
@@ -561,84 +570,35 @@ def wick_column_forms(
     Returns {"direct", "insertion", "stepped"}; "insertion" is None for the
     right-side twins, which only come in the stepped form.
     """
+    if side not in _COLUMN_SIDES:
+        raise ValueError(f"unknown side {side!r}")
+    step, left = _COLUMN_SIDES[side]
     m = len(inserts)
 
-    def corr(nl, pre, nr, post=()):
-        items = [("letter", lt) for lt in pre] + [g] + [("letter", lt) for lt in post]
-        return correlator_window(window, nl, items, nr)
+    def corr(shifted, word, base):
+        # word lists letters outward from g: <shifted| ..w_2 w_1 g |base>
+        # on the left, <base| g w_1 w_2.. |shifted> on the right
+        items = [("letter", lt) for lt in word]
+        if left:
+            return correlator_window(window, shifted, items[::-1] + [g], base)
+        return correlator_window(window, base, [g] + items, shifted)
 
     central = corr(n, [], n)
     if central == 0:
         raise ZeroDivisionError("central correlator vanishes")
-    if side == "holes":
-        direct = corr(n - m, list(reversed(inserts)), n)
-        ins = [
-            [corr(n, [letter("psi", n - j), inserts[i - 1]], n) for j in range(1, m + 1)]
-            for i in range(1, m + 1)
-        ]
+    # column j: the letter moves the vacuum n + step (j - 1) to n + step j
+    columns = [(n + step * j, n + step * (j - 1)) for j in range(1, m + 1)]
+    insertion = None
+    if left:
+        # column j inserts the mode between its two vacua
+        kind = "psi" if step < 0 else "psi*"
+        ins = [[corr(n, [w, letter(kind, min(col))], n) for col in columns] for w in inserts]
         insertion = poly_matrix_det(ins) / central ** (m - 1)
-        stepped = [
-            [
-                corr(n - j, [inserts[i - 1]], n - j + 1) / corr(n - j + 1, [], n - j + 1)
-                for j in range(1, m + 1)
-            ]
-            for i in range(1, m + 1)
-        ]
-        return {
-            "direct": direct,
-            "insertion": insertion,
-            "stepped": central * poly_matrix_det(stepped),
-        }
-    if side == "particles":
-        direct = corr(n + m, list(reversed(inserts)), n)
-        ins = [
-            [
-                corr(n, [letter("psi*", n + j - 1), inserts[i - 1]], n)
-                for j in range(1, m + 1)
-            ]
-            for i in range(1, m + 1)
-        ]
-        insertion = poly_matrix_det(ins) / central ** (m - 1)
-        stepped = [
-            [
-                corr(n + j, [inserts[i - 1]], n + j - 1) / corr(n + j - 1, [], n + j - 1)
-                for j in range(1, m + 1)
-            ]
-            for i in range(1, m + 1)
-        ]
-        return {
-            "direct": direct,
-            "insertion": insertion,
-            "stepped": central * poly_matrix_det(stepped),
-        }
-    if side == "right_particles":
-        direct = corr(n, [], n - m, post=list(inserts))
-        stepped = [
-            [
-                corr(n - j + 1, [], n - j, post=[inserts[i - 1]])
-                / corr(n - j + 1, [], n - j + 1)
-                for j in range(1, m + 1)
-            ]
-            for i in range(1, m + 1)
-        ]
-        return {
-            "direct": direct,
-            "insertion": None,
-            "stepped": central * poly_matrix_det(stepped),
-        }
-    if side == "right_holes":
-        direct = corr(n, [], n + m, post=list(inserts))
-        stepped = [
-            [
-                corr(n + j - 1, [], n + j, post=[inserts[i - 1]])
-                / corr(n + j - 1, [], n + j - 1)
-                for j in range(1, m + 1)
-            ]
-            for i in range(1, m + 1)
-        ]
-        return {
-            "direct": direct,
-            "insertion": None,
-            "stepped": central * poly_matrix_det(stepped),
-        }
-    raise ValueError(f"unknown side {side!r}")
+    stepped = [
+        [corr(to, [w], frm) / corr(frm, [], frm) for to, frm in columns] for w in inserts
+    ]
+    return {
+        "direct": corr(n + step * m, inserts, n),
+        "insertion": insertion,
+        "stepped": central * poly_matrix_det(stepped),
+    }

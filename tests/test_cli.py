@@ -231,3 +231,36 @@ def test_expand_rejects_unknown_projector_side(capsys):
     for spec in ({"kind": "projector", "side": "bogus"}, {"kind": "projector", "side": "plus_state"}):
         msg = usage_error(capsys, ["expand", "--element", json.dumps(spec)])
         assert "bad --element" in msg and "projector side" in msg
+
+
+def test_model_rejects_log_squared_parameter_with_one_value(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "log-squared", "--parameter", "1"])
+    assert "bad --parameter '1'" in msg and "expected 2" in msg
+
+
+def test_model_rejects_parameter_that_is_not_rational(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "hciz", "--parameter", "abc"])
+    assert "bad --parameter 'abc'" in msg
+
+
+def test_model_rejects_zero_gaussian_parameter(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "gaussian-normal", "--parameter", "0"])
+    assert "gaussian-normal needs a nonzero rational" in msg
+
+
+def test_model_rejects_coincident_soliton_points(capsys):
+    argv = ["model", "--kind", "soliton", "--points-p", "1/2", "--points-q", "1/2"]
+    msg = usage_error(capsys, argv)
+    assert "bad soliton data" in msg and "pairwise distinct" in msg
+
+
+def test_model_rejects_soliton_point_count_mismatch(capsys):
+    argv = ["model", "--kind", "soliton", "--points-p", "1/3,1/5", "--points-q", "1/2"]
+    msg = usage_error(capsys, argv)
+    assert "bad soliton data" in msg and "matching point" in msg
+
+
+def test_model_rejects_negative_size_for_every_kind(capsys):
+    for kind in ("gaussian-hermitian", "unitary", "hciz", "soliton"):
+        msg = usage_error(capsys, ["model", "--kind", kind, "--size", "-1"])
+        assert msg.endswith("model needs --size >= 0")

@@ -43,6 +43,21 @@ GOLDEN = [
         0,
         "1c6b011ad807ac26547c4350565390662ddeb6873626c0dde5b83c91873bd2b7",
     ),
+    (
+        "verify --suite kp --cutoff 8 --seed 3",
+        0,
+        "c757f6554e12964c9668a7289bb27806063b196670119e19da11a3a9234166ea",
+    ),
+    (
+        "verify --suite wick --cutoff 5 --seed 4",
+        0,
+        "f5c4b30d2fed1886900aaaf57ef6c3919c9a90558771474e7fe72b44e1afce8c",
+    ),
+    (
+        "model --kind gaussian-hermitian --size 2 --cutoff 6",
+        0,
+        "3aacc0d7dc3dcb49802fa6953c3ae7d8143537f6088e8c822cf8ed9a589985e1",
+    ),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from tauforge.fock import (
     ModeWindow,
+    apply_mode,
     apply_psi_star,
     apply_word,
     basis_vector,
@@ -164,6 +165,49 @@ def test_reorder_nonzero_vacuum():
         for n, lam in sample_states(rng, 4, weight=2):
             v = basis_vector(W, n, lam)
             assert apply_element(g, v) == apply_element(vac, v).scale(scalar)
+
+
+def test_reorder_between_two_vacua():
+    # vacuum n1 -> vacuum n2 goes through the bare ordering; the scalars
+    # of both legs multiply
+    rng = random.Random(44)
+    checked = 0
+    for n1, n2 in ((0, 1), (1, -1), (-1, 0), (2, 0)):
+        g = sample_vacuum_bilinear(rng, n1)
+        try:
+            scalar, out = reorder(g, n2)
+        except ZeroDivisionError:
+            continue
+        assert out.ordering == n2
+        for n, lam in sample_states(rng, 4, weight=2):
+            v = basis_vector(W, n, lam)
+            assert apply_element(g, v) == apply_element(out, v).scale(scalar)
+        checked += 1
+    assert checked >= 3
+
+
+def test_rotation_prime_on_vacuum_ordered_samples():
+    # g psi_k = sum_l (delta_kl + R'[k,l]) psi_l g on basis states
+    rng = random.Random(59)
+    for n0 in (-1, 0, 1):
+        done = 0
+        while done < 3:
+            g = sample_vacuum_bilinear(rng, n0)
+            corr, why = rotation_prime_of(g)
+            if corr is None:
+                assert why
+                continue
+            for n, lam in sample_states(rng, 4, weight=2):
+                v = basis_vector(W, n, lam)
+                gv = apply_element(g, v)
+                for k in range(-4, 5):
+                    rhs = apply_mode("psi", k, gv)
+                    for (kk, l), c in corr.entries.items():
+                        if kk == k:
+                            rhs = rhs + apply_mode("psi", l, gv).scale(c)
+                    assert apply_element(g, apply_mode("psi", k, v)) == rhs, (n0, k)
+            done += 1
+    assert rotation_prime_of(NormalOrderedBilinear(ModeMatrix({}), None))[0] is None
 
 
 def test_compose_bare_ordered():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from tauforge.fock import ModeWindow, apply_word, inner, letter, vacuum, vev
 from tauforge.grouplike import (
     FieldWord,
@@ -357,6 +359,21 @@ def test_wick_column_forms_agree():
             if got["insertion"] is not None:
                 assert got["insertion"] == got["direct"]
             done += 1
+
+
+def test_wick_column_forms_side_table():
+    rng = random.Random(24)
+    g = sample_exponent_bilinear(rng)
+    with pytest.raises(ValueError, match="unknown side"):
+        wick_column_forms(W, g, 0, [sample_letter(rng, "psi")], "left")
+    # <0| psi_-2 psi_-1 |-2> and <0| psi*_1 psi*_0 |2> are both -1
+    for side, kind, modes in (
+        ("right_particles", "psi", (-2, -1)),
+        ("right_holes", "psi*", (1, 0)),
+    ):
+        inserts = [letter(kind, j) for j in modes]
+        got = wick_column_forms(W, Identity(), 0, inserts, side)
+        assert got == {"direct": -1, "insertion": None, "stepped": -1}
 
 
 def test_three_term_column_identity():
