@@ -19,11 +19,10 @@ from tauforge.fock import (
     FockVector,
     ModeWindow,
     apply_current,
-    apply_current_exp,
     apply_mode,
     vacuum,
+    vacuum_readout,
 )
-from tauforge.partitions import Partition
 from tauforge.polyring import Poly, TimeFamily
 
 # -- the polynomial-space map -------------------------------------------------
@@ -34,9 +33,7 @@ def bosonize(v: FockVector, family: TimeFamily, depth: int) -> dict[int, Poly]:
     expectation of the sector component."""
     out: dict[int, Poly] = {}
     for l in sorted(v.charges()):
-        sector = v.restrict_charge(l)
-        raised = apply_current_exp("raise", family, sector, depth)
-        val = raised.component(l, Partition([]))
+        val = vacuum_readout(family, v.restrict_charge(l), l, depth)
         if val:
             out[l] = val
     return out

@@ -8,6 +8,7 @@ the report, so a fixed seed reproduces a byte-identical report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -207,6 +208,8 @@ def cmd_model(args) -> int:
             data = SolitonData(ps, qs, rows)
         except ValueError as err:
             raise InputError(f"bad soliton data: {err}") from None
+        if pole := _soliton_pole(data, args.charge):
+            raise InputError(f"bad soliton data: {pole}")
         series = soliton_tau(data, args.charge, fam, depth, "determinant")
         payload = {"schema": 1, "kind": "soliton", "tau": series.poly.to_json()}
         _emit(args, payload)
@@ -239,6 +242,17 @@ def cmd_model(args) -> int:
     payload = {"schema": 1, "kind": args.kind, "size": args.size, "tau": poly.to_json()}
     _emit(args, payload)
     return 0
+
+
+def _soliton_pole(data, n: int) -> str | None:
+    """Why the kernel factor p^n q^(1-n) has a pole at charge n, or None:
+    a nonzero coupling A_ik brings in p_k with every hole point q."""
+    coupled = [k for k in range(data.size) if any(row[k] for row in data.couplings)]
+    if n < 0 and any(data.ps[k] == 0 for k in coupled):
+        return f"a coupled point p = 0 is a pole of p^n at --charge {n} < 0"
+    if n > 1 and coupled and 0 in data.qs:
+        return f"a point q = 0 is a pole of q^(1-n) at --charge {n} > 1"
+    return None
 
 
 def _suite_schur(depth: int, rng) -> list[CheckReport]:
@@ -538,8 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
         least = max(SUITES[name][0] for name in _suite_names(args.suite))

@@ -564,6 +564,14 @@ def apply_current_exp(
     return FockVector(v.window, out, v.dual)
 
 
+def vacuum_readout(family: TimeFamily, v: FockVector, n: int, depth: int) -> Poly:
+    """<n| exp(sum_k t_k J_k) v, the raising exponential's charge-n vacuum
+    component of a ket: the polynomial image of its charge-n sector, and
+    the family's zero when that component is absent."""
+    raised = apply_current_exp("raise", family, v, depth)
+    return raised.component(n, Partition([])) or family.zero()
+
+
 def apply_current_exp_direct(
     direction: str, family: TimeFamily, v: FockVector, depth: int, sign: int = 1
 ) -> FockVector:

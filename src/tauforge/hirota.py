@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from tauforge.polyring import Poly, TimeFamily, _Partials, _Sum, hirota_bilinear
 
@@ -140,6 +141,18 @@ def toda_equation_check(
     return _verdict("toda_equation", bad, dp + dm)
 
 
+def _units(family: TimeFamily, names) -> dict[str, Poly]:
+    """The unit-weight parameters `names` as polynomials of the family's ring."""
+    return {nm: Poly.variable(family.table, family.cutoffs, nm) for nm in names}
+
+
+def _miwa_down(family: TimeFamily, p: Poly, names) -> Poly:
+    """p at t - [y1] - [y2] - ..., one Miwa shift per parameter in `names`."""
+    for nm in names:
+        p = family.miwa_shift(p, -1, nm)
+    return p
+
+
 def three_term_check_kp(
     taus: dict[frozenset[str], Poly],
     family: TimeFamily,
@@ -159,18 +172,13 @@ def three_term_check_kp(
     def shifted(names):
         key = frozenset(names)
         if key not in taus:
-            p = base
-            for nm in names:
-                p = family.miwa_shift(p, -1, nm)
-            taus[key] = p
+            taus[key] = _miwa_down(family, base, names)
         return taus[key]
 
-    def var(nm):
-        return Poly.variable(family.table, family.cutoffs, nm)
-
+    var = _units(family, params)
     total = base.zero_like()
     for a, b, c in ((y1, y2, y3), (y2, y3, y1), (y3, y1, y2)):
-        total = total + (var(c) - var(b)) * var(a) * shifted([a]) * shifted([b, c])
+        total = total + (var[c] - var[b]) * var[a] * shifted([a]) * shifted([b, c])
     depth = family.cutoffs[family.grading]
     return _report("three_term_single", total, depth, family.grading)
 
@@ -185,26 +193,13 @@ def three_term_check_kp4(
     (y1-y0)(y3-y2) tau(t-[y0]-[y1]) tau(t-[y2]-[y3]) + cyclic(1,2,3) = 0.
     """
     y0, y1, y2, y3 = params
-
-    def var(nm):
-        return Poly.variable(family.table, family.cutoffs, nm)
-
-    cache: dict[frozenset[str], Poly] = {}
-
-    def sh(names):
-        key = frozenset(names)
-        if key not in cache:
-            p = tau
-            for nm in names:
-                p = family.miwa_shift(p, -1, nm)
-            cache[key] = p
-        return cache[key]
-
+    var = _units(family, params)
     total = tau.zero_like()
     for a, b, c in ((y1, y2, y3), (y2, y3, y1), (y3, y1, y2)):
-        total = total + (var(a) - var(y0)) * (var(c) - var(b)) * sh([y0, a]) * sh(
-            [b, c]
-        )
+        # each pair of shifts occurs once, so none is kept
+        left = _miwa_down(family, tau, [y0, a])
+        right = _miwa_down(family, tau, [b, c])
+        total = total + (var[a] - var[y0]) * (var[c] - var[b]) * left * right
     depth = family.cutoffs[family.grading]
     return _report("three_term_four_point", total, depth, family.grading)
 
@@ -221,19 +216,12 @@ def three_term_check_mkp(
       + (y2 - y1) T+(t) T(t-[y1]-[y2]) = 0
     """
     y1, y2 = params
-
-    def var(nm):
-        return Poly.variable(family.table, family.cutoffs, nm)
-
-    def sh(p, names):
-        for nm in names:
-            p = family.miwa_shift(p, -1, nm)
-        return p
-
+    var = _units(family, params)
+    sh = partial(_miwa_down, family)
     total = (
-        var(y1) * sh(tau_up, [y2]) * sh(tau_down, [y1])
-        - var(y2) * sh(tau_up, [y1]) * sh(tau_down, [y2])
-        + (var(y2) - var(y1)) * tau_up * sh(tau_down, [y1, y2])
+        var[y1] * sh(tau_up, [y2]) * sh(tau_down, [y1])
+        - var[y2] * sh(tau_up, [y1]) * sh(tau_down, [y2])
+        + (var[y2] - var[y1]) * tau_up * sh(tau_down, [y1, y2])
     )
     depth = family.cutoffs[family.grading]
     return _report("three_term_charge_step", total, depth, family.grading)
@@ -254,19 +242,16 @@ def three_term_check_toda(
     T(t+-[alpha], t-) T(t+, t--[b]) - T T(t+-[alpha], t--[b])
       = b alpha T_up(t+, t--[b]) T_down(t+-[alpha], t-).
     """
-
-    def var(nm):
-        return Poly.variable(family_plus.table, family_plus.cutoffs, nm)
-
-    shifted_a = family_plus.miwa_shift(tau_mid, -1, alpha)
-    shifted_b = family_minus.miwa_shift(tau_mid, -1, b)
-    shifted_ab = family_minus.miwa_shift(shifted_a, -1, b)
+    var = _units(family_plus, (alpha, b))
+    shifted_a = _miwa_down(family_plus, tau_mid, [alpha])
+    shifted_b = _miwa_down(family_minus, tau_mid, [b])
+    shifted_ab = _miwa_down(family_minus, shifted_a, [b])
     lhs = shifted_a * shifted_b - tau_mid * shifted_ab
     rhs = (
-        var(b)
-        * var(alpha)
-        * family_minus.miwa_shift(tau_up, -1, b)
-        * family_plus.miwa_shift(tau_down, -1, alpha)
+        var[b]
+        * var[alpha]
+        * _miwa_down(family_minus, tau_up, [b])
+        * _miwa_down(family_plus, tau_down, [alpha])
     )
     residual = lhs - rhs
     dp = family_plus.cutoffs[family_plus.grading]

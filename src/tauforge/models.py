@@ -11,14 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Sequence
+from functools import cache
+from itertools import combinations
+from math import factorial, prod
+from typing import Callable, Iterator, Sequence
 
 from tauforge.fock import (
     ModeWindow,
     apply_current_exp,
     project,
     vacuum,
+    vacuum_readout,
     window_for,
 )
 from tauforge.grouplike import (
@@ -43,12 +46,13 @@ from tauforge.polyring import (
     TimeFamily,
     Variable,
     VariableTable,
+    _Sum,
     fraction_matrix_det,
     poly_matrix_det,
 )
 from tauforge.schur import schur_jt
 from tauforge.tau import TauSeries, _schur_neg, expand_mkp, pluecker_coefficient
-from tauforge.wick import correlator_exact
+from tauforge.wick import correlator_exact, vacuum_kernel
 
 # -- solitons -------------------------------------------------------------------
 
@@ -111,61 +115,66 @@ def soliton_tau(
     coupling times kernel matrix), "explicit" (subset expansion with
     closed-form minors), "schur_sum" (signed-coefficient expansion through
     the exact kernels)."""
-    size = data.size
     if form == "determinant":
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = family.one() if i == j else family.zero()
-                for k in range(size):
-                    if data.couplings[i][k] == 0:
-                        continue
-                    # (A Q)_{ij}: couple hole point i to particle point k
-                    acc = acc + _exp_eta(family, data, k, j, n) * data.couplings[i][k]
-                row.append(acc)
-            rows.append(row)
+        rows = _coupled_kernel_rows(data, lambda k, j: _exp_eta(family, data, k, j, n), family)
         poly = poly_matrix_det(rows)
         return TauSeries("MKP", n, poly, {}, {"depth": depth, "form": form})
     if form == "explicit":
-        poly = family.one()
-        import itertools
-
-        idx = range(size)
-        for d in range(1, size + 1):
-            for rows_sel in itertools.combinations(idx, d):
-                for cols_sel in itertools.combinations(idx, d):
-                    minor = [
-                        [data.couplings[i][k] for k in cols_sel] for i in rows_sel
-                    ]
-                    a_det = fraction_matrix_det(minor)
-                    if a_det == 0:
-                        continue
-                    # closed-form kernel minor over (particle cols, hole rows)
-                    num = Fraction(1)
-                    ps = [data.ps[k] for k in cols_sel]
-                    qs = [data.qs[i] for i in rows_sel]
-                    for x in range(d):
-                        for y in range(x + 1, d):
-                            num *= (ps[y] - ps[x]) * (qs[x] - qs[y])
-                    den = Fraction(1)
-                    for q in qs:
-                        for p in ps:
-                            den *= q - p
-                    factor = family.constant(num / den)
-                    for p in ps:
-                        factor = factor * family.xi_value(p).series_exp() * p**n
-                    for q in qs:
-                        factor = (
-                            factor
-                            * (family.xi_value(q) * -1).series_exp()
-                            * q ** (1 - n)
-                        )
-                    poly = poly + factor * a_det
-        return TauSeries("MKP", n, poly, {}, {"depth": depth, "form": form})
+        # the nonzero couplings A_ik keyed by (hole row i, particle column k)
+        entries = {(i, k): c for i, r in enumerate(data.couplings) for k, c in enumerate(r) if c}
+        total = _Sum(family.one())
+        for rows_sel, cols_sel, a_det in _coupling_minors(entries):
+            # closed-form kernel minor over (particle cols, hole rows): the
+            # Cauchy determinant with the charge powers p^n q^(1-n)
+            ps = [data.ps[k] for k in cols_sel]
+            qs = [data.qs[i] for i in rows_sel]
+            factor = family.constant(vacuum_kernel(n, ps, qs, "stars_first"))
+            for p in ps:
+                factor = factor * family.xi_value(p).series_exp()
+            for q in qs:
+                factor = factor * (family.xi_value(q) * -1).series_exp()
+            total.add(factor, a_det)
+        return TauSeries("MKP", n, total.poly(), {}, {"depth": depth, "form": form})
     if form == "schur_sum":
         return expand_mkp(soliton_element(data), n, family, depth)
     raise ValueError(f"unknown form {form!r}")
+
+
+def _coupled_kernel_rows(data: SolitonData, eta, family: TimeFamily) -> list[list[Poly]]:
+    """Rows of I + A K for the kernel K_kj = eta(k, j), each K_kj formed once
+    and only when a nonzero coupling uses it."""
+    eta = cache(eta)
+    rows = []
+    for i in range(data.size):
+        row = []
+        for j in range(data.size):
+            acc = _Sum(family.one() if i == j else family.zero())
+            for k, c in enumerate(data.couplings[i]):
+                if c:
+                    # (A Q)_{ij}: couple hole point i to particle point k
+                    acc.add(eta(k, j), c)
+            row.append(acc.poly())
+        rows.append(row)
+    return rows
+
+
+def _coupling_minors(entries: dict[tuple[int, int], Fraction], keep=None) -> Iterator[tuple]:
+    """(rows, columns, minor) for every nonzero minor of the coupling matrix
+    {(i, k): A_ik} over the row and column subsets `keep` accepts (the
+    Cauchy-Binet terms), smallest first."""
+    rows = sorted({i for i, _ in entries})
+    cols = sorted({k for _, k in entries})
+    for d in range(1, min(len(rows), len(cols)) + 1):
+        for rsel in combinations(rows, d):
+            for csel in combinations(cols, d):
+                if keep is not None and not keep(rsel, csel):
+                    continue
+                minor = [
+                    [entries.get((i, k), Fraction(0)) for k in csel] for i in rsel
+                ]
+                a_det = fraction_matrix_det(minor)
+                if a_det != 0:
+                    yield rsel, csel, a_det
 
 
 def soliton_fermionic_det(
@@ -331,11 +340,24 @@ def unitary_model_tau(
             rows.append(row)
         return poly_matrix_det(rows)
     if route == "cauchy":
-        out = family_plus.zero()
-        for lam in enumerate_partitions(depth, max_rows=count):
-            out = out + schur_jt(family_plus, lam) * _schur_neg(family_minus, lam)
-        return out
+        shapes = enumerate_partitions(depth, max_rows=count)
+        return _double_schur_sum(family_plus, family_minus, shapes, lambda lam: 1)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _double_schur_sum(plus: TimeFamily, minus: TimeFamily, shapes, weight) -> Poly:
+    """sum over `shapes` of weight(shape) s_shape(t+) s_shape(-t-), in one running sum."""
+    total = _Sum(plus.zero())
+    for lam in shapes:
+        total.add(schur_jt(plus, lam) * _schur_neg(minus, lam), weight(lam))
+    return total.poly()
+
+
+def _content_sum(shape: Partition) -> int:
+    """The staircase content sum sum_i shape_i (shape_i + 1 - 2i)."""
+    return sum(
+        shape.part(i) * (shape.part(i) + 1 - 2 * i) for i in range(1, shape.length + 1)
+    )
 
 
 # -- diagonal matrix models ------------------------------------------------------------
@@ -386,8 +408,7 @@ def diagonal_model_tau_fock(
     v = project("plus", v, 0)
     mults = tuple((j, model.g(j)) for j in range(0, window.hi))
     v = apply_element(Diagonal(mults, ordered=False), v)
-    raised = apply_current_exp("raise", family_plus, v, depth)
-    return raised.component(count, Partition([])) or family_plus.zero()
+    return vacuum_readout(family_plus, v, count, depth)
 
 
 def diagonal_model_tau_closed(
@@ -402,13 +423,13 @@ def diagonal_model_tau_closed(
     pref = Fraction(1)
     for k in range(0, count):
         pref *= model.g(k)
-    out = family_plus.zero()
-    for lam in enumerate_partitions(depth, max_rows=count):
-        ratio = Fraction(1)
-        for i in range(1, lam.length + 1):
-            ratio *= model.g(count + lam.part(i) - i) / model.g(count - i)
-        out = out + schur_jt(family_plus, lam) * _schur_neg(family_minus, lam) * ratio
-    return out * pref
+
+    def ratio(lam: Partition) -> Fraction:
+        parts = range(1, lam.length + 1)
+        return prod(model.g(count + lam.part(i) - i) / model.g(count - i) for i in parts)
+
+    shapes = enumerate_partitions(depth, max_rows=count)
+    return _double_schur_sum(family_plus, family_minus, shapes, ratio) * pref
 
 
 def gaussian_coefficient_ratio(count: int, shape: Partition, c: Fraction) -> Fraction:
@@ -426,11 +447,8 @@ def log_squared_coefficient_ratio(
 ) -> Fraction:
     """e^(beta C/2) (r^2 e^(beta(count+1/2)))^weight with C the staircase
     content sum, all through the exact rational base."""
-    c_sum = sum(
-        shape.part(i) * (shape.part(i) + 1 - 2 * i) for i in range(1, shape.length + 1)
-    )
     return (
-        Fraction(e_half_beta) ** (c_sum + shape.weight * (2 * count + 1))
+        Fraction(e_half_beta) ** (_content_sum(shape) + shape.weight * (2 * count + 1))
         * Fraction(r) ** (2 * shape.weight)
     )
 
@@ -486,9 +504,7 @@ def hermitian_fermionic_tau(count: int, family: TimeFamily, depth: int) -> Poly:
     factorials (the tracked unit aside)."""
     window = window_for([count], depth + 2)
     ket = apply_element(weight_shift_element(window), vacuum(window, count))
-    ket = ket.truncated(depth)
-    raised = apply_current_exp("raise", family, ket, depth)
-    return raised.component(count, Partition([])) or family.zero()
+    return vacuum_readout(family, ket.truncated(depth), count, depth)
 
 
 def hermitian_moment_element(span: int) -> NormalOrderedBilinear:
@@ -513,9 +529,7 @@ def hermitian_two_family_tau(
     v = project("plus", v, 0)
     v = apply_element(hermitian_moment_element(window.hi), v)
     v = project("plus", v, 0)
-    v = v.truncated(depth)
-    raised = apply_current_exp("raise", family_plus, v, depth)
-    return raised.component(count, Partition([])) or family_plus.zero()
+    return vacuum_readout(family_plus, v.truncated(depth), count, depth)
 
 
 # -- cut-and-join family ---------------------------------------------------------------
@@ -530,18 +544,10 @@ def cut_and_join_tau_sum(
 ) -> Poly:
     """Direct double Schur sum with staircase-content exponents."""
     e, q = Fraction(e_half_beta), Fraction(q)
-    out = family_plus.zero()
-    for lam in enumerate_partitions(depth):
-        c_sum = sum(
-            lam.part(i) * (lam.part(i) + 1 - 2 * i) for i in range(1, lam.length + 1)
-        )
-        out = (
-            out
-            + schur_jt(family_plus, lam)
-            * _schur_neg(family_minus, lam)
-            * (e**c_sum * q**lam.weight)
-        )
-    return out
+    return _double_schur_sum(
+        family_plus, family_minus, enumerate_partitions(depth),
+        lambda lam: e ** _content_sum(lam) * q**lam.weight,
+    )
 
 
 def cut_and_join_element(e_half_beta: Fraction, q: Fraction) -> Product:
@@ -565,8 +571,7 @@ def cut_and_join_tau_operator(
     window = window_for([0], depth)
     v = apply_current_exp("lower", family_minus, vacuum(window, 0), depth, sign=-1)
     v = apply_element(cut_and_join_element(e_half_beta, q), v)
-    raised = apply_current_exp("raise", family_plus, v, depth)
-    return raised.component(0, Partition([])) or family_plus.zero()
+    return vacuum_readout(family_plus, v, 0, depth)
 
 
 # -- Hamiltonian-evolution tau in the auxiliary times -------------------------------------
@@ -585,16 +590,21 @@ def hamiltonian_families(t_depth: int, w_depth: int):
     return times, shift
 
 
+def _flow_exp(times: TimeFamily, m) -> Poly:
+    """exp(sum_k m(k) t_k), truncated at the time cutoff."""
+    linear = _Sum(times.zero())
+    for k in range(1, times.depth + 1):
+        linear.add(times.time(k), m(k))
+    return linear.poly().series_exp()
+
+
 def _staircase_exponent_factor(times: TimeFamily, shape: Partition) -> Poly:
     """exp of the flow-weight sums over the shape's Frobenius data,
     truncated at the time cutoff."""
     alphas, betas = shape.frobenius()
-    linear = times.zero()
-    for k in range(1, times.depth + 1):
-        m = sum(a**k - (-b - 1) ** k for a, b in zip(alphas, betas))
-        if m:
-            linear = linear + times.time(k) * m
-    return linear.series_exp()
+    return _flow_exp(
+        times, lambda k: sum(a**k - (-b - 1) ** k for a, b in zip(alphas, betas))
+    )
 
 
 def hamiltonian_tau_eigen(
@@ -663,37 +673,23 @@ def hamiltonian_tau_soliton(
     entries = hamiltonian_soliton_matrix(g, a, w_depth, window)
     central = pluecker_coefficient(g, Partition([]), 0, window)
     winv = Poly.variable(times.table, times.cutoffs, "winv")
-    import itertools
-
-    rows = sorted({i for i, _ in entries})
-    cols = sorted({k for _, k in entries})
-    out = times.one()
-    for d in range(1, min(len(rows), len(cols)) + 1):
-        for rsel in itertools.combinations(rows, d):
-            for csel in itertools.combinations(cols, d):
-                if sum(rsel) + sum(csel) - d > w_depth:
-                    continue
-                minor = [
-                    [entries.get((i, k), Fraction(0)) for k in csel] for i in rsel
-                ]
-                a_det = fraction_matrix_det(minor)
-                if a_det == 0:
-                    continue
-                kernel = [
-                    [Fraction(k, i - 1 + k) for k in csel] for i in rsel
-                ]
-                k_det = fraction_matrix_det(kernel)
-                if k_det == 0:
-                    continue
-                linear = times.zero()
-                for kk in range(1, times.depth + 1):
-                    m = sum((i - 1) ** kk for i in rsel) - sum((-k) ** kk for k in csel)
-                    if m:
-                        linear = linear + times.time(kk) * m
-                flow = linear.series_exp()
-                wpow = sum(rsel) + sum(csel) - d
-                out = out + flow * winv**wpow * (a_det * k_det)
-    return out * central
+    out = _Sum(times.one())
+    # a term beyond spectral weight w_depth vanishes in the truncated ring
+    minors = _coupling_minors(entries, lambda r, c: sum(r) + sum(c) - len(r) <= w_depth)
+    for rsel, csel, a_det in minors:
+        kernel = [
+            [Fraction(k, i - 1 + k) for k in csel] for i in rsel
+        ]
+        k_det = fraction_matrix_det(kernel)
+        if k_det == 0:
+            continue
+        flow = _flow_exp(
+            times,
+            lambda kk: sum((i - 1) ** kk for i in rsel) - sum((-k) ** kk for k in csel),
+        )
+        wpow = sum(rsel) + sum(csel) - len(rsel)
+        out.add(flow * winv**wpow, a_det * k_det)
+    return out.poly() * central
 
 
 def moment_coupled_element(moments: dict[tuple[int, int], Fraction]) -> NormalOrderedBilinear:
@@ -730,30 +726,14 @@ def soliton_tau_two_family(
     exponential dresses each spectral point with the inverse-point series
     of the second family, and the vacuum pairing contributes the bilinear
     exponential prefactor exp(-sum k t_k t_-k)."""
-    size = data.size
 
     def dressed_eta(i, k):
+        # the first family's kernel factor times the inverse-point dressing
         p, q = data.ps[i], data.qs[k]
-        pref = p**n * q ** (1 - n) / (q - p)
-        xi = (
-            family_plus.xi_value(p)
-            - family_plus.xi_value(q)
-            + family_minus.xi_value(1 / p)
-            - family_minus.xi_value(1 / q)
-        )
-        return xi.series_exp() * pref
+        dressing = (family_minus.xi_value(1 / p) - family_minus.xi_value(1 / q)).series_exp()
+        return _exp_eta(family_plus, data, i, k, n) * dressing
 
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = family_plus.one() if i == j else family_plus.zero()
-            for k in range(size):
-                if data.couplings[i][k] == 0:
-                    continue
-                acc = acc + dressed_eta(k, j) * data.couplings[i][k]
-            row.append(acc)
-        rows.append(row)
+    rows = _coupled_kernel_rows(data, dressed_eta, family_plus)
     quad = family_plus.zero()
     for k in range(1, min(family_plus.depth, family_minus.depth) + 1):
         quad = quad + family_plus.time(k) * family_minus.time(k) * (-k)

@@ -163,7 +163,7 @@ def cauchy_littlewood_check(depth: int) -> int:
     plus, other = standard_double_family(depth, depth)
     lhs = plus.zero()
     for shape in enumerate_partitions(depth):
-        lhs = lhs + schur_jt(plus, shape) * _schur_second(other, shape)
+        lhs = lhs + schur_jt(plus, shape) * schur_jt(other, shape)
     quad = plus.zero()
     for k in range(1, depth + 1):
         quad = quad + plus.time(k) * other.time(k) * k
@@ -171,10 +171,6 @@ def cauchy_littlewood_check(depth: int) -> int:
     if lhs != rhs:
         raise AssertionError("Cauchy-Littlewood mismatch")
     return depth
-
-
-def _schur_second(family: TimeFamily, shape: Partition) -> Poly:
-    return schur_jt(family, shape)
 
 
 def schur_orthonormality(family: TimeFamily, left: Partition, right: Partition) -> Fraction:

@@ -18,10 +18,10 @@ from typing import Mapping
 from tauforge.fock import (
     FockVector,
     ModeWindow,
-    apply_current_exp,
     basis_vector,
     inner,
     vacuum,
+    vacuum_readout,
     window_for,
 )
 from tauforge.grouplike import (
@@ -49,15 +49,13 @@ def is_field_based(g) -> bool:
 
 
 def mode_support(g) -> list[int]:
-    """Window modes an element touches (empty for field-based parts)."""
+    """Window modes an element touches (empty for field-based parts and
+    for elements that name no modes of their own)."""
     from tauforge.grouplike import (
         Diagonal,
-        DiagonalFlow,
         ExponentBilinear,
-        Identity,
         LinearWord,
         NormalOrderedBilinear,
-        StateProjector,
     )
 
     if isinstance(g, ExponentBilinear):
@@ -70,10 +68,6 @@ def mode_support(g) -> list[int]:
         return [j for j, _ in g.mults]
     if isinstance(g, Product):
         return [m for f in g.factors for m in mode_support(f)]
-    if isinstance(g, StateProjector):
-        return []
-    if isinstance(g, (Identity, DiagonalFlow, ProjectorElement)):
-        return []
     return []
 
 
@@ -220,9 +214,7 @@ def expand_mkp_direct(
         return correlator_exact(n, [g], n - q, family=family)
     window = window or window_for_element(g, (n, n - q), depth)
     ket = apply_element(g, vacuum(window, n - q))
-    ket = ket.restrict_charge(n).truncated(depth)
-    raised = apply_current_exp("raise", family, ket, depth)
-    return raised.component(n, Partition([])) or family.zero()
+    return vacuum_readout(family, ket.restrict_charge(n).truncated(depth), n, depth)
 
 
 def expand_2dtl(
@@ -241,7 +233,7 @@ def expand_2dtl(
     shapes = enumerate_partitions(depth)
     field_route = is_field_based(g)
     coeffs = {}
-    poly = None
+    total = _Sum(family_plus.zero())
     for mu in shapes:
         ket = None
         if not field_route:
@@ -258,15 +250,8 @@ def expand_2dtl(
                 continue
             c = val * sign
             coeffs[(lam, mu)] = c
-            term = (
-                schur_jt(family_plus, lam)
-                * _schur_neg(family_minus, mu)
-                * c
-            )
-            poly = term if poly is None else poly + term
-    if poly is None:
-        poly = family_plus.zero()
-    return TauSeries("2DTL", n, poly, coeffs, {"depth": depth, "element": repr(g)})
+            total.add(schur_jt(family_plus, lam) * _schur_neg(family_minus, mu) * c)
+    return TauSeries("2DTL", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)})
 
 
 def _schur_neg(family: TimeFamily, shape: Partition) -> Poly:
@@ -304,22 +289,12 @@ def giambelli_coeff_check(g, n: int, shape: Partition, window: ModeWindow | None
     return lhs == rhs
 
 
-def _row_coefficient(g, s: int, n: int, window):
-    """One-row coefficient with the empty-shape and negative-index
-    conventions of the stepped determinants."""
-    if s < 0:
-        return Fraction(0)
-    if s == 0:
-        return pluecker_coefficient(g, Partition([]), n, window)
-    return pluecker_coefficient(g, Partition([s]), n, window)
-
-
-def _col_coefficient(g, a: int, n: int, window):
-    if a < 0:
-        return Fraction(0)
-    if a == 0:
-        return pluecker_coefficient(g, Partition([]), n, window)
-    return pluecker_coefficient(g, Partition([1] * a), n, window)
+# orientation -> (charge step per determinant column, the lines of a shape
+# the determinant runs over, the one-line shape of a given length)
+_JT_ORIENTATIONS = {
+    "rows": (-1, lambda shape: shape, lambda a: Partition([a])),
+    "columns": (+1, Partition.transpose, lambda a: Partition([1] * a)),
+}
 
 
 def quantum_jt_check(
@@ -328,7 +303,8 @@ def quantum_jt_check(
     """Stepped-charge determinant identities for the coefficients.
 
     orientation "rows":   det over one-row coefficients at charges n-j+1;
-    orientation "columns": det over one-column coefficients at n+j-1.
+    orientation "columns": det over one-column coefficients at n+j-1 (the
+    rows determinant of the transposed shape with the charge step flipped).
     Returns None when a prefactor central value vanishes.
     """
     span = shape.weight + 1
@@ -336,44 +312,31 @@ def quantum_jt_check(
         g, (n - span, n + span, n - charge_of(g)), span
     )
     lhs = pluecker_coefficient(g, shape, n, window)
-    if orientation == "rows":
-        ell = shape.length
-        if ell == 0:
-            return True
-        pref = Fraction(1)
-        for k in range(1, ell):
-            c0 = pluecker_coefficient(g, Partition([]), n - k, window)
-            if not c0:
-                return None
-            pref = pref * c0
-        entries = [
-            [
-                _row_coefficient(g, shape.part(i) - i + j, n - j + 1, window)
-                for j in range(1, ell + 1)
-            ]
-            for i in range(1, ell + 1)
-        ]
-        return lhs * pref == poly_matrix_det(entries)
-    if orientation == "columns":
-        width = shape.part(1)
-        if width == 0:
-            return True
-        t = shape.transpose()
-        pref = Fraction(1)
-        for k in range(1, width):
-            c0 = pluecker_coefficient(g, Partition([]), n + k, window)
-            if not c0:
-                return None
-            pref = pref * c0
-        entries = [
-            [
-                _col_coefficient(g, t.part(i) - i + j, n + j - 1, window)
-                for j in range(1, width + 1)
-            ]
-            for i in range(1, width + 1)
-        ]
-        return lhs * pref == poly_matrix_det(entries)
-    raise ValueError(f"unknown orientation {orientation!r}")
+    if orientation not in _JT_ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    step, lines_of, line = _JT_ORIENTATIONS[orientation]
+    lines = lines_of(shape)
+    ell = lines.length
+    if ell == 0:
+        return True
+    pref = Fraction(1)
+    for k in range(1, ell):
+        c0 = pluecker_coefficient(g, Partition([]), n + step * k, window)
+        if not c0:
+            return None
+        pref = pref * c0
+
+    def coefficient(a: int, charge: int):
+        # the empty and negative-length conventions of the stepped determinants
+        if a < 0:
+            return Fraction(0)
+        return pluecker_coefficient(g, line(a), charge, window)
+
+    entries = [
+        [coefficient(lines.part(i) - i + j, n + step * (j - 1)) for j in range(1, ell + 1)]
+        for i in range(1, ell + 1)
+    ]
+    return lhs * pref == poly_matrix_det(entries)
 
 
 def pluecker_check(

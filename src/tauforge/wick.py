@@ -6,8 +6,8 @@ Two evaluation routes coexist and cross-check each other:
   mode letters and every window-representable element);
 * the kernel route evaluates words of mode letters and point-evaluated
   fields against a vacuum through closed-form pair kernels (rational
-  functions of the points, differentiated exactly via truncated Taylor
-  arithmetic), summed over pairings.
+  functions of the points, differentiated exactly through jets in the
+  `Poly` ring), summed over pairings.
 
 Raising-exponential insertions are handled by conjugation: each letter is
 "dressed" with the exponential-series factors, whose coefficients are
@@ -37,74 +37,20 @@ from tauforge.grouplike import (
     _pair_subsets,
     apply_element,
 )
-from tauforge.polyring import Poly, TimeFamily, fraction_matrix_det, poly_matrix_det
+from tauforge.polyring import (
+    Poly,
+    TimeFamily,
+    Variable,
+    VariableTable,
+    fraction_matrix_det,
+    poly_matrix_det,
+)
 
-# -- truncated bivariate Taylor arithmetic over exact rationals -------------
+# -- the two-point kernel as a jet in the Poly ring ---------------------------
 
-
-class Taylor2:
-    """Polynomial jet in two infinitesimals, truncated at fixed orders."""
-
-    __slots__ = ("r", "s", "c")
-
-    def __init__(self, r: int, s: int, c: dict[tuple[int, int], Fraction] | None = None):
-        self.r = r
-        self.s = s
-        self.c = {k: v for k, v in (c or {}).items() if v != 0}
-
-    @staticmethod
-    def const(r: int, s: int, value: Fraction) -> "Taylor2":
-        return Taylor2(r, s, {(0, 0): Fraction(value)})
-
-    @staticmethod
-    def eps(r: int, s: int, which: int, base: Fraction) -> "Taylor2":
-        """base + eps_which."""
-        key = (1, 0) if which == 1 else (0, 1)
-        return Taylor2(r, s, {(0, 0): Fraction(base), key: Fraction(1)})
-
-    def __add__(self, other: "Taylor2") -> "Taylor2":
-        c = dict(self.c)
-        for k, v in other.c.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        return Taylor2(self.r, self.s, c)
-
-    def __mul__(self, other: "Taylor2") -> "Taylor2":
-        c: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), v1 in self.c.items():
-            for (a2, b2), v2 in other.c.items():
-                a, b = a1 + a2, b1 + b2
-                if a > self.r or b > self.s:
-                    continue
-                c[(a, b)] = c.get((a, b), Fraction(0)) + v1 * v2
-        return Taylor2(self.r, self.s, c)
-
-    def scale(self, v: Fraction) -> "Taylor2":
-        return Taylor2(self.r, self.s, {k: x * Fraction(v) for k, x in self.c.items()})
-
-    def ipow(self, n: int) -> "Taylor2":
-        if n < 0:
-            return self.inv().ipow(-n)
-        out = Taylor2.const(self.r, self.s, Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def inv(self) -> "Taylor2":
-        c0 = self.c.get((0, 0), Fraction(0))
-        if c0 == 0:
-            raise ZeroDivisionError("jet has vanishing constant term (pole hit)")
-        u = Taylor2(self.r, self.s, {k: -v / c0 for k, v in self.c.items() if k != (0, 0)})
-        out = Taylor2.const(self.r, self.s, Fraction(1))
-        power = out
-        for _ in range(self.r + self.s):
-            power = power * u
-            if not power.c:
-                break
-            out = out + power
-        return out.scale(1 / c0)
-
-    def coeff(self, a: int, b: int) -> Fraction:
-        return self.c.get((a, b), Fraction(0))
+# the infinitesimals e of z and f of zeta, each in a grading of its own so
+# that each is cut at its own derivative order
+_JET_TABLE = VariableTable([Variable("e", "e", 1), Variable("f", "f", 1)])
 
 
 def _field_field_kernel(
@@ -112,16 +58,19 @@ def _field_field_kernel(
 ) -> Fraction:
     """d^r/dz^r d^s/dzeta^s of the two-point vacuum kernel, with the field
     written first ("psi": z^n zeta^(1-n)/(z - zeta); "psi*": the sign-
-    flipped denominator), evaluated at rational points."""
-    z = Taylor2.eps(r, s, 1, p)
-    zeta = Taylor2.eps(r, s, 2, q)
-    num = z.ipow(n) * zeta.ipow(1 - n)
-    if first_kind == "psi":
-        den = z + zeta.scale(-1)
-    else:
-        den = zeta + z.scale(-1)
-    jet = num * den.inv()
-    return jet.coeff(r, s) * factorial(r) * factorial(s)
+    flipped denominator), evaluated at rational points: the jet is a `Poly`
+    in z = p + e and zeta = q + f, and a pole raises ZeroDivisionError."""
+    cut = {"e": r, "f": s}
+    z = Poly.variable(_JET_TABLE, cut, "e") + p
+    zeta = Poly.variable(_JET_TABLE, cut, "f") + q
+
+    def power(x: Poly, k: int) -> Poly:
+        return x**k if k >= 0 else x.series_inverse() ** -k
+
+    num = power(z, n) * power(zeta, 1 - n)
+    den = z - zeta if first_kind == "psi" else zeta - z
+    jet = num * den.series_inverse()
+    return jet.coefficient(cut) * factorial(r) * factorial(s)
 
 
 # -- kernel letters -----------------------------------------------------------

@@ -264,3 +264,54 @@ def test_model_rejects_negative_size_for_every_kind(capsys):
     for kind in ("gaussian-hermitian", "unitary", "hciz", "soliton"):
         msg = usage_error(capsys, ["model", "--kind", kind, "--size", "-1"])
         assert msg.endswith("model needs --size >= 0")
+
+
+def test_model_rejects_soliton_pole_at_zero_particle_point(capsys):
+    # p^n q^(1-n) of the kernel has a pole at p = 0 for a negative charge
+    for charge in ("-2", "-1"):
+        argv = ["model", "--kind", "soliton", "--points-p", "0", "--points-q", "1/2",
+                "--charge", charge]
+        msg = usage_error(capsys, argv)
+        assert "bad soliton data" in msg and "pole" in msg
+
+
+def test_model_rejects_soliton_pole_at_zero_hole_point(capsys):
+    # and at q = 0 for a charge above 1
+    for charge in ("3", "2"):
+        argv = ["model", "--kind", "soliton", "--points-p", "1/3", "--points-q", "0",
+                "--charge", charge]
+        msg = usage_error(capsys, argv)
+        assert "bad soliton data" in msg and "pole" in msg
+
+
+def report_digest(capsys, argv) -> tuple[int, str]:
+    import hashlib
+
+    code, out = run(capsys, argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_model_soliton_zero_point_without_coupling_is_no_pole(capsys):
+    # the pole factor never enters when the point's couplings all vanish
+    for p, q, charge in (("0", "1/2", "-2"), ("1/3", "0", "3")):
+        argv = ["model", "--kind", "soliton", "--points-p", p, "--points-q", q,
+                "--charge", charge, "--couplings", "0"]
+        assert report_digest(capsys, argv) == (
+            0, "1730f2af42f8a4c8d34a0f7b8acc8915700a5c68a3afbc386a883fec0d520834"
+        )
+    argv = ["model", "--kind", "soliton", "--points-p", "0,1/3", "--points-q", "1/2,1/5",
+            "--couplings", "0,1;0,2", "--charge", "-1"]
+    assert report_digest(capsys, argv) == (
+        0, "b0f9668687b8f2d60ae73c677abc1b922a207534dcad568687c7647a42ceaa1c"
+    )
+
+
+def test_model_soliton_zero_point_at_charge_without_pole(capsys):
+    argv = ["model", "--kind", "soliton", "--points-p", "0", "--points-q", "1/2", "--charge", "0"]
+    assert report_digest(capsys, argv) == (
+        0, "f883bd21079d1e6c46f5e81b2a85eb133a69808f2cfb0df47073f2bb69643d2a"
+    )
+    argv = ["model", "--kind", "soliton", "--points-p", "1/3", "--points-q", "0", "--charge", "1"]
+    assert report_digest(capsys, argv) == (
+        0, "ea96f8be1346ec4583b1faf0acda6e4bfc317809f72a2072bc47ee27c3ac20ad"
+    )

@@ -58,6 +58,27 @@ GOLDEN = [
         0,
         "3aacc0d7dc3dcb49802fa6953c3ae7d8143537f6088e8c822cf8ed9a589985e1",
     ),
+    (
+        "model --kind gaussian-normal --size 3 --cutoff 7 --parameter 3/2",
+        0,
+        "2d9109df6be946fb8bf6e63e7865afbfe8c48dd1eea8d24eacc3ec5f24f9699b",
+    ),
+    (
+        "model --kind log-squared --size 2 --cutoff 6 --parameter 1/2,3/4",
+        0,
+        "1c949a901cae15b48d79b6f426ef5fa12eec6837eec5c6bf8c76b51522ceca79",
+    ),
+    (
+        "model --kind soliton --cutoff 6 --points-p 1/3,2/5 --points-q 1/2,1/7"
+        " --couplings 1,-1/2;2/3,2 --charge 1",
+        0,
+        "f4fe0487b5b63d2465d36e9fd58b1c511b0a67de0feb73ff594e51b56b8b2fcb",
+    ),
+    (
+        "verify --suite tau-routes --cutoff 7 --seed 5",
+        0,
+        "ad99ab74d531d3976081493e16bf7cd46fcaf3028b58df9d38c7fa867f4f0331",
+    ),
 ]
 
 

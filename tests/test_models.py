@@ -357,6 +357,32 @@ def test_hamiltonian_two_routes_and_kp():
     assert report.ok and report.verified_weight == 2
 
 
+def test_hamiltonian_routes_agree_at_the_spectral_cutoff():
+    # this element's coupling minors reach spectral weight 3 = w_depth, so
+    # the soliton route's weight filter must keep the boundary terms
+    from tauforge.sampling import sample_exponent_bilinear
+
+    g = sample_exponent_bilinear(random.Random(5))
+    times, _ = hamiltonian_families(3, 3)
+    soliton_form = hamiltonian_tau_soliton(g, F(2, 3), times, 3)
+    assert soliton_form == hamiltonian_tau_eigen(g, F(2, 3), times, 3)
+    assert soliton_form.max_weight("w") == 3
+
+
+def test_staircase_flow_is_a_product_of_point_exponentials():
+    # exp(sum_k m_k t_k) with m_k = sum over the Frobenius pairs of
+    # a^k - (-b-1)^k, against exp(xi(t, a)) exp(-xi(t, -b-1)) per pair
+    from tauforge.models import _staircase_exponent_factor
+
+    times, _ = hamiltonian_families(4, 2)
+    for lam in enumerate_partitions(4):
+        want = times.one()
+        for a, b in zip(*lam.frobenius()):
+            want = want * times.xi_value(a).series_exp()
+            want = want * (times.xi_value(-b - 1) * -1).series_exp()
+        assert _staircase_exponent_factor(times, lam) == want, lam
+
+
 def test_hamiltonian_trivial_element():
     times, _ = hamiltonian_families(3, 3)
     from tauforge.grouplike import Identity

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from tauforge.fock import ModeWindow, letter
 from tauforge.grouplike import (
     Diagonal,
@@ -192,6 +194,24 @@ def test_quantum_jt_one_row_trivial():
     rng = random.Random(13)
     g = sample_diagonal(rng)
     assert quantum_jt_check(g, 0, Partition([3]), "rows") in (True, None)
+
+
+def test_quantum_jt_multi_line_shapes_step_the_charge():
+    # two-row and two-column shapes, where each orientation's determinant
+    # reads its coefficients at distinct stepped charges
+    rng = random.Random(5)
+    makers = (sample_exponent_bilinear, sample_vacuum_bilinear, sample_bare_bilinear)
+    for make in makers:
+        g = make(rng)
+        for lam in (Partition([2, 1]), Partition([1, 1]), Partition([2, 2])):
+            for orientation in ("rows", "columns"):
+                assert quantum_jt_check(g, 0, lam, orientation) is True, (lam, orientation)
+
+
+def test_quantum_jt_rejects_unknown_orientation():
+    g = Diagonal(((-1, 3), (-2, 5)), ordered=False)
+    with pytest.raises(ValueError, match="unknown orientation"):
+        quantum_jt_check(g, 0, Partition([2, 1]), "diagonal", ModeWindow(-10, 10))
 
 
 def test_pluecker_relations():

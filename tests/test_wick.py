@@ -23,7 +23,6 @@ from tauforge.sampling import (
     sample_vacuum_bilinear,
 )
 from tauforge.wick import (
-    Taylor2,
     correlator_exact,
     correlator_window,
     element_words,
@@ -41,15 +40,6 @@ from tauforge.wick import (
 
 F = Fraction
 W = ModeWindow(-10, 10)
-
-
-def test_taylor2_inverse_and_powers():
-    x = Taylor2.eps(3, 0, 1, F(2))  # 2 + e
-    inv = x.inv()
-    assert (x * inv).c == {(0, 0): F(1)}
-    cube = x.ipow(-2)
-    # d/de (2+e)^-2 at 0 = -2 * 2^-3
-    assert cube.coeff(1, 0) == F(-2, 8)
 
 
 def test_two_point_kernel_closed_form():
@@ -417,3 +407,33 @@ def test_wick_generalized_mixes_scalar_zero_and_poly_entries():
         return fam.one() if v is None else table[w][v]
 
     assert wick_generalized(evaluate, 0, [0, 1], [0, 1]) == -t1 * t1
+
+
+def test_field_field_kernel_matches_sympy_derivatives():
+    # the exact jet against symbolic differentiation of the closed forms
+    import sympy
+
+    from tauforge.wick import _field_field_kernel
+
+    z, zeta = sympy.symbols("z zeta")
+    points = [(F(1, 3), F(1, 2)), (F(-2, 5), F(3, 7))]
+    checked = 0
+    for n in range(-2, 4):
+        for kind in ("psi", "psi*"):
+            den = z - zeta if kind == "psi" else zeta - z
+            by_z = z**n * zeta ** (1 - n) / den
+            for r in range(4):
+                expr = by_z
+                for s in range(4):
+                    for p, q in points:
+                        value = expr.subs(
+                            {z: sympy.Rational(p.numerator, p.denominator),
+                             zeta: sympy.Rational(q.numerator, q.denominator)}
+                        )
+                        assert value.is_Rational
+                        want = F(int(value.p), int(value.q))
+                        assert _field_field_kernel(n, kind, p, r, q, s) == want, (n, kind, r, s)
+                        checked += 1
+                    expr = sympy.diff(expr, zeta)
+                by_z = sympy.diff(by_z, z)
+    assert checked == 6 * 2 * 16 * 2
