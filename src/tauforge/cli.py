@@ -14,6 +14,7 @@ import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from tauforge.fock import ModeWindow, WindowViolation
 from tauforge.grouplike import (
@@ -38,7 +39,7 @@ from tauforge.hirota import (
     mkp_equation_check,
 )
 from tauforge.partitions import Partition, enumerate_partitions
-from tauforge.polyring import paired_family, standard_single_family
+from tauforge.polyring import Poly, paired_family, standard_single_family
 from tauforge.sampling import (
     sample_element,
     sample_letter,
@@ -185,6 +186,18 @@ def cmd_expand(args) -> int:
     return 0
 
 
+# model flags that only some kinds read: dest -> (those kinds, the value
+# when the flag is not given, None where each kind has its own); a flag
+# given to another kind is bad input
+MODEL_FLAGS = {
+    "charge": (("soliton",), 0),
+    "points_p": (("soliton",), "1/3"),
+    "points_q": (("soliton",), "1/2"),
+    "couplings": (("soliton",), "1"),
+    "parameter": (("gaussian-normal", "hciz", "log-squared"), None),
+}
+
+
 def cmd_model(args) -> int:
     from tauforge.models import (
         DiagonalModel,
@@ -198,6 +211,12 @@ def cmd_model(args) -> int:
 
     if args.size < 0:
         raise InputError("model needs --size >= 0")
+    for dest, (kinds, default) in MODEL_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.kind not in kinds:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} does not apply to --kind {args.kind}")
     depth = args.cutoff
     if args.kind == "soliton":
         fam = standard_single_family(depth)
@@ -211,7 +230,7 @@ def cmd_model(args) -> int:
         if pole := _soliton_pole(data, args.charge):
             raise InputError(f"bad soliton data: {pole}")
         series = soliton_tau(data, args.charge, fam, depth, "determinant")
-        payload = {"schema": 1, "kind": "soliton", "tau": series.poly.to_json()}
+        payload = {"schema": 1, "kind": "soliton", "tau": series.poly}
         _emit(args, payload)
         return 0
     plus, minus = standard_double_family(depth, depth)
@@ -239,7 +258,7 @@ def cmd_model(args) -> int:
         poly = hermitian_moment_tau(args.size, fam, depth)
     else:
         raise ValueError(f"unknown model kind {args.kind!r}")
-    payload = {"schema": 1, "kind": args.kind, "size": args.size, "tau": poly.to_json()}
+    payload = {"schema": 1, "kind": args.kind, "size": args.size, "tau": poly}
     _emit(args, payload)
     return 0
 
@@ -427,9 +446,9 @@ def cmd_verify(args) -> int:
 
 def report_text(payload) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)`, written directly:
-    the standard encoder runs in pure Python whenever it indents.  Each
-    polynomial term ({"den", "exp", "num"}) is formatted from one
-    template, since a model report is mostly those."""
+    the standard encoder runs in pure Python whenever it indents.  A `Poly`
+    in the payload is written as its `to_json()` would be, straight from
+    its numerators, in the order of `Poly._sorted_nums`."""
     out: list[str] = []
     _write_json(payload, "\n", out)
     return "".join(out)
@@ -438,7 +457,9 @@ def report_text(payload) -> str:
 def _write_json(obj, nl: str, out: list[str]) -> None:
     """Append the text of `obj`; `nl` is a newline plus the indentation of
     the line `obj` starts on."""
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, Poly):
+        _write_poly(obj, nl, out)
+    elif isinstance(obj, dict) and obj:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
@@ -451,36 +472,44 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            text = _term_text(value, inner)
-            if text is None:
-                _write_json(value, inner, out)
-            else:
-                out.append(text)
+            _write_json(value, inner, out)
             sep = "," + inner
         out.append(nl + "]")
     else:  # a scalar, {} or []: the standard encoder's C path
         out.append(json.dumps(obj))
 
 
-def _term_text(obj, nl: str) -> str | None:
-    """A polynomial term {"den": str, "exp": {str: int}, "num": str} from
-    the template; None for anything else."""
-    if type(obj) is not dict or len(obj) != 3:
-        return None
-    den, num, exp = obj.get("den"), obj.get("num"), obj.get("exp")
-    if type(den) is not str or type(num) is not str or type(exp) is not dict:
-        return None
+def _write_poly(poly: Poly, nl: str, out: list[str]) -> None:
+    """Append the text of `poly.to_json()`, keys "cutoff", "terms", "vars",
+    with each term {"den", "exp", "num"} formatted from the numerators."""
+    head = poly._json_head()
     inner = nl + "  "
-    if not exp:
-        return f'{{{inner}"den": {_quote(den)},{inner}"exp": {{}},{inner}"num": {_quote(num)}{nl}}}'
-    if not all([type(k) is str and type(v) is int for k, v in exp.items()]):
-        return None
-    deeper = inner + "  "
-    body = ("," + deeper).join([f"{_quote(k)}: {v!r}" for k, v in sorted(exp.items())])
-    return (
-        f'{{{inner}"den": {_quote(den)},{inner}"exp": {{{deeper}{body}{inner}}},'
-        f'{inner}"num": {_quote(num)}{nl}}}'
-    )
+    out.append("{" + inner + '"cutoff": ')
+    _write_json(head["cutoff"], inner, out)
+    out.append("," + inner + '"terms": ')
+    row = inner + "  "  # the line a term starts on
+    field = row + "  "
+    deeper = field + "  "
+    names = [v.name for v in poly.table.variables]
+    quoted = [_quote(name) for name in names]
+    den = poly.den
+    texts = []
+    for key, n in poly._sorted_nums():
+        g = gcd(n, den)
+        if key:
+            body = ("," + deeper).join(
+                [f"{quoted[i]}: {e}" for i, e in sorted(key, key=lambda ie: names[ie[0]])]
+            )
+            exp = "{" + deeper + body + field + "}"
+        else:
+            exp = "{}"
+        texts.append(
+            f'{{{field}"den": "{den // g}",{field}"exp": {exp},{field}"num": "{n // g}"{row}}}'
+        )
+    out.append("[" + row + ("," + row).join(texts) + inner + "]" if texts else "[]")
+    out.append("," + inner + '"vars": ')
+    _write_json(head["vars"], inner, out)
+    out.append(nl + "}")
 
 
 def _json_key(key) -> str:
@@ -531,12 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p_model.add_argument("--size", type=int, default=1, help="matrix size / charge")
-    p_model.add_argument("--charge", type=int, default=0)
+    # None marks a flag as not given (see MODEL_FLAGS)
+    p_model.add_argument("--charge", type=int, default=None)
     p_model.add_argument("--cutoff", type=int, default=4)
     p_model.add_argument("--parameter", default=None)
-    p_model.add_argument("--points-p", default="1/3")
-    p_model.add_argument("--points-q", default="1/2")
-    p_model.add_argument("--couplings", default="1")
+    p_model.add_argument("--points-p", default=None)
+    p_model.add_argument("--points-q", default=None)
+    p_model.add_argument("--couplings", default=None)
     p_model.add_argument("--out", default="-")
     p_model.set_defaults(func=cmd_model)
 

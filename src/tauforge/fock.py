@@ -544,7 +544,9 @@ def apply_current_exp(
 
     "lower" grows ket shapes with signed skew coefficients; "raise"
     shrinks them; on bras the roles transpose.  sign = -1 negates the
-    times (the inverse exponential).
+    times (the inverse exponential).  `depth` bounds only the growing
+    side, by how much weight a shape may gain; a shrinking exponential
+    reaches every smaller shape and does not read it.
     """
     grow = (direction == "lower") != v.dual
     out: dict[State, object] = {}
@@ -567,7 +569,8 @@ def apply_current_exp(
 def vacuum_readout(family: TimeFamily, v: FockVector, n: int, depth: int) -> Poly:
     """<n| exp(sum_k t_k J_k) v, the raising exponential's charge-n vacuum
     component of a ket: the polynomial image of its charge-n sector, and
-    the family's zero when that component is absent."""
+    the family's zero when that component is absent.  The raising side
+    does not read `depth`: the family's cutoffs truncate the result."""
     raised = apply_current_exp("raise", family, v, depth)
     return raised.component(n, Partition([])) or family.zero()
 

@@ -310,20 +310,25 @@ def unitary_model_tau(
     family_plus: TimeFamily,
     family_minus: TimeFamily,
     depth: int,
-    route: str = "toeplitz",
+    route: str = "cauchy",
 ) -> Poly:
     """Circular-ensemble partition function.
 
-    route "toeplitz": size-`count` determinant of the band sums
-    sum_a h_a(t+) h_{a+j-k}(-t-); route "cauchy": the row-bounded double
-    Schur sum with the second family at negated times (the sign realized
-    by the operator construction; see the sign-convention note in the
-    README).  count <= 0 degenerates: 1 at 0, 0 below.
+    route "cauchy" (the default, which the CLI uses): the double Schur
+    sum of s(t+) s(-t-) over the shapes with at most `count` rows, the
+    second family at negated times (the sign realized by
+    the operator construction; see the sign-convention note in the
+    README); route "toeplitz", kept as the tests' oracle: the size-`count`
+    determinant of the band sums sum_a h_a(t+) h_{a+j-k}(-t-).  count <= 0
+    degenerates: 1 at 0, 0 below.
     """
     if count < 0:
         return family_plus.zero()
     if count == 0:
         return family_plus.one()
+    if route == "cauchy":
+        shapes = enumerate_partitions(depth, max_rows=count)
+        return _double_schur_sum(family_plus, family_minus, shapes, lambda lam: 1)
     if route == "toeplitz":
         rows = []
         for j in range(1, count + 1):
@@ -339,9 +344,6 @@ def unitary_model_tau(
                 row.append(acc)
             rows.append(row)
         return poly_matrix_det(rows)
-    if route == "cauchy":
-        shapes = enumerate_partitions(depth, max_rows=count)
-        return _double_schur_sum(family_plus, family_minus, shapes, lambda lam: 1)
     raise ValueError(f"unknown route {route!r}")
 
 

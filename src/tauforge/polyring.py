@@ -70,6 +70,12 @@ class VariableTable:
         if len(self.index) != len(self.variables):
             raise ValueError("duplicate variable names")
         self.gradings = tuple(sorted({v.grading for v in self.variables}))
+        # (position in `gradings`, weight) of each variable
+        self.slots = tuple((self.gradings.index(v.grading), v.weight) for v in self.variables)
+        # equality and hash by plain tuples: tables are compared and hashed
+        # at every memo lookup and every binary operation
+        self._key = tuple((v.name, v.grading, v.weight) for v in self.variables)
+        self._hash = hash(self._key)
 
     def var(self, name: str) -> Variable:
         return self.variables[self.index[name]]
@@ -83,10 +89,10 @@ class VariableTable:
         return w
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VariableTable) and self.variables == other.variables
+        return self is other or (isinstance(other, VariableTable) and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash(self.variables)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"VariableTable({[v.name for v in self.variables]})"
@@ -523,11 +529,17 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def _sorted_nums(self) -> list[tuple[MonomialKey, int]]:
-        weight_of, gradings = self.table.weight_of, self.table.gradings
+        """The (key, numerator) pairs in report order: by total weight, then
+        by the weights per grading in the table's grading order, then by key.
+        `to_json` and the CLI's report writer both list terms in this order."""
+        slots, width = self.table.slots, len(self.table.gradings)
 
         def sortkey(item):
-            key, _ = item
-            tot = tuple([weight_of(key, g) for g in gradings])
+            key = item[0]
+            tot = [0] * width
+            for i, e in key:
+                g, w = slots[i]
+                tot[g] += w * e
             return (sum(tot), tot, key)
 
         return sorted(self.nums.items(), key=sortkey)
@@ -548,13 +560,16 @@ class Poly:
                     "den": str(den // g),
                 }
             )
+        return {**self._json_head(), "terms": terms}
+
+    def _json_head(self) -> dict:
+        """The "vars" and "cutoff" entries of `to_json`."""
         return {
             "vars": [
                 {"name": v.name, "grading": v.grading, "weight": v.weight}
                 for v in self.table.variables
             ],
             "cutoff": {g: c for g, c in self.cutoffs.items() if c is not None},
-            "terms": terms,
         }
 
     @staticmethod

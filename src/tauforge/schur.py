@@ -1,22 +1,33 @@
 """Schur and skew Schur functions in graded time variables.
 
-Four construction routes are provided and cross-checked: the generator
-determinant over complete homogeneous terms, its dual over elementary
-terms, the hook alternating sums, and the hook determinant over the
-Frobenius square.  Specializations (content product over hook product)
-come from the Miwa evaluation t_k = u w^{-k} / k.
+The production route is the character expansion (bosonization of the
+Schur function): s_shape(t) = sum over cycle types mu of the same weight of
+chi^shape_mu prod_k t_k^(m_k) / m_k!, with m_k the multiplicity of k in
+mu.  The integer characters come from the Murnaghan-Nakayama rule, rim
+hooks removed as bead moves on beta-numbers, and are tabulated once per
+weight, so building a Schur function forms no determinant and no product.
+
+The determinant routes stay as independent oracles: the generator
+determinant over complete homogeneous terms (`skew_schur` for skew
+shapes), its dual over elementary terms, the hook alternating sums, and
+the hook determinant over the Frobenius square.  Specializations (content
+product over hook product) come from the Miwa evaluation
+t_k = u w^{-k} / k.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import factorial, lcm, prod
 
 from tauforge.partitions import (
     Partition,
     enumerate_partitions,
     pochhammer_content,
 )
-from tauforge.polyring import Poly, TimeFamily, poly_matrix_det
+from tauforge.polyring import Poly, TimeFamily, _complete, _within, poly_matrix_det
 
 _schur_cache: dict[tuple, Poly] = {}
 
@@ -25,22 +36,87 @@ def _family_key(family: TimeFamily) -> tuple:
     return (family.table, tuple(family.names), tuple(sorted(family.cutoffs.items())))
 
 
+def _rim_hook_removals(shape: tuple[int, ...], r: int):
+    """(sign, smaller shape) for each rim hook of length r in `shape`: on the
+    beta-numbers shape_i + len - i a bead moves down by r onto an empty
+    place, with the sign (-1)^(beads it passes)."""
+    n = len(shape)
+    beta = [p + n - i for i, p in enumerate(shape, start=1)]
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta:
+            continue
+        passed = sum(c < x < b for x in beta)
+        moved = sorted([x for x in beta if x != b] + [c], reverse=True)
+        parts = [x - n + i for i, x in enumerate(moved, start=1)]
+        yield (-1) ** passed, tuple(p for p in parts if p)
+
+
+@cache
+def _character(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
+    """chi^shape at the cycle type `cycle` (weakly decreasing) by the
+    Murnaghan-Nakayama rule, removing the longest cycle first."""
+    if not cycle:
+        return 1
+    return sum(
+        sign * _character(rest, cycle[1:]) for sign, rest in _rim_hook_removals(shape, cycle[0])
+    )
+
+
+@cache
+def _character_table(weight: int) -> dict[tuple[int, ...], tuple[int, tuple]]:
+    """shape -> (den, ((cycle exponents ((k, m_k), ...), numerator), ...)) for
+    every shape of `weight`: s_shape = sum numerator prod t_k^m_k / den over
+    the cycle types with a nonzero character, den the lcm of their prod m_k!."""
+    cycles = [lam.parts for lam in enumerate_partitions(weight) if lam.weight == weight]
+    monomials = []
+    for mu in cycles:
+        mult = Counter(mu)
+        monomials.append((tuple(sorted(mult.items())), prod(map(factorial, mult.values()))))
+    out = {}
+    for shape in cycles:
+        terms = [(exps, _character(shape, mu), z) for mu, (exps, z) in zip(cycles, monomials)]
+        den = lcm(*(z for _, chi, z in terms if chi))
+        out[shape] = (den, tuple((exps, chi * (den // z)) for exps, chi, z in terms if chi))
+    return out
+
+
+def _check_generators(family: TimeFamily, shape: Partition) -> None:
+    """Raise the ValueError of `TimeFamily.h` for the first generator h_k,
+    in row order of det h_{row_i - i + j}, that lies beyond the family's
+    times yet within its cutoff."""
+    depth, cut = family.depth, family.cutoffs.get(family.grading)
+    ell = shape.length
+    for i, row in enumerate(shape.parts, start=1):
+        k = max(row - i + 1, depth + 1)
+        if k <= row - i + ell and (cut is None or k <= cut):
+            raise ValueError(f"h_{k} needs time variables up to {k}")
+
+
 def schur_jt(family: TimeFamily, shape: Partition) -> Poly:
-    """det h_{row_i - i + j}, size = number of rows; 1 on the empty shape."""
+    """s_shape from the character table, truncated at the family's cutoffs;
+    1 on the empty shape.  Equal to the Jacobi-Trudi determinant
+    det h_{row_i - i + j}, and raises where that determinant would ask for
+    a generator beyond the family's times."""
     key = ("jt", _family_key(family), shape)
     got = _schur_cache.get(key)
     if got is not None:
         return got
-    ell = shape.length
-    if ell == 0:
-        out = family.one()
-    else:
-        rows = [
-            [family.h(shape.part(i) - i + j) for j in range(1, ell + 1)]
-            for i in range(1, ell + 1)
-        ]
-        out = poly_matrix_det(rows)
-    _schur_cache[key] = out
+    _check_generators(family, shape)
+    den, terms = _character_table(shape.weight)[shape.parts]
+    table, depth = family.table, family.depth
+    cut = _complete(table, family.cutoffs)
+    index = [table.index[name] for name in family.names]
+    nums = {}
+    for exps, num in terms:
+        # a cycle longer than the family's times has a nonzero character
+        # only on a shape above the cutoff (below it, the check raised)
+        if exps and exps[-1][0] > depth:
+            continue
+        mono = tuple(sorted([(index[k - 1], m) for k, m in exps]))
+        if _within(table, cut, mono):
+            nums[mono] = num
+    out = _schur_cache[key] = Poly._reduced(table, cut, nums, den)
     return out
 
 

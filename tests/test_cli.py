@@ -315,3 +315,38 @@ def test_model_soliton_zero_point_at_charge_without_pole(capsys):
     assert report_digest(capsys, argv) == (
         0, "ea96f8be1346ec4583b1faf0acda6e4bfc317809f72a2072bc47ee27c3ac20ad"
     )
+
+
+def test_model_rejects_charge_for_a_kind_that_ignores_it(capsys):
+    for kind in ("unitary", "hciz", "gaussian-hermitian"):
+        msg = usage_error(capsys, ["model", "--kind", kind, "--charge", "1"])
+        assert msg.endswith(f"--charge does not apply to --kind {kind}")
+    # an explicit value equal to the default is still an explicit flag
+    msg = usage_error(capsys, ["model", "--kind", "unitary", "--charge", "0"])
+    assert msg.endswith("--charge does not apply to --kind unitary")
+
+
+def test_model_rejects_points_p_for_a_kind_that_ignores_it(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "unitary", "--points-p", "1/3"])
+    assert msg.endswith("--points-p does not apply to --kind unitary")
+
+
+def test_model_rejects_points_q_for_a_kind_that_ignores_it(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "log-squared", "--points-q", "1/2"])
+    assert msg.endswith("--points-q does not apply to --kind log-squared")
+
+
+def test_model_rejects_couplings_for_a_kind_that_ignores_it(capsys):
+    msg = usage_error(capsys, ["model", "--kind", "gaussian-normal", "--couplings", "1"])
+    assert msg.endswith("--couplings does not apply to --kind gaussian-normal")
+
+
+def test_model_rejects_parameter_for_a_kind_that_ignores_it(capsys):
+    for kind in ("unitary", "gaussian-hermitian", "soliton"):
+        msg = usage_error(capsys, ["model", "--kind", kind, "--parameter", "2"])
+        assert msg.endswith(f"--parameter does not apply to --kind {kind}")
+    # the soliton flags and --size stay accepted where they are read
+    argv = ["model", "--kind", "soliton", "--size", "3", "--charge", "0", "--points-p", "1/3",
+            "--points-q", "1/2", "--couplings", "1", "--cutoff", "6"]
+    plain = ["model", "--kind", "soliton", "--cutoff", "6"]
+    assert report_digest(capsys, argv) == report_digest(capsys, plain)

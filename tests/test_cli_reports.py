@@ -79,6 +79,26 @@ GOLDEN = [
         0,
         "ad99ab74d531d3976081493e16bf7cd46fcaf3028b58df9d38c7fa867f4f0331",
     ),
+    (
+        "model --kind unitary --size 3 --cutoff 9",
+        0,
+        "f0bd2c7fb97cfb8d787221326bb6b96c831297eadf9c60d3dfac16fe1f8125f6",
+    ),
+    (
+        "model --kind unitary --size 5 --cutoff 4",
+        0,
+        "9ac3ab26bcae12e5a4d8765a225c3fcd83f2f25179c58cf8de8714bbddd406ec",
+    ),
+    (
+        "model --kind unitary --size 0 --cutoff 5",
+        0,
+        "0ec09f24e537842e6132ddeb90631a0fafa9cc4e814893f93bdca918c4008f90",
+    ),
+    (
+        "model --kind hciz --size 3 --cutoff 10 --parameter 3/2",
+        0,
+        "10eac5a290a2e629891e769f33b613e49e5907c9ca5d06903f1a2117f1457095",
+    ),
 ]
 
 

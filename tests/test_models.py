@@ -207,6 +207,14 @@ def test_unitary_model_routes_and_degenerate_cases():
         assert toeplitz == cauchy, count
 
 
+def test_unitary_default_route_equals_toeplitz():
+    for depth in range(9):
+        plus, minus = standard_double_family(depth, depth)
+        for count in range(5):
+            toeplitz = unitary_model_tau(count, plus, minus, depth, "toeplitz")
+            assert unitary_model_tau(count, plus, minus, depth) == toeplitz, (count, depth)
+
+
 def test_unitary_one_row_structure():
     plus, minus = standard_double_family(5, 5)
     got = unitary_model_tau(1, plus, minus, 5)
@@ -355,6 +363,23 @@ def test_hamiltonian_two_routes_and_kp():
     assert eigen == soliton_form
     report = kp_residue_check(eigen, times, shift)
     assert report.ok and report.verified_weight == 2
+
+
+def test_hamiltonian_routes_agree_on_a_nontrivial_element():
+    # three couplings and time depth 5, so the residue check reaches weight
+    # 4, where the first Pluecker relation lives
+    from tauforge.sampling import sample_exponent_bilinear
+
+    g = sample_exponent_bilinear(random.Random(5))
+    assert len(g.b.entries) == 3
+    times, shift = hamiltonian_families(5, 3)
+    eigen = hamiltonian_tau_eigen(g, F(2, 3), times, 3)
+    assert eigen != times.one()
+    assert hamiltonian_tau_soliton(g, F(2, 3), times, 3) == eigen
+    report = kp_residue_check(eigen, times, shift)
+    assert report.ok and report.verified_weight == 4
+    broken = kp_residue_check(eigen + times.time(1) ** 4 * F(1, 7), times, shift)
+    assert not broken.ok and broken.verified_weight == 4
 
 
 def test_hamiltonian_routes_agree_at_the_spectral_cutoff():

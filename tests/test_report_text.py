@@ -1,8 +1,8 @@
 """The CLI's report writer against `json.dumps(..., indent=2, sort_keys=True)`.
 
-Payloads mix polynomial terms ({"den", "exp", "num"}, the writer's
-template) with near misses that must take the general path, inside nested
-reports with empty lists and dicts.
+Payloads mix polynomial term dicts ({"den", "exp", "num"}) with near
+misses, inside nested reports with empty lists and dicts; a `Poly` in a
+payload must come out as its `to_json()` would.
 """
 
 import io
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauforge.cli import main, report_text
+from tauforge.polyring import Poly, Variable, VariableTable, time_variables
 
 names = st.text(min_size=0, max_size=4)
 exps = st.dictionaries(names, st.integers(-3, 40), max_size=4)
@@ -96,6 +97,48 @@ def test_writer_edge_cases():
         {"é": "☃\n\"\\", "tab\t": None},
     ):
         assert report_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@st.composite
+def polys(draw):
+    """A Poly over t1..tD (D up to 12, so t10 sorts before t2 by name) and
+    parameters in the times' grading or their own, with bounded and
+    unbounded gradings, rational coefficients of either sign, and the
+    empty and constant cases."""
+    variables = time_variables("t", draw(st.integers(0, 12)))
+    for name in draw(st.lists(st.sampled_from(["y", "b", "w1", "Z"]), unique=True, max_size=3)):
+        grading = draw(st.sampled_from(["t", "u", "w"]))
+        variables.append(Variable(name, grading, draw(st.integers(0, 3))))
+    table = VariableTable(variables)
+    cutoffs = {g: draw(st.one_of(st.none(), st.integers(0, 14))) for g in table.gradings}
+    monomials = st.just({})
+    if variables:
+        indices = st.integers(0, len(variables) - 1)
+        monomials = st.dictionaries(indices, st.integers(1, 4), max_size=4)
+    coefficients = st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6)
+    terms = draw(st.lists(st.tuples(monomials, coefficients), max_size=12))
+    return Poly(table, cutoffs, {tuple(sorted(m.items())): c for m, c in terms})
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.integers(0, 9))
+def test_writer_formats_a_poly_as_its_to_json(poly, size):
+    payload = {"schema": 1, "kind": "unitary", "size": size, "tau": poly}
+    want = json.dumps({**payload, "tau": poly.to_json()}, indent=2, sort_keys=True)
+    assert report_text({**payload, "tau": poly.to_json()}) == want
+    assert report_text(payload) == want
+
+
+def test_writer_formats_empty_and_constant_polys():
+    table = VariableTable(time_variables("t", 11))
+    for cutoffs in ({"t": 3}, {}):
+        for terms in ({}, {(): 5}, {(): -3}, {((10, 1),): 1, ((1, 2),): -2}):
+            poly = Poly(table, cutoffs, terms)
+            want = json.dumps({"tau": poly.to_json()}, indent=2, sort_keys=True)
+            assert report_text({"tau": poly}) == want
+    assert report_text({"tau": Poly(VariableTable([]), {}, {(): 1})}) == json.dumps(
+        {"tau": Poly(VariableTable([]), {}, {(): 1}).to_json()}, indent=2, sort_keys=True
+    )
 
 
 @pytest.mark.parametrize(
