@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from tauforge.partitions import Partition, enumerate_partitions
-from tauforge.polyring import Poly, TimeFamily, poly_matrix_det
-from tauforge.schur import schur_jt, skew_schur
+from tauforge.polyring import Poly, TimeFamily
+from tauforge.schur import _schur_poly, schur_jt
 
 State = tuple[int, tuple[int, ...]]  # (charge, shape parts)
 
@@ -520,20 +520,9 @@ def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> Fo
 def skew_schur_signed(
     family: TimeFamily, outer: Partition, inner: Partition, sign: int
 ) -> Poly:
-    """Skew Schur function at +t or -t (sign = -1 negates every time)."""
-    if sign == 1:
-        return skew_schur(family, outer, inner)
-    ell = max(outer.length, inner.length)
-    if ell == 0:
-        return family.one()
-    rows = [
-        [
-            family.h(outer.part(i) - inner.part(j) - i + j, sign=-1)
-            for j in range(1, ell + 1)
-        ]
-        for i in range(1, ell + 1)
-    ]
-    return poly_matrix_det(rows)
+    """Skew Schur function at +t or -t (sign = -1 negates every time), the
+    current exponentials' matrix element, from the Schur builder."""
+    return _schur_poly(family, outer.parts, inner.parts, sign)
 
 
 def apply_current_exp(

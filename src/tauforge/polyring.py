@@ -733,7 +733,6 @@ class TimeFamily:
             v = table.var(n)
             if v.weight != k:
                 raise ValueError(f"time {n} must have weight {k}")
-        self._h_cache: dict[tuple[int, Scalar], Poly] = {}
 
     @property
     def depth(self) -> int:
@@ -752,29 +751,13 @@ class TimeFamily:
         return Poly.variable(self.table, self.cutoffs, self.names[k - 1])
 
     def h(self, k: int, sign: Scalar = 1) -> Poly:
-        """Complete homogeneous generator h_k(c*t) for the rational scale
-        c = `sign`: coefficients of the exponential of the scaled time
-        series; h_0 = 1, h_{k<0} = 0.  Memoized per (k, c).
+        """Complete homogeneous generator h_k(c*t) = s_(k)(c*t) for the
+        rational scale c = `sign`: coefficients of the exponential of the
+        scaled time series; h_0 = 1, h_{k<0} = 0.  Built and memoized by
+        the Schur builder of `tauforge.schur`."""
+        from tauforge.schur import _schur_poly
 
-        Recurrence: k*h_k = sum_{j=1..k} j*c*t_j*h_{k-j}.
-        """
-        if k < 0:
-            return self.zero()
-        if k == 0:
-            return self.one()
-        if k > self.depth:
-            cut = self.cutoffs.get(self.grading)
-            if cut is not None and k > cut:
-                return self.zero()  # every weight-k monomial dies anyway
-            raise ValueError(f"h_{k} needs time variables up to {k}")
-        cached = self._h_cache.get((k, sign))
-        if cached is not None:
-            return cached
-        acc = _Sum(self.zero())
-        for j in range(1, k + 1):
-            acc.add(self.time(j) * self.h(k - j, sign), Fraction(sign) * j / k)
-        out = self._h_cache[(k, sign)] = acc.poly()
-        return out
+        return self.zero() if k < 0 else _schur_poly(self, (k,) if k else (), (), sign)
 
     def e(self, k: int) -> Poly:
         """Elementary generator: e_k(t) = (-1)^k h_k(-t)."""

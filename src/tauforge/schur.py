@@ -1,18 +1,20 @@
 """Schur and skew Schur functions in graded time variables.
 
-The production route is the character expansion (bosonization of the
-Schur function): s_shape(t) = sum over cycle types mu of the same weight of
-chi^shape_mu prod_k t_k^(m_k) / m_k!, with m_k the multiplicity of k in
-mu.  The integer characters come from the Murnaghan-Nakayama rule, rim
-hooks removed as bead moves on beta-numbers, and are tabulated once per
-weight, so building a Schur function forms no determinant and no product.
+One builder, `_schur_poly`, makes every Schur-family polynomial: the skew
+function at scaled times s_(outer/inner)(c t), c rational, as the character
+expansion (bosonization of the Schur function) over cycle types rho of
+weight |outer| - |inner|, sum chi^(outer/inner)_rho c^len(rho)
+prod_k t_k^(m_k) / m_k!, m_k the multiplicity of k in rho.  The integer
+skew characters come from the Murnaghan-Nakayama rule, rim hooks removed
+from the outer shape down to the inner one as bead moves on beta-numbers.
+`schur_jt`, `skew_schur`, `fock.skew_schur_signed`, `tau._schur_neg` and
+`TimeFamily.h` all call it, memoized in `_schur_cache`: none forms a
+determinant or a product.
 
-The determinant routes stay as independent oracles: the generator
-determinant over complete homogeneous terms (`skew_schur` for skew
-shapes), its dual over elementary terms, the hook alternating sums, and
-the hook determinant over the Frobenius square.  Specializations (content
-product over hook product) come from the Miwa evaluation
-t_k = u w^{-k} / k.
+The dual generator determinant, the hook alternating sums and the hook
+determinant over the Frobenius square stay as independent oracles.
+Specializations (content product over hook product) come from the Miwa
+evaluation t_k = u w^{-k} / k.
 """
 
 from __future__ import annotations
@@ -21,19 +23,23 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
+from operator import ge
 
 from tauforge.partitions import (
     Partition,
     enumerate_partitions,
     pochhammer_content,
 )
-from tauforge.polyring import Poly, TimeFamily, _complete, _within, poly_matrix_det
+from tauforge.polyring import (
+    Poly,
+    Scalar,
+    TimeFamily,
+    _complete,
+    _within,
+    poly_matrix_det,
+)
 
 _schur_cache: dict[tuple, Poly] = {}
-
-
-def _family_key(family: TimeFamily) -> tuple:
-    return (family.table, tuple(family.names), tuple(sorted(family.cutoffs.items())))
 
 
 def _rim_hook_removals(shape: tuple[int, ...], r: int):
@@ -53,71 +59,84 @@ def _rim_hook_removals(shape: tuple[int, ...], r: int):
 
 
 @cache
-def _character(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
-    """chi^shape at the cycle type `cycle` (weakly decreasing) by the
-    Murnaghan-Nakayama rule, removing the longest cycle first."""
+def _character(shape: tuple[int, ...], cycle: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    """chi^(shape/inner) at the cycle type `cycle` (weakly decreasing) by the
+    skew Murnaghan-Nakayama rule: rim hooks are removed from `shape`,
+    the longest cycle first, and only removals that still contain `inner`
+    are followed; 1 when `shape` has come down to `inner`."""
     if not cycle:
-        return 1
+        return int(shape == inner)
     return sum(
-        sign * _character(rest, cycle[1:]) for sign, rest in _rim_hook_removals(shape, cycle[0])
+        sign * _character(rest, cycle[1:], inner)
+        for sign, rest in _rim_hook_removals(shape, cycle[0])
+        if len(rest) >= len(inner) and all(map(ge, rest, inner))
     )
 
 
-@cache
-def _character_table(weight: int) -> dict[tuple[int, ...], tuple[int, tuple]]:
-    """shape -> (den, ((cycle exponents ((k, m_k), ...), numerator), ...)) for
-    every shape of `weight`: s_shape = sum numerator prod t_k^m_k / den over
-    the cycle types with a nonzero character, den the lcm of their prod m_k!."""
-    cycles = [lam.parts for lam in enumerate_partitions(weight) if lam.weight == weight]
-    monomials = []
-    for mu in cycles:
-        mult = Counter(mu)
-        monomials.append((tuple(sorted(mult.items())), prod(map(factorial, mult.values()))))
-    out = {}
-    for shape in cycles:
-        terms = [(exps, _character(shape, mu), z) for mu, (exps, z) in zip(cycles, monomials)]
-        den = lcm(*(z for _, chi, z in terms if chi))
-        out[shape] = (den, tuple((exps, chi * (den // z)) for exps, chi, z in terms if chi))
-    return out
-
-
-def _check_generators(family: TimeFamily, shape: Partition) -> None:
+def _check_generators(family: TimeFamily, outer: tuple[int, ...], inner: tuple[int, ...]) -> None:
     """Raise the ValueError of `TimeFamily.h` for the first generator h_k,
-    in row order of det h_{row_i - i + j}, that lies beyond the family's
-    times yet within its cutoff."""
+    in row order of det h_{outer_i - inner_j - i + j}, that lies beyond the
+    family's times yet within its cutoff.  Along a row the index grows with
+    j, so only the first index beyond the times can raise."""
     depth, cut = family.depth, family.cutoffs.get(family.grading)
-    ell = shape.length
-    for i, row in enumerate(shape.parts, start=1):
-        k = max(row - i + 1, depth + 1)
-        if k <= row - i + ell and (cut is None or k <= cut):
-            raise ValueError(f"h_{k} needs time variables up to {k}")
+    ell = max(len(outer), len(inner))
+    outer = outer + (0,) * (ell - len(outer))
+    inner = inner + (0,) * (ell - len(inner))
+    for i, row in enumerate(outer):
+        for j, col in enumerate(inner):
+            k = row - col - i + j
+            if k > depth:
+                if cut is None or k <= cut:
+                    raise ValueError(f"h_{k} needs time variables up to {k}")
+                break
 
 
-def schur_jt(family: TimeFamily, shape: Partition) -> Poly:
-    """s_shape from the character table, truncated at the family's cutoffs;
-    1 on the empty shape.  Equal to the Jacobi-Trudi determinant
-    det h_{row_i - i + j}, and raises where that determinant would ask for
-    a generator beyond the family's times."""
-    key = ("jt", _family_key(family), shape)
+def _schur_poly(
+    family: TimeFamily, outer: tuple[int, ...], inner: tuple[int, ...], scale: Scalar
+) -> Poly:
+    """s_(outer/inner)(c t) for the rational scale c = `scale`, truncated at
+    the family's cutoffs and memoized in `_schur_cache`: the sum over cycle
+    types rho of weight |outer| - |inner| of
+    chi^(outer/inner)_rho c^len(rho) prod_k t_k^(m_k) / m_k!, as integer
+    numerators over one denominator.  Raises where the skew Jacobi-Trudi
+    determinant would ask for a generator beyond the family's times; a
+    weight above the cutoff is zero."""
+    family_key = (family.table, tuple(family.names), tuple(sorted(family.cutoffs.items())))
+    key = (family_key, outer, inner, scale)
     got = _schur_cache.get(key)
     if got is not None:
         return got
-    _check_generators(family, shape)
-    den, terms = _character_table(shape.weight)[shape.parts]
-    table, depth = family.table, family.depth
+    _check_generators(family, outer, inner)
+    table = family.table
     cut = _complete(table, family.cutoffs)
-    index = [table.index[name] for name in family.names]
-    nums = {}
-    for exps, num in terms:
+    weight = sum(outer) - sum(inner)
+    top = cut.get(family.grading)
+    terms = []
+    if weight >= 0 and (top is None or weight <= top):
+        index = [table.index[name] for name in family.names]
+        num, den = scale.numerator, scale.denominator
         # a cycle longer than the family's times has a nonzero character
         # only on a shape above the cutoff (below it, the check raised)
-        if exps and exps[-1][0] > depth:
-            continue
-        mono = tuple(sorted([(index[k - 1], m) for k, m in exps]))
-        if _within(table, cut, mono):
-            nums[mono] = num
-    out = _schur_cache[key] = Poly._reduced(table, cut, nums, den)
+        for rho in enumerate_partitions(weight, max_cols=family.depth):
+            if rho.weight != weight or not (chi := _character(outer, rho.parts, inner)):
+                continue
+            mult = Counter(rho.parts)
+            mono = tuple(sorted([(index[k - 1], m) for k, m in mult.items()]))
+            if _within(table, cut, mono):
+                z = prod(map(factorial, mult.values())) * den**rho.length
+                terms.append((mono, chi * num**rho.length, z))
+    common = lcm(*(z for _, _, z in terms))
+    nums = {mono: n * (common // z) for mono, n, z in terms}
+    out = _schur_cache[key] = Poly._reduced(table, cut, nums, common)
     return out
+
+
+def schur_jt(family: TimeFamily, shape: Partition) -> Poly:
+    """s_shape, truncated at the family's cutoffs; 1 on the empty shape.
+    Equal to the Jacobi-Trudi determinant det h_{row_i - i + j}, and raises
+    where that determinant would ask for a generator beyond the family's
+    times."""
+    return _schur_poly(family, shape.parts, (), 1)
 
 
 def schur_dual_jt(family: TimeFamily, shape: Partition) -> Poly:
@@ -165,26 +184,10 @@ def schur_giambelli(family: TimeFamily, shape: Partition) -> Poly:
 
 
 def skew_schur(family: TimeFamily, outer: Partition, inner: Partition) -> Poly:
-    """det h_{outer_i - inner_j - i + j} over the rows of the outer shape;
-    identically zero unless the inner shape sits inside the outer one."""
-    key = ("skew", _family_key(family), outer, inner)
-    got = _schur_cache.get(key)
-    if got is not None:
-        return got
-    ell = max(outer.length, inner.length)
-    if ell == 0:
-        out = family.one()
-    else:
-        rows = [
-            [
-                family.h(outer.part(i) - inner.part(j) - i + j)
-                for j in range(1, ell + 1)
-            ]
-            for i in range(1, ell + 1)
-        ]
-        out = poly_matrix_det(rows)
-    _schur_cache[key] = out
-    return out
+    """s_(outer/inner), equal to det h_{outer_i - inner_j - i + j} over the
+    rows of the outer shape; identically zero unless the inner shape sits
+    inside the outer one."""
+    return _schur_poly(family, outer.parts, inner.parts, 1)
 
 
 def skew_via_derivatives(family: TimeFamily, outer: Partition, inner: Partition) -> Poly:

@@ -34,7 +34,7 @@ from tauforge.grouplike import (
 )
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius, hook_shape
 from tauforge.polyring import Poly, TimeFamily, _Sum, poly_matrix_det
-from tauforge.schur import schur_jt
+from tauforge.schur import _schur_poly, schur_jt
 from tauforge.wick import correlator_exact, kmode
 
 # -- plumbing -----------------------------------------------------------------
@@ -255,8 +255,8 @@ def expand_2dtl(
 
 
 def _schur_neg(family: TimeFamily, shape: Partition) -> Poly:
-    """Schur function at negated times: transpose with the weight sign."""
-    return schur_jt(family, shape.transpose()) * ((-1) ** shape.weight)
+    """Schur function at negated times."""
+    return _schur_poly(family, shape.parts, (), -1)
 
 
 # -- coefficient identities ------------------------------------------------------

@@ -85,7 +85,7 @@ def test_expand_soliton_matches_model(capsys):
 
 
 def test_verify_all_green(capsys):
-    code, out = run(capsys, ["verify", "--suite", "all", "--cutoff", "4", "--seed", "3"])
+    code, out = run(capsys, ["verify", "--suite", "all", "--cutoff", "5", "--seed", "3"])
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
@@ -100,17 +100,17 @@ def test_verify_all_green(capsys):
 
 
 def test_verify_deterministic_output(capsys):
-    _, first = run(capsys, ["verify", "--suite", "kp", "--cutoff", "4", "--seed", "11"])
-    _, second = run(capsys, ["verify", "--suite", "kp", "--cutoff", "4", "--seed", "11"])
+    _, first = run(capsys, ["verify", "--suite", "kp", "--cutoff", "5", "--seed", "11"])
+    _, second = run(capsys, ["verify", "--suite", "kp", "--cutoff", "5", "--seed", "11"])
     assert first == second
-    _, third = run(capsys, ["verify", "--suite", "kp", "--cutoff", "4", "--seed", "12"])
+    _, third = run(capsys, ["verify", "--suite", "kp", "--cutoff", "5", "--seed", "12"])
     assert json.loads(third)["seed"] == 12
 
 
 def test_verify_corrupt_negative_control(capsys):
     code, out = run(
         capsys,
-        ["verify", "--suite", "kp", "--cutoff", "4", "--seed", "5", "--corrupt"],
+        ["verify", "--suite", "kp", "--cutoff", "5", "--seed", "5", "--corrupt"],
     )
     assert code == 1
     payload = json.loads(out)
@@ -164,12 +164,18 @@ def test_row_major_matrix_and_stdin(capsys, monkeypatch):
 
 
 def test_verify_rejects_cutoff_below_suite_minimum(capsys):
-    for argv in (["--suite", "kp", "--cutoff", "2"], ["--suite", "all", "--cutoff", "0"]):
+    # kp_equation compares through weight cutoff - 4: nothing below cutoff 5
+    for argv in (
+        ["--suite", "kp", "--cutoff", "2"],
+        ["--suite", "kp", "--cutoff", "4"],
+        ["--suite", "all", "--cutoff", "0"],
+        ["--suite", "all", "--cutoff", "4"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.strip().splitlines()[-1].endswith("needs --cutoff >= 3")
+        assert err.strip().splitlines()[-1].endswith("needs --cutoff >= 5")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "schur", "--cutoff", "-1"])
     assert exc.value.code == 2
@@ -350,3 +356,34 @@ def test_model_rejects_parameter_for_a_kind_that_ignores_it(capsys):
             "--points-q", "1/2", "--couplings", "1", "--cutoff", "6"]
     plain = ["model", "--kind", "soliton", "--cutoff", "6"]
     assert report_digest(capsys, argv) == report_digest(capsys, plain)
+
+
+def test_verify_rejects_flags_a_suite_does_not_read(capsys):
+    spec = '{"kind": "identity"}'
+    for suite in ("schur", "wick", "bbc", "charge", "tau-routes"):
+        msg = usage_error(capsys, ["verify", "--suite", suite, "--corrupt"])
+        assert msg.endswith(f"--corrupt does not apply to --suite {suite}")
+        msg = usage_error(capsys, ["verify", "--suite", suite, "--element", spec])
+        assert msg.endswith(f"--element does not apply to --suite {suite}")
+    # a run of all includes kp, which reads both flags
+    code, out = run(capsys, ["verify", "--suite", "all", "--seed", "1", "--element", spec])
+    assert code == 0 and json.loads(out)["ok"]
+    code, _ = run(capsys, ["verify", "--suite", "all", "--seed", "1", "--corrupt"])
+    assert code == 1
+
+
+def test_verify_wick_sampling_is_bounded(capsys, monkeypatch):
+    import tauforge.cli as cli
+
+    calls = []
+
+    def singular(*args):
+        calls.append(args)
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(cli, "wick_generalized", singular)
+    code, out = run(capsys, ["verify", "--suite", "wick", "--seed", "2"])
+    assert code == 1 and len(calls) == cli.WICK_DRAWS
+    entry = {r["check"]: r for r in json.loads(out)["results"]}["wick_generalized"]
+    assert entry["ok"] is False
+    assert entry["counterexample"] == {"attempts": cli.WICK_DRAWS, "compared": 0}

@@ -426,6 +426,4 @@ def test_h_memo_keys_on_the_scale():
     a, b = fam.h(4, 2), fam.h(4, 3)
     assert a != b
     assert fam.h(4, 2) is a and fam.h(4, Fraction(2)) is a and fam.h(4, 3) is b
-    assert (4, 2) in fam._h_cache and (4, 3) in fam._h_cache
-    assert (4, 1) not in fam._h_cache
     assert fam.e(4) == fam.h(4, -1)

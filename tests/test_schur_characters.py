@@ -1,26 +1,37 @@
-"""`schur_jt` against a Jacobi-Trudi determinant built here, shape by shape.
+"""The Schur builder against determinants and a recurrence built here.
 
-The determinant det h_{row_i - i + j} is formed from the family's complete
-homogeneous generators and `poly_matrix_det`, so it raises exactly where
-a generator is asked for beyond the family's times.  Every shape of weight
-<= 12 is compared on families that differ in layout: extra parameters,
-second families, a cutoff below the shape's weight, and fewer times than
-the cutoff allows (where both must raise the same ValueError).
+`schur_jt` is compared with det h_{row_i - i + j}, formed from the family's
+complete homogeneous generators and `poly_matrix_det`, so it raises exactly
+where a generator is asked for beyond the family's times.  Every shape of
+weight <= 12 is compared on families that differ in layout: extra
+parameters, second families, a cutoff below the shape's weight, and fewer
+times than the cutoff allows (where both must raise the same ValueError).
+
+The builder at a rational scale c, s_(outer/inner)(c t), is compared with
+the skew determinant det h_{outer_i - inner_j - i + j}(c t) over generators
+from the recurrence k h_k = sum_j j c t_j h_{k-j}, for every pair of shapes
+of weight <= 7, nested or not; the generators themselves, `TimeFamily.h`,
+are compared with the same recurrence.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from tauforge.partitions import enumerate_partitions
+from tauforge.fock import skew_schur_signed
 from tauforge.polyring import (
     TimeFamily,
     VariableTable,
+    _Sum,
     paired_family,
     poly_matrix_det,
     standard_double_family,
     standard_single_family,
     time_variables,
 )
-from tauforge.schur import schur_jt
+from tauforge.schur import _schur_poly, schur_jt, skew_schur
+from tauforge.tau import _schur_neg
 
 SHAPES = enumerate_partitions(12)
 
@@ -36,9 +47,9 @@ def jacobi_trudi(family, shape):
     return poly_matrix_det(rows)
 
 
-def outcome(build, family, shape):
+def outcome(build, *args):
     try:
-        return build(family, shape)
+        return build(*args)
     except ValueError as err:
         return ("ValueError", str(err))
 
@@ -75,3 +86,91 @@ def test_schur_jt_matches_jacobi_trudi(name):
             assert got.cutoffs == want.cutoffs, (name, shape)
     # the families without enough times must exercise the error path
     assert (raised > 0) == (name in ("fewer times than the cutoff", "unbounded with few times"))
+
+
+SCALES = (1, -1, -2, Fraction(1, 3))
+PAIRS = [(outer, inner) for outer in enumerate_partitions(7) for inner in enumerate_partitions(7)]
+
+
+def recurrence_h(family, k, scale, memo):
+    """h_k(scale * t) by k h_k = sum_j j scale t_j h_{k-j}, raising where a
+    generator lies beyond the family's times yet within its cutoff."""
+    if k < 0:
+        return family.zero()
+    if k == 0:
+        return family.one()
+    if k > family.depth:
+        cut = family.cutoffs.get(family.grading)
+        if cut is not None and k > cut:
+            return family.zero()
+        raise ValueError(f"h_{k} needs time variables up to {k}")
+    if (k, scale) not in memo:
+        acc = _Sum(family.zero())
+        for j in range(1, k + 1):
+            lower = recurrence_h(family, k - j, scale, memo)
+            acc.add(family.time(j) * lower, Fraction(scale) * j / k)
+        memo[(k, scale)] = acc.poly()
+    return memo[(k, scale)]
+
+
+def skew_jacobi_trudi(family, outer, inner, scale, memo):
+    ell = max(outer.length, inner.length)
+    if ell == 0:
+        return family.one()
+    rows = [
+        [
+            recurrence_h(family, outer.part(i) - inner.part(j) - i + j, scale, memo)
+            for j in range(1, ell + 1)
+        ]
+        for i in range(1, ell + 1)
+    ]
+    return poly_matrix_det(rows)
+
+
+SKEW_FAMILIES = {
+    "single": lambda: standard_single_family(8, extra_unit=("y",)),
+    "cutoff below the weight": lambda: family_with(8, {"t": 5}),
+    "fewer times than the cutoff": lambda: family_with(4, {"t": 7}),
+}
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=str)
+@pytest.mark.parametrize("name", list(SKEW_FAMILIES))
+def test_builder_matches_skew_jacobi_trudi(name, scale):
+    family = SKEW_FAMILIES[name]()
+    memo = {}
+    raised = 0
+    for outer, inner in PAIRS:
+        want = outcome(skew_jacobi_trudi, family, outer, inner, scale, memo)
+        got = outcome(_schur_poly, family, outer.parts, inner.parts, scale)
+        assert got == want, (name, outer, inner, scale)
+        if isinstance(want, tuple):
+            raised += 1
+            continue
+        assert got.cutoffs == want.cutoffs, (name, outer, inner)
+        if not outer.contains(inner):
+            assert got.is_zero
+        # the public callers are the builder at their scales
+        if scale in (1, -1):
+            assert skew_schur_signed(family, outer, inner, scale) is got
+        if scale == 1:
+            assert skew_schur(family, outer, inner) is got
+            if not inner.parts:
+                assert schur_jt(family, outer) is got
+        if scale == -1 and not inner.parts:
+            assert _schur_neg(family, outer) is got
+    # only the family with fewer times than its cutoff asks for a missing time
+    assert (raised > 0) == (name == "fewer times than the cutoff")
+
+
+@pytest.mark.parametrize("name", list(SKEW_FAMILIES))
+def test_generators_match_the_recurrence(name):
+    family = SKEW_FAMILIES[name]()
+    memo = {}
+    for scale in SCALES + (Fraction(3, 2),):
+        for k in range(-1, 10):
+            want = outcome(recurrence_h, family, k, scale, memo)
+            got = outcome(family.h, k, scale)
+            assert got == want, (name, k, scale)
+            if not isinstance(want, tuple):
+                assert got.cutoffs == want.cutoffs
