@@ -16,7 +16,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from tauforge.fock import ModeWindow, WindowViolation
+from tauforge.fock import ModeWindow, WindowViolation, vev, window_for
 from tauforge.grouplike import (
     Diagonal,
     ExponentBilinear,
@@ -52,7 +52,7 @@ from tauforge.schur import (
     schur_giambelli,
     schur_jt,
 )
-from tauforge.tau import expand_mkp, expand_mkp_direct
+from tauforge.tau import expand_mkp, expand_mkp_direct, window_for_element
 from tauforge.wick import correlator_window, wick_generalized, wick_standard
 
 
@@ -138,8 +138,6 @@ def element_from_json(spec: dict):
 
 def _parse_window(text: str | None, charges, depth: int) -> ModeWindow:
     if not text:
-        from tauforge.fock import window_for
-
         return window_for(charges, depth)
     try:
         lo, hi = text.split("..")
@@ -299,10 +297,7 @@ def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[
         g = _decode_element(element_json)
     else:
         g = sample_element(rng, allow_products=False)
-    from tauforge.fock import window_for
-    from tauforge.tau import mode_support
-
-    window = window_for([-1, 0, 1] + mode_support(g), depth)
+    window = window_for_element(g, (-1, 0, 1), depth)
     tau = expand_mkp(g, 0, fam, depth, window).poly
     if corrupt:
         tau = tau + fam.time(min(2, depth)) * Fraction(1, 7)
@@ -329,8 +324,6 @@ def _suite_wick(depth: int, rng) -> list[CheckReport]:
         m = rng.choice((1, 2, 3))
         vs = [sample_letter(rng, "psi") for _ in range(m)]
         ws = [sample_letter(rng, "psi*") for _ in range(m)]
-        from tauforge.fock import vev
-
         direct = vev(window, n, vs + list(reversed(ws)))
         if wick_standard(window, n, vs, ws) != direct:
             ok = False
@@ -406,14 +399,11 @@ def _suite_charge(depth: int, rng) -> list[CheckReport]:
 
 def _suite_tau_routes(depth: int, rng) -> list[CheckReport]:
     fam = standard_single_family(depth)
-    from tauforge.fock import window_for
-    from tauforge.tau import mode_support
-
     failures = []
     for _ in range(4):
         g = sample_element(rng, allow_products=False)
         n = rng.choice((-1, 0, 1))
-        window = window_for([n, n - charge_of(g)] + mode_support(g), depth)
+        window = window_for_element(g, (n, n - charge_of(g)), depth)
         series = expand_mkp(g, n, fam, depth, window)
         direct = expand_mkp_direct(g, n, fam, depth, window)
         if series.poly != direct:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from tauforge.partitions import Partition, enumerate_partitions
+from tauforge.partitions import Partition, enumerate_partitions, sign_exponent
 from tauforge.polyring import Poly, TimeFamily
 from tauforge.schur import _schur_poly, schur_jt
 
@@ -49,11 +49,15 @@ class ModeWindow:
         return self.lo <= k < self.hi
 
 
-def window_for(charges: Iterable[int], weight: int, margin: int = 2) -> ModeWindow:
+# modes an auto-sized window keeps beyond the reach of its charges and weight
+WINDOW_MARGIN = 2
+
+
+def window_for(charges: Iterable[int], weight: int) -> ModeWindow:
     """Auto-sizing rule: charges in [lo, hi] at weight cutoff D get the
-    window [lo - D - margin, hi + D + margin)."""
+    window [lo - D - WINDOW_MARGIN, hi + D + WINDOW_MARGIN)."""
     cs = list(charges)
-    return ModeWindow(min(cs) - weight - margin, max(cs) + weight + margin)
+    return ModeWindow(min(cs) - weight - WINDOW_MARGIN, max(cs) + weight + WINDOW_MARGIN)
 
 
 # -- occupation bitmasks --------------------------------------------------------
@@ -81,16 +85,6 @@ def _state_of_bits(bits: int, base: int) -> State:
         parts.append(j - ell + i)
         rest ^= 1 << j
     return base + hole + ell, tuple(parts)
-
-
-def _phase(parts: tuple[int, ...]) -> int:
-    """The shape's sign exponent, sum_i min(part_i, d) - d(d-1)/2 with d the
-    Durfee size: the phase between the wedge-ordered occupation state and
-    the operator-built basis state."""
-    d = 0
-    while d < len(parts) and parts[d] > d:
-        d += 1
-    return d * (d + 1) // 2 + sum(parts[d:])
 
 
 def occupancy(n: int, parts: tuple[int, ...]) -> Callable[[int], bool]:
@@ -227,7 +221,7 @@ def _mode_into(out: dict, kind: str, k: int, v: FockVector, coeff=None) -> None:
         # k lies in the window, so only a source outside it leaves it
         _check_state_window(window, n, parts)
         key = _state_of_bits(bits ^ (1 << j), lo)
-        odd = ((bits >> (j + 1)).bit_count() + _phase(parts) + _phase(key[1])) & 1
+        odd = ((bits >> (j + 1)).bit_count() + sign_exponent(parts) + sign_exponent(key[1])) & 1
         term = c if coeff is None else c * coeff
         _add_into(out, key, -term if odd else term)
 
@@ -495,7 +489,7 @@ def _current_into(out: dict, k: int, v: FockVector, coeff=None) -> None:
         if not hops:
             continue
         _check_state_window(window, n, parts)
-        phase = _phase(parts)
+        phase = sign_exponent(parts)
         term = c if coeff is None else c * coeff
         signed = (term, -term)
         while hops:
@@ -504,7 +498,7 @@ def _current_into(out: dict, k: int, v: FockVector, coeff=None) -> None:
             t = m + s if up else m - s
             key = _state_of_bits(bits ^ (1 << m) ^ (1 << t), lo)
             between = (bits >> (min(m, t) + 1) & passed).bit_count()
-            _add_into(out, key, signed[(between + phase + _phase(key[1])) & 1])
+            _add_into(out, key, signed[(between + phase + sign_exponent(key[1])) & 1])
 
 
 def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> FockVector:

@@ -274,16 +274,20 @@ def _falling(k: int, m: int) -> int:
     return out
 
 
+def field_mode(kind: str, point: Fraction, order: int, k: int) -> Fraction:
+    """Coefficient of the mode-k operator in the order-th z-derivative of a
+    field at `point`: psi(z) = sum_k psi_k z^k, psi*(z) = sum_k psi*_k z^-k."""
+    e = k if kind == "psi" else -k
+    return _falling(e, order) * point ** (e - order)
+
+
 def field_letter_to_window(term_list: Iterable[FieldTerm], window: ModeWindow) -> Letter:
     """Truncate point-field combinations to the window's modes."""
     parts = []
     for coeff, kind, point, order in term_list:
         point = Fraction(point)
         for k in range(window.lo, window.hi):
-            if kind == "psi":
-                c = _falling(k, order) * point ** (k - order)
-            else:
-                c = _falling(-k, order) * point ** (-k - order)
+            c = field_mode(kind, point, order, k)
             if c != 0:
                 parts.append((Fraction(coeff) * c, kind, k))
     return tuple(parts)

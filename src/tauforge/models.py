@@ -34,10 +34,12 @@ from tauforge.grouplike import (
     Product,
     SolitonExponent,
     apply_element,
+    charge_of,
 )
 from tauforge.partitions import (
     Partition,
     enumerate_partitions,
+    hook_shape,
     pochhammer,
     pochhammer_content,
 )
@@ -51,7 +53,13 @@ from tauforge.polyring import (
     poly_matrix_det,
 )
 from tauforge.schur import schur_jt
-from tauforge.tau import TauSeries, _schur_neg, expand_mkp, pluecker_coefficient
+from tauforge.tau import (
+    TauSeries,
+    _schur_neg,
+    coefficient_reader,
+    expand_mkp,
+    window_for_element,
+)
 from tauforge.wick import correlator_exact, vacuum_kernel
 
 # -- solitons -------------------------------------------------------------------
@@ -271,8 +279,6 @@ def field_word(points_orders: Sequence[tuple[str, Fraction, Sequence[Fraction]]]
 def quasipoly_tau(word: FieldWord, n: int, family: TimeFamily) -> Poly:
     """tau for a product of particle-type point letters between stepped
     vacua, via the dressed kernel expectation."""
-    from tauforge.grouplike import charge_of
-
     q = charge_of(word)
     return correlator_exact(n, [word], n - q, family=family)
 
@@ -609,6 +615,14 @@ def _staircase_exponent_factor(times: TimeFamily, shape: Partition) -> Poly:
     )
 
 
+def _spectral_reader(g, w_depth: int, window: ModeWindow | None):
+    """Coefficient reader at charge 0 whose default window fits every shape
+    of spectral weight up to w_depth."""
+    return coefficient_reader(
+        g, window or window_for_element(g, (0, -charge_of(g)), w_depth + 1)
+    )
+
+
 def hamiltonian_tau_eigen(
     g,
     a: Fraction,
@@ -619,10 +633,11 @@ def hamiltonian_tau_eigen(
     """Eigenvalue route: signed coefficients times the content-evaluated
     Schur values (formal inverse spectral powers) times flow exponents."""
     a = Fraction(a)
+    read = _spectral_reader(g, w_depth, window)
     winv = Poly.variable(times.table, times.cutoffs, "winv")
     out = times.zero()
     for lam in enumerate_partitions(w_depth):
-        c = pluecker_coefficient(g, lam, 0, window)
+        c = read(lam, 0)
         if c == 0:
             continue
         content = pochhammer_content(a, lam) / lam.hook_product()
@@ -635,22 +650,17 @@ def hamiltonian_tau_eigen(
     return out
 
 
-def hamiltonian_soliton_matrix(
-    g, a: Fraction, w_depth: int, window: ModeWindow | None = None
-):
-    """The hook-coefficient matrix of the equivalent infinite-soliton
-    form: entry (i, k) couples the integer points i-1 and -k."""
-    a = Fraction(a)
-    central = pluecker_coefficient(g, Partition([]), 0, window)
+def _hook_couplings(read, a: Fraction, w_depth: int):
+    """The central coefficient and the hook-coefficient matrix of the
+    infinite-soliton form: entry (i, k) couples the integer points i-1
+    and -k."""
+    central = read(Partition([]), 0)
     if central == 0:
         raise ZeroDivisionError("central coefficient vanishes")
     entries = {}
     for i in range(1, w_depth + 1):
         for k in range(1, w_depth + 2 - i):
-            from tauforge.partitions import hook_shape
-
-            hook = hook_shape(i - 1, k - 1)
-            c = pluecker_coefficient(g, hook, 0, window)
+            c = read(hook_shape(i - 1, k - 1), 0)
             num = (
                 (-1) ** k
                 * (c / central)
@@ -660,7 +670,13 @@ def hamiltonian_soliton_matrix(
             )
             if num:
                 entries[(i, k)] = num
-    return entries
+    return central, entries
+
+
+def hamiltonian_soliton_matrix(g, a: Fraction, w_depth: int, window: ModeWindow | None = None):
+    """The hook-coefficient matrix of the equivalent infinite-soliton
+    form: entry (i, k) couples the integer points i-1 and -k."""
+    return _hook_couplings(_spectral_reader(g, w_depth, window), Fraction(a), w_depth)[1]
 
 
 def hamiltonian_tau_soliton(
@@ -672,8 +688,7 @@ def hamiltonian_tau_soliton(
 ) -> Poly:
     """Soliton-form route: subset expansion over the coupling matrix with
     integer spectral points and flow exponentials."""
-    entries = hamiltonian_soliton_matrix(g, a, w_depth, window)
-    central = pluecker_coefficient(g, Partition([]), 0, window)
+    central, entries = _hook_couplings(_spectral_reader(g, w_depth, window), Fraction(a), w_depth)
     winv = Poly.variable(times.table, times.cutoffs, "winv")
     out = _Sum(times.one())
     # a term beyond spectral weight w_depth vanishes in the truncated ring

@@ -77,14 +77,8 @@ class Partition:
         return FrobeniusCoordinates(alphas, betas)
 
     def sign_exponent(self) -> int:
-        """Parity exponent: sum of (leg length + 1) over the diagonal hooks.
-
-        This is the exponent of the sign that relates the wedge-canonical
-        occupation state to the operator-built basis state, and the sign
-        carried by Schur coefficients of coherent states.
-        """
-        alphas, betas = self.frobenius()
-        return sum(b + 1 for b in betas)
+        """The shape's sign exponent; see `sign_exponent`."""
+        return sign_exponent(self._parts)
 
     def hook_length(self, i: int, j: int) -> int:
         if not (1 <= i <= self.length and 1 <= j <= self.part(i)):
@@ -153,6 +147,20 @@ class FrobeniusCoordinates(NamedTuple):
         for i in range(d + 1, self.betas[0] + 2):
             parts.append(sum(1 for c in cols if c >= i))
         return Partition(parts)
+
+
+def sign_exponent(parts: tuple[int, ...]) -> int:
+    """Parity exponent: sum of (leg length + 1) over the diagonal hooks,
+    d(d+1)/2 plus the parts below the Durfee square of size d.
+
+    This is the exponent of the sign that relates the wedge-canonical
+    occupation state to the operator-built basis state, and the sign
+    carried by Schur coefficients of coherent states.
+    """
+    d = 0
+    while d < len(parts) and parts[d] > d:
+        d += 1
+    return d * (d + 1) // 2 + sum(parts[d:])
 
 
 def frobenius(shape: Partition) -> FrobeniusCoordinates:

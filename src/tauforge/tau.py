@@ -1,12 +1,14 @@
 """Tau-series as Schur expansions with determinant coefficient identities.
 
-A tau-series is built from a group-like element: each coefficient is the
-signed pairing of a basis bra against the element applied to the (charge
-shifted, for charged elements) vacuum.  Window-representable elements are
-evaluated by direct application; point-field elements go through the
-exact kernel route.  The coefficients satisfy the hook-determinant,
-row/column-determinant (with stepped charges) and exchange identities,
-all implemented here as checkable predicates.
+Every tau coefficient is one signed matrix element of a group-like
+element, (-1)^(sign exponents) <shape, n| g |source, n - charge>, and every
+reader of coefficients takes them from one `coefficient_reader`.  The
+reader picks the route once: a window-representable element is applied
+once per (charge, source) and each bra shape read off that ket; a
+point-field element is paired shape by shape through the exact kernels.
+The series expansions and the hook-determinant, row/column-determinant
+(with stepped charges), exchange and rectangle identities all read
+through one reader per call.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from tauforge.fock import (
-    FockVector,
     ModeWindow,
+    _check_state_window,
     basis_vector,
-    inner,
     vacuum,
     vacuum_readout,
     window_for,
@@ -71,13 +72,8 @@ def mode_support(g) -> list[int]:
     return []
 
 
-def window_for_element(g, charges, depth: int, margin: int = 2) -> ModeWindow:
-    marks = list(charges) + mode_support(g)
-    return window_for(marks, depth, margin)
-
-
-# the latest element's coefficients only: a memo of every element grows with the job count
-_coeff_cache: dict = {}
+def window_for_element(g, charges, depth: int) -> ModeWindow:
+    return window_for(list(charges) + mode_support(g), depth)
 
 
 def bra_letters(shape: Partition, n: int) -> list:
@@ -96,36 +92,47 @@ def ket_letters(shape: Partition, n: int) -> list:
     return out
 
 
-def pluecker_coefficient(g, shape: Partition, n: int, window: ModeWindow | None = None):
-    """Signed expansion coefficient of the element's state over the basis:
-    (-1)^(sign exponent) <shape, n| g |n - charge>."""
-    key = None
-    try:
-        key = (g, shape, n)
-        got = _coeff_cache.get(key)
-        if got is not None:
-            return got
-    except TypeError:
-        key = None
+_EMPTY = Partition([])
+
+
+def coefficient_reader(g, window: ModeWindow):
+    """read(shape, n, source=empty) -> the signed coefficient
+    (-1)^(sign exponents of shape and source) <shape, n| g |source, n - charge>.
+
+    A window element is applied to each (charge, source) ket once, kept
+    for the reader's lifetime only, and every bra shape must fit the
+    window (else WindowViolation, as for a basis bra); a point-field
+    element is paired through the exact kernels, shape by shape, and does
+    not read the window."""
     q = charge_of(g)
     if is_field_based(g):
-        val = correlator_exact(n, bra_letters(shape, n) + [g], n - q)
-        out = val * (-1) ** shape.sign_exponent()
+
+        def pair(shape: Partition, n: int, source: Partition):
+            letters = bra_letters(shape, n) + [g] + ket_letters(source, n - q)
+            return correlator_exact(n, letters, n - q)
+
     else:
-        window = window or window_for_element(g, (n, n - q), shape.weight + 1)
-        out = _signed_component(apply_element(g, vacuum(window, n - q)), shape, n)
-    if key is not None:
-        if _coeff_cache and next(iter(_coeff_cache))[0] != g:
-            _coeff_cache.clear()
-        _coeff_cache[key] = out
-    return out
+        kets = {}
+
+        def pair(shape: Partition, n: int, source: Partition):
+            ket = kets.get((n, source))
+            if ket is None:
+                ket = kets[(n, source)] = apply_element(g, basis_vector(window, n - q, source))
+            _check_state_window(window, n, shape.parts)
+            return ket.component(n, shape)
+
+    def read(shape: Partition, n: int, source: Partition = _EMPTY):
+        return pair(shape, n, source) * (-1) ** (shape.sign_exponent() + source.sign_exponent())
+
+    return read
 
 
-def _signed_component(ket: FockVector, shape: Partition, n: int):
-    """(-1)^(sign exponent) <shape, n|ket>, the coefficient of one basis
-    state in an element's ket; the state must fit the ket's window."""
-    bra = basis_vector(ket.window, n, shape, dual=True)
-    return inner(bra, ket) * (-1) ** shape.sign_exponent()
+def pluecker_coefficient(g, shape: Partition, n: int, window: ModeWindow | None = None):
+    """Signed expansion coefficient of the element's state over the basis:
+    (-1)^(sign exponent) <shape, n| g |n - charge>, a one-shape read whose
+    default window fits that shape."""
+    window = window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
+    return coefficient_reader(g, window)(shape, n)
 
 
 # -- series -------------------------------------------------------------------
@@ -175,21 +182,13 @@ def expand_mkp(
     depth: int,
     window: ModeWindow | None = None,
 ) -> TauSeries:
-    """tau_n as the Schur expansion with signed bra coefficients.
-
-    A window element is applied to the vacuum once, and every shape's
-    coefficient is read off that ket; a field-based element is paired
-    shape by shape."""
-    q = charge_of(g)
-    window = window or window_for_element(g, (n, n - q), depth)
-    ket = None if is_field_based(g) else apply_element(g, vacuum(window, n - q))
+    """tau_n as the Schur expansion with signed bra coefficients, all read
+    through one coefficient reader."""
+    read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
     coeffs = {}
     total = _Sum(family.zero())
     for lam in enumerate_partitions(depth):
-        if ket is None:
-            c = pluecker_coefficient(g, lam, n, window)
-        else:
-            c = _signed_component(ket, lam, n)
+        c = read(lam, n)
         if not c:
             continue
         coeffs[lam] = c
@@ -228,27 +227,15 @@ def expand_2dtl(
     """Double Schur expansion; the second family enters through the
     inverse-lowering exponential, so its functions appear at negated
     times (realized via the transpose sign rule)."""
-    q = charge_of(g)
-    window = window or window_for_element(g, (n, n - q), depth)
+    read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
     shapes = enumerate_partitions(depth)
-    field_route = is_field_based(g)
     coeffs = {}
     total = _Sum(family_plus.zero())
     for mu in shapes:
-        ket = None
-        if not field_route:
-            ket = apply_element(g, basis_vector(window, n - q, mu))
         for lam in shapes:
-            sign = (-1) ** (lam.sign_exponent() + mu.sign_exponent())
-            if field_route:
-                val = correlator_exact(
-                    n, bra_letters(lam, n) + [g] + ket_letters(mu, n - q), n - q
-                )
-            else:
-                val = ket.component(n, lam)
-            if not val:
+            c = read(lam, n, mu)
+            if not c:
                 continue
-            c = val * sign
             coeffs[(lam, mu)] = c
             total.add(schur_jt(family_plus, lam) * _schur_neg(family_minus, mu) * c)
     return TauSeries("2DTL", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)})
@@ -270,18 +257,14 @@ def giambelli_coeff_check(g, n: int, shape: Partition, window: ModeWindow | None
     d = len(alphas)
     if d == 0:
         return True
-    window = window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
-    central = pluecker_coefficient(g, Partition([]), n, window)
+    read = coefficient_reader(
+        g, window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
+    )
+    central = read(_EMPTY, n)
     if not central:
         return None
-    entries = [
-        [
-            pluecker_coefficient(g, hook_shape(alphas[i], betas[j]), n, window)
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    lhs = pluecker_coefficient(g, shape, n, window)
+    entries = [[read(hook_shape(alphas[i], betas[j]), n) for j in range(d)] for i in range(d)]
+    lhs = read(shape, n)
     inv = 1 / central
     rhs = poly_matrix_det(entries)
     for _ in range(d - 1):
@@ -308,10 +291,10 @@ def quantum_jt_check(
     Returns None when a prefactor central value vanishes.
     """
     span = shape.weight + 1
-    window = window or window_for_element(
-        g, (n - span, n + span, n - charge_of(g)), span
+    read = coefficient_reader(
+        g, window or window_for_element(g, (n - span, n + span, n - charge_of(g)), span)
     )
-    lhs = pluecker_coefficient(g, shape, n, window)
+    lhs = read(shape, n)
     if orientation not in _JT_ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     step, lines_of, line = _JT_ORIENTATIONS[orientation]
@@ -321,7 +304,7 @@ def quantum_jt_check(
         return True
     pref = Fraction(1)
     for k in range(1, ell):
-        c0 = pluecker_coefficient(g, Partition([]), n + step * k, window)
+        c0 = read(_EMPTY, n + step * k)
         if not c0:
             return None
         pref = pref * c0
@@ -330,7 +313,7 @@ def quantum_jt_check(
         # the empty and negative-length conventions of the stepped determinants
         if a < 0:
             return Fraction(0)
-        return pluecker_coefficient(g, line(a), charge, window)
+        return read(line(a), charge)
 
     entries = [
         [coefficient(lines.part(i) - i + j, n + step * (j - 1)) for j in range(1, ell + 1)]
@@ -354,13 +337,15 @@ def pluecker_check(
     if not (1 <= r < s <= d):
         raise ValueError("need 1 <= r < s <= diagonal size")
     shape = from_frobenius(alphas, betas)
-    window = window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
+    read = coefficient_reader(
+        g, window or window_for_element(g, (n, n - charge_of(g)), shape.weight + 1)
+    )
 
     def drop(seq, *positions):
         return tuple(x for i, x in enumerate(seq, start=1) if i not in positions)
 
     def c(al, be):
-        return pluecker_coefficient(g, from_frobenius(al, be), n, window)
+        return read(from_frobenius(al, be), n)
 
     lhs = c(alphas, betas) * c(drop(alphas, r, s), drop(betas, r, s))
     rhs = c(drop(alphas, r), drop(betas, r)) * c(drop(alphas, s), drop(betas, s)) - c(
@@ -373,13 +358,14 @@ def rectangular_three_term_check(
     g, n: int, s: int, a: int, window: ModeWindow | None = None
 ):
     """The rectangle exchange relation linking adjacent charges."""
-    window = window or window_for_element(g, (n - 1, n + 1, n - charge_of(g)), s * a + s + a + 2)
+    read = coefficient_reader(
+        g, window or window_for_element(g, (n - 1, n + 1, n - charge_of(g)), s * a + s + a + 2)
+    )
 
     def rect(width, height, charge):
         if width < 0 or height < 0:
             return Fraction(0)
-        shape = Partition([width] * height)
-        return pluecker_coefficient(g, shape, charge, window)
+        return read(Partition([width] * height), charge)
 
     lhs = rect(s, a, n) * rect(s, a, n + 1) - rect(s + 1, a, n) * rect(s - 1, a, n + 1)
     rhs = rect(s, a - 1, n) * rect(s, a + 1, n + 1)

@@ -33,9 +33,9 @@ from tauforge.grouplike import (
     Identity,
     LinearWord,
     SolitonExponent,
-    _falling,
     _pair_subsets,
     apply_element,
+    field_mode,
 )
 from tauforge.polyring import (
     Poly,
@@ -107,18 +107,15 @@ def kernel_pair(n: int, a: KTerm, b: KTerm) -> Fraction:
         if kind_a == "psi":
             return Fraction(1) if j < n else Fraction(0)
         return Fraction(1) if j >= n else Fraction(0)
-    if spec_a[0] == "field" and spec_b[0] == "mode":
-        point, order = spec_a[1], spec_a[2]
-        j = spec_b[1]
-        if kind_a == "psi":  # <n| psi^(r)(p) psi*_j |n>
-            return _falling(j, order) * point ** (j - order) if j < n else Fraction(0)
-        return _falling(-j, order) * point ** (-j - order) if j >= n else Fraction(0)
-    if spec_a[0] == "mode" and spec_b[0] == "field":
-        j = spec_a[1]
-        point, order = spec_b[1], spec_b[2]
-        if kind_a == "psi":  # <n| psi_j psi*^(s)(q) |n>
-            return _falling(-j, order) * point ** (-j - order) if j < n else Fraction(0)
-        return _falling(j, order) * point ** (j - order) if j >= n else Fraction(0)
+    if spec_a[0] != spec_b[0]:
+        # one field and one mode: the field's mode-j coefficient, unless the
+        # pair annihilates the vacuum (psi on the left needs j < n)
+        field_first = spec_a[0] == "field"
+        field_kind, (_, point, order) = (kind_a, spec_a) if field_first else (kind_b, spec_b)
+        j = spec_b[1] if field_first else spec_a[1]
+        if (j < n) != (kind_a == "psi"):
+            return Fraction(0)
+        return field_mode(field_kind, point, order, j)
     # field-field
     pa, ra = spec_a[1], spec_a[2]
     pb, rb = spec_b[1], spec_b[2]
@@ -376,13 +373,7 @@ def wick_standard(window: ModeWindow, n: int, vs: Sequence[Letter], ws: Sequence
     return fraction_matrix_det(mat)
 
 
-def wick_generalized(
-    evaluate,
-    n: int,
-    vs: Sequence[object],
-    ws: Sequence[object],
-    charges: tuple[int, int, int] = (0, 0, 0),
-):
+def wick_generalized(evaluate, n: int, vs: Sequence[object], ws: Sequence[object]):
     """The ratio-determinant form of the generalized pairing theorem.
 
     `evaluate(pre, mid, post...)` -- concretely: evaluate(inserts) returns

@@ -18,7 +18,6 @@ from tauforge.fock import (
     FockVector,
     ModeWindow,
     WindowViolation,
-    _phase,
     _state_of_bits,
     apply_charge,
     apply_current,
@@ -31,6 +30,7 @@ from tauforge.partitions import (
     enumerate_partitions,
     maya_canonicalize,
     maya_set,
+    sign_exponent,
 )
 from tauforge.polyring import standard_single_family
 
@@ -48,8 +48,14 @@ def ref_occupied_above(n, parts, k):
         i += 1
 
 
+def ref_sign_exponent(lam):
+    """Sum of (leg length + 1) over the diagonal hooks, from the Frobenius
+    coordinates."""
+    return sum(b + 1 for b in lam.frobenius().betas)
+
+
 def ref_shape_sign(parts):
-    return (-1) ** Partition(parts).sign_exponent()
+    return (-1) ** ref_sign_exponent(Partition(parts))
 
 
 def ref_letter_on_state(kind, k, state, dual):
@@ -184,7 +190,7 @@ def test_currents_match_reference(v):
 
 def test_phase_is_the_sign_exponent():
     for lam in enumerate_partitions(10):
-        assert _phase(lam.parts) == lam.sign_exponent(), lam
+        assert sign_exponent(lam.parts) == lam.sign_exponent() == ref_sign_exponent(lam), lam
 
 
 @given(st.sampled_from(SHAPES), st.integers(-6, 6), st.integers(0, 4))

@@ -3,21 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from tauforge.fock import ModeWindow, letter
+from tauforge import tau
+from tauforge.fock import ModeWindow, WindowViolation, basis_vector, inner, letter
 from tauforge.grouplike import (
     Diagonal,
     Identity,
     LinearWord,
+    NormalOrderedBilinear,
     Product,
     StateProjector,
     apply_element,
     charge_of,
 )
-from tauforge.partitions import Partition, enumerate_partitions
+from tauforge.partitions import Partition, enumerate_partitions, from_frobenius
 from tauforge.polyring import standard_double_family, standard_single_family
 from tauforge.sampling import (
     sample_bare_bilinear,
     sample_diagonal,
+    sample_element,
     sample_exponent_bilinear,
     sample_soliton,
     sample_vacuum_bilinear,
@@ -34,6 +37,7 @@ from tauforge.tau import (
     rectangular_three_term_check,
     restricted_series,
 )
+from tauforge.wick import correlator_exact
 
 F = Fraction
 W = ModeWindow(-12, 12)
@@ -57,20 +61,24 @@ def test_coefficient_trivial_and_projector():
     assert got == (-1) ** mu.sign_exponent()
 
 
-def test_coefficient_memo_keeps_only_the_latest_element():
-    from tauforge import tau
+def test_identity_checks_apply_the_element_once_per_charge(monkeypatch):
+    calls = []
 
-    shapes = enumerate_partitions(2)
-    g = Diagonal(((0, F(2)), (1, F(3))))
-    first = [pluecker_coefficient(g, lam, 0, W) for lam in shapes]
-    again = [pluecker_coefficient(g, lam, 0, W) for lam in shapes]
-    assert all(a is b for a, b in zip(first, again))  # repeat lookups hit
-    for k in range(2, 60):
-        h = Diagonal(((0, F(k)), (-1, F(1, k))))
-        for lam in shapes:
-            pluecker_coefficient(h, lam, 0, W)
-    assert len(tau._coeff_cache) == len(shapes)
-    assert all(key[0] == h for key in tau._coeff_cache)
+    def counted(g, v):
+        calls.append(v.charges())
+        return apply_element(g, v)
+
+    monkeypatch.setattr(tau, "apply_element", counted)
+    g = sample_vacuum_bilinear(random.Random(41))
+    durfee_3 = from_frobenius((3, 1, 0), (2, 1, 0))
+    assert giambelli_coeff_check(g, 0, durfee_3, W) is True
+    assert len(calls) == 1
+    calls.clear()
+    assert quantum_jt_check(g, 0, Partition([3, 2, 2]), "rows", W) is True
+    assert calls == [{0}, {-1}, {-2}]  # one application per stepped charge
+    calls.clear()
+    assert pluecker_check(g, 0, (3, 1, 0), (2, 1, 0), 1, 3, W)
+    assert len(calls) == 1
 
 
 def test_character_series():
@@ -296,3 +304,68 @@ def test_series_json_is_deterministic():
 def test_giambelli_empty_shape_is_trivially_true():
     g = Diagonal(((-1, 3), (-2, 5)), ordered=False)
     assert giambelli_coeff_check(g, 0, Partition([]), ModeWindow(-10, 10)) is True
+
+
+# -- the coefficient reader against the per-shape route it replaced -------------
+
+
+def _per_shape_coefficient(g, shape, n, window, source=Partition([])):
+    """Reference: a basis bra paired with the element applied to the source
+    ket (or the kernel pairing for point fields), signed by the Frobenius
+    legs of both shapes."""
+    q = charge_of(g)
+    if tau.is_field_based(g):
+        letters = tau.bra_letters(shape, n) + [g] + tau.ket_letters(source, n - q)
+        val = correlator_exact(n, letters, n - q)
+    else:
+        ket = apply_element(g, basis_vector(window, n - q, source))
+        val = inner(basis_vector(window, n, shape, dual=True), ket)
+    legs = sum(b + 1 for b in shape.frobenius().betas + source.frobenius().betas)
+    return val * (-1) ** legs
+
+
+def _every_sampled_kind():
+    rng = random.Random(43)
+    picked = {}
+    while len(picked) < 6:
+        g = sample_element(rng)
+        if isinstance(g, LinearWord) and not charge_of(g):
+            continue  # a charged word, so the source and bra charges differ
+        kind = type(g).__name__
+        if isinstance(g, NormalOrderedBilinear):
+            kind += "/bare" if g.ordering is None else "/vacuum"
+        picked.setdefault(kind, g)
+    return list(picked.values()) + [sample_soliton(rng, 2)]
+
+
+def test_coefficient_reader_matches_the_per_shape_route():
+    fam = standard_single_family(4)
+    plus, minus = standard_double_family(3, 3)
+    for g in _every_sampled_kind():
+        q = charge_of(g)
+        for n in (-1, 0, 1):
+            window = tau.window_for_element(g, (n, n - q), 4)
+            want = {}
+            for lam in enumerate_partitions(4):
+                c = _per_shape_coefficient(g, lam, n, window)
+                if c:
+                    want[lam] = c
+            assert expand_mkp(g, n, fam, 4).coefficients == want, (g, n)
+        window = tau.window_for_element(g, (1, 1 - q), 3)
+        shapes = enumerate_partitions(3)
+        want = {}
+        for mu in shapes:
+            for lam in shapes:
+                c = _per_shape_coefficient(g, lam, 1, window, mu)
+                if c:
+                    want[(lam, mu)] = c
+        assert expand_2dtl(g, 1, plus, minus, 3).coefficients == want, g
+
+
+def test_2dtl_bra_outside_an_explicit_window_raises():
+    # every charge-0 source of weight <= 3 fits [-3, 3), the charge-1 bra of
+    # shape (3) reaches mode 3 and does not
+    plus, minus = standard_double_family(3, 3)
+    g = LinearWord((letter("psi", 0),))
+    with pytest.raises(WindowViolation, match=r"shape \(3,\)"):
+        expand_2dtl(g, 1, plus, minus, 3, ModeWindow(-3, 3))
