@@ -61,11 +61,15 @@ class InputError(Exception):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int,)):
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
         return Fraction(x)
     raise ValueError(f"rationals must be strings or integers, got {x!r}")
+
+
+def _int(x) -> int:
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return int(x)
+    raise ValueError(f"indices must be integers or integer strings, got {x!r}")
 
 
 def _matrix_from_json(spec: dict) -> ModeMatrix:
@@ -73,10 +77,10 @@ def _matrix_from_json(spec: dict) -> ModeMatrix:
     offsets: {"row_offset": r0, "col_offset": c0, "rows": [[...], ...]}."""
     if "entries" in spec:
         return ModeMatrix(
-            {(int(e["row"]), int(e["col"])): _frac(e["value"]) for e in spec["entries"]}
+            {(_int(e["row"]), _int(e["col"])): _frac(e["value"]) for e in spec["entries"]}
         )
     mat = spec["matrix"]
-    r0, c0 = int(mat.get("row_offset", 0)), int(mat.get("col_offset", 0))
+    r0, c0 = _int(mat.get("row_offset", 0)), _int(mat.get("col_offset", 0))
     entries = {}
     for i, row in enumerate(mat["rows"]):
         for k, value in enumerate(row):
@@ -91,7 +95,7 @@ def element_from_json(spec: dict):
     if kind == "identity":
         return Identity()
     if kind == "character":
-        lam = Partition(spec["partition"])
+        lam = Partition([_int(p) for p in spec["partition"]])
         return StateProjector(0, lam, 0, Partition([]))
     if kind == "soliton":
         rows = tuple(tuple(_frac(x) for x in row) for row in spec["couplings"])
@@ -105,11 +109,14 @@ def element_from_json(spec: dict):
     if kind == "normal_ordered":
         ordering = spec.get("ordering")
         return NormalOrderedBilinear(
-            _matrix_from_json(spec), None if ordering is None else int(ordering)
+            _matrix_from_json(spec), None if ordering is None else _int(ordering)
         )
     if kind == "diagonal":
-        mults = tuple((int(m["mode"]), _frac(m["value"])) for m in spec["mults"])
-        return Diagonal(mults, ordered=bool(spec.get("ordered", True)))
+        mults = tuple((_int(m["mode"]), _frac(m["value"])) for m in spec["mults"])
+        ordered = spec.get("ordered", True)
+        if not isinstance(ordered, bool):
+            raise ValueError(f"ordered must be true or false, got {ordered!r}")
+        return Diagonal(mults, ordered=ordered)
     if kind == "projector":
         side, shape = spec["side"], spec.get("partition")
         if side not in ("plus", "minus", "plus_state", "minus_state"):
@@ -118,12 +125,12 @@ def element_from_json(spec: dict):
             raise ValueError(f"projector side {side!r} needs a partition")
         return ProjectorElement(
             side,
-            int(spec.get("charge", 0)),
-            None if shape is None else Partition(shape),
+            _int(spec.get("charge", 0)),
+            None if shape is None else Partition([_int(p) for p in shape]),
         )
     if kind == "linear_word":
         letters = tuple(
-            tuple((_frac(t["coeff"]), t["species"], int(t["mode"])) for t in lt)
+            tuple((_frac(t["coeff"]), t["species"], _int(t["mode"])) for t in lt)
             for lt in spec["letters"]
         )
         for lt in letters:

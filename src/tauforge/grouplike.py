@@ -13,6 +13,7 @@ definite charge.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -300,27 +301,46 @@ def _apply_bilinear_once(mat: ModeMatrix, v: FockVector, scale) -> FockVector:
     return FockVector(v.window, out, v.dual)
 
 
-def _pair_subsets(entries: list[tuple[tuple[int, int], Fraction]]):
-    """All subsets of matrix entries with pairwise distinct rows and
-    pairwise distinct columns, yielded as (pairs, coefficient)."""
+def _coupling_entries(a_rows) -> dict[tuple[int, int], Fraction]:
+    """A soliton coupling matrix as {(hole row i, particle column k): A_ik}."""
+    return {(i, k): c for i, row in enumerate(a_rows) for k, c in enumerate(row)}
 
-    def rec(idx: int, chosen, rows, cols, coeff):
-        yield chosen, coeff
-        for j in range(idx, len(entries)):
-            (i, k), c = entries[j]
-            if i in rows or k in cols:
-                continue
-            yield from rec(j + 1, chosen + [(i, k)], rows | {i}, cols | {k}, coeff * c)
 
-    yield from rec(0, [], set(), set(), Fraction(1))
+def bilinear_minors(
+    entries: Mapping[tuple[int, int], Fraction],
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+    """Every nonzero minor {(rows, cols): det A[rows, cols]} of the sparse
+    matrix A = {(i, k): A_ik}, rows and columns in increasing order and the
+    empty minor 1 included.  These are the terms of the ordered exponent
+    :exp(sum A_ik psi*_i psi_k): = sum det A[R, C] psi*_R psi_rev(C).
+
+    Rows join in increasing order, each new minor expanded along its new
+    last row with sign (-1)^(number of chosen columns after k); a zero
+    minor is dropped, since it adds nothing to any larger one."""
+    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, k), c in sorted(entries.items()):
+        if c:
+            by_row.setdefault(i, []).append((k, c))
+    minors = {((), ()): Fraction(1)}
+    for i, row in sorted(by_row.items()):
+        grown: dict = {}
+        for (rows, cols), det in minors.items():
+            for k, c in row:
+                at = bisect_left(cols, k)
+                if at < len(cols) and cols[at] == k:
+                    continue
+                key = (rows + (i,), cols[:at] + (k,) + cols[at:])
+                term = c * det if (len(cols) - at) % 2 == 0 else -c * det
+                grown[key] = grown.get(key, 0) + term
+        minors.update((key, det) for key, det in grown.items() if det)
+    return minors
 
 
 def _apply_ordered_exponent(g: "NormalOrderedBilinear", v: FockVector) -> FockVector:
-    """Expand the ordered exponent over partial-permutation entry subsets,
-    pruned per input state: a pair whose annihilation-side letter dies on
-    the state is never extended, which keeps dense (moment-type) matrices
-    tractable."""
-    entries = g.mat.items()
+    """Apply the ordered exponent as one ordered word psi*_R psi_rev(C)
+    per nonzero minor det A[R, C], pruned per input state: an entry whose
+    first-acting letter dies on the state is dropped before the minors are
+    formed, which keeps dense (moment-type) matrices tractable."""
     n0 = g.ordering
     out: dict = {}
     for state, amp in v.states.items():
@@ -348,25 +368,18 @@ def _apply_ordered_exponent(g: "NormalOrderedBilinear", v: FockVector) -> FockVe
                 ok = ok and occupied(k)
             return ok
 
-        def rec(idx: int, pairs, rows, cols, coeff):
-            if pairs:
-                word = [letter("psi*", i) for i, _ in pairs]
-                word += [letter("psi", k) for _, k in reversed(pairs)]
-                # the all-stars-left arrangement is bare-normal ordered as
-                # written; vacuum orderings re-sort with parity
-                if n0 is None:
-                    accumulate(out, apply_word(word, sv), coeff)
-                else:
-                    accumulate(out, apply_normal_ordered_word(word, n0, sv), coeff)
+        # each screen is a row test and a column test, so dropping the
+        # inadmissible entries prunes exactly the minors they would enter
+        admitted = {ik: c for ik, c in g.mat.entries.items() if admissible(*ik)}
+        for (rows, cols), det in bilinear_minors(admitted).items():
+            word = [letter("psi*", i) for i in rows]
+            word += [letter("psi", k) for k in reversed(cols)]
+            # the all-stars-left arrangement is bare-normal ordered as
+            # written; vacuum orderings re-sort with parity
+            if n0 is None:
+                accumulate(out, apply_word(word, sv), det)
             else:
-                accumulate(out, sv, coeff)
-            for j in range(idx, len(entries)):
-                (i, k), c = entries[j]
-                if i in rows or k in cols or not admissible(i, k):
-                    continue
-                rec(j + 1, pairs + [(i, k)], rows | {i}, cols | {k}, coeff * c)
-
-        rec(0, [], set(), set(), Fraction(1))
+                accumulate(out, apply_normal_ordered_word(word, n0, sv), det)
     return FockVector(v.window, out, v.dual)
 
 
@@ -413,26 +426,16 @@ def apply_element(g, v: FockVector) -> FockVector:
         return apply_word(word, v)
     if isinstance(g, SolitonExponent):
         out = {}
-        n = len(g.ps)
-        entries = [
-            ((i, k), g.a_rows[i][k]) for i in range(n) for k in range(n)
-            if g.a_rows[i][k] != 0
-        ]
-        for pairs, coeff in _pair_subsets(entries):
-            if not pairs:
-                accumulate(out, v, coeff)
-                continue
+        for (rows, cols), det in bilinear_minors(_coupling_entries(g.a_rows)).items():
             word = [
-                field_letter_to_window(
-                    [(Fraction(1), "psi*", g.qs[i], 0)], v.window
-                )
-                for i, _ in pairs
+                field_letter_to_window([(Fraction(1), "psi*", g.qs[i], 0)], v.window)
+                for i in rows
             ]
             word += [
                 field_letter_to_window([(Fraction(1), "psi", g.ps[k], 0)], v.window)
-                for _, k in reversed(pairs)
+                for k in reversed(cols)
             ]
-            accumulate(out, apply_word(word, v), coeff)
+            accumulate(out, apply_word(word, v), det)
         return FockVector(v.window, out, v.dual)
     if isinstance(g, Product):
         seq = list(g.factors)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import factorial, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from tauforge.fock import (
     ModeWindow,
@@ -33,7 +32,9 @@ from tauforge.grouplike import (
     NormalOrderedBilinear,
     Product,
     SolitonExponent,
+    _coupling_entries,
     apply_element,
+    bilinear_minors,
     charge_of,
 )
 from tauforge.partitions import (
@@ -128,10 +129,9 @@ def soliton_tau(
         poly = poly_matrix_det(rows)
         return TauSeries("MKP", n, poly, {}, {"depth": depth, "form": form})
     if form == "explicit":
-        # the nonzero couplings A_ik keyed by (hole row i, particle column k)
-        entries = {(i, k): c for i, r in enumerate(data.couplings) for k, c in enumerate(r) if c}
-        total = _Sum(family.one())
-        for rows_sel, cols_sel, a_det in _coupling_minors(entries):
+        total = _Sum(family.zero())
+        minors = bilinear_minors(_coupling_entries(data.couplings))
+        for (rows_sel, cols_sel), a_det in minors.items():
             # closed-form kernel minor over (particle cols, hole rows): the
             # Cauchy determinant with the charge powers p^n q^(1-n)
             ps = [data.ps[k] for k in cols_sel]
@@ -164,25 +164,6 @@ def _coupled_kernel_rows(data: SolitonData, eta, family: TimeFamily) -> list[lis
             row.append(acc.poly())
         rows.append(row)
     return rows
-
-
-def _coupling_minors(entries: dict[tuple[int, int], Fraction], keep=None) -> Iterator[tuple]:
-    """(rows, columns, minor) for every nonzero minor of the coupling matrix
-    {(i, k): A_ik} over the row and column subsets `keep` accepts (the
-    Cauchy-Binet terms), smallest first."""
-    rows = sorted({i for i, _ in entries})
-    cols = sorted({k for _, k in entries})
-    for d in range(1, min(len(rows), len(cols)) + 1):
-        for rsel in combinations(rows, d):
-            for csel in combinations(cols, d):
-                if keep is not None and not keep(rsel, csel):
-                    continue
-                minor = [
-                    [entries.get((i, k), Fraction(0)) for k in csel] for i in rsel
-                ]
-                a_det = fraction_matrix_det(minor)
-                if a_det != 0:
-                    yield rsel, csel, a_det
 
 
 def soliton_fermionic_det(
@@ -690,10 +671,11 @@ def hamiltonian_tau_soliton(
     integer spectral points and flow exponentials."""
     central, entries = _hook_couplings(_spectral_reader(g, w_depth, window), Fraction(a), w_depth)
     winv = Poly.variable(times.table, times.cutoffs, "winv")
-    out = _Sum(times.one())
-    # a term beyond spectral weight w_depth vanishes in the truncated ring
-    minors = _coupling_minors(entries, lambda r, c: sum(r) + sum(c) - len(r) <= w_depth)
-    for rsel, csel, a_det in minors:
+    out = _Sum(times.zero())
+    for (rsel, csel), a_det in bilinear_minors(entries).items():
+        wpow = sum(rsel) + sum(csel) - len(rsel)
+        if wpow > w_depth:  # beyond spectral weight w_depth: zero in the truncated ring
+            continue
         kernel = [
             [Fraction(k, i - 1 + k) for k in csel] for i in rsel
         ]
@@ -704,7 +686,6 @@ def hamiltonian_tau_soliton(
             times,
             lambda kk: sum((i - 1) ** kk for i in rsel) - sum((-k) ** kk for k in csel),
         )
-        wpow = sum(rsel) + sum(csel) - len(rsel)
         out.add(flow * winv**wpow, a_det * k_det)
     return out.poly() * central
 

@@ -763,13 +763,12 @@ class TimeFamily:
         """Elementary generator: e_k(t) = (-1)^k h_k(-t)."""
         return self.h(k, sign=-1) * ((-1) ** k)
 
-    def xi(self, param: str, max_order: int | None = None) -> Poly:
+    def xi(self, param: str) -> Poly:
         """The series sum_k t_k * param^k, truncated by the table cutoffs."""
         out = self.zero()
-        top = self.depth if max_order is None else min(self.depth, max_order)
         y = Poly.variable(self.table, self.cutoffs, param)
         ypow = self.one()
-        for k in range(1, top + 1):
+        for k in range(1, self.depth + 1):
             ypow = ypow * y
             if ypow.is_zero:
                 break
@@ -862,10 +861,10 @@ class TimeFamily:
         nums = {k: n for k, n in nums.items() if n}
         return Poly._reduced(self.table, cut, nums, p.den * common)
 
-    def apply_diff(self, op: Poly, target: "Poly | _Partials", scaled: bool = True) -> Poly:
+    def apply_diff(self, op: Poly, target: "Poly | _Partials") -> Poly:
         """Interpret `op` (a polynomial in this family's times) as a
-        differential operator: t_k becomes d/dt_k, divided by k when
-        `scaled` (the tilde-derivative convention).
+        differential operator: t_k becomes d/dt_k divided by k (the
+        tilde-derivative convention).
 
         `target` may be a `_Partials` memo of the target, so that several
         operators on one target share its partial derivatives."""
@@ -880,8 +879,7 @@ class TimeFamily:
                 name = op.table.variables[idx].name
                 if name not in rank:
                     raise ValueError(f"operator touches non-time variable {name}")
-                if scaled:
-                    scale *= rank[name] ** e
+                scale *= rank[name] ** e
                 alpha.append((target._var_index(name), e))
             piece = partials.get(tuple(sorted(alpha)))
             if piece:
@@ -1057,20 +1055,16 @@ def standard_double_family(
     return plus, minus
 
 
-def paired_family(
-    depth: int,
-    prefixes: tuple[str, str] = ("t", "a"),
-    extra_unit: Iterable[str] = (),
-) -> tuple[TimeFamily, TimeFamily]:
+def paired_family(depth: int, extra_unit: Iterable[str] = ()) -> tuple[TimeFamily, TimeFamily]:
     """Two weight-graded families sharing one grading and cutoff (times
-    plus an auxiliary shift family), for residue-style checks where the
-    cutoff must bound both jointly."""
-    variables = time_variables("t", depth, prefix=prefixes[0])
-    variables += time_variables("t", depth, prefix=prefixes[1])
+    t1, t2, ... plus an auxiliary shift family a1, a2, ...), for
+    residue-style checks where the cutoff must bound both jointly."""
+    variables = time_variables("t", depth, prefix="t")
+    variables += time_variables("t", depth, prefix="a")
     for name in extra_unit:
         variables.append(Variable(name, "t", 1))
     table = VariableTable(variables)
     cutoffs = {"t": depth}
-    first = TimeFamily(table, cutoffs, [f"{prefixes[0]}{k}" for k in range(1, depth + 1)], "t")
-    second = TimeFamily(table, cutoffs, [f"{prefixes[1]}{k}" for k in range(1, depth + 1)], "t")
+    first = TimeFamily(table, cutoffs, [f"t{k}" for k in range(1, depth + 1)], "t")
+    second = TimeFamily(table, cutoffs, [f"a{k}" for k in range(1, depth + 1)], "t")
     return first, second

@@ -33,8 +33,9 @@ from tauforge.grouplike import (
     Identity,
     LinearWord,
     SolitonExponent,
-    _pair_subsets,
+    _coupling_entries,
     apply_element,
+    bilinear_minors,
     field_mode,
 )
 from tauforge.polyring import (
@@ -277,18 +278,11 @@ def element_words(g) -> list[tuple[object, list[KLetter]]]:
             )
         ]
     if isinstance(g, SolitonExponent):
-        n = len(g.ps)
-        entries = [
-            ((i, k), g.a_rows[i][k])
-            for i in range(n)
-            for k in range(n)
-            if g.a_rows[i][k] != 0
-        ]
         out = []
-        for pairs, coeff in _pair_subsets(entries):
-            word = [(kfield("psi*", g.qs[i]),) for i, _ in pairs]
-            word += [(kfield("psi", g.ps[k]),) for _, k in reversed(pairs)]
-            out.append((coeff, word))
+        for (rows, cols), det in bilinear_minors(_coupling_entries(g.a_rows)).items():
+            word = [(kfield("psi*", g.qs[i]),) for i in rows]
+            word += [(kfield("psi", g.ps[k]),) for k in reversed(cols)]
+            out.append((det, word))
         return out
     raise TypeError(f"element {type(g).__name__} has no exact word expansion")
 

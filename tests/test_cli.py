@@ -239,6 +239,46 @@ def test_expand_rejects_unknown_projector_side(capsys):
         assert "bad --element" in msg and "projector side" in msg
 
 
+def entry_bilinear(row, col="0", value="1/2", **extra) -> str:
+    return json.dumps(
+        {"kind": "normal_ordered", "entries": [{"row": row, "col": col, "value": value}], **extra}
+    )
+
+
+def test_expand_rejects_fractional_integer_fields(capsys):
+    # int() used to truncate these: row -1.5 read as mode -1, ordering 0.7 as 0
+    for spec in (
+        entry_bilinear(-1.5),
+        entry_bilinear("-1", ordering=0.7),
+        json.dumps({"kind": "character", "partition": [2.5]}),
+        json.dumps({"kind": "diagonal", "mults": [{"mode": 1.0, "value": "2"}]}),
+    ):
+        msg = usage_error(capsys, ["expand", "--element", spec, "--cutoff", "2"])
+        assert "bad --element" in msg and "must be integers" in msg
+    for spec in (entry_bilinear(-1), entry_bilinear("-1", ordering="0")):
+        assert run(capsys, ["expand", "--element", spec, "--cutoff", "2"])[0] == 0
+
+
+def test_expand_rejects_booleans_as_numbers(capsys):
+    # true used to pass as 1, both as an index and as a rational value
+    for spec, what in (
+        (entry_bilinear(True), "must be integers"),
+        (entry_bilinear(-1, value=True), "rationals must be"),
+        (json.dumps({"kind": "projector", "side": "plus", "charge": False}), "must be integers"),
+    ):
+        msg = usage_error(capsys, ["expand", "--element", spec, "--cutoff", "2"])
+        assert "bad --element" in msg and what in msg
+
+
+def test_expand_rejects_non_boolean_ordered_flag(capsys):
+    # the string "false" used to read as True
+    spec = json.dumps({"kind": "diagonal", "mults": [{"mode": 1, "value": "2"}], "ordered": "false"})
+    msg = usage_error(capsys, ["expand", "--element", spec, "--cutoff", "2"])
+    assert "bad --element" in msg and "ordered must be true or false" in msg
+    spec = json.dumps({"kind": "diagonal", "mults": [{"mode": 1, "value": "2"}], "ordered": False})
+    assert run(capsys, ["expand", "--element", spec, "--cutoff", "2"])[0] == 0
+
+
 def test_model_rejects_log_squared_parameter_with_one_value(capsys):
     msg = usage_error(capsys, ["model", "--kind", "log-squared", "--parameter", "1"])
     assert "bad --parameter '1'" in msg and "expected 2" in msg

@@ -7,10 +7,21 @@ exit code) fails here and must re-derive the table deliberately.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from tauforge.cli import main
+
+
+def dense_bilinear(size: int, first_row: int, first_col: int, **ordering) -> str:
+    """A normally ordered bilinear with every entry (3i + k) % 4 + 1 / (i + k + 1)
+    of a size x size block nonzero, as --element JSON without spaces."""
+    rows = [[f"{(3 * i + k) % 4 + 1}/{i + k + 1}" for k in range(size)] for i in range(size)]
+    matrix = {"row_offset": first_row, "col_offset": first_col, "rows": rows}
+    spec = {"kind": "normal_ordered", "matrix": matrix, **ordering}
+    return json.dumps(spec, separators=(",", ":"))
+
 
 GOLDEN = [
     (
@@ -98,6 +109,28 @@ GOLDEN = [
         "model --kind hciz --size 3 --cutoff 10 --parameter 3/2",
         0,
         "10eac5a290a2e629891e769f33b613e49e5907c9ca5d06903f1a2117f1457095",
+    ),
+    # wide blocks: a particle-hole block on rows -6..-1 and columns 0..5, and
+    # a block on modes -3..2 in three orderings
+    (
+        f"expand --cutoff 8 --element {dense_bilinear(6, -6, 0)}",
+        0,
+        "6a02e9b875db130fd5e35e21b948bdd2cb84b4792920b13a7181efa8387f540d",
+    ),
+    (
+        f"expand --cutoff 8 --element {dense_bilinear(6, -3, -3)}",
+        0,
+        "b4a60b2533efa715c3887f4804033d8829a9a3547bf6a36bb15f029cf6228dba",
+    ),
+    (
+        f"expand --cutoff 8 --element {dense_bilinear(6, -3, -3, ordering=0)}",
+        0,
+        "4161d2a53bbba201cb66748f4e84c9d493a948067f160951e7fa30ef7f80748c",
+    ),
+    (
+        f"expand --cutoff 8 --element {dense_bilinear(6, -3, -3, ordering=1)}",
+        0,
+        "2c33b66e050ad90ab50438e384558d873a16cb95f7214d258f08d4fb529e4f5c",
     ),
 ]
 

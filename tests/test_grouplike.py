@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tauforge import grouplike
 from tauforge.fock import (
+    FockVector,
     ModeWindow,
+    accumulate,
     apply_mode,
+    apply_normal_ordered_word,
     apply_psi_star,
     apply_word,
     basis_vector,
     letter,
+    occupancy,
     vacuum,
 )
 from tauforge.grouplike import (
@@ -21,8 +29,10 @@ from tauforge.grouplike import (
     NormalOrderedBilinear,
     Product,
     ProjectorElement,
+    SolitonExponent,
     apply_element,
     bbc_check,
+    bilinear_minors,
     charge_of,
     compose_bare_ordered,
     exponent_to_bare,
@@ -34,12 +44,14 @@ from tauforge.grouplike import (
     verify_charge,
 )
 from tauforge.partitions import Partition, enumerate_partitions
+from tauforge.polyring import fraction_matrix_det
 from tauforge.sampling import (
     sample_bare_bilinear,
     sample_diagonal,
     sample_element,
     sample_exponent_bilinear,
     sample_quadruples,
+    sample_soliton,
     sample_states,
     sample_vacuum_bilinear,
 )
@@ -308,3 +320,161 @@ def test_projector_element_dispatch():
     v = basis_vector(W, 0, Partition([2, 1]))
     assert apply_element(g, v) == v
     assert apply_element(ProjectorElement("plus", 1), v).is_zero
+
+
+# -- the minor expansion against the per-subset and per-permutation routes -------
+
+
+def reference_minors(entries):
+    """Every nonzero minor by one Gaussian determinant per pair of row and
+    column subsets, the empty minor 1 included."""
+    rows = sorted({i for i, _ in entries})
+    cols = sorted({k for _, k in entries})
+    out = {((), ()): F(1)}
+    for d in range(1, min(len(rows), len(cols)) + 1):
+        for rsel in combinations(rows, d):
+            for csel in combinations(cols, d):
+                minor = [[entries.get((i, k), F(0)) for k in csel] for i in rsel]
+                det = fraction_matrix_det(minor)
+                if det:
+                    out[(rsel, csel)] = det
+    return out
+
+
+def partial_permutations(entries, admissible=lambda i, k: True):
+    """Every subset of (admissible) entries with distinct rows and distinct
+    columns, as (pairs, product of the entries)."""
+
+    def rec(idx, chosen, rows, cols, coeff):
+        yield chosen, coeff
+        for j in range(idx, len(entries)):
+            (i, k), c = entries[j]
+            if i in rows or k in cols or not admissible(i, k):
+                continue
+            yield from rec(j + 1, chosen + [(i, k)], rows | {i}, cols | {k}, coeff * c)
+
+    yield from rec(0, [], set(), set(), F(1))
+
+
+def reference_ordered_exponent(g: NormalOrderedBilinear, v: FockVector) -> FockVector:
+    """One ordered word per partial permutation of the entries, pruned per
+    input state by the letters that meet the state first."""
+    n0 = g.ordering
+    out: dict = {}
+    for state, amp in v.states.items():
+        sv = FockVector(v.window, {state: amp}, v.dual)
+        occupied = occupancy(*state)
+
+        def admissible(i, k):
+            if not v.dual:
+                if n0 is None:
+                    return not occupied(k)
+                return (i < n0 or occupied(i)) and (k >= n0 or not occupied(k))
+            if n0 is None:
+                return not occupied(i)
+            return (i >= n0 or not occupied(i)) and (k < n0 or occupied(k))
+
+        for pairs, coeff in partial_permutations(g.mat.items(), admissible):
+            word = [letter("psi*", i) for i, _ in pairs]
+            word += [letter("psi", k) for _, k in reversed(pairs)]
+            if n0 is None:
+                accumulate(out, apply_word(word, sv), coeff)
+            else:
+                accumulate(out, apply_normal_ordered_word(word, n0, sv), coeff)
+    return FockVector(v.window, out, v.dual)
+
+
+def reference_soliton(g: SolitonExponent, v: FockVector) -> FockVector:
+    """One window-truncated field word per partial permutation."""
+    n = len(g.ps)
+    entries = [((i, k), g.a_rows[i][k]) for i in range(n) for k in range(n) if g.a_rows[i][k]]
+    out: dict = {}
+    for pairs, coeff in partial_permutations(entries):
+        word = [
+            grouplike.field_letter_to_window([(F(1), "psi*", g.qs[i], 0)], v.window)
+            for i, _ in pairs
+        ]
+        word += [
+            grouplike.field_letter_to_window([(F(1), "psi", g.ps[k], 0)], v.window)
+            for _, k in reversed(pairs)
+        ]
+        accumulate(out, apply_word(word, v), coeff)
+    return FockVector(v.window, out, v.dual)
+
+
+small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def sparse_matrices(draw, lo=-3, hi=3, max_size=5):
+    """Up to max_size x max_size rational matrices on modes in [lo, hi),
+    dense or with any pattern of zeros."""
+    rows = draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=max_size, unique=True))
+    cols = draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=max_size, unique=True))
+    values = st.one_of(st.just(F(0)), small_rationals) if draw(st.booleans()) else small_rationals
+    return {(i, k): draw(values) for i in rows for k in cols}
+
+
+@st.composite
+def fock_vectors(draw, window, dual):
+    """One to three basis states at charges -1..1 and weight <= 3."""
+    shapes = [lam for w in range(4) for lam in enumerate_partitions(w)]
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(-1, 1), st.sampled_from(shapes), small_rationals),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    out = FockVector(window, {}, dual)
+    for n, lam, c in picks:
+        out = out + basis_vector(window, n, lam, dual=dual).scale(c)
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_matrices(max_size=5))
+def test_bilinear_minors_match_one_determinant_per_subset(entries):
+    assert bilinear_minors(entries) == reference_minors(entries)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    sparse_matrices(max_size=4),
+    st.sampled_from([None, -1, 0, 1]),
+    st.booleans(),
+    st.data(),
+)
+def test_ordered_exponent_matches_the_partial_permutation_route(entries, ordering, dual, data):
+    g = NormalOrderedBilinear(ModeMatrix(entries), ordering)
+    v = data.draw(fock_vectors(W, dual))
+    assert apply_element(g, v) == reference_ordered_exponent(g, v)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.data())
+def test_soliton_exponent_matches_the_partial_permutation_route(seed, size, dual, data):
+    window = ModeWindow(-4, 4)
+    g = sample_soliton(random.Random(seed), size)
+    v = data.draw(fock_vectors(window, dual))
+    assert apply_element(g, v) == reference_soliton(g, v)
+
+
+def test_cauchy_exponent_applies_one_word_per_minor(monkeypatch):
+    # A_ik = 1/(k - i) has every minor nonzero: sum_d C(4, d)^2 = 70
+    # minors against sum_d C(4, d)^2 d! = 209 partial permutations
+    g = NormalOrderedBilinear(
+        ModeMatrix({(i, k): F(1, k - i) for i in range(-4, 0) for k in range(4)})
+    )
+    words = []
+
+    def counted(word, v):
+        word = list(word)
+        if word:
+            words.append(word)
+        return apply_word(word, v)
+
+    monkeypatch.setattr(grouplike, "apply_word", counted)
+    got = apply_element(g, vacuum(W, 0))
+    assert len(words) == 69
+    assert got == reference_ordered_exponent(g, vacuum(W, 0))
