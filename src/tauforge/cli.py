@@ -52,8 +52,8 @@ from tauforge.schur import (
     schur_giambelli,
     schur_jt,
 )
-from tauforge.tau import expand_mkp, expand_mkp_direct, window_for_element
-from tauforge.wick import correlator_window, wick_generalized, wick_standard
+from tauforge.tau import expand_mkp, expand_mkp_direct, is_field_based, window_for_element
+from tauforge.wick import correlator_window, element_words, wick_generalized, wick_standard
 
 
 class InputError(Exception):
@@ -177,6 +177,7 @@ def _rationals(text: str, flag: str, count: int | None = None) -> list[Fraction]
 
 def cmd_expand(args) -> int:
     g = _decode_element(sys.stdin.read() if args.element == "-" else args.element)
+    _check_kernel_route(g, (args.charge,))
     fam = standard_single_family(args.cutoff)
     window = _parse_window(args.window, (args.charge, args.charge - charge_of(g)), args.cutoff)
     try:
@@ -232,7 +233,7 @@ def cmd_model(args) -> int:
             data = SolitonData(ps, qs, rows)
         except ValueError as err:
             raise InputError(f"bad soliton data: {err}") from None
-        if pole := _soliton_pole(data, args.charge):
+        if pole := _soliton_pole(data.couplings, data.ps, data.qs, args.charge):
             raise InputError(f"bad soliton data: {pole}")
         series = soliton_tau(data, args.charge, fam, depth, "determinant")
         payload = {"schema": 1, "kind": "soliton", "tau": series.poly}
@@ -268,15 +269,39 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _soliton_pole(data, n: int) -> str | None:
+def _soliton_pole(couplings, ps, qs, n: int) -> str | None:
     """Why the kernel factor p^n q^(1-n) has a pole at charge n, or None:
     a nonzero coupling A_ik brings in p_k with every hole point q."""
-    coupled = [k for k in range(data.size) if any(row[k] for row in data.couplings)]
-    if n < 0 and any(data.ps[k] == 0 for k in coupled):
+    coupled = [k for k in range(len(ps)) if any(row[k] for row in couplings)]
+    if n < 0 and any(ps[k] == 0 for k in coupled):
         return f"a coupled point p = 0 is a pole of p^n at --charge {n} < 0"
-    if n > 1 and coupled and 0 in data.qs:
+    if n > 1 and coupled and 0 in qs:
         return f"a point q = 0 is a pole of q^(1-n) at --charge {n} > 1"
     return None
+
+
+def _check_kernel_route(g, charges) -> None:
+    """Raise InputError where the exact kernel route, which every element
+    with point fields takes, cannot evaluate `g` at `charges`: a product
+    mixing point-field with window-only factors (neither route is exact
+    for it), or a soliton factor with a kernel pole at one of the charges."""
+    if not is_field_based(g):
+        return
+    try:
+        element_words(g)
+    except TypeError:
+        raise InputError(
+            "bad --element: a product of point-field and window-only factors has no exact route"
+        ) from None
+    factors = [g]
+    while factors:
+        f = factors.pop()
+        if isinstance(f, Product):
+            factors.extend(f.factors)
+        elif isinstance(f, SolitonExponent):
+            for n in charges:
+                if pole := _soliton_pole(f.a_rows, f.ps, f.qs, n):
+                    raise InputError(f"bad --element: {pole}")
 
 
 def _suite_schur(depth: int, rng) -> list[CheckReport]:
@@ -302,6 +327,7 @@ def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[
     fam, shift = paired_family(depth)
     if element_json:
         g = _decode_element(element_json)
+        _check_kernel_route(g, (0, 1))
     else:
         g = sample_element(rng, allow_products=False)
     window = window_for_element(g, (-1, 0, 1), depth)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Callable, Iterable, Mapping
 
 from tauforge.partitions import Partition, enumerate_partitions, sign_exponent
@@ -377,13 +378,13 @@ def apply_normal_ordered_word(
 ) -> FockVector:
     """Apply a normally ordered monomial of letters: under the ordering all
     letters anticommute freely, so sort creation letters (w.r.t. vacuum n,
-    or the bare vacuum when n is None) to the left and keep the permutation
-    parity."""
+    or the bare vacuum above every mode when n is None) to the left and
+    keep the permutation parity.  A letter creates when
+    (kind == "psi") == (mode >= n)."""
+    top = inf if n is None else n
 
     def is_creation(kind: str, mode: int) -> bool:
-        if n is None:
-            return kind == "psi*"
-        return (kind == "psi" and mode >= n) or (kind == "psi*" and mode < n)
+        return (kind == "psi") == (mode >= top)
 
     out: dict[State, object] = {}
 

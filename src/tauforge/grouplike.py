@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Callable, Iterable, Mapping
 
 from tauforge.fock import (
@@ -26,7 +27,6 @@ from tauforge.fock import (
     apply_diagonal_exp,
     apply_diagonal_multipliers,
     apply_mode,
-    apply_normal_ordered_word,
     apply_word,
     basis_vector,
     inner,
@@ -158,8 +158,8 @@ class ExponentBilinear:
 class NormalOrderedBilinear:
     """Normally ordered exponential of a bilinear: creation parts left.
 
-    `ordering` is None for the bare ordering (every starred operator is
-    creation) or an integer vacuum charge."""
+    `ordering` is an integer vacuum charge, or None for the bare ordering:
+    the vacuum above every mode, where every starred operator creates."""
 
     mat: ModeMatrix
     ordering: int | None = None
@@ -184,6 +184,13 @@ class Diagonal:
 
     mults: tuple[tuple[int, Fraction], ...]
     ordered: bool = True
+
+    def __post_init__(self):
+        modes = [j for j, _ in self.mults]
+        if len(set(modes)) != len(modes):
+            raise ValueError(f"diagonal multipliers must name each mode once: {modes}")
+        if self.ordered and any(j < 0 and not m for j, m in self.mults):
+            raise ValueError("ordered multipliers at negative modes divide, so must be nonzero")
 
     def mult(self, j: int) -> Fraction:
         for mode, m in self.mults:
@@ -336,50 +343,43 @@ def bilinear_minors(
     return minors
 
 
-def _apply_ordered_exponent(g: "NormalOrderedBilinear", v: FockVector) -> FockVector:
-    """Apply the ordered exponent as one ordered word psi*_R psi_rev(C)
-    per nonzero minor det A[R, C], pruned per input state: an entry whose
+def _apply_ordered_exponent(mat: ModeMatrix, ordering: int | None, v: FockVector) -> FockVector:
+    """Apply :exp(sum A_ik psi*_i psi_k): as one ordered word psi*_R psi_rev(C)
+    per nonzero minor det A[R, C].  The bare ordering is the vacuum above
+    every mode, top = +inf, so one rule serves both: a letter creates when
+    (kind == "psi") == (mode >= top).  Per input state, an entry whose
     first-acting letter dies on the state is dropped before the minors are
     formed, which keeps dense (moment-type) matrices tractable."""
-    n0 = g.ordering
+    top = inf if ordering is None else ordering
     out: dict = {}
     for state, amp in v.states.items():
         sv = FockVector(v.window, {state: amp}, v.dual)
         occupied = occupancy(*state)
-
-        def admissible(i: int, k: int) -> bool:
-            # necessary screens on whichever letters reach the state first:
-            # kets meet the annihilation side, bras the creation side
-            if not v.dual:
-                if n0 is None:
-                    return not occupied(k)  # the filling letters act first
-                ok = True
-                if i >= n0:
-                    ok = ok and occupied(i)
-                if k < n0:
-                    ok = ok and not occupied(k)
-                return ok
-            if n0 is None:
-                return not occupied(i)  # starred letters insert into the bra
-            ok = True
-            if i < n0:
-                ok = ok and not occupied(i)
-            if k >= n0:
-                ok = ok and occupied(k)
-            return ok
-
-        # each screen is a row test and a column test, so dropping the
-        # inadmissible entries prunes exactly the minors they would enter
-        admitted = {ik: c for ik, c in g.mat.entries.items() if admissible(*ik)}
-        for (rows, cols), det in bilinear_minors(admitted).items():
-            word = [letter("psi*", i) for i in rows]
-            word += [letter("psi", k) for k in reversed(cols)]
-            # the all-stars-left arrangement is bare-normal ordered as
-            # written; vacuum orderings re-sort with parity
-            if n0 is None:
-                accumulate(out, apply_word(word, sv), det)
-            else:
-                accumulate(out, apply_normal_ordered_word(word, n0, sv), det)
+        # one row test and one column test per side, so dropping an entry
+        # prunes exactly the minors it would enter
+        if v.dual:  # bras meet the creation side: psi*_i below top, psi_k from top up
+            kept = {
+                (i, k): c
+                for (i, k), c in mat.entries.items()
+                if (i >= top or not occupied(i)) and (k < top or occupied(k))
+            }
+        else:  # kets meet the annihilation side: psi*_i from top up, psi_k below top
+            kept = {
+                (i, k): c
+                for (i, k), c in mat.entries.items()
+                if (i < top or occupied(i)) and (k >= top or not occupied(k))
+            }
+        for (rows, cols), det in bilinear_minors(kept).items():
+            # normal order in one pass: creation letters go left in written
+            # order, each passing the annihilation letters written before it
+            created, annihilated, passed = [], [], 0
+            for kind, mode in [("psi*", i) for i in rows] + [("psi", k) for k in reversed(cols)]:
+                if (kind == "psi") == (mode >= top):
+                    created.append(letter(kind, mode))
+                    passed += len(annihilated)
+                else:
+                    annihilated.append(letter(kind, mode))
+            accumulate(out, apply_word(created + annihilated, sv), -det if passed % 2 else det)
     return FockVector(v.window, out, v.dual)
 
 
@@ -398,7 +398,7 @@ def apply_element(g, v: FockVector) -> FockVector:
             accumulate(out, term)
         raise RuntimeError("bilinear exponential did not terminate")
     if isinstance(g, NormalOrderedBilinear):
-        return _apply_ordered_exponent(g, v)
+        return _apply_ordered_exponent(g.mat, g.ordering, v)
     if isinstance(g, LinearWord):
         return apply_word(g.letters, v)
     if isinstance(g, Diagonal):

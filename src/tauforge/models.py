@@ -377,10 +377,6 @@ class DiagonalModel:
         r, e = Fraction(r), Fraction(e_half_beta)
         return DiagonalModel("log_squared", lambda k: r ** (2 * k) * e ** (k * k + 2 * k))
 
-    @staticmethod
-    def explicit(name: str, g: Callable[[int], Fraction]) -> "DiagonalModel":
-        return DiagonalModel(name, g)
-
 
 def diagonal_model_tau_fock(
     model: DiagonalModel,
@@ -652,12 +648,6 @@ def _hook_couplings(read, a: Fraction, w_depth: int):
             if num:
                 entries[(i, k)] = num
     return central, entries
-
-
-def hamiltonian_soliton_matrix(g, a: Fraction, w_depth: int, window: ModeWindow | None = None):
-    """The hook-coefficient matrix of the equivalent infinite-soliton
-    form: entry (i, k) couples the integer points i-1 and -k."""
-    return _hook_couplings(_spectral_reader(g, w_depth, window), Fraction(a), w_depth)[1]
 
 
 def hamiltonian_tau_soliton(

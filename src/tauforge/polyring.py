@@ -142,22 +142,19 @@ class Poly:
         table: VariableTable,
         cutoffs: Mapping[str, int | None],
         terms: Mapping[MonomialKey, Scalar] | None = None,
-        _trusted: bool = False,
     ):
         """Build from rational coefficients.  Keys are sorted, zero
         exponents dropped, repeated keys summed and monomials beyond a
-        cutoff dropped, unless `_trusted` vouches that keys are sorted,
-        distinct and within the cutoffs."""
+        cutoff dropped."""
         cut = _complete(table, cutoffs)
         acc: dict[MonomialKey, Fraction] = {}
         for key, c in (terms or {}).items():
             c = Fraction(c)
             if not c:
                 continue
-            if not _trusted:
-                key = tuple(sorted((i, e) for i, e in key if e != 0))
-                if not _within(table, cut, key):
-                    continue
+            key = tuple(sorted((i, e) for i, e in key if e != 0))
+            if not _within(table, cut, key):
+                continue
             acc[key] = acc[key] + c if key in acc else c
         den = lcm(*(c.denominator for c in acc.values()))
         nums = {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}

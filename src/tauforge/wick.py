@@ -17,7 +17,7 @@ truncated polynomials in the times.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Iterable, Sequence
 
 from tauforge.fock import (
@@ -32,6 +32,7 @@ from tauforge.grouplike import (
     FieldWord,
     Identity,
     LinearWord,
+    Product,
     SolitonExponent,
     _coupling_entries,
     apply_element,
@@ -43,6 +44,7 @@ from tauforge.polyring import (
     TimeFamily,
     Variable,
     VariableTable,
+    _Sum,
     fraction_matrix_det,
     poly_matrix_det,
 )
@@ -191,42 +193,19 @@ def kernel_vev_between(n_left: int, letters: Sequence[KLetter], n_right: int):
 
 def _exp_xi_jet(family: TimeFamily, point: Fraction, order: int, sign: int) -> list[Poly]:
     """Taylor coefficients (times m!) of exp(+-xi(t, z)) at z = point,
-    through derivative `order`: returns [value, d/dz, d^2/dz^2, ...]."""
+    through derivative `order`: returns [value, d/dz, d^2/dz^2, ...].
+
+    exp(c xi(t, z)) = sum_a h_a(c t) z^a (Macdonald I.2), so jet m is
+    sum_{a=m}^{depth} h_a(c t) a!/(a-m)! point^(a-m).  The sum stops at the
+    family's depth, which is exact when h_a vanishes past it: every family
+    `polyring` builds has depth equal to its cutoff."""
     point = Fraction(point)
-    # xi(t, point + eps) expanded in eps with polynomial coefficients
-    coeffs = [family.zero() for _ in range(order + 1)]
-    for k in range(1, family.depth + 1):
-        tk = family.time(k) * sign
-        for m in range(0, min(order, k) + 1):
-            coeffs[m] = coeffs[m] + tk * (comb(k, m) * point ** (k - m))
-    base = coeffs[0].series_exp()
-    # exp(xi0 + sum_{m>=1} c_m eps^m) = base * exp(sum c_m eps^m)
-    jets = [base]
-    if order == 0:
-        return jets
-    # expand exp of the eps-part as polynomial in eps up to `order`
-    eps_terms: dict[int, Poly] = {m: coeffs[m] for m in range(1, order + 1)}
-    series: dict[int, Poly] = {0: family.one()}
-    # multiply out exp via the finite sum of products of eps-terms
-    for m, cm in eps_terms.items():
-        new = dict(series)
-        power = family.one()
-        e = 0
-        fact = 1
-        while True:
-            e += 1
-            fact *= e
-            power = power * cm
-            if power.is_zero or m * e > order:
-                break
-            for deg, val in series.items():
-                if deg + m * e > order:
-                    continue
-                add = val * power * Fraction(1, fact)
-                new[deg + m * e] = new.get(deg + m * e, family.zero()) + add
-        series = new
-    for d in range(1, order + 1):
-        jets.append(base * series.get(d, family.zero()) * factorial(d))
+    jets = []
+    for m in range(order + 1):
+        total = _Sum(family.zero())
+        for a in range(m, family.depth + 1):
+            total.add(family.h(a, sign), perm(a, m) * point ** (a - m))
+        jets.append(total.poly())
     return jets
 
 
@@ -283,6 +262,12 @@ def element_words(g) -> list[tuple[object, list[KLetter]]]:
             word = [(kfield("psi*", g.qs[i]),) for i in rows]
             word += [(kfield("psi", g.ps[k]),) for k in reversed(cols)]
             out.append((det, word))
+        return out
+    if isinstance(g, Product):
+        # the operator product: words concatenate, coefficients multiply
+        out = [(Fraction(1), [])]
+        for factor in g.factors:
+            out = [(c * d, w + v) for c, w in out for d, v in element_words(factor)]
         return out
     raise TypeError(f"element {type(g).__name__} has no exact word expansion")
 

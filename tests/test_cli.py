@@ -279,6 +279,50 @@ def test_expand_rejects_non_boolean_ordered_flag(capsys):
     assert run(capsys, ["expand", "--element", spec, "--cutoff", "2"])[0] == 0
 
 
+def test_expand_rejects_a_repeated_diagonal_mode(capsys):
+    # the ordered, unordered and rotation readings used to take 2, 6 and 1/3
+    mults = [{"mode": 0, "value": "2"}, {"mode": 0, "value": "3"}]
+    for ordered in (True, False):
+        spec = json.dumps({"kind": "diagonal", "ordered": ordered, "mults": mults})
+        msg = usage_error(capsys, ["expand", "--charge", "1", "--cutoff", "1", "--element", spec])
+        assert "bad --element" in msg and "each mode once" in msg
+
+
+def test_expand_rejects_a_zero_ordered_multiplier_at_a_negative_mode(capsys):
+    # the ordered convention divides by it: this used to exit 1 with a traceback
+    spec = json.dumps({"kind": "diagonal", "ordered": True, "mults": [{"mode": -1, "value": "0"}]})
+    argv = ["expand", "--charge", "-1", "--cutoff", "1", "--element"]
+    msg = usage_error(capsys, argv + [spec])
+    assert "bad --element" in msg and "must be nonzero" in msg
+    assert run(capsys, argv + [spec.replace("true", "false")])[0] == 0
+
+
+def soliton_spec(p="1/3", q="1/2") -> dict:
+    return {"kind": "soliton", "couplings": [["1"]], "ps": [p], "qs": [q]}
+
+
+def test_expand_rejects_a_soliton_pole_given_as_element(capsys):
+    # used to exit 1 with ZeroDivisionError, alone or as a product factor
+    for spec, charge in ((soliton_spec(p="0"), "-1"), (soliton_spec(q="0"), "2")):
+        for element in (spec, {"kind": "product", "factors": [spec]}):
+            argv = ["expand", "--charge", charge, "--cutoff", "2", "--element", json.dumps(element)]
+            msg = usage_error(capsys, argv)
+            assert "bad --element" in msg and "pole" in msg
+
+
+def test_point_field_products_take_the_kernel_route(capsys):
+    # a product with a soliton factor used to exit 1 with a TypeError
+    product = json.dumps({"kind": "product", "factors": [soliton_spec()]})
+    argv = ["expand", "--cutoff", "3", "--element"]
+    assert run(capsys, argv + [product]) == run(capsys, argv + [json.dumps(soliton_spec())])
+    assert run(capsys, ["verify", "--suite", "kp", "--element", product])[0] == 0
+    window_only = {"kind": "normal_ordered", "entries": [{"row": -1, "col": 0, "value": "1"}]}
+    mixed = json.dumps({"kind": "product", "factors": [soliton_spec(), window_only]})
+    for argv in (argv, ["verify", "--suite", "kp", "--element"]):
+        msg = usage_error(capsys, argv + [mixed])
+        assert "bad --element" in msg and "no exact route" in msg
+
+
 def test_model_rejects_log_squared_parameter_with_one_value(capsys):
     msg = usage_error(capsys, ["model", "--kind", "log-squared", "--parameter", "1"])
     assert "bad --parameter '1'" in msg and "expected 2" in msg

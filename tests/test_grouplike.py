@@ -441,7 +441,7 @@ def test_bilinear_minors_match_one_determinant_per_subset(entries):
 @settings(deadline=None, max_examples=150)
 @given(
     sparse_matrices(max_size=4),
-    st.sampled_from([None, -1, 0, 1]),
+    st.sampled_from([None, -2, -1, 0, 1, 2]),
     st.booleans(),
     st.data(),
 )
@@ -449,6 +449,18 @@ def test_ordered_exponent_matches_the_partial_permutation_route(entries, orderin
     g = NormalOrderedBilinear(ModeMatrix(entries), ordering)
     v = data.draw(fock_vectors(W, dual))
     assert apply_element(g, v) == reference_ordered_exponent(g, v)
+
+
+@settings(deadline=None, max_examples=100)
+@given(sparse_matrices(max_size=4), st.integers(0, 3), st.booleans(), st.data())
+def test_bare_ordering_is_the_vacuum_above_every_mode(entries, gap, dual, data):
+    mat = ModeMatrix(entries)
+    top = max(mat.modes(), default=0) + 1 + gap
+    bare, above = NormalOrderedBilinear(mat, None), NormalOrderedBilinear(mat, top)
+    v = data.draw(fock_vectors(W, dual))
+    assert apply_element(above, v) == apply_element(bare, v)
+    assert reorder(bare, top) == (1, above)
+    assert reorder(above, None) == (1, bare)
 
 
 @settings(deadline=None, max_examples=30)

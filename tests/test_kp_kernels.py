@@ -47,7 +47,7 @@ def old_derivative(p: Poly, name: str, order: int = 1) -> Poly:
             d[idx] = e - 1
             newkey = tuple(sorted((i, x) for i, x in d.items() if x))
             terms[newkey] = terms.get(newkey, Fraction(0)) + c * e
-        cur = Poly(cur.table, cur.cutoffs, {k: c for k, c in terms.items() if c}, _trusted=True)
+        cur = Poly(cur.table, cur.cutoffs, {k: c for k, c in terms.items() if c})
     return cur
 
 

@@ -8,6 +8,7 @@ from tauforge.grouplike import (
     FieldWord,
     Identity,
     LinearWord,
+    Product,
     apply_element,
     charge_of,
     field_letter_to_window,
@@ -439,3 +440,68 @@ def test_field_field_kernel_matches_sympy_derivatives():
                     expr = sympy.diff(expr, zeta)
                 by_z = sympy.diff(by_z, z)
     assert checked == 6 * 2 * 16 * 2
+
+
+def series_exp_jet(family, point, order, sign):
+    """Reference jet: xi's Taylor coefficients at the point, the series
+    exponential of the value, the epsilon-part's exponential multiplied
+    out term by term."""
+    from math import comb, factorial
+
+    coeffs = [family.zero() for _ in range(order + 1)]
+    for k in range(1, family.depth + 1):
+        tk = family.time(k) * sign
+        for m in range(0, min(order, k) + 1):
+            coeffs[m] = coeffs[m] + tk * (comb(k, m) * point ** (k - m))
+    base = coeffs[0].series_exp()
+    series = {0: family.one()}
+    for m in range(1, order + 1):
+        new = dict(series)
+        power, fact, e = family.one(), 1, 0
+        while True:
+            e += 1
+            fact *= e
+            power = power * coeffs[m]
+            if power.is_zero or m * e > order:
+                break
+            for deg, val in series.items():
+                if deg + m * e <= order:
+                    add = val * power * F(1, fact)
+                    new[deg + m * e] = new.get(deg + m * e, family.zero()) + add
+        series = new
+    return [base] + [
+        base * series.get(d, family.zero()) * factorial(d) for d in range(1, order + 1)
+    ]
+
+
+def test_exp_xi_jet_from_h_generators_matches_series_exponential():
+    from tauforge.wick import _exp_xi_jet
+
+    for depth in (6, 8, 10):
+        fam = standard_single_family(depth)
+        for point in (F(1, 3), F(-5, 4), F(2)):
+            for sign in (1, -1):
+                want = series_exp_jet(fam, point, 3, sign)
+                for order in range(4):
+                    assert _exp_xi_jet(fam, point, order, sign) == want[: order + 1]
+
+
+def test_product_words_concatenate_factor_words():
+    rng = random.Random(37)
+    sol = sample_soliton(rng, size=2)
+    word = LinearWord((letter("psi*", -1), letter("psi", 1)))
+    assert element_words(Product((sol,))) == element_words(sol)
+    got = element_words(Product((word, sol)))
+    ((c0, w0),) = element_words(word)
+    assert got == [(c0 * c, w0 + w) for c, w in element_words(sol)]
+    with pytest.raises(TypeError):
+        element_words(Product((sol, sample_bare_bilinear(rng))))
+
+
+def test_one_factor_product_series_equals_its_factor():
+    from tauforge.tau import expand_mkp
+
+    fam = standard_single_family(5)
+    sol = sample_soliton(random.Random(41), size=2)
+    for n in (-1, 0, 1):
+        assert expand_mkp(Product((sol,)), n, fam, 5).poly == expand_mkp(sol, n, fam, 5).poly
