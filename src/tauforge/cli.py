@@ -8,6 +8,7 @@ the report, so a fixed seed reproduces a byte-identical report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -177,15 +178,15 @@ def _rationals(text: str, flag: str, count: int | None = None) -> list[Fraction]
 
 def cmd_expand(args) -> int:
     g = _decode_element(sys.stdin.read() if args.element == "-" else args.element)
-    _check_kernel_route(g, (args.charge,))
     fam = standard_single_family(args.cutoff)
-    window = _parse_window(args.window, (args.charge, args.charge - charge_of(g)), args.cutoff)
-    try:
-        series = expand_mkp(g, args.charge, fam, args.cutoff, window)
-    except WindowViolation as err:
-        if not args.window:
-            raise  # an auto-sized window must fit: that is a defect, not bad input
-        raise InputError(f"--window {args.window} is too small: {err}") from None
+    with _kernel_route(g, f"bad --element at --charge {args.charge}"):
+        window = _parse_window(args.window, (args.charge, args.charge - charge_of(g)), args.cutoff)
+        try:
+            series = expand_mkp(g, args.charge, fam, args.cutoff, window)
+        except WindowViolation as err:
+            if not args.window:
+                raise  # an auto-sized window must fit: that is a defect, not bad input
+            raise InputError(f"--window {args.window} is too small: {err}") from None
     payload = series.to_json()
     payload["schema"] = 1
     _emit(args, payload)
@@ -210,6 +211,7 @@ def cmd_model(args) -> int:
         SolitonData,
         diagonal_model_tau_closed,
         hermitian_moment_tau,
+        soliton_element,
         soliton_tau,
         unitary_model_tau,
     )
@@ -233,9 +235,8 @@ def cmd_model(args) -> int:
             data = SolitonData(ps, qs, rows)
         except ValueError as err:
             raise InputError(f"bad soliton data: {err}") from None
-        if pole := _soliton_pole(data.couplings, data.ps, data.qs, args.charge):
-            raise InputError(f"bad soliton data: {pole}")
-        series = soliton_tau(data, args.charge, fam, depth, "determinant")
+        with _kernel_route(soliton_element(data), f"bad soliton data at --charge {args.charge}"):
+            series = soliton_tau(data, args.charge, fam, depth, "determinant")
         payload = {"schema": 1, "kind": "soliton", "tau": series.poly}
         _emit(args, payload)
         return 0
@@ -269,39 +270,26 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _soliton_pole(couplings, ps, qs, n: int) -> str | None:
-    """Why the kernel factor p^n q^(1-n) has a pole at charge n, or None:
-    a nonzero coupling A_ik brings in p_k with every hole point q."""
-    coupled = [k for k in range(len(ps)) if any(row[k] for row in couplings)]
-    if n < 0 and any(ps[k] == 0 for k in coupled):
-        return f"a coupled point p = 0 is a pole of p^n at --charge {n} < 0"
-    if n > 1 and coupled and 0 in qs:
-        return f"a point q = 0 is a pole of q^(1-n) at --charge {n} > 1"
-    return None
-
-
-def _check_kernel_route(g, charges) -> None:
-    """Raise InputError where the exact kernel route, which every element
-    with point fields takes, cannot evaluate `g` at `charges`: a product
-    mixing point-field with window-only factors (neither route is exact
-    for it), or a soliton factor with a kernel pole at one of the charges."""
-    if not is_field_based(g):
-        return
+@contextlib.contextmanager
+def _kernel_route(g, what: str = "bad --element"):
+    """Evaluate `g` where every element with point fields takes the exact
+    kernel route: a product mixing point-field with window-only factors (no
+    route is exact for it) is bad input before the body runs, and so is a
+    pole that the kernels meet, reported as "what: <the kernel's message>"."""
+    field_based = is_field_based(g)
+    if field_based:
+        try:
+            element_words(g)
+        except TypeError:
+            raise InputError(
+                "bad --element: a product of point-field and window-only factors has no exact route"
+            ) from None
     try:
-        element_words(g)
-    except TypeError:
-        raise InputError(
-            "bad --element: a product of point-field and window-only factors has no exact route"
-        ) from None
-    factors = [g]
-    while factors:
-        f = factors.pop()
-        if isinstance(f, Product):
-            factors.extend(f.factors)
-        elif isinstance(f, SolitonExponent):
-            for n in charges:
-                if pole := _soliton_pole(f.a_rows, f.ps, f.qs, n):
-                    raise InputError(f"bad --element: {pole}")
+        yield
+    except ZeroDivisionError as err:
+        if not field_based:
+            raise
+        raise InputError(f"{what}: {err}") from None
 
 
 def _suite_schur(depth: int, rng) -> list[CheckReport]:
@@ -325,22 +313,16 @@ def _suite_schur(depth: int, rng) -> list[CheckReport]:
 
 def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[CheckReport]:
     fam, shift = paired_family(depth)
-    if element_json:
-        g = _decode_element(element_json)
-        _check_kernel_route(g, (0, 1))
-    else:
-        g = sample_element(rng, allow_products=False)
-    window = window_for_element(g, (-1, 0, 1), depth)
-    tau = expand_mkp(g, 0, fam, depth, window).poly
+    g = _decode_element(element_json) if element_json else sample_element(rng, allow_products=False)
+    with _kernel_route(g):
+        window = window_for_element(g, (-1, 0, 1), depth)
+        tau = expand_mkp(g, 0, fam, depth, window).poly
+        tau1 = expand_mkp(g, 1, fam, depth, window).poly
     if corrupt:
         tau = tau + fam.time(min(2, depth)) * Fraction(1, 7)
+        tau1 = tau1 + fam.time(1) * Fraction(1, 5)
     reports = [kp_residue_check(tau, fam, shift), kp_equation_check(tau, fam)]
-    if depth >= 2:
-        tau1 = expand_mkp(g, 1, fam, depth, window).poly
-        if corrupt:
-            tau1 = tau1 + fam.time(1) * Fraction(1, 5)
-        reports.append(mkp_equation_check(tau1, tau, fam))
-    return reports
+    return reports + [mkp_equation_check(tau1, tau, fam)]
 
 
 # draws the generalized Wick check may make for its six samples; a draw

@@ -11,6 +11,10 @@ At both ends the operator-built phase differs from the wedge order by the
 shape's sign exponent.  The route-agreement tests rebuild every basis
 state three independent ways to pin this down.
 
+`creates` (which mode operators create on a vacuum, hence the pairing and
+every normal ordering) and `frobenius_word` (the basis word) are the vacuum
+rules that every other module reads.
+
 Coefficients may be rationals or truncated polynomials; the two flavors
 share one implementation.
 """
@@ -244,9 +248,11 @@ def apply_psi_star(k: int, v: FockVector) -> FockVector:
 # A letter is a finite linear combination of same-species mode operators.
 Letter = tuple[tuple[object, str, int], ...]  # ((coeff, kind, mode), ...)
 
+_ONE = Fraction(1)  # shared by every single-mode letter
+
 
 def letter(kind: str, k: int) -> Letter:
-    return ((Fraction(1), kind, k),)
+    return ((_ONE, kind, k),)
 
 
 def combo(parts: Iterable[tuple[object, str, int]]) -> Letter:
@@ -294,15 +300,24 @@ def vev(window: ModeWindow, n: int, letters: Iterable[Letter]):
 # -- basis states via operator routes -----------------------------------------
 
 
+def frobenius_word(shape: Partition, n: int, dual: bool = False) -> list[Letter]:
+    """The basis word: word |n> is the ket of `shape`, psi*_(n-b-1) per leg b
+    then psi_(n+a) per arm a from the last; dual=True gives the adjoint,
+    psi*_(n+a) per arm then psi_(n-b-1) per leg from the last, <n| word."""
+    alphas, betas = shape.frobenius()
+    if dual:
+        word = [letter("psi*", n + a) for a in alphas]
+        return word + [letter("psi", n - b - 1) for b in reversed(betas)]
+    word = [letter("psi*", n - b - 1) for b in betas]
+    return word + [letter("psi", n + a) for a in reversed(alphas)]
+
+
 def basis_state_via_creation(
     route: str, shape: Partition, n: int, window: ModeWindow
 ) -> FockVector:
     """Build the basis ket from a vacuum by one of three operator routes."""
-    alphas, betas = shape.frobenius()
     if route == "frobenius":
-        word = [letter("psi*", n - b - 1) for b in betas]
-        word += [letter("psi", n + a) for a in reversed(alphas)]
-        return apply_word(word, vacuum(window, n))
+        return apply_word(frobenius_word(shape, n), vacuum(window, n))
     if route == "row":
         ell = shape.length
         word = [letter("psi", n + shape.part(i) - i) for i in range(1, ell + 1)]
@@ -320,16 +335,20 @@ def basis_state_via_creation(
 # -- normal ordering -----------------------------------------------------------
 
 
+def creates(kind: str, mode: int, top: float) -> bool:
+    """Whether the mode operator creates on the vacuum filled below `top`
+    (top = inf for the bare ordering, the vacuum above every mode): psi
+    creates from top up, psi* below it, and each annihilates otherwise."""
+    return (kind == "psi") == (mode >= top)
+
+
 def pair_vev(n: int, a: Letter, b: Letter) -> Fraction:
-    """<n| a b |n> for two linear letters, from the mode pairing rules."""
+    """<n| a b |n> for two linear letters: a mode pairs with its conjugate
+    when the right-hand one creates on |n>."""
     total = Fraction(0)
     for c1, k1, m1 in a:
         for c2, k2, m2 in b:
-            if m1 != m2 or k1 == k2:
-                continue
-            if k1 == "psi" and m2 < n:
-                total += Fraction(c1) * Fraction(c2)
-            elif k1 == "psi*" and m2 >= n:
+            if m1 == m2 and k1 != k2 and creates(k2, m2, n):
                 total += Fraction(c1) * Fraction(c2)
     return total
 
@@ -377,22 +396,17 @@ def apply_normal_ordered_word(
     letters: list[Letter], n: int | None, v: FockVector
 ) -> FockVector:
     """Apply a normally ordered monomial of letters: under the ordering all
-    letters anticommute freely, so sort creation letters (w.r.t. vacuum n,
-    or the bare vacuum above every mode when n is None) to the left and
-    keep the permutation parity.  A letter creates when
-    (kind == "psi") == (mode >= n)."""
+    letters anticommute freely, so sort the letters that create (`creates`,
+    on vacuum n, or the bare vacuum when n is None) to the left and keep
+    the permutation parity.  The ordered exponents' oracle."""
     top = inf if n is None else n
-
-    def is_creation(kind: str, mode: int) -> bool:
-        return (kind == "psi") == (mode >= top)
-
     out: dict[State, object] = {}
 
     def rec(chosen: list[tuple[str, int]], remaining: list[Letter], coeff):
         if not remaining:
             order = sorted(
                 range(len(chosen)),
-                key=lambda i: (not is_creation(*chosen[i]), i),
+                key=lambda i: (not creates(*chosen[i], top), i),
             )
             parity = sum(order[y] > order[x] for x in range(len(order)) for y in range(x))
             word = [letter(*chosen[i]) for i in order]
@@ -650,7 +664,8 @@ def apply_diagonal_multipliers(
     mult: Callable[[int], Fraction], v: FockVector
 ) -> FockVector:
     """Window-direct diagonal action: multiply by mult(j) for each occupied
-    j >= 0 and divide by mult(j) for each empty j < 0, over the window."""
+    j >= 0 and divide by mult(j) for each empty j < 0, over the window: the
+    tests' oracle (a `Diagonal` reads only the occupied listed modes)."""
     out = {}
     for (n, parts), c in v.states.items():
         _check_state_window(v.window, n, parts)

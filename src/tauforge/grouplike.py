@@ -9,6 +9,10 @@ route in `wick`), diagonal multipliers, projectors, and products.
 Every constructor's output is checkable: `bbc_check` verifies the
 exchange identity on sampled matrix elements and `charge_of` verifies
 definite charge.
+
+Ordered exponents read `fock.creates`; a diagonal element's eigenvalue is
+the product of its multipliers over the occupied modes; `point_power`
+reports the pole of a kernel factor z^e at z = 0 by name.
 """
 
 from __future__ import annotations
@@ -16,19 +20,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 from typing import Callable, Iterable, Mapping
 
 from tauforge.fock import (
     FockVector,
     Letter,
     ModeWindow,
+    _check_state_window,
     accumulate,
     apply_diagonal_exp,
-    apply_diagonal_multipliers,
     apply_mode,
     apply_word,
     basis_vector,
+    creates,
+    frobenius_word,
     inner,
     letter,
     occupancy,
@@ -36,7 +42,7 @@ from tauforge.fock import (
     project,
     vacuum,
 )
-from tauforge.partitions import Partition
+from tauforge.partitions import Partition, hook_shape
 from tauforge.polyring import fraction_matrix_det, fraction_matrix_inverse
 
 
@@ -176,10 +182,10 @@ class LinearWord:
 class Diagonal:
     """Diagonal multipliers m_j at listed modes (1 elsewhere).
 
-    ordered=True means the vacuum-0 normally ordered convention (occupied
-    non-negative modes collect m_j, empty negative modes collect 1/m_j);
-    ordered=False means the plain product over the listed modes only
-    (finite support, each occupied listed mode collects m_j).
+    A state's eigenvalue is the product of m_j over its occupied modes;
+    ordered=True (the vacuum-0 normally ordered convention) divides it by
+    the charge-0 vacuum's value, the product of m_j over j < 0, so occupied
+    non-negative modes collect m_j and empty negative modes 1/m_j.
     """
 
     mults: tuple[tuple[int, Fraction], ...]
@@ -191,12 +197,6 @@ class Diagonal:
             raise ValueError(f"diagonal multipliers must name each mode once: {modes}")
         if self.ordered and any(j < 0 and not m for j, m in self.mults):
             raise ValueError("ordered multipliers at negative modes divide, so must be nonzero")
-
-    def mult(self, j: int) -> Fraction:
-        for mode, m in self.mults:
-            if mode == j:
-                return m
-        return Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -282,11 +282,19 @@ def _falling(k: int, m: int) -> int:
     return out
 
 
+def point_power(point: Fraction, e: int) -> Fraction:
+    """point**e for a kernel factor z^e; at its pole, the point 0 with e < 0,
+    the ZeroDivisionError names the pole."""
+    if e < 0 and not point:
+        raise ZeroDivisionError(f"the point 0 is a pole of z^{e}")
+    return point**e
+
+
 def field_mode(kind: str, point: Fraction, order: int, k: int) -> Fraction:
     """Coefficient of the mode-k operator in the order-th z-derivative of a
     field at `point`: psi(z) = sum_k psi_k z^k, psi*(z) = sum_k psi*_k z^-k."""
     e = k if kind == "psi" else -k
-    return _falling(e, order) * point ** (e - order)
+    return _falling(e, order) * point_power(point, e - order)
 
 
 def field_letter_to_window(term_list: Iterable[FieldTerm], window: ModeWindow) -> Letter:
@@ -346,35 +354,34 @@ def bilinear_minors(
 def _apply_ordered_exponent(mat: ModeMatrix, ordering: int | None, v: FockVector) -> FockVector:
     """Apply :exp(sum A_ik psi*_i psi_k): as one ordered word psi*_R psi_rev(C)
     per nonzero minor det A[R, C].  The bare ordering is the vacuum above
-    every mode, top = +inf, so one rule serves both: a letter creates when
-    (kind == "psi") == (mode >= top).  Per input state, an entry whose
-    first-acting letter dies on the state is dropped before the minors are
-    formed, which keeps dense (moment-type) matrices tractable."""
+    every mode, top = +inf, so `fock.creates` serves both.  Per input
+    state, an entry whose first-acting letter dies on the state is dropped
+    before the minors are formed, which keeps dense (moment-type) matrices
+    tractable."""
     top = inf if ordering is None else ordering
     out: dict = {}
     for state, amp in v.states.items():
         sv = FockVector(v.window, {state: amp}, v.dual)
         occupied = occupancy(*state)
-        # one row test and one column test per side, so dropping an entry
-        # prunes exactly the minors it would enter
-        if v.dual:  # bras meet the creation side: psi*_i below top, psi_k from top up
-            kept = {
-                (i, k): c
-                for (i, k), c in mat.entries.items()
-                if (i >= top or not occupied(i)) and (k < top or occupied(k))
-            }
-        else:  # kets meet the annihilation side: psi*_i from top up, psi_k below top
-            kept = {
-                (i, k): c
-                for (i, k), c in mat.entries.items()
-                if (i < top or occupied(i)) and (k >= top or not occupied(k))
-            }
+
+        def lives(kind: str, mode: int) -> bool:
+            # the side that meets the state first (creation on a bra) must
+            # find its mode empty to fill it, filled to empty it
+            if creates(kind, mode, top) != v.dual:
+                return True
+            return occupied(mode) != ((kind == "psi") != v.dual)
+
+        # one row test and one column test, so dropping an entry prunes
+        # exactly the minors it would enter
+        kept = {
+            (i, k): c for (i, k), c in mat.entries.items() if lives("psi*", i) and lives("psi", k)
+        }
         for (rows, cols), det in bilinear_minors(kept).items():
             # normal order in one pass: creation letters go left in written
             # order, each passing the annihilation letters written before it
             created, annihilated, passed = [], [], 0
             for kind, mode in [("psi*", i) for i in rows] + [("psi", k) for k in reversed(cols)]:
-                if (kind == "psi") == (mode >= top):
+                if creates(kind, mode, top):
                     created.append(letter(kind, mode))
                     passed += len(annihilated)
                 else:
@@ -402,16 +409,18 @@ def apply_element(g, v: FockVector) -> FockVector:
     if isinstance(g, LinearWord):
         return apply_word(g.letters, v)
     if isinstance(g, Diagonal):
-        if g.ordered:
-            return apply_diagonal_multipliers(g.mult, v)
+        # ordered: divided by the charge-0 vacuum's value, states in the window
+        sea = prod((m for j, m in g.mults if j < 0), start=Fraction(1)) if g.ordered else 1
         out = {}
         for (n, parts), c in v.states.items():
+            if g.ordered:
+                _check_state_window(v.window, n, parts)
             factor = Fraction(1)
             occupied = occupancy(n, parts)
             for mode, m in g.mults:
                 if occupied(mode):
                     factor *= m
-            out[(n, parts)] = c * factor
+            out[(n, parts)] = c * (factor / sea)
         return FockVector(v.window, out, v.dual)
     if isinstance(g, DiagonalFlow):
         return apply_diagonal_exp(list(g.p_coeffs), g.base, v)
@@ -564,7 +573,9 @@ def rotation_of(g):
     if isinstance(g, Diagonal):
         # a multiplier m on occupied mode j rotates the starred operator
         # by 1/m (the bilinear in the exponent pairs with the particle side)
-        return ModeMatrix({(j, j): 1 / m - 1 for j, m in g.mults}), None
+        if any(not m for _, m in g.mults):
+            return None, "no rotation: a zero multiplier has no inverse"
+        return ModeMatrix({(j, j): 1 / Fraction(m) - 1 for j, m in g.mults}), None
     if isinstance(g, NormalOrderedBilinear):
         # the rotation is the bare-ordering matrix B = (I - A P)^(-1) A;
         # det(I - P A) = det(I - A P), so reorder fails exactly when it does
@@ -660,10 +671,8 @@ def reconstruct_exponential(
     entries = {}
     for alpha in range(arm_max + 1):
         for beta in range(leg_max + 1):
-            bra = vacuum(window, n, dual=True)
-            bra = apply_mode("psi*", n + alpha, bra)
-            bra = apply_mode("psi", n - beta - 1, bra)
-            val = inner(bra, ket)
+            word = frobenius_word(hook_shape(alpha, beta), n, dual=True)
+            val = inner(apply_word(word, vacuum(window, n, dual=True)), ket)
             if val:
                 entries[(n - beta - 1, n + alpha)] = Fraction(val, central)
     return central, NormalOrderedBilinear(ModeMatrix(entries), ordering=n)

@@ -36,6 +36,7 @@ from tauforge.grouplike import (
     apply_element,
     bilinear_minors,
     charge_of,
+    point_power,
 )
 from tauforge.partitions import (
     Partition,
@@ -107,9 +108,9 @@ def soliton_element(data: SolitonData) -> SolitonExponent:
 
 def _exp_eta(family: TimeFamily, data: SolitonData, i: int, k: int, n: int) -> Poly:
     """The elementary exponential factor p_i^n q_k^(1-n)/(q_k - p_i)
-    exp(xi(t,p_i) - xi(t,q_k)) of the kernel matrix."""
+    exp(xi(t,p_i) - xi(t,q_k)) of the kernel matrix; a pole raises."""
     p, q = data.ps[i], data.qs[k]
-    pref = p**n * q ** (1 - n) / (q - p)
+    pref = point_power(p, n) * point_power(q, 1 - n) / (q - p)
     return (family.xi_value(p) - family.xi_value(q)).series_exp() * pref
 
 
@@ -403,18 +404,14 @@ def diagonal_model_tau_closed(
     family_minus: TimeFamily,
     depth: int,
 ) -> Poly:
-    """Closed route: staircase prefactor times the diagonal double Schur
-    sum with multiplier ratios along each row."""
-    pref = Fraction(1)
-    for k in range(0, count):
-        pref *= model.g(k)
+    """Closed route: the diagonal double Schur sum, each shape weighted by its
+    eigenvalue, g over the occupied modes count + shape_i - i >= 0."""
 
-    def ratio(lam: Partition) -> Fraction:
-        parts = range(1, lam.length + 1)
-        return prod(model.g(count + lam.part(i) - i) / model.g(count - i) for i in parts)
+    def eigenvalue(lam: Partition) -> Fraction:
+        return prod(model.g(count + lam.part(i) - i) for i in range(1, count + 1))
 
     shapes = enumerate_partitions(depth, max_rows=count)
-    return _double_schur_sum(family_plus, family_minus, shapes, ratio) * pref
+    return _double_schur_sum(family_plus, family_minus, shapes, eigenvalue)
 
 
 def gaussian_coefficient_ratio(count: int, shape: Partition, c: Fraction) -> Fraction:

@@ -8,7 +8,8 @@ once per (charge, source) and each bra shape read off that ket; a
 point-field element is paired shape by shape through the exact kernels.
 The series expansions and the hook-determinant, row/column-determinant
 (with stepped charges), exchange and rectangle identities all read
-through one reader per call.
+through one reader per call; the kernel route builds its basis letters
+with `fock.frobenius_word`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from tauforge.fock import (
     ModeWindow,
     _check_state_window,
     basis_vector,
+    frobenius_word,
     vacuum,
     vacuum_readout,
     window_for,
@@ -36,7 +38,7 @@ from tauforge.grouplike import (
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius, hook_shape
 from tauforge.polyring import Poly, TimeFamily, _Sum, poly_matrix_det
 from tauforge.schur import _schur_poly, schur_jt
-from tauforge.wick import correlator_exact, kmode
+from tauforge.wick import correlator_exact, from_mode_letter
 
 # -- plumbing -----------------------------------------------------------------
 
@@ -77,19 +79,13 @@ def window_for_element(g, charges, depth: int) -> ModeWindow:
 
 
 def bra_letters(shape: Partition, n: int) -> list:
-    """Kernel letters of the basis bra: starred arms then leg fillers."""
-    alphas, betas = shape.frobenius()
-    out = [(kmode("psi*", n + a),) for a in alphas]
-    out += [(kmode("psi", n - b - 1),) for b in reversed(betas)]
-    return out
+    """Kernel letters of the basis bra, from `fock.frobenius_word`."""
+    return [from_mode_letter(lt) for lt in frobenius_word(shape, n, dual=True)]
 
 
 def ket_letters(shape: Partition, n: int) -> list:
     """Kernel letters building the basis ket from its vacuum."""
-    alphas, betas = shape.frobenius()
-    out = [(kmode("psi*", n - b - 1),) for b in betas]
-    out += [(kmode("psi", n + a),) for a in reversed(alphas)]
-    return out
+    return [from_mode_letter(lt) for lt in frobenius_word(shape, n)]
 
 
 _EMPTY = Partition([])

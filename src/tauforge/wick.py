@@ -12,6 +12,9 @@ Two evaluation routes coexist and cross-check each other:
 Raising-exponential insertions are handled by conjugation: each letter is
 "dressed" with the exponential-series factors, whose coefficients are
 truncated polynomials in the times.
+
+The pair kernels read `fock.creates` and report their own poles (a point 0
+under z^e with e < 0, coincident points) as a ZeroDivisionError naming them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from tauforge.fock import (
     Letter,
     ModeWindow,
     apply_letter,
+    creates,
     inner,
     letter,
+    pair_vev,
     vacuum,
 )
 from tauforge.grouplike import (
@@ -63,6 +68,8 @@ def _field_field_kernel(
     written first ("psi": z^n zeta^(1-n)/(z - zeta); "psi*": the sign-
     flipped denominator), evaluated at rational points: the jet is a `Poly`
     in z = p + e and zeta = q + f, and a pole raises ZeroDivisionError."""
+    if p == q or (not p and n < 0) or (not q and n > 1):
+        raise ZeroDivisionError(f"z = {p}, zeta = {q} is a pole of z^{n} zeta^{1 - n}/(z - zeta)")
     cut = {"e": r, "f": s}
     z = Poly.variable(_JET_TABLE, cut, "e") + p
     zeta = Poly.variable(_JET_TABLE, cut, "f") + q
@@ -103,22 +110,16 @@ def kernel_pair(n: int, a: KTerm, b: KTerm) -> Fraction:
     _, kind_b, spec_b = b
     if kind_a == kind_b:
         return Fraction(0)
-    if spec_a[0] == "mode" and spec_b[0] == "mode":
-        i, j = spec_a[1], spec_b[1]
-        if i != j:
+    if spec_a[0] == "mode" or spec_b[0] == "mode":
+        # mode j pairs when the right-hand letter's mode-j part creates on
+        # |n>: with its conjugate mode, or by the field's mode-j coefficient
+        j = spec_b[1] if spec_b[0] == "mode" else spec_a[1]
+        if not creates(kind_b, j, n):
             return Fraction(0)
-        if kind_a == "psi":
-            return Fraction(1) if j < n else Fraction(0)
-        return Fraction(1) if j >= n else Fraction(0)
-    if spec_a[0] != spec_b[0]:
-        # one field and one mode: the field's mode-j coefficient, unless the
-        # pair annihilates the vacuum (psi on the left needs j < n)
-        field_first = spec_a[0] == "field"
-        field_kind, (_, point, order) = (kind_a, spec_a) if field_first else (kind_b, spec_b)
-        j = spec_b[1] if field_first else spec_a[1]
-        if (j < n) != (kind_a == "psi"):
-            return Fraction(0)
-        return field_mode(field_kind, point, order, j)
+        if spec_a[0] == spec_b[0]:
+            return Fraction(1) if spec_a[1] == j else Fraction(0)
+        kind, (_, point, order) = (kind_a, spec_a) if spec_a[0] == "field" else (kind_b, spec_b)
+        return field_mode(kind, point, order, j)
     # field-field
     pa, ra = spec_a[1], spec_a[2]
     pb, rb = spec_b[1], spec_b[2]
@@ -346,8 +347,6 @@ def wick_standard(window: ModeWindow, n: int, vs: Sequence[Letter], ws: Sequence
     m = len(vs)
     if len(ws) != m:
         raise ValueError("need equally many starred and unstarred letters")
-    from tauforge.fock import pair_vev
-
     mat = [[pair_vev(n, vs[i], ws[j]) for j in range(m)] for i in range(m)]
     return fraction_matrix_det(mat)
 

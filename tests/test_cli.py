@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -310,6 +311,33 @@ def test_expand_rejects_a_soliton_pole_given_as_element(capsys):
             assert "bad --element" in msg and "pole" in msg
 
 
+def test_expand_rejects_a_pole_that_a_mode_letter_brings(capsys):
+    # the field psi(0) pairs with psi*_{-1} through 0^(-1); this used to
+    # exit 1 with a ZeroDivisionError traceback
+    letter = {"kind": "linear_word", "letters": [[{"coeff": "1", "species": "psi*", "mode": -1}]]}
+    element = {"kind": "product", "factors": [soliton_spec(p="0"), letter]}
+    for argv in (
+        ["expand", "--charge", "0", "--cutoff", "2", "--element", json.dumps(element)],
+        ["verify", "--suite", "kp", "--element", json.dumps(element)],
+    ):
+        msg = usage_error(capsys, argv)
+        assert "bad --element" in msg and "pole" in msg
+
+
+def test_expand_uncoupled_zero_point_is_no_kernel_pole(capsys):
+    # a hole point without couplings never enters the kernel route, so it
+    # brings no pole: the series is the one for any other such point
+    def spec(q):
+        return json.dumps(
+            {"kind": "soliton", "couplings": [["1", "1"], ["0", "0"]],
+             "ps": ["1/3", "1/5"], "qs": ["1/2", q]}
+        )
+
+    argv = ["expand", "--charge", "2", "--cutoff", "3", "--element"]
+    code, out = run(capsys, argv + [spec("0")])
+    assert code == 0 and (code, out) == run(capsys, argv + [spec("1/7")])
+
+
 def test_point_field_products_take_the_kernel_route(capsys):
     # a product with a soliton factor used to exit 1 with a TypeError
     product = json.dumps({"kind": "product", "factors": [soliton_spec()]})
@@ -331,6 +359,26 @@ def test_model_rejects_log_squared_parameter_with_one_value(capsys):
 def test_model_rejects_parameter_that_is_not_rational(capsys):
     msg = usage_error(capsys, ["model", "--kind", "hciz", "--parameter", "abc"])
     assert "bad --parameter 'abc'" in msg
+
+
+def test_model_zero_multipliers_give_the_fock_series(capsys):
+    # hciz at c = 0 and log-squared at r = 0 or e = 0 have g_k = 0 for
+    # k >= 1; the closed route used to divide by them and exit 1
+    from tauforge.models import DiagonalModel, diagonal_model_tau_fock
+    from tauforge.polyring import Poly, standard_double_family
+
+    plus, minus = standard_double_family(4, 4)
+    for kind, parameter, model in (
+        ("hciz", "0", DiagonalModel.hciz(F(0))),
+        ("log-squared", "0,1", DiagonalModel.log_squared(F(0), F(1))),
+        ("log-squared", "1,0", DiagonalModel.log_squared(F(1), F(0))),
+    ):
+        for size in (1, 2):
+            argv = ["model", "--kind", kind, "--size", str(size), "--parameter", parameter]
+            code, out = run(capsys, argv)
+            assert code == 0
+            tau = Poly.from_json(json.loads(out)["tau"])
+            assert tau == diagonal_model_tau_fock(model, size, plus, minus, 4)
 
 
 def test_model_rejects_zero_gaussian_parameter(capsys):

@@ -23,6 +23,33 @@ def dense_bilinear(size: int, first_row: int, first_col: int, **ordering) -> str
     return json.dumps(spec, separators=(",", ":"))
 
 
+def diagonal_product(ordered: bool) -> str:
+    """Diagonal multipliers after a particle-hole block (rows -3..-1, columns
+    0..2): multipliers at negative modes, a zero at mode 2, and modes -40 and
+    40 far outside the auto-sized window."""
+    mults = [(-40, "5"), (-2, "3/2"), (-1, "-2"), (1, "7/3"), (2, "0"), (40, "11")]
+    diagonal = {
+        "kind": "diagonal",
+        "ordered": ordered,
+        "mults": [{"mode": m, "value": v} for m, v in mults],
+    }
+    rows = [[f"{(3 * i + k) % 4 + 1}/{i + k + 1}" for k in range(3)] for i in range(3)]
+    block = {"kind": "normal_ordered", "matrix": {"row_offset": -3, "col_offset": 0, "rows": rows}}
+    spec = {"kind": "product", "factors": [diagonal, block]}
+    return json.dumps(spec, separators=(",", ":"))
+
+
+SOLITON_2X2 = json.dumps(
+    {
+        "kind": "soliton",
+        "couplings": [["1", "-1/2"], ["2/3", "2"]],
+        "ps": ["1/3", "2/5"],
+        "qs": ["1/2", "1/7"],
+    },
+    separators=(",", ":"),
+)
+
+
 GOLDEN = [
     (
         "verify --suite all --cutoff 6 --seed 1",
@@ -131,6 +158,59 @@ GOLDEN = [
         f"expand --cutoff 8 --element {dense_bilinear(6, -3, -3, ordering=1)}",
         0,
         "2c33b66e050ad90ab50438e384558d873a16cb95f7214d258f08d4fb529e4f5c",
+    ),
+    # diagonal multipliers in both conventions, on the states a block excites
+    (
+        f"expand --charge 0 --cutoff 6 --element {diagonal_product(True)}",
+        0,
+        "18f5152955c47fc421c625b9fcd5063bef78c4f54308eb800d089b5cd5637818",
+    ),
+    (
+        f"expand --charge 1 --cutoff 6 --element {diagonal_product(True)}",
+        0,
+        "ab20d2e46664ab623a605e9c3feec066beafd738ff2efe130eeb6981686185e4",
+    ),
+    (
+        f"expand --charge 0 --cutoff 6 --element {diagonal_product(False)}",
+        0,
+        "f85405d6fd57cc573babedc24bd5e453a99d32c1010246dd12d95d4076e61ab9",
+    ),
+    (
+        f"expand --charge 1 --cutoff 6 --element {diagonal_product(False)}",
+        0,
+        "d328d655bb295e960840447f8d00be9eae6776129816ca43629e394fa905e0c3",
+    ),
+    # a 2x2 soliton through the kernel route at three charges
+    (
+        f"expand --charge -1 --cutoff 4 --element {SOLITON_2X2}",
+        0,
+        "d253e84c58124213697335cb6d91db3cad1a9bcc0f00ab6ba54b0dc621ccef6a",
+    ),
+    (
+        f"expand --charge 0 --cutoff 4 --element {SOLITON_2X2}",
+        0,
+        "c177ad0859af833941f2700046db297b594d88375c468b38b46c74fc2fb759c0",
+    ),
+    (
+        f"expand --charge 1 --cutoff 4 --element {SOLITON_2X2}",
+        0,
+        "7d79863bde569ecb8de8fa9795ff51883d47b857042d58a68fe979a22b619f7e",
+    ),
+    # the diagonal models at their default parameters
+    (
+        "model --kind hciz --size 3 --cutoff 8",
+        0,
+        "92698e7fdcf0a4433f4e49bbd2e5a2acf080a5c13e6040879fd999b374334c81",
+    ),
+    (
+        "model --kind log-squared --size 3 --cutoff 8",
+        0,
+        "7eb90a5176c5eb6b4f3e8dcc48d96bc0f9e7c905ba245470f910dec91fe13943",
+    ),
+    (
+        "model --kind gaussian-normal --size 3 --cutoff 8",
+        0,
+        "1d17a5a15daabd0225d8bdb6c6b2360169deaff2318af7a4ae350904537d9d19",
     ),
 ]
 

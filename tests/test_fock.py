@@ -108,6 +108,10 @@ def test_orthonormality_and_inner():
 
 
 def test_pair_vev_rule():
+    from tauforge.grouplike import field_mode
+    from tauforge.wick import kernel_pair
+
+    z = F(2, 3)
     for n in (-2, 0, 3):
         for i in range(-4, 4):
             for j in range(-4, 4):
@@ -116,6 +120,25 @@ def test_pair_vev_rule():
                 assert got == pair_vev(n, letter("psi", i), letter("psi*", j))
                 star_first = vev(W, n, [letter("psi*", i), letter("psi", j)])
                 assert star_first == (1 if i == j and j >= n else 0)
+                assert star_first == pair_vev(n, letter("psi*", i), letter("psi", j))
+                # the kernel route's mode-mode pairs follow the same rule
+                for a, b in (("psi", "psi*"), ("psi*", "psi")):
+                    mode_pair = kernel_pair(n, (1, a, ("mode", i)), (1, b, ("mode", j)))
+                    assert mode_pair == pair_vev(n, letter(a, i), letter(b, j))
+            # a field against mode j: its mode-j coefficient times the mode
+            # pair value, with the field on either side
+            for a, b in (("psi", "psi*"), ("psi*", "psi")):
+                field = (1, a, ("field", z, 1))
+                mode = (1, b, ("mode", i))
+                coeff = field_mode(a, z, 1, i)
+                assert kernel_pair(n, field, mode) == coeff * pair_vev(
+                    n, letter(a, i), letter(b, i)
+                )
+                field = (1, b, ("field", z, 1))
+                mode = (1, a, ("mode", i))
+                assert kernel_pair(n, mode, field) == field_mode(b, z, 1, i) * pair_vev(
+                    n, letter(a, i), letter(b, i)
+                )
 
 
 def test_window_violations():

@@ -12,6 +12,7 @@ from tauforge.fock import (
     ModeWindow,
     accumulate,
     apply_mode,
+    apply_diagonal_multipliers,
     apply_normal_ordered_word,
     apply_psi_star,
     apply_word,
@@ -120,6 +121,16 @@ def test_rotation_matrices():
     g = Diagonal(((2, F(7, 2)),), ordered=False)
     corr, _ = rotation_of(g)
     assert corr == ModeMatrix({(2, 2): F(2, 7) - 1})
+
+
+def test_rotation_of_a_zero_multiplier_is_refused():
+    # a zero multiplier has no inverse to rotate by: this used to raise
+    # ZeroDivisionError instead of returning the reason
+    for g in (Diagonal(((0, F(0)),), ordered=False), Diagonal(((-1, F(2)), (3, F(0))))):
+        corr, why = rotation_of(g)
+        assert corr is None and "zero multiplier" in why
+    # an integer multiplier rotates by an exact rational, not a float's
+    assert rotation_of(Diagonal(((0, 3),), ordered=False)) == (ModeMatrix({(0, 0): F(-2, 3)}), None)
 
 
 def test_exponent_to_bare():
@@ -490,3 +501,62 @@ def test_cauchy_exponent_applies_one_word_per_minor(monkeypatch):
     got = apply_element(g, vacuum(W, 0))
     assert len(words) == 69
     assert got == reference_ordered_exponent(g, vacuum(W, 0))
+
+
+def reference_diagonal(g: Diagonal, v: FockVector) -> FockVector:
+    """The two routes a Diagonal element took before its eigenvalue had one
+    rule: the ordered convention looped every window mode through a
+    multiplier lookup, the plain one multiplied the occupied listed modes."""
+    if g.ordered:
+        return apply_diagonal_multipliers(lambda j: dict(g.mults).get(j, F(1)), v)
+    out = {}
+    for (n, parts), c in v.states.items():
+        occupied = occupancy(n, parts)
+        factor = F(1)
+        for mode, m in g.mults:
+            if occupied(mode):
+                factor *= m
+        out[(n, parts)] = c * factor
+    return FockVector(v.window, out, v.dual)
+
+
+@st.composite
+def diagonals(draw):
+    """Multipliers (zero allowed, except at negative modes when ordered) on
+    modes in and around the window (-3, 3), and far outside it."""
+    ordered = draw(st.booleans())
+    modes = draw(st.lists(st.sampled_from(list(range(-5, 6)) + [-40, 40]), unique=True))
+    nonzero = small_rationals.filter(bool)
+    return Diagonal(
+        tuple((j, draw(nonzero if ordered and j < 0 else small_rationals)) for j in modes),
+        ordered,
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    diagonals(),
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.integers(-2, 2),
+            st.sampled_from([lam.parts for w in range(5) for lam in enumerate_partitions(w)]),
+            small_rationals.filter(bool),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_diagonal_eigenvalue_matches_both_former_routes(g, dual, states):
+    # the window (-3, 3) holds some states and misses others by one or more
+    # modes, at either end: both sides must agree on values or on the error
+    window = ModeWindow(-3, 3)
+    v = FockVector(window, {(n, parts): c for n, parts, c in states}, dual)
+
+    def outcome(route):
+        try:
+            return route(g, v)
+        except Exception as err:  # the exception type is part of the behaviour
+            return type(err)
+
+    assert outcome(apply_element) == outcome(reference_diagonal)

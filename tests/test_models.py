@@ -230,6 +230,11 @@ def test_diagonal_models_two_routes():
         DiagonalModel.gaussian(F(3, 2)),
         DiagonalModel.hciz(F(2, 3)),
         DiagonalModel.log_squared(F(1, 2), F(3)),
+        # g_k = 0 for every k >= 1: the closed route used to divide by
+        # these multipliers and raised ZeroDivisionError from count 2
+        DiagonalModel.hciz(F(0)),
+        DiagonalModel.log_squared(F(0), F(1)),
+        DiagonalModel.log_squared(F(1), F(0)),
     ]
     for model in models:
         for count in (0, 1, 2, 3):
