@@ -18,6 +18,7 @@ from math import factorial
 from tauforge.fock import (
     FockVector,
     ModeWindow,
+    _weight,
     apply_current,
     apply_mode,
     vacuum,
@@ -384,9 +385,9 @@ def current_expansion_prediction(
     from tauforge.fock import apply_charge, inner
 
     window = bra.window
-    budget = (
-        max((sum(p) for (_, p) in list(bra.states) + list(ket.states)), default=0) + 3
-    )
+    bra_weights = {_weight(b) for b in bra.bits}
+    ket_weights = {_weight(b) for b in ket.bits}
+    budget = max(bra_weights | ket_weights, default=0) + 3
     zlo, zhi = z_window
     out: dict[tuple[int, int], Fraction] = {}
 
@@ -411,11 +412,7 @@ def current_expansion_prediction(
                 return cur
         return cur
 
-    deltas = {
-        sum(pb) - sum(pk)
-        for (_, pb) in bra.states
-        for (_, pk) in ket.states
-    }
+    deltas = {wb - wk for wb in bra_weights for wk in ket_weights}
 
     def combo(parts_lists, eps_power, scale):
         # parts_lists: list of derivative orders, e.g. [1, 1] for phi'^2

@@ -147,6 +147,8 @@ def element_from_json(spec: dict):
 def _parse_window(text: str | None, charges, depth: int) -> ModeWindow:
     if not text:
         return window_for(charges, depth)
+    if ".." not in text:
+        raise InputError(f"bad --window {text!r}: expected lo..hi")
     try:
         lo, hi = text.split("..")
         return ModeWindow(int(lo), int(hi))

@@ -1,14 +1,21 @@
 """Finite-window fermionic Fock space over exact scalars.
 
-Basis states are (charge, shape) pairs with the phase fixed by the
+A vector stores each basis state as its occupation bits: an int whose bit
+j is mode base + j, every mode below `base` filled and left implicit.  The
+base is the vector's own, at or below `window.lo` (lower when a state sticks
+out of the window below it), so the charge of bits b is base + popcount(b).
+Coefficients are kept in wedge phase, the order of the semi-infinite wedge
+of the occupied modes.  Mode operators flip a bit and current modes hop one,
+each with the wedge sign (-1)^(occupied modes passed), one popcount; no
+operator converts a state.  Each output state's coefficient is one running
+sum (a `polyring._Sum` for polynomials) until the vector is built.
+
+The public basis states are (charge, shape) pairs with the phase of the
 operator construction: hole operators at the Frobenius leg positions,
-particle operators at the arm positions, applied to the shifted sea.
-The operators work in the semi-infinite wedge: each converts a state's
-occupied modes n + part_i - i to an int whose bit j is mode window.lo + j
-(every mode below the window filled and left implicit), flips or hops
-bits with the wedge sign (-1)^(occupied modes passed), and converts back.
-At both ends the operator-built phase differs from the wedge order by the
-shape's sign exponent.  The route-agreement tests rebuild every basis
+particle operators at the arm positions, applied to the shifted sea.  It
+differs from the wedge order by the shape's sign exponent, applied once
+where a state enters a vector (the constructor) or leaves it (`states`,
+`component`, `to_json`).  The route-agreement tests rebuild every basis
 state three independent ways to pin this down.
 
 `creates` (which mode operators create on a vacuum, hence the pairing and
@@ -27,7 +34,7 @@ from math import inf
 from typing import Callable, Iterable, Mapping
 
 from tauforge.partitions import Partition, enumerate_partitions, sign_exponent
-from tauforge.polyring import Poly, TimeFamily
+from tauforge.polyring import Poly, TimeFamily, _Sum
 from tauforge.schur import _schur_poly, schur_jt
 
 State = tuple[int, tuple[int, ...]]  # (charge, shape parts)
@@ -92,32 +99,72 @@ def _state_of_bits(bits: int, base: int) -> State:
     return base + hole + ell, tuple(parts)
 
 
+def _weight(bits: int) -> int:
+    """Shape weight of an occupation int, whatever its base: the positions
+    of the r set bits above the lowest empty mode, less 0 + 1 + ... + r-1."""
+    rest = bits >> ((~bits & (bits + 1)).bit_length() - 1)
+    r = rest.bit_count()
+    total = 0
+    while rest:
+        low = rest & -rest
+        total += low.bit_length() - 1
+        rest ^= low
+    return total - r * (r - 1) // 2
+
+
+def _occupied(bits: int, base: int, mode: int) -> bool:
+    """Whether the occupation int `bits`, read from `base`, fills `mode`."""
+    return mode < base or bool(bits >> (mode - base) & 1)
+
+
 def occupancy(n: int, parts: tuple[int, ...]) -> Callable[[int], bool]:
     """Membership test for the occupied modes of a charged shape."""
     base = n - len(parts)
     bits = occupation_bits(n, parts, base)
-    return lambda k: k < base or bool(bits >> (k - base) & 1)
+    return lambda k: _occupied(bits, base, k)
 
 
-def _add_into(out: dict, key: State, term) -> None:
+def _check_bits_window(window: ModeWindow, base: int, bits: int) -> None:
+    """`_check_state_window` for an occupation int read from `base`: every
+    mode below the window filled, none at or above it."""
+    fill = (1 << (window.lo - base)) - 1
+    if bits & fill != fill or bits >> (window.hi - base):
+        _check_state_window(window, *_state_of_bits(bits, base))
+
+
+def _add_into(out: dict, key: int, term) -> None:
+    """Add `term` into the running sum out[key]: a first addend is kept as
+    it is, and a second polynomial one starts a `polyring._Sum`."""
     acc = out.get(key)
-    out[key] = term if acc is None else acc + term
+    if acc is None:
+        out[key] = term
+    elif type(acc) is _Sum:
+        acc.add(term if type(term) is Poly else Poly.constant(acc.table, acc.cutoffs, term))
+    elif type(acc) is Poly and type(term) is Poly:
+        out[key] = acc = _Sum(acc)
+        acc.add(term)
+    else:
+        out[key] = acc + term
 
 
 def accumulate(out: dict, v: "FockVector", coeff=None) -> None:
-    """Add coeff * v into the state dict `out` in place; zeros are dropped
-    when a FockVector is built from it."""
-    for s, c in v.states.items():
-        _add_into(out, s, c if coeff is None else c * coeff)
+    """Add coeff * v into `out` in place, running sums keyed by occupation
+    bits at v's base; `FockVector._from_sums` builds the vector from it."""
+    for b, c in v.bits.items():
+        _add_into(out, b, c if coeff is None else c * coeff)
 
 
 # -- vectors ------------------------------------------------------------------
 
 
 class FockVector:
-    """Sparse linear combination of basis states; `dual` marks bra vectors."""
+    """Sparse linear combination of basis states; `dual` marks bra vectors.
 
-    __slots__ = ("window", "states", "dual")
+    `bits` maps occupation ints read from mode `base` up to coefficients in
+    wedge phase; `states` is the same vector as {(charge, shape parts):
+    coefficient} in the operator-built phase."""
+
+    __slots__ = ("window", "base", "bits", "dual", "_states")
 
     def __init__(
         self,
@@ -125,64 +172,102 @@ class FockVector:
         states: Mapping[State, object] | None = None,
         dual: bool = False,
     ):
-        self.window = window
-        self.dual = dual
-        self.states = {s: c for s, c in (states or {}).items() if c}
+        items = [(s, c) for s, c in (states or {}).items() if c]
+        base = min([window.lo] + [n - len(p) for (n, p), _ in items])
+        self.window, self.base, self.dual, self._states = window, base, dual, None
+        self.bits = {
+            occupation_bits(n, p, base): -c if sign_exponent(p) & 1 else c
+            for (n, p), c in items
+        }
+
+    @classmethod
+    def _from_sums(cls, window: ModeWindow, base: int, sums: dict, dual: bool) -> "FockVector":
+        """The vector of running sums keyed by occupation bits at `base`
+        (`_add_into`), each finished once and zeros dropped."""
+        v = cls.__new__(cls)
+        v.window, v.base, v.dual, v._states = window, base, dual, None
+        bits = {}
+        for b, c in sums.items():
+            if type(c) is _Sum:
+                c = c.poly()
+            if c:
+                bits[b] = c
+        v.bits = bits
+        return v
+
+    def _bits_at(self, base: int) -> dict:
+        """`bits` read from a base at or below the vector's own."""
+        shift = self.base - base
+        if not shift:
+            return self.bits
+        fill = (1 << shift) - 1
+        return {(b << shift) | fill: c for b, c in self.bits.items()}
+
+    def _like(self, bits: dict) -> "FockVector":
+        return FockVector._from_sums(self.window, self.base, bits, self.dual)
+
+    @property
+    def states(self) -> dict[State, object]:
+        """{(charge, shape parts): coefficient}, built once per vector."""
+        if self._states is None:
+            out = {}
+            for b, c in self.bits.items():
+                s = _state_of_bits(b, self.base)
+                out[s] = -c if sign_exponent(s[1]) & 1 else c
+            self._states = out
+        return self._states
 
     @property
     def is_zero(self) -> bool:
-        return not self.states
+        return not self.bits
 
     def component(self, n: int, shape):
         parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
-        return self.states.get((n, parts), Fraction(0))
+        if n - len(parts) < self.base:  # a hole below every state's
+            return Fraction(0)
+        c = self.bits.get(occupation_bits(n, parts, self.base))
+        if c is None:
+            return Fraction(0)
+        return -c if sign_exponent(parts) & 1 else c
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.window != other.window or self.dual != other.dual:
             raise ValueError("vectors live in different spaces")
-        out = dict(self.states)
-        accumulate(out, other)
-        return FockVector(self.window, out, self.dual)
+        base = min(self.base, other.base)
+        out = dict(self._bits_at(base))
+        for b, c in other._bits_at(base).items():
+            _add_into(out, b, c)
+        return FockVector._from_sums(self.window, base, out, self.dual)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, c) -> "FockVector":
         if not c:
-            return FockVector(self.window, {}, self.dual)
-        return FockVector(
-            self.window, {s: v * c for s, v in self.states.items()}, self.dual
-        )
+            return self._like({})
+        return self._like({b: v * c for b, v in self.bits.items()})
 
     def truncated(self, weight: int) -> "FockVector":
         """The states of weight (partition size) at most `weight`."""
-        return FockVector(
-            self.window,
-            {s: c for s, c in self.states.items() if sum(s[1]) <= weight},
-            self.dual,
-        )
+        return self._like({b: c for b, c in self.bits.items() if _weight(b) <= weight})
 
     def charges(self) -> set[int]:
-        return {n for (n, _) in self.states}
+        return {self.base + b.bit_count() for b in self.bits}
 
     def restrict_charge(self, n: int) -> "FockVector":
-        return FockVector(
-            self.window,
-            {s: c for s, c in self.states.items() if s[0] == n},
-            self.dual,
-        )
+        count = n - self.base
+        return self._like({b: c for b, c in self.bits.items() if b.bit_count() == count})
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FockVector)
-            and self.dual == other.dual
-            and self.states == other.states
-        )
+        if not isinstance(other, FockVector) or self.dual != other.dual:
+            return False
+        base = min(self.base, other.base)
+        return self._bits_at(base) == other._bits_at(base)
 
     def __repr__(self) -> str:
         kind = "Bra" if self.dual else "Ket"
         bits = [f"{c!r}*|{n},{list(p)}>" for (n, p), c in list(self.states.items())[:6]]
-        tail = " ..." if len(self.states) > 6 else ""
+        tail = " ..." if len(self.bits) > 6 else ""
         return f"{kind}({' + '.join(bits)}{tail})"
 
     def to_json(self) -> list:
@@ -210,31 +295,26 @@ def basis_vector(
 
 
 def _mode_into(out: dict, kind: str, k: int, v: FockVector, coeff=None) -> None:
-    """Add coeff * (mode operator at k) v into `out`: flip bit k, with the
-    wedge sign of the occupied modes above k and the phases of the source
-    and target shapes."""
-    window = v.window
+    """Add coeff * (mode operator at k) v into `out` (keyed at v's base):
+    flip bit k with the wedge sign of the occupied modes above k."""
+    window, base = v.window, v.base
     window.require(k)
-    lo = window.lo
+    pos = k - base
+    bit = 1 << pos
     filling = (kind == "psi") != v.dual
-    j = k - lo
-    for (n, parts), c in v.states.items():
-        base = min(lo, n - len(parts))
-        bits = occupation_bits(n, parts, base)
-        if (bits >> (k - base) & 1) == filling:
+    for bits, c in v.bits.items():
+        if (bits >> pos & 1) == filling:
             continue
         # k lies in the window, so only a source outside it leaves it
-        _check_state_window(window, n, parts)
-        key = _state_of_bits(bits ^ (1 << j), lo)
-        odd = ((bits >> (j + 1)).bit_count() + sign_exponent(parts) + sign_exponent(key[1])) & 1
+        _check_bits_window(window, base, bits)
         term = c if coeff is None else c * coeff
-        _add_into(out, key, -term if odd else term)
+        _add_into(out, bits ^ bit, -term if (bits >> (pos + 1)).bit_count() & 1 else term)
 
 
 def apply_mode(kind: str, k: int, v: FockVector) -> FockVector:
-    out: dict[State, object] = {}
+    out: dict = {}
     _mode_into(out, kind, k, v)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 def apply_psi(k: int, v: FockVector) -> FockVector:
@@ -260,10 +340,10 @@ def combo(parts: Iterable[tuple[object, str, int]]) -> Letter:
 
 
 def apply_letter(lt: Letter, v: FockVector) -> FockVector:
-    out: dict[State, object] = {}
+    out: dict = {}
     for coeff, kind, k in lt:
         _mode_into(out, kind, k, v, coeff)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 def apply_word(letters: Iterable[Letter], v: FockVector) -> FockVector:
@@ -282,14 +362,15 @@ def inner(bra: FockVector, ket: FockVector):
         raise ValueError("window mismatch")
     if not bra.dual or ket.dual:
         raise ValueError("inner expects (bra, ket)")
-    total = None
-    for s, c in bra.states.items():
-        d = ket.states.get(s)
-        if d is None:
-            continue
-        term = c * d
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+    base = min(bra.base, ket.base)
+    kets = ket._bits_at(base)
+    total: dict = {}
+    for b, c in bra._bits_at(base).items():
+        d = kets.get(b)
+        if d is not None:
+            _add_into(total, 0, c * d)
+    out = total.get(0, Fraction(0))
+    return out.poly() if type(out) is _Sum else out
 
 
 def vev(window: ModeWindow, n: int, letters: Iterable[Letter]):
@@ -400,7 +481,7 @@ def apply_normal_ordered_word(
     on vacuum n, or the bare vacuum when n is None) to the left and keep
     the permutation parity.  The ordered exponents' oracle."""
     top = inf if n is None else n
-    out: dict[State, object] = {}
+    out: dict = {}
 
     def rec(chosen: list[tuple[str, int]], remaining: list[Letter], coeff):
         if not remaining:
@@ -417,7 +498,7 @@ def apply_normal_ordered_word(
             rec(chosen + [(kind, mode)], tail, coeff * c)
 
     rec([], list(letters), Fraction(1))
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 # -- projectors ----------------------------------------------------------------
@@ -433,23 +514,24 @@ def project(
     "plus_state"/"minus_state": occupied set contains / is contained in the
     reference state's occupied set.
     """
+    base = v.base
+    if kind in ("plus_state", "minus_state"):
+        assert shape is not None
+        base = min(base, n - shape.length)
+        ref = occupation_bits(n, shape.parts, base)
     out = {}
-    for (m, parts), c in v.states.items():
+    for bits, c in v._bits_at(base).items():
         if kind == "plus":
-            keep = len(parts) <= m - n
+            keep = base + (~bits & (bits + 1)).bit_length() - 1 >= n  # lowest hole
         elif kind == "minus":
-            keep = (parts[0] if parts else 0) <= n - m
+            keep = base + bits.bit_length() <= n  # above the top particle
         elif kind in ("plus_state", "minus_state"):
-            assert shape is not None
-            base = min(n - shape.length, m - len(parts))
-            mine = occupation_bits(m, parts, base)
-            ref = occupation_bits(n, shape.parts, base)
-            keep = not (ref & ~mine if kind == "plus_state" else mine & ~ref)
+            keep = not (ref & ~bits if kind == "plus_state" else bits & ~ref)
         else:
             raise ValueError(f"unknown projector {kind!r}")
         if keep:
-            out[(m, parts)] = c
-    return FockVector(v.window, out, v.dual)
+            out[bits] = c
+    return FockVector._from_sums(v.window, base, out, v.dual)
 
 
 def outer_project(
@@ -458,8 +540,8 @@ def outer_project(
     """|ket><bra| acting on a ket vector."""
     if v.dual:
         raise ValueError("outer_project acts on kets")
-    c = v.states.get((bra_n, bra_shape.parts))
-    if c is None:
+    c = v.component(bra_n, bra_shape)
+    if not c:
         return FockVector(v.window, {})
     _check_state_window(v.window, ket_n, ket_shape.parts)
     return FockVector(v.window, {(ket_n, ket_shape.parts): c})
@@ -469,7 +551,7 @@ def outer_project(
 
 
 def apply_charge(v: FockVector) -> FockVector:
-    return FockVector(v.window, {s: c * s[0] for s, c in v.states.items()}, v.dual)
+    return v._like({b: c * (v.base + b.bit_count()) for b, c in v.bits.items()})
 
 
 def apply_current(k: int, v: FockVector) -> FockVector:
@@ -477,53 +559,59 @@ def apply_current(k: int, v: FockVector) -> FockVector:
     (transpose on bras); the charge operator at k = 0."""
     if k == 0:
         return apply_charge(v)
-    out: dict[State, object] = {}
+    out: dict = {}
     _current_into(out, k, v)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 def _current_into(out: dict, k: int, v: FockVector, coeff=None) -> None:
-    """Add coeff * J_k v (k != 0) into `out`: each particle that can move by
-    |k| hops over the set bits.  A hop's two wedge signs reduce to the parity
-    of the occupied modes it passes; the source and target phases complete
-    the sign (the intermediate phase cancels).  A hop from below the window
-    or to at or above it raises, as does any hop from a state outside it."""
-    window = v.window
-    lo, width = window.lo, window.hi - window.lo
+    """Add coeff * J_k v (k != 0) into `out` (keyed at v's base): each
+    particle that can move by |k| hops over the set bits, with the sign of
+    the occupied modes it passes.  A hop from below the window or to at or
+    above it raises, as does any hop from a state outside it."""
+    window, base = v.window, v.base
+    d, top = window.lo - base, window.hi - base
+    fill = (1 << d) - 1
     up = (k < 0) != v.dual  # kets hop m -> m - k, bras m -> m + k
     s = abs(k)
     low, passed = (1 << s) - 1, (1 << (s - 1)) - 1
-    for (n, parts), c in v.states.items():
-        base = min(lo, n - len(parts))
-        bits = occupation_bits(n, parts, base)
-        # an upward hop into the lowest s modes starts below lo; one from the
-        # top s modes lands at or past hi
-        if up and (~bits & low or bits >> max(width - s, 0)):
-            raise WindowViolation(f"J_{k} on state ({n}, {parts}) leaves window {window}")
-        hops = bits & ~(bits >> s) if up else bits & ~((bits << s) | low)
-        if not hops:
-            continue
-        _check_state_window(window, n, parts)
-        phase = sign_exponent(parts)
+    edge = max(top - s, d)
+    for bits, c in v.bits.items():
+        if up:
+            # an upward hop into the lowest s window modes starts below lo;
+            # one from the top s modes lands at or past hi
+            if bits & fill != fill or bits >> top or ~(bits >> d) & low or bits >> edge:
+                n, parts = _state_of_bits(bits, base)
+                raise WindowViolation(f"J_{k} on state ({n}, {parts}) leaves window {window}")
+            hops = bits & ~(bits >> s)
+        else:
+            hops = bits & ~((bits << s) | low)
+            if not hops:
+                continue
+            _check_bits_window(window, base, bits)
         term = c if coeff is None else c * coeff
-        signed = (term, -term)
+        neg = None
         while hops:
             m = hops.bit_length() - 1
             hops ^= 1 << m
             t = m + s if up else m - s
-            key = _state_of_bits(bits ^ (1 << m) ^ (1 << t), lo)
-            between = (bits >> (min(m, t) + 1) & passed).bit_count()
-            _add_into(out, key, signed[(between + phase + sign_exponent(key[1])) & 1])
+            target = bits ^ (1 << m) ^ (1 << t)
+            add = term
+            if (bits >> ((m if up else t) + 1) & passed).bit_count() & 1:
+                if neg is None:
+                    neg = -term
+                add = neg
+            _add_into(out, target, add)
 
 
 def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> FockVector:
-    out: dict[State, object] = {}
+    out: dict = {}
     for k, c in coeffs.items():
         if k == 0:
             accumulate(out, apply_charge(v), c)
         elif c:
             _current_into(out, k, v, c)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 def skew_schur_signed(
@@ -547,8 +635,9 @@ def apply_current_exp(
     reaches every smaller shape and does not read it.
     """
     grow = (direction == "lower") != v.dual
-    out: dict[State, object] = {}
-    for (n, parts), c in v.states.items():
+    out: dict = {}
+    for bits, c in v.bits.items():
+        n, parts = _state_of_bits(bits, v.base)
         lam = Partition(parts)
         for mu in enumerate_partitions(lam.weight + depth if grow else lam.weight):
             big, small = (mu, lam) if grow else (lam, mu)
@@ -557,11 +646,11 @@ def apply_current_exp(
             coeff = skew_schur_signed(family, big, small, sign)
             if coeff.is_zero:
                 continue
-            phase = (-1) ** (big.sign_exponent() - small.sign_exponent())
             if grow:
                 _check_state_window(v.window, n, mu.parts)
-            _add_into(out, (n, mu.parts), c * coeff * phase)
-    return FockVector(v.window, out, v.dual)
+            # in wedge phase the skew coefficient carries no shape sign
+            _add_into(out, occupation_bits(n, mu.parts, v.base), c * coeff)
+    return v._like(out)
 
 
 def vacuum_readout(family: TimeFamily, v: FockVector, n: int, depth: int) -> Poly:
@@ -583,20 +672,21 @@ def apply_current_exp_direct(
     coefficient weight are trimmed exactly (they can never feed back)."""
     mode_sign = -1 if direction == "lower" else +1
     coeffs = {mode_sign * k: family.time(k) * sign for k in range(1, depth + 1)}
-    cap = max((sum(p) for _, p in v.states), default=0) + depth
+    cap = max(map(_weight, v.bits), default=0) + depth
+    limit = 4 * (depth + 4) + sum(len(p) + sum(p) for _, p in v.states)
     term = v.scale(family.one())
-    out = dict(term.states)
+    out = dict(term.bits)
     step = 1
     while True:
         scaled = {k: c * Fraction(1, step) for k, c in coeffs.items()}
         term = apply_current_combination(scaled, term)
         if direction == "lower":
-            term.states = {s: c for s, c in term.states.items() if sum(s[1]) <= cap}
+            term = term._like({b: c for b, c in term.bits.items() if _weight(b) <= cap})
         if term.is_zero:
-            return FockVector(v.window, out, v.dual)
+            return v._like(out)
         accumulate(out, term)
         step += 1
-        if step > 4 * (depth + 4) + sum(len(p) + sum(p) for _, p in v.states):
+        if step > limit:
             raise RuntimeError("current exponential failed to terminate")
 
 
@@ -610,7 +700,7 @@ def apply_scaled_current_schur(
     fam = standard_single_family(max(shape.weight, 1))
     poly = schur_jt(fam, shape)
     mode_sign = -1 if direction == "lower" else +1
-    out: dict[State, object] = {}
+    out: dict = {}
     for key, c in poly.terms.items():
         piece = v.scale(c)
         for idx, e in key:
@@ -618,7 +708,7 @@ def apply_scaled_current_schur(
             for _ in range(e):
                 piece = apply_current(mode_sign * k, piece).scale(Fraction(1, k))
         accumulate(out, piece)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 # -- diagonal flows --------------------------------------------------------------
@@ -652,12 +742,13 @@ def apply_diagonal_exp(
     the unit of the flow is kept exact by choosing `base` rational."""
     base = Fraction(base)
     out = {}
-    for (n, parts), c in v.states.items():
+    for bits, c in v.bits.items():
+        n, parts = _state_of_bits(bits, v.base)
         s = diagonal_exponent(p_coeffs, n, Partition(parts))
         if s.denominator != 1:
             raise ValueError("diagonal exponent is not an integer for this state")
-        out[(n, parts)] = c * base ** int(s)
-    return FockVector(v.window, out, v.dual)
+        out[bits] = c * base ** int(s)
+    return v._like(out)
 
 
 def apply_diagonal_multipliers(
@@ -666,16 +757,16 @@ def apply_diagonal_multipliers(
     """Window-direct diagonal action: multiply by mult(j) for each occupied
     j >= 0 and divide by mult(j) for each empty j < 0, over the window: the
     tests' oracle (a `Diagonal` reads only the occupied listed modes)."""
+    window, base = v.window, v.base
     out = {}
-    for (n, parts), c in v.states.items():
-        _check_state_window(v.window, n, parts)
-        occupied = occupancy(n, parts)
+    for bits, c in v.bits.items():
+        _check_bits_window(window, base, bits)
         factor = Fraction(1)
-        for j in range(0, v.window.hi):
-            if occupied(j):
+        for j in range(0, window.hi):
+            if _occupied(bits, base, j):
                 factor *= Fraction(mult(j))
-        for j in range(v.window.lo, 0):
-            if not occupied(j):
+        for j in range(window.lo, 0):
+            if not _occupied(bits, base, j):
                 factor /= Fraction(mult(j))
-        out[(n, parts)] = c * factor
-    return FockVector(v.window, out, v.dual)
+        out[bits] = c * factor
+    return v._like(out)

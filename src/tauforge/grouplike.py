@@ -27,7 +27,8 @@ from tauforge.fock import (
     FockVector,
     Letter,
     ModeWindow,
-    _check_state_window,
+    _check_bits_window,
+    _occupied,
     accumulate,
     apply_diagonal_exp,
     apply_mode,
@@ -37,7 +38,6 @@ from tauforge.fock import (
     frobenius_word,
     inner,
     letter,
-    occupancy,
     outer_project,
     project,
     vacuum,
@@ -313,7 +313,7 @@ def _apply_bilinear_once(mat: ModeMatrix, v: FockVector, scale) -> FockVector:
     out: dict = {}
     for (i, k), c in mat.entries.items():
         accumulate(out, apply_word([letter("psi*", i), letter("psi", k)], v), c * scale)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 def _coupling_entries(a_rows) -> dict[tuple[int, int], Fraction]:
@@ -360,16 +360,15 @@ def _apply_ordered_exponent(mat: ModeMatrix, ordering: int | None, v: FockVector
     tractable."""
     top = inf if ordering is None else ordering
     out: dict = {}
-    for state, amp in v.states.items():
-        sv = FockVector(v.window, {state: amp}, v.dual)
-        occupied = occupancy(*state)
+    for bits, amp in v.bits.items():
+        sv = v._like({bits: amp})
 
         def lives(kind: str, mode: int) -> bool:
             # the side that meets the state first (creation on a bra) must
             # find its mode empty to fill it, filled to empty it
             if creates(kind, mode, top) != v.dual:
                 return True
-            return occupied(mode) != ((kind == "psi") != v.dual)
+            return _occupied(bits, v.base, mode) != ((kind == "psi") != v.dual)
 
         # one row test and one column test, so dropping an entry prunes
         # exactly the minors it would enter
@@ -387,7 +386,7 @@ def _apply_ordered_exponent(mat: ModeMatrix, ordering: int | None, v: FockVector
                 else:
                     annihilated.append(letter(kind, mode))
             accumulate(out, apply_word(created + annihilated, sv), -det if passed % 2 else det)
-    return FockVector(v.window, out, v.dual)
+    return v._like(out)
 
 
 def apply_element(g, v: FockVector) -> FockVector:
@@ -395,13 +394,13 @@ def apply_element(g, v: FockVector) -> FockVector:
     if isinstance(g, Identity):
         return v
     if isinstance(g, ExponentBilinear):
-        out = dict(v.states)
+        out = dict(v.bits)
         term = v
         cap = len(g.b.modes()) ** 2 + 8
         for step in range(1, cap + 2):
             term = _apply_bilinear_once(g.b, term, Fraction(1, step))
             if term.is_zero:
-                return FockVector(v.window, out, v.dual)
+                return v._like(out)
             accumulate(out, term)
         raise RuntimeError("bilinear exponential did not terminate")
     if isinstance(g, NormalOrderedBilinear):
@@ -412,16 +411,15 @@ def apply_element(g, v: FockVector) -> FockVector:
         # ordered: divided by the charge-0 vacuum's value, states in the window
         sea = prod((m for j, m in g.mults if j < 0), start=Fraction(1)) if g.ordered else 1
         out = {}
-        for (n, parts), c in v.states.items():
+        for bits, c in v.bits.items():
             if g.ordered:
-                _check_state_window(v.window, n, parts)
+                _check_bits_window(v.window, v.base, bits)
             factor = Fraction(1)
-            occupied = occupancy(n, parts)
             for mode, m in g.mults:
-                if occupied(mode):
+                if _occupied(bits, v.base, mode):
                     factor *= m
-            out[(n, parts)] = c * (factor / sea)
-        return FockVector(v.window, out, v.dual)
+            out[bits] = c * (factor / sea)
+        return v._like(out)
     if isinstance(g, DiagonalFlow):
         return apply_diagonal_exp(list(g.p_coeffs), g.base, v)
     if isinstance(g, ProjectorElement):
@@ -445,7 +443,7 @@ def apply_element(g, v: FockVector) -> FockVector:
                 for k in reversed(cols)
             ]
             accumulate(out, apply_word(word, v), det)
-        return FockVector(v.window, out, v.dual)
+        return v._like(out)
     if isinstance(g, Product):
         seq = list(g.factors)
         if not v.dual:

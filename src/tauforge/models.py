@@ -126,8 +126,7 @@ def soliton_tau(
     closed-form minors), "schur_sum" (signed-coefficient expansion through
     the exact kernels)."""
     if form == "determinant":
-        rows = _coupled_kernel_rows(data, lambda k, j: _exp_eta(family, data, k, j, n), family)
-        poly = poly_matrix_det(rows)
+        poly = _coupled_kernel_det(data, lambda k, j: _exp_eta(family, data, k, j, n), family)
         return TauSeries("MKP", n, poly, {}, {"depth": depth, "form": form})
     if form == "explicit":
         total = _Sum(family.zero())
@@ -149,14 +148,17 @@ def soliton_tau(
     raise ValueError(f"unknown form {form!r}")
 
 
-def _coupled_kernel_rows(data: SolitonData, eta, family: TimeFamily) -> list[list[Poly]]:
-    """Rows of I + A K for the kernel K_kj = eta(k, j), each K_kj formed once
-    and only when a nonzero coupling uses it."""
+def _coupled_kernel_det(data: SolitonData, eta, family: TimeFamily) -> Poly:
+    """det(I + A K) for the kernel K_kj = eta(k, j).  A hole point whose
+    couplings all vanish has a unit row, so its column never enters: the
+    determinant is taken over the coupled hole points only, and each K_kj
+    is formed once and only when a nonzero coupling uses it."""
     eta = cache(eta)
+    coupled = [i for i in range(data.size) if any(data.couplings[i])]
     rows = []
-    for i in range(data.size):
+    for i in coupled:
         row = []
-        for j in range(data.size):
+        for j in coupled:
             acc = _Sum(family.one() if i == j else family.zero())
             for k, c in enumerate(data.couplings[i]):
                 if c:
@@ -164,7 +166,7 @@ def _coupled_kernel_rows(data: SolitonData, eta, family: TimeFamily) -> list[lis
                     acc.add(eta(k, j), c)
             row.append(acc.poly())
         rows.append(row)
-    return rows
+    return poly_matrix_det(rows) if rows else family.one()
 
 
 def soliton_fermionic_det(
@@ -718,8 +720,8 @@ def soliton_tau_two_family(
         dressing = (family_minus.xi_value(1 / p) - family_minus.xi_value(1 / q)).series_exp()
         return _exp_eta(family_plus, data, i, k, n) * dressing
 
-    rows = _coupled_kernel_rows(data, dressed_eta, family_plus)
+    det = _coupled_kernel_det(data, dressed_eta, family_plus)
     quad = family_plus.zero()
     for k in range(1, min(family_plus.depth, family_minus.depth) + 1):
         quad = quad + family_plus.time(k) * family_minus.time(k) * (-k)
-    return quad.series_exp() * poly_matrix_det(rows)
+    return quad.series_exp() * det

@@ -651,7 +651,9 @@ class _Sum:
         """Add `p`, or `p * scale` for a rational `scale`."""
         if p.table is not self.table and p.table != self.table:
             raise ValueError("polynomials live on different variable tables")
-        cut = _merge_cutoffs(self.table, self.cutoffs, p.cutoffs)
+        cut = self.cutoffs
+        if p.cutoffs != cut:
+            cut = _merge_cutoffs(self.table, cut, p.cutoffs)
         nums = self.nums
         if cut != self.cutoffs:
             self.nums = nums = {k: n for k, n in nums.items() if _within(self.table, cut, k)}

@@ -225,6 +225,14 @@ def test_expand_reports_a_user_window_that_is_too_small(capsys):
     assert "--window -1..1 is too small" in msg
 
 
+def test_expand_rejects_a_window_without_dots(capsys):
+    # used to say "not enough values to unpack (expected 2, got 1)"
+    for text in ("-3,3", "5"):
+        argv = ["expand", "--element", '{"kind": "identity"}', f"--window={text}"]
+        msg = usage_error(capsys, argv)
+        assert msg.endswith(f"bad --window {text!r}: expected lo..hi")
+
+
 def test_expand_rejects_unknown_species_and_mixed_letters(capsys):
     # an unknown species used to run as psi* and exit 0 with a wrong series
     for species in (["phi"], ["psi", "psi*"]):
@@ -442,6 +450,37 @@ def test_model_soliton_zero_point_without_coupling_is_no_pole(capsys):
     assert report_digest(capsys, argv) == (
         0, "b0f9668687b8f2d60ae73c677abc1b922a207534dcad568687c7647a42ceaa1c"
     )
+
+
+def test_model_soliton_uncoupled_zero_hole_point_is_no_pole(capsys):
+    # the hole point 0 has an all-zero coupling row, so its kernel column
+    # never enters det(I + A K); this used to exit 2 with "the point 0 is a
+    # pole of z^-1" at charge 2
+    from tauforge.models import SolitonData, soliton_tau
+    from tauforge.partitions import Partition
+    from tauforge.polyring import Poly, standard_single_family
+    from tauforge.schur import schur_jt
+
+    argv = ["model", "--kind", "soliton", "--points-p", "1/3,1/5", "--points-q", "1/2,0",
+            "--couplings", "1,1;0,0", "--charge", "2", "--cutoff", "4"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    model = Poly.from_json(json.loads(out)["tau"])
+
+    fam = standard_single_family(4)
+    element = {"kind": "soliton", "couplings": [["1", "1"], ["0", "0"]],
+               "ps": ["1/3", "1/5"], "qs": ["1/2", "0"]}
+    code, out = run(capsys, ["expand", "--charge", "2", "--cutoff", "4",
+                             "--element", json.dumps(element)])
+    assert code == 0
+    expansion = fam.zero()
+    for term in json.loads(out)["terms"]:
+        expansion = expansion + schur_jt(fam, Partition(term["partition"])) * F(term["coeff"])
+
+    data = SolitonData((F(1, 3), F(1, 5)), (F(1, 2), F(0)), ((F(1), F(1)), (F(0), F(0))))
+    explicit = soliton_tau(data, 2, fam, 4, form="explicit").poly
+    assert not model.is_zero
+    assert model == expansion == explicit
 
 
 def test_model_soliton_zero_point_at_charge_without_pole(capsys):

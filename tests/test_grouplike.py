@@ -10,7 +10,6 @@ from tauforge import grouplike
 from tauforge.fock import (
     FockVector,
     ModeWindow,
-    accumulate,
     apply_mode,
     apply_diagonal_multipliers,
     apply_normal_ordered_word,
@@ -371,7 +370,7 @@ def reference_ordered_exponent(g: NormalOrderedBilinear, v: FockVector) -> FockV
     """One ordered word per partial permutation of the entries, pruned per
     input state by the letters that meet the state first."""
     n0 = g.ordering
-    out: dict = {}
+    out = FockVector(v.window, {}, v.dual)
     for state, amp in v.states.items():
         sv = FockVector(v.window, {state: amp}, v.dual)
         occupied = occupancy(*state)
@@ -389,17 +388,17 @@ def reference_ordered_exponent(g: NormalOrderedBilinear, v: FockVector) -> FockV
             word = [letter("psi*", i) for i, _ in pairs]
             word += [letter("psi", k) for _, k in reversed(pairs)]
             if n0 is None:
-                accumulate(out, apply_word(word, sv), coeff)
+                out = out + apply_word(word, sv).scale(coeff)
             else:
-                accumulate(out, apply_normal_ordered_word(word, n0, sv), coeff)
-    return FockVector(v.window, out, v.dual)
+                out = out + apply_normal_ordered_word(word, n0, sv).scale(coeff)
+    return out
 
 
 def reference_soliton(g: SolitonExponent, v: FockVector) -> FockVector:
     """One window-truncated field word per partial permutation."""
     n = len(g.ps)
     entries = [((i, k), g.a_rows[i][k]) for i in range(n) for k in range(n) if g.a_rows[i][k]]
-    out: dict = {}
+    out = FockVector(v.window, {}, v.dual)
     for pairs, coeff in partial_permutations(entries):
         word = [
             grouplike.field_letter_to_window([(F(1), "psi*", g.qs[i], 0)], v.window)
@@ -409,8 +408,8 @@ def reference_soliton(g: SolitonExponent, v: FockVector) -> FockVector:
             grouplike.field_letter_to_window([(F(1), "psi", g.ps[k], 0)], v.window)
             for _, k in reversed(pairs)
         ]
-        accumulate(out, apply_word(word, v), coeff)
-    return FockVector(v.window, out, v.dual)
+        out = out + apply_word(word, v).scale(coeff)
+    return out
 
 
 small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
