@@ -73,18 +73,30 @@ def _int(x) -> int:
     raise ValueError(f"indices must be integers or integer strings, got {x!r}")
 
 
+def _json(x, kind: type, what: str):
+    """x, when it is the JSON array (`list`) or object (`dict`) that `what`
+    takes; anything else is bad input."""
+    if not isinstance(x, kind):
+        name = "array" if kind is list else "object"
+        raise ValueError(f"{what} must be a JSON {name}, got {json.dumps(x)}")
+    return x
+
+
 def _matrix_from_json(spec: dict) -> ModeMatrix:
     """Either an explicit entry list or a row-major array with index
     offsets: {"row_offset": r0, "col_offset": c0, "rows": [[...], ...]}."""
     if "entries" in spec:
         return ModeMatrix(
-            {(_int(e["row"]), _int(e["col"])): _frac(e["value"]) for e in spec["entries"]}
+            {
+                (_int(_json(e, dict, "an entry")["row"]), _int(e["col"])): _frac(e["value"])
+                for e in _json(spec["entries"], list, "entries")
+            }
         )
-    mat = spec["matrix"]
+    mat = _json(spec["matrix"], dict, "matrix")
     r0, c0 = _int(mat.get("row_offset", 0)), _int(mat.get("col_offset", 0))
     entries = {}
-    for i, row in enumerate(mat["rows"]):
-        for k, value in enumerate(row):
+    for i, row in enumerate(_json(mat["rows"], list, "rows")):
+        for k, value in enumerate(_json(row, list, "a row")):
             v = _frac(value)
             if v:
                 entries[(r0 + i, c0 + k)] = v
@@ -92,18 +104,21 @@ def _matrix_from_json(spec: dict) -> ModeMatrix:
 
 
 def element_from_json(spec: dict):
-    kind = spec["kind"]
+    kind = _json(spec, dict, "an element")["kind"]
     if kind == "identity":
         return Identity()
     if kind == "character":
-        lam = Partition([_int(p) for p in spec["partition"]])
+        lam = Partition([_int(p) for p in _json(spec["partition"], list, "partition")])
         return StateProjector(0, lam, 0, Partition([]))
     if kind == "soliton":
-        rows = tuple(tuple(_frac(x) for x in row) for row in spec["couplings"])
+        rows = tuple(
+            tuple(_frac(x) for x in _json(row, list, "a couplings row"))
+            for row in _json(spec["couplings"], list, "couplings")
+        )
         return SolitonExponent(
             rows,
-            tuple(_frac(p) for p in spec["ps"]),
-            tuple(_frac(q) for q in spec["qs"]),
+            tuple(_frac(p) for p in _json(spec["ps"], list, "ps")),
+            tuple(_frac(q) for q in _json(spec["qs"], list, "qs")),
         )
     if kind == "exponent_bilinear":
         return ExponentBilinear(_matrix_from_json(spec))
@@ -113,13 +128,17 @@ def element_from_json(spec: dict):
             _matrix_from_json(spec), None if ordering is None else _int(ordering)
         )
     if kind == "diagonal":
-        mults = tuple((_int(m["mode"]), _frac(m["value"])) for m in spec["mults"])
+        mults = tuple(
+            (_int(_json(m, dict, "a multiplier")["mode"]), _frac(m["value"]))
+            for m in _json(spec["mults"], list, "mults")
+        )
         ordered = spec.get("ordered", True)
         if not isinstance(ordered, bool):
             raise ValueError(f"ordered must be true or false, got {ordered!r}")
         return Diagonal(mults, ordered=ordered)
     if kind == "projector":
         side, shape = spec["side"], spec.get("partition")
+        shape = None if shape is None else _json(shape, list, "partition")
         if side not in ("plus", "minus", "plus_state", "minus_state"):
             raise ValueError(f"unknown projector side {side!r}")
         if side.endswith("_state") and shape is None:
@@ -131,8 +150,11 @@ def element_from_json(spec: dict):
         )
     if kind == "linear_word":
         letters = tuple(
-            tuple((_frac(t["coeff"]), t["species"], _int(t["mode"])) for t in lt)
-            for lt in spec["letters"]
+            tuple(
+                (_frac(_json(t, dict, "a letter term")["coeff"]), t["species"], _int(t["mode"]))
+                for t in _json(lt, list, "a letter")
+            )
+            for lt in _json(spec["letters"], list, "letters")
         )
         for lt in letters:
             species = {s for _, s, _ in lt}
@@ -140,7 +162,7 @@ def element_from_json(spec: dict):
                 raise ValueError(f"a letter needs one species, psi or psi*: {sorted(species)}")
         return LinearWord(letters)
     if kind == "product":
-        return Product(tuple(element_from_json(f) for f in spec["factors"]))
+        return Product(tuple(element_from_json(f) for f in _json(spec["factors"], list, "factors")))
     raise ValueError(f"unknown element kind {kind!r}")
 
 

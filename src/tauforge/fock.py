@@ -15,8 +15,9 @@ operator construction: hole operators at the Frobenius leg positions,
 particle operators at the arm positions, applied to the shifted sea.  It
 differs from the wedge order by the shape's sign exponent, applied once
 where a state enters a vector (the constructor) or leaves it (`states`,
-`component`, `to_json`).  The route-agreement tests rebuild every basis
-state three independent ways to pin this down.
+`component`, `to_json`; `wedge_component` reads the stored phase).  The
+route-agreement tests rebuild every basis state three independent ways to
+pin this down.
 
 `creates` (which mode operators create on a vacuum, hence the pairing and
 every normal ordering) and `frobenius_word` (the basis word) are the vacuum
@@ -221,13 +222,14 @@ class FockVector:
     def is_zero(self) -> bool:
         return not self.bits
 
-    def component(self, n: int, shape):
-        parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
+    def wedge_component(self, n: int, parts: tuple[int, ...]):
         if n - len(parts) < self.base:  # a hole below every state's
             return Fraction(0)
-        c = self.bits.get(occupation_bits(n, parts, self.base))
-        if c is None:
-            return Fraction(0)
+        return self.bits.get(occupation_bits(n, parts, self.base), Fraction(0))
+
+    def component(self, n: int, shape):
+        parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
+        c = self.wedge_component(n, parts)
         return -c if sign_exponent(parts) & 1 else c
 
     def __add__(self, other: "FockVector") -> "FockVector":

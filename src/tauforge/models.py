@@ -36,7 +36,6 @@ from tauforge.grouplike import (
     apply_element,
     bilinear_minors,
     charge_of,
-    point_power,
 )
 from tauforge.partitions import (
     Partition,
@@ -62,7 +61,7 @@ from tauforge.tau import (
     expand_mkp,
     window_for_element,
 )
-from tauforge.wick import correlator_exact, vacuum_kernel
+from tauforge.wick import _field_field_kernel, correlator_exact, vacuum_kernel
 
 # -- solitons -------------------------------------------------------------------
 
@@ -108,9 +107,10 @@ def soliton_element(data: SolitonData) -> SolitonExponent:
 
 def _exp_eta(family: TimeFamily, data: SolitonData, i: int, k: int, n: int) -> Poly:
     """The elementary exponential factor p_i^n q_k^(1-n)/(q_k - p_i)
-    exp(xi(t,p_i) - xi(t,q_k)) of the kernel matrix; a pole raises."""
+    exp(xi(t,p_i) - xi(t,q_k)) of the kernel matrix; its prefactor is the
+    two-point kernel <n| psi*(q_k) psi(p_i) |n>, whose pole raises."""
     p, q = data.ps[i], data.qs[k]
-    pref = point_power(p, n) * point_power(q, 1 - n) / (q - p)
+    pref = _field_field_kernel(n, "psi*", p, 0, q, 0)
     return (family.xi_value(p) - family.xi_value(q)).series_exp() * pref
 
 

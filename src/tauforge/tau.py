@@ -103,22 +103,22 @@ def coefficient_reader(g, window: ModeWindow):
     q = charge_of(g)
     if is_field_based(g):
 
-        def pair(shape: Partition, n: int, source: Partition):
+        def read(shape: Partition, n: int, source: Partition = _EMPTY):
             letters = bra_letters(shape, n) + [g] + ket_letters(source, n - q)
-            return correlator_exact(n, letters, n - q)
+            sign = (-1) ** (shape.sign_exponent() + source.sign_exponent())
+            return correlator_exact(n, letters, n - q) * sign
 
-    else:
-        kets = {}
+        return read
 
-        def pair(shape: Partition, n: int, source: Partition):
-            ket = kets.get((n, source))
-            if ket is None:
-                ket = kets[(n, source)] = apply_element(g, basis_vector(window, n - q, source))
-            _check_state_window(window, n, shape.parts)
-            return ket.component(n, shape)
+    kets = {}
 
     def read(shape: Partition, n: int, source: Partition = _EMPTY):
-        return pair(shape, n, source) * (-1) ** (shape.sign_exponent() + source.sign_exponent())
+        # the bra's shape sign cancels the ket's: read the wedge phase
+        ket = kets.get((n, source))
+        if ket is None:
+            ket = kets[(n, source)] = apply_element(g, basis_vector(window, n - q, source))
+        _check_state_window(window, n, shape.parts)
+        return ket.wedge_component(n, shape.parts) * (-1) ** source.sign_exponent()
 
     return read
 

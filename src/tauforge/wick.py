@@ -6,8 +6,8 @@ Two evaluation routes coexist and cross-check each other:
   mode letters and every window-representable element);
 * the kernel route evaluates words of mode letters and point-evaluated
   fields against a vacuum through closed-form pair kernels (rational
-  functions of the points, differentiated exactly through jets in the
-  `Poly` ring), summed over pairings.
+  functions of the points whose derivatives are exact Leibniz sums over
+  rationals), summed over pairings.
 
 Raising-exponential insertions are handled by conjugation: each letter is
 "dressed" with the exponential-series factors, whose coefficients are
@@ -40,6 +40,7 @@ from tauforge.grouplike import (
     Product,
     SolitonExponent,
     _coupling_entries,
+    _falling,
     apply_element,
     bilinear_minors,
     field_mode,
@@ -47,18 +48,12 @@ from tauforge.grouplike import (
 from tauforge.polyring import (
     Poly,
     TimeFamily,
-    Variable,
-    VariableTable,
     _Sum,
     fraction_matrix_det,
     poly_matrix_det,
 )
 
-# -- the two-point kernel as a jet in the Poly ring ---------------------------
-
-# the infinitesimals e of z and f of zeta, each in a grading of its own so
-# that each is cut at its own derivative order
-_JET_TABLE = VariableTable([Variable("e", "e", 1), Variable("f", "f", 1)])
+# -- the two-point kernel ------------------------------------------------------
 
 
 def _field_field_kernel(
@@ -66,21 +61,22 @@ def _field_field_kernel(
 ) -> Fraction:
     """d^r/dz^r d^s/dzeta^s of the two-point vacuum kernel, with the field
     written first ("psi": z^n zeta^(1-n)/(z - zeta); "psi*": the sign-
-    flipped denominator), evaluated at rational points: the jet is a `Poly`
-    in z = p + e and zeta = q + f, and a pole raises ZeroDivisionError."""
+    flipped denominator), at rational points z = p, zeta = q, as a Leibniz
+    sum; a term whose falling factor vanishes is skipped before its powers
+    are formed, and a pole raises ZeroDivisionError."""
     if p == q or (not p and n < 0) or (not q and n > 1):
         raise ZeroDivisionError(f"z = {p}, zeta = {q} is a pole of z^{n} zeta^{1 - n}/(z - zeta)")
-    cut = {"e": r, "f": s}
-    z = Poly.variable(_JET_TABLE, cut, "e") + p
-    zeta = Poly.variable(_JET_TABLE, cut, "f") + q
-
-    def power(x: Poly, k: int) -> Poly:
-        return x**k if k >= 0 else x.series_inverse() ** -k
-
-    num = power(z, n) * power(zeta, 1 - n)
-    den = z - zeta if first_kind == "psi" else zeta - z
-    jet = num * den.series_inverse()
-    return jet.coefficient(cut) * factorial(r) * factorial(s)
+    psi = first_kind == "psi"
+    gap = p - q if psi else q - p
+    total = Fraction(0)
+    for a in range(r + 1):
+        for b in range(s + 1):
+            c = comb(r, a) * comb(s, b) * _falling(n, r - a) * _falling(1 - n, s - b)
+            if c:
+                # d^a/dz^a d^b/dzeta^b of 1/gap: (a+b)!/gap^(1+a+b), times (-1)^a ((-1)^b for psi*)
+                c *= factorial(a + b) * (-1) ** (a if psi else b)
+                total += c * p ** (n - r + a) * q ** (1 - n - s + b) / gap ** (1 + a + b)
+    return total
 
 
 # -- kernel letters -----------------------------------------------------------

@@ -248,6 +248,46 @@ def test_expand_rejects_unknown_projector_side(capsys):
         assert "bad --element" in msg and "projector side" in msg
 
 
+def test_expand_rejects_json_of_the_wrong_shape(capsys):
+    # a string where an array belongs used to be read character by character
+    # (the partition "21" as [2, 1], exit 0), and a non-object element or a
+    # non-array factor list exited 2 with a Python message
+    matrix = {"row_offset": -1, "col_offset": 0, "rows": [["1"]]}
+    letter = [{"coeff": "1", "species": "psi", "mode": 0}]
+    for spec, what in (
+        ({"kind": "character", "partition": "21"}, "partition must be a JSON array"),
+        ({"kind": "soliton", "couplings": "1", "ps": ["1"], "qs": ["2"]}, "couplings must"),
+        ({"kind": "soliton", "couplings": ["1"], "ps": ["1"], "qs": ["2"]}, "a couplings row"),
+        ({"kind": "soliton", "couplings": [["1"]], "ps": "1", "qs": ["2"]}, "ps must"),
+        ({"kind": "soliton", "couplings": [["1"]], "ps": ["1"], "qs": "2"}, "qs must"),
+        ({"kind": "diagonal", "mults": {"mode": 1, "value": "2"}}, "mults must"),
+        ({"kind": "diagonal", "mults": [[1, "2"]]}, "a multiplier must be a JSON object"),
+        ({"kind": "projector", "side": "plus_state", "partition": "1"}, "partition must"),
+        ({"kind": "linear_word", "letters": letter}, "a letter must be a JSON array"),
+        ({"kind": "linear_word", "letters": {"a": letter}}, "letters must"),
+        ({"kind": "linear_word", "letters": [["psi"]]}, "a letter term must be a JSON object"),
+        ({"kind": "product", "factors": {"a": 1}}, "factors must be a JSON array"),
+        ({"kind": "product", "factors": ["identity"]}, "an element must be a JSON object"),
+        ({"kind": "normal_ordered", "entries": "1"}, "entries must"),
+        ({"kind": "normal_ordered", "entries": [[-1, 0, "1"]]}, "an entry must"),
+        ({"kind": "normal_ordered", "matrix": [["1"]]}, "matrix must be a JSON object"),
+        ({"kind": "normal_ordered", "matrix": {**matrix, "rows": "1"}}, "rows must"),
+        ({"kind": "exponent_bilinear", "matrix": {**matrix, "rows": ["1"]}}, "a row must"),
+        ([1], "an element must be a JSON object, got [1]"),
+        (1, "an element must be a JSON object, got 1"),
+        (None, "an element must be a JSON object, got null"),
+    ):
+        msg = usage_error(capsys, ["expand", "--cutoff", "2", "--element", json.dumps(spec)])
+        assert "bad --element: " in msg and what in msg, msg
+    # the same fields as arrays and objects are read as before
+    for spec in (
+        {"kind": "character", "partition": [2, 1]},
+        {"kind": "product", "factors": [{"kind": "linear_word", "letters": [letter]}]},
+        {"kind": "normal_ordered", "matrix": matrix},
+    ):
+        assert run(capsys, ["expand", "--cutoff", "2", "--element", json.dumps(spec)])[0] == 0
+
+
 def entry_bilinear(row, col="0", value="1/2", **extra) -> str:
     return json.dumps(
         {"kind": "normal_ordered", "entries": [{"row": row, "col": col, "value": value}], **extra}
@@ -428,6 +468,19 @@ def test_model_rejects_soliton_pole_at_zero_hole_point(capsys):
                 "--charge", charge]
         msg = usage_error(capsys, argv)
         assert "bad soliton data" in msg and "pole" in msg
+
+
+def test_model_and_expand_report_one_soliton_pole_alike(capsys):
+    # both routes take the prefactor p^n q^(1-n)/(q - p) from the one
+    # two-point kernel, so its pole reads the same from either
+    for p, q, charge in (("0", "1/2", "-1"), ("1/3", "0", "2")):
+        model = usage_error(capsys, ["model", "--kind", "soliton", "--points-p", p,
+                                     "--points-q", q, "--charge", charge])
+        element = json.dumps(soliton_spec(p=p, q=q))
+        expand = usage_error(capsys, ["expand", "--charge", charge, "--element", element])
+        pole = f"z = {p}, zeta = {q} is a pole of z^{charge} zeta^{1 - int(charge)}/(z - zeta)"
+        assert model.endswith(f"bad soliton data at --charge {charge}: {pole}")
+        assert expand.endswith(f"bad --element at --charge {charge}: {pole}")
 
 
 def report_digest(capsys, argv) -> tuple[int, str]:

@@ -50,6 +50,17 @@ SOLITON_2X2 = json.dumps(
 )
 
 
+SOLITON_3X3 = json.dumps(
+    {
+        "kind": "soliton",
+        "couplings": [["1", "-1/2", "2"], ["2/3", "2", "1/3"], ["-1", "1/4", "3/2"]],
+        "ps": ["1/3", "2/5", "3/4"],
+        "qs": ["1/2", "1/7", "2/9"],
+    },
+    separators=(",", ":"),
+)
+
+
 GOLDEN = [
     (
         "verify --suite all --cutoff 6 --seed 1",
@@ -195,6 +206,22 @@ GOLDEN = [
         f"expand --charge 1 --cutoff 4 --element {SOLITON_2X2}",
         0,
         "7d79863bde569ecb8de8fa9795ff51883d47b857042d58a68fe979a22b619f7e",
+    ),
+    # a 3x3 soliton through the kernel route at three charges
+    (
+        f"expand --charge -1 --cutoff 6 --element {SOLITON_3X3}",
+        0,
+        "be8c090469463fac34ac0ddce1e5c08e3c708aef7c4687ede8f60fb21ada211d",
+    ),
+    (
+        f"expand --charge 0 --cutoff 6 --element {SOLITON_3X3}",
+        0,
+        "66c087fcbba7bbec12524c329144c5b20a10869fe8479c0c679b26424fbe28c1",
+    ),
+    (
+        f"expand --charge 1 --cutoff 6 --element {SOLITON_3X3}",
+        0,
+        "91258b09dbd3143761f151a7a536741829418325802b17299d69e2a98173e328",
     ),
     # the diagonal models at their default parameters
     (

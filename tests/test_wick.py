@@ -420,6 +420,8 @@ def test_field_field_kernel_matches_sympy_derivatives():
 
     z, zeta = sympy.symbols("z zeta")
     points = [(F(1, 3), F(1, 2)), (F(-2, 5), F(3, 7))]
+    # zero points at charges without a pole: p = 0 for n >= 0, q = 0 for n <= 1
+    zeros = {n: [(F(0), F(2, 3))] * (n >= 0) + [(F(3, 4), F(0))] * (n <= 1) for n in range(-2, 4)}
     checked = 0
     for n in range(-2, 4):
         for kind in ("psi", "psi*"):
@@ -428,7 +430,7 @@ def test_field_field_kernel_matches_sympy_derivatives():
             for r in range(4):
                 expr = by_z
                 for s in range(4):
-                    for p, q in points:
+                    for p, q in points + zeros[n]:
                         value = expr.subs(
                             {z: sympy.Rational(p.numerator, p.denominator),
                              zeta: sympy.Rational(q.numerator, q.denominator)}
@@ -439,7 +441,21 @@ def test_field_field_kernel_matches_sympy_derivatives():
                         checked += 1
                     expr = sympy.diff(expr, zeta)
                 by_z = sympy.diff(by_z, z)
-    assert checked == 6 * 2 * 16 * 2
+    assert checked == (6 * 2 + 8) * 2 * 16
+
+
+def test_field_field_kernel_poles_raise_with_their_name():
+    from tauforge.wick import _field_field_kernel
+
+    for n, p, q in ((-1, F(0), F(2, 3)), (-3, F(0), F(1, 2)), (2, F(3, 4), F(0)),
+                    (4, F(1, 5), F(0)), (1, F(1, 2), F(1, 2))):
+        for kind in ("psi", "psi*"):
+            for r, s in ((0, 0), (2, 1)):
+                with pytest.raises(ZeroDivisionError) as err:
+                    _field_field_kernel(n, kind, p, r, q, s)
+                assert str(err.value) == (
+                    f"z = {p}, zeta = {q} is a pole of z^{n} zeta^{1 - n}/(z - zeta)"
+                )
 
 
 def series_exp_jet(family, point, order, sign):
