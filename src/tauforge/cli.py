@@ -73,6 +73,14 @@ def _int(x) -> int:
     raise ValueError(f"indices must be integers or integer strings, got {x!r}")
 
 
+def _species(x) -> str:
+    if x not in ("psi", "psi*"):
+        raise ValueError(
+            f"a letter needs one species, psi or psi*: a term's species is {json.dumps(x)}"
+        )
+    return x
+
+
 def _json(x, kind: type, what: str):
     """x, when it is the JSON array (`list`) or object (`dict`) that `what`
     takes; anything else is bad input."""
@@ -151,7 +159,11 @@ def element_from_json(spec: dict):
     if kind == "linear_word":
         letters = tuple(
             tuple(
-                (_frac(_json(t, dict, "a letter term")["coeff"]), t["species"], _int(t["mode"]))
+                (
+                    _frac(_json(t, dict, "a letter term")["coeff"]),
+                    _species(t["species"]),
+                    _int(t["mode"]),
+                )
                 for t in _json(lt, list, "a letter")
             )
             for lt in _json(spec["letters"], list, "letters")

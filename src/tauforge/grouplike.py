@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, prod
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from tauforge.fock import (
@@ -95,11 +96,8 @@ class ModeMatrix:
 
 
 def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][j] * b[j][k] for j in range(n)), Fraction(0)) for k in range(n)]
-        for i in range(n)
-    ]
+    """The product of two dense matrices (lists of rows) of matching shapes."""
+    return [[sum(map(mul, row, col), Fraction(0)) for col in zip(*b)] for row in a]
 
 
 def _dense(mat: ModeMatrix, modes: list[int]) -> list[list[Fraction]]:

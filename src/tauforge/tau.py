@@ -4,8 +4,12 @@ Every tau coefficient is one signed matrix element of a group-like
 element, (-1)^(sign exponents) <shape, n| g |source, n - charge>, and every
 reader of coefficients takes them from one `coefficient_reader`.  The
 reader picks the route once: a window-representable element is applied
-once per (charge, source) and each bra shape read off that ket; a
-point-field element is paired shape by shape through the exact kernels.
+once per (charge, source) and each bra shape read off that ket; a soliton
+exponent is read by the generalized Wick theorem, c_shape = c_empty^(1-d)
+det[c_(a_i|b_j)], from its vacuum value and hook coefficients, which need
+one inverse of I + A K per charge; every other point-field element, and a
+soliton where that theorem does not apply (a source, c_empty = 0, a pole),
+is paired shape by shape through the exact kernels, which stay the oracle.
 The series expansions and the hook-determinant, row/column-determinant
 (with stepped charges), exchange and rectangle identities all read
 through one reader per call; the kernel route builds its basis letters
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 from tauforge.fock import (
@@ -32,13 +37,22 @@ from tauforge.grouplike import (
     Product,
     ProjectorElement,
     SolitonExponent,
+    _coupling_entries,
+    _matmul,
     apply_element,
     charge_of,
 )
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius, hook_shape
-from tauforge.polyring import Poly, TimeFamily, _Sum, poly_matrix_det
+from tauforge.polyring import (
+    Poly,
+    TimeFamily,
+    _Sum,
+    fraction_matrix_det,
+    fraction_matrix_inverse,
+    poly_matrix_det,
+)
 from tauforge.schur import _schur_poly, schur_jt
-from tauforge.wick import correlator_exact, from_mode_letter
+from tauforge.wick import correlator_exact, from_mode_letter, kernel_pair, kfield, kmode
 
 # -- plumbing -----------------------------------------------------------------
 
@@ -97,9 +111,11 @@ def coefficient_reader(g, window: ModeWindow):
 
     A window element is applied to each (charge, source) ket once, kept
     for the reader's lifetime only, and every bra shape must fit the
-    window (else WindowViolation, as for a basis bra); a point-field
-    element is paired through the exact kernels, shape by shape, and does
-    not read the window."""
+    window (else WindowViolation, as for a basis bra).  A point-field
+    element does not read the window: a bare `SolitonExponent` is read
+    from its hook matrix, built once per charge (`_hook_reader`), and any
+    other, or a soliton read with a source, at c_empty = 0 or at a kernel
+    pole, is paired through the exact kernels, shape by shape."""
     q = charge_of(g)
     if is_field_based(g):
 
@@ -108,7 +124,7 @@ def coefficient_reader(g, window: ModeWindow):
             sign = (-1) ** (shape.sign_exponent() + source.sign_exponent())
             return correlator_exact(n, letters, n - q) * sign
 
-        return read
+        return _hook_reader(g, read) if isinstance(g, SolitonExponent) else read
 
     kets = {}
 
@@ -119,6 +135,69 @@ def coefficient_reader(g, window: ModeWindow):
             ket = kets[(n, source)] = apply_element(g, basis_vector(window, n - q, source))
         _check_state_window(window, n, shape.parts)
         return ket.wedge_component(n, shape.parts) * (-1) ** source.sign_exponent()
+
+    return read
+
+
+def _hook_reader(g: SolitonExponent, kernel_read):
+    """The reader of a soliton exponent g = exp(sum A_ik psi*(q_i) psi(p_k))
+    by the generalized Wick theorem, with `kernel_read` where it does not
+    apply: a nonempty source, c_empty = 0, or a pole of the kernels (which
+    the kernel route then reports as it always has).
+
+    Per charge n, once: K_kj = <n| psi*(q_j) psi(p_k) |n> over the coupled
+    particle points k and hole points j, c_empty = det(I + A K) and
+    M = (I + A K)^-1 A.  A hook coefficient is
+    c_(a|b) = (-1)^(sign exponent) c_empty sum_ik M_ik <n| psi*_(n+a) psi(p_k) |n>
+    <n| psi_(n-b-1) psi*(q_i) |n>, memoized, and a shape of diagonal size d
+    reads det[c_(a_i|b_j)] / c_empty^(d-1) (the Giambelli identity), which
+    is 0 when d exceeds the number of coupled hole or particle points, since
+    the hook matrix factors through M."""
+    coupled = [key for key, c in _coupling_entries(g.a_rows).items() if c]
+    rows = sorted({i for i, _ in coupled})
+    cols = sorted({k for _, k in coupled})
+    a = [[g.a_rows[i][k] for k in cols] for i in rows]
+    holes = [kfield("psi*", g.qs[i]) for i in rows]
+    particles = [kfield("psi", g.ps[k]) for k in cols]
+    rank = min(len(rows), len(cols))  # a bound on the rank of every hook matrix
+    vacua: dict[int, tuple | None] = {}
+    hooks: dict[tuple[int, int, int], Fraction] = {}
+
+    def vacuum_data(n: int):
+        if n not in vacua:
+            vacua[n] = None
+            try:
+                kernel = [[kernel_pair(n, h, p) for h in holes] for p in particles]
+            except ZeroDivisionError:
+                return None
+            one_plus = _matmul(a, kernel)
+            for i, row in enumerate(one_plus):
+                row[i] += 1
+            c_empty = fraction_matrix_det(one_plus)
+            if c_empty:
+                vacua[n] = (c_empty, _matmul(fraction_matrix_inverse(one_plus), a))
+        return vacua[n]
+
+    def hook(n: int, alpha: int, beta: int) -> Fraction:
+        got = hooks.get((n, alpha, beta))
+        if got is None:
+            c_empty, m = vacua[n]
+            arm = [kernel_pair(n, kmode("psi*", n + alpha), p) for p in particles]
+            leg = [kernel_pair(n, kmode("psi", n - beta - 1), h) for h in holes]
+            total = sum((x * sum(map(mul, row, arm)) for x, row in zip(leg, m)), Fraction(0))
+            sign = (-1) ** hook_shape(alpha, beta).sign_exponent()
+            got = hooks[(n, alpha, beta)] = total * c_empty * sign
+        return got
+
+    def read(shape: Partition, n: int, source: Partition = _EMPTY):
+        data = None if source else vacuum_data(n)
+        if data is None:
+            return kernel_read(shape, n, source)
+        alphas, betas = shape.frobenius()
+        if len(alphas) > rank:
+            return Fraction(0)
+        entries = [[hook(n, al, be) for be in betas] for al in alphas]
+        return fraction_matrix_det(entries) / data[0] ** (len(alphas) - 1)
 
     return read
 

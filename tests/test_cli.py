@@ -242,6 +242,14 @@ def test_expand_rejects_unknown_species_and_mixed_letters(capsys):
         assert "bad --element" in msg and "one species" in msg
 
 
+def test_expand_names_a_species_that_is_not_a_string(capsys):
+    # a list as species used to exit 2 with "unhashable type: 'list'"
+    spec = {"kind": "linear_word", "letters": [[{"coeff": "1", "species": ["psi"], "mode": 0}]]}
+    msg = usage_error(capsys, ["expand", "--cutoff", "2", "--element", json.dumps(spec)])
+    assert msg.endswith('bad --element: a letter needs one species, psi or psi*: '
+                        'a term\'s species is ["psi"]')
+
+
 def test_expand_rejects_unknown_projector_side(capsys):
     for spec in ({"kind": "projector", "side": "bogus"}, {"kind": "projector", "side": "plus_state"}):
         msg = usage_error(capsys, ["expand", "--element", json.dumps(spec)])
@@ -397,6 +405,31 @@ def test_point_field_products_take_the_kernel_route(capsys):
     for argv in (argv, ["verify", "--suite", "kp", "--element"]):
         msg = usage_error(capsys, argv + [mixed])
         assert "bad --element" in msg and "no exact route" in msg
+
+
+def outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one command, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_soliton_poles_read_alike_on_the_hook_and_kernel_routes(capsys):
+    # a bare soliton takes the hook route and a one-factor product the kernel
+    # route; a pole of the hook matrix's kernels hands the read back to the
+    # kernel route, so both report the pole the kernels meet first
+    dense = [["1", "-1/2"], ["2/3", "2"]]
+    for ps, qs, pole in ((["0", "2/5"], ["1/2", "1/7"], -1), (["1/3", "2/5"], ["1/2", "0"], 2)):
+        spec = {"kind": "soliton", "couplings": dense, "ps": ps, "qs": qs}
+        product = {"kind": "product", "factors": [spec]}
+        for charge in (pole, 0, 1):
+            argv = ["expand", "--charge", str(charge), "--cutoff", "4", "--element"]
+            hooks = outcome(capsys, argv + [json.dumps(spec)])
+            assert hooks == outcome(capsys, argv + [json.dumps(product)])
+            assert hooks[0] == (2 if charge == pole else 0)
+            assert (charge == pole) == ("is a pole of" in hooks[2])
 
 
 def test_model_rejects_log_squared_parameter_with_one_value(capsys):

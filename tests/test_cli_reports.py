@@ -61,6 +61,22 @@ SOLITON_3X3 = json.dumps(
 )
 
 
+SOLITON_4X4 = json.dumps(
+    {
+        "kind": "soliton",
+        "couplings": [
+            ["1", "1/2", "-1", "2"],
+            ["1/3", "1", "2", "-1/2"],
+            ["2", "-1", "1", "1/3"],
+            ["1/2", "3", "-2", "1"],
+        ],
+        "ps": ["1/3", "2/5", "3/4", "5/7"],
+        "qs": ["1/2", "1/7", "2/9", "4/11"],
+    },
+    separators=(",", ":"),
+)
+
+
 GOLDEN = [
     (
         "verify --suite all --cutoff 6 --seed 1",
@@ -222,6 +238,17 @@ GOLDEN = [
         f"expand --charge 1 --cutoff 6 --element {SOLITON_3X3}",
         0,
         "91258b09dbd3143761f151a7a536741829418325802b17299d69e2a98173e328",
+    ),
+    # a 4x4 soliton at cutoff 10: shapes of Durfee size 3 (weight 9 and up)
+    (
+        f"expand --charge 0 --cutoff 10 --element {SOLITON_4X4}",
+        0,
+        "d61ee96dd87a10f3a4ae4fe7417b2928b0c0d68c39b48237b7a9247a75304c6b",
+    ),
+    (
+        f"expand --charge 1 --cutoff 10 --element {SOLITON_4X4}",
+        0,
+        "2dd795f4ae6f16565bee4b27d31a07b1aff1561f093f98d72abe06a1e583cf0e",
     ),
     # the diagonal models at their default parameters
     (

@@ -174,3 +174,22 @@ def test_charge_step_residue_fails_on_a_perturbed_series():
     for bad_up, bad_down in broken:
         rep = residue_check(bad_up, bad_down, fam, shift, charge_gap=1)
         assert not rep.ok and rep.counterexample is not None
+
+
+def test_single_series_residue_equals_the_two_series_branch():
+    # residue_check(tau, tau) forms tau(t-a) tau(t+a) as E^2 - O^2; an equal
+    # copy as tau_right takes the general branch, two shifts and one product
+    import copy
+
+    from tauforge.sampling import sample_soliton
+
+    fam, shift = paired_family(7)
+    rng = random.Random(13)
+    for g in (sample_soliton(rng, 2), sample_exponent_bilinear(rng), sample_bare_bilinear(rng)):
+        tau = expand_mkp(g, 0, fam, 7, W).poly
+        for series in (tau, tau + fam.time(2) * F(1, 7), tau + fam.time(1) * fam.time(3)):
+            twin = copy.copy(series)
+            assert twin is not series and twin == series
+            single = residue_check(series, series, fam, shift)
+            assert single.to_json() == residue_check(series, twin, fam, shift).to_json()
+            assert single.ok == (series is tau), g

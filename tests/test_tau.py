@@ -11,6 +11,7 @@ from tauforge.grouplike import (
     LinearWord,
     NormalOrderedBilinear,
     Product,
+    SolitonExponent,
     StateProjector,
     apply_element,
     charge_of,
@@ -369,3 +370,78 @@ def test_2dtl_bra_outside_an_explicit_window_raises():
     g = LinearWord((letter("psi", 0),))
     with pytest.raises(WindowViolation, match=r"shape \(3,\)"):
         expand_2dtl(g, 1, plus, minus, 3, ModeWindow(-3, 3))
+
+
+# -- the soliton hook route against the kernel route ----------------------------
+
+
+def _kernel_coefficient(g, shape, n):
+    """The kernel route's signed coefficient of a charge-0 element."""
+    return correlator_exact(n, tau.bra_letters(shape, n) + [g], n) * (-1) ** shape.sign_exponent()
+
+
+def _count_kernel_reads(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return correlator_exact(*args, **kwargs)
+
+    monkeypatch.setattr(tau, "correlator_exact", counted)
+    return calls
+
+
+def _soliton(rows, ps, qs):
+    rows = tuple(tuple(map(F, row)) for row in rows)
+    return SolitonExponent(rows, tuple(map(F, ps)), tuple(map(F, qs)))
+
+
+def test_soliton_hook_route_matches_the_kernel_route(monkeypatch):
+    rng = random.Random(7)
+    draws = [sample_soliton(rng, size) for size in (1, 2, 3) for _ in range(4)]
+    dense = (("1", "-1/2"), ("2/3", "2"))
+    cases = [(g, (-1, 0, 1)) for g in draws] + [
+        # a zero point off its pole: p = 0 at charges >= 0, q = 0 at charges <= 1
+        (_soliton(dense, ("0", "2/5"), ("1/2", "1/7")), (0, 1)),
+        (_soliton(dense, ("1/3", "2/5"), ("1/2", "0")), (-1, 0, 1)),
+        # an uncoupled zero hole point at charge 2, where a coupled one is a pole
+        (_soliton((("1", "1"), ("0", "0")), ("1/3", "1/5"), ("1/2", "0")), (2,)),
+    ]
+    shapes = enumerate_partitions(7)
+    compared = 0
+    for g, charges in cases:
+        for n in charges:
+            calls = _count_kernel_reads(monkeypatch)
+            read = tau.coefficient_reader(g, W)
+            got = [read(lam, n) for lam in shapes]
+            assert calls == []  # the hook route answered every shape
+            monkeypatch.undo()
+            assert got == [_kernel_coefficient(g, lam, n) for lam in shapes], (g, n)
+            compared += len(shapes)
+            assert any(got[1:]), (g, n)  # the element is no multiple of the identity
+    assert compared == 1620 + 6 * len(shapes)
+
+
+def test_soliton_with_a_vanishing_vacuum_value_takes_the_kernel_route(monkeypatch):
+    # c_empty = 1 + A K = 1 - (1/3) * 3 = 0 at charge 0, so there is no hook
+    # matrix to invert; the coefficients of charge 1 still come from hooks
+    g = _soliton((("-1/3",),), ("1/3",), ("1/2",))
+    shapes = enumerate_partitions(7)
+    for n, kernel_reads in ((0, len(shapes)), (1, 0)):
+        calls = _count_kernel_reads(monkeypatch)
+        read = tau.coefficient_reader(g, W)
+        got = [read(lam, n) for lam in shapes]
+        assert len(calls) == kernel_reads
+        monkeypatch.undo()
+        assert got == [_kernel_coefficient(g, lam, n) for lam in shapes]
+        assert bool(got[0]) == bool(n)  # c_empty vanishes at charge 0 only
+
+
+def test_soliton_hook_route_reads_shapes_of_diagonal_size_three():
+    # shapes of Durfee size 3 need a 3 x 3 hook determinant over c_empty^2
+    g = sample_soliton(random.Random(11), 3)
+    read = tau.coefficient_reader(g, W)
+    for shape in (Partition([3, 3, 3]), Partition([4, 3, 3, 1]), Partition([3, 3, 3, 2])):
+        got = read(shape, 0)
+        assert got and got == _kernel_coefficient(g, shape, 0), shape
+        assert giambelli_coeff_check(g, 0, shape, W) is True
