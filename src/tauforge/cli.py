@@ -54,7 +54,7 @@ from tauforge.schur import (
     schur_jt,
 )
 from tauforge.tau import expand_mkp, expand_mkp_direct, is_field_based, window_for_element
-from tauforge.wick import correlator_window, element_words, wick_generalized, wick_standard
+from tauforge.wick import correlator_window, wick_generalized, wick_layout, wick_standard
 
 
 class InputError(Exception):
@@ -309,13 +309,14 @@ def cmd_model(args) -> int:
 @contextlib.contextmanager
 def _kernel_route(g, what: str = "bad --element"):
     """Evaluate `g` where every element with point fields takes the exact
-    kernel route: a product mixing point-field with window-only factors (no
-    route is exact for it) is bad input before the body runs, and so is a
-    pole that the kernels meet, reported as "what: <the kernel's message>"."""
+    Wick route: a product mixing point-field with window-only factors (no
+    route is exact for it, and `wick.wick_layout` refuses it) is bad input
+    before the body runs, and so is a pole that the pair kernels meet,
+    reported as "what: <the kernel's message>"."""
     field_based = is_field_based(g)
     if field_based:
         try:
-            element_words(g)
+            wick_layout([g])
         except TypeError:
             raise InputError(
                 "bad --element: a product of point-field and window-only factors has no exact route"

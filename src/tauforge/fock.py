@@ -436,23 +436,6 @@ def pair_vev(n: int, a: Letter, b: Letter) -> Fraction:
     return total
 
 
-def vev_word_pairing(n: int, letters: list[Letter]) -> Fraction:
-    """<n| f_0 f_1 ... |n> by recursive pairing of the leading letter."""
-    m = len(letters)
-    if m == 0:
-        return Fraction(1)
-    if m % 2 == 1:
-        return Fraction(0)
-    total = Fraction(0)
-    head = letters[0]
-    for j in range(1, m):
-        p = pair_vev(n, head, letters[j])
-        if p == 0:
-            continue
-        total += ((-1) ** (j - 1)) * p * vev_word_pairing(n, letters[1:j] + letters[j + 1 :])
-    return total
-
-
 def normal_order_expand(
     letters: list[Letter], n: int
 ) -> list[tuple[Fraction, list[Letter]]]:

@@ -3,8 +3,8 @@
 Variants: exponentials of window-nilpotent bilinears, normally ordered
 bilinear exponents (bare or vacuum ordering), finite linear words in the
 mode operators, point-field words and soliton exponents (window-truncated
-when applied directly; their exact correlators go through the kernel
-route in `wick`), diagonal multipliers, projectors, and products.
+when applied directly; their exact correlators go through Wick's
+theorem in `wick`), diagonal multipliers, projectors, and products.
 
 Every constructor's output is checkable: `bbc_check` verifies the
 exchange identity on sampled matrix elements and `charge_of` verifies
@@ -228,7 +228,7 @@ FieldTerm = tuple[Fraction, str, Fraction, int]  # (coeff, kind, point, d/dz ord
 class FieldWord:
     """Product of linear combinations of point-evaluated fermion fields
     (with derivative orders).  Direct application truncates each field to
-    the window; exact correlators use the kernel route."""
+    the window; exact correlators use Wick's theorem (`wick`)."""
 
     letters: tuple[tuple[FieldTerm, ...], ...]
 
@@ -253,21 +253,6 @@ class SolitonExponent:
 @dataclass(frozen=True)
 class Product:
     factors: tuple[object, ...]
-
-
-GroupLike = (
-    Identity
-    | ExponentBilinear
-    | NormalOrderedBilinear
-    | LinearWord
-    | Diagonal
-    | DiagonalFlow
-    | ProjectorElement
-    | StateProjector
-    | FieldWord
-    | SolitonExponent
-    | Product
-)
 
 
 # -- application -----------------------------------------------------------------

@@ -4,15 +4,14 @@ Every tau coefficient is one signed matrix element of a group-like
 element, (-1)^(sign exponents) <shape, n| g |source, n - charge>, and every
 reader of coefficients takes them from one `coefficient_reader`.  The
 reader picks the route once: a window-representable element is applied
-once per (charge, source) and each bra shape read off that ket; a soliton
-exponent is read by the generalized Wick theorem, c_shape = c_empty^(1-d)
-det[c_(a_i|b_j)], from its vacuum value and hook coefficients, which need
-one inverse of I + A K per charge; every other point-field element, and a
-soliton where that theorem does not apply (a source, c_empty = 0, a pole),
-is paired shape by shape through the exact kernels, which stay the oracle.
+once per (charge, source) and each bra shape read off that ket; a
+point-field element (a soliton exponent, a field word, a product with
+them) is read by Wick's theorem on its layout (`wick.wick_layout`), one
+bordered determinant per read, taken as c det(P_ff + P_fq M P_pf) with
+c = det(I - A P_pq) and M = (I - A P_pq)^-1 A formed once per charge.
 The series expansions and the hook-determinant, row/column-determinant
 (with stepped charges), exchange and rectangle identities all read
-through one reader per call; the kernel route builds its basis letters
+through one reader per call; the Wick reader builds its basis letters
 with `fock.frobenius_word`.
 """
 
@@ -37,7 +36,6 @@ from tauforge.grouplike import (
     Product,
     ProjectorElement,
     SolitonExponent,
-    _coupling_entries,
     _matmul,
     apply_element,
     charge_of,
@@ -52,7 +50,15 @@ from tauforge.polyring import (
     poly_matrix_det,
 )
 from tauforge.schur import _schur_poly, schur_jt
-from tauforge.wick import correlator_exact, from_mode_letter, kernel_pair, kfield, kmode
+from tauforge.wick import (
+    correlator_exact,
+    from_mode_letter,
+    interleave_sign,
+    oriented_pair,
+    vacuum_pad,
+    wick_layout,
+    wick_matrix,
+)
 
 # -- plumbing -----------------------------------------------------------------
 
@@ -112,19 +118,11 @@ def coefficient_reader(g, window: ModeWindow):
     A window element is applied to each (charge, source) ket once, kept
     for the reader's lifetime only, and every bra shape must fit the
     window (else WindowViolation, as for a basis bra).  A point-field
-    element does not read the window: a bare `SolitonExponent` is read
-    from its hook matrix, built once per charge (`_hook_reader`), and any
-    other, or a soliton read with a source, at c_empty = 0 or at a kernel
-    pole, is paired through the exact kernels, shape by shape."""
+    element does not read the window: it is read by Wick's theorem
+    (`_wick_reader`)."""
     q = charge_of(g)
     if is_field_based(g):
-
-        def read(shape: Partition, n: int, source: Partition = _EMPTY):
-            letters = bra_letters(shape, n) + [g] + ket_letters(source, n - q)
-            sign = (-1) ** (shape.sign_exponent() + source.sign_exponent())
-            return correlator_exact(n, letters, n - q) * sign
-
-        return _hook_reader(g, read) if isinstance(g, SolitonExponent) else read
+        return _wick_reader(g, q)
 
     kets = {}
 
@@ -139,65 +137,72 @@ def coefficient_reader(g, window: ModeWindow):
     return read
 
 
-def _hook_reader(g: SolitonExponent, kernel_read):
-    """The reader of a soliton exponent g = exp(sum A_ik psi*(q_i) psi(p_k))
-    by the generalized Wick theorem, with `kernel_read` where it does not
-    apply: a nonempty source, c_empty = 0, or a pole of the kernels (which
-    the kernel route then reports as it always has).
+def _wick_reader(g, q: int):
+    """The reader of a point-field element g of charge q by Wick's theorem
+    (`wick.wick_matrix`) over the bra's letters, g's layout and the source's
+    ket letters with the vacuum pad.  Per charge n, once: B = I - A P_pq over
+    g's points, c = det B and M = B^-1 A.  With c != 0 a read is
+    c det(P_ff + P_fq M P_pf), the Schur complement of B, with the row
+    P(x, q) M of each psi letter x and the column P(p, y) of each psi* letter
+    y memoized by (charge, letter, place in g's layout); with c = 0 it is the
+    bordered determinant itself.  A bra's letters never pair with each other,
+    so its block has rank at most min(#holes, #particles): a bra with more
+    rows than that plus the number of other fixed letters reads 0."""
+    inner = wick_layout([g])
+    own = [(s, j) for j, s in enumerate(inner) if s[2] is None]
+    holes = [(s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi*"]
+    particles = [(s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi"]
+    couplings = [[h[2][h[3]][p[3]] if p[2] is h[2] else 0 for p, _ in particles] for h, _ in holes]
+    rank, end = min(len(holes), len(particles)), len(inner)
+    vacua: dict[int, tuple] = {}
+    memo: dict[tuple, list] = {}  # factors, and each (charge, source)'s ket and pad slots
 
-    Per charge n, once: K_kj = <n| psi*(q_j) psi(p_k) |n> over the coupled
-    particle points k and hole points j, c_empty = det(I + A K) and
-    M = (I + A K)^-1 A.  A hook coefficient is
-    c_(a|b) = (-1)^(sign exponent) c_empty sum_ik M_ik <n| psi*_(n+a) psi(p_k) |n>
-    <n| psi_(n-b-1) psi*(q_i) |n>, memoized, and a shape of diagonal size d
-    reads det[c_(a_i|b_j)] / c_empty^(d-1) (the Giambelli identity), which
-    is 0 when d exceeds the number of coupled hole or particle points, since
-    the hook matrix factors through M."""
-    coupled = [key for key, c in _coupling_entries(g.a_rows).items() if c]
-    rows = sorted({i for i, _ in coupled})
-    cols = sorted({k for _, k in coupled})
-    a = [[g.a_rows[i][k] for k in cols] for i in rows]
-    holes = [kfield("psi*", g.qs[i]) for i in rows]
-    particles = [kfield("psi", g.ps[k]) for k in cols]
-    rank = min(len(rows), len(cols))  # a bound on the rank of every hook matrix
-    vacua: dict[int, tuple | None] = {}
-    hooks: dict[tuple[int, int, int], Fraction] = {}
-
-    def vacuum_data(n: int):
+    def vacuum_data(n: int) -> tuple:
         if n not in vacua:
-            vacua[n] = None
-            try:
-                kernel = [[kernel_pair(n, h, p) for h in holes] for p in particles]
-            except ZeroDivisionError:
-                return None
-            one_plus = _matmul(a, kernel)
-            for i, row in enumerate(one_plus):
-                row[i] += 1
-            c_empty = fraction_matrix_det(one_plus)
-            if c_empty:
-                vacua[n] = (c_empty, _matmul(fraction_matrix_inverse(one_plus), a))
+            _, b = wick_matrix(n, [s for s in inner if s[2] is not None])  # B = I - A P_pq
+            c = fraction_matrix_det(b)
+            vacua[n] = (c, _matmul(fraction_matrix_inverse(b), couplings) if c else None)
         return vacua[n]
 
-    def hook(n: int, alpha: int, beta: int) -> Fraction:
-        got = hooks.get((n, alpha, beta))
+    def factor(n: int, slot, at: int) -> list:
+        key = (n, slot[0], at)
+        got = memo.get(key)
         if got is None:
-            c_empty, m = vacua[n]
-            arm = [kernel_pair(n, kmode("psi*", n + alpha), p) for p in particles]
-            leg = [kernel_pair(n, kmode("psi", n - beta - 1), h) for h in holes]
-            total = sum((x * sum(map(mul, row, arm)) for x, row in zip(leg, m)), Fraction(0))
-            sign = (-1) ** hook_shape(alpha, beta).sign_exponent()
-            got = hooks[(n, alpha, beta)] = total * c_empty * sign
+            if slot[1] == "psi":
+                legs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in holes]
+                got = [sum(map(mul, legs, col), Fraction(0)) for col in zip(*vacua[n][1])]
+            else:
+                got = [oriented_pair(n, p[0], slot[0], j < at) for p, j in particles]
+            memo[key] = got
         return got
 
     def read(shape: Partition, n: int, source: Partition = _EMPTY):
-        data = None if source else vacuum_data(n)
-        if data is None:
-            return kernel_read(shape, n, source)
-        alphas, betas = shape.frobenius()
-        if len(alphas) > rank:
+        outer = memo.get((n, source))
+        if outer is None:
+            letters = ket_letters(source, n - q) + vacuum_pad(n, n - q)
+            outer = memo[(n, source)] = [(s, end) for s in wick_layout(letters)]
+        if shape.diagonal_size > rank + len(own) + len(outer):
             return Fraction(0)
-        entries = [[hook(n, al, be) for be in betas] for al in alphas]
-        return fraction_matrix_det(entries) / data[0] ** (len(alphas) - 1)
+        # a basis letter is one mode: its species is its term's
+        bra = [((lt, lt[0][1], None, 0), -1) for lt in bra_letters(shape, n)]
+        sign = (-1) ** (shape.sign_exponent() + source.sign_exponent())
+        c = vacuum_data(n)[0]
+        if not c:
+            s, matrix = wick_matrix(n, [s for s, _ in bra] + inner + [s for s, _ in outer])
+            return s * sign * fraction_matrix_det(matrix) if s else Fraction(0)
+        word = bra + own + outer
+        rows = [x for x, (s, _) in enumerate(word) if s[1] == "psi"]
+        cols = [y for y, (s, _) in enumerate(word) if s[1] == "psi*"]
+        if len(rows) != len(cols):
+            return Fraction(0)
+
+        def entry(x: int, y: int) -> Fraction:
+            (sx, at_x), (sy, at_y) = word[x], word[y]
+            pair = 0 if at_x == at_y == -1 else oriented_pair(n, sx[0], sy[0], x < y)
+            return pair + sum(map(mul, factor(n, sx, at_x), factor(n, sy, at_y)), Fraction(0))
+
+        entries = [[entry(x, y) for y in cols] for x in rows]
+        return sign * interleave_sign(s[1] for s, _ in word) * c * fraction_matrix_det(entries)
 
     return read
 
@@ -281,8 +286,8 @@ def expand_mkp_direct(
     window: ModeWindow | None = None,
 ) -> Poly:
     """Second route: apply the raising exponential as an operator to the
-    element's state and read off the vacuum component (the kernel route
-    with dressing for point-field elements)."""
+    element's state and read off the vacuum component (for point-field
+    elements, the dressed bordered determinant of `wick.correlator_exact`)."""
     q = charge_of(g)
     if is_field_based(g):
         return correlator_exact(n, [g], n - q, family=family)

@@ -4,10 +4,11 @@ Two evaluation routes coexist and cross-check each other:
 
 * the window route applies operators to finite Fock vectors (exact for
   mode letters and every window-representable element);
-* the kernel route evaluates words of mode letters and point-evaluated
-  fields against a vacuum through closed-form pair kernels (rational
-  functions of the points whose derivatives are exact Leibniz sums over
-  rationals), summed over pairings.
+* the exact route is Wick's theorem, kept here once: `wick_matrix` makes
+  a word laid out by `wick_layout` one bordered determinant of closed-form
+  pair kernels (rational functions of the points whose derivatives are
+  exact Leibniz sums over rationals); `kernel_vev`, the pairing recursion
+  over subsets, stays as the tests' oracle.
 
 Raising-exponential insertions are handled by conjugation: each letter is
 "dressed" with the exponential-series factors, whose coefficients are
@@ -39,10 +40,8 @@ from tauforge.grouplike import (
     LinearWord,
     Product,
     SolitonExponent,
-    _coupling_entries,
     _falling,
     apply_element,
-    bilinear_minors,
     field_mode,
 )
 from tauforge.polyring import (
@@ -124,6 +123,12 @@ def kernel_pair(n: int, a: KTerm, b: KTerm) -> Fraction:
     return _field_field_kernel(n, "psi*", pb, rb, pa, ra)
 
 
+def letter_pair(n: int, a: KLetter, b: KLetter):
+    """<n| a b |n> for two letters, their coefficients included."""
+    terms = [ta[0] * tb[0] * base for ta in a for tb in b if (base := kernel_pair(n, ta, tb))]
+    return sum(terms[1:], terms[0]) if terms else Fraction(0)
+
+
 def kernel_vev(n: int, letters: Sequence[KLetter]):
     """<n| word |n> by recursive pairing with closed-form pair kernels.
 
@@ -134,17 +139,6 @@ def kernel_vev(n: int, letters: Sequence[KLetter]):
         return Fraction(0)
     memo: dict[tuple[int, ...], object] = {}
 
-    def pair_value(a: KLetter, b: KLetter):
-        total = None
-        for ca, kind_a, spec_a in a:
-            for cb, kind_b, spec_b in b:
-                base = kernel_pair(n, (1, kind_a, spec_a), (1, kind_b, spec_b))
-                if base == 0:
-                    continue
-                term = ca * cb * base
-                total = term if total is None else total + term
-        return total
-
     def rec(indices: tuple[int, ...]):
         if not indices:
             return Fraction(1)
@@ -152,19 +146,14 @@ def kernel_vev(n: int, letters: Sequence[KLetter]):
         if got is not None:
             return got
         head, rest = indices[0], indices[1:]
-        total = None
+        total = Fraction(0)
         for pos, j in enumerate(rest):
-            p = pair_value(letters[head], letters[j])
-            if p is None:
-                continue
-            sub = rec(tuple(x for x in rest if x != j))
-            if not sub:
-                continue
-            term = p * sub * ((-1) ** pos)
-            total = term if total is None else total + term
-        out = Fraction(0) if total is None else total
-        memo[indices] = out
-        return out
+            p = letter_pair(n, letters[head], letters[j])
+            sub = rec(tuple(x for x in rest if x != j)) if p else 0
+            if sub:
+                total = p * sub * (-1) ** pos + total
+        memo[indices] = total
+        return total
 
     return rec(tuple(range(len(letters))))
 
@@ -234,39 +223,93 @@ def dress_word(family: TimeFamily, letters: Iterable[KLetter]) -> list[KLetter]:
     return [dress_letter(family, lt) for lt in letters]
 
 
-# -- element expansion into kernel words ----------------------------------------
+# -- Wick's theorem: one bordered determinant -------------------------------------
+
+# One slot per letter in word order: (letter, species, couplings, point).  A
+# soliton point has its soliton's couplings over the coupled points (one list
+# per occurrence) and its row (hole) or column (particle); a fixed letter None.
+Slot = tuple[KLetter, str, "list | None", int]
 
 
-def element_words(g) -> list[tuple[object, list[KLetter]]]:
-    """Expand a word-expandable element into (coefficient, letters) pairs."""
-    if isinstance(g, Identity):
-        return [(Fraction(1), [])]
-    if isinstance(g, LinearWord):
-        return [(Fraction(1), [from_mode_letter(lt) for lt in g.letters])]
-    if isinstance(g, FieldWord):
-        return [
-            (
-                Fraction(1),
-                [
-                    tuple((c, kind, ("field", Fraction(pt), order)) for c, kind, pt, order in lt)
-                    for lt in g.letters
-                ],
-            )
-        ]
-    if isinstance(g, SolitonExponent):
-        out = []
-        for (rows, cols), det in bilinear_minors(_coupling_entries(g.a_rows)).items():
-            word = [(kfield("psi*", g.qs[i]),) for i in rows]
-            word += [(kfield("psi", g.ps[k]),) for k in reversed(cols)]
-            out.append((det, word))
-        return out
-    if isinstance(g, Product):
-        # the operator product: words concatenate, coefficients multiply
-        out = [(Fraction(1), [])]
-        for factor in g.factors:
-            out = [(c * d, w + v) for c, w in out for d, v in element_words(factor)]
-        return out
-    raise TypeError(f"element {type(g).__name__} has no exact word expansion")
+def wick_layout(items: Sequence[object]) -> list[Slot]:
+    """Items (elements or single KLetters) laid out in word order.
+
+    Mode and field words give their letters; a soliton exponent
+    exp(sum A_ik psi*(q_i) psi(p_k)) gives its coupled hole points, then its
+    coupled particle points (a point whose couplings all vanish never
+    pairs); a product gives its factors in turn.  An element with no word
+    form raises TypeError."""
+    slots: list[Slot] = []
+    for g in items:
+        if isinstance(g, tuple):  # a bare KLetter; an empty one is zero: a psi row of zeros
+            kinds = {kind for _, kind, _ in g} or {"psi"}
+            if len(kinds) > 1:
+                raise ValueError(f"a letter needs one species, psi or psi*: {sorted(kinds)}")
+            slots.append((g, kinds.pop(), None, 0))
+        elif isinstance(g, LinearWord):
+            slots += wick_layout([from_mode_letter(lt) for lt in g.letters])
+        elif isinstance(g, FieldWord):
+            slots += wick_layout([tuple(kfield(k, z, r, c) for c, k, z, r in lt) for lt in g.letters])
+        elif isinstance(g, SolitonExponent):
+            rows = [i for i, row in enumerate(g.a_rows) if any(row)]
+            cols = [k for k in range(len(g.ps)) if any(row[k] for row in g.a_rows)]
+            a = [[g.a_rows[i][k] for k in cols] for i in rows]
+            slots += [((kfield("psi*", g.qs[i]),), "psi*", a, r) for r, i in enumerate(rows)]
+            slots += [((kfield("psi", g.ps[k]),), "psi", a, c) for c, k in enumerate(cols)]
+        elif isinstance(g, Product):
+            slots += wick_layout(g.factors)
+        elif not isinstance(g, Identity):
+            raise TypeError(f"element {type(g).__name__} has no exact word expansion")
+    return slots
+
+
+def oriented_pair(n: int, a: KLetter, b: KLetter, a_first: bool):
+    """P(a, b): <a b> when a is written first, -<b a> otherwise."""
+    return letter_pair(n, a, b) if a_first else -letter_pair(n, b, a)
+
+
+def interleave_sign(kinds: Iterable[str]) -> int:
+    """(-1)^(inversions) of the permutation taking letters of these species,
+    in word order, to psi_1 psi*_1 psi_2 psi*_2 ...; the i-th psi and the
+    i-th psi* keep their order among their species."""
+    seen, ranks = {"psi": 0, "psi*": 1}, []
+    for kind in kinds:
+        ranks.append(seen[kind])
+        seen[kind] += 2
+    odd = sum(a > b for i, a in enumerate(ranks) for b in ranks[i + 1 :]) & 1
+    return -1 if odd else 1
+
+
+def wick_matrix(n: int, slots: Sequence[Slot]) -> tuple[int, list[list]]:
+    """(sign, matrix) with <n| word |n> = sign * det(matrix) for a laid-out
+    word: sign = interleave_sign(the fixed letters' species), 0 when their
+    counts differ, and matrix = [[P_ff, P_fq], [-A P_pf, I - A P_pq]], rows
+    the fixed psi letters then the hole points, columns the fixed psi*
+    letters then the hole points.  It sums every minor of the couplings at
+    once (Cauchy-Binet); P(p_k, q_j) = -K_kj, so I - A P_pq = I + A K."""
+    fixed = [x for x, s in enumerate(slots) if s[2] is None]
+    rows = [x for x in fixed if slots[x][1] == "psi"]
+    cols = [y for y in fixed if slots[y][1] == "psi*"]
+    if len(rows) != len(cols):
+        return 0, []
+    holes = [x for x, s in enumerate(slots) if s[2] is not None and s[1] == "psi*"]
+    particles = [x for x, s in enumerate(slots) if s[2] is not None and s[1] == "psi"]
+    cols += holes
+
+    def pair(x: int, y: int):
+        return oriented_pair(n, slots[x][0], slots[y][0], x < y)
+
+    matrix = [[pair(x, y) for y in cols] for x in rows]
+    below = {k: [pair(k, y) for y in cols] for k in particles}
+    for h in holes:
+        _, _, a, i = slots[h]
+        row = [int(y == h) for y in cols]
+        for k in particles:
+            _, _, b, j = slots[k]
+            if b is a and a[i][j]:
+                row = [v - a[i][j] * w for v, w in zip(row, below[k])]
+        matrix.append(row)
+    return interleave_sign(slots[x][1] for x in fixed), matrix
 
 
 def correlator_exact(
@@ -276,43 +319,20 @@ def correlator_exact(
     family: TimeFamily | None = None,
     undressed: Sequence[object] = (),
 ):
-    """<n_left| undressed [raising exp] items |n_right> via kernels.
+    """<n_left| undressed [raising exp] items |n_right> as one bordered
+    determinant (`wick_matrix`), the right vacuum reached by `vacuum_pad`.
 
     Items are word-expandable elements or single KLetters.  When `family`
-    is given, `items` are conjugated through its raising exponential
-    (which then dies on the right vacuum); `undressed` items sit to the
-    left of the exponential and stay raw."""
-
-    def expand(seq):
-        out = []
-        for item in seq:
-            if isinstance(item, tuple):  # a bare KLetter
-                out.append([(Fraction(1), [item])])
-            else:
-                out.append(element_words(item))
-        return out
-
-    pre_exp = expand(undressed)
-    expansions = pre_exp + expand(items)
-    boundary = len(pre_exp)
-    total = None
-
-    def rec(i: int, coeff, raw: list[KLetter], dressed: list[KLetter]):
-        nonlocal total
-        if i == len(expansions):
-            word = list(raw)
-            word += dress_word(family, dressed) if family is not None else dressed
-            term = coeff * kernel_vev_between(n_left, word, n_right)
-            total = term if total is None else total + term
-            return
-        for c, w in expansions[i]:
-            if i < boundary:
-                rec(i + 1, coeff * c, raw + w, dressed)
-            else:
-                rec(i + 1, coeff * c, raw, dressed + w)
-
-    rec(0, Fraction(1), [], [])
-    return Fraction(0) if total is None else total
+    is given, the letters of `items` are conjugated through its raising
+    exponential (which then dies on the right vacuum); `undressed` items
+    sit to the left of the exponential and stay raw."""
+    body = wick_layout(items)
+    if family is not None:
+        letters = dress_word(family, [s[0] for s in body])
+        body = [(lt, *s[1:]) for lt, s in zip(letters, body)]
+    slots = wick_layout(undressed) + body + wick_layout(vacuum_pad(n_left, n_right))
+    sign, matrix = wick_matrix(n_left, slots)
+    return sign * poly_matrix_det(matrix) if sign else Fraction(0)
 
 
 # -- window-route correlator ------------------------------------------------------

@@ -77,6 +77,40 @@ SOLITON_4X4 = json.dumps(
 )
 
 
+def soliton_product(soliton: str, *others: dict) -> str:
+    """A product whose first factor is the soliton `soliton` (its --element
+    JSON), as --element JSON without spaces."""
+    spec = {"kind": "product", "factors": [json.loads(soliton), *others]}
+    return json.dumps(spec, separators=(",", ":"))
+
+
+# a charge-0 word of two mode combinations, one of each species
+LINEAR_WORD = {
+    "kind": "linear_word",
+    "letters": [
+        [
+            {"coeff": "1", "species": "psi", "mode": 1},
+            {"coeff": "1/2", "species": "psi", "mode": -2},
+        ],
+        [
+            {"coeff": "1", "species": "psi*", "mode": 0},
+            {"coeff": "-3", "species": "psi*", "mode": -1},
+        ],
+    ],
+}
+
+
+# c_empty = det(I + A K) = 1 - (1/3) * 3 vanishes at charge 0
+SOLITON_VANISHING = json.dumps(
+    {"kind": "soliton", "couplings": [["-1/3"]], "ps": ["1/3"], "qs": ["1/2"]},
+    separators=(",", ":"),
+)
+
+
+SOLITON_BY_WORD = soliton_product(SOLITON_2X2, LINEAR_WORD)
+SOLITON_4X4_BY_IDENTITY = soliton_product(SOLITON_4X4, {"kind": "identity"})
+
+
 GOLDEN = [
     (
         "verify --suite all --cutoff 6 --seed 1",
@@ -249,6 +283,39 @@ GOLDEN = [
         f"expand --charge 1 --cutoff 10 --element {SOLITON_4X4}",
         0,
         "2dd795f4ae6f16565bee4b27d31a07b1aff1561f093f98d72abe06a1e583cf0e",
+    ),
+    # point-field elements that only pair through the kernels: a soliton
+    # times a mode word, a soliton whose vacuum value vanishes at charge 0,
+    # and the 4x4 soliton as a one-factor product with the identity
+    (
+        f"expand --charge 0 --cutoff 6 --element {SOLITON_BY_WORD}",
+        0,
+        "af4bf00352c0640203837960fc8314813b23745b73e6fdc44027f42deef0c8c8",
+    ),
+    (
+        f"expand --charge 1 --cutoff 6 --element {SOLITON_BY_WORD}",
+        0,
+        "8bfcd8b6e9aefee2d7680eb30ede3660b2d42492dd9b3754199600e5013ee69d",
+    ),
+    (
+        f"expand --charge 0 --cutoff 6 --element {SOLITON_VANISHING}",
+        0,
+        "022cefb07688202b9181294045810bf9dfd53f4e9eec1e0d08dc7fcd28f19beb",
+    ),
+    (
+        f"expand --charge 1 --cutoff 6 --element {SOLITON_VANISHING}",
+        0,
+        "7b8686cfca2af5dd2a298df6f1b79c4d6eea74a2a3581538989dbb0c273ad82d",
+    ),
+    (
+        f"expand --charge 0 --cutoff 8 --element {SOLITON_4X4_BY_IDENTITY}",
+        0,
+        "6cba82fbf5972c87fa58422759bc92f28a47d520422408d2f4393fe8c263613b",
+    ),
+    (
+        f"expand --charge 1 --cutoff 8 --element {SOLITON_4X4_BY_IDENTITY}",
+        0,
+        "cf3c56877f31e26a156a924e41af85d8d487a1e53b3879d558cb097f47f8e082",
     ),
     # the diagonal models at their default parameters
     (

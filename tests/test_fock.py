@@ -29,7 +29,6 @@ from tauforge.fock import (
     project,
     vacuum,
     vev,
-    vev_word_pairing,
     window_for,
 )
 from tauforge.partitions import Partition, enumerate_partitions
@@ -195,25 +194,6 @@ def test_normal_order_swaps_sign():
     lhs = apply_normal_ordered_word([letter("psi*", 1), letter("psi", 1)], 0, v)
     rhs = apply_word([letter("psi", 1), letter("psi*", 1)], v).scale(-1)
     assert lhs == rhs
-
-
-def test_vev_pairing_matches_direct():
-    rng = random.Random(11)
-    for n in (-1, 0, 2):
-        for m in (2, 3, 4):
-            for _ in range(6):
-                letters = []
-                for _ in range(2 * m):
-                    kind = rng.choice(("psi", "psi*"))
-                    letters.append(
-                        combo(
-                            [
-                                (F(rng.randint(-2, 2)), kind, rng.randint(-5, 5))
-                                for _ in range(2)
-                            ]
-                        )
-                    )
-                assert vev_word_pairing(n, letters) == vev(W, n, letters)
 
 
 def test_charge_and_current_basics():

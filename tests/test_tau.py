@@ -7,22 +7,30 @@ from tauforge import tau
 from tauforge.fock import ModeWindow, WindowViolation, basis_vector, inner, letter
 from tauforge.grouplike import (
     Diagonal,
+    FieldWord,
     Identity,
     LinearWord,
     NormalOrderedBilinear,
     Product,
     SolitonExponent,
     StateProjector,
+    _coupling_entries,
     apply_element,
+    bilinear_minors,
     charge_of,
 )
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius
-from tauforge.polyring import standard_double_family, standard_single_family
+from tauforge.polyring import (
+    fraction_matrix_inverse,
+    standard_double_family,
+    standard_single_family,
+)
 from tauforge.sampling import (
     sample_bare_bilinear,
     sample_diagonal,
     sample_element,
     sample_exponent_bilinear,
+    sample_linear_word,
     sample_soliton,
     sample_vacuum_bilinear,
 )
@@ -38,7 +46,14 @@ from tauforge.tau import (
     rectangular_three_term_check,
     restricted_series,
 )
-from tauforge.wick import correlator_exact
+from tauforge.wick import (
+    correlator_exact,
+    dress_word,
+    from_mode_letter,
+    kernel_pair,
+    kernel_vev_between,
+    kfield,
+)
 
 F = Fraction
 W = ModeWindow(-12, 12)
@@ -372,12 +387,42 @@ def test_2dtl_bra_outside_an_explicit_window_raises():
         expand_2dtl(g, 1, plus, minus, 3, ModeWindow(-3, 3))
 
 
-# -- the soliton hook route against the kernel route ----------------------------
+# -- the Wick reader against words paired through kernel_vev --------------------
 
 
-def _kernel_coefficient(g, shape, n):
-    """The kernel route's signed coefficient of a charge-0 element."""
-    return correlator_exact(n, tau.bra_letters(shape, n) + [g], n) * (-1) ** shape.sign_exponent()
+def _oracle_words(g) -> list:
+    """(coefficient, kernel letters) terms of an element's word expansion: a
+    soliton exponent gives one word psi*(q_R) psi(p_rev(C)) per nonzero minor
+    det A[R, C] of its couplings, a product the products of its factors'."""
+    if isinstance(g, Identity):
+        return [(F(1), [])]
+    if isinstance(g, LinearWord):
+        return [(F(1), [from_mode_letter(lt) for lt in g.letters])]
+    if isinstance(g, FieldWord):
+        fields = [tuple((c, kind, ("field", F(z), r)) for c, kind, z, r in lt) for lt in g.letters]
+        return [(F(1), fields)]
+    if isinstance(g, SolitonExponent):
+        return [
+            (det, [(kfield("psi*", g.qs[i]),) for i in rows]
+             + [(kfield("psi", g.ps[k]),) for k in reversed(cols)])
+            for (rows, cols), det in bilinear_minors(_coupling_entries(g.a_rows)).items()
+        ]
+    assert isinstance(g, Product)
+    out = [(F(1), [])]
+    for factor in g.factors:
+        out = [(c * d, w + v) for c, w in out for d, v in _oracle_words(factor)]
+    return out
+
+
+def _kernel_coefficient(g, shape, n, source=Partition([])):
+    """The signed coefficient from the element's words, each paired through
+    `kernel_vev`'s subset recursion: no Wick layout and no determinant."""
+    q = charge_of(g)
+    bra, ket = tau.bra_letters(shape, n), tau.ket_letters(source, n - q)
+    total = F(0)
+    for c, word in _oracle_words(g):
+        total += c * kernel_vev_between(n, bra + word + ket, n - q)
+    return total * (-1) ** (shape.sign_exponent() + source.sign_exponent())
 
 
 def _count_kernel_reads(monkeypatch) -> list:
@@ -414,7 +459,7 @@ def test_soliton_hook_route_matches_the_kernel_route(monkeypatch):
             calls = _count_kernel_reads(monkeypatch)
             read = tau.coefficient_reader(g, W)
             got = [read(lam, n) for lam in shapes]
-            assert calls == []  # the hook route answered every shape
+            assert calls == []  # the Wick reader answered every shape
             monkeypatch.undo()
             assert got == [_kernel_coefficient(g, lam, n) for lam in shapes], (g, n)
             compared += len(shapes)
@@ -423,22 +468,105 @@ def test_soliton_hook_route_matches_the_kernel_route(monkeypatch):
 
 
 def test_soliton_with_a_vanishing_vacuum_value_takes_the_kernel_route(monkeypatch):
-    # c_empty = 1 + A K = 1 - (1/3) * 3 = 0 at charge 0, so there is no hook
-    # matrix to invert; the coefficients of charge 1 still come from hooks
+    # c_empty = 1 + A K = 1 - (1/3) * 3 = 0 at charge 0, so there is no Schur
+    # complement to take: those reads are the bordered determinant itself,
+    # and no read at either charge pairs through the correlator
     g = _soliton((("-1/3",),), ("1/3",), ("1/2",))
     shapes = enumerate_partitions(7)
-    for n, kernel_reads in ((0, len(shapes)), (1, 0)):
+    for n in (0, 1):
         calls = _count_kernel_reads(monkeypatch)
         read = tau.coefficient_reader(g, W)
         got = [read(lam, n) for lam in shapes]
-        assert len(calls) == kernel_reads
+        assert calls == []
         monkeypatch.undo()
         assert got == [_kernel_coefficient(g, lam, n) for lam in shapes]
         assert bool(got[0]) == bool(n)  # c_empty vanishes at charge 0 only
 
 
+def _vanishing_solitons() -> list:
+    """(soliton, charge) with c_empty = det(I + A K) = 0 at that charge:
+    A = -K^-1 for the two-point kernels K_kj = <n| psi*(q_j) psi(p_k) |n>."""
+    out = []
+    for ps, qs, n in (
+        (("1/3",), ("1/2",), 0), (("2/5",), ("1/7",), 1), (("3/4",), ("2/9",), -1),
+        (("1/6",), ("5/6",), 1), (("1/3", "2/5"), ("1/2", "1/7"), 0),
+        (("3/4", "1/5"), ("2/9", "4/11"), 1), (("1/6", "2/3"), ("5/6", "3/7"), -1),
+        (("2/7", "5/9"), ("1/8", "3/5"), 0),
+    ):
+        ps, qs = tuple(map(F, ps)), tuple(map(F, qs))
+        kernel = [[kernel_pair(n, kfield("psi*", q), kfield("psi", p)) for q in qs] for p in ps]
+        a = [[-x for x in row] for row in fraction_matrix_inverse(kernel)]
+        out.append((SolitonExponent(tuple(map(tuple, a)), ps, qs), n))
+    return out
+
+
+def _field_word(rng) -> FieldWord:
+    """One or two single-species letters of point fields and their first
+    derivatives, at distinct points k/17 that no sampled soliton point
+    equals."""
+    letters = []
+    for k in rng.sample(range(1, 17), rng.randint(1, 2)):
+        kind = rng.choice(("psi", "psi*"))
+        terms = [(F(rng.randint(1, 3)), kind, F(k, 17), r) for r in range(rng.randint(1, 2))]
+        letters.append(tuple(terms))
+    return FieldWord(tuple(letters))
+
+
+def test_wick_reader_matches_the_word_by_word_pairing():
+    # every family the reader serves, against the words each soliton minor
+    # gives, paired through kernel_vev: bare solitons, products with mode and
+    # field words, and solitons whose vacuum value vanishes at one charge
+    rng = random.Random(19)
+    sol = sample_soliton
+    elements = [sol(rng, size) for size in (1, 2, 3) for _ in range(4)]
+    elements += [
+        Product((sol(rng, rng.randint(1, 2)), sample_linear_word(rng, rng.randint(-1, 1))))
+        for _ in range(9)
+    ]
+    for _ in range(9):
+        # two one-point solitons with four distinct points
+        pair = sol(rng, 2)
+        first, second = (
+            SolitonExponent(((pair.a_rows[i][i],),), (pair.ps[i],), (pair.qs[i],)) for i in (0, 1)
+        )
+        elements.append(Product((sample_linear_word(rng, rng.randint(-1, 1)), first, second)))
+    elements += [Product((_field_word(rng), sol(rng, rng.randint(1, 2)))) for _ in range(9)]
+    vanishing = _vanishing_solitons()
+    for g, n in vanishing:
+        assert tau.coefficient_reader(g, W)(Partition([]), n) == 0
+    elements += [g for g, _ in vanishing]
+    shapes = enumerate_partitions(4)
+    sources = [Partition([]), Partition([1]), Partition([2, 1])]
+    compared = 0
+    for g in elements:
+        read = tau.coefficient_reader(g, W)
+        for n in (-1, 0, 1):
+            for source in sources:
+                for lam in shapes:
+                    want = _kernel_coefficient(g, lam, n, source)
+                    assert read(lam, n, source) == want, (g, lam, n, source)
+                    compared += 1
+    assert compared == 47 * 3 * 3 * 12
+
+
+def test_dressed_correlator_matches_the_word_by_word_pairing():
+    # correlator_exact's determinant with polynomial entries, against the
+    # dressed words of every coupling minor paired through kernel_vev
+    rng = random.Random(23)
+    fam = standard_single_family(3)
+    elements = [sample_soliton(rng, 2), Product((_field_word(rng), sample_soliton(rng, 1)))]
+    elements.append(Product((sample_soliton(rng, 1), sample_linear_word(rng, 1))))
+    for g in elements:
+        q = charge_of(g)
+        for n in (-1, 0, 1):
+            want = fam.zero()
+            for c, word in _oracle_words(g):
+                want = want + kernel_vev_between(n, dress_word(fam, word), n - q) * c
+            assert correlator_exact(n, [g], n - q, family=fam) == want, (g, n)
+
+
 def test_soliton_hook_route_reads_shapes_of_diagonal_size_three():
-    # shapes of Durfee size 3 need a 3 x 3 hook determinant over c_empty^2
+    # shapes of Durfee size 3 need a 3 x 3 Schur complement
     g = sample_soliton(random.Random(11), 3)
     read = tau.coefficient_reader(g, W)
     for shape in (Partition([3, 3, 3]), Partition([4, 3, 3, 1]), Partition([3, 3, 3, 2])):

@@ -26,7 +26,6 @@ from tauforge.sampling import (
 from tauforge.wick import (
     correlator_exact,
     correlator_window,
-    element_words,
     kernel_pair,
     kernel_vev,
     kernel_vev_between,
@@ -36,6 +35,7 @@ from tauforge.wick import (
     vacuum_kernel,
     wick_column_forms,
     wick_generalized,
+    wick_layout,
     wick_standard,
 )
 
@@ -379,19 +379,6 @@ def test_three_term_column_identity():
         assert three_term_column_identity(W, g, n, l, w)
 
 
-def test_element_words_soliton_expansion_count():
-    rng = random.Random(31)
-    g = sample_soliton(rng, size=2)
-    words = element_words(g)
-    # identity + 4 singles + one word per nonzero 2x2 minor: this sample's
-    # coupling rows are equal, so its one 2x2 minor vanishes
-    assert g.a_rows[0] == g.a_rows[1]
-    sizes = sorted(len(w) for _, w in words)
-    assert sizes[0] == 0 and sizes[-1] == 2
-    assert len([s for s in sizes if s == 2]) == 4
-    assert len([s for s in sizes if s == 4]) == 0
-
-
 def test_coincident_field_points_hit_pole():
     import pytest as _pytest
 
@@ -502,16 +489,16 @@ def test_exp_xi_jet_from_h_generators_matches_series_exponential():
                     assert _exp_xi_jet(fam, point, order, sign) == want[: order + 1]
 
 
-def test_product_words_concatenate_factor_words():
+def test_product_layout_concatenates_factor_layouts():
     rng = random.Random(37)
     sol = sample_soliton(rng, size=2)
     word = LinearWord((letter("psi*", -1), letter("psi", 1)))
-    assert element_words(Product((sol,))) == element_words(sol)
-    got = element_words(Product((word, sol)))
-    ((c0, w0),) = element_words(word)
-    assert got == [(c0 * c, w0 + w) for c, w in element_words(sol)]
+    assert wick_layout([Product((sol,))]) == wick_layout([sol])
+    assert wick_layout([Product((word, Identity(), sol))]) == wick_layout([word, sol])
+    kinds = [kind for _, kind, couplings, _ in wick_layout([sol]) if couplings is not None]
+    assert kinds == ["psi*", "psi*", "psi", "psi"]  # the hole points, then the particle points
     with pytest.raises(TypeError):
-        element_words(Product((sol, sample_bare_bilinear(rng))))
+        wick_layout([Product((sol, sample_bare_bilinear(rng)))])
 
 
 def test_one_factor_product_series_equals_its_factor():
