@@ -13,11 +13,13 @@ exact objects on that range.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from tauforge.fock import (
     FockVector,
     ModeWindow,
+    _add_into,
+    _current_tree,
     _weight,
     apply_current,
     apply_mode,
@@ -185,31 +187,15 @@ def _current_exp_series(
     """exp(c * sum_m x^m J_{mode_sign m} / m) applied to v, as a map from
     the exponent of x to vectors, truncated at total flow weight
     weight_cap (x is z^-1 for the raising currents, z for the lowering
-    ones)."""
-    out: dict[int, FockVector] = {0: v}
-    term: dict[int, FockVector] = {0: v}
-    order = 1
-    while True:
-        new: dict[int, FockVector] = {}
-        for e, vec in term.items():
-            for m in range(1, weight_cap - e + 1):
-                hop = apply_current(mode_sign * m, vec).scale(Fraction(c, m))
-                if hop.is_zero:
-                    continue
-                key = e + m
-                if key in new:
-                    new[key] = new[key] + hop
-                else:
-                    new[key] = hop
-        term = {e: vec.scale(Fraction(1, order)) for e, vec in new.items() if not vec.is_zero}
-        if not term:
-            return out
-        for e, vec in term.items():
-            if e in out:
-                out[e] = out[e] + vec
-            else:
-                out[e] = vec
-        order += 1
+    ones): node m of the current tree, every hop checked, adds
+    c^|m| J^m v / prod_k k^e_k e_k! at its total weight."""
+    out: dict[int, dict] = {0: {}}
+    for level in _current_tree(v, list(range(1, weight_cap + 1)), mode_sign, weight_cap, True):
+        for m, total, states in level:
+            scale = Fraction(c ** sum(e for _, e in m), prod(k**e * factorial(e) for k, e in m))
+            for b, x in states.items():
+                _add_into(out.setdefault(total, {}), b, x * scale)
+    return {e: v._like(sums) for e, sums in out.items()}
 
 
 def raising_miwa_series(

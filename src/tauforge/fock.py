@@ -25,13 +25,18 @@ rules that every other module reads.
 
 Coefficients may be rationals or truncated polynomials; the two flavors
 share one implementation.
+
+Currents of one direction commute: `_current_tree` builds each J^m v as one
+hop of its parent's, on the vector's own scalars, for the direct current
+exponential (its polynomials built once from their monomial terms) and the
+current Schur functions.  `_hops` holds the one window rule of a hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import factorial, inf, lcm, prod
 from typing import Callable, Iterable, Mapping
 
 from tauforge.partitions import Partition, enumerate_partitions, sign_exponent
@@ -542,51 +547,41 @@ def apply_charge(v: FockVector) -> FockVector:
 def apply_current(k: int, v: FockVector) -> FockVector:
     """Current mode k: hops one particle from mode m to m - k on kets
     (transpose on bras); the charge operator at k = 0."""
-    if k == 0:
-        return apply_charge(v)
-    out: dict = {}
-    _current_into(out, k, v)
-    return v._like(out)
+    return apply_current_combination({k: 1}, v)
 
 
-def _current_into(out: dict, k: int, v: FockVector, coeff=None) -> None:
-    """Add coeff * J_k v (k != 0) into `out` (keyed at v's base): each
-    particle that can move by |k| hops over the set bits, with the sign of
-    the occupied modes it passes.  A hop from below the window or to at or
-    above it raises, as does any hop from a state outside it."""
-    window, base = v.window, v.base
-    d, top = window.lo - base, window.hi - base
-    fill = (1 << d) - 1
-    up = (k < 0) != v.dual  # kets hop m -> m - k, bras m -> m + k
-    s = abs(k)
-    low, passed = (1 << s) - 1, (1 << (s - 1)) - 1
-    edge = max(top - s, d)
-    for bits, c in v.bits.items():
-        if up:
-            # an upward hop into the lowest s window modes starts below lo;
-            # one from the top s modes lands at or past hi
-            if bits & fill != fill or bits >> top or ~(bits >> d) & low or bits >> edge:
+def _hops(bits: int, k: int, dual: bool, window: ModeWindow | None = None, base: int = 0) -> int:
+    """The particles of `bits` that J_k (k != 0) moves by |k|, up on kets
+    for k < 0, after the window rule if the window and base are given.  Up,
+    a state outside it, or one a particle could enter from below or leave
+    past the top, raises (so the rule grows with |k|); down, a state outside
+    it with a particle to move raises (some |k| can move one iff 1 can)."""
+    up, s, low = (k < 0) != dual, abs(k), (1 << abs(k)) - 1
+    if up:
+        if window is not None:
+            d, top = window.lo - base, window.hi - base
+            fill = (1 << d) - 1
+            if bits & fill != fill or bits >> top or ~(bits >> d) & low or bits >> max(top - s, d):
                 n, parts = _state_of_bits(bits, base)
                 raise WindowViolation(f"J_{k} on state ({n}, {parts}) leaves window {window}")
-            hops = bits & ~(bits >> s)
-        else:
-            hops = bits & ~((bits << s) | low)
-            if not hops:
-                continue
-            _check_bits_window(window, base, bits)
-        term = c if coeff is None else c * coeff
-        neg = None
-        while hops:
-            m = hops.bit_length() - 1
-            hops ^= 1 << m
-            t = m + s if up else m - s
-            target = bits ^ (1 << m) ^ (1 << t)
-            add = term
-            if (bits >> ((m if up else t) + 1) & passed).bit_count() & 1:
-                if neg is None:
-                    neg = -term
-                add = neg
-            _add_into(out, target, add)
+        return bits & ~(bits >> s)
+    hops = bits & ~((bits << s) | low)
+    if hops and window is not None:
+        _check_bits_window(window, base, bits)
+    return hops
+
+
+def _hop_into(out: dict, bits: int, hops: int, k: int, dual: bool, term) -> None:
+    """Add J_k's hops of the particles `hops` of the state `bits` into
+    `out`, each `term` with the sign of the occupied modes it passes."""
+    up, s = (k < 0) != dual, abs(k)
+    passed, signed = (1 << (s - 1)) - 1, (term, -term)
+    while hops:
+        m = hops.bit_length() - 1
+        hops ^= 1 << m
+        t = m + s if up else m - s
+        odd = (bits >> ((m if up else t) + 1) & passed).bit_count() & 1
+        _add_into(out, bits ^ (1 << m) ^ (1 << t), signed[odd])
 
 
 def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> FockVector:
@@ -595,7 +590,9 @@ def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> Fo
         if k == 0:
             accumulate(out, apply_charge(v), c)
         elif c:
-            _current_into(out, k, v, c)
+            for bits, x in v.bits.items():
+                if hops := _hops(bits, k, v.dual, v.window, v.base):
+                    _hop_into(out, bits, hops, k, v.dual, x * c)
     return v._like(out)
 
 
@@ -647,52 +644,107 @@ def vacuum_readout(family: TimeFamily, v: FockVector, n: int, depth: int) -> Pol
     return raised.component(n, Partition([])) or family.zero()
 
 
+def _current_tree(v: FockVector, ks: list[int], mode_sign: int, reach: int, checked: bool):
+    """Levels (|m| factors) of J^m v for multisets m of `ks` (ascending) of
+    total <= `reach`: nodes (m as ((k, e), ...) from its least part k, total,
+    {bits: value}), each J_(mode_sign k) on m - e_k.  Unchecked hops need a
+    base below every particle that could move; callers may prune levels."""
+    level = [((), 0, v.bits)]
+    while level:
+        yield level
+        nxt = []
+        for m, total, states in level:
+            least = m[0][0] if m else inf
+            for k in ks:
+                if k > least or total + k > reach:
+                    break
+                hop, child = mode_sign * k, {}
+                for b, c in states.items():
+                    if hops := _hops(b, hop, v.dual, v.window if checked else None, v.base):
+                        _hop_into(child, b, hops, hop, v.dual, c)
+                if child := v._like(child).bits:
+                    head = ((k, m[0][1] + 1),) + m[1:] if k == least else ((k, 1),) + m
+                    nxt.append((head, total + k, child))
+        level = nxt
+
+
 def apply_current_exp_direct(
     direction: str, family: TimeFamily, v: FockVector, depth: int, sign: int = 1
 ) -> FockVector:
-    """Oracle route: exponentiate the current series term by term; the
-    series terminates because every application shifts total weight.
-
-    Lowering grows shapes monotonically, so states beyond the reachable
-    coefficient weight are trimmed exactly (they can never feed back)."""
+    """Oracle route, by current hops alone: sum_m sign^|m| t^m/m! J^m v from
+    `_current_tree`, unchecked on a base lowered by the hops' reach.  A state
+    live in level s, the series' s-th term (summed and truncated; for
+    rationals, in any node), takes every J_k's window rule.  A node drops a
+    state whose t^m term truncates to zero or, lowering, beyond `cap`."""
+    ks = [k for k in range(1, depth + 1) if family.time(k)]
     mode_sign = -1 if direction == "lower" else +1
-    coeffs = {mode_sign * k: family.time(k) * sign for k in range(1, depth + 1)}
-    cap = max(map(_weight, v.bits), default=0) + depth
+    up = (mode_sign < 0) != v.dual
     limit = 4 * (depth + 4) + sum(len(p) + sum(p) for _, p in v.states)
-    term = v.scale(family.one())
-    out = dict(term.bits)
-    step = 1
-    while True:
-        scaled = {k: c * Fraction(1, step) for k, c in coeffs.items()}
-        term = apply_current_combination(scaled, term)
-        if direction == "lower":
-            term = term._like({b: c for b, c in term.bits.items() if _weight(b) <= cap})
-        if term.is_zero:
-            return v._like(out)
-        accumulate(out, term)
-        step += 1
-        if step > limit:
+    # the t-weight (and level) bound; a zero cutoff leaves no times
+    reach = family.cutoffs.get(family.grading) or limit * depth
+    lift = reach if up and ks else 0  # the furthest a hole moves down
+    cap = max(map(_weight, v.bits), default=0) + depth
+    index = {k: family.table.index[family.names[k - 1]] for k in ks}
+    table, cutoffs = family.table, family.one().cutoffs
+    # rationals hop as integers over q; their terms are integers over q reach!
+    poly = any(type(c) is Poly for c in v.bits.values())
+    q, fact = 1 if poly else lcm(*(c.denominator for c in v.bits.values())), factorial(reach)
+    start = {b: c if poly else int(c * q) for b, c in v._bits_at(v.base - lift).items()}
+    tree = FockVector._from_sums(v.window, v.base - lift, start, v.dual)
+    out: dict = {}
+    for s, level in enumerate(_current_tree(tree, ks, mode_sign, reach, False)):
+        live: dict = {}
+        for m, total, states in level:
+            if direction == "lower" and total > depth:
+                for b in [b for b in states if _weight(b) > cap]:
+                    del states[b]
+            key = tuple(sorted((index[k], e) for k, e in m))
+            mult = sign**s * fact // prod(factorial(e) for _, e in m)
+            if not poly:
+                for b, c in states.items():
+                    out.setdefault(b, {})[key] = c * mult
+                live.update(states)
+                continue
+            tm = Poly(table, cutoffs, {key: Fraction(mult, fact)})
+            for b in list(states):
+                if term := states[b] * tm:
+                    _add_into(live, b, term)
+                else:
+                    del states[b]
+        if poly:
+            live = tree._like(live)
+            accumulate(out, live)
+            live = live.bits
+        if not live:
+            break
+        if s >= limit:
             raise RuntimeError("current exponential failed to terminate")
+        for b in live if ks else ():
+            _hops(b, mode_sign * (ks[-1] if up else 1), v.dual, v.window, tree.base)
+    if not poly:
+        out = {b: Poly._reduced(table, cutoffs, nums, q * fact) for b, nums in out.items()}
+    return v._like({b >> lift: c for b, c in out.items()})
 
 
 def apply_scaled_current_schur(
     shape: Partition, direction: str, v: FockVector
 ) -> FockVector:
     """Schur function of the scaled current ladder (J_1, J_2/2, J_3/3, ...)
-    lowered ("lower") or raised ("raise"), applied to a vector."""
+    lowered ("lower") or raised ("raise"), applied to a vector: each term
+    c t^m of s_shape reads J^m v from `_current_tree`, every hop checked."""
     from tauforge.polyring import standard_single_family
 
-    fam = standard_single_family(max(shape.weight, 1))
-    poly = schur_jt(fam, shape)
+    weight = shape.weight
+    terms = schur_jt(standard_single_family(max(weight, 1)), shape).terms
     mode_sign = -1 if direction == "lower" else +1
     out: dict = {}
-    for key, c in poly.terms.items():
-        piece = v.scale(c)
-        for idx, e in key:
-            k = idx + 1  # the single-family table orders t_1..t_D
-            for _ in range(e):
-                piece = apply_current(mode_sign * k, piece).scale(Fraction(1, k))
-        accumulate(out, piece)
+    for level in _current_tree(v, list(range(1, weight + 1)), mode_sign, weight, True):
+        for m, _, states in level:
+            # the single-family table orders t_1..t_D
+            if c := terms.get(tuple((k - 1, e) for k, e in m)):
+                c /= prod(k**e for k, e in m)
+                for b, x in states.items():
+                    _add_into(out, b, x * c)
     return v._like(out)
 
 

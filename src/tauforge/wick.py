@@ -21,6 +21,7 @@ under z^e with e < 0, coincident points) as a ZeroDivisionError naming them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, perm
 from typing import Iterable, Sequence
 
@@ -138,6 +139,7 @@ def kernel_vev(n: int, letters: Sequence[KLetter]):
     if len(letters) % 2 == 1:
         return Fraction(0)
     memo: dict[tuple[int, ...], object] = {}
+    pair = cache(lambda i, j: letter_pair(n, letters[i], letters[j]))  # per call
 
     def rec(indices: tuple[int, ...]):
         if not indices:
@@ -148,7 +150,7 @@ def kernel_vev(n: int, letters: Sequence[KLetter]):
         head, rest = indices[0], indices[1:]
         total = Fraction(0)
         for pos, j in enumerate(rest):
-            p = letter_pair(n, letters[head], letters[j])
+            p = pair(head, j)
             sub = rec(tuple(x for x in rest if x != j)) if p else 0
             if sub:
                 total = p * sub * (-1) ** pos + total

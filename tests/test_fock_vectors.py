@@ -12,7 +12,8 @@ and bras, including states that stick out of the window.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauforge.fock import (
@@ -28,7 +29,7 @@ from tauforge.fock import (
     skew_schur_signed,
 )
 from tauforge.partitions import Partition, enumerate_partitions, sign_exponent
-from tauforge.polyring import standard_single_family
+from tauforge.polyring import Poly, standard_single_family
 
 DEPTH = 3
 FAM = standard_single_family(DEPTH)
@@ -229,6 +230,13 @@ def test_constructor_round_trips_through_every_reader(case):
     st.sampled_from((1, -1)),
     st.integers(1, DEPTH),
 )
+# the state route hops by up to `depth` from every state of its last
+# nonzero term, past the family's cutoff: J_-2 on shape (2) in [-3, 3) raises
+@example((ModeWindow(-3, 3), {(0, ()): Fraction(1)}, False), "lower", 1, 2)
+@example((ModeWindow(-3, 3), {(0, ()): FAM.time(1)}, False), "lower", 1, 2)
+# t2 J_-1 |(1)> and t1 J_-2 |()> cancel on shape (2): the t1 t2 term of the
+# first level sums to zero across the monomials t1 and t2
+@example((ModeWindow(-4, 5), {(0, (1,)): FAM.time(2), (0, ()): FAM.time(1)}, False), "lower", 1, 2)
 def test_current_exponentials_match_the_state_route(case, direction, sign, depth):
     window, states, dual = case
     v = FockVector(window, states, dual)
@@ -239,6 +247,34 @@ def test_current_exponentials_match_the_state_route(case, direction, sign, depth
         got = outcome(route, direction, FAM, v, depth, sign)
         want = outcome(ref, direction, FAM, window, ref_nonzero(states), dual, depth, sign)
         assert got == want, route.__name__
+
+
+def test_current_exponential_of_a_rational_ket_multiplies_no_polynomials():
+    """On rational coefficients the direct route hops on the rationals and
+    builds each polynomial once from its terms: no product of two `Poly`s."""
+    window = ModeWindow(-9, 9)
+    cases = [
+        (direction, FockVector(window, {(n, parts): Fraction(1)}, dual))
+        for direction in ("lower", "raise")
+        for dual in (False, True)
+        for n, parts in ((0, ()), (1, (2, 1)), (-1, (3,)))
+    ]
+    products = []
+    mul = Poly.__mul__
+
+    def spy(self, other):
+        if isinstance(other, Poly):
+            products.append((self, other))
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poly, "__mul__", spy)
+        patch.setattr(Poly, "__rmul__", spy)
+        got = [apply_current_exp_direct(direction, FAM, v, DEPTH) for direction, v in cases]
+    assert products == []
+    for (direction, v), out in zip(cases, got):
+        assert out == apply_current_exp(direction, FAM, v, DEPTH)
+    assert sum(len(out.states) for out in got) > 2 * len(cases)
 
 
 @settings(max_examples=300, deadline=None)
