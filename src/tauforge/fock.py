@@ -28,8 +28,9 @@ share one implementation.
 
 Currents of one direction commute: `_current_tree` builds each J^m v as one
 hop of its parent's, on the vector's own scalars, for the direct current
-exponential (its polynomials built once from their monomial terms) and the
-current Schur functions.  `_hops` holds the one window rule of a hop.
+exponential (its polynomials built once from their monomial terms), the
+current Schur functions and `character_table`, the skew characters of every
+Schur function.  `_hops` holds the one window rule of a hop.
 """
 
 from __future__ import annotations
@@ -666,6 +667,29 @@ def _current_tree(v: FockVector, ks: list[int], mode_sign: int, reach: int, chec
                     head = ((k, m[0][1] + 1),) + m[1:] if k == least else ((k, 1),) + m
                     nxt.append((head, total + k, child))
         level = nxt
+
+
+_character_tables: dict[tuple[int, ...], tuple[int, dict]] = {}  # inner -> (weight, table)
+
+
+def character_table(inner: tuple[int, ...], weight: int) -> dict:
+    """{outer: {m: chi^(outer/inner)_m}} for cycle types m (as in `_current_tree`)
+    of total <= `weight`, nonzero only: <inner, 0| J^m = sum chi_m <outer, 0| in
+    wedge phase (Macdonald I.7), the tree run unchecked on the integer bra from a
+    base lowered by the reach.  Memoized per inner shape, rebuilt only larger."""
+    got = _character_tables.get(inner)
+    if got is None or got[0] < weight:
+        base = -len(inner) - weight
+        bits = {occupation_bits(0, inner, base): 1}
+        bra = FockVector._from_sums(window_for([0], weight + len(inner)), base, bits, True)
+        rows: dict = {}
+        for level in _current_tree(bra, list(range(1, weight + 1)), 1, weight, False):
+            for m, _, states in level:
+                for b, chi in states.items():
+                    rows.setdefault(b, {})[m] = chi
+        table = {_state_of_bits(b, base)[1]: row for b, row in rows.items()}
+        got = _character_tables[inner] = (weight, table)
+    return got[1]
 
 
 def apply_current_exp_direct(

@@ -5,8 +5,8 @@ function at scaled times s_(outer/inner)(c t), c rational, as the character
 expansion (bosonization of the Schur function) over cycle types rho of
 weight |outer| - |inner|, sum chi^(outer/inner)_rho c^len(rho)
 prod_k t_k^(m_k) / m_k!, m_k the multiplicity of k in rho.  The integer
-skew characters come from the Murnaghan-Nakayama rule, rim hooks removed
-from the outer shape down to the inner one as bead moves on beta-numbers.
+skew characters, the coefficients of <outer, 0| in <inner, 0| J_rho, come
+from the current tree (`fock.character_table`, imported at call time).
 `schur_jt`, `skew_schur`, `fock.skew_schur_signed`, `tau._schur_neg` and
 `TimeFamily.h` all call it, memoized in `_schur_cache`: none forms a
 determinant or a product.
@@ -19,11 +19,8 @@ evaluation t_k = u w^{-k} / k.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import cache
 from math import factorial, lcm, prod
-from operator import ge
 
 from tauforge.partitions import (
     Partition,
@@ -40,37 +37,6 @@ from tauforge.polyring import (
 )
 
 _schur_cache: dict[tuple, Poly] = {}
-
-
-def _rim_hook_removals(shape: tuple[int, ...], r: int):
-    """(sign, smaller shape) for each rim hook of length r in `shape`: on the
-    beta-numbers shape_i + len - i a bead moves down by r onto an empty
-    place, with the sign (-1)^(beads it passes)."""
-    n = len(shape)
-    beta = [p + n - i for i, p in enumerate(shape, start=1)]
-    for b in beta:
-        c = b - r
-        if c < 0 or c in beta:
-            continue
-        passed = sum(c < x < b for x in beta)
-        moved = sorted([x for x in beta if x != b] + [c], reverse=True)
-        parts = [x - n + i for i, x in enumerate(moved, start=1)]
-        yield (-1) ** passed, tuple(p for p in parts if p)
-
-
-@cache
-def _character(shape: tuple[int, ...], cycle: tuple[int, ...], inner: tuple[int, ...]) -> int:
-    """chi^(shape/inner) at the cycle type `cycle` (weakly decreasing) by the
-    skew Murnaghan-Nakayama rule: rim hooks are removed from `shape`,
-    the longest cycle first, and only removals that still contain `inner`
-    are followed; 1 when `shape` has come down to `inner`."""
-    if not cycle:
-        return int(shape == inner)
-    return sum(
-        sign * _character(rest, cycle[1:], inner)
-        for sign, rest in _rim_hook_removals(shape, cycle[0])
-        if len(rest) >= len(inner) and all(map(ge, rest, inner))
-    )
 
 
 def _check_generators(family: TimeFamily, outer: tuple[int, ...], inner: tuple[int, ...]) -> None:
@@ -113,18 +79,21 @@ def _schur_poly(
     top = cut.get(family.grading)
     terms = []
     if weight >= 0 and (top is None or weight <= top):
+        from tauforge.fock import character_table
+
         index = [table.index[name] for name in family.names]
         num, den = scale.numerator, scale.denominator
-        # a cycle longer than the family's times has a nonzero character
-        # only on a shape above the cutoff (below it, the check raised)
-        for rho in enumerate_partitions(weight, max_cols=family.depth):
-            if rho.weight != weight or not (chi := _character(outer, rho.parts, inner)):
+        chars = character_table(inner, weight if top is None else top).get(outer, {})
+        for m, chi in chars.items():
+            # a cycle longer than the family's times has a nonzero character
+            # only on a shape above the cutoff (below it, the check raised)
+            if m and m[-1][0] > family.depth:
                 continue
-            mult = Counter(rho.parts)
-            mono = tuple(sorted([(index[k - 1], m) for k, m in mult.items()]))
+            mono = tuple(sorted([(index[k - 1], e) for k, e in m]))
             if _within(table, cut, mono):
-                z = prod(map(factorial, mult.values())) * den**rho.length
-                terms.append((mono, chi * num**rho.length, z))
+                length = sum(e for _, e in m)
+                z = prod(factorial(e) for _, e in m) * den**length
+                terms.append((mono, chi * num**length, z))
     common = lcm(*(z for _, _, z in terms))
     nums = {mono: n * (common // z) for mono, n, z in terms}
     out = _schur_cache[key] = Poly._reduced(table, cut, nums, common)

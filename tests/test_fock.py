@@ -222,6 +222,12 @@ def test_current_commutator():
 
 
 def test_current_exp_routes_agree():
+    """The skew route (skew Schur functions placed state by state) against
+    the direct route (current hops summed as a series).  Both read the
+    current tree: the skew Schur functions take their characters from
+    `fock.character_table`.  So this pins the two routes' state placement,
+    phases and window rules, not the characters; those are checked
+    independently in `tests/test_schur_characters.py`."""
     fam = standard_single_family(4)
     big = ModeWindow(-14, 14)
     rng = random.Random(17)

@@ -12,14 +12,22 @@ the skew determinant det h_{outer_i - inner_j - i + j}(c t) over generators
 from the recurrence k h_k = sum_j j c t_j h_{k-j}, for every pair of shapes
 of weight <= 7, nested or not; the generators themselves, `TimeFamily.h`,
 are compared with the same recurrence.
+
+The builder reads its integer characters from `fock.character_table`, the
+current tree on a bra.  The table is checked here against rules that share
+no hop code with it: the hook length formula, column orthogonality and
+standard skew tableaux counted by corner removal.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import factorial, prod
 
 import pytest
 
 from tauforge.partitions import enumerate_partitions
-from tauforge.fock import skew_schur_signed
+from tauforge.fock import character_table, skew_schur_signed
 from tauforge.polyring import (
     TimeFamily,
     VariableTable,
@@ -174,3 +182,62 @@ def test_generators_match_the_recurrence(name):
             assert got == want, (name, k, scale)
             if not isinstance(want, tuple):
                 assert got.cutoffs == want.cutoffs
+
+
+def cycle_type(rho):
+    """A partition's cycle type in the table's form ((k, multiplicity), ...),
+    k ascending."""
+    return tuple(sorted(Counter(rho.parts).items()))
+
+
+@cache
+def standard_tableaux(outer, inner):
+    """Standard skew tableaux of shape outer/inner: remove a corner of
+    `outer` that keeps it around `inner`, one box at a time."""
+    if outer == inner:
+        return 1
+    count = 0
+    for i, part in enumerate(outer):
+        if i + 1 == len(outer) or outer[i + 1] < part:
+            rest = outer[:i] + (part - 1,) + outer[i + 1 :]
+            rest = tuple(p for p in rest if p)
+            if len(rest) >= len(inner) and all(r >= q for r, q in zip(rest, inner)):
+                count += standard_tableaux(rest, inner)
+    return count
+
+
+def test_character_table_against_rules_without_hops():
+    """The table against three rules it shares no code with.  These
+    comparisons used to be independent and now read the current tree on
+    both sides, so they are no longer oracles of it:
+    `tests/test_fock.py::test_current_exp_routes_agree`,
+    `tests/test_fock_vectors.py::ref_current_exp` (through
+    `skew_schur_signed`) and the `current_exp` check of perfbench's
+    fock-routes jobs (`schur.skew_schur`)."""
+    top = 10
+    table = character_table((), top)
+    for k in range(top + 1):
+        shapes = [lam for lam in enumerate_partitions(k) if lam.weight == k]
+        types = [cycle_type(rho) for rho in shapes]
+        for lam in shapes:
+            row = table.get(lam.parts, {})
+            # every entry is a cycle type of the shape's weight
+            assert {m for m in row if row[m]} <= set(types), lam
+            # the identity class: chi^lam_(1^k) = k! / hook product
+            assert row.get(((1, k),) if k else (), 0) * lam.hook_product() == factorial(k)
+        # column orthogonality: sum_lam chi_rho chi_sigma = z_rho delta
+        rows = [table.get(lam.parts, {}) for lam in shapes]
+        for m in types:
+            z = prod(j**e * factorial(e) for j, e in m)
+            for n in types:
+                got = sum(row.get(m, 0) * row.get(n, 0) for row in rows)
+                assert got == (z if m == n else 0), (k, m, n)
+    # skew characters at the identity class count standard skew tableaux
+    span = 7
+    for inner in enumerate_partitions(3):
+        table = character_table(inner.parts, span)
+        for outer in enumerate_partitions(inner.weight + span):
+            k = outer.weight - inner.weight
+            got = table.get(outer.parts, {}).get(((1, k),) if k > 0 else (), 0)
+            want = standard_tableaux(outer.parts, inner.parts) if outer.contains(inner) else 0
+            assert got == want, (outer, inner)
