@@ -14,8 +14,10 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import add
 
 from tauforge.fock import ModeWindow, WindowViolation, vev, window_for
 from tauforge.grouplike import (
@@ -510,7 +512,7 @@ def report_text(payload) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)`, written directly:
     the standard encoder runs in pure Python whenever it indents.  A `Poly`
     in the payload is written as its `to_json()` would be, straight from
-    its numerators, in the order of `Poly._sorted_nums`."""
+    its numerators, in the order of `Poly.named_terms`."""
     out: list[str] = []
     _write_json(payload, "\n", out)
     return "".join(out)
@@ -552,19 +554,13 @@ def _write_poly(poly: Poly, nl: str, out: list[str]) -> None:
     row = inner + "  "  # the line a term starts on
     field = row + "  "
     deeper = field + "  "
-    names = [v.name for v in poly.table.variables]
-    quoted = [_quote(name) for name in names]
+    labels = [_quote(name) + ": " for name in sorted(v.name for v in poly.table.variables)]
     den = poly.den
     texts = []
-    for key, n in poly._sorted_nums():
+    for exps, n in poly.named_terms():
         g = gcd(n, den)
-        if key:
-            body = ("," + deeper).join(
-                [f"{quoted[i]}: {e}" for i, e in sorted(key, key=lambda ie: names[ie[0]])]
-            )
-            exp = "{" + deeper + body + field + "}"
-        else:
-            exp = "{}"
+        body = ("," + deeper).join(map(add, compress(labels, exps), map(str, filter(None, exps))))
+        exp = "{" + deeper + body + field + "}" if body else "{}"
         texts.append(
             f'{{{field}"den": "{den // g}",{field}"exp": {exp},{field}"num": "{n // g}"{row}}}'
         )

@@ -722,14 +722,14 @@ def apply_current_exp_direct(
             if direction == "lower" and total > depth:
                 for b in [b for b in states if _weight(b) > cap]:
                     del states[b]
-            key = tuple(sorted((index[k], e) for k, e in m))
+            key = table.encode([(index[k], e) for k, e in m])
             mult = sign**s * fact // prod(factorial(e) for _, e in m)
             if not poly:
                 for b, c in states.items():
                     out.setdefault(b, {})[key] = c * mult
                 live.update(states)
                 continue
-            tm = Poly(table, cutoffs, {key: Fraction(mult, fact)})
+            tm = Poly.from_numerators(table, cutoffs, {key: mult}, fact)
             for b in list(states):
                 if term := states[b] * tm:
                     _add_into(live, b, term)
@@ -746,7 +746,7 @@ def apply_current_exp_direct(
         for b in live if ks else ():
             _hops(b, mode_sign * (ks[-1] if up else 1), v.dual, v.window, tree.base)
     if not poly:
-        out = {b: Poly._reduced(table, cutoffs, nums, q * fact) for b, nums in out.items()}
+        out = {b: Poly.from_numerators(table, cutoffs, nums, q * fact) for b, nums in out.items()}
     return v._like({b >> lift: c for b, c in out.items()})
 
 

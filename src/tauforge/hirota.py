@@ -78,7 +78,7 @@ def residue_check(
     if tau_left is tau_right:
         # tau(t+a) = E + O by the parity of the degree in a, so
         # tau(t-a) tau(t+a) = (E - O)(E + O) = E^2 - O^2
-        even, odd = _parity_parts(plus, shift)
+        even, odd = shift.parity_parts(plus)
         product = even * even - odd * odd
     else:
         product = family.shift_by(tau_left, shift, -1) * plus
@@ -93,15 +93,6 @@ def residue_check(
     name = "kp_residue" if charge_gap == 0 else f"mkp_residue_gap{charge_gap}"
     # each term consumes gap+1 net derivative orders of the truncated input
     return _report(name, total.poly(), depth - 1 - charge_gap, family.grading)
-
-
-def _parity_parts(p: Poly, family: TimeFamily) -> tuple[Poly, Poly]:
-    """The terms of `p` of even and of odd total degree in the family's times."""
-    times = {p.table.index[name] for name in family.names}
-    parts: tuple[dict, dict] = ({}, {})
-    for key, n in p.nums.items():
-        parts[sum(e for i, e in key if i in times) % 2][key] = n
-    return tuple(Poly._reduced(p.table, p.cutoffs, nums, p.den) for nums in parts)
 
 
 def kp_residue_check(tau: Poly, family: TimeFamily, shift: TimeFamily) -> CheckReport:

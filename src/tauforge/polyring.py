@@ -5,13 +5,43 @@ one cutoff per grading and drops any monomial exceeding a cutoff, eagerly,
 in every operation.  The ring is exact and never touches floating point.
 
 A `Poly` stores integer numerators over one common denominator
-(`nums: dict[key, int]`, `den: int`), kept canonical: `den > 0`, no
+(`nums: dict[int, int]`, `den: int`), kept canonical: `den > 0`, no
 factor common to `den` and every numerator, and `den == 1` for zero, so
 equal polynomials have equal storage and `==` and `hash` compare it
 directly.  Every operation works on the integers and divides out one gcd
-at the end; no per-term `Fraction` is formed.  `terms` is a read-only
-`Fraction` view for readers, built on access and never cached.  A `Poly`
-is not changed after it is built.
+at the end; no per-term `Fraction` is formed.  A `Poly` is not changed
+after it is built.
+
+Each monomial is one int, a packed exponent vector laid out by its
+`VariableTable` in 16-bit fields: from the top, the total weight, the
+weight in each grading (in the table's grading order), then the exponent
+of each variable (variable 0 most significant).  The top bit of every
+field is a guard; a field holds at most `FIELD_MAX` = 2^15 - 1.  The
+variable's unit key holds exponent 1 and its weight in its grading's field
+and the total, so a product of monomials is the sum of their keys, a
+derivative subtracts a unit and a time shift adds multiples of units,
+the weights following along.  Stored keys keep every guard clear, so the
+sum of two keys cannot carry between fields, and a result key with a
+guard set is a field overflow: it raises `ValueError` instead of spilling
+into the next field.  Cutoffs above `FIELD_MAX` raise as well, and so does
+a negative exponent.  Truncation reads the weight fields alone: adding
+FIELD_MAX - cutoff to each bounded grading's field sets a guard exactly
+where a weight exceeds its cutoff (`VariableTable._bounds`, memoized per
+distinct cutoffs).  Tuple keys, sorted
+((variable index, exponent), ...), appear only at the boundary: the
+constructor, `terms`, `coefficient`, `sorted_terms`, JSON, `evaluate`,
+`embed` and `VariableTable.weight_of`.  Other modules build packed keys
+with `VariableTable.encode` and polynomials from them with
+`Poly.from_numerators`.
+
+The report order (`_sorted_nums`, used by `to_json` and the CLI's writer)
+is by total weight, then by the weights per grading, then by tuple key.
+It is the int order of (key & HIGH) | ((key + C) & LOW), where HIGH keeps
+the weight fields, LOW the value bits of the exponent fields and C holds
+2^15 - 1 in every exponent field: an absent variable then sorts after
+any present power, as a shorter tuple does.  Only a table with a weight-0
+variable can tie two weights on keys where one tuple extends the other,
+so such a table sorts by decoded tuples instead.
 
 The standard setup has time variables t_1..t_D of weight k in one grading
 (only K = D of them are materialized at cutoff D, since t_k with k > D
@@ -20,13 +50,14 @@ unit-weight formal parameters (inverse spectral points, couplings) that may
 share a grading with the times so that "total weight" bounds shift degree
 and time weight together.
 
-Products are graded: each operand's terms are bucketed by their weight in
-every bounded grading, and only bucket pairs whose weights sum within the
-cutoffs are multiplied.  Weights add under multiplication, so every
-monomial formed survives the truncation and none is formed only to be
-dropped.  A polynomial caches its buckets on first use, so an operand that
-enters many products is bucketed once.  A polynomial's terms always lie
-within its own cutoffs, so a sum re-truncates only when a cutoff tightens.
+Products are graded: each operand's terms are bucketed by their weight
+fields in the bounded gradings, and only bucket pairs whose weights sum
+within the cutoffs are multiplied.  Weights add under multiplication, so
+every monomial formed survives the truncation and none is formed only to
+be dropped.  A polynomial caches its buckets on first use, so an operand
+that enters many products is bucketed once.  A polynomial's terms always
+lie within its own cutoffs, so a sum re-truncates only when a cutoff
+tightens.
 
 Loops that sum many polynomials add in place into one private dict over a
 running denominator (`_Sum`), rescaled to the lcm only when an addend's
@@ -38,16 +69,26 @@ multiplying `Poly` powers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import compress, product
 from math import comb, gcd, lcm, perm, prod
-from operator import le
+from operator import itemgetter, mul, or_
+from struct import Struct
 
 Scalar = Fraction | int
 
 MonomialKey = tuple[tuple[int, int], ...]  # sorted ((var_index, exponent), ...)
+
+FIELD_BITS = 16
+FIELD_MAX = (1 << FIELD_BITS - 1) - 1  # the largest exponent or weight a field holds
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+def _overflow() -> ValueError:
+    return ValueError(f"a monomial exponent or weight exceeds {FIELD_MAX}")
 
 
 @dataclass(frozen=True)
@@ -62,16 +103,44 @@ class Variable:
 
 
 class VariableTable:
-    """Ordered, name-unique list of graded variables."""
+    """Ordered, name-unique list of graded variables, and the packed layout
+    of a monomial key over them (see the module docstring)."""
 
     def __init__(self, variables: Iterable[Variable]):
         self.variables = tuple(variables)
         self.index = {v.name: i for i, v in enumerate(self.variables)}
         if len(self.index) != len(self.variables):
             raise ValueError("duplicate variable names")
+        for v in self.variables:
+            if v.weight > FIELD_MAX:
+                raise ValueError(f"variable {v.name} has weight above {FIELD_MAX}")
         self.gradings = tuple(sorted({v.grading for v in self.variables}))
-        # (position in `gradings`, weight) of each variable
-        self.slots = tuple((self.gradings.index(v.grading), v.weight) for v in self.variables)
+        n, width = len(self.variables), len(self.gradings)
+        # the exponent field of each variable, then each grading's weight field
+        self.shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        base = FIELD_BITS * n
+        self.grading_shifts = {
+            g: base + FIELD_BITS * (width - 1 - j) for j, g in enumerate(self.gradings)
+        }
+        total = base + FIELD_BITS * width
+        self.units = tuple(
+            (1 << s) + (v.weight << self.grading_shifts[v.grading]) + (v.weight << total)
+            for s, v in zip(self.shifts, self.variables)
+        )
+        # the most a unit adds to any one field
+        self._spans = tuple(max(v.weight, 1) for v in self.variables)
+        self.guards = sum(1 << FIELD_BITS * j + FIELD_BITS - 1 for j in range(n + width + 1))
+        self._low = sum(FIELD_MAX << s for s in self.shifts)
+        self._high = -1 << base
+        self._weightless = any(v.weight == 0 for v in self.variables)
+        self._bounds_memo: dict[tuple, tuple[dict[str, int | None], int, int]] = {}
+        # every field of a key at once, most significant first
+        self._fields = Struct(f">{n + width + 1}H").unpack
+        self._bytes = 2 * (n + width + 1)
+        named = [width + 1 + i for i in sorted(range(n), key=lambda i: self.variables[i].name)]
+        self._name_fields = (
+            itemgetter(*named) if n > 1 else lambda fields: tuple(fields[j] for j in named)
+        )
         # equality and hash by plain tuples: tables are compared and hashed
         # at every memo lookup and every binary operation
         self._key = tuple((v.name, v.grading, v.weight) for v in self.variables)
@@ -87,6 +156,52 @@ class VariableTable:
             if v.grading == grading:
                 w += v.weight * e
         return w
+
+    def _bounds(self, cutoffs: Mapping[str, int | None]) -> tuple[dict[str, int | None], int, int]:
+        """(the cutoffs over every grading, mask, add), memoized per distinct
+        cutoffs: a key lies within them exactly when ((key & mask) + add) &
+        guards is 0.  `mask` keeps the weight fields of the bounded gradings
+        and `add` holds FIELD_MAX - cutoff in each, so a weight above its
+        cutoff reaches the guard; a negative cutoff on a grading the table
+        lacks admits nothing, as on one it has.  The completed dict is
+        shared by every polynomial built on it and never changed."""
+        memo_key = tuple(cutoffs.items())
+        got = self._bounds_memo.get(memo_key)
+        if got is None:
+            cut = dict(_checked(cutoffs))
+            for g in self.gradings:
+                cut.setdefault(g, None)
+            mask = add = 0
+            for g, c in cut.items():
+                if c is None:
+                    continue
+                if g in self.grading_shifts:
+                    mask |= FIELD_MAX << self.grading_shifts[g]
+                    add += FIELD_MAX - max(c, -1) << self.grading_shifts[g]
+                elif c < 0:
+                    add |= self.guards & -self.guards  # the lowest guard, in a field mask skips
+            got = self._bounds_memo[memo_key] = (cut, mask, add)
+        return got
+
+    def encode(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The packed key of the monomial prod x_i^e over (i, e) pairs;
+        a zero exponent adds nothing.  Raises ValueError on a negative
+        exponent or on a field overflow."""
+        out = 0
+        for i, e in pairs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e} of {self.variables[i].name}")
+            if e * self._spans[i] > FIELD_MAX:
+                raise _overflow()
+            out += e * self.units[i]
+            if out & self.guards:
+                raise _overflow()
+        return out
+
+    def decode(self, key: int) -> MonomialKey:
+        """The sorted ((variable index, exponent), ...) tuple of a key."""
+        exps = self._fields(key.to_bytes(self._bytes, "big"))[len(self.gradings) + 1 :]
+        return tuple(compress(enumerate(exps), exps))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, VariableTable) and self._key == other._key)
@@ -104,23 +219,32 @@ def time_variables(grading: str, count: int, prefix: str = "t") -> list[Variable
 
 
 class _TermView(Mapping):
-    """Read-only `Fraction` view of a polynomial's terms, formed on access:
-    each value is built when it is read and nothing is cached."""
+    """Read-only `Fraction` view of a polynomial's terms on tuple keys,
+    formed on access: each key is decoded and each value built when it is
+    read, and nothing is cached."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_poly",)
 
-    def __init__(self, nums: dict[MonomialKey, int], den: int):
-        self._nums = nums
-        self._den = den
+    def __init__(self, poly: "Poly"):
+        self._poly = poly
 
     def __getitem__(self, key: MonomialKey) -> Fraction:
-        return Fraction(self._nums[key], self._den)
+        p = self._poly
+        last = -1
+        for i, e in key:  # only a sorted tuple of positive exponents is a key
+            if not (last < i < len(p.table.variables) and 0 < e <= FIELD_MAX):
+                raise KeyError(key)
+            last = i
+        try:
+            return Fraction(p.nums[p.table.encode(key)], p.den)
+        except ValueError:
+            raise KeyError(key) from None
 
     def __iter__(self):
-        return iter(self._nums)
+        return map(self._poly.table.decode, self._poly.nums)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return len(self._poly.nums)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -129,10 +253,10 @@ class _TermView(Mapping):
 class Poly:
     """Sparse truncated polynomial attached to a table and per-grading cutoffs.
 
-    The value is sum(nums[key] * monomial(key)) / den, kept canonical: `den`
-    is positive, shares no factor with every numerator at once, and is 1 for
-    the zero polynomial.  Numerators are never zero.  A `Poly` is never
-    changed after it is built.
+    The value is sum(nums[key] * monomial(key)) / den over packed keys,
+    kept canonical: `den` is positive, shares no factor with every
+    numerator at once, and is 1 for the zero polynomial.  Numerators are
+    never zero.  A `Poly` is never changed after it is built.
     """
 
     __slots__ = ("table", "cutoffs", "nums", "den", "_buckets")
@@ -143,19 +267,18 @@ class Poly:
         cutoffs: Mapping[str, int | None],
         terms: Mapping[MonomialKey, Scalar] | None = None,
     ):
-        """Build from rational coefficients.  Keys are sorted, zero
-        exponents dropped, repeated keys summed and monomials beyond a
-        cutoff dropped."""
-        cut = _complete(table, cutoffs)
-        acc: dict[MonomialKey, Fraction] = {}
+        """Build from rational coefficients on tuple keys.  Zero exponents
+        are dropped, repeated monomials summed and monomials beyond a cutoff
+        dropped; a negative exponent raises ValueError."""
+        cut, mask, add = table._bounds(cutoffs)
+        guards = table.guards
+        acc: dict[int, Fraction] = {}
         for key, c in (terms or {}).items():
+            k = table.encode(key)
             c = Fraction(c)
-            if not c:
+            if not c or ((k & mask) + add) & guards:
                 continue
-            key = tuple(sorted((i, e) for i, e in key if e != 0))
-            if not _within(table, cut, key):
-                continue
-            acc[key] = acc[key] + c if key in acc else c
+            acc[k] = acc[k] + c if k in acc else c
         den = lcm(*(c.denominator for c in acc.values()))
         nums = {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
         self._set(table, cut, nums, den)
@@ -175,7 +298,7 @@ class Poly:
     def _reduced(
         table: VariableTable,
         cutoffs: dict[str, int | None],
-        nums: dict[MonomialKey, int],
+        nums: dict[int, int],
         den: int,
     ) -> "Poly":
         """The polynomial nums / den from nonzero numerators on keys within
@@ -185,15 +308,29 @@ class Poly:
         p._set(table, cutoffs, nums, den)
         return p
 
+    @staticmethod
+    def from_numerators(
+        table: VariableTable,
+        cutoffs: Mapping[str, int | None],
+        nums: Mapping[int, int],
+        den: int,
+    ) -> "Poly":
+        """The polynomial nums / den over keys from `VariableTable.encode`;
+        zero numerators and keys beyond a cutoff are dropped."""
+        cut, mask, add = table._bounds(cutoffs)
+        guards = table.guards
+        kept = {k: n for k, n in nums.items() if n and not ((k & mask) + add) & guards}
+        return Poly._reduced(table, cut, kept, den)
+
     # -- basics ---------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[MonomialKey, Fraction]:
-        return _TermView(self.nums, self.den)
+        return _TermView(self)
 
     @staticmethod
     def zero(table: VariableTable, cutoffs: Mapping[str, int | None]) -> "Poly":
-        return Poly._reduced(table, _complete(table, cutoffs), {}, 1)
+        return Poly._reduced(table, table._bounds(cutoffs)[0], {}, 1)
 
     @staticmethod
     def constant(
@@ -202,15 +339,13 @@ class Poly:
         c = Fraction(c)
         if not (c and all(cut is None or cut >= 0 for cut in cutoffs.values())):
             return Poly.zero(table, cutoffs)
-        return Poly._reduced(table, _complete(table, cutoffs), {(): c.numerator}, c.denominator)
+        return Poly._reduced(table, table._bounds(cutoffs)[0], {0: c.numerator}, c.denominator)
 
     @staticmethod
     def variable(
         table: VariableTable, cutoffs: Mapping[str, int | None], name: str
     ) -> "Poly":
-        key = ((table.index[name], 1),)
-        cut = _complete(table, cutoffs)
-        return Poly._reduced(table, cut, {key: 1} if _within(table, cut, key) else {}, 1)
+        return Poly.from_numerators(table, cutoffs, {table.units[table.index[name]]: 1}, 1)
 
     def one_like(self) -> "Poly":
         return Poly.constant(self.table, self.cutoffs, 1)
@@ -226,19 +361,20 @@ class Poly:
         return bool(self.nums)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get((), 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
-        key = tuple(
-            sorted((self.table.index[n], e) for n, e in exponents.items() if e)
-        )
+        key = self.table.encode((self.table.index[n], e) for n, e in exponents.items())
         return Fraction(self.nums.get(key, 0), self.den)
 
     def weight(self, key: MonomialKey, grading: str) -> int:
         return self.table.weight_of(key, grading)
 
     def max_weight(self, grading: str) -> int:
-        return max((self.weight(k, grading) for k in self.nums), default=0)
+        s = self.table.grading_shifts.get(grading)
+        if s is None:
+            return 0
+        return max((k >> s & _FIELD for k in self.nums), default=0)
 
     # -- ring operations --------------------------------------------------
 
@@ -278,16 +414,15 @@ class Poly:
             return NotImplemented
         return o + (-self)
 
-    def _buckets_by(self, graded: tuple[str, ...]) -> list:
-        """The terms as [(weight vector in `graded`, [(key, numerator), ...])],
-        cached for the last `graded` asked for."""
+    def _buckets_by(self, mask: int) -> list:
+        """The terms as [(key & mask, [(key, numerator), ...])], cached for
+        the last `mask` asked for."""
         got = self._buckets
-        if got is None or got[0] != graded:
-            out: dict[tuple[int, ...], list] = {}
-            weight_of = self.table.weight_of
+        if got is None or got[0] != mask:
+            out: dict[int, list] = {}
             for key, n in self.nums.items():
-                out.setdefault(tuple([weight_of(key, g) for g in graded]), []).append((key, n))
-            got = self._buckets = (graded, list(out.items()))
+                out.setdefault(key & mask, []).append((key, n))
+            got = self._buckets = (mask, list(out.items()))
         return got[1]
 
     def __mul__(self, other) -> "Poly":
@@ -302,39 +437,29 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cut = _merge_cutoffs(self.table, self.cutoffs, o.cutoffs)
-        graded = tuple(g for g, c in cut.items() if c is not None)
-        caps = [cut[g] for g in graded]
-        right = o._buckets_by(graded)
-        acc: dict[MonomialKey, int] = {}
+        table = self.table
+        cut, mask, add = table._bounds(_merge_cutoffs(table, self.cutoffs, o.cutoffs))
+        guards = table.guards
+        right = o._buckets_by(mask)
+        acc: dict[int, int] = {}
         get = acc.get
-        for w1, left in self._buckets_by(graded):
-            room = [c - x for x, c in zip(w1, caps)]
-            fit = [t for w2, ts in right if all(map(le, w2, room)) for t in ts]
+        for w1, left in self._buckets_by(mask):
+            # each bounded field of room holds FIELD_MAX - (cut - w1): a right
+            # bucket fits where adding its weights sets no guard
+            room = w1 + add
+            if room & guards:
+                continue
+            fit = [t for w2, ts in right if not (room + w2) & guards for t in ts]
             if not fit:
                 continue
             for k1, c1 in left:
-                if not k1:
-                    for k2, c2 in fit:
-                        acc[k2] = get(k2, 0) + c1 * c2
-                    continue
-                first, last = k1[0][0], k1[-1][0]
                 for k2, c2 in fit:
-                    # keys are sorted by variable: disjoint ranges concatenate
-                    if not k2:
-                        key = k1
-                    elif last < k2[0][0]:
-                        key = k1 + k2
-                    elif k2[-1][0] < first:
-                        key = k2 + k1
-                    else:
-                        merged = dict(k1)
-                        for i, e in k2:
-                            merged[i] = merged.get(i, 0) + e
-                        key = tuple(sorted(merged.items()))
-                    acc[key] = get(key, 0) + c1 * c2
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        if reduce(or_, acc, 0) & guards:
+            raise _overflow()
         nums = {k: n for k, n in acc.items() if n}
-        return Poly._reduced(self.table, cut, nums, self.den * o.den)
+        return Poly._reduced(table, cut, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -384,21 +509,16 @@ class Poly:
 
     def _derive(self, idx: int, order: int) -> "Poly":
         """d^order/dx^order for the variable at table index `idx`, in one
-        pass: distinct monomials stay distinct, the exponent is edited in
-        place in the sorted key, and each numerator is multiplied once by
+        pass: distinct monomials stay distinct, each key loses `order`
+        units of the variable, and each numerator is multiplied once by
         the falling factorial e (e-1) ... (e-order+1)."""
-        nums: dict[MonomialKey, int] = {}
+        s = self.table.shifts[idx]
+        step = order * self.table.units[idx]
+        nums: dict[int, int] = {}
         for key, n in self.nums.items():
-            for pos, (i, e) in enumerate(key):
-                if i >= idx:
-                    break
-            else:
-                continue
-            if i != idx or e < order:
-                continue
-            rest = key[pos + 1 :]
-            key = key[:pos] + ((idx, e - order),) + rest if e > order else key[:pos] + rest
-            nums[key] = n * perm(e, order)
+            e = key >> s & _FIELD
+            if e >= order:
+                nums[key - step] = n * perm(e, order)
         return Poly._reduced(self.table, self.cutoffs, nums, self.den)
 
     def substitute(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
@@ -434,7 +554,7 @@ class Poly:
         out = Fraction(0)
         for key, n in self.nums.items():
             val = Fraction(n)
-            for i, e in key:
+            for i, e in self.table.decode(key):
                 name = self.table.variables[i].name
                 if name not in assignment:
                     raise KeyError(f"no value for variable {name}")
@@ -452,35 +572,33 @@ class Poly:
             if table.var(v.name).weight != v.weight:
                 raise ValueError(f"variable {v.name} changes weight under embedding")
             remap[i] = table.index[v.name]
-        cut = _complete(table, cutoffs)
-        nums = {}
-        for key, n in self.nums.items():
-            key = tuple(sorted((remap[i], e) for i, e in key))
-            if _within(table, cut, key):
-                nums[key] = n
-        return Poly._reduced(table, cut, nums, self.den)
+        nums = {
+            table.encode((remap[i], e) for i, e in self.table.decode(key)): n
+            for key, n in self.nums.items()
+        }
+        return Poly.from_numerators(table, cutoffs, nums, self.den)
 
     def truncate(self, cutoffs: Mapping[str, int | None]) -> "Poly":
         merged = dict(self.cutoffs)
-        for g, c in cutoffs.items():
+        for g, c in _checked(cutoffs).items():
             old = merged.get(g)
             merged[g] = c if old is None else (old if c is None else min(old, c))
-        nums = {k: n for k, n in self.nums.items() if _within(self.table, merged, k)}
-        return Poly._reduced(self.table, merged, nums, self.den)
+        cut, mask, add = self.table._bounds(merged)
+        guards = self.table.guards
+        nums = {k: n for k, n in self.nums.items() if not ((k & mask) + add) & guards}
+        return Poly._reduced(self.table, cut, nums, self.den)
 
     # -- series helpers ----------------------------------------------------
 
     def _check_locally_nilpotent(self):
-        for key in self.nums:
-            ok = False
-            for g, cut in self.cutoffs.items():
-                if cut is not None and self.table.weight_of(key, g) > 0:
-                    ok = True
-                    break
-            if not ok:
-                raise ValueError(
-                    "series argument must vanish at weight zero in a bounded grading"
-                )
+        shifts = self.table.grading_shifts
+        bounded = sum(
+            _FIELD << shifts[g] for g, cut in self.cutoffs.items() if cut is not None and g in shifts
+        )
+        if not all(k & bounded for k in self.nums):
+            raise ValueError(
+                "series argument must vanish at weight zero in a bounded grading"
+            )
 
     def series_exp(self) -> "Poly":
         self._check_locally_nilpotent()
@@ -525,34 +643,40 @@ class Poly:
 
     # -- serialization ------------------------------------------------------
 
-    def _sorted_nums(self) -> list[tuple[MonomialKey, int]]:
+    def _sorted_nums(self) -> list[tuple[int, int]]:
         """The (key, numerator) pairs in report order: by total weight, then
-        by the weights per grading in the table's grading order, then by key.
-        `to_json` and the CLI's report writer both list terms in this order."""
-        slots, width = self.table.slots, len(self.table.gradings)
+        by the weights per grading in the table's grading order, then by
+        tuple key.  `to_json` and the CLI's report writer both list terms
+        in this order."""
+        table = self.table
+        if table._weightless:
+            base, decode = FIELD_BITS * len(table.variables), table.decode
+            return sorted(self.nums.items(), key=lambda item: (item[0] >> base, decode(item[0])))
+        high, low = table._high, table._low
+        return sorted(self.nums.items(), key=lambda item: item[0] & high | (item[0] + low) & low)
 
-        def sortkey(item):
-            key = item[0]
-            tot = [0] * width
-            for i, e in key:
-                g, w = slots[i]
-                tot[g] += w * e
-            return (sum(tot), tot, key)
-
-        return sorted(self.nums.items(), key=sortkey)
+    def named_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(the exponent of every variable, zeros included, in the order of
+        the sorted variable names; numerator) per term, in report order:
+        the rows the CLI's report writer formats, each formed as it is
+        read."""
+        table = self.table
+        fields, size, named = table._fields, table._bytes, table._name_fields
+        return ((named(fields(key.to_bytes(size, "big"))), n) for key, n in self._sorted_nums())
 
     def sorted_terms(self) -> list[tuple[MonomialKey, Fraction]]:
-        return [(key, Fraction(n, self.den)) for key, n in self._sorted_nums()]
+        decode = self.table.decode
+        return [(decode(key), Fraction(n, self.den)) for key, n in self._sorted_nums()]
 
     def to_json(self) -> dict:
         names = [v.name for v in self.table.variables]
-        den = self.den
+        decode, den = self.table.decode, self.den
         terms = []
         for key, n in self._sorted_nums():
             g = gcd(n, den)
             terms.append(
                 {
-                    "exp": {names[i]: e for i, e in key},
+                    "exp": {names[i]: e for i, e in decode(key)},
                     "num": str(n // g),
                     "den": str(den // g),
                 }
@@ -597,23 +721,12 @@ class Poly:
         return "Poly(" + " + ".join(bits) + more + ")"
 
 
-def _complete(
-    table: VariableTable, cutoffs: Mapping[str, int | None]
-) -> dict[str, int | None]:
-    """A fresh copy of `cutoffs` holding every grading of `table`."""
-    out = dict(cutoffs)
-    for g in table.gradings:
-        out.setdefault(g, None)
-    return out
-
-
-def _within(
-    table: VariableTable, cutoffs: Mapping[str, int | None], key: MonomialKey
-) -> bool:
-    for g, cut in cutoffs.items():
-        if cut is not None and table.weight_of(key, g) > cut:
-            return False
-    return True
+def _checked(cutoffs: Mapping[str, int | None]) -> Mapping[str, int | None]:
+    """`cutoffs`, once every bound is known to fit a weight field."""
+    for g, c in cutoffs.items():
+        if c is not None and c > FIELD_MAX:
+            raise ValueError(f"cutoff {c} on grading {g} exceeds {FIELD_MAX}")
+    return cutoffs
 
 
 def _merge_cutoffs(
@@ -649,15 +762,19 @@ class _Sum:
 
     def add(self, p: Poly, scale: Scalar | None = None) -> None:
         """Add `p`, or `p * scale` for a rational `scale`."""
-        if p.table is not self.table and p.table != self.table:
+        table = self.table
+        if p.table is not table and p.table != table:
             raise ValueError("polynomials live on different variable tables")
-        cut = self.cutoffs
-        if p.cutoffs != cut:
-            cut = _merge_cutoffs(self.table, cut, p.cutoffs)
+        items = p.nums.items()
+        if p.cutoffs is not self.cutoffs and p.cutoffs != self.cutoffs:
+            cut, mask, plus = table._bounds(_merge_cutoffs(table, self.cutoffs, p.cutoffs))
+            guards = table.guards
+            if cut != self.cutoffs:
+                self.nums = {k: n for k, n in self.nums.items() if not ((k & mask) + plus) & guards}
+                self.cutoffs = cut
+            if p.cutoffs != cut:
+                items = [(k, n) for k, n in items if not ((k & mask) + plus) & guards]
         nums = self.nums
-        if cut != self.cutoffs:
-            self.nums = nums = {k: n for k, n in nums.items() if _within(self.table, cut, k)}
-            self.cutoffs = cut
         if scale is None:
             num, pden = 1, p.den
         elif not scale:
@@ -672,10 +789,7 @@ class _Sum:
                 nums[k] *= factor
             self.den = den = grown
         num *= den // pden
-        clip = p.cutoffs != cut
-        for k, n in p.nums.items():
-            if clip and not _within(self.table, cut, k):
-                continue
+        for k, n in items:
             s = nums.get(k)
             if s is None:
                 nums[k] = n * num
@@ -689,23 +803,26 @@ class _Sum:
 
 
 class _Partials:
-    """The partial derivatives of one polynomial, memoized by multi-index
-    (sorted ((table index, order), ...)).  Each is one first-order step
-    from its parent, the multi-index with its last order lowered by one,
-    so a family of operators over one target derives every partial once."""
+    """The partial derivatives of one polynomial, memoized by multi-index:
+    the orders as a key of the polynomial's table (a monomial whose
+    exponents are the orders).  Each is one first-order step from its
+    parent, the multi-index with the order of its first variable lowered
+    by one, so a family of operators over one target derives every partial
+    once."""
 
     __slots__ = ("poly", "_memo")
 
     def __init__(self, poly: Poly):
         self.poly = poly
-        self._memo: dict[MonomialKey, Poly] = {(): poly}
+        self._memo: dict[int, Poly] = {0: poly}
 
-    def get(self, alpha: MonomialKey) -> Poly:
+    def get(self, alpha: int) -> Poly:
         got = self._memo.get(alpha)
         if got is None:
-            idx, e = alpha[-1]
-            parent = alpha[:-1] + ((idx, e - 1),) if e > 1 else alpha[:-1]
-            got = self._memo[alpha] = self.get(parent)._derive(idx, 1)
+            table = self.poly.table
+            # the highest exponent field in use is the first variable's
+            idx = len(table.shifts) - 1 - ((alpha & table._low).bit_length() - 1) // FIELD_BITS
+            got = self._memo[alpha] = self.get(alpha - table.units[idx])._derive(idx, 1)
         return got
 
 
@@ -785,6 +902,17 @@ class TimeFamily:
     def exp_xi_value(self, value: Scalar) -> Poly:
         return self.xi_value(value).series_exp()
 
+    def parity_parts(self, p: Poly) -> tuple[Poly, Poly]:
+        """The terms of `p` of even and of odd total degree in the times:
+        the parity of the sum of the exponents is that of the number of
+        odd exponents, the low bits of the times' fields."""
+        table = p.table
+        low_bits = sum(1 << table.shifts[table.index[name]] for name in self.names)
+        parts: tuple[dict, dict] = ({}, {})
+        for key, n in p.nums.items():
+            parts[(key & low_bits).bit_count() & 1][key] = n
+        return tuple(Poly._reduced(table, p.cutoffs, nums, p.den) for nums in parts)
+
     def miwa_shift(self, p: Poly, sign: int, param: str) -> Poly:
         """Substitute t_k -> t_k +- param^k / k (the one-point Miwa shift)."""
         y = self.table.index[param]
@@ -817,70 +945,76 @@ class TimeFamily:
     ) -> Poly:
         """Substitute t_k -> t_k + (num/den) v^m simultaneously, for each
         k -> (table index of v, m, num, den) in `shifts`, expanding each
-        power of a shifted time by the binomial theorem in integers.
+        power of a shifted time by the binomial theorem in integers: the
+        r-th term of (t + c v^m)^e moves r units of t to m r units of v.
 
         The result is truncated to `p`'s cutoffs merged with `cutoffs`, the
         cutoffs of the substituted values, once some monomial of `p` holds a
         shifted time (`p` is returned unchanged otherwise).
         """
-        if p.table is not self.table and p.table != self.table:
+        table = self.table
+        if p.table is not table and p.table != table:
             raise ValueError("substitute values must share the table")
-        moves = {self.table.index[self.names[k - 1]]: move for k, move in shifts.items()}
-        # (exponents, numerator, denominator) of each expanded term
-        pieces: list[tuple[dict[int, int], int, int]] = []
+        guards, units = table.guards, table.units
+        # (field shift of t, unit move v^m / t, most a move adds to a field,
+        # {e: [(key change, numerator, denominator) for r in 0..e]})
+        moves = []
+        for k, (v, m, num, den) in shifts.items():
+            i = table.index[self.names[k - 1]]
+            moves.append((table.shifts[i], m * units[v] - units[i], m * table._spans[v], num, den, {}))
+        # (key, numerator, denominator) of each expanded term
+        pieces: list[tuple[int, int, int]] = []
         touched = False
         for key, n in p.nums.items():
-            parts = [({i: e for i, e in key if i not in moves}, n, 1)]
-            for i, e in key:
-                move = moves.get(i)
-                if move is None:
+            parts = [(key, n, 1)]
+            for s, delta, span, num, den, rows in moves:
+                e = key >> s & _FIELD
+                if not e:
                     continue
                 touched = True
-                v, m, num, den = move
-                grown = []
-                for exps, pn, pd in parts:
-                    for r in range(e + 1):
-                        d = dict(exps)
-                        if r < e:
-                            d[i] = d.get(i, 0) + e - r
-                        if r:
-                            d[v] = d.get(v, 0) + m * r
-                        grown.append((d, pn * comb(e, r) * num**r, pd * den**r))
-                parts = grown
+                row = rows.get(e)
+                if row is None:
+                    if e * span > FIELD_MAX:  # the r = e term overflows
+                        raise _overflow()
+                    row = rows[e] = [(r * delta, comb(e, r) * num**r, den**r) for r in range(e + 1)]
+                parts = [(k + dk, pn * c, pd * d) for k, pn, pd in parts for dk, c, d in row]
+                if reduce(or_, [k for k, _, _ in parts]) & guards:
+                    raise _overflow()
             pieces += parts
         if not touched:
             return p
-        cut = _merge_cutoffs(self.table, p.cutoffs, *cutoffs)
+        cut, mask, add = table._bounds(_merge_cutoffs(table, p.cutoffs, *cutoffs))
         common = lcm(*{pd for _, _, pd in pieces})
-        nums: dict[MonomialKey, int] = {}
-        for exps, pn, pd in pieces:
-            k = tuple(sorted(exps.items()))
-            if _within(self.table, cut, k):
+        nums: dict[int, int] = {}
+        for k, pn, pd in pieces:
+            if not ((k & mask) + add) & guards:
                 nums[k] = nums.get(k, 0) + pn * (common // pd)
         nums = {k: n for k, n in nums.items() if n}
-        return Poly._reduced(self.table, cut, nums, p.den * common)
+        return Poly._reduced(table, cut, nums, p.den * common)
 
     def apply_diff(self, op: Poly, target: "Poly | _Partials") -> Poly:
         """Interpret `op` (a polynomial in this family's times) as a
         differential operator: t_k becomes d/dt_k divided by k (the
         tilde-derivative convention).
 
-        `target` may be a `_Partials` memo of the target, so that several
-        operators on one target share its partial derivatives."""
+        `op` and `target` share one table.  `target` may be a `_Partials`
+        memo of the target, so that several operators on one target share
+        its partial derivatives."""
         partials = target if isinstance(target, _Partials) else _Partials(target)
         target = partials.poly
+        if op.table != target.table:
+            raise ValueError("operator and target live on different variable tables")
         rank = {name: k for k, name in enumerate(self.names, start=1)}
+        names = [v.name for v in op.table.variables]
         out = _Sum(target.zero_like())
         for key, n in op.nums.items():
-            alpha = []
+            # the operator's key is its multi-index of derivative orders
             scale = 1
-            for idx, e in key:
-                name = op.table.variables[idx].name
-                if name not in rank:
-                    raise ValueError(f"operator touches non-time variable {name}")
-                scale *= rank[name] ** e
-                alpha.append((target._var_index(name), e))
-            piece = partials.get(tuple(sorted(alpha)))
+            for idx, e in op.table.decode(key):
+                if names[idx] not in rank:
+                    raise ValueError(f"operator touches non-time variable {names[idx]}")
+                scale *= rank[names[idx]] ** e
+            piece = partials.get(key)
             if piece:
                 out.add(piece, Fraction(n, op.den * scale))
         return out.poly()
@@ -905,7 +1039,8 @@ def hirota_bilinear(
         if any(a < 0 for a in orders.values()):
             raise ValueError(f"negative derivative order in {dict(orders)}")
         alpha = sorted((f._var_index(name), a) for name, a in orders.items() if a)
-        idx = [i for i, _ in alpha]
+        f.table.encode(alpha)  # every partial below fits the key fields
+        units = [f.table.units[i] for i, _ in alpha]
         arity = [a for _, a in alpha]
         for beta in product(*(range(a + 1) for a in arity)):
             rest = tuple(a - b for a, b in zip(arity, beta))
@@ -917,8 +1052,8 @@ def hirota_bilinear(
                 weight += binom * (-1) ** sum(beta)
             if not weight:
                 continue
-            fp = f_partials.get(tuple((i, b) for i, b in zip(idx, beta) if b))
-            gp = g_partials.get(tuple((i, r) for i, r in zip(idx, rest) if r))
+            fp = f_partials.get(sum(map(mul, beta, units)))
+            gp = g_partials.get(sum(map(mul, rest, units)))
             # a vanishing term is skipped, but with no derivative at all
             # f * g is added as it stands, merging the two cutoffs
             if alpha and not (fp and gp):

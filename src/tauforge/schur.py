@@ -31,8 +31,6 @@ from tauforge.polyring import (
     Poly,
     Scalar,
     TimeFamily,
-    _complete,
-    _within,
     poly_matrix_det,
 )
 
@@ -74,9 +72,8 @@ def _schur_poly(
         return got
     _check_generators(family, outer, inner)
     table = family.table
-    cut = _complete(table, family.cutoffs)
     weight = sum(outer) - sum(inner)
-    top = cut.get(family.grading)
+    top = family.cutoffs.get(family.grading)
     terms = []
     if weight >= 0 and (top is None or weight <= top):
         from tauforge.fock import character_table
@@ -89,14 +86,12 @@ def _schur_poly(
             # only on a shape above the cutoff (below it, the check raised)
             if m and m[-1][0] > family.depth:
                 continue
-            mono = tuple(sorted([(index[k - 1], e) for k, e in m]))
-            if _within(table, cut, mono):
-                length = sum(e for _, e in m)
-                z = prod(factorial(e) for _, e in m) * den**length
-                terms.append((mono, chi * num**length, z))
+            length = sum(e for _, e in m)
+            z = prod(factorial(e) for _, e in m) * den**length
+            terms.append((table.encode([(index[k - 1], e) for k, e in m]), chi * num**length, z))
     common = lcm(*(z for _, _, z in terms))
     nums = {mono: n * (common // z) for mono, n, z in terms}
-    out = _schur_cache[key] = Poly._reduced(table, cut, nums, common)
+    out = _schur_cache[key] = Poly.from_numerators(table, family.cutoffs, nums, common)
     return out
 
 

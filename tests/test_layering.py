@@ -5,6 +5,11 @@ function-level import may point back up that graph, to a module that
 imports the caller's module, only where it is listed in `UPWARD`: each one
 is an import at call time that a module-level import would turn into a
 cycle.
+
+The monomial representation has one home: no module but `polyring` reads
+the keys of `Poly.nums`, builds a `Poly` from raw storage or touches the
+packed key layout.  Other modules build keys with `VariableTable.encode`
+and polynomials from them with `Poly.from_numerators`.
 """
 
 import ast
@@ -22,6 +27,15 @@ UPWARD = {
     ("polyring", "schur"),  # TimeFamily.h builds its generators with the Schur builder
     ("schur", "fock"),  # the Schur builder reads its characters from the current tree
 }
+
+
+# attributes that reach into a `Poly`'s storage or the packed key layout,
+# and the name of the tuple key type
+STORAGE_ATTRIBUTES = {
+    "nums", "_reduced", "_set", "_buckets", "_buckets_by", "_sorted_nums", "_derive",
+    "units", "shifts", "guards", "grading_shifts", "_bounds", "_fields", "_name_fields",
+}
+STORAGE_NAMES = {"MonomialKey", "_merge_cutoffs"}
 
 
 def imported(node):
@@ -91,3 +105,18 @@ def test_schur_imports_on_its_own():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1/3"
+
+
+def test_only_polyring_touches_monomial_storage():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "polyring":
+            continue
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in STORAGE_ATTRIBUTES:
+                found.add(f"line {node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in STORAGE_NAMES:
+                found.add(f"line {node.lineno}: {node.id}")
+            elif isinstance(node, ast.alias) and node.name in STORAGE_NAMES:
+                found.add(f"import of {node.name}")
+        assert not found, f"{path.stem} reaches into Poly storage: {sorted(found)}"

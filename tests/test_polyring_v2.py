@@ -130,7 +130,12 @@ def assert_canonical(p: Poly):
     assert gcd(p.den, *p.nums.values()) == 1
     if not p.nums:
         assert p.den == 1
-    for key in p.nums:
+    for packed in p.nums:
+        # a packed key: every guard clear, its weight fields those of its
+        # exponents, and it decodes to a sorted key of positive exponents
+        assert type(packed) is int and packed >= 0 and not packed & p.table.guards
+        key = p.table.decode(packed)
+        assert p.table.encode(key) == packed
         assert list(key) == sorted(key) and all(e > 0 for _, e in key)
         assert all(
             cut is None or weight(key, g, p.table) <= cut for g, cut in p.cutoffs.items()
@@ -398,9 +403,9 @@ def test_zero_is_canonical_by_every_route():
 
 def test_terms_is_a_fresh_fraction_view():
     x = Poly(TABLE, {"a": 4}, {((1, 1),): Fraction(2, 3), ((1, 2),): Fraction(1, 6)})
-    assert (x.nums, x.den) == ({((1, 1),): 4, ((1, 2),): 1}, 6)
+    assert (x.nums, x.den) == ({TABLE.encode(((1, 1),)): 4, TABLE.encode(((1, 2),)): 1}, 6)
     view = x.terms
-    assert len(view) == 2 and set(view) == set(x.nums)
+    assert len(view) == 2 and set(view) == {TABLE.decode(k) for k in x.nums}
     assert view[((1, 1),)] == Fraction(2, 3) and isinstance(view[((1, 1),)], Fraction)
     assert x.terms is not view
     with pytest.raises(TypeError):
@@ -427,3 +432,17 @@ def test_h_memo_keys_on_the_scale():
     assert a != b
     assert fam.h(4, 2) is a and fam.h(4, Fraction(2)) is a and fam.h(4, 3) is b
     assert fam.e(4) == fam.h(4, -1)
+
+
+def test_negative_exponents_are_refused():
+    """The packed key has no field for a negative exponent: the constructor
+    and `from_json` raise a one-line ValueError."""
+    table = VariableTable([Variable("t1", "t", 1), Variable("t2", "t", 2)])
+    with pytest.raises(ValueError) as err:
+        Poly(table, {"t": 4}, {((0, -1),): 1})
+    assert str(err.value) == "negative exponent -1 of t1"
+    data = Poly(table, {"t": 4}, {((0, 1), (1, 1)): 3}).to_json()
+    data["terms"][0]["exp"]["t1"] = -2
+    with pytest.raises(ValueError) as err:
+        Poly.from_json(data)
+    assert str(err.value) == "negative exponent -2 of t1"
