@@ -746,7 +746,7 @@ def apply_current_exp_direct(
         for b in live if ks else ():
             _hops(b, mode_sign * (ks[-1] if up else 1), v.dual, v.window, tree.base)
     if not poly:
-        out = {b: Poly.from_numerators(table, cutoffs, nums, q * fact) for b, nums in out.items()}
+        out = dict(zip(out, Poly.from_numerator_rows(table, cutoffs, out.values(), q * fact)))
     return v._like({b >> lift: c for b, c in out.items()})
 
 

@@ -53,10 +53,9 @@ from tauforge.polyring import (
     fraction_matrix_det,
     poly_matrix_det,
 )
-from tauforge.schur import schur_jt
+from tauforge.schur import double_schur_sum
 from tauforge.tau import (
     TauSeries,
-    _schur_neg,
     coefficient_reader,
     expand_mkp,
     window_for_element,
@@ -318,7 +317,7 @@ def unitary_model_tau(
         return family_plus.one()
     if route == "cauchy":
         shapes = enumerate_partitions(depth, max_rows=count)
-        return _double_schur_sum(family_plus, family_minus, shapes, lambda lam: 1)
+        return double_schur_sum(family_plus, family_minus, ((lam, lam, 1) for lam in shapes))
     if route == "toeplitz":
         rows = []
         for j in range(1, count + 1):
@@ -335,14 +334,6 @@ def unitary_model_tau(
             rows.append(row)
         return poly_matrix_det(rows)
     raise ValueError(f"unknown route {route!r}")
-
-
-def _double_schur_sum(plus: TimeFamily, minus: TimeFamily, shapes, weight) -> Poly:
-    """sum over `shapes` of weight(shape) s_shape(t+) s_shape(-t-), in one running sum."""
-    total = _Sum(plus.zero())
-    for lam in shapes:
-        total.add(schur_jt(plus, lam) * _schur_neg(minus, lam), weight(lam))
-    return total.poly()
 
 
 def _content_sum(shape: Partition) -> int:
@@ -407,13 +398,16 @@ def diagonal_model_tau_closed(
     depth: int,
 ) -> Poly:
     """Closed route: the diagonal double Schur sum, each shape weighted by its
-    eigenvalue, g over the occupied modes count + shape_i - i >= 0."""
+    eigenvalue, g over the occupied modes count + shape_i - i >= 0 (g
+    memoized for the call: the shapes share most of their modes)."""
+    g = cache(model.g)
 
     def eigenvalue(lam: Partition) -> Fraction:
-        return prod(model.g(count + lam.part(i) - i) for i in range(1, count + 1))
+        return prod(g(count + lam.part(i) - i) for i in range(1, count + 1))
 
     shapes = enumerate_partitions(depth, max_rows=count)
-    return _double_schur_sum(family_plus, family_minus, shapes, eigenvalue)
+    terms = ((lam, lam, eigenvalue(lam)) for lam in shapes)
+    return double_schur_sum(family_plus, family_minus, terms)
 
 
 def gaussian_coefficient_ratio(count: int, shape: Partition, c: Fraction) -> Fraction:
@@ -461,12 +455,12 @@ def hermitian_moment_tau(count: int, family: TimeFamily, depth: int) -> Poly:
     for i in range(1, count + 1):
         row = []
         for j in range(1, count + 1):
-            acc = family.zero()
+            acc = _Sum(family.zero())
             for a in range(0, depth + 1):
                 mu = gaussian_moment(i + j - 2 + a)
                 if mu:
-                    acc = acc + family.h(a) * mu
-            row.append(acc)
+                    acc.add(family.h(a), mu)
+            row.append(acc.poly())
         rows.append(row)
     return poly_matrix_det(rows)
 
@@ -528,9 +522,10 @@ def cut_and_join_tau_sum(
 ) -> Poly:
     """Direct double Schur sum with staircase-content exponents."""
     e, q = Fraction(e_half_beta), Fraction(q)
-    return _double_schur_sum(
-        family_plus, family_minus, enumerate_partitions(depth),
-        lambda lam: e ** _content_sum(lam) * q**lam.weight,
+    return double_schur_sum(
+        family_plus,
+        family_minus,
+        ((lam, lam, e ** _content_sum(lam) * q**lam.weight) for lam in enumerate_partitions(depth)),
     )
 
 

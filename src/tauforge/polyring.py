@@ -32,7 +32,7 @@ distinct cutoffs).  Tuple keys, sorted
 constructor, `terms`, `coefficient`, `sorted_terms`, JSON, `evaluate`,
 `embed` and `VariableTable.weight_of`.  Other modules build packed keys
 with `VariableTable.encode` and polynomials from them with
-`Poly.from_numerators`.
+`Poly.from_numerators` (or `Poly.from_numerator_rows`, many at once).
 
 The report order (`_sorted_nums`, used by `to_json` and the CLI's writer)
 is by total weight, then by the weights per grading, then by tuple key.
@@ -61,10 +61,12 @@ tightens.
 
 Loops that sum many polynomials add in place into one private dict over a
 running denominator (`_Sum`), rescaled to the lcm only when an addend's
-denominator does not divide it.  Operators applied to one target share
-its partial derivatives, memoized by multi-index (`_Partials`), and time
-shifts expand each power of a shifted time by integer binomials instead of
-multiplying `Poly` powers.
+denominator does not divide it.  A sum of weighted products (a double
+Schur sum) forms no product polynomial: `sum_of_products` multiplies every
+pair's numerators into one dict over one common denominator.  Operators
+applied to one target share its partial derivatives, memoized by
+multi-index (`_Partials`), and time shifts expand each power of a shifted
+time by integer binomials instead of multiplying `Poly` powers.
 """
 
 from __future__ import annotations
@@ -322,6 +324,23 @@ class Poly:
         kept = {k: n for k, n in nums.items() if n and not ((k & mask) + add) & guards}
         return Poly._reduced(table, cut, kept, den)
 
+    @staticmethod
+    def from_numerator_rows(
+        table: VariableTable,
+        cutoffs: Mapping[str, int | None],
+        rows: Iterable[Mapping[int, int]],
+        den: int,
+    ) -> list["Poly"]:
+        """`from_numerators(table, cutoffs, nums, den)` for each `nums` of
+        `rows`, with the cutoffs' bounds looked up once."""
+        cut, mask, add = table._bounds(cutoffs)
+        guards = table.guards
+        out = []
+        for nums in rows:
+            kept = {k: n for k, n in nums.items() if n and not ((k & mask) + add) & guards}
+            out.append(Poly._reduced(table, cut, kept, den))
+        return out
+
     # -- basics ---------------------------------------------------------
 
     @property
@@ -439,27 +458,9 @@ class Poly:
             return NotImplemented
         table = self.table
         cut, mask, add = table._bounds(_merge_cutoffs(table, self.cutoffs, o.cutoffs))
-        guards = table.guards
-        right = o._buckets_by(mask)
         acc: dict[int, int] = {}
-        get = acc.get
-        for w1, left in self._buckets_by(mask):
-            # each bounded field of room holds FIELD_MAX - (cut - w1): a right
-            # bucket fits where adding its weights sets no guard
-            room = w1 + add
-            if room & guards:
-                continue
-            fit = [t for w2, ts in right if not (room + w2) & guards for t in ts]
-            if not fit:
-                continue
-            for k1, c1 in left:
-                for k2, c2 in fit:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        if reduce(or_, acc, 0) & guards:
-            raise _overflow()
-        nums = {k: n for k, n in acc.items() if n}
-        return Poly._reduced(table, cut, nums, self.den * o.den)
+        _product_into(acc, self, o, 1, mask, add, table.guards)
+        return Poly._reduced(table, cut, _checked_sum(table, acc), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -738,6 +739,68 @@ def _merge_cutoffs(
         bounds = [c for cut in cutoffs if (c := cut.get(g)) is not None]
         out[g] = min(bounds) if bounds else None
     return out
+
+
+def _product_into(
+    acc: dict[int, int], a: Poly, b: Poly, scale: int, mask: int, add: int, guards: int
+) -> None:
+    """Add scale * (a's numerators times b's) into `acc`, bucket pair by
+    bucket pair: only the weight buckets whose sums lie within the bounds
+    (`mask`, `add` from `VariableTable._bounds`) are multiplied."""
+    get = acc.get
+    right = b._buckets_by(mask)
+    for w1, left in a._buckets_by(mask):
+        # each bounded field of room holds FIELD_MAX - (cut - w1): a right
+        # bucket fits where adding its weights sets no guard
+        room = w1 + add
+        if room & guards:
+            continue
+        fit = [t for w2, ts in right if not (room + w2) & guards for t in ts]
+        if not fit:
+            continue
+        for k1, c1 in left:
+            c1 *= scale
+            for k2, c2 in fit:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+
+
+def _checked_sum(table: VariableTable, acc: dict[int, int]) -> dict[int, int]:
+    """The nonzero numerators of `acc`; a key with a guard set is a field
+    overflow and raises."""
+    if reduce(or_, acc, 0) & table.guards:
+        raise _overflow()
+    return {k: n for k, n in acc.items() if n}
+
+
+def sum_of_products(start: Poly, terms: Iterable[tuple[Poly, Poly, Scalar]]) -> Poly:
+    """start + sum of w * a * b over the (a, b, w) of `terms`, w rational:
+    the polynomial that `_Sum(start)` adding each `a * b * w` gives, with
+    the same cutoffs (the merge of every operand's) and the same
+    ValueError on a second table, but with no polynomial formed per term.
+    Each coefficient goes over one common denominator D, the lcm of
+    start's and every w.den * a.den * b.den = d, and each product's
+    numerators are multiplied into one dict scaled by w.num * D / d, bucket
+    pairs beyond the cutoffs skipped as in `Poly.__mul__`.  Every term is
+    read, a zero-weight one included, before any product is formed."""
+    table = start.table
+    bounds = {id(start.cutoffs): start.cutoffs}
+    factors = []
+    for a, b, w in terms:
+        for p in (a, b):
+            if p.table is not table and p.table != table:
+                raise ValueError("polynomials live on different variable tables")
+            bounds.setdefault(id(p.cutoffs), p.cutoffs)
+        if w and a.nums and b.nums:
+            factors.append((a, b, w.numerator, w.denominator * a.den * b.den))
+    cut, mask, add = table._bounds(_merge_cutoffs(table, *bounds.values()))
+    guards = table.guards
+    den = lcm(start.den, *(d for *_, d in factors))
+    scale = den // start.den
+    acc = {k: n * scale for k, n in start.nums.items() if not ((k & mask) + add) & guards}
+    for a, b, num, d in factors:
+        _product_into(acc, a, b, num * (den // d), mask, add, guards)
+    return Poly._reduced(table, cut, _checked_sum(table, acc), den)
 
 
 class _Sum:

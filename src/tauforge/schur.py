@@ -7,9 +7,11 @@ weight |outer| - |inner|, sum chi^(outer/inner)_rho c^len(rho)
 prod_k t_k^(m_k) / m_k!, m_k the multiplicity of k in rho.  The integer
 skew characters, the coefficients of <outer, 0| in <inner, 0| J_rho, come
 from the current tree (`fock.character_table`, imported at call time).
-`schur_jt`, `skew_schur`, `fock.skew_schur_signed`, `tau._schur_neg` and
+`schur_jt`, `skew_schur`, `fock.skew_schur_signed`, `_schur_neg` and
 `TimeFamily.h` all call it, memoized in `_schur_cache`: none forms a
-determinant or a product.
+determinant or a product.  `double_schur_sum` builds a weighted sum of
+s_lambda(t+) s_mu(-t-) from the memoized factors' integer numerators, with
+no product polynomial (`polyring.sum_of_products`).
 
 The dual generator determinant, the hook alternating sums and the hook
 determinant over the Frobenius square stay as independent oracles.
@@ -19,6 +21,7 @@ evaluation t_k = u w^{-k} / k.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -32,6 +35,7 @@ from tauforge.polyring import (
     Scalar,
     TimeFamily,
     poly_matrix_det,
+    sum_of_products,
 )
 
 _schur_cache: dict[tuple, Poly] = {}
@@ -101,6 +105,28 @@ def schur_jt(family: TimeFamily, shape: Partition) -> Poly:
     where that determinant would ask for a generator beyond the family's
     times."""
     return _schur_poly(family, shape.parts, (), 1)
+
+
+def _schur_neg(family: TimeFamily, shape: Partition) -> Poly:
+    """Schur function at negated times."""
+    return _schur_poly(family, shape.parts, (), -1)
+
+
+def double_schur_sum(
+    plus: TimeFamily, minus: TimeFamily, terms: Iterable[tuple[Partition, Partition, Scalar]]
+) -> Poly:
+    """sum of w s_lam(t+) s_mu(-t-) over the (lam, mu, w) of `terms`, w
+    rational (Macdonald I.4 for the Cauchy sum), with no product polynomial:
+    the integer numerators of the memoized factors are multiplied into one
+    dict over one common denominator (`polyring.sum_of_products`), truncated
+    at the cutoffs a product of the two factors would merge.  Both factors
+    are formed for every term, a zero-weight one included, so a shape beyond
+    a family's times raises as `schur_jt` does; two tables raise ValueError.
+    With no terms, the zero of `plus`."""
+    return sum_of_products(
+        plus.zero(),
+        ((schur_jt(plus, lam), _schur_neg(minus, mu), w) for lam, mu, w in terms),
+    )
 
 
 def schur_dual_jt(family: TimeFamily, shape: Partition) -> Poly:

@@ -49,7 +49,7 @@ from tauforge.polyring import (
     fraction_matrix_inverse,
     poly_matrix_det,
 )
-from tauforge.schur import _schur_poly, schur_jt
+from tauforge.schur import double_schur_sum, schur_jt
 from tauforge.wick import (
     correlator_exact,
     from_mode_letter,
@@ -310,20 +310,16 @@ def expand_2dtl(
     read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
     shapes = enumerate_partitions(depth)
     coeffs = {}
-    total = _Sum(family_plus.zero())
-    for mu in shapes:
-        for lam in shapes:
-            c = read(lam, n, mu)
-            if not c:
-                continue
-            coeffs[(lam, mu)] = c
-            total.add(schur_jt(family_plus, lam) * _schur_neg(family_minus, mu) * c)
-    return TauSeries("2DTL", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)})
 
+    def terms():
+        for mu in shapes:
+            for lam in shapes:
+                if c := read(lam, n, mu):
+                    coeffs[(lam, mu)] = c
+                    yield lam, mu, c
 
-def _schur_neg(family: TimeFamily, shape: Partition) -> Poly:
-    """Schur function at negated times."""
-    return _schur_poly(family, shape.parts, (), -1)
+    poly = double_schur_sum(family_plus, family_minus, terms())
+    return TauSeries("2DTL", n, poly, coeffs, {"depth": depth, "element": repr(g)})
 
 
 # -- coefficient identities ------------------------------------------------------

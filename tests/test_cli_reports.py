@@ -333,6 +333,17 @@ GOLDEN = [
         0,
         "1d17a5a15daabd0225d8bdb6c6b2360169deaff2318af7a4ae350904537d9d19",
     ),
+    # double Schur sums: weights with large denominators, and a larger Cauchy sum
+    (
+        "model --kind log-squared --size 3 --cutoff 9 --parameter 2/3,3/2",
+        0,
+        "712450b6aed2a9f5756f7a1c64ddc586f5b6188515db72386d8dff667f1497fd",
+    ),
+    (
+        "model --kind unitary --size 4 --cutoff 10",
+        0,
+        "9ca612f8a0d609dabcdbad99d2027e3187affdfdac6db65743335903a91046aa",
+    ),
 ]
 
 

@@ -282,8 +282,7 @@ def test_diagonal_model_row_bound():
     # spot check: the (1,1) double coefficient must be absent; reconstruct
     # by orthogonality against s_(1,1)(t+) s_(1,1)(-t-)
     lam = Partition([1, 1])
-    from tauforge.schur import schur_jt
-    from tauforge.tau import _schur_neg
+    from tauforge.schur import _schur_neg, schur_jt
 
     probe = schur_jt(plus, lam) * _schur_neg(minus, lam)
     # linear independence: subtracting all admissible shapes leaves no

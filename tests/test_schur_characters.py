@@ -38,8 +38,7 @@ from tauforge.polyring import (
     standard_single_family,
     time_variables,
 )
-from tauforge.schur import _schur_poly, schur_jt, skew_schur
-from tauforge.tau import _schur_neg
+from tauforge.schur import _schur_neg, _schur_poly, schur_jt, skew_schur
 
 SHAPES = enumerate_partitions(12)
 
