@@ -55,7 +55,8 @@ from tauforge.schur import (
     schur_giambelli,
     schur_jt,
 )
-from tauforge.tau import expand_mkp, expand_mkp_direct, is_field_based, window_for_element
+from tauforge.tau import expand_mkp, expand_mkp_direct, is_field_based, mkp_coefficients
+from tauforge.tau import series_json, window_for_element
 from tauforge.wick import correlator_window, wick_generalized, wick_layout, wick_standard
 
 
@@ -216,16 +217,16 @@ def _rationals(text: str, flag: str, count: int | None = None) -> list[Fraction]
 
 def cmd_expand(args) -> int:
     g = _decode_element(sys.stdin.read() if args.element == "-" else args.element)
-    fam = standard_single_family(args.cutoff)
     with _kernel_route(g, f"bad --element at --charge {args.charge}"):
         window = _parse_window(args.window, (args.charge, args.charge - charge_of(g)), args.cutoff)
         try:
-            series = expand_mkp(g, args.charge, fam, args.cutoff, window)
+            coeffs = mkp_coefficients(g, args.charge, args.cutoff, window)
         except WindowViolation as err:
             if not args.window:
                 raise  # an auto-sized window must fit: that is a defect, not bad input
             raise InputError(f"--window {args.window} is too small: {err}") from None
-    payload = series.to_json()
+    # the report holds the coefficients only: the Schur sum is never formed
+    payload = series_json("MKP", args.charge, args.cutoff, coeffs)
     payload["schema"] = 1
     _emit(args, payload)
     return 0

@@ -6,6 +6,11 @@ mode operators, point-field words and soliton exponents (window-truncated
 when applied directly; their exact correlators go through Wick's
 theorem in `wick`), diagonal multipliers, projectors, and products.
 
+One minor routine applies every bilinear exponent: a normally ordered
+one as it stands, the exponential of a nilpotent bilinear b as its bare
+form with B = e^b - I, and a soliton with its window-truncated field
+letters in place of mode letters.
+
 Every constructor's output is checkable: `bbc_check` verifies the
 exchange identity on sampled matrix elements and `charge_of` verifies
 definite charge.
@@ -18,8 +23,9 @@ reports the pole of a kernel factor z^e at z = 0 by name.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import inf, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping
@@ -73,18 +79,6 @@ class ModeMatrix:
     def key(self) -> tuple:
         return tuple(sorted(self.entries.items()))
 
-    def is_nilpotent(self) -> bool:
-        modes = self.modes()
-        if not modes:
-            return True
-        dense = _dense(self, modes)
-        power = dense
-        for _ in range(len(modes)):
-            if all(all(x == 0 for x in row) for row in power):
-                return True
-            power = _matmul(power, dense)
-        return all(all(x == 0 for x in row) for row in power)
-
     def __eq__(self, other):
         return isinstance(other, ModeMatrix) and self.entries == other.entries
 
@@ -122,19 +116,6 @@ def _one_plus(sign: int, dense, kept: list[bool], left: bool):
     ]
 
 
-def _mat_exp_nilpotent(dense):
-    n = len(dense)
-    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for step in range(1, n + 2):
-        term = _matmul(term, dense)
-        term = [[x / step for x in row] for row in term]
-        if all(all(x == 0 for x in row) for row in term):
-            return out
-        out = [[out[i][j] + term[i][j] for j in range(n)] for i in range(n)]
-    raise ValueError("matrix exponent did not terminate; exponent not nilpotent")
-
-
 # -- element variants ----------------------------------------------------------
 
 
@@ -147,15 +128,35 @@ class Identity:
 class ExponentBilinear:
     """Exponential of the bilinear that empties mode i and fills mode k
     with amplitude b[i,k].  The matrix must be nilpotent so the
-    exponential stays rational; diagonal flows go through `Diagonal`."""
+    exponential stays rational; diagonal flows go through `Diagonal`.
+
+    The element applies as its bare form :exp(sum B[i,k] psi*_i psi_k):
+    with B = e^b - I = sum_k b^k/k!, built once from sparse powers of b;
+    the same powers decide nilpotency, b^n = 0 over its n modes."""
 
     b: ModeMatrix
+    bare: ModeMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.b.is_nilpotent():
-            raise ValueError(
-                "exponent matrix must be nilpotent; use Diagonal for diagonal flows"
-            )
+        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        for (i, k), c in self.b.entries.items():
+            by_row.setdefault(i, []).append((k, c))
+        n, power, bare = len(self.b.modes()), self.b.entries, {}
+        for k in range(2, n + 2):  # power = b^(k-1)/(k-1)!
+            if not power:
+                break
+            if k > n:
+                raise ValueError(
+                    "exponent matrix must be nilpotent; use Diagonal for diagonal flows"
+                )
+            for key, c in power.items():
+                bare[key] = bare.get(key, 0) + c
+            step: dict = {}
+            for (i, j), c in power.items():
+                for l, d in by_row.get(j, ()):
+                    step[i, l] = step.get((i, l), 0) + c * d
+            power = {key: c / k for key, c in step.items() if c}
+        object.__setattr__(self, "bare", ModeMatrix(bare))
 
 
 @dataclass(frozen=True)
@@ -292,13 +293,6 @@ def field_letter_to_window(term_list: Iterable[FieldTerm], window: ModeWindow) -
     return tuple(parts)
 
 
-def _apply_bilinear_once(mat: ModeMatrix, v: FockVector, scale) -> FockVector:
-    out: dict = {}
-    for (i, k), c in mat.entries.items():
-        accumulate(out, apply_word([letter("psi*", i), letter("psi", k)], v), c * scale)
-    return v._like(out)
-
-
 def _coupling_entries(a_rows) -> dict[tuple[int, int], Fraction]:
     """A soliton coupling matrix as {(hole row i, particle column k): A_ik}."""
     return {(i, k): c for i, row in enumerate(a_rows) for k, c in enumerate(row)}
@@ -334,40 +328,53 @@ def bilinear_minors(
     return minors
 
 
-def _apply_ordered_exponent(mat: ModeMatrix, ordering: int | None, v: FockVector) -> FockVector:
-    """Apply :exp(sum A_ik psi*_i psi_k): as one ordered word psi*_R psi_rev(C)
-    per nonzero minor det A[R, C].  The bare ordering is the vacuum above
-    every mode, top = +inf, so `fock.creates` serves both.  Per input
-    state, an entry whose first-acting letter dies on the state is dropped
-    before the minors are formed, which keeps dense (moment-type) matrices
-    tractable."""
+def _apply_ordered_exponent(
+    entries: Mapping[tuple[int, int], Fraction],
+    ordering: int | None,
+    v: FockVector,
+    letter_of: Callable[[str, int], Letter] = letter,
+) -> FockVector:
+    """Apply :exp(sum A_ik x*_i x_k): as one ordered word x*_R x_rev(C) per
+    nonzero minor det A[R, C], where x*_i = letter_of("psi*", i) and
+    x_k = letter_of("psi", k): the mode letters psi*_i and psi_k, or a
+    soliton's window-truncated fields (bare ordering).  The bare ordering
+    is the vacuum above every mode, top = +inf, so `fock.creates` serves
+    both.  Input states are grouped by the entries that survive on them:
+    an entry whose first-acting mode letter dies on the state is dropped
+    before the minors are formed, which keeps dense (moment-type)
+    matrices tractable.  Field letters are not screened."""
     top = inf if ordering is None else ordering
-    out: dict = {}
+    base, dual = v.base, v.dual
+
+    def lives(bits: int, kind: str, mode: int) -> bool:
+        # the side that meets the state first (creation on a bra) must
+        # find its mode empty to fill it, filled to empty it
+        if creates(kind, mode, top) != dual:
+            return True
+        return _occupied(bits, base, mode) != ((kind == "psi") != dual)
+
+    groups: dict[tuple, dict] = {}
     for bits, amp in v.bits.items():
-        sv = v._like({bits: amp})
-
-        def lives(kind: str, mode: int) -> bool:
-            # the side that meets the state first (creation on a bra) must
-            # find its mode empty to fill it, filled to empty it
-            if creates(kind, mode, top) != v.dual:
-                return True
-            return _occupied(bits, v.base, mode) != ((kind == "psi") != v.dual)
-
         # one row test and one column test, so dropping an entry prunes
         # exactly the minors it would enter
-        kept = {
-            (i, k): c for (i, k), c in mat.entries.items() if lives("psi*", i) and lives("psi", k)
-        }
-        for (rows, cols), det in bilinear_minors(kept).items():
+        kept = tuple(entries) if letter_of is not letter else tuple(
+            (i, k) for i, k in entries if lives(bits, "psi*", i) and lives(bits, "psi", k)
+        )
+        groups.setdefault(kept, {})[bits] = amp
+    out: dict = {}
+    for kept, states in groups.items():
+        sv = v._like(states)
+        for (rows, cols), det in bilinear_minors({key: entries[key] for key in kept}).items():
             # normal order in one pass: creation letters go left in written
             # order, each passing the annihilation letters written before it
+            # (under the bare ordering the species alone decides)
             created, annihilated, passed = [], [], 0
-            for kind, mode in [("psi*", i) for i in rows] + [("psi", k) for k in reversed(cols)]:
-                if creates(kind, mode, top):
-                    created.append(letter(kind, mode))
+            for kind, at in [("psi*", i) for i in rows] + [("psi", k) for k in reversed(cols)]:
+                if creates(kind, at, top):
+                    created.append(letter_of(kind, at))
                     passed += len(annihilated)
                 else:
-                    annihilated.append(letter(kind, mode))
+                    annihilated.append(letter_of(kind, at))
             accumulate(out, apply_word(created + annihilated, sv), -det if passed % 2 else det)
     return v._like(out)
 
@@ -377,17 +384,9 @@ def apply_element(g, v: FockVector) -> FockVector:
     if isinstance(g, Identity):
         return v
     if isinstance(g, ExponentBilinear):
-        out = dict(v.bits)
-        term = v
-        cap = len(g.b.modes()) ** 2 + 8
-        for step in range(1, cap + 2):
-            term = _apply_bilinear_once(g.b, term, Fraction(1, step))
-            if term.is_zero:
-                return v._like(out)
-            accumulate(out, term)
-        raise RuntimeError("bilinear exponential did not terminate")
+        return _apply_ordered_exponent(g.bare.entries, None, v)
     if isinstance(g, NormalOrderedBilinear):
-        return _apply_ordered_exponent(g.mat, g.ordering, v)
+        return _apply_ordered_exponent(g.mat.entries, g.ordering, v)
     if isinstance(g, LinearWord):
         return apply_word(g.letters, v)
     if isinstance(g, Diagonal):
@@ -415,18 +414,13 @@ def apply_element(g, v: FockVector) -> FockVector:
         word = [field_letter_to_window(lt, v.window) for lt in g.letters]
         return apply_word(word, v)
     if isinstance(g, SolitonExponent):
-        out = {}
-        for (rows, cols), det in bilinear_minors(_coupling_entries(g.a_rows)).items():
-            word = [
-                field_letter_to_window([(Fraction(1), "psi*", g.qs[i], 0)], v.window)
-                for i in rows
-            ]
-            word += [
-                field_letter_to_window([(Fraction(1), "psi", g.ps[k], 0)], v.window)
-                for k in reversed(cols)
-            ]
-            accumulate(out, apply_word(word, v), det)
-        return v._like(out)
+        points = {"psi*": g.qs, "psi": g.ps}
+
+        @cache
+        def point_field(kind: str, at: int) -> Letter:
+            return field_letter_to_window([(Fraction(1), kind, points[kind][at], 0)], v.window)
+
+        return _apply_ordered_exponent(_coupling_entries(g.a_rows), None, v, point_field)
     if isinstance(g, Product):
         seq = list(g.factors)
         if not v.dual:
@@ -546,11 +540,7 @@ def rotation_of(g):
     if isinstance(g, Identity):
         return ModeMatrix({}), None  # R = I, stored as I + (empty correction)
     if isinstance(g, ExponentBilinear):
-        modes = g.b.modes()
-        r = _mat_exp_nilpotent(_dense(g.b, modes))
-        for a in range(len(modes)):
-            r[a][a] -= 1
-        return _sparse(r, modes), None
+        return g.bare, None
     if isinstance(g, Diagonal):
         # a multiplier m on occupied mode j rotates the starred operator
         # by 1/m (the bilinear in the exponent pairs with the particle side)
@@ -634,10 +624,7 @@ def compose_bare_ordered(
 def exponent_to_bare(b: ModeMatrix) -> NormalOrderedBilinear:
     """exp(bilinear with nilpotent matrix b) as a bare-ordered exponent:
     B = e^b - I."""
-    g = ExponentBilinear(b)  # validates nilpotency
-    r, _ = rotation_of(g)
-    assert r is not None
-    return NormalOrderedBilinear(r, ordering=None)
+    return NormalOrderedBilinear(ExponentBilinear(b).bare, ordering=None)
 
 
 def reconstruct_exponential(

@@ -36,6 +36,7 @@ from tauforge.grouplike import (
     apply_element,
     bilinear_minors,
     charge_of,
+    reorder,
 )
 from tauforge.partitions import (
     Partition,
@@ -479,9 +480,13 @@ def weight_shift_element(window: ModeWindow) -> ExponentBilinear:
 def hermitian_fermionic_tau(count: int, family: TimeFamily, depth: int) -> Poly:
     """Operator route: raise through the weight-two flow from the charged
     sea; equals the moment determinant divided by the staircase of
-    factorials (the tracked unit aside)."""
+    factorials (the tracked unit aside).  The flow is read in the sea's
+    own ordering: its bare form's minors would also chain through the
+    empty modes, thousands of them per output state."""
     window = window_for([count], depth + 2)
-    ket = apply_element(weight_shift_element(window), vacuum(window, count))
+    bare = NormalOrderedBilinear(weight_shift_element(window).bare)
+    scalar, g = reorder(bare, count)
+    ket = apply_element(g, vacuum(window, count)).scale(scalar)
     return vacuum_readout(family, ket.truncated(depth), count, depth)
 
 

@@ -227,22 +227,23 @@ class TauSeries:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        terms = []
-        for key in sorted(self.coefficients, key=_coeff_sort_key):
-            c = self.coefficients[key]
-            entry = {"coeff": c.to_json() if isinstance(c, Poly) else str(c)}
-            if isinstance(key, tuple) and isinstance(key[0], Partition):
-                entry["partition"] = key[0].to_json()
-                entry["second_partition"] = key[1].to_json()
-            else:
-                entry["partition"] = key.to_json()
-            terms.append(entry)
-        return {
-            "kind": self.kind,
-            "charge": self.charge,
-            "cutoff": self.provenance.get("depth"),
-            "terms": terms,
-        }
+        return series_json(self.kind, self.charge, self.provenance.get("depth"), self.coefficients)
+
+
+def series_json(kind: str, charge: int, depth: int, coefficients: Mapping) -> dict:
+    """A Schur expansion's report body: its coefficients by shape, or by
+    pair of shapes, in order of total weight and then of the shapes."""
+    terms = []
+    for key in sorted(coefficients, key=_coeff_sort_key):
+        c = coefficients[key]
+        entry = {"coeff": c.to_json() if isinstance(c, Poly) else str(c)}
+        if isinstance(key, tuple) and isinstance(key[0], Partition):
+            entry["partition"] = key[0].to_json()
+            entry["second_partition"] = key[1].to_json()
+        else:
+            entry["partition"] = key.to_json()
+        terms.append(entry)
+    return {"kind": kind, "charge": charge, "cutoff": depth, "terms": terms}
 
 
 def _coeff_sort_key(key):
@@ -255,6 +256,15 @@ def _coeff_sort_key(key):
     return (key.weight, tuple(-x for x in key.parts), ())
 
 
+def mkp_coefficients(
+    g, n: int, depth: int, window: ModeWindow | None = None
+) -> dict[Partition, object]:
+    """The nonzero signed bra coefficients {shape: c} of tau_n's Schur
+    expansion to weight `depth`, all read through one coefficient reader."""
+    read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
+    return {lam: c for lam in enumerate_partitions(depth) if (c := read(lam, n))}
+
+
 def expand_mkp(
     g,
     n: int,
@@ -262,16 +272,11 @@ def expand_mkp(
     depth: int,
     window: ModeWindow | None = None,
 ) -> TauSeries:
-    """tau_n as the Schur expansion with signed bra coefficients, all read
-    through one coefficient reader."""
-    read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
-    coeffs = {}
+    """tau_n as the Schur expansion sum c_lambda s_lambda(t) over
+    `mkp_coefficients`."""
+    coeffs = mkp_coefficients(g, n, depth, window)
     total = _Sum(family.zero())
-    for lam in enumerate_partitions(depth):
-        c = read(lam, n)
-        if not c:
-            continue
-        coeffs[lam] = c
+    for lam, c in coeffs.items():
         total.add(schur_jt(family, lam) * c)
     return TauSeries(
         "MKP", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)}

@@ -219,6 +219,15 @@ def test_expand_rejects_increasing_partition(capsys):
     assert "bad --element" in msg and "weakly decreasing" in msg
 
 
+def test_expand_rejects_an_exponent_bilinear_that_is_not_nilpotent(capsys):
+    entries = [{"row": 0, "col": 1, "value": "1"}, {"row": 1, "col": 0, "value": "1"}]
+    spec = json.dumps({"kind": "exponent_bilinear", "entries": entries})
+    msg = usage_error(capsys, ["expand", "--element", spec])
+    assert msg.endswith(
+        "bad --element: exponent matrix must be nilpotent; use Diagonal for diagonal flows"
+    )
+
+
 def test_expand_reports_a_user_window_that_is_too_small(capsys):
     spec = '{"kind": "character", "partition": [3]}'
     msg = usage_error(capsys, ["expand", "--element", spec, "--window=-1..1", "--cutoff", "3"])

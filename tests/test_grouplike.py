@@ -70,9 +70,25 @@ def test_identity_and_simple_exponent():
     assert got == manual
 
 
+NOT_NILPOTENT = "exponent matrix must be nilpotent; use Diagonal for diagonal flows"
+
+
 def test_exponent_requires_nilpotent():
-    with pytest.raises(ValueError):
-        ExponentBilinear(ModeMatrix({(0, 0): F(1)}))
+    for entries in ({(0, 0): F(1)}, {(0, 1): F(1), (1, 0): F(1)}):  # b^n != 0 over n modes
+        with pytest.raises(ValueError) as err:
+            ExponentBilinear(ModeMatrix(entries))
+        assert str(err.value) == NOT_NILPOTENT
+    # the empty matrix: B = 0
+    assert ExponentBilinear(ModeMatrix({})).bare == ModeMatrix({})
+    # diagonal entries, yet b^2 = 0: e^b = I + b
+    b = ModeMatrix({(0, 0): F(1), (0, 1): F(1), (1, 0): F(-1), (1, 1): F(-1)})
+    assert ExponentBilinear(b).bare == b
+    # a 4-mode chain: b^3 != 0, b^4 = 0, so B = b + b^2/2 + b^3/6
+    chain = ExponentBilinear(ModeMatrix({(0, 1): F(2), (1, 2): F(3), (2, 3): F(5)}))
+    want = {(0, 1): 2, (1, 2): 3, (2, 3): 5, (0, 2): 3, (1, 3): F(15, 2), (0, 3): 5}
+    assert chain.bare == ModeMatrix(want)
+    # the bare form is derived: equality, hash and repr read b alone
+    assert chain == ExponentBilinear(chain.b) and "bare" not in repr(chain)
 
 
 def test_degenerate_ordered_exponent_example():
@@ -132,6 +148,20 @@ def test_rotation_of_a_zero_multiplier_is_refused():
     assert rotation_of(Diagonal(((0, 3),), ordered=False)) == (ModeMatrix({(0, 0): F(-2, 3)}), None)
 
 
+def taylor_exponential(b: ModeMatrix, v: FockVector) -> FockVector:
+    """sum_k X^k v / k! for X = sum b_ik psi*_i psi_k, one bilinear
+    application per step; X is nilpotent, so the series ends."""
+    out, term = v, v
+    for step in range(1, len(b.modes()) ** 2 + 2):
+        nxt = FockVector(v.window, {}, v.dual)
+        for (i, k), c in b.entries.items():
+            nxt = nxt + apply_word([letter("psi*", i), letter("psi", k)], term).scale(c / step)
+        if nxt.is_zero:
+            return out
+        out, term = out + nxt, nxt
+    raise AssertionError("the bilinear series did not end")
+
+
 def test_exponent_to_bare():
     rng = random.Random(37)
     assert exponent_to_bare(ModeMatrix({})).mat == ModeMatrix({})
@@ -143,12 +173,14 @@ def test_exponent_to_bare():
         {(-1, 0): F(1, 2), (0, 1): F(3), (-1, 1): F(-1) + b2_entry}
     )
     assert bare.mat == want
-    for _ in range(5):
+    # the bare form applied against the Taylor series, kets and bras
+    for _ in range(12):
         g = sample_exponent_bilinear(rng)
-        h = exponent_to_bare(g.b)
-        for n, lam in sample_states(rng, 4, weight=2):
-            v = basis_vector(W, n, lam)
-            assert apply_element(g, v) == apply_element(h, v)
+        for n in (-1, 0, 1):
+            for lam in enumerate_partitions(3):
+                for dual in (False, True):
+                    v = basis_vector(W, n, lam, dual=dual)
+                    assert apply_element(g, v) == taylor_exponential(g.b, v), (g, n, lam, dual)
 
 
 def test_reorder_trivial_cases():
