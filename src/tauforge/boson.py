@@ -21,8 +21,10 @@ from tauforge.fock import (
     _add_into,
     _current_tree,
     _weight,
+    apply_charge,
     apply_current,
     apply_mode,
+    inner,
     vacuum,
     vacuum_readout,
 )
@@ -315,8 +317,6 @@ def normal_ordered_pair_element(
         if out[key] == 0:
             del out[key]
 
-    from tauforge.fock import inner
-
     zlo, zhi = z_window
     for k in range(window.lo, window.hi):
         for j in range(window.lo, window.hi):
@@ -368,8 +368,6 @@ def current_expansion_prediction(
 ) -> dict[tuple[int, int], Fraction]:
     """Matrix elements of z (phi' + eps/2 (:phi'^2: + phi'') +
     eps^2/6 (:phi'^3: + 3 :phi' phi'': + phi''')) through eps_order."""
-    from tauforge.fock import apply_charge, inner
-
     window = bra.window
     bra_weights = {_weight(b) for b in bra.bits}
     ket_weights = {_weight(b) for b in ket.bits}

@@ -42,7 +42,7 @@ from tauforge.hirota import (
     mkp_equation_check,
 )
 from tauforge.partitions import Partition, enumerate_partitions
-from tauforge.polyring import Poly, paired_family, standard_single_family
+from tauforge.polyring import Poly, paired_family, standard_double_family, standard_single_family
 from tauforge.sampling import (
     sample_element,
     sample_letter,
@@ -254,7 +254,6 @@ def cmd_model(args) -> int:
         soliton_tau,
         unitary_model_tau,
     )
-    from tauforge.polyring import standard_double_family
 
     if args.size < 0:
         raise InputError("model needs --size >= 0")

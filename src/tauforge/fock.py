@@ -27,10 +27,15 @@ Coefficients may be rationals or truncated polynomials; the two flavors
 share one implementation.
 
 Currents of one direction commute: `_current_tree` builds each J^m v as one
-hop of its parent's, on the vector's own scalars, for the direct current
+hop of its parent's, on the vector's own scalars, for the current
 exponential (its polynomials built once from their monomial terms), the
 current Schur functions and `character_table`, the skew characters of every
-Schur function.  `_hops` holds the one window rule of a hop.
+Schur function.  `apply_current_exp` is the one route of e^{+-J(t)}, with
+one rule for both directions: `depth` bounds only the growing side, the
+shrinking side hops by every time of the family, and every nonzero state of
+a grown result must fit the window.  `apply_current_exp_direct` is the same
+route under the name perfbench's fock-routes jobs call.  `_hops` holds the
+window rule of a single checked hop.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from fractions import Fraction
 from math import factorial, inf, lcm, prod
 from typing import Callable, Iterable, Mapping
 
-from tauforge.partitions import Partition, enumerate_partitions, sign_exponent
-from tauforge.polyring import Poly, TimeFamily, _Sum
+from tauforge.partitions import Partition, sign_exponent
+from tauforge.polyring import Poly, TimeFamily, _Sum, standard_single_family
 from tauforge.schur import _schur_poly, schur_jt
 
 State = tuple[int, tuple[int, ...]]  # (charge, shape parts)
@@ -601,7 +606,8 @@ def skew_schur_signed(
     family: TimeFamily, outer: Partition, inner: Partition, sign: int
 ) -> Poly:
     """Skew Schur function at +t or -t (sign = -1 negates every time), the
-    current exponentials' matrix element, from the Schur builder."""
+    current exponential's matrix element up to the shapes' signs, from the
+    Schur builder: the tests' skew-placement reference for `apply_current_exp`."""
     return _schur_poly(family, outer.parts, inner.parts, sign)
 
 
@@ -609,31 +615,52 @@ def apply_current_exp(
     direction: str, family: TimeFamily, v: FockVector, depth: int, sign: int = 1
 ) -> FockVector:
     """Exponential of the time-weighted lowering ("lower") or raising
-    ("raise") current ladder, polynomial-valued, via the skew expansion.
+    ("raise") current ladder, polynomial-valued: sum_m sign^|m| t^m/m! J^m v
+    from `_current_tree`, unchecked on a base lowered by the hops' reach;
+    sign = -1 negates the times (the inverse exponential).
 
-    "lower" grows ket shapes with signed skew coefficients; "raise"
-    shrinks them; on bras the roles transpose.  sign = -1 negates the
-    times (the inverse exponential).  `depth` bounds only the growing
-    side, by how much weight a shape may gain; a shrinking exponential
-    reaches every smaller shape and does not read it.
-    """
+    "lower" grows ket shapes and "raise" shrinks them; on bras the roles
+    transpose.  `depth` bounds only the growing side, by how much weight a
+    shape may gain; the shrinking side hops by every time of the family.
+    Every state with a nonzero coefficient in a grown result must fit the
+    window, read at the lowered base (a hole moved below the vector's base
+    shows there).  A node drops a state whose t^m term truncates to zero."""
     grow = (direction == "lower") != v.dual
+    mode_sign = -1 if direction == "lower" else +1
+    # the hops' total (and level) bound: the growth, or every weight a shape sheds
+    reach = depth if grow else max(map(_weight, v.bits), default=0)
+    if (cutoff := family.cutoffs.get(family.grading)) is not None:
+        reach = min(reach, cutoff)
+    ks = list(range(1, min(reach, family.depth) + 1))
+    lift = reach if grow else 0  # the furthest a hole moves down
+    index = {k: family.table.index[family.names[k - 1]] for k in ks}
+    table, cutoffs = family.table, family.one().cutoffs
+    # rationals hop as integers over q; their terms are integers over q reach!
+    poly = any(type(c) is Poly for c in v.bits.values())
+    q, fact = 1 if poly else lcm(*(c.denominator for c in v.bits.values())), factorial(reach)
+    start = {b: c if poly else int(c * q) for b, c in v._bits_at(v.base - lift).items()}
+    tree = FockVector._from_sums(v.window, v.base - lift, start, v.dual)
     out: dict = {}
-    for bits, c in v.bits.items():
-        n, parts = _state_of_bits(bits, v.base)
-        lam = Partition(parts)
-        for mu in enumerate_partitions(lam.weight + depth if grow else lam.weight):
-            big, small = (mu, lam) if grow else (lam, mu)
-            if not big.contains(small):
+    for s, level in enumerate(_current_tree(tree, ks, mode_sign, reach, False)):
+        for m, _, states in level:
+            key = table.encode([(index[k], e) for k, e in m])
+            mult = sign**s * fact // prod(factorial(e) for _, e in m)
+            if not poly:
+                for b, c in states.items():
+                    out.setdefault(b, {})[key] = c * mult
                 continue
-            coeff = skew_schur_signed(family, big, small, sign)
-            if coeff.is_zero:
-                continue
-            if grow:
-                _check_state_window(v.window, n, mu.parts)
-            # in wedge phase the skew coefficient carries no shape sign
-            _add_into(out, occupation_bits(n, mu.parts, v.base), c * coeff)
-    return v._like(out)
+            tm = Poly.from_numerators(table, cutoffs, {key: mult}, fact)
+            for b in list(states):
+                if term := states[b] * tm:
+                    _add_into(out, b, term)
+                else:
+                    del states[b]
+    if not poly:
+        out = dict(zip(out, Poly.from_numerator_rows(table, cutoffs, out.values(), q * fact)))
+    out = tree._like(out).bits
+    for b in out if grow else ():
+        _check_bits_window(v.window, tree.base, b)
+    return v._like({b >> lift: c for b, c in out.items()})
 
 
 def vacuum_readout(family: TimeFamily, v: FockVector, n: int, depth: int) -> Poly:
@@ -695,59 +722,8 @@ def character_table(inner: tuple[int, ...], weight: int) -> dict:
 def apply_current_exp_direct(
     direction: str, family: TimeFamily, v: FockVector, depth: int, sign: int = 1
 ) -> FockVector:
-    """Oracle route, by current hops alone: sum_m sign^|m| t^m/m! J^m v from
-    `_current_tree`, unchecked on a base lowered by the hops' reach.  A state
-    live in level s, the series' s-th term (summed and truncated; for
-    rationals, in any node), takes every J_k's window rule.  A node drops a
-    state whose t^m term truncates to zero or, lowering, beyond `cap`."""
-    ks = [k for k in range(1, depth + 1) if family.time(k)]
-    mode_sign = -1 if direction == "lower" else +1
-    up = (mode_sign < 0) != v.dual
-    limit = 4 * (depth + 4) + sum(len(p) + sum(p) for _, p in v.states)
-    # the t-weight (and level) bound; a zero cutoff leaves no times
-    reach = family.cutoffs.get(family.grading) or limit * depth
-    lift = reach if up and ks else 0  # the furthest a hole moves down
-    cap = max(map(_weight, v.bits), default=0) + depth
-    index = {k: family.table.index[family.names[k - 1]] for k in ks}
-    table, cutoffs = family.table, family.one().cutoffs
-    # rationals hop as integers over q; their terms are integers over q reach!
-    poly = any(type(c) is Poly for c in v.bits.values())
-    q, fact = 1 if poly else lcm(*(c.denominator for c in v.bits.values())), factorial(reach)
-    start = {b: c if poly else int(c * q) for b, c in v._bits_at(v.base - lift).items()}
-    tree = FockVector._from_sums(v.window, v.base - lift, start, v.dual)
-    out: dict = {}
-    for s, level in enumerate(_current_tree(tree, ks, mode_sign, reach, False)):
-        live: dict = {}
-        for m, total, states in level:
-            if direction == "lower" and total > depth:
-                for b in [b for b in states if _weight(b) > cap]:
-                    del states[b]
-            key = table.encode([(index[k], e) for k, e in m])
-            mult = sign**s * fact // prod(factorial(e) for _, e in m)
-            if not poly:
-                for b, c in states.items():
-                    out.setdefault(b, {})[key] = c * mult
-                live.update(states)
-                continue
-            tm = Poly.from_numerators(table, cutoffs, {key: mult}, fact)
-            for b in list(states):
-                if term := states[b] * tm:
-                    _add_into(live, b, term)
-                else:
-                    del states[b]
-        if poly:
-            live = tree._like(live)
-            accumulate(out, live)
-            live = live.bits
-        if not live:
-            break
-        if s >= limit:
-            raise RuntimeError("current exponential failed to terminate")
-        for b in live if ks else ():
-            _hops(b, mode_sign * (ks[-1] if up else 1), v.dual, v.window, tree.base)
-    if not poly:
-        out = dict(zip(out, Poly.from_numerator_rows(table, cutoffs, out.values(), q * fact)))
-    return v._like({b >> lift: c for b, c in out.items()})
+    """`apply_current_exp`, under the name perfbench's fock-routes jobs call."""
+    return apply_current_exp(direction, family, v, depth, sign)
 
 
 def apply_scaled_current_schur(
@@ -756,8 +732,6 @@ def apply_scaled_current_schur(
     """Schur function of the scaled current ladder (J_1, J_2/2, J_3/3, ...)
     lowered ("lower") or raised ("raise"), applied to a vector: each term
     c t^m of s_shape reads J^m v from `_current_tree`, every hop checked."""
-    from tauforge.polyring import standard_single_family
-
     weight = shape.weight
     terms = schur_jt(standard_single_family(max(weight, 1)), shape).terms
     mode_sign = -1 if direction == "lower" else +1

@@ -37,6 +37,7 @@ from tauforge.fock import (
     _check_bits_window,
     _occupied,
     accumulate,
+    apply_charge,
     apply_diagonal_exp,
     apply_mode,
     apply_word,
@@ -449,25 +450,16 @@ def charge_of(g) -> int:
             Diagonal,
             DiagonalFlow,
             SolitonExponent,
+            ProjectorElement,
         ),
     ):
         return 0
-    if isinstance(g, ProjectorElement):
-        return 0
     if isinstance(g, StateProjector):
         return g.ket_n - g.bra_n
-    if isinstance(g, LinearWord):
+    if isinstance(g, (LinearWord, FieldWord)):
         q = 0
         for lt in g.letters:
-            kinds = {k for _, k, _ in lt}
-            if len(kinds) != 1:
-                raise ValueError("letters must not mix species")
-            q += 1 if kinds == {"psi"} else -1
-        return q
-    if isinstance(g, FieldWord):
-        q = 0
-        for lt in g.letters:
-            kinds = {k for _, k, _, _ in lt}
+            kinds = {term[1] for term in lt}
             if len(kinds) != 1:
                 raise ValueError("letters must not mix species")
             q += 1 if kinds == {"psi"} else -1
@@ -479,8 +471,6 @@ def charge_of(g) -> int:
 
 def verify_charge(g, window: ModeWindow, samples: Iterable[tuple[int, Partition]]) -> int:
     """Check [Q, g] = q g on sample states; returns q, raises on mismatch."""
-    from tauforge.fock import apply_charge
-
     q = charge_of(g)
     for n, lam in samples:
         v = basis_vector(window, n, lam)

@@ -28,13 +28,16 @@ from math import factorial, lcm, prod
 from tauforge.partitions import (
     Partition,
     enumerate_partitions,
+    pochhammer,
     pochhammer_content,
 )
 from tauforge.polyring import (
     Poly,
     Scalar,
     TimeFamily,
+    fraction_matrix_det,
     poly_matrix_det,
+    standard_double_family,
     sum_of_products,
 )
 
@@ -205,11 +208,6 @@ def schur_content_eval_frobenius(
     d = len(alphas)
     if d == 0:
         return Fraction(1)
-    from math import factorial
-
-    from tauforge.partitions import pochhammer
-    from tauforge.polyring import fraction_matrix_det
-
     pref = Fraction(1)
     for a, b in zip(alphas, betas):
         pref *= (
@@ -227,8 +225,6 @@ def schur_content_eval_frobenius(
 def cauchy_littlewood_check(depth: int) -> int:
     """Compare sum_shapes s(t) s(t') with exp(sum k t_k t'_k) through total
     biweight `depth`; returns the verified biweight, raises on mismatch."""
-    from tauforge.polyring import standard_double_family
-
     plus, other = standard_double_family(depth, depth)
     lhs = plus.zero()
     for shape in enumerate_partitions(depth):

@@ -32,7 +32,11 @@ from tauforge.fock import (
     window_for,
 )
 from tauforge.grouplike import (
+    Diagonal,
+    ExponentBilinear,
     FieldWord,
+    LinearWord,
+    NormalOrderedBilinear,
     Product,
     ProjectorElement,
     SolitonExponent,
@@ -74,13 +78,6 @@ def is_field_based(g) -> bool:
 def mode_support(g) -> list[int]:
     """Window modes an element touches (empty for field-based parts and
     for elements that name no modes of their own)."""
-    from tauforge.grouplike import (
-        Diagonal,
-        ExponentBilinear,
-        LinearWord,
-        NormalOrderedBilinear,
-    )
-
     if isinstance(g, ExponentBilinear):
         return g.b.modes()
     if isinstance(g, NormalOrderedBilinear):
@@ -277,7 +274,7 @@ def expand_mkp(
     coeffs = mkp_coefficients(g, n, depth, window)
     total = _Sum(family.zero())
     for lam, c in coeffs.items():
-        total.add(schur_jt(family, lam) * c)
+        total.add(schur_jt(family, lam), c)
     return TauSeries(
         "MKP", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)}
     )

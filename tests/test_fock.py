@@ -10,7 +10,6 @@ from tauforge.fock import (
     apply_charge,
     apply_current,
     apply_current_exp,
-    apply_current_exp_direct,
     apply_diagonal_exp,
     apply_diagonal_multipliers,
     apply_normal_ordered_word,
@@ -34,6 +33,7 @@ from tauforge.fock import (
 from tauforge.partitions import Partition, enumerate_partitions
 from tauforge.polyring import standard_single_family
 from tauforge.schur import schur_jt
+from test_fock_vectors import ref_current_exp, ref_current_exp_direct
 
 F = Fraction
 W = ModeWindow(-9, 9)
@@ -222,27 +222,27 @@ def test_current_commutator():
 
 
 def test_current_exp_routes_agree():
-    """The skew route (skew Schur functions placed state by state) against
-    the direct route (current hops summed as a series).  Both read the
-    current tree: the skew Schur functions take their characters from
-    `fock.character_table`.  So this pins the two routes' state placement,
-    phases and window rules, not the characters; those are checked
-    independently in `tests/test_schur_characters.py`."""
+    """The current tree against the test-side state routes: skew Schur
+    functions placed state by state, and on lowered kets the series of
+    single current hops.  The skew Schur functions take their characters
+    from `fock.character_table`, so the first pins state placement, phases
+    and window rules, not the characters; the hop series pins those too,
+    and `tests/test_schur_characters.py` checks the characters apart."""
     fam = standard_single_family(4)
     big = ModeWindow(-14, 14)
-    rng = random.Random(17)
     for lam in enumerate_partitions(4):
         for n in (-1, 0, 1):
             v = basis_vector(big, n, lam)
             for direction in ("lower", "raise"):
-                skew_route = apply_current_exp(direction, fam, v, 4)
-                direct = apply_current_exp_direct(direction, fam, v, 4)
-                assert skew_route == direct, (lam, n, direction)
+                got = apply_current_exp(direction, fam, v, 4).states
+                args = (direction, fam, big, v.states, False, 4)
+                assert got == ref_current_exp(*args), (lam, n, direction)
+                if direction == "lower":
+                    assert got == ref_current_exp_direct(*args), (lam, n)
     # and on a bra
     b = basis_vector(big, 0, Partition([2]), dual=True)
-    assert apply_current_exp("raise", fam, b, 4) == apply_current_exp_direct(
-        "raise", fam, b, 4
-    )
+    got = apply_current_exp("raise", fam, b, 4).states
+    assert got == ref_current_exp("raise", fam, big, b.states, True, 4)
 
 
 def test_coherent_state_coefficients():

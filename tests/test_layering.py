@@ -4,7 +4,8 @@ Module-level imports between `tauforge` modules form no cycle.  A
 function-level import may point back up that graph, to a module that
 imports the caller's module, only where it is listed in `UPWARD`: each one
 is an import at call time that a module-level import would turn into a
-cycle.
+cycle.  Any other function-level `tauforge` import is listed in `LAZY` with
+its reason; the rest belong at module level.
 
 The monomial representation has one home: no module but `polyring` reads
 the keys of `Poly.nums`, builds a `Poly` from raw storage or touches the
@@ -26,6 +27,12 @@ PACKAGE = SRC / "tauforge"
 UPWARD = {
     ("polyring", "schur"),  # TimeFamily.h builds its generators with the Schur builder
     ("schur", "fock"),  # the Schur builder reads its characters from the current tree
+}
+
+# (importing module, imported module) for each import at call time that a
+# module-level import would not turn into a cycle, with the reason it waits
+LAZY = {
+    ("cli", "models"): "only `model` needs it: `expand` and `verify` never load `models`",
 }
 
 
@@ -88,6 +95,12 @@ def test_only_listed_imports_point_back_up():
     top, inner = import_graphs()
     upward = {(m, t) for m, targets in inner.items() for t in targets if reaches(top, t, m)}
     assert upward == UPWARD
+
+
+def test_function_level_imports_are_listed():
+    _, inner = import_graphs()
+    found = {(m, t) for m, targets in inner.items() for t in targets}
+    assert found == UPWARD | LAZY.keys()
 
 
 def test_schur_imports_on_its_own():

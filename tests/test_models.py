@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+from tauforge import schur
 from tauforge.fock import ModeWindow, vacuum, window_for
 from tauforge.grouplike import Diagonal, apply_element, bbc_check
 from tauforge.hirota import kp_residue_check
@@ -241,6 +242,18 @@ def test_diagonal_models_two_routes():
             fock_route = diagonal_model_tau_fock(model, count, plus, minus, 4)
             closed = diagonal_model_tau_closed(model, count, plus, minus, 4)
             assert fock_route == closed, (model.name, count)
+
+
+def test_operator_routes_read_no_schur_memo():
+    """The operator routes raise and lower through the current tree, so
+    they check the Schur-sum routes only if they read no memoized Schur
+    function: the memo stays empty."""
+    plus, minus = standard_double_family(4, 4)
+    schur._schur_cache.clear()
+    diagonal_model_tau_fock(DiagonalModel.gaussian(F(3, 2)), 2, plus, minus, 4)
+    cut_and_join_tau_operator(F(3, 2), F(2, 3), plus, minus, 4)
+    hermitian_fermionic_tau(2, standard_single_family(6), 6)
+    assert schur._schur_cache == {}
 
 
 def test_diagonal_model_coefficient_ratios():

@@ -207,12 +207,12 @@ def standard_tableaux(outer, inner):
 
 def test_character_table_against_rules_without_hops():
     """The table against three rules it shares no code with.  These
-    comparisons used to be independent and now read the current tree on
-    both sides, so they are no longer oracles of it:
-    `tests/test_fock.py::test_current_exp_routes_agree`,
-    `tests/test_fock_vectors.py::ref_current_exp` (through
-    `skew_schur_signed`) and the `current_exp` check of perfbench's
-    fock-routes jobs (`schur.skew_schur`)."""
+    comparisons read the current tree on both sides, so they are not
+    oracles of it: `tests/test_fock_vectors.py::ref_current_exp` (through
+    `skew_schur_signed`) against `apply_current_exp`, and the `current_exp`
+    check of perfbench's fock-routes jobs (`schur.skew_schur`).  The
+    test-side `ref_current_exp_direct` hops on (charge, shape) dicts and
+    shares no tree code."""
     top = 10
     table = character_table((), top)
     for k in range(top + 1):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tauforge import tau
+from tauforge import schur, tau
 from tauforge.fock import ModeWindow, WindowViolation, basis_vector, inner, letter
 from tauforge.grouplike import (
     Diagonal,
@@ -123,6 +123,21 @@ def test_route_equality_all_variants():
             series = expand_mkp(g, n, fam, 5, W)
             direct = expand_mkp_direct(g, n, fam, 5, W)
             assert series.poly == direct, (type(g).__name__, n)
+
+
+def test_operator_route_reads_no_schur_memo():
+    """`expand_mkp_direct` raises the element's state through the current
+    tree, so it is an oracle for `expand_mkp`, which sums the memoized Schur
+    functions, only if it reads none of them: the memo stays empty."""
+    fam = standard_single_family(5)
+    rng = random.Random(29)
+    elements = [sample_element(rng) for _ in range(30)]
+    schur._schur_cache.clear()
+    direct = [expand_mkp_direct(g, 0, fam, 5) for g in elements]
+    assert schur._schur_cache == {}
+    assert sum(not d.is_zero for d in direct) >= 20
+    for g, d in zip(elements, direct):
+        assert expand_mkp(g, 0, fam, 5).poly == d
 
 
 def test_charged_element_series():
