@@ -66,7 +66,10 @@ class InputError(Exception):
 
 def _frac(x) -> Fraction:
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"a rational needs a nonzero denominator, got {x!r}") from None
     raise ValueError(f"rationals must be strings or integers, got {x!r}")
 
 

@@ -28,14 +28,16 @@ share one implementation.
 
 Currents of one direction commute: `_current_tree` builds each J^m v as one
 hop of its parent's, on the vector's own scalars, for the current
-exponential (its polynomials built once from their monomial terms), the
-current Schur functions and `character_table`, the skew characters of every
-Schur function.  `apply_current_exp` is the one route of e^{+-J(t)}, with
-one rule for both directions: `depth` bounds only the growing side, the
-shrinking side hops by every time of the family, and every nonzero state of
-a grown result must fit the window.  `apply_current_exp_direct` is the same
-route under the name perfbench's fock-routes jobs call.  `_hops` holds the
-window rule of a single checked hop.
+exponential (its polynomials built once from their monomial terms) and the
+current Schur functions.  `apply_current_exp` is the one route of e^{J(c t)}
+for a rational scale c, with one rule for both directions: `depth` bounds
+only the growing side, the shrinking side hops by every time of the family,
+and every nonzero state of a grown result must fit the window.  By
+bosonization, <mu, n| e^{J(c t)} = sum_lam s_(lam/mu)(c t) <lam, n| in wedge
+phase, so the Schur builder (`schur._schur_poly`) reads every skew Schur
+function off one raised bra.  `apply_current_exp_direct` is the same route
+under the name perfbench's fock-routes jobs call.  `_hops` holds the window
+rule of a single checked hop.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from math import factorial, inf, lcm, prod
 from typing import Callable, Iterable, Mapping
 
 from tauforge.partitions import Partition, sign_exponent
-from tauforge.polyring import Poly, TimeFamily, _Sum, standard_single_family
+from tauforge.polyring import Poly, Scalar, TimeFamily, _Sum, standard_single_family
 from tauforge.schur import _schur_poly, schur_jt
 
 State = tuple[int, tuple[int, ...]]  # (charge, shape parts)
@@ -603,21 +605,23 @@ def apply_current_combination(coeffs: Mapping[int, object], v: FockVector) -> Fo
 
 
 def skew_schur_signed(
-    family: TimeFamily, outer: Partition, inner: Partition, sign: int
+    family: TimeFamily, outer: Partition, inner: Partition, scale: Scalar
 ) -> Poly:
-    """Skew Schur function at +t or -t (sign = -1 negates every time), the
-    current exponential's matrix element up to the shapes' signs, from the
-    Schur builder: the tests' skew-placement reference for `apply_current_exp`."""
-    return _schur_poly(family, outer.parts, inner.parts, sign)
+    """Skew Schur function at the scaled times c t (c = -1 negates every
+    time), the current exponential's matrix element up to the shapes' signs,
+    from the Schur builder: the tests' skew-placement reference for
+    `apply_current_exp`."""
+    return _schur_poly(family, outer.parts, inner.parts, scale)
 
 
 def apply_current_exp(
-    direction: str, family: TimeFamily, v: FockVector, depth: int, sign: int = 1
+    direction: str, family: TimeFamily, v: FockVector, depth: int, scale: Scalar = 1
 ) -> FockVector:
     """Exponential of the time-weighted lowering ("lower") or raising
-    ("raise") current ladder, polynomial-valued: sum_m sign^|m| t^m/m! J^m v
-    from `_current_tree`, unchecked on a base lowered by the hops' reach;
-    sign = -1 negates the times (the inverse exponential).
+    ("raise") current ladder at the scaled times c t, c = `scale` rational,
+    polynomial-valued: sum_m c^|m| t^m/m! J^m v from `_current_tree`,
+    unchecked on a base lowered by the hops' reach; c = -1 is the inverse
+    exponential.
 
     "lower" grows ket shapes and "raise" shrinks them; on bras the roles
     transpose.  `depth` bounds only the growing side, by how much weight a
@@ -635,28 +639,32 @@ def apply_current_exp(
     lift = reach if grow else 0  # the furthest a hole moves down
     index = {k: family.table.index[family.names[k - 1]] for k in ks}
     table, cutoffs = family.table, family.one().cutoffs
-    # rationals hop as integers over q; their terms are integers over q reach!
+    # rationals hop as integers over q; level s of the terms is the integer
+    # num^s den^(reach - s) reach!/m! over q den^reach reach!, c = num/den
     poly = any(type(c) is Poly for c in v.bits.values())
-    q, fact = 1 if poly else lcm(*(c.denominator for c in v.bits.values())), factorial(reach)
+    q = 1 if poly else lcm(*(c.denominator for c in v.bits.values()))
+    num, den, fact = scale.numerator, scale.denominator, factorial(reach)
+    denom = den**reach * fact
     start = {b: c if poly else int(c * q) for b, c in v._bits_at(v.base - lift).items()}
     tree = FockVector._from_sums(v.window, v.base - lift, start, v.dual)
     out: dict = {}
     for s, level in enumerate(_current_tree(tree, ks, mode_sign, reach, False)):
+        scaled = num**s * den ** (reach - s) * fact
         for m, _, states in level:
             key = table.encode([(index[k], e) for k, e in m])
-            mult = sign**s * fact // prod(factorial(e) for _, e in m)
+            mult = scaled // prod(factorial(e) for _, e in m)
             if not poly:
                 for b, c in states.items():
                     out.setdefault(b, {})[key] = c * mult
                 continue
-            tm = Poly.from_numerators(table, cutoffs, {key: mult}, fact)
+            tm = Poly.from_numerators(table, cutoffs, {key: mult}, denom)
             for b in list(states):
                 if term := states[b] * tm:
                     _add_into(out, b, term)
                 else:
                     del states[b]
     if not poly:
-        out = dict(zip(out, Poly.from_numerator_rows(table, cutoffs, out.values(), q * fact)))
+        out = dict(zip(out, Poly.from_numerator_rows(table, cutoffs, out.values(), q * denom)))
     out = tree._like(out).bits
     for b in out if grow else ():
         _check_bits_window(v.window, tree.base, b)
@@ -696,34 +704,11 @@ def _current_tree(v: FockVector, ks: list[int], mode_sign: int, reach: int, chec
         level = nxt
 
 
-_character_tables: dict[tuple[int, ...], tuple[int, dict]] = {}  # inner -> (weight, table)
-
-
-def character_table(inner: tuple[int, ...], weight: int) -> dict:
-    """{outer: {m: chi^(outer/inner)_m}} for cycle types m (as in `_current_tree`)
-    of total <= `weight`, nonzero only: <inner, 0| J^m = sum chi_m <outer, 0| in
-    wedge phase (Macdonald I.7), the tree run unchecked on the integer bra from a
-    base lowered by the reach.  Memoized per inner shape, rebuilt only larger."""
-    got = _character_tables.get(inner)
-    if got is None or got[0] < weight:
-        base = -len(inner) - weight
-        bits = {occupation_bits(0, inner, base): 1}
-        bra = FockVector._from_sums(window_for([0], weight + len(inner)), base, bits, True)
-        rows: dict = {}
-        for level in _current_tree(bra, list(range(1, weight + 1)), 1, weight, False):
-            for m, _, states in level:
-                for b, chi in states.items():
-                    rows.setdefault(b, {})[m] = chi
-        table = {_state_of_bits(b, base)[1]: row for b, row in rows.items()}
-        got = _character_tables[inner] = (weight, table)
-    return got[1]
-
-
 def apply_current_exp_direct(
-    direction: str, family: TimeFamily, v: FockVector, depth: int, sign: int = 1
+    direction: str, family: TimeFamily, v: FockVector, depth: int, scale: Scalar = 1
 ) -> FockVector:
     """`apply_current_exp`, under the name perfbench's fock-routes jobs call."""
-    return apply_current_exp(direction, family, v, depth, sign)
+    return apply_current_exp(direction, family, v, depth, scale)
 
 
 def apply_scaled_current_schur(

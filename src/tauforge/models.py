@@ -384,7 +384,7 @@ def diagonal_model_tau_fock(
     the sea-filled sector, multiply the occupied non-negative modes, raise
     with the first family, read the vacuum component."""
     window = window_for([count], depth)
-    v = apply_current_exp("lower", family_minus, vacuum(window, count), depth, sign=-1)
+    v = apply_current_exp("lower", family_minus, vacuum(window, count), depth, scale=-1)
     v = project("plus", v, 0)
     mults = tuple((j, model.g(j)) for j in range(0, window.hi))
     v = apply_element(Diagonal(mults, ordered=False), v)
@@ -508,7 +508,7 @@ def hermitian_two_family_tau(
     the sea projector; depends on time differences only (the chain
     property), which the tests assert."""
     window = window_for([count], depth + 2)
-    v = apply_current_exp("lower", family_minus, vacuum(window, count), depth, sign=-1)
+    v = apply_current_exp("lower", family_minus, vacuum(window, count), depth, scale=-1)
     v = project("plus", v, 0)
     v = apply_element(hermitian_moment_element(window.hi), v)
     v = project("plus", v, 0)
@@ -553,7 +553,7 @@ def cut_and_join_tau_operator(
     depth: int,
 ) -> Poly:
     window = window_for([0], depth)
-    v = apply_current_exp("lower", family_minus, vacuum(window, 0), depth, sign=-1)
+    v = apply_current_exp("lower", family_minus, vacuum(window, 0), depth, scale=-1)
     v = apply_element(cut_and_join_element(e_half_beta, q), v)
     return vacuum_readout(family_plus, v, 0, depth)
 

@@ -1,14 +1,13 @@
 """Schur and skew Schur functions in graded time variables.
 
 One builder, `_schur_poly`, makes every Schur-family polynomial: the skew
-function at scaled times s_(outer/inner)(c t), c rational, as the character
-expansion (bosonization of the Schur function) over cycle types rho of
-weight |outer| - |inner|, sum chi^(outer/inner)_rho c^len(rho)
-prod_k t_k^(m_k) / m_k!, m_k the multiplicity of k in rho.  The integer
-skew characters, the coefficients of <outer, 0| in <inner, 0| J_rho, come
-from the current tree (`fock.character_table`, imported at call time).
-`schur_jt`, `skew_schur`, `fock.skew_schur_signed`, `_schur_neg` and
-`TimeFamily.h` all call it, memoized in `_schur_cache`: none forms a
+function at scaled times s_(outer/inner)(c t), c rational, read off one
+raised bra.  By bosonization, <inner, 0| e^{J(c t)} = sum_outer
+s_(outer/inner)(c t) <outer, 0| in wedge phase, and `fock.apply_current_exp`
+(imported at call time) forms that bra from the current tree, so one call
+per (family, inner shape, scale) fills `_schur_cache` for every outer shape
+it reaches.  `schur_jt`, `skew_schur`, `fock.skew_schur_signed`,
+`_schur_neg` and `TimeFamily.h` all call the builder: none forms a
 determinant or a product.  `double_schur_sum` builds a weighted sum of
 s_lambda(t+) s_mu(-t-) from the memoized factors' integer numerators, with
 no product polynomial (`polyring.sum_of_products`).
@@ -23,13 +22,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial
 
 from tauforge.partitions import (
     Partition,
     enumerate_partitions,
     pochhammer,
     pochhammer_content,
+    sign_exponent,
 )
 from tauforge.polyring import (
     Poly,
@@ -44,11 +44,12 @@ from tauforge.polyring import (
 _schur_cache: dict[tuple, Poly] = {}
 
 
-def _check_generators(family: TimeFamily, outer: tuple[int, ...], inner: tuple[int, ...]) -> None:
-    """Raise the ValueError of `TimeFamily.h` for the first generator h_k,
-    in row order of det h_{outer_i - inner_j - i + j}, that lies beyond the
-    family's times yet within its cutoff.  Along a row the index grows with
-    j, so only the first index beyond the times can raise."""
+def _missing_time(family: TimeFamily, outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    """The first generator index k, in row order of det h_{outer_i -
+    inner_j - i + j}, that lies beyond the family's times yet within its
+    cutoff (the h_k that `TimeFamily.h` refuses), or 0 when there is none.
+    Along a row the index grows with j, so only the first index beyond the
+    times can count."""
     depth, cut = family.depth, family.cutoffs.get(family.grading)
     ell = max(len(outer), len(inner))
     outer = outer + (0,) * (ell - len(outer))
@@ -58,48 +59,52 @@ def _check_generators(family: TimeFamily, outer: tuple[int, ...], inner: tuple[i
             k = row - col - i + j
             if k > depth:
                 if cut is None or k <= cut:
-                    raise ValueError(f"h_{k} needs time variables up to {k}")
+                    return k
                 break
+    return 0
 
 
 def _schur_poly(
     family: TimeFamily, outer: tuple[int, ...], inner: tuple[int, ...], scale: Scalar
 ) -> Poly:
     """s_(outer/inner)(c t) for the rational scale c = `scale`, truncated at
-    the family's cutoffs and memoized in `_schur_cache`: the sum over cycle
-    types rho of weight |outer| - |inner| of
-    chi^(outer/inner)_rho c^len(rho) prod_k t_k^(m_k) / m_k!, as integer
-    numerators over one denominator.  Raises where the skew Jacobi-Trudi
-    determinant would ask for a generator beyond the family's times; a
-    weight above the cutoff is zero."""
+    the family's cutoffs and memoized in `_schur_cache`.  Raises where the
+    skew Jacobi-Trudi determinant would ask for a generator beyond the
+    family's times, on every call; an outer shape that does not hold the
+    inner one, or a weight above the cutoff, is zero.
+
+    A miss on any other shape raises the bra <inner, 0| once, sized to the
+    family's cutoff, or to the asked weight when the family has none (and
+    raised again only larger): its wedge-phase coefficients, started at the
+    inner shape's sign, are s_(outer/inner)(c t) for every outer shape it
+    reaches.  The bra hops by the family's times only, so a shape whose
+    determinant needs a missing time is left out of the memo."""
     family_key = (family.table, tuple(family.names), tuple(sorted(family.cutoffs.items())))
     key = (family_key, outer, inner, scale)
     got = _schur_cache.get(key)
     if got is not None:
         return got
-    _check_generators(family, outer, inner)
-    table = family.table
+    if k := _missing_time(family, outer, inner):
+        raise ValueError(f"h_{k} needs time variables up to {k}")
     weight = sum(outer) - sum(inner)
     top = family.cutoffs.get(family.grading)
-    terms = []
-    if weight >= 0 and (top is None or weight <= top):
-        from tauforge.fock import character_table
+    held = len(outer) >= len(inner) and all(o >= i for o, i in zip(outer, inner))
+    if held and (top is None or weight <= top):
+        from tauforge.fock import FockVector, _state_of_bits, apply_current_exp, window_for
 
-        index = [table.index[name] for name in family.names]
-        num, den = scale.numerator, scale.denominator
-        chars = character_table(inner, weight if top is None else top).get(outer, {})
-        for m, chi in chars.items():
-            # a cycle longer than the family's times has a nonzero character
-            # only on a shape above the cutoff (below it, the check raised)
-            if m and m[-1][0] > family.depth:
-                continue
-            length = sum(e for _, e in m)
-            z = prod(factorial(e) for _, e in m) * den**length
-            terms.append((table.encode([(index[k - 1], e) for k, e in m]), chi * num**length, z))
-    common = lcm(*(z for _, _, z in terms))
-    nums = {mono: n * (common // z) for mono, n, z in terms}
-    out = _schur_cache[key] = Poly.from_numerators(table, family.cutoffs, nums, common)
-    return out
+        size = weight if top is None else top
+        # a grown shape's first part and length are each at most |inner| + size
+        window = window_for([0], size + sum(inner))
+        start = {(0, inner): -1 if sign_exponent(inner) & 1 else 1}
+        bra = apply_current_exp("raise", family, FockVector(window, start, True), size, scale)
+        for bits, poly in bra.bits.items():
+            lam = _state_of_bits(bits, bra.base)[1]
+            if not _missing_time(family, lam, inner):
+                _schur_cache.setdefault((family_key, lam, inner, scale), poly)
+        got = _schur_cache.get(key)
+    if got is None:
+        got = _schur_cache[key] = family.zero()
+    return got
 
 
 def schur_jt(family: TimeFamily, shape: Partition) -> Poly:

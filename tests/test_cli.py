@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction as F
 
@@ -144,8 +145,6 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_row_major_matrix_and_stdin(capsys, monkeypatch):
-    import io
-
     spec = (
         '{"kind": "exponent_bilinear", "matrix": '
         '{"row_offset": -2, "col_offset": -1, "rows": [["1/2", "0"], ["0", "1/3"]]}}'
@@ -374,6 +373,28 @@ def test_expand_rejects_a_soliton_pole_given_as_element(capsys):
             argv = ["expand", "--charge", charge, "--cutoff", "2", "--element", json.dumps(element)]
             msg = usage_error(capsys, argv)
             assert "bad --element" in msg and "pole" in msg
+
+
+def test_a_zero_denominator_in_element_json_is_bad_input(capsys, monkeypatch):
+    # "1/0" used to exit 1 with a ZeroDivisionError traceback, which under
+    # `verify` reads as a failed check
+    entry = {"kind": "normal_ordered", "entries": [{"row": -1, "col": 0, "value": "1/0"}]}
+    specs = [
+        entry,
+        soliton_spec(p="1/0"),
+        {"kind": "soliton", "couplings": [["1/0"]], "ps": ["1/3"], "qs": ["1/2"]},
+    ]
+    for spec in specs:
+        for element in (spec, {"kind": "product", "factors": [spec]}):
+            text = json.dumps(element)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            for argv in (
+                ["expand", "--element", text],
+                ["expand", "--element", "-"],
+                ["verify", "--suite", "kp", "--element", text],
+            ):
+                msg = usage_error(capsys, argv)
+                assert msg.endswith("bad --element: a rational needs a nonzero denominator, got '1/0'")
 
 
 def test_expand_rejects_a_pole_that_a_mode_letter_brings(capsys):

@@ -224,10 +224,10 @@ def test_current_commutator():
 def test_current_exp_routes_agree():
     """The current tree against the test-side state routes: skew Schur
     functions placed state by state, and on lowered kets the series of
-    single current hops.  The skew Schur functions take their characters
-    from `fock.character_table`, so the first pins state placement, phases
-    and window rules, not the characters; the hop series pins those too,
-    and `tests/test_schur_characters.py` checks the characters apart."""
+    single current hops.  The Schur builder reads its skew Schur functions
+    off a bra raised by the same tree, so the first pins state placement,
+    phases and window rules, not the characters; the hop series pins those
+    too, and `tests/test_schur_characters.py` checks the characters apart."""
     fam = standard_single_family(4)
     big = ModeWindow(-14, 14)
     for lam in enumerate_partitions(4):

@@ -77,18 +77,18 @@ def ref_current_into(out, k, window, states, dual, coeff):
             ref_add(out, key, signed[(between + phase + sign_exponent(key[1])) & 1])
 
 
-def ref_current_exp_direct(direction, family, window, states, dual, depth, sign=1):
+def ref_current_exp_direct(direction, family, window, states, dual, depth, scale=1):
     """The exponential as a series of current hops by J_1..J_depth, one state
     at a time (so `depth` caps each state's growth), checking each hop's window."""
     out = {}
     for s, c in states.items():
-        out = ref_sum(out, ref_current_series(direction, family, window, {s: c}, dual, depth, sign))
+        out = ref_sum(out, ref_current_series(direction, family, window, {s: c}, dual, depth, scale))
     return out
 
 
-def ref_current_series(direction, family, window, states, dual, depth, sign):
+def ref_current_series(direction, family, window, states, dual, depth, scale):
     mode_sign = -1 if direction == "lower" else +1
-    coeffs = {mode_sign * k: family.time(k) * sign for k in range(1, depth + 1)}
+    coeffs = {mode_sign * k: family.time(k) * scale for k in range(1, depth + 1)}
     cap = max((sum(p) for _, p in states), default=0) + depth
     term = ref_nonzero({s: c * family.one() for s, c in states.items()})
     out = dict(term)
@@ -109,7 +109,7 @@ def ref_current_series(direction, family, window, states, dual, depth, sign):
             raise RuntimeError("current exponential failed to terminate")
 
 
-def ref_current_exp(direction, family, window, states, dual, depth, sign=1):
+def ref_current_exp(direction, family, window, states, dual, depth, scale=1):
     grow = (direction == "lower") != dual
     out = {}
     for (n, parts), c in states.items():
@@ -118,7 +118,7 @@ def ref_current_exp(direction, family, window, states, dual, depth, sign=1):
             big, small = (mu, lam) if grow else (lam, mu)
             if not big.contains(small):
                 continue
-            coeff = skew_schur_signed(family, big, small, sign)
+            coeff = skew_schur_signed(family, big, small, scale)
             if coeff.is_zero:
                 continue
             phase = (-1) ** (big.sign_exponent() - small.sign_exponent())
@@ -236,7 +236,7 @@ def test_constructor_round_trips_through_every_reader(case):
 @given(
     vector_cases(coeffs=polys),
     st.sampled_from(("lower", "raise")),
-    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1, -2, Fraction(2, 3))),
     st.integers(1, DEPTH),
 )
 # the state route hops by up to `depth` from every state of its last
@@ -260,14 +260,14 @@ def test_constructor_round_trips_through_every_reader(case):
 @example(
     (ModeWindow(-8, 8), {(0, ()): Fraction(1), (0, (1, 1)): Fraction(1)}, False), "lower", 1, 1
 )
-def test_current_exponentials_match_the_state_route(case, direction, sign, depth):
+def test_current_exponentials_match_the_state_route(case, direction, scale, depth):
     """The tree route against the skew placement on every case, and against
     the hop-by-hop series on lowered kets where that series' own window rule
     (every hop in the window) raises nothing."""
     window, states, dual = case
     v = FockVector(window, states, dual)
-    got = outcome(apply_current_exp, direction, FAM, v, depth, sign)
-    args = (direction, FAM, window, ref_nonzero(states), dual, depth, sign)
+    got = outcome(apply_current_exp, direction, FAM, v, depth, scale)
+    args = (direction, FAM, window, ref_nonzero(states), dual, depth, scale)
     assert got == outcome(ref_current_exp, *args)
     if direction == "lower" and not dual:
         want = outcome(ref_current_exp_direct, *args)

@@ -7,6 +7,9 @@ is an import at call time that a module-level import would turn into a
 cycle.  Any other function-level `tauforge` import is listed in `LAZY` with
 its reason; the rest belong at module level.
 
+Every module-level memo is listed in `MEMOS` with what it holds, so a new
+global cache shows up here.
+
 The monomial representation has one home: no module but `polyring` reads
 the keys of `Poly.nums`, builds a `Poly` from raw storage or touches the
 packed key layout.  Other modules build keys with `VariableTable.encode`
@@ -26,7 +29,15 @@ PACKAGE = SRC / "tauforge"
 # points back up the module-level graph
 UPWARD = {
     ("polyring", "schur"),  # TimeFamily.h builds its generators with the Schur builder
-    ("schur", "fock"),  # the Schur builder reads its characters from the current tree
+    ("schur", "fock"),  # the Schur builder reads its functions off a bra raised by the current tree
+}
+
+# every module-level memo, "module.name", with what it holds: a name bound to
+# an empty dict, set or list, or a function under `cache` or `lru_cache`
+MEMOS = {
+    "schur._schur_cache": "every Schur-family polynomial, filled a raised bra at a time",
+    "partitions._enumerate_cached": "the partitions enumerated at each weight and bounds",
+    "cli._parser": "the argument parser, built once per process",
 }
 
 # (importing module, imported module) for each import at call time that a
@@ -133,3 +144,43 @@ def test_only_polyring_touches_monomial_storage():
             elif isinstance(node, ast.alias) and node.name in STORAGE_NAMES:
                 found.add(f"import of {node.name}")
         assert not found, f"{path.stem} reaches into Poly storage: {sorted(found)}"
+
+
+def empty_container(value) -> bool:
+    """Whether an expression is an empty dict, set or list: a literal or a
+    bare constructor call."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "set", "list")
+        and not value.args
+        and not value.keywords
+    )
+
+
+def module_memos(path):
+    """The module-level memos of a module, as "module.name": names bound to
+    an empty container, and functions decorated with `cache` or `lru_cache`."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and empty_container(node.value):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and node.value and empty_container(node.value):
+            names = [node.target.id] if isinstance(node.target, ast.Name) else []
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            cached = any(ast.unparse(d).split(".")[-1] in ("cache", "lru_cache") for d in decorators)
+            names = [node.name] if cached else []
+        else:
+            names = []
+        found |= {f"{path.stem}.{name}" for name in names}
+    return found
+
+
+def test_module_level_memos_are_listed():
+    found = set().union(*(module_memos(path) for path in PACKAGE.glob("*.py")))
+    assert found == MEMOS.keys()

@@ -13,10 +13,12 @@ from the recurrence k h_k = sum_j j c t_j h_{k-j}, for every pair of shapes
 of weight <= 7, nested or not; the generators themselves, `TimeFamily.h`,
 are compared with the same recurrence.
 
-The builder reads its integer characters from `fock.character_table`, the
-current tree on a bra.  The table is checked here against rules that share
-no hop code with it: the hook length formula, column orthogonality and
-standard skew tableaux counted by corner removal.
+The builder reads every skew Schur function off one raised bra,
+`fock.apply_current_exp` on <inner, 0|, the current tree.  The integer
+characters in its polynomials, chi^(outer/inner)_rho = prod_k m_k! times
+the coefficient of prod_k t_k^(m_k), are checked here against rules that
+share no hop code with it: the hook length formula, column orthogonality
+and standard skew tableaux counted by corner removal.
 """
 
 from collections import Counter
@@ -26,8 +28,8 @@ from math import factorial, prod
 
 import pytest
 
-from tauforge.partitions import enumerate_partitions
-from tauforge.fock import character_table, skew_schur_signed
+from tauforge.partitions import Partition, enumerate_partitions
+from tauforge.fock import skew_schur_signed
 from tauforge.polyring import (
     TimeFamily,
     VariableTable,
@@ -184,9 +186,19 @@ def test_generators_match_the_recurrence(name):
 
 
 def cycle_type(rho):
-    """A partition's cycle type in the table's form ((k, multiplicity), ...),
-    k ascending."""
+    """A partition's cycle type ((k, multiplicity), ...), k ascending."""
     return tuple(sorted(Counter(rho.parts).items()))
+
+
+def characters(family, outer, inner):
+    """{cycle type: chi^(outer/inner)} read off the builder's polynomial at
+    unit scale: prod_k m_k! times the coefficient of prod_k t_k^(m_k), on a
+    single family whose table orders t_1, t_2, ... first."""
+    poly = _schur_poly(family, outer.parts, inner.parts, 1)
+    return {
+        tuple((i + 1, e) for i, e in mono): c * prod(factorial(e) for _, e in mono)
+        for mono, c in poly.terms.items()
+    }
 
 
 @cache
@@ -205,27 +217,26 @@ def standard_tableaux(outer, inner):
     return count
 
 
-def test_character_table_against_rules_without_hops():
-    """The table against three rules it shares no code with.  These
-    comparisons read the current tree on both sides, so they are not
-    oracles of it: `tests/test_fock_vectors.py::ref_current_exp` (through
-    `skew_schur_signed`) against `apply_current_exp`, and the `current_exp`
-    check of perfbench's fock-routes jobs (`schur.skew_schur`).  The
-    test-side `ref_current_exp_direct` hops on (charge, shape) dicts and
+def test_characters_against_rules_without_hops():
+    """The builder's characters against three rules they share no code
+    with.  These comparisons read the current tree on both sides, so they
+    are not oracles of it: `tests/test_fock_vectors.py::ref_current_exp`
+    (through `skew_schur_signed`) against `apply_current_exp`, and the
+    `current_exp` check of perfbench's fock-routes jobs (`schur.skew_schur`).
+    The test-side `ref_current_exp_direct` hops on (charge, shape) dicts and
     shares no tree code."""
     top = 10
-    table = character_table((), top)
+    family = standard_single_family(top)
     for k in range(top + 1):
         shapes = [lam for lam in enumerate_partitions(k) if lam.weight == k]
         types = [cycle_type(rho) for rho in shapes]
-        for lam in shapes:
-            row = table.get(lam.parts, {})
+        rows = [characters(family, lam, Partition([])) for lam in shapes]
+        for lam, row in zip(shapes, rows):
             # every entry is a cycle type of the shape's weight
-            assert {m for m in row if row[m]} <= set(types), lam
+            assert set(row) <= set(types), lam
             # the identity class: chi^lam_(1^k) = k! / hook product
             assert row.get(((1, k),) if k else (), 0) * lam.hook_product() == factorial(k)
         # column orthogonality: sum_lam chi_rho chi_sigma = z_rho delta
-        rows = [table.get(lam.parts, {}) for lam in shapes]
         for m in types:
             z = prod(j**e * factorial(e) for j, e in m)
             for n in types:
@@ -233,10 +244,10 @@ def test_character_table_against_rules_without_hops():
                 assert got == (z if m == n else 0), (k, m, n)
     # skew characters at the identity class count standard skew tableaux
     span = 7
+    family = standard_single_family(span)
     for inner in enumerate_partitions(3):
-        table = character_table(inner.parts, span)
         for outer in enumerate_partitions(inner.weight + span):
             k = outer.weight - inner.weight
-            got = table.get(outer.parts, {}).get(((1, k),) if k > 0 else (), 0)
+            got = characters(family, outer, inner).get(((1, k),) if k > 0 else (), 0)
             want = standard_tableaux(outer.parts, inner.parts) if outer.contains(inner) else 0
             assert got == want, (outer, inner)
