@@ -3,7 +3,8 @@
 Every check reports the weight through which vanishing was actually
 established -- a check never claims more than the truncation supports --
 and hands back the first offending monomial as a counterexample when an
-identity fails.
+identity fails.  The Hirota equations hold weight by weight, so the
+bilinear checks form no product term beyond the weight they verify.
 
 The residue identities are realized coefficient-wise: the spectral
 parameter is eliminated in favor of an auxiliary shift family living in
@@ -111,18 +112,19 @@ def _op(family: TimeFamily, spec) -> list[tuple[Fraction, dict[str, int]]]:
 
 def kp_equation_check(tau: Poly, family: TimeFamily) -> CheckReport:
     """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau = 0 through weight cutoff - 4."""
-    depth = family.cutoffs[family.grading]
-    residual = hirota_bilinear(_op(family, KP_BILINEAR_OP), tau, tau)
-    return _report("kp_equation", residual, depth - 4, family.grading)
+    verified = family.cutoffs[family.grading] - 4
+    residual = hirota_bilinear(_op(family, KP_BILINEAR_OP), tau, tau, {family.grading: verified})
+    return _report("kp_equation", residual, verified, family.grading)
 
 
 def mkp_equation_check(
     tau_up: Poly, tau_down: Poly, family: TimeFamily
 ) -> CheckReport:
     """(D1^2 - D2) tau_{n+1}.tau_n = 0 through weight cutoff - 2."""
-    depth = family.cutoffs[family.grading]
-    residual = hirota_bilinear(_op(family, [(1, {0: 2}), (-1, {1: 1})]), tau_up, tau_down)
-    return _report("mkp_equation", residual, depth - 2, family.grading)
+    verified = family.cutoffs[family.grading] - 2
+    op = _op(family, [(1, {0: 2}), (-1, {1: 1})])
+    residual = hirota_bilinear(op, tau_up, tau_down, {family.grading: verified})
+    return _report("mkp_equation", residual, verified, family.grading)
 
 
 def toda_equation_check(
@@ -140,10 +142,11 @@ def toda_equation_check(
             {family_plus.names[0]: 1, family_minus.names[0]: 1},
         )
     ]
-    residual = hirota_bilinear(op, tau_mid, tau_mid) + tau_up * tau_down
     dp = family_plus.cutoffs[family_plus.grading] - 1
     dm = family_minus.cutoffs[family_minus.grading] - 1
-    bad = residual.truncate({family_plus.grading: dp, family_minus.grading: dm})
+    within = {family_plus.grading: dp, family_minus.grading: dm}
+    # the truncated factor bounds the product, and with it the sum, by `within`
+    bad = hirota_bilinear(op, tau_mid, tau_mid, within) + tau_up.truncate(within) * tau_down
     return _verdict("toda_equation", bad, dp + dm)
 
 

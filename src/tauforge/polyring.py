@@ -66,7 +66,9 @@ Schur sum) forms no product polynomial: `sum_of_products` multiplies every
 pair's numerators into one dict over one common denominator.  Operators
 applied to one target share its partial derivatives, memoized by
 multi-index (`_Partials`), and time shifts expand each power of a shifted
-time by integer binomials instead of multiplying `Poly` powers.
+time by integer binomials instead of multiplying `Poly` powers.  A Hirota
+bilinear residual compared only through some weight (`hirota_bilinear`'s
+`within`) truncates each partial to that weight before it multiplies.
 """
 
 from __future__ import annotations
@@ -1084,7 +1086,10 @@ class TimeFamily:
 
 
 def hirota_bilinear(
-    op_terms: Iterable[tuple[Scalar, Mapping[str, int]]], f: Poly, g: Poly
+    op_terms: Iterable[tuple[Scalar, Mapping[str, int]]],
+    f: Poly,
+    g: Poly,
+    within: Mapping[str, int | None] | None = None,
 ) -> Poly:
     """Evaluate P(D) f.g: apply P(d/dX) to f(t+X) g(t-X) at X = 0.
 
@@ -1094,10 +1099,26 @@ def hirota_bilinear(
     with the partial derivatives of f and g memoized across all terms.
     When `f is g`, the products for beta and alpha - beta coincide and
     are formed once, with the two Leibniz weights added.
+
+    `within` (cutoffs per grading, as `Poly.truncate` takes them) is the
+    weight a caller compares: each partial is truncated to it, once, before
+    it multiplies, so no product term beyond it is formed.  No weight is
+    negative and weights add under multiplication, so the result within
+    `within` is the full one's.
     """
     f_partials = _Partials(f)
     g_partials = f_partials if g is f else _Partials(g)
-    out = _Sum(f.zero_like())
+    cut: dict[tuple[bool, int], Poly] = {}
+
+    def partial(partials: _Partials, alpha: int) -> Poly:
+        if within is None:
+            return partials.get(alpha)
+        key = (partials is g_partials, alpha)
+        if key not in cut:
+            cut[key] = partials.get(alpha).truncate(within)
+        return cut[key]
+
+    out = _Sum(f.zero_like() if within is None else f.zero_like().truncate(within))
     for coeff, orders in op_terms:
         if any(a < 0 for a in orders.values()):
             raise ValueError(f"negative derivative order in {dict(orders)}")
@@ -1115,8 +1136,8 @@ def hirota_bilinear(
                 weight += binom * (-1) ** sum(beta)
             if not weight:
                 continue
-            fp = f_partials.get(sum(map(mul, beta, units)))
-            gp = g_partials.get(sum(map(mul, rest, units)))
+            fp = partial(f_partials, sum(map(mul, beta, units)))
+            gp = partial(g_partials, sum(map(mul, rest, units)))
             # a vanishing term is skipped, but with no derivative at all
             # f * g is added as it stands, merging the two cutoffs
             if alpha and not (fp and gp):

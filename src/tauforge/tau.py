@@ -9,10 +9,13 @@ point-field element (a soliton exponent, a field word, a product with
 them) is read by Wick's theorem on its layout (`wick.wick_layout`), one
 bordered determinant per read, taken as c det(P_ff + P_fq M P_pf) with
 c = det(I - A P_pq) and M = (I - A P_pq)^-1 A formed once per charge.
-The series expansions and the hook-determinant, row/column-determinant
-(with stepped charges), exchange and rectangle identities all read
-through one reader per call; the Wick reader builds its basis letters
-with `fock.frobenius_word`.
+Each pair value of that Schur complement is memoized in one letter table
+per (charge, source), so a read is c times one minor of the table, as in
+the generalized Wick theorem's c_0^(d-1) c_(alpha|beta) = det c_(alpha_i|beta_j).
+The identity checks read shape by shape through one reader per call.  The
+series expansions read every shape to a weight at once (`coefficient_rows`):
+a window element's coefficients are its ket's own states, so no absent
+shape is probed, and a point-field element's come from its Wick tables.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Mapping
 from tauforge.fock import (
     ModeWindow,
     _check_state_window,
+    _state_of_bits,
     basis_vector,
     frobenius_word,
     vacuum,
@@ -58,6 +62,7 @@ from tauforge.wick import (
     correlator_exact,
     from_mode_letter,
     interleave_sign,
+    kmode,
     oriented_pair,
     vacuum_pad,
     wick_layout,
@@ -116,10 +121,10 @@ def coefficient_reader(g, window: ModeWindow):
     for the reader's lifetime only, and every bra shape must fit the
     window (else WindowViolation, as for a basis bra).  A point-field
     element does not read the window: it is read by Wick's theorem
-    (`_wick_reader`)."""
+    (`_WickReader`), through one letter table per (charge, source)."""
     q = charge_of(g)
     if is_field_based(g):
-        return _wick_reader(g, q)
+        return _WickReader(g, q)
 
     kets = {}
 
@@ -134,74 +139,168 @@ def coefficient_reader(g, window: ModeWindow):
     return read
 
 
-def _wick_reader(g, q: int):
+def coefficient_rows(g, n: int, depth: int, sources, window: ModeWindow):
+    """(source, {shape: c}) for each source in turn: the nonzero signed
+    coefficients c of `coefficient_reader` at charge n over every shape of
+    weight <= depth, in `enumerate_partitions` order.
+
+    A window element reads each source's ket, applied once, for its own
+    states at charge n: no shape the ket lacks is probed.  The bra contract
+    is the per-shape reader's, checked once after the first ket: the first
+    shape in enumeration order to leave the window is (k) or (1^k) at the
+    least failing weight k, (k) first, so only those two are tried.  A
+    point-field element is read shape by shape through its Wick tables."""
+    shapes = enumerate_partitions(depth)
+    q = charge_of(g)
+    if is_field_based(g):
+        read = _WickReader(g, q)
+        for mu in sources:
+            yield mu, {lam: c for lam in shapes if (c := read(lam, n, mu))}
+        return
+    checked = False
+    for mu in sources:
+        ket = apply_element(g, basis_vector(window, n - q, mu))
+        if not checked:
+            for k in range(depth + 1):
+                _check_state_window(window, n, Partition([k]).parts)
+                _check_state_window(window, n, (1,) * k)
+            checked = True
+        ket = ket.restrict_charge(n).truncated(depth)
+        # the bra's shape sign cancels the ket's: read the wedge phase
+        wedge = {_state_of_bits(b, ket.base)[1]: c for b, c in ket.bits.items()}
+        sign = -1 if mu.sign_exponent() & 1 else 1
+        yield mu, {lam: wedge[lam.parts] * sign for lam in shapes if lam.parts in wedge}
+
+
+class _WickReader:
     """The reader of a point-field element g of charge q by Wick's theorem
     (`wick.wick_matrix`) over the bra's letters, g's layout and the source's
-    ket letters with the vacuum pad.  Per charge n, once: B = I - A P_pq over
-    g's points, c = det B and M = B^-1 A.  With c != 0 a read is
-    c det(P_ff + P_fq M P_pf), the Schur complement of B, with the row
-    P(x, q) M of each psi letter x and the column P(p, y) of each psi* letter
-    y memoized by (charge, letter, place in g's layout); with c = 0 it is the
-    bordered determinant itself.  A bra's letters never pair with each other,
-    so its block has rank at most min(#holes, #particles): a bra with more
-    rows than that plus the number of other fixed letters reads 0."""
-    inner = wick_layout([g])
-    own = [(s, j) for j, s in enumerate(inner) if s[2] is None]
-    holes = [(s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi*"]
-    particles = [(s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi"]
-    couplings = [[h[2][h[3]][p[3]] if p[2] is h[2] else 0 for p, _ in particles] for h, _ in holes]
-    rank, end = min(len(holes), len(particles)), len(inner)
-    vacua: dict[int, tuple] = {}
-    memo: dict[tuple, list] = {}  # factors, and each (charge, source)'s ket and pad slots
+    ket letters with the vacuum pad.
 
-    def vacuum_data(n: int) -> tuple:
-        if n not in vacua:
-            _, b = wick_matrix(n, [s for s in inner if s[2] is not None])  # B = I - A P_pq
-            c = fraction_matrix_det(b)
-            vacua[n] = (c, _matmul(fraction_matrix_inverse(b), couplings) if c else None)
-        return vacua[n]
+    Per charge n, once: B = I - A P_pq over g's points, c = det B and
+    M = B^-1 A.  With c != 0 a read is c det E over the word's psi letters
+    x and psi* letters y, E(x, y) = P(x, y) + (P(x, q) M)(P(p, y)), the
+    Schur complement of B.  The bra of (alpha | beta), psi*_(n+alpha_i) then
+    psi_(n-beta_i-1), is written before g's own letters and the source's
+    (the fixed letters) and never pairs with itself.  A `_WickTable` per
+    (charge, source) memoizes E, so a read is one minor of it: no letter
+    word is built per shape.  With c = 0 a read is the bordered determinant
+    itself.  A bra's block has rank at most min(#holes, #particles) plus
+    the number of fixed letters: a bra of larger diagonal size reads 0."""
 
-    def factor(n: int, slot, at: int) -> list:
-        key = (n, slot[0], at)
-        got = memo.get(key)
+    def __init__(self, g, q: int):
+        self.q = q
+        self.inner = inner = wick_layout([g])
+        self.own = [(s, j) for j, s in enumerate(inner) if s[2] is None]
+        self.holes = [(s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi*"]
+        self.particles = [
+            (s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi"
+        ]
+        self.couplings = [
+            [h[2][h[3]][p[3]] if p[2] is h[2] else 0 for p, _ in self.particles]
+            for h, _ in self.holes
+        ]
+        self.rank = min(len(self.holes), len(self.particles))
+        self.vacua: dict[int, tuple] = {}  # n -> (c, M)
+        self.bras: dict[tuple, tuple] = {}  # (n, species, arm or leg) -> letter
+        self.tables: dict[tuple, _WickTable] = {}  # (n, source) -> its table
+
+    def __call__(self, shape: Partition, n: int, source: Partition = _EMPTY):
+        table = self.tables.get((n, source))
+        if table is None:
+            table = self.tables[(n, source)] = _WickTable(self, n, source)
+        alphas, betas = shape.frobenius()
+        d = len(alphas)
+        if d > self.rank + len(table.fixed):
+            return Fraction(0)
+        if not table.c:
+            bra = [self.bra_letter(n, "psi*", a)[0] for a in alphas]
+            bra += [self.bra_letter(n, "psi", b)[0] for b in reversed(betas)]
+            s, matrix = wick_matrix(n, bra + self.inner + table.outer)
+            value = s * table.sign * fraction_matrix_det(matrix) if s else Fraction(0)
+        elif len(table.rows) != len(table.cols):
+            return Fraction(0)
+        else:
+            entry = self.entry
+            cols = [*alphas, *table.cols]
+            rows = [*reversed(betas), *table.rows]
+            minor = [[entry(table, x, y) for y in cols] for x in rows]
+            det = minor[0][0] if len(minor) == 1 else fraction_matrix_det(minor)
+            value = table.scale(d) * det
+        return -value if shape.sign_exponent() & 1 else value
+
+    def vacuum_data(self, n: int) -> tuple:
+        got = self.vacua.get(n)
         if got is None:
-            if slot[1] == "psi":
-                legs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in holes]
-                got = [sum(map(mul, legs, col), Fraction(0)) for col in zip(*vacua[n][1])]
-            else:
-                got = [oriented_pair(n, p[0], slot[0], j < at) for p, j in particles]
-            memo[key] = got
+            _, b = wick_matrix(n, [s for s in self.inner if s[2] is not None])  # B = I - A P_pq
+            c = fraction_matrix_det(b)
+            m = _matmul(fraction_matrix_inverse(b), self.couplings) if c else None
+            got = self.vacua[n] = (c, m)
         return got
 
-    def read(shape: Partition, n: int, source: Partition = _EMPTY):
-        outer = memo.get((n, source))
-        if outer is None:
-            letters = ket_letters(source, n - q) + vacuum_pad(n, n - q)
-            outer = memo[(n, source)] = [(s, end) for s in wick_layout(letters)]
-        if shape.diagonal_size > rank + len(own) + len(outer):
-            return Fraction(0)
-        # a basis letter is one mode: its species is its term's
-        bra = [((lt, lt[0][1], None, 0), -1) for lt in bra_letters(shape, n)]
-        sign = (-1) ** (shape.sign_exponent() + source.sign_exponent())
-        c = vacuum_data(n)[0]
+    def letter(self, n: int, slot, at: int) -> tuple:
+        """(slot, place, factor) of a letter at place `at` of the word (-1
+        for the bra's): its factor is the row P(x, q) M of a psi letter x or
+        the column P(p, y) of a psi* letter y, None while c = 0."""
+        c, m = self.vacuum_data(n)
         if not c:
-            s, matrix = wick_matrix(n, [s for s, _ in bra] + inner + [s for s, _ in outer])
-            return s * sign * fraction_matrix_det(matrix) if s else Fraction(0)
-        word = bra + own + outer
-        rows = [x for x, (s, _) in enumerate(word) if s[1] == "psi"]
-        cols = [y for y, (s, _) in enumerate(word) if s[1] == "psi*"]
-        if len(rows) != len(cols):
-            return Fraction(0)
+            return slot, at, None
+        if slot[1] == "psi":
+            legs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in self.holes]
+            return slot, at, [sum(map(mul, legs, col), Fraction(0)) for col in zip(*m)]
+        return slot, at, [oriented_pair(n, p[0], slot[0], j < at) for p, j in self.particles]
 
-        def entry(x: int, y: int) -> Fraction:
-            (sx, at_x), (sy, at_y) = word[x], word[y]
-            pair = 0 if at_x == at_y == -1 else oriented_pair(n, sx[0], sy[0], x < y)
-            return pair + sum(map(mul, factor(n, sx, at_x), factor(n, sy, at_y)), Fraction(0))
+    def bra_letter(self, n: int, kind: str, k: int) -> tuple:
+        """`letter` of the bra's psi*_(n+k) (arm k) or psi_(n-k-1) (leg k)."""
+        got = self.bras.get((n, kind, k))
+        if got is None:
+            slot = ((kmode(kind, n + k if kind == "psi*" else n - k - 1),), kind, None, 0)
+            got = self.bras[(n, kind, k)] = self.letter(n, slot, -1)
+        return got
 
-        entries = [[entry(x, y) for y in cols] for x in rows]
-        return sign * interleave_sign(s[1] for s, _ in word) * c * fraction_matrix_det(entries)
+    def entry(self, table: "_WickTable", x: int, y: int) -> Fraction:
+        """E(x, y) of a table, memoized there."""
+        got = table.values.get((x, y))
+        if got is None:
+            n = table.n
+            sx, at_x, fx = self.bra_letter(n, "psi", x) if x >= 0 else table.fixed[-1 - x]
+            sy, at_y, fy = self.bra_letter(n, "psi*", y) if y >= 0 else table.fixed[-1 - y]
+            # bra letters never pair with each other; of two fixed letters
+            # at one place, the one of lower index is written first
+            first = at_x < at_y or (at_x == at_y and x > y)
+            pair = 0 if at_x == at_y == -1 else oriented_pair(n, sx[0], sy[0], first)
+            got = table.values[(x, y)] = pair + sum(map(mul, fx, fy), Fraction(0))
+        return got
 
-    return read
+
+class _WickTable:
+    """A Wick reader's letter table at one (charge, source): the fixed
+    letters (g's own, then the source's ket letters and vacuum pad) with
+    their factors, the pair values E(x, y) (`_WickReader.entry`) over bra
+    legs, bra arms and fixed letters (leg or arm k is the key k, fixed
+    letter i the key -1 - i), and c times the sign of the word's species
+    order, memoized by the bra's diagonal size.  It holds no reference to
+    its reader, so the two form no cycle and are freed when reading ends."""
+
+    def __init__(self, reader: _WickReader, n: int, source: Partition):
+        self.n = n
+        self.c = reader.vacuum_data(n)[0]
+        self.sign = -1 if source.sign_exponent() & 1 else 1
+        self.outer = wick_layout(ket_letters(source, n - reader.q) + vacuum_pad(n, n - reader.q))
+        slots = reader.own + [(s, len(reader.inner)) for s in self.outer]
+        self.fixed = [reader.letter(n, s, at) for s, at in slots]
+        self.kinds = [s[1] for s, _, _ in self.fixed]
+        self.rows = [-1 - i for i, k in enumerate(self.kinds) if k == "psi"]
+        self.cols = [-1 - i for i, k in enumerate(self.kinds) if k == "psi*"]
+        self.values: dict[tuple, Fraction] = {}
+        self.scales: dict[int, Fraction] = {}
+
+    def scale(self, d: int) -> Fraction:
+        got = self.scales.get(d)
+        if got is None:
+            kinds = ["psi*"] * d + ["psi"] * d + self.kinds
+            got = self.scales[d] = self.c * self.sign * interleave_sign(kinds)
+        return got
 
 
 def pluecker_coefficient(g, shape: Partition, n: int, window: ModeWindow | None = None):
@@ -257,9 +356,11 @@ def mkp_coefficients(
     g, n: int, depth: int, window: ModeWindow | None = None
 ) -> dict[Partition, object]:
     """The nonzero signed bra coefficients {shape: c} of tau_n's Schur
-    expansion to weight `depth`, all read through one coefficient reader."""
-    read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
-    return {lam: c for lam in enumerate_partitions(depth) if (c := read(lam, n))}
+    expansion to weight `depth`, in `enumerate_partitions` order: a window
+    element's from its one ket's states, a point-field element's from its
+    Wick table (`coefficient_rows`)."""
+    window = window or window_for_element(g, (n, n - charge_of(g)), depth)
+    return next(coefficient_rows(g, n, depth, [_EMPTY], window))[1]
 
 
 def expand_mkp(
@@ -309,18 +410,14 @@ def expand_2dtl(
     """Double Schur expansion; the second family enters through the
     inverse-lowering exponential, so its functions appear at negated
     times (realized via the transpose sign rule)."""
-    read = coefficient_reader(g, window or window_for_element(g, (n, n - charge_of(g)), depth))
-    shapes = enumerate_partitions(depth)
-    coeffs = {}
-
-    def terms():
-        for mu in shapes:
-            for lam in shapes:
-                if c := read(lam, n, mu):
-                    coeffs[(lam, mu)] = c
-                    yield lam, mu, c
-
-    poly = double_schur_sum(family_plus, family_minus, terms())
+    window = window or window_for_element(g, (n, n - charge_of(g)), depth)
+    coeffs = {
+        (lam, mu): c
+        for mu, row in coefficient_rows(g, n, depth, enumerate_partitions(depth), window)
+        for lam, c in row.items()
+    }
+    terms = ((lam, mu, c) for (lam, mu), c in coeffs.items())
+    poly = double_schur_sum(family_plus, family_minus, terms)
     return TauSeries("2DTL", n, poly, coeffs, {"depth": depth, "element": repr(g)})
 
 

@@ -133,31 +133,37 @@ def letter_pair(n: int, a: KLetter, b: KLetter):
 def kernel_vev(n: int, letters: Sequence[KLetter]):
     """<n| word |n> by recursive pairing with closed-form pair kernels.
 
-    Coefficients may be polynomials; the pair kernels themselves are
-    exact rationals at the given points."""
+    The first unpaired letter pairs with each later one in turn, the sign
+    counting the unpaired letters between them; the value of each set of
+    unpaired letters, an int whose bit i is letter i, is memoized per call.
+    Coefficients may be polynomials; the pair kernels themselves are exact
+    rationals at the given points."""
     letters = [tuple(lt) for lt in letters]
     if len(letters) % 2 == 1:
         return Fraction(0)
-    memo: dict[tuple[int, ...], object] = {}
+    memo: dict[int, object] = {0: Fraction(1)}
     pair = cache(lambda i, j: letter_pair(n, letters[i], letters[j]))  # per call
 
-    def rec(indices: tuple[int, ...]):
-        if not indices:
-            return Fraction(1)
-        got = memo.get(indices)
+    def rec(unpaired: int):
+        got = memo.get(unpaired)
         if got is not None:
             return got
-        head, rest = indices[0], indices[1:]
-        total = Fraction(0)
-        for pos, j in enumerate(rest):
-            p = pair(head, j)
-            sub = rec(tuple(x for x in rest if x != j)) if p else 0
+        head = (unpaired & -unpaired).bit_length() - 1
+        rest = unpaired ^ 1 << head
+        total, between, left = Fraction(0), 0, rest
+        while left:
+            low = left & -left
+            p = pair(head, low.bit_length() - 1)
+            sub = rec(rest ^ low) if p else 0
             if sub:
-                total = p * sub * (-1) ** pos + total
-        memo[indices] = total
+                term = p * sub
+                total = (-term if between & 1 else term) + total
+            between += 1
+            left ^= low
+        memo[unpaired] = total
         return total
 
-    return rec(tuple(range(len(letters))))
+    return rec((1 << len(letters)) - 1)
 
 
 def vacuum_pad(n_left: int, n_right: int) -> list[KLetter]:

@@ -233,6 +233,19 @@ def test_expand_reports_a_user_window_that_is_too_small(capsys):
     assert "--window -1..1 is too small" in msg
 
 
+def test_expand_names_the_first_bra_shape_outside_the_window(capsys):
+    # the first shape in enumeration order that leaves the window, at the
+    # least failing weight: (3) when the top is short, (1, 1, 1) when the
+    # bottom is; not the extreme shapes (4) and (1, 1, 1, 1) of the cutoff
+    for window, shape in (("-3..2", "(3,)"), ("-2..4", "(1, 1, 1)")):
+        argv = ["expand", "--element", '{"kind":"identity"}', "--cutoff", "4", f"--window={window}"]
+        lo, hi = window.split("..")
+        assert usage_error(capsys, argv) == (
+            f"tau-forge: error: --window {window} is too small: state (charge 0, shape {shape})"
+            f" exceeds window ModeWindow(lo={lo}, hi={hi})"
+        )
+
+
 def test_expand_rejects_a_window_without_dots(capsys):
     # used to say "not enough values to unpack (expected 2, got 1)"
     for text in ("-3,3", "5"):

@@ -248,6 +248,62 @@ def test_hirota_bilinear_of_one_series_matches_the_leibniz_recursion(ops, f):
     assert same(hirota_bilinear(ops, f, f), old_hirota_bilinear(ops, f, f))
 
 
+# the KP and mKP operators of `hirota`, over the times of TABLE
+BILINEAR_OPS = {
+    "kp": [(1, {"t1": 4}), (3, {"t2": 2}), (-4, {"t1": 1, "t3": 1})],
+    "mkp": [(1, {"t1": 2}), (-1, {"t2": 1})],
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(sorted(BILINEAR_OPS)),
+    polys(TABLE, ("t",), 8),
+    polys(TABLE, ("t",), 8),
+    st.booleans(),
+    st.integers(-1, DEPTH),
+)
+# (D1^2 - D2) t1^2 . t1^2 = -4 t1^2 at weight 2, lost by a cut one weight too low
+@example("mkp", TIMES.time(1) * TIMES.time(1), TIMES.zero(), True, 2)
+def test_hirota_bilinear_cut_at_a_weight_is_the_full_residual_truncated(name, f, g, one, v):
+    # partials truncated before they multiply: the residual within the cut
+    # is the full one's, for f.f (one product per mirror pair) and f.g
+    g = f if one else g
+    within = {"t": v}
+    ops = BILINEAR_OPS[name]
+    assert same(hirota_bilinear(ops, f, g, within), hirota_bilinear(ops, f, g).truncate(within))
+
+
+def toda_series():
+    """Polynomials in t1, t2, s1, s2 at the double family's cutoffs, so the
+    operator D_t1 D_s1 meets terms at every biweight."""
+    idx = [PLUS.table.index[n] for n in ("t1", "t2", "s1", "s2")]
+    keys = st.dictionaries(st.sampled_from(idx), st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    return st.dictionaries(keys, coefficients, max_size=8).map(
+        lambda terms: Poly(PLUS.table, PLUS.cutoffs, terms)
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    toda_series(),
+    toda_series(),
+    st.booleans(),
+    st.integers(-1, DEPTH),
+    st.integers(-1, DEPTH - 1),
+)
+# f = t1 s1 + 3 t1^2 leaves the residual -3 t1^2 at biweight (2, 0), which
+# needs f's own t1^2 term: a cut one weight too low drops it
+@example(PLUS.time(1) * MINUS.time(1) + PLUS.time(1) * PLUS.time(1) * 3, PLUS.zero(), True, 2, 2)
+def test_toda_bilinear_cut_at_a_biweight_is_the_full_residual_truncated(f, g, one, vp, vm):
+    g = f if one else g
+    within = {"tp": vp, "tm": vm}
+    ops = [(Fraction(1, 2), {"t1": 1, "s1": 1})]
+    assert same(hirota_bilinear(ops, f, g, within), hirota_bilinear(ops, f, g).truncate(within))
+
+
 # -- one element application per expansion ------------------------------------------
 
 

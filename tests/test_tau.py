@@ -369,28 +369,46 @@ def _every_sampled_kind():
     return list(picked.values()) + [sample_soliton(rng, 2)]
 
 
+def _per_shape_elements():
+    """Every sampled kind, then the point-field elements the Wick tables
+    serve: solitons of 1, 2 and 3 point pairs, one whose vacuum value
+    vanishes at charge 0, a field word (its own letters) and a soliton times
+    a linear word.  A bra of diagonal size 2 with the word's pad letter, or
+    with a source's letters, reads a 3 x 3 minor."""
+    rng = random.Random(47)
+    solitons = [_soliton((("2",),), ("1/3",), ("1/2",))]
+    solitons += [sample_soliton(rng, size) for size in (2, 3)]
+    vanishing = _soliton((("-1/3",),), ("1/3",), ("1/2",))
+    psi = ((F(2), "psi", F(3, 17), 0), (F(1), "psi", F(3, 17), 1))
+    field_word = FieldWord((psi, ((F(1), "psi*", F(5, 17), 0),)))
+    with_word = Product((sample_soliton(rng, 2), LinearWord((letter("psi*", -1),))))
+    return _every_sampled_kind() + solitons + [vanishing, field_word, with_word]
+
+
 def test_coefficient_reader_matches_the_per_shape_route():
-    fam = standard_single_family(4)
+    fam = standard_single_family(6)
     plus, minus = standard_double_family(3, 3)
-    for g in _every_sampled_kind():
+    shapes, pairs = enumerate_partitions(6), enumerate_partitions(3)
+    for g in _per_shape_elements():
         q = charge_of(g)
         for n in (-1, 0, 1):
-            window = tau.window_for_element(g, (n, n - q), 4)
+            window = tau.window_for_element(g, (n, n - q), 6)
             want = {}
-            for lam in enumerate_partitions(4):
+            for lam in shapes:
                 c = _per_shape_coefficient(g, lam, n, window)
                 if c:
                     want[lam] = c
-            assert expand_mkp(g, n, fam, 4).coefficients == want, (g, n)
-        window = tau.window_for_element(g, (1, 1 - q), 3)
-        shapes = enumerate_partitions(3)
-        want = {}
-        for mu in shapes:
-            for lam in shapes:
-                c = _per_shape_coefficient(g, lam, 1, window, mu)
-                if c:
-                    want[(lam, mu)] = c
-        assert expand_2dtl(g, 1, plus, minus, 3).coefficients == want, g
+            # equal in enumeration order, which the reports keep
+            assert list(expand_mkp(g, n, fam, 6).coefficients.items()) == list(want.items()), (g, n)
+            window = tau.window_for_element(g, (n, n - q), 3)
+            want = {}
+            for mu in pairs:
+                for lam in pairs:
+                    c = _per_shape_coefficient(g, lam, n, window, mu)
+                    if c:
+                        want[(lam, mu)] = c
+            got = expand_2dtl(g, n, plus, minus, 3).coefficients
+            assert list(got.items()) == list(want.items()), (g, n)
 
 
 def test_2dtl_bra_outside_an_explicit_window_raises():
