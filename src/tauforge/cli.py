@@ -98,14 +98,16 @@ def _json(x, kind: type, what: str):
 
 def _matrix_from_json(spec: dict) -> ModeMatrix:
     """Either an explicit entry list or a row-major array with index
-    offsets: {"row_offset": r0, "col_offset": c0, "rows": [[...], ...]}."""
+    offsets: {"row_offset": r0, "col_offset": c0, "rows": [[...], ...]}.
+    An entry list names each (row, col) once."""
     if "entries" in spec:
-        return ModeMatrix(
-            {
-                (_int(_json(e, dict, "an entry")["row"]), _int(e["col"])): _frac(e["value"])
-                for e in _json(spec["entries"], list, "entries")
-            }
-        )
+        entries = {}
+        for e in _json(spec["entries"], list, "entries"):
+            key = (_int(_json(e, dict, "an entry")["row"]), _int(e["col"]))
+            if key in entries:
+                raise ValueError(f"duplicate entry (row {key[0]}, col {key[1]})")
+            entries[key] = _frac(e["value"])
+        return ModeMatrix(entries)
     mat = _json(spec["matrix"], dict, "matrix")
     r0, c0 = _int(mat.get("row_offset", 0)), _int(mat.get("col_offset", 0))
     entries = {}

@@ -8,7 +8,10 @@ Coefficients are kept in wedge phase, the order of the semi-infinite wedge
 of the occupied modes.  Mode operators flip a bit and current modes hop one,
 each with the wedge sign (-1)^(occupied modes passed), one popcount; no
 operator converts a state.  Each output state's coefficient is one running
-sum (a `polyring._Sum` for polynomials) until the vector is built.
+sum (a `polyring._Sum` for polynomials) until the vector is built.  A word
+of mode letters compiles once into bit flips for a whole group of states
+(`_words_into`), and `inner_mode` reads <bra| mode |ket> by one flip and
+one lookup per state of the smaller side, building no vector.
 
 The public basis states are (charge, shape) pairs with the phase of the
 operator construction: hole operators at the Frobenius leg positions,
@@ -344,6 +347,7 @@ def apply_psi_star(k: int, v: FockVector) -> FockVector:
 Letter = tuple[tuple[object, str, int], ...]  # ((coeff, kind, mode), ...)
 
 _ONE = Fraction(1)  # shared by every single-mode letter
+_ZERO = Fraction(0)
 
 
 def letter(kind: str, k: int) -> Letter:
@@ -385,6 +389,86 @@ def inner(bra: FockVector, ket: FockVector):
         if d is not None:
             _add_into(total, 0, c * d)
     out = total.get(0, Fraction(0))
+    return out.poly() if type(out) is _Sum else out
+
+
+def _outside_window(window: ModeWindow, base: int, states: Iterable[int]) -> list[int]:
+    """The occupation ints of `states`, read from `base`, that leave the
+    window, in order."""
+    fill, top = (1 << (window.lo - base)) - 1, window.hi - base
+    return [b for b in states if b & fill != fill or b >> top]
+
+
+def _words_into(
+    out: dict, words: Iterable[tuple[list, object]], v: FockVector, states: dict
+) -> None:
+    """Add coeff * word |s> (<s| word on bras) into `out` for every (word,
+    coeff) of `words` and every state s of `states` ({bits: amplitude} at
+    v's base), as `apply_word` of the mode letters (kind, mode) of word
+    would: each word compiled once into bit flips (mode bit, fill or
+    empty, the wedge sign of the occupied modes above it) and run on the
+    states in one integer loop.  The window rules keep their order: each
+    mode is required in action order, and a state outside the window
+    raises once the first letter acts on it."""
+    window, base, dual = v.window, v.base, v.dual
+    outside = _outside_window(window, base, states)
+    for word, coeff in words:
+        ops = []  # (mode bit, shift to the modes above it, the bit a state needs)
+        for kind, k in word if dual else word[::-1]:
+            window.require(k)
+            bit, filling = 1 << (k - base), (kind == "psi") != dual
+            if not ops:  # only the first letter meets a source state
+                for bits in outside:
+                    if bool(bits & bit) != filling:
+                        _check_bits_window(window, base, bits)
+            ops.append((bit, k - base + 1, 0 if filling else bit))
+        for bits, amp in states.items():
+            odd = 0
+            for bit, above, need in ops:
+                if bits & bit != need:
+                    break
+                odd += (bits >> above).bit_count()
+                bits ^= bit
+            else:
+                term = amp * coeff
+                _add_into(out, bits, -term if odd & 1 else term)
+
+
+def inner_mode(bra: FockVector, kind: str, k: int, ket: FockVector):
+    """inner(bra, apply_mode(kind, k, ket)) without building the vector:
+    walk the side with fewer states, flip bit k with the wedge sign of the
+    occupied modes above it, and look the result up in the other side's
+    bits.  A ket state outside the window that the mode acts on raises,
+    as in `apply_mode`."""
+    window, base, kets = ket.window, ket.base, ket.bits
+    window.require(k)
+    filling = (kind == "psi") != ket.dual
+    # a ket at the window's own base can leave it only above the top, and
+    # one `max` rules that out
+    if base != window.lo or max(kets, default=0) >> (window.hi - base):
+        for b in _outside_window(window, base, kets):
+            if (b >> (k - base) & 1) != filling:
+                _check_bits_window(window, base, b)
+    if bra.window is not window and bra.window != window:
+        raise ValueError("window mismatch")
+    if not bra.dual or ket.dual:
+        raise ValueError("inner expects (bra, ket)")
+    bras = bra.bits
+    if bra.base != base:
+        base = min(bra.base, base)
+        bras, kets = bra._bits_at(base), ket._bits_at(base)
+    walk_ket = len(kets) <= len(bras)
+    states, looked = (kets, bras) if walk_ket else (bras, kets)
+    pos = k - base
+    bit = 1 << pos
+    # the ket state the mode acts on has bit k empty when it fills, set when it empties
+    want = (0 if filling else bit) ^ (0 if walk_ket else bit)
+    total: dict = {}
+    for b, c in states.items():
+        if b & bit == want and (d := looked.get(b ^ bit)) is not None:
+            term = d * c if walk_ket else c * d
+            _add_into(total, 0, -term if (b >> (pos + 1)).bit_count() & 1 else term)
+    out = total.get(0, _ZERO)
     return out.poly() if type(out) is _Sum else out
 
 

@@ -9,11 +9,14 @@ theorem in `wick`), diagonal multipliers, projectors, and products.
 One minor routine applies every bilinear exponent: a normally ordered
 one as it stands, the exponential of a nilpotent bilinear b as its bare
 form with B = e^b - I, and a soliton with its window-truncated field
-letters in place of mode letters.
+letters in place of mode letters.  A word of mode letters psi*_R psi_C is
+one signed bit flip per state, so each minor's word is compiled once per
+state group and run on the occupation bits (`fock._words_into`).
 
 Every constructor's output is checkable: `bbc_check` verifies the
-exchange identity on sampled matrix elements and `charge_of` verifies
-definite charge.
+exchange identity on sampled matrix elements, each term <X| psi_k |Y>
+one bit flip and one lookup (`fock.inner_mode`), and `charge_of`
+verifies definite charge.
 
 Ordered exponents read `fock.creates`; a diagonal element's eigenvalue is
 the product of its multipliers over the occupied modes; `point_power`
@@ -36,15 +39,16 @@ from tauforge.fock import (
     ModeWindow,
     _check_bits_window,
     _occupied,
+    _words_into,
     accumulate,
     apply_charge,
     apply_diagonal_exp,
-    apply_mode,
     apply_word,
     basis_vector,
     creates,
     frobenius_word,
     inner,
+    inner_mode,
     letter,
     outer_project,
     project,
@@ -343,7 +347,10 @@ def _apply_ordered_exponent(
     both.  Input states are grouped by the entries that survive on them:
     an entry whose first-acting mode letter dies on the state is dropped
     before the minors are formed, which keeps dense (moment-type)
-    matrices tractable.  Field letters are not screened."""
+    matrices tractable.  Mode words are compiled once per group into bit
+    flips and run on the group's states in one integer loop
+    (`fock._words_into`); field letters, several terms each, are neither
+    screened nor compiled: their words apply to the group's vector."""
     top = inf if ordering is None else ordering
     base, dual = v.base, v.dual
 
@@ -364,20 +371,33 @@ def _apply_ordered_exponent(
         groups.setdefault(kept, {})[bits] = amp
     out: dict = {}
     for kept, states in groups.items():
+        words = [
+            _normal_order(rows, cols, top, det)
+            for (rows, cols), det in bilinear_minors({key: entries[key] for key in kept}).items()
+        ]
+        if letter_of is letter:
+            _words_into(out, words, v, states)
+            continue
         sv = v._like(states)
-        for (rows, cols), det in bilinear_minors({key: entries[key] for key in kept}).items():
-            # normal order in one pass: creation letters go left in written
-            # order, each passing the annihilation letters written before it
-            # (under the bare ordering the species alone decides)
-            created, annihilated, passed = [], [], 0
-            for kind, at in [("psi*", i) for i in rows] + [("psi", k) for k in reversed(cols)]:
-                if creates(kind, at, top):
-                    created.append(letter_of(kind, at))
-                    passed += len(annihilated)
-                else:
-                    annihilated.append(letter_of(kind, at))
-            accumulate(out, apply_word(created + annihilated, sv), -det if passed % 2 else det)
+        for word, coeff in words:
+            accumulate(out, apply_word([letter_of(*lt) for lt in word], sv), coeff)
     return v._like(out)
+
+
+def _normal_order(rows, cols, top: float, det) -> tuple[list[tuple[str, int]], object]:
+    """The word psi*_R psi_rev(C) of one minor, normally ordered on the vacuum
+    filled below `top`, as ((kind, mode) letters, det with the sign of the
+    reordering): creation letters go left in written order, each passing
+    the annihilation letters written before it (under the bare ordering
+    the species alone decides)."""
+    created, annihilated, passed = [], [], 0
+    for kind, at in [("psi*", i) for i in rows] + [("psi", k) for k in reversed(cols)]:
+        if creates(kind, at, top):
+            created.append((kind, at))
+            passed += len(annihilated)
+        else:
+            annihilated.append((kind, at))
+    return created + annihilated, -det if passed % 2 else det
 
 
 def apply_element(g, v: FockVector) -> FockVector:
@@ -495,6 +515,9 @@ def bbc_check(
     sum_k <U| g psi_k |V> <U'| g psi*_k |V'>
 
     Returns None if every quadruple passes, else the failing quadruple.
+    Each factor <X| psi_k |Y> is one bit flip of the side with fewer
+    states and a lookup in the other (`fock.inner_mode`), so only g|V>
+    and <U|g are built.
     """
     apply_fn = apply_fn or apply_element
     for (nu, lu), (nu2, lu2), (nv, lv), (nv2, lv2) in quadruples:
@@ -511,14 +534,14 @@ def bbc_check(
         for k in range(window.lo, window.hi):
             # evaluate the particle-side factor first: it vanishes for deep
             # sea modes, so the hole-side factor (whose intermediate state
-            # would leave the window down there) is never materialized
-            t1 = inner(bra_u, apply_mode("psi", k, g_v))
-            if t1 != 0:
-                lhs += t1 * inner(bra_u2, apply_mode("psi*", k, g_v2))
+            # would leave the window down there) is never read
+            t1 = inner_mode(bra_u, "psi", k, g_v)
+            if t1:
+                lhs += t1 * inner_mode(bra_u2, "psi*", k, g_v2)
             # <U| g psi_k |V> = <(U g)| psi_k |V>
-            t1 = inner(u_g, apply_mode("psi", k, ket_v))
-            if t1 != 0:
-                rhs += t1 * inner(u2_g, apply_mode("psi*", k, ket_v2))
+            t1 = inner_mode(u_g, "psi", k, ket_v)
+            if t1:
+                rhs += t1 * inner_mode(u2_g, "psi*", k, ket_v2)
         if lhs != rhs:
             return ((nu, lu), (nu2, lu2), (nv, lv), (nv2, lv2))
     return None

@@ -71,10 +71,22 @@ class Partition:
         return sum(1 for i, p in enumerate(self._parts, start=1) if p >= i)
 
     def frobenius(self) -> "FrobeniusCoordinates":
-        d = self.diagonal_size
-        alphas = tuple(self._parts[i - 1] - i for i in range(1, d + 1))
-        betas = tuple(self.col(i) - i for i in range(1, d + 1))
-        return FrobeniusCoordinates(alphas, betas)
+        """Arms lambda_i - i and legs lambda'_i - i over the diagonal, read
+        off the parts in one pass: the rows on the diagonal give the arms,
+        and one pointer walking up from the last row gives each column
+        height lambda'_i, which only falls as i grows."""
+        parts = self._parts
+        alphas = []
+        for i, p in enumerate(parts, start=1):
+            if p < i:
+                break
+            alphas.append(p - i)
+        betas, rows = [], len(parts)
+        for i in range(1, len(alphas) + 1):
+            while parts[rows - 1] < i:
+                rows -= 1
+            betas.append(rows - i)
+        return FrobeniusCoordinates(tuple(alphas), tuple(betas))
 
     def sign_exponent(self) -> int:
         """The shape's sign exponent; see `sign_exponent`."""

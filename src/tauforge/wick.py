@@ -125,8 +125,16 @@ def kernel_pair(n: int, a: KTerm, b: KTerm) -> Fraction:
 
 
 def letter_pair(n: int, a: KLetter, b: KLetter):
-    """<n| a b |n> for two letters, their coefficients included."""
-    terms = [ta[0] * tb[0] * base for ta in a for tb in b if (base := kernel_pair(n, ta, tb))]
+    """<n| a b |n> for two letters, their coefficients included; a rational
+    coefficient 1 is not multiplied in."""
+    terms = []
+    for ta in a:
+        for tb in b:
+            if base := kernel_pair(n, ta, tb):
+                for c in (tb[0], ta[0]):
+                    if type(c) is Poly or c != 1:
+                        base = c * base
+                terms.append(base)
     return sum(terms[1:], terms[0]) if terms else Fraction(0)
 
 

@@ -687,3 +687,18 @@ def test_verify_wick_sampling_is_bounded(capsys, monkeypatch):
     entry = {r["check"]: r for r in json.loads(out)["results"]}["wick_generalized"]
     assert entry["ok"] is False
     assert entry["counterexample"] == {"attempts": cli.WICK_DRAWS, "compared": 0}
+
+
+def test_a_repeated_matrix_entry_is_bad_input(capsys):
+    # a repeated (row, col) used to keep its last value and exit 0
+    twice = [{"row": -1, "col": 0, "value": "1"}, {"row": -1, "col": 0, "value": "2"}]
+    for kind in ("exponent_bilinear", "normal_ordered"):
+        spec = {"kind": kind, "entries": twice}
+        product = {"kind": "product", "factors": [{"kind": "identity"}, spec]}
+        for argv in (
+            ["expand", "--element", json.dumps(spec), "--cutoff", "2"],
+            ["expand", "--element", json.dumps(product), "--cutoff", "2"],
+            ["verify", "--suite", "kp", "--cutoff", "5", "--element", json.dumps(spec)],
+        ):
+            msg = usage_error(capsys, argv)
+            assert msg.endswith("bad --element: duplicate entry (row -1, col 0)"), argv

@@ -516,21 +516,24 @@ def test_soliton_exponent_matches_the_partial_permutation_route(seed, size, dual
 
 def test_cauchy_exponent_applies_one_word_per_minor(monkeypatch):
     # A_ik = 1/(k - i) has every minor nonzero: sum_d C(4, d)^2 = 70
-    # minors against sum_d C(4, d)^2 d! = 209 partial permutations
+    # minors, the empty one included, against sum_d C(4, d)^2 d! = 209
+    # partial permutations; the vacuum is one state group, so each minor's
+    # word is compiled once
     g = NormalOrderedBilinear(
         ModeMatrix({(i, k): F(1, k - i) for i in range(-4, 0) for k in range(4)})
     )
     words = []
 
-    def counted(word, v):
-        word = list(word)
-        if word:
-            words.append(word)
-        return apply_word(word, v)
+    def counted(out, group_words, v, states):
+        group_words = list(group_words)
+        words.extend(word for word, _ in group_words)
+        return words_into(out, group_words, v, states)
 
-    monkeypatch.setattr(grouplike, "apply_word", counted)
+    words_into = grouplike._words_into
+    monkeypatch.setattr(grouplike, "_words_into", counted)
     got = apply_element(g, vacuum(W, 0))
-    assert len(words) == 69
+    assert len(words) == 70 and [] in words
+    assert len({tuple(word) for word in words}) == 70
     assert got == reference_ordered_exponent(g, vacuum(W, 0))
 
 

@@ -34,6 +34,20 @@ def test_frobenius_known_values():
     assert Partition([]).frobenius() == FrobeniusCoordinates((), ())
 
 
+def test_frobenius_matches_the_column_definition():
+    # the one-pass read against arms lambda_i - i and legs col(i) - i over
+    # the diagonal i <= d, every shape of weight <= 12
+    shapes = enumerate_partitions(12)
+    assert len(shapes) == 272  # p(0) + p(1) + ... + p(12)
+    for lam in shapes:
+        d = lam.diagonal_size
+        want = FrobeniusCoordinates(
+            tuple(lam.part(i) - i for i in range(1, d + 1)),
+            tuple(lam.col(i) - i for i in range(1, d + 1)),
+        )
+        assert lam.frobenius() == want, lam
+
+
 def test_frobenius_round_trip():
     for lam in enumerate_partitions(10):
         assert from_frobenius(*lam.frobenius()) == lam

@@ -31,6 +31,7 @@ from tauforge.wick import (
     kernel_vev_between,
     kfield,
     kmode,
+    letter_pair,
     three_term_column_identity,
     vacuum_kernel,
     wick_column_forms,
@@ -73,6 +74,33 @@ def test_field_mode_kernels_match_series():
             assert got == (zeta**-j if j < n else 0)
             got = kernel_pair(n, (1, "psi*", ("field", zeta, 0)), (1, "psi", ("mode", j)))
             assert got == (zeta**-j if j >= n else 0)
+
+
+def test_letter_pair_skips_only_rational_unit_factors():
+    # against the product ta * tb * base of every term: the same value and
+    # type, on mode and field letters whose coefficients are 1 (int or
+    # rational), other rationals, or polynomials (one of them the constant 1)
+    fam = standard_single_family(3)
+    coeffs = [1, F(1), F(-2, 3), F(5), fam.one(), fam.time(1) + F(1, 2), fam.time(2) * 3]
+    modes = [("mode", j) for j in (-2, -1, 0, 1, 2)]
+    specs = {  # distinct points per species: no pole
+        "psi": modes + [("field", F(1, 2), 0), ("field", F(-2, 5), 1)],
+        "psi*": modes + [("field", F(3), 0), ("field", F(2, 7), 1)],
+    }
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randint(-1, 1)
+        a, b = (
+            tuple(
+                (rng.choice(coeffs), kind, rng.choice(specs[kind]))
+                for _ in range(rng.randint(1, 3))
+            )
+            for kind in rng.sample(["psi", "psi*"], 2)
+        )
+        terms = [ta[0] * tb[0] * base for ta in a for tb in b if (base := kernel_pair(n, ta, tb))]
+        want = sum(terms[1:], terms[0]) if terms else F(0)
+        got = letter_pair(n, a, b)
+        assert got == want and type(got) is type(want), (n, a, b)
 
 
 def test_kernel_vev_matches_window_vev_for_modes():
