@@ -14,12 +14,9 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
-from operator import add
 
-from tauforge.fock import ModeWindow, WindowViolation, vev, window_for
+from tauforge.fock import ModeWindow, WindowViolation, vev
 from tauforge.grouplike import (
     Diagonal,
     ExponentBilinear,
@@ -186,9 +183,11 @@ def element_from_json(spec: dict):
     raise ValueError(f"unknown element kind {kind!r}")
 
 
-def _parse_window(text: str | None, charges, depth: int) -> ModeWindow:
+def _parse_window(text: str | None, g, charges, depth: int) -> ModeWindow:
+    """The user's --window, or the window `verify` sizes for `g`: the
+    charges, the element's modes and the depth."""
     if not text:
-        return window_for(charges, depth)
+        return window_for_element(g, charges, depth)
     if ".." not in text:
         raise InputError(f"bad --window {text!r}: expected lo..hi")
     try:
@@ -223,7 +222,9 @@ def _rationals(text: str, flag: str, count: int | None = None) -> list[Fraction]
 def cmd_expand(args) -> int:
     g = _decode_element(sys.stdin.read() if args.element == "-" else args.element)
     with _kernel_route(g, f"bad --element at --charge {args.charge}"):
-        window = _parse_window(args.window, (args.charge, args.charge - charge_of(g)), args.cutoff)
+        window = _parse_window(
+            args.window, g, (args.charge, args.charge - charge_of(g)), args.cutoff
+        )
         try:
             coeffs = mkp_coefficients(g, args.charge, args.cutoff, window)
         except WindowViolation as err:
@@ -516,8 +517,8 @@ def cmd_verify(args) -> int:
 def report_text(payload) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)`, written directly:
     the standard encoder runs in pure Python whenever it indents.  A `Poly`
-    in the payload is written as its `to_json()` would be, straight from
-    its numerators, in the order of `Poly.named_terms`."""
+    in the payload is written as its `to_json()` would be, its terms'
+    text read straight off its packed keys by `Poly.report_rows`."""
     out: list[str] = []
     _write_json(payload, "\n", out)
     return "".join(out)
@@ -550,26 +551,16 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
 
 def _write_poly(poly: Poly, nl: str, out: list[str]) -> None:
     """Append the text of `poly.to_json()`, keys "cutoff", "terms", "vars",
-    with each term {"den", "exp", "num"} formatted from the numerators."""
+    with the terms' text from `Poly.report_rows`."""
     head = poly._json_head()
     inner = nl + "  "
     out.append("{" + inner + '"cutoff": ')
     _write_json(head["cutoff"], inner, out)
     out.append("," + inner + '"terms": ')
     row = inner + "  "  # the line a term starts on
-    field = row + "  "
-    deeper = field + "  "
-    labels = [_quote(name) + ": " for name in sorted(v.name for v in poly.table.variables)]
-    den = poly.den
-    texts = []
-    for exps, n in poly.named_terms():
-        g = gcd(n, den)
-        body = ("," + deeper).join(map(add, compress(labels, exps), map(str, filter(None, exps))))
-        exp = "{" + deeper + body + field + "}" if body else "{}"
-        texts.append(
-            f'{{{field}"den": "{den // g}",{field}"exp": {exp},{field}"num": "{n // g}"{row}}}'
-        )
-    out.append("[" + row + ("," + row).join(texts) + inner + "]" if texts else "[]")
+    texts = poly.report_rows(row)
+    # pieces, not one concatenation: each `+` would copy every row again
+    out.extend(("[", row, ("," + row).join(texts), inner, "]") if texts else ("[]",))
     out.append("," + inner + '"vars": ')
     _write_json(head["vars"], inner, out)
     out.append(nl + "}")
@@ -587,11 +578,10 @@ def _json_key(key) -> str:
 def _emit(args, payload: dict):
     text = report_text(payload)
     out = getattr(args, "out", None)
-    if out and out != "-":
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    stream = open(out, "w") if out and out != "-" else contextlib.nullcontext(sys.stdout)
+    with stream as fh:
+        fh.write(text)  # the newline apart, so the report is not copied to add it
+        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

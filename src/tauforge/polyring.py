@@ -34,14 +34,16 @@ constructor, `terms`, `coefficient`, `sorted_terms`, JSON, `evaluate`,
 with `VariableTable.encode` and polynomials from them with
 `Poly.from_numerators` (or `Poly.from_numerator_rows`, many at once).
 
-The report order (`_sorted_nums`, used by `to_json` and the CLI's writer)
+The report order (`_sorted_nums`, used by `to_json` and `report_rows`)
 is by total weight, then by the weights per grading, then by tuple key.
 It is the int order of (key & HIGH) | ((key + C) & LOW), where HIGH keeps
 the weight fields, LOW the value bits of the exponent fields and C holds
 2^15 - 1 in every exponent field: an absent variable then sorts after
 any present power, as a shorter tuple does.  Only a table with a weight-0
 variable can tie two weights on keys where one tuple extends the other,
-so such a table sorts by decoded tuples instead.
+so such a table sorts by decoded tuples instead.  `report_rows`, the
+terms' text in the CLI's reports, reads each term's exponents off its
+packed key a chunk of adjacent fields at a time, with no decoding.
 
 The standard setup has time variables t_1..t_D of weight k in one grading
 (only K = D of them are materialized at cutoff D, since t_k with k > D
@@ -73,13 +75,14 @@ bilinear residual compared only through some weight (`hirota_bilinear`'s
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, product
+from itertools import compress, product, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, gcd, lcm, perm, prod
-from operator import itemgetter, mul, or_
+from operator import and_, mul, or_, rshift
 from struct import Struct
 
 Scalar = Fraction | int
@@ -89,6 +92,7 @@ MonomialKey = tuple[tuple[int, int], ...]  # sorted ((var_index, exponent), ...)
 FIELD_BITS = 16
 FIELD_MAX = (1 << FIELD_BITS - 1) - 1  # the largest exponent or weight a field holds
 _FIELD = (1 << FIELD_BITS) - 1
+_CHUNK = 8  # the most exponent fields the report writer reads as one
 
 
 def _overflow() -> ValueError:
@@ -141,9 +145,17 @@ class VariableTable:
         # every field of a key at once, most significant first
         self._fields = Struct(f">{n + width + 1}H").unpack
         self._bytes = 2 * (n + width + 1)
-        named = [width + 1 + i for i in sorted(range(n), key=lambda i: self.variables[i].name)]
-        self._name_fields = (
-            itemgetter(*named) if n > 1 else lambda fields: tuple(fields[j] for j in named)
+        # the variables in name order, cut into chunks of at most _CHUNK
+        # variables adjacent in the key, so that each chunk's exponents are
+        # one bit range: (shift of its last field, mask, its indices)
+        runs: list[list[int]] = []
+        for i in sorted(range(n), key=lambda i: self.variables[i].name):
+            if runs and runs[-1][-1] == i - 1 and len(runs[-1]) < _CHUNK:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        self._name_chunks = tuple(
+            (self.shifts[run[-1]], (1 << FIELD_BITS * len(run)) - 1, tuple(run)) for run in runs
         )
         # equality and hash by plain tuples: tables are compared and hashed
         # at every memo lookup and every binary operation
@@ -658,14 +670,46 @@ class Poly:
         high, low = table._high, table._low
         return sorted(self.nums.items(), key=lambda item: item[0] & high | (item[0] + low) & low)
 
-    def named_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(the exponent of every variable, zeros included, in the order of
-        the sorted variable names; numerator) per term, in report order:
-        the rows the CLI's report writer formats, each formed as it is
-        read."""
-        table = self.table
-        fields, size, named = table._fields, table._bytes, table._name_fields
-        return ((named(fields(key.to_bytes(size, "big"))), n) for key, n in self._sorted_nums())
+    def report_rows(self, row: str) -> list[str]:
+        """The text of each entry of `to_json()["terms"]`, in report order,
+        as `json.dumps(..., indent=2, sort_keys=True)` writes an entry that
+        starts on the line `row` (a newline and that line's indentation).
+
+        A term's "exp" text is read off its packed key, one chunk of
+        `VariableTable._name_chunks` at a time: the chunk's bits
+        (key >> shift) & mask index a dict that builds the chunk's text on
+        first sight, and the chunks' texts, in name order, make the term's.
+        The text before "exp" is built once per distinct gcd of numerator
+        and denominator.  Both dicts live for this call, so no text
+        outlives the report it was written for."""
+        field = row + "  "
+        deeper = field + "  "
+        close = field + "}"
+        den = self.den
+        names = self.table.variables
+        heads = _Texts(lambda g: f'{{{field}"den": "{den // g}",{field}"exp": ')
+        items = self._sorted_nums()
+        keys = [key for key, _ in items]
+        columns = []
+        for shift, mask, run in self.table._name_chunks:
+            labels = tuple(
+                (f",{deeper}{_quote(names[i].name)}: ", FIELD_BITS * (run[-1] - i)) for i in run
+            )
+            texts = _Texts(
+                lambda bits, labels=labels: "".join(
+                    f"{label}{e}" for label, s in labels if (e := bits >> s & FIELD_MAX)
+                )
+            )
+            bits = map(and_, map(rshift, keys, repeat(shift)), repeat(mask))
+            columns.append(map(texts.__getitem__, bits))
+        # each term's exponents as one ",<indent>name: e" piece per variable
+        bodies = map("".join, zip(*columns)) if columns else repeat("")
+        rows = []
+        for body, (_, n) in zip(bodies, items):
+            g = gcd(n, den)
+            exp = f"{{{body[1:]}{close}" if body else "{}"
+            rows.append(f'{heads[g]}{exp},{field}"num": "{n // g}"{row}}}')
+        return rows
 
     def sorted_terms(self) -> list[tuple[MonomialKey, Fraction]]:
         decode = self.table.decode
@@ -722,6 +766,19 @@ class Poly:
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         more = "" if len(self.nums) <= 8 else f" ... ({len(self.nums)} terms)"
         return "Poly(" + " + ".join(bits) + more + ")"
+
+
+class _Texts(dict):
+    """A dict that builds a missing entry's text with `make` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], str]):
+        self.make = make
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = self.make(key)
+        return text
 
 
 def _checked(cutoffs: Mapping[str, int | None]) -> Mapping[str, int | None]:
@@ -1136,13 +1193,14 @@ def hirota_bilinear(
                 weight += binom * (-1) ** sum(beta)
             if not weight:
                 continue
-            fp = partial(f_partials, sum(map(mul, beta, units)))
-            gp = partial(g_partials, sum(map(mul, rest, units)))
+            fa, ga = sum(map(mul, beta, units)), sum(map(mul, rest, units))
             # a vanishing term is skipped, but with no derivative at all
-            # f * g is added as it stands, merging the two cutoffs
-            if alpha and not (fp and gp):
+            # f * g is added as it stands, merging the two cutoffs; a term
+            # is judged before any cut, so a cut that empties it still
+            # merges the cutoffs the full residual merges
+            if alpha and not (f_partials.get(fa) and g_partials.get(ga)):
                 continue
-            out.add(fp * gp, Fraction(coeff) * weight)
+            out.add(partial(f_partials, fa) * partial(g_partials, ga), Fraction(coeff) * weight)
     return out.poly()
 
 

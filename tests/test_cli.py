@@ -233,6 +233,19 @@ def test_expand_reports_a_user_window_that_is_too_small(capsys):
     assert "--window -1..1 is too small" in msg
 
 
+def test_expand_sizes_its_window_for_the_element_modes(capsys):
+    # the automatic window used to cover the charges and the cutoff only:
+    # mode -6 lay outside [-5, 7) and expand died with a WindowViolation
+    spec = '{"kind":"normal_ordered","entries":[{"row":-6,"col":5,"value":"1"}]}'
+    argv = ["expand", "--element", spec, "--cutoff", "4", "--charge", "1"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"coeff": "1", "partition": []}]
+    assert run(capsys, argv + ["--window=-8..8"]) == (0, out)
+    msg = usage_error(capsys, argv + ["--window=-5..7"])
+    assert msg.endswith("--window -5..7 is too small: mode -6 outside window [-5,7)")
+
+
 def test_expand_names_the_first_bra_shape_outside_the_window(capsys):
     # the first shape in enumeration order that leaves the window, at the
     # least failing weight: (3) when the top is short, (1, 1, 1) when the

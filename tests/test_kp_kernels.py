@@ -265,6 +265,15 @@ BILINEAR_OPS = {
 )
 # (D1^2 - D2) t1^2 . t1^2 = -4 t1^2 at weight 2, lost by a cut one weight too low
 @example("mkp", TIMES.time(1) * TIMES.time(1), TIMES.zero(), True, 2)
+# D1 D3 t1 t2 t3 . 1 = t2 survives the full residual's product at cutoff 0 as
+# a zero that merges g's cutoff, but its partial t2 is gone at a cut of 1
+@example(
+    "kp",
+    Poly(TABLE, {"t": None}, {tuple((TABLE.index[f"t{k}"], 1) for k in (1, 2, 3)): 1}),
+    Poly(TABLE, {"t": 0}, {(): 1}),
+    False,
+    1,
+)
 def test_hirota_bilinear_cut_at_a_weight_is_the_full_residual_truncated(name, f, g, one, v):
     # partials truncated before they multiply: the residual within the cut
     # is the full one's, for f.f (one product per mirror pair) and f.g

@@ -51,7 +51,7 @@ LAZY = {
 # and the name of the tuple key type
 STORAGE_ATTRIBUTES = {
     "nums", "_reduced", "_set", "_buckets", "_buckets_by", "_sorted_nums", "_derive",
-    "units", "shifts", "guards", "grading_shifts", "_bounds", "_fields", "_name_fields",
+    "units", "shifts", "guards", "grading_shifts", "_bounds", "_fields", "_name_chunks",
 }
 STORAGE_NAMES = {"MonomialKey", "_merge_cutoffs"}
 

@@ -7,14 +7,16 @@ payload must come out as its `to_json()` would.
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauforge.cli import main, report_text
-from tauforge.polyring import Poly, Variable, VariableTable, time_variables
+from tauforge.polyring import FIELD_MAX, Poly, Variable, VariableTable, time_variables
 
 names = st.text(min_size=0, max_size=4)
 exps = st.dictionaries(names, st.integers(-3, 40), max_size=4)
@@ -138,6 +140,95 @@ def test_writer_formats_empty_and_constant_polys():
             assert report_text({"tau": poly}) == want
     assert report_text({"tau": Poly(VariableTable([]), {}, {(): 1})}) == json.dumps(
         {"tau": Poly(VariableTable([]), {}, {(): 1}).to_json()}, indent=2, sort_keys=True
+    )
+
+
+def written_as_to_json(poly: Poly) -> bool:
+    """Whether a payload holding `poly`, at two depths, is written as
+    `json.dumps` writes the same payload with its `to_json()`."""
+    want = poly.to_json()
+    payload = {"tau": poly, "list": [{"inner": poly}]}
+    text = json.dumps({"tau": want, "list": [{"inner": want}]}, indent=2, sort_keys=True)
+    return report_text(payload) == text
+
+
+def random_poly(table: VariableTable, cutoffs: dict, seed: int, count: int = 60) -> Poly:
+    """Up to `count` terms of up to four variables each, exponents 1 to 3."""
+    rng = random.Random(seed)
+    n = len(table.variables)
+    terms = {}
+    for _ in range(count):
+        exps = {rng.randrange(n): rng.randint(1, 3) for _ in range(rng.randint(0, 4))}
+        terms[tuple(sorted(exps.items()))] = Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+    return Poly(table, cutoffs, terms)
+
+
+def test_writer_escapes_variable_names():
+    table = VariableTable(
+        [
+            Variable('a"b', "t", 1),
+            Variable("é", "t", 2),
+            Variable("back\\slash", "u", 1),
+            Variable("", "t", 1),
+            Variable("tab\t", "u", 2),
+        ]
+    )
+    poly = Poly(
+        table,
+        {"t": 6},
+        {(): 1, ((0, 2), (1, 1)): Fraction(3, 4), ((2, 5), (4, 1)): -1, ((3, 1), (4, 2)): 2},
+    )
+    assert written_as_to_json(poly)
+    assert written_as_to_json(random_poly(table, {}, 1))
+
+
+def test_writer_formats_large_exponents():
+    table = VariableTable([Variable("x", "t", 1), Variable("y", "t", 1), Variable("z", "u", 0)])
+    terms = {
+        ((0, FIELD_MAX),): 1,
+        ((1, FIELD_MAX),): -2,
+        ((2, FIELD_MAX),): Fraction(1, 3),
+        ((0, 10), (1, 11), (2, 99)): 5,
+        ((0, 12345), (2, 1000)): -7,
+        ((1, 100), (2, 9)): 1,
+    }
+    assert written_as_to_json(Poly(table, {}, terms))
+
+
+def test_writer_formats_a_table_with_weightless_variables():
+    # a weight-0 variable ties the weights of keys where one tuple extends
+    # another, so the table sorts by decoded tuples
+    table = VariableTable(
+        time_variables("t", 3) + [Variable("c", "t", 0), Variable("a", "u", 0)]
+    )
+    terms = {(): 2, ((3, 1),): 1, ((3, 2),): -1, ((3, 1), (4, 1)): 3, ((4, 2),): 5}
+    terms |= {((0, 1),): 4, ((0, 1), (3, 1)): -4, ((0, 1), (3, 1), (4, 3)): 7, ((1, 1),): 6}
+    assert written_as_to_json(Poly(table, {"t": 3}, terms))
+    assert written_as_to_json(random_poly(table, {"t": 4, "u": 2}, 2))
+
+
+def test_writer_formats_times_past_nine_mixed_with_parameters():
+    # by name t1 < t10 < ... < t19 < t1a < t2 < t20 < t3: the name order
+    # cuts the times' index order into runs, and t10..t19 is longer than
+    # one chunk of the writer; the parameters sit between and after them
+    variables = time_variables("t", 20)
+    variables[5:5] = [Variable("t1a", "t", 1), Variable("b", "w", 1)]
+    variables += [Variable("y", "t", 1), Variable("a", "w", 2)]
+    table = VariableTable(variables)
+    for seed in range(4):
+        assert written_as_to_json(random_poly(table, {"w": 4}, seed, 200))
+
+
+def test_reports_written_back_to_back_match_each_written_alone():
+    table = VariableTable(time_variables("t", 12) + [Variable("y", "t", 1)])
+    polys = [random_poly(table, {"t": 9}, seed) for seed in range(3)]
+    polys.append(polys[0] * Fraction(2, 7))  # the same keys over another denominator
+    alone = [report_text({"tau": p}) for p in polys]
+    assert alone == [json.dumps({"tau": p.to_json()}, indent=2, sort_keys=True) for p in polys]
+    assert [report_text({"tau": p}) for p in reversed(polys)] == alone[::-1]
+    both = report_text({"a": polys[0], "b": polys[1]})
+    assert both == json.dumps(
+        {"a": polys[0].to_json(), "b": polys[1].to_json()}, indent=2, sort_keys=True
     )
 
 

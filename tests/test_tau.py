@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tauforge import schur, tau
+from tauforge import schur, tau, wick
 from tauforge.fock import ModeWindow, WindowViolation, basis_vector, inner, letter
 from tauforge.grouplike import (
     Diagonal,
@@ -51,8 +51,10 @@ from tauforge.wick import (
     dress_word,
     from_mode_letter,
     kernel_pair,
+    kernel_vev,
     kernel_vev_between,
     kfield,
+    vacuum_pad,
 )
 
 F = Fraction
@@ -447,15 +449,48 @@ def _oracle_words(g) -> list:
     return out
 
 
-def _kernel_coefficient(g, shape, n, source=Partition([])):
-    """The signed coefficient from the element's words, each paired through
-    `kernel_vev`'s subset recursion: no Wick layout and no determinant."""
-    q = charge_of(g)
-    bra, ket = tau.bra_letters(shape, n), tau.ket_letters(source, n - q)
-    total = F(0)
-    for c, word in _oracle_words(g):
-        total += c * kernel_vev_between(n, bra + word + ket, n - q)
-    return total * (-1) ** (shape.sign_exponent() + source.sign_exponent())
+class _KernelCoefficients:
+    """An element's signed coefficients from its words, each paired through
+    `kernel_vev`'s subset recursion: no Wick layout and no determinant.
+
+    One instance serves every read of one element, and forms each letter
+    pair the recursion meets once for all its words, shapes, sources and
+    charges.  Words, bras, kets and paddings are formed once each, so a
+    pair is found by its letters' identity; the table holds the letters,
+    so no identity it keys by is reused."""
+
+    def __init__(self, g):
+        self.q = charge_of(g)
+        self.words = _oracle_words(g)
+        self.letters: dict = {}  # (builder, its arguments) -> letters
+        self.pairs: dict = {}  # (charge, id, id) -> (letter, letter, pair value)
+
+    def _once(self, build, *args):
+        key = (build, *args)
+        if key not in self.letters:
+            self.letters[key] = build(*args)
+        return self.letters[key]
+
+    def __call__(self, shape, n, source=Partition([])):
+        m = n - self.q
+        bra, ket = self._once(tau.bra_letters, shape, n), self._once(tau.ket_letters, source, m)
+        pad = self._once(vacuum_pad, n, m)
+        formed, pairs = wick.letter_pair, self.pairs
+
+        def pair(n, a, b):
+            got = pairs.get((n, id(a), id(b)))
+            if got is None:
+                got = pairs[n, id(a), id(b)] = (a, b, formed(n, a, b))
+            return got[2]
+
+        total = F(0)
+        wick.letter_pair = pair  # what kernel_vev calls for every pair
+        try:
+            for c, word in self.words:
+                total += c * kernel_vev(n, bra + word + ket + pad)
+        finally:
+            wick.letter_pair = formed
+        return total * (-1) ** (shape.sign_exponent() + source.sign_exponent())
 
 
 def _count_kernel_reads(monkeypatch) -> list:
@@ -494,7 +529,8 @@ def test_soliton_hook_route_matches_the_kernel_route(monkeypatch):
             got = [read(lam, n) for lam in shapes]
             assert calls == []  # the Wick reader answered every shape
             monkeypatch.undo()
-            assert got == [_kernel_coefficient(g, lam, n) for lam in shapes], (g, n)
+            want = _KernelCoefficients(g)
+            assert got == [want(lam, n) for lam in shapes], (g, n)
             compared += len(shapes)
             assert any(got[1:]), (g, n)  # the element is no multiple of the identity
     assert compared == 1620 + 6 * len(shapes)
@@ -512,7 +548,8 @@ def test_soliton_with_a_vanishing_vacuum_value_takes_the_kernel_route(monkeypatc
         got = [read(lam, n) for lam in shapes]
         assert calls == []
         monkeypatch.undo()
-        assert got == [_kernel_coefficient(g, lam, n) for lam in shapes]
+        want = _KernelCoefficients(g)
+        assert got == [want(lam, n) for lam in shapes]
         assert bool(got[0]) == bool(n)  # c_empty vanishes at charge 0 only
 
 
@@ -572,12 +609,11 @@ def test_wick_reader_matches_the_word_by_word_pairing():
     sources = [Partition([]), Partition([1]), Partition([2, 1])]
     compared = 0
     for g in elements:
-        read = tau.coefficient_reader(g, W)
+        read, want = tau.coefficient_reader(g, W), _KernelCoefficients(g)
         for n in (-1, 0, 1):
             for source in sources:
                 for lam in shapes:
-                    want = _kernel_coefficient(g, lam, n, source)
-                    assert read(lam, n, source) == want, (g, lam, n, source)
+                    assert read(lam, n, source) == want(lam, n, source), (g, lam, n, source)
                     compared += 1
     assert compared == 47 * 3 * 3 * 12
 
@@ -604,5 +640,5 @@ def test_soliton_hook_route_reads_shapes_of_diagonal_size_three():
     read = tau.coefficient_reader(g, W)
     for shape in (Partition([3, 3, 3]), Partition([4, 3, 3, 1]), Partition([3, 3, 3, 2])):
         got = read(shape, 0)
-        assert got and got == _kernel_coefficient(g, shape, 0), shape
+        assert got and got == _KernelCoefficients(g)(shape, 0), shape
         assert giambelli_coeff_check(g, 0, shape, W) is True
