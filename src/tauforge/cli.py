@@ -317,10 +317,11 @@ def cmd_model(args) -> int:
 @contextlib.contextmanager
 def _kernel_route(g, what: str = "bad --element"):
     """Evaluate `g` where every element with point fields takes the exact
-    Wick route: a product mixing point-field with window-only factors (no
-    route is exact for it, and `wick.wick_layout` refuses it) is bad input
-    before the body runs, and so is a pole that the pair kernels meet,
-    reported as "what: <the kernel's message>"."""
+    Wick route, its only route: a product mixing point-field with
+    window-only factors (`wick.wick_layout` refuses it, and
+    `grouplike.apply_element` refuses its point fields) is bad input before
+    the body runs, and so is a pole that the pair kernels meet, reported as
+    "what: <the kernel's message>"."""
     field_based = is_field_based(g)
     if field_based:
         try:

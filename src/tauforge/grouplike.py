@@ -2,16 +2,16 @@
 
 Variants: exponentials of window-nilpotent bilinears, normally ordered
 bilinear exponents (bare or vacuum ordering), finite linear words in the
-mode operators, point-field words and soliton exponents (window-truncated
-when applied directly; their exact correlators go through Wick's
-theorem in `wick`), diagonal multipliers, projectors, and products.
+mode operators, diagonal multipliers, projectors and products act on
+window vectors.  Point-field words and soliton exponents are declared here
+but have no window action: psi(z) = sum_k psi_k z^k reaches every mode, so
+they are read exactly by Wick's theorem in `wick`.
 
 One minor routine applies every bilinear exponent: a normally ordered
 one as it stands, the exponential of a nilpotent bilinear b as its bare
-form with B = e^b - I, and a soliton with its window-truncated field
-letters in place of mode letters.  A word of mode letters psi*_R psi_C is
-one signed bit flip per state, so each minor's word is compiled once per
-state group and run on the occupation bits (`fock._words_into`).
+form with B = e^b - I.  A word of mode letters psi*_R psi_C is one signed
+bit flip per state, so each minor's word is compiled once per state group
+and run on the occupation bits (`fock._words_into`).
 
 Every constructor's output is checkable: `bbc_check` verifies the
 exchange identity on sampled matrix elements, each term <X| psi_k |Y>
@@ -19,8 +19,7 @@ one bit flip and one lookup (`fock.inner_mode`), and `charge_of`
 verifies definite charge.
 
 Ordered exponents read `fock.creates`; a diagonal element's eigenvalue is
-the product of its multipliers over the occupied modes; `point_power`
-reports the pole of a kernel factor z^e at z = 0 by name.
+the product of its multipliers over the occupied modes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import inf, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping
@@ -40,7 +38,6 @@ from tauforge.fock import (
     _check_bits_window,
     _occupied,
     _words_into,
-    accumulate,
     apply_charge,
     apply_diagonal_exp,
     apply_word,
@@ -49,7 +46,6 @@ from tauforge.fock import (
     frobenius_word,
     inner,
     inner_mode,
-    letter,
     outer_project,
     project,
     vacuum,
@@ -233,15 +229,15 @@ FieldTerm = tuple[Fraction, str, Fraction, int]  # (coeff, kind, point, d/dz ord
 @dataclass(frozen=True)
 class FieldWord:
     """Product of linear combinations of point-evaluated fermion fields
-    (with derivative orders).  Direct application truncates each field to
-    the window; exact correlators use Wick's theorem (`wick`)."""
+    (with derivative orders), read by Wick's theorem (`wick`) only."""
 
     letters: tuple[tuple[FieldTerm, ...], ...]
 
 
 @dataclass(frozen=True)
 class SolitonExponent:
-    """Bare-ordered exponential of sum A[i,k] psi*(q_i) psi(p_k)."""
+    """Bare-ordered exponential of sum A[i,k] psi*(q_i) psi(p_k), read by
+    Wick's theorem (`wick`) only."""
 
     a_rows: tuple[tuple[Fraction, ...], ...]
     ps: tuple[Fraction, ...]
@@ -262,40 +258,6 @@ class Product:
 
 
 # -- application -----------------------------------------------------------------
-
-
-def _falling(k: int, m: int) -> int:
-    out = 1
-    for j in range(m):
-        out *= k - j
-    return out
-
-
-def point_power(point: Fraction, e: int) -> Fraction:
-    """point**e for a kernel factor z^e; at its pole, the point 0 with e < 0,
-    the ZeroDivisionError names the pole."""
-    if e < 0 and not point:
-        raise ZeroDivisionError(f"the point 0 is a pole of z^{e}")
-    return point**e
-
-
-def field_mode(kind: str, point: Fraction, order: int, k: int) -> Fraction:
-    """Coefficient of the mode-k operator in the order-th z-derivative of a
-    field at `point`: psi(z) = sum_k psi_k z^k, psi*(z) = sum_k psi*_k z^-k."""
-    e = k if kind == "psi" else -k
-    return _falling(e, order) * point_power(point, e - order)
-
-
-def field_letter_to_window(term_list: Iterable[FieldTerm], window: ModeWindow) -> Letter:
-    """Truncate point-field combinations to the window's modes."""
-    parts = []
-    for coeff, kind, point, order in term_list:
-        point = Fraction(point)
-        for k in range(window.lo, window.hi):
-            c = field_mode(kind, point, order, k)
-            if c != 0:
-                parts.append((Fraction(coeff) * c, kind, k))
-    return tuple(parts)
 
 
 def _coupling_entries(a_rows) -> dict[tuple[int, int], Fraction]:
@@ -334,23 +296,16 @@ def bilinear_minors(
 
 
 def _apply_ordered_exponent(
-    entries: Mapping[tuple[int, int], Fraction],
-    ordering: int | None,
-    v: FockVector,
-    letter_of: Callable[[str, int], Letter] = letter,
+    entries: Mapping[tuple[int, int], Fraction], ordering: int | None, v: FockVector
 ) -> FockVector:
-    """Apply :exp(sum A_ik x*_i x_k): as one ordered word x*_R x_rev(C) per
-    nonzero minor det A[R, C], where x*_i = letter_of("psi*", i) and
-    x_k = letter_of("psi", k): the mode letters psi*_i and psi_k, or a
-    soliton's window-truncated fields (bare ordering).  The bare ordering
-    is the vacuum above every mode, top = +inf, so `fock.creates` serves
-    both.  Input states are grouped by the entries that survive on them:
-    an entry whose first-acting mode letter dies on the state is dropped
-    before the minors are formed, which keeps dense (moment-type)
-    matrices tractable.  Mode words are compiled once per group into bit
-    flips and run on the group's states in one integer loop
-    (`fock._words_into`); field letters, several terms each, are neither
-    screened nor compiled: their words apply to the group's vector."""
+    """Apply :exp(sum A_ik psi*_i psi_k): as one ordered word psi*_R psi_rev(C)
+    per nonzero minor det A[R, C].  The bare ordering is the vacuum above
+    every mode, top = +inf, so `fock.creates` serves both.  Input states are
+    grouped by the entries that survive on them: an entry whose first-acting
+    letter dies on the state is dropped before the minors are formed, which
+    keeps dense (moment-type) matrices tractable.  Each group's words are
+    compiled once into bit flips and run on its states in one integer loop
+    (`fock._words_into`)."""
     top = inf if ordering is None else ordering
     base, dual = v.base, v.dual
 
@@ -365,7 +320,7 @@ def _apply_ordered_exponent(
     for bits, amp in v.bits.items():
         # one row test and one column test, so dropping an entry prunes
         # exactly the minors it would enter
-        kept = tuple(entries) if letter_of is not letter else tuple(
+        kept = tuple(
             (i, k) for i, k in entries if lives(bits, "psi*", i) and lives(bits, "psi", k)
         )
         groups.setdefault(kept, {})[bits] = amp
@@ -375,12 +330,7 @@ def _apply_ordered_exponent(
             _normal_order(rows, cols, top, det)
             for (rows, cols), det in bilinear_minors({key: entries[key] for key in kept}).items()
         ]
-        if letter_of is letter:
-            _words_into(out, words, v, states)
-            continue
-        sv = v._like(states)
-        for word, coeff in words:
-            accumulate(out, apply_word([letter_of(*lt) for lt in word], sv), coeff)
+        _words_into(out, words, v, states)
     return v._like(out)
 
 
@@ -401,7 +351,9 @@ def _normal_order(rows, cols, top: float, det) -> tuple[list[tuple[str, int]], o
 
 
 def apply_element(g, v: FockVector) -> FockVector:
-    """Apply a group-like element to a ket or bra vector."""
+    """Apply a group-like element to a ket or bra vector.  A point-field
+    word or soliton exponent, alone or in a product, raises TypeError: it
+    has no window action, only Wick's theorem (`wick.correlator_exact`)."""
     if isinstance(g, Identity):
         return v
     if isinstance(g, ExponentBilinear):
@@ -431,17 +383,6 @@ def apply_element(g, v: FockVector) -> FockVector:
         if v.dual:
             raise NotImplementedError("state projector on bras is unused")
         return outer_project(g.ket_n, g.ket_shape, g.bra_n, g.bra_shape, v)
-    if isinstance(g, FieldWord):
-        word = [field_letter_to_window(lt, v.window) for lt in g.letters]
-        return apply_word(word, v)
-    if isinstance(g, SolitonExponent):
-        points = {"psi*": g.qs, "psi": g.ps}
-
-        @cache
-        def point_field(kind: str, at: int) -> Letter:
-            return field_letter_to_window([(Fraction(1), kind, points[kind][at], 0)], v.window)
-
-        return _apply_ordered_exponent(_coupling_entries(g.a_rows), None, v, point_field)
     if isinstance(g, Product):
         seq = list(g.factors)
         if not v.dual:
@@ -449,6 +390,11 @@ def apply_element(g, v: FockVector) -> FockVector:
         for factor in seq:
             v = apply_element(factor, v)
         return v
+    if isinstance(g, (FieldWord, SolitonExponent)):
+        raise TypeError(
+            f"{type(g).__name__} has no window action: point fields are read by"
+            " Wick's theorem (wick.correlator_exact)"
+        )
     raise TypeError(f"not a group-like element: {g!r}")
 
 

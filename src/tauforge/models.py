@@ -124,7 +124,8 @@ def soliton_tau(
     """The soliton family in three forms: "determinant" (identity plus
     coupling times kernel matrix), "explicit" (subset expansion with
     closed-form minors), "schur_sum" (signed-coefficient expansion through
-    `tau.coefficient_reader`, whose soliton route is the hook determinant)."""
+    `tau.coefficient_rows`, which reads a soliton by Wick's theorem from
+    its letter tables)."""
     if form == "determinant":
         poly = _coupled_kernel_det(data, lambda k, j: _exp_eta(family, data, k, j, n), family)
         return TauSeries("MKP", n, poly, {}, {"depth": depth, "form": form})

@@ -3,7 +3,7 @@
 Two evaluation routes coexist and cross-check each other:
 
 * the window route applies operators to finite Fock vectors (exact for
-  mode letters and every window-representable element);
+  mode letters and every window element; point fields have no window route);
 * the exact route is Wick's theorem, kept here once: `wick_matrix` makes
   a word laid out by `wick_layout` one bordered determinant of closed-form
   pair kernels (rational functions of the points whose derivatives are
@@ -14,8 +14,9 @@ Raising-exponential insertions are handled by conjugation: each letter is
 "dressed" with the exponential-series factors, whose coefficients are
 truncated polynomials in the times.
 
-The pair kernels read `fock.creates` and report their own poles (a point 0
-under z^e with e < 0, coincident points) as a ZeroDivisionError naming them.
+The point-field mode rules live here alone (`field_mode`).  The pair
+kernels read `fock.creates` and report their own poles (a point 0 under
+z^e with e < 0, coincident points) as a ZeroDivisionError naming them.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ from tauforge.grouplike import (
     LinearWord,
     Product,
     SolitonExponent,
-    _falling,
     apply_element,
-    field_mode,
 )
 from tauforge.polyring import (
     Poly,
@@ -53,7 +52,29 @@ from tauforge.polyring import (
     poly_matrix_det,
 )
 
-# -- the two-point kernel ------------------------------------------------------
+# -- point fields and the two-point kernel ---------------------------------------
+
+
+def _falling(k: int, m: int) -> int:
+    out = 1
+    for j in range(m):
+        out *= k - j
+    return out
+
+
+def point_power(point: Fraction, e: int) -> Fraction:
+    """point**e for a kernel factor z^e; at its pole, the point 0 with e < 0,
+    the ZeroDivisionError names the pole."""
+    if e < 0 and not point:
+        raise ZeroDivisionError(f"the point 0 is a pole of z^{e}")
+    return point**e
+
+
+def field_mode(kind: str, point: Fraction, order: int, k: int) -> Fraction:
+    """Coefficient of the mode-k operator in the order-th z-derivative of a
+    field at `point`: psi(z) = sum_k psi_k z^k, psi*(z) = sum_k psi*_k z^-k."""
+    e = k if kind == "psi" else -k
+    return _falling(e, order) * point_power(point, e - order)
 
 
 def _field_field_kernel(
@@ -360,8 +381,9 @@ def correlator_window(
     items: Sequence[object],
     n_right: int,
 ):
-    """<n_left| items |n_right> by direct application; items are elements
-    or ("letter", mode letter) tags."""
+    """<n_left| items |n_right> by direct application; items are window
+    elements or ("letter", mode letter) tags.  A point-field item raises
+    TypeError (`grouplike.apply_element`): its route is `correlator_exact`."""
     ket = vacuum(window, n_right)
     for item in reversed(list(items)):
         if isinstance(item, tuple) and item and item[0] == "letter":

@@ -107,8 +107,7 @@ def test_orthonormality_and_inner():
 
 
 def test_pair_vev_rule():
-    from tauforge.grouplike import field_mode
-    from tauforge.wick import kernel_pair
+    from tauforge.wick import field_mode, kernel_pair
 
     z = F(2, 3)
     for n in (-2, 0, 3):

@@ -29,7 +29,6 @@ from tauforge.grouplike import (
     NormalOrderedBilinear,
     Product,
     ProjectorElement,
-    SolitonExponent,
     apply_element,
     bbc_check,
     bilinear_minors,
@@ -51,7 +50,6 @@ from tauforge.sampling import (
     sample_element,
     sample_exponent_bilinear,
     sample_quadruples,
-    sample_soliton,
     sample_states,
     sample_vacuum_bilinear,
 )
@@ -426,24 +424,6 @@ def reference_ordered_exponent(g: NormalOrderedBilinear, v: FockVector) -> FockV
     return out
 
 
-def reference_soliton(g: SolitonExponent, v: FockVector) -> FockVector:
-    """One window-truncated field word per partial permutation."""
-    n = len(g.ps)
-    entries = [((i, k), g.a_rows[i][k]) for i in range(n) for k in range(n) if g.a_rows[i][k]]
-    out = FockVector(v.window, {}, v.dual)
-    for pairs, coeff in partial_permutations(entries):
-        word = [
-            grouplike.field_letter_to_window([(F(1), "psi*", g.qs[i], 0)], v.window)
-            for i, _ in pairs
-        ]
-        word += [
-            grouplike.field_letter_to_window([(F(1), "psi", g.ps[k], 0)], v.window)
-            for _, k in reversed(pairs)
-        ]
-        out = out + apply_word(word, v).scale(coeff)
-    return out
-
-
 small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -503,15 +483,6 @@ def test_bare_ordering_is_the_vacuum_above_every_mode(entries, gap, dual, data):
     assert apply_element(above, v) == apply_element(bare, v)
     assert reorder(bare, top) == (1, above)
     assert reorder(above, None) == (1, bare)
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.data())
-def test_soliton_exponent_matches_the_partial_permutation_route(seed, size, dual, data):
-    window = ModeWindow(-4, 4)
-    g = sample_soliton(random.Random(seed), size)
-    v = data.draw(fock_vectors(window, dual))
-    assert apply_element(g, v) == reference_soliton(g, v)
 
 
 def test_cauchy_exponent_applies_one_word_per_minor(monkeypatch):

@@ -14,6 +14,9 @@ The monomial representation has one home: no module but `polyring` reads
 the keys of `Poly.nums`, builds a `Poly` from raw storage or touches the
 packed key layout.  Other modules build keys with `VariableTable.encode`
 and polynomials from them with `Poly.from_numerators`.
+
+The point-field mode rules have one home too: only `wick` defines or
+reads `field_mode`, `point_power` and `_falling`.
 """
 
 import ast
@@ -54,6 +57,9 @@ STORAGE_ATTRIBUTES = {
     "units", "shifts", "guards", "grading_shifts", "_bounds", "_fields", "_name_chunks",
 }
 STORAGE_NAMES = {"MonomialKey", "_merge_cutoffs"}
+
+# the mode rules of a point field psi(z) = sum_k psi_k z^k, kept in `wick`
+POINT_FIELD_RULES = {"field_mode", "point_power", "_falling"}
 
 
 def imported(node):
@@ -144,6 +150,20 @@ def test_only_polyring_touches_monomial_storage():
             elif isinstance(node, ast.alias) and node.name in STORAGE_NAMES:
                 found.add(f"import of {node.name}")
         assert not found, f"{path.stem} reaches into Poly storage: {sorted(found)}"
+
+
+def test_point_field_mode_rules_live_in_wick():
+    """How a point field acts on the modes has one home: `field_mode`,
+    `point_power` and `_falling` are defined in `wick` and imported by no
+    other module, so no second route can cut psi(z) to a window."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in POINT_FIELD_RULES:
+                found.add(f"{path.stem} defines {node.name}")
+            elif isinstance(node, ast.alias) and node.name in POINT_FIELD_RULES:
+                found.add(f"{path.stem} imports {node.name}")
+    assert found == {f"wick defines {name}" for name in POINT_FIELD_RULES}
 
 
 def empty_container(value) -> bool:

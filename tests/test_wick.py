@@ -11,7 +11,6 @@ from tauforge.grouplike import (
     Product,
     apply_element,
     charge_of,
-    field_letter_to_window,
 )
 from tauforge.polyring import standard_single_family
 from tauforge.sampling import (
@@ -120,20 +119,35 @@ def test_kernel_vev_matches_window_vev_for_modes():
 
 
 def test_kernel_single_pair_vs_window_truncation_exact_tail():
-    # the window evaluation is the partial geometric sum: the defect equals
-    # the closed-form tail exactly
+    # psi*(zeta) psi(z) cut to the window's modes, psi(z) = sum_k psi_k z^k
+    # and psi*(zeta) = sum_k psi*_k zeta^-k: the window evaluation is the
+    # partial geometric sum, so the defect equals the closed-form tail exactly
     n = 0
     z, zeta = F(1, 3), F(1, 2)
     closed = kernel_vev(n, [(kfield("psi*", zeta),), (kfield("psi", z),)])
     ket = vacuum(W, n)
     word = [
-        field_letter_to_window([(F(1), "psi*", zeta, 0)], W),
-        field_letter_to_window([(F(1), "psi", z, 0)], W),
+        tuple((zeta**-k, "psi*", k) for k in range(W.lo, W.hi)),
+        tuple((z**k, "psi", k) for k in range(W.lo, W.hi)),
     ]
     truncated = inner(vacuum(W, n, dual=True), apply_word(word, ket))
     ratio = z / zeta
     tail = ratio**W.hi / (1 - ratio)
     assert closed - truncated == tail
+
+
+def test_point_fields_have_no_window_action():
+    # psi(z) reaches every mode, so no window applies a point field: only
+    # Wick's theorem reads it, and the window route refuses it
+    sol = sample_soliton(random.Random(5), size=2)
+    field = FieldWord((((F(1), "psi", F(1, 3), 0),),))
+    mixed = Product((sol, LinearWord((letter("psi*", -1),))))
+    for g in (field, sol, mixed):
+        for v in (vacuum(W, 0), vacuum(W, 1, dual=True)):
+            with pytest.raises(TypeError, match="Wick's theorem"):
+                apply_element(g, v)
+    with pytest.raises(TypeError, match="Wick's theorem"):
+        correlator_window(W, 0, [("letter", letter("psi", 0)), sol], 1)
 
 
 def test_multipoint_kernels_and_pads():
@@ -342,20 +356,6 @@ def test_wick_generalized_soliton_kernel_route():
             continue
         direct = correlator_exact(n, list(vs) + list(reversed(ws)) + [g], n)
         assert predicted == direct
-
-
-def test_soliton_window_apply_matches_kernels_within_tail():
-    # the window-truncated application differs from the exact kernel value
-    # by a bounded geometric tail
-    rng = random.Random(19)
-    g = sample_soliton(rng, size=2)
-    exact = correlator_exact(0, [g], 0)
-    truncated = inner(vacuum(W, 0, dual=True), apply_element(g, vacuum(W, 0)))
-    # crude tail bound: the largest |point| powers the window edge
-    biggest = max(abs(x) for x in list(g.ps) + list(g.qs))
-    weight = sum(abs(c) for row in g.a_rows for c in row) + 1
-    bound = 16 * weight * weight * biggest ** min(W.hi, -W.lo - 1)
-    assert abs(exact - truncated) <= bound
 
 
 def test_wick_column_forms_agree():
