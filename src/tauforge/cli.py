@@ -39,7 +39,13 @@ from tauforge.hirota import (
     mkp_equation_check,
 )
 from tauforge.partitions import Partition, enumerate_partitions
-from tauforge.polyring import Poly, paired_family, standard_double_family, standard_single_family
+from tauforge.polyring import (
+    FIELD_MAX,
+    Poly,
+    paired_family,
+    standard_double_family,
+    standard_single_family,
+)
 from tauforge.sampling import (
     sample_element,
     sample_letter,
@@ -129,9 +135,9 @@ def element_from_json(spec: dict):
             for row in _json(spec["couplings"], list, "couplings")
         )
         return SolitonExponent(
-            rows,
             tuple(_frac(p) for p in _json(spec["ps"], list, "ps")),
             tuple(_frac(q) for q in _json(spec["qs"], list, "qs")),
+            rows,
         )
     if kind == "exponent_bilinear":
         return ExponentBilinear(_matrix_from_json(spec))
@@ -253,10 +259,8 @@ MODEL_FLAGS = {
 def cmd_model(args) -> int:
     from tauforge.models import (
         DiagonalModel,
-        SolitonData,
         diagonal_model_tau_closed,
         hermitian_moment_tau,
-        soliton_element,
         soliton_tau,
         unitary_model_tau,
     )
@@ -276,11 +280,11 @@ def cmd_model(args) -> int:
         qs = tuple(_rationals(args.points_q, "--points-q"))
         rows = tuple(tuple(_rationals(r, "--couplings")) for r in args.couplings.split(";"))
         try:
-            data = SolitonData(ps, qs, rows)
+            g = SolitonExponent(ps, qs, rows)
         except ValueError as err:
             raise InputError(f"bad soliton data: {err}") from None
-        with _kernel_route(soliton_element(data), f"bad soliton data at --charge {args.charge}"):
-            series = soliton_tau(data, args.charge, fam, depth, "determinant")
+        with _kernel_route(g, f"bad soliton data at --charge {args.charge}"):
+            series = soliton_tau(g, args.charge, fam, depth, "determinant")
         payload = {"schema": 1, "kind": "soliton", "tau": series.poly}
         _emit(args, payload)
         return 0
@@ -651,6 +655,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"verify --suite {args.suite} needs --cutoff >= {least}")
     elif args.cutoff < 0:
         parser.error(f"{args.command} needs --cutoff >= 0")
+    if args.cutoff > FIELD_MAX:
+        parser.error(f"{args.command} needs --cutoff <= {FIELD_MAX}, the ring's field width")
     try:
         return args.func(args)
     except InputError as err:

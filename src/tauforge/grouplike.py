@@ -237,19 +237,28 @@ class FieldWord:
 @dataclass(frozen=True)
 class SolitonExponent:
     """Bare-ordered exponential of sum A[i,k] psi*(q_i) psi(p_k), read by
-    Wick's theorem (`wick`) only."""
+    Wick's theorem (`wick`) only; points pairwise distinct so no kernel
+    pole is hit."""
 
-    a_rows: tuple[tuple[Fraction, ...], ...]
     ps: tuple[Fraction, ...]
     qs: tuple[Fraction, ...]
+    couplings: tuple[tuple[Fraction, ...], ...]  # square matrix over (q_i, p_k)
 
     def __post_init__(self):
-        n = len(self.a_rows)
-        if any(len(r) != n for r in self.a_rows) or len(self.ps) != n or len(self.qs) != n:
-            raise ValueError("square coupling matrix and matching point lists required")
+        n = len(self.ps)
+        if len(self.qs) != n or len(self.couplings) != n:
+            raise ValueError("need matching point and coupling counts")
+        if any(len(r) != n for r in self.couplings):
+            raise ValueError("coupling matrix must be square")
         pts = list(self.ps) + list(self.qs)
         if len(set(pts)) != len(pts):
             raise ValueError("soliton points must be pairwise distinct")
+
+    @staticmethod
+    def diagonal(ps, qs, amps) -> "SolitonExponent":
+        n = len(ps)
+        rows = tuple(tuple(Fraction(amps[i] if i == k else 0) for k in range(n)) for i in range(n))
+        return SolitonExponent(tuple(map(Fraction, ps)), tuple(map(Fraction, qs)), rows)
 
 
 @dataclass(frozen=True)
@@ -258,11 +267,6 @@ class Product:
 
 
 # -- application -----------------------------------------------------------------
-
-
-def _coupling_entries(a_rows) -> dict[tuple[int, int], Fraction]:
-    """A soliton coupling matrix as {(hole row i, particle column k): A_ik}."""
-    return {(i, k): c for i, row in enumerate(a_rows) for k, c in enumerate(row)}
 
 
 def bilinear_minors(

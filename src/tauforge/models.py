@@ -32,7 +32,6 @@ from tauforge.grouplike import (
     NormalOrderedBilinear,
     Product,
     SolitonExponent,
-    _coupling_entries,
     apply_element,
     bilinear_minors,
     charge_of,
@@ -58,7 +57,6 @@ from tauforge.schur import double_schur_sum
 from tauforge.tau import (
     TauSeries,
     coefficient_reader,
-    expand_mkp,
     window_for_element,
 )
 from tauforge.wick import _field_field_kernel, correlator_exact, vacuum_kernel
@@ -66,46 +64,15 @@ from tauforge.wick import _field_field_kernel, correlator_exact, vacuum_kernel
 # -- solitons -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolitonData:
-    """Spectral points and couplings; points pairwise distinct so no
-    kernel pole is hit."""
-
-    ps: tuple[Fraction, ...]
-    qs: tuple[Fraction, ...]
-    couplings: tuple[tuple[Fraction, ...], ...]  # square matrix over (q_i, p_k)
-
-    def __post_init__(self):
-        n = len(self.ps)
-        if len(self.qs) != n or len(self.couplings) != n:
-            raise ValueError("need matching point and coupling counts")
-        if any(len(r) != n for r in self.couplings):
-            raise ValueError("coupling matrix must be square")
-        pts = list(self.ps) + list(self.qs)
-        if len(set(pts)) != len(pts):
-            raise ValueError("soliton points must be pairwise distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.ps)
-
-    @staticmethod
-    def diagonal(ps, qs, amps) -> "SolitonData":
-        n = len(ps)
-        rows = tuple(
-            tuple(Fraction(amps[i]) if i == k else Fraction(0) for k in range(n))
-            for i in range(n)
-        )
-        return SolitonData(
-            tuple(Fraction(p) for p in ps), tuple(Fraction(q) for q in qs), rows
-        )
+SolitonData = SolitonExponent  # the name perfbench's references construct
 
 
-def soliton_element(data: SolitonData) -> SolitonExponent:
-    return SolitonExponent(data.couplings, data.ps, data.qs)
+def _coupling_entries(couplings) -> dict[tuple[int, int], Fraction]:
+    """A soliton coupling matrix as {(hole row i, particle column k): A_ik}."""
+    return {(i, k): c for i, row in enumerate(couplings) for k, c in enumerate(row)}
 
 
-def _exp_eta(family: TimeFamily, data: SolitonData, i: int, k: int, n: int) -> Poly:
+def _exp_eta(family: TimeFamily, data: SolitonExponent, i: int, k: int, n: int) -> Poly:
     """The elementary exponential factor p_i^n q_k^(1-n)/(q_k - p_i)
     exp(xi(t,p_i) - xi(t,q_k)) of the kernel matrix; its prefactor is the
     two-point kernel <n| psi*(q_k) psi(p_i) |n>, whose pole raises."""
@@ -115,20 +82,18 @@ def _exp_eta(family: TimeFamily, data: SolitonData, i: int, k: int, n: int) -> P
 
 
 def soliton_tau(
-    data: SolitonData,
+    data: SolitonExponent,
     n: int,
     family: TimeFamily,
     depth: int,
     form: str = "determinant",
 ) -> TauSeries:
-    """The soliton family in three forms: "determinant" (identity plus
-    coupling times kernel matrix), "explicit" (subset expansion with
-    closed-form minors), "schur_sum" (signed-coefficient expansion through
-    `tau.coefficient_rows`, which reads a soliton by Wick's theorem from
-    its letter tables)."""
+    """The soliton family in two forms: "determinant" (identity plus
+    coupling times kernel matrix) and "explicit" (subset expansion with
+    closed-form minors).  Its Schur expansion is `tau.expand_mkp`."""
     if form == "determinant":
         poly = _coupled_kernel_det(data, lambda k, j: _exp_eta(family, data, k, j, n), family)
-        return TauSeries("MKP", n, poly, {}, {"depth": depth, "form": form})
+        return TauSeries("MKP", n, poly, {}, depth)
     if form == "explicit":
         total = _Sum(family.zero())
         minors = bilinear_minors(_coupling_entries(data.couplings))
@@ -143,19 +108,17 @@ def soliton_tau(
             for q in qs:
                 factor = factor * (family.xi_value(q) * -1).series_exp()
             total.add(factor, a_det)
-        return TauSeries("MKP", n, total.poly(), {}, {"depth": depth, "form": form})
-    if form == "schur_sum":
-        return expand_mkp(soliton_element(data), n, family, depth)
+        return TauSeries("MKP", n, total.poly(), {}, depth)
     raise ValueError(f"unknown form {form!r}")
 
 
-def _coupled_kernel_det(data: SolitonData, eta, family: TimeFamily) -> Poly:
+def _coupled_kernel_det(data: SolitonExponent, eta, family: TimeFamily) -> Poly:
     """det(I + A K) for the kernel K_kj = eta(k, j).  A hole point whose
     couplings all vanish has a unit row, so its column never enters: the
     determinant is taken over the coupled hole points only, and each K_kj
     is formed once and only when a nonzero coupling uses it."""
     eta = cache(eta)
-    coupled = [i for i in range(data.size) if any(data.couplings[i])]
+    coupled = [i for i, row in enumerate(data.couplings) if any(row)]
     rows = []
     for i in coupled:
         row = []
@@ -705,7 +668,7 @@ def moment_coupled_element(moments: dict[tuple[int, int], Fraction]) -> NormalOr
 
 
 def soliton_tau_two_family(
-    data: SolitonData,
+    data: SolitonExponent,
     n: int,
     family_plus: TimeFamily,
     family_minus: TimeFamily,

@@ -115,7 +115,7 @@ def sample_soliton(rng: random.Random, size: int = 2) -> SolitonExponent:
     rows = tuple(
         tuple(rational(rng, 3, 2) for _ in range(size)) for _ in range(size)
     )
-    return SolitonExponent(rows, tuple(ps), tuple(qs))
+    return SolitonExponent(tuple(ps), tuple(qs), rows)
 
 
 def sample_element(rng: random.Random, allow_products: bool = True):

@@ -20,7 +20,7 @@ shape is probed, and a point-field element's come from its Wick tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Mapping
@@ -320,10 +320,10 @@ class TauSeries:
     charge: int
     poly: Poly
     coefficients: Mapping
-    provenance: dict = field(default_factory=dict)
+    depth: int
 
     def to_json(self) -> dict:
-        return series_json(self.kind, self.charge, self.provenance.get("depth"), self.coefficients)
+        return series_json(self.kind, self.charge, self.depth, self.coefficients)
 
 
 def series_json(kind: str, charge: int, depth: int, coefficients: Mapping) -> dict:
@@ -376,9 +376,7 @@ def expand_mkp(
     total = _Sum(family.zero())
     for lam, c in coeffs.items():
         total.add(schur_jt(family, lam), c)
-    return TauSeries(
-        "MKP", n, total.poly(), coeffs, {"depth": depth, "element": repr(g)}
-    )
+    return TauSeries("MKP", n, total.poly(), coeffs, depth)
 
 
 def expand_mkp_direct(
@@ -418,7 +416,7 @@ def expand_2dtl(
     }
     terms = ((lam, mu, c) for (lam, mu), c in coeffs.items())
     poly = double_schur_sum(family_plus, family_minus, terms)
-    return TauSeries("2DTL", n, poly, coeffs, {"depth": depth, "element": repr(g)})
+    return TauSeries("2DTL", n, poly, coeffs, depth)
 
 
 # -- coefficient identities ------------------------------------------------------

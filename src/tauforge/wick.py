@@ -288,9 +288,9 @@ def wick_layout(items: Sequence[object]) -> list[Slot]:
         elif isinstance(g, FieldWord):
             slots += wick_layout([tuple(kfield(k, z, r, c) for c, k, z, r in lt) for lt in g.letters])
         elif isinstance(g, SolitonExponent):
-            rows = [i for i, row in enumerate(g.a_rows) if any(row)]
-            cols = [k for k in range(len(g.ps)) if any(row[k] for row in g.a_rows)]
-            a = [[g.a_rows[i][k] for k in cols] for i in rows]
+            rows = [i for i, row in enumerate(g.couplings) if any(row)]
+            cols = [k for k in range(len(g.ps)) if any(row[k] for row in g.couplings)]
+            a = [[g.couplings[i][k] for k in cols] for i in rows]
             slots += [((kfield("psi*", g.qs[i]),), "psi*", a, r) for r, i in enumerate(rows)]
             slots += [((kfield("psi", g.ps[k]),), "psi", a, c) for c, k in enumerate(cols)]
         elif isinstance(g, Product):

@@ -14,6 +14,7 @@ from tauforge.fock import (
     vacuum,
 )
 from tauforge.grouplike import (
+    SolitonExponent,
     apply_element,
     bbc_check,
     charge_of,
@@ -30,7 +31,6 @@ from tauforge.hirota import (
 )
 from tauforge.models import (
     DiagonalModel,
-    SolitonData,
     affine_log_ratio,
     diagonal_model_tau_closed,
     diagonal_model_tau_fock,
@@ -275,7 +275,7 @@ def _hirota_family_taus(depth):
     window = ModeWindow(-depth - 6, depth + 6)
     out = {}
     # 3-soliton
-    data = SolitonData.diagonal(
+    data = SolitonExponent.diagonal(
         [F(1, 3), F(2, 5), F(3, 7)], [F(1, 2), F(3, 5), F(5, 6)], [F(2), F(1, 3), F(3)]
     )
     out["three_soliton"] = {
@@ -312,7 +312,7 @@ def test_criterion_08_hirota_suite():
     # lattice bilinear equation on the two-family soliton and the circular
     # ensemble at adjacent sizes
     plus, minus = standard_double_family(4, 4)
-    data2 = SolitonData.diagonal([F(1, 3), F(2, 5)], [F(1, 2), F(3, 5)], [F(2), F(1, 3)])
+    data2 = SolitonExponent.diagonal([F(1, 3), F(2, 5)], [F(1, 2), F(3, 5)], [F(2), F(1, 3)])
     taus2 = {n: soliton_tau_two_family(data2, n, plus, minus) for n in (-1, 0, 1)}
     assert toda_equation_check(taus2[-1], taus2[0], taus2[1], plus, minus).ok
     for size in (1, 2):
@@ -320,7 +320,7 @@ def test_criterion_08_hirota_suite():
         assert toda_equation_check(triple[0], triple[1], triple[2], plus, minus).ok, size
     # three-shift identities through total weight 6
     fam6 = standard_single_family(6, extra_unit=["y1", "y2", "y3"])
-    data_bi2 = SolitonData.diagonal([F(1, 3), F(2, 5)], [F(1, 2), F(3, 5)], [F(2), F(1, 3)])
+    data_bi2 = SolitonExponent.diagonal([F(1, 3), F(2, 5)], [F(1, 2), F(3, 5)], [F(2), F(1, 3)])
     tau_bi2 = soliton_tau(data_bi2, 0, fam6, 6, "determinant").poly
     rep = three_term_check_kp({frozenset(): tau_bi2}, fam6, ("y1", "y2", "y3"))
     assert rep.ok and rep.verified_weight == 6
@@ -427,7 +427,7 @@ def test_criterion_11_soliton_equivalence():
             fermi = soliton_fermionic_det(ps, qs, bs, n, fam)
             amps = soliton_gauge_couplings(ps, qs, bs)
             tau = soliton_tau(
-                SolitonData.diagonal(ps, qs, amps), n, fam, 6, "determinant"
+                SolitonExponent.diagonal(ps, qs, amps), n, fam, 6, "determinant"
             ).poly
             log_ratio = affine_log_ratio(fermi, tau)
             assert log_ratio is not None, (size, n)

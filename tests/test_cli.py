@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.cli import main
+from tauforge.polyring import FIELD_MAX
 
 
 def run(capsys, argv):
@@ -201,6 +202,23 @@ def test_expand_rejects_negative_cutoff(capsys):
 def test_model_rejects_negative_cutoff(capsys):
     msg = usage_error(capsys, ["model", "--kind", "unitary", "--cutoff", "-1"])
     assert msg.endswith("model needs --cutoff >= 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--element", '{"kind": "identity"}'],
+        ["model", "--kind", "unitary", "--size", "2"],
+        ["verify", "--suite", "kp"],
+    ],
+    ids=["expand", "model", "verify"],
+)
+def test_cutoff_above_the_field_width_is_bad_input(capsys, argv):
+    # a weight above FIELD_MAX fits no packed monomial field: the bound is
+    # checked before any work, with the exit code of bad input, not 1 (a
+    # failed check); expand would first enumerate every partition up to it
+    msg = usage_error(capsys, [*argv, "--cutoff", str(FIELD_MAX + 1)])
+    assert msg.endswith(f"{argv[0]} needs --cutoff <= {FIELD_MAX}, the ring's field width")
 
 
 def test_expand_rejects_unknown_element_kind(capsys):
@@ -535,6 +553,29 @@ def test_model_rejects_soliton_point_count_mismatch(capsys):
     assert "bad soliton data" in msg and "matching point" in msg
 
 
+@pytest.mark.parametrize(
+    "ps, qs, couplings, text",
+    [
+        (
+            ["1/3", "1/5"], ["1/2"], [["1", "0"], ["0", "1"]],
+            "need matching point and coupling counts",
+        ),
+        (["1/3"], ["1/2"], [["1", "2"]], "coupling matrix must be square"),
+        (["1/2"], ["1/2"], [["1"]], "soliton points must be pairwise distinct"),
+    ],
+    ids=["count-mismatch", "non-square", "repeated-point"],
+)
+def test_malformed_soliton_gets_one_message(capsys, ps, qs, couplings, text):
+    # `expand --element` and `model --kind soliton` build the one soliton type
+    element = json.dumps({"kind": "soliton", "ps": ps, "qs": qs, "couplings": couplings})
+    expand = usage_error(capsys, ["expand", "--element", element])
+    flags = ["--points-p", ",".join(ps), "--points-q", ",".join(qs)]
+    flags += ["--couplings", ";".join(map(",".join, couplings))]
+    model = usage_error(capsys, ["model", "--kind", "soliton", *flags])
+    assert expand.endswith(f"bad --element: {text}")
+    assert model.endswith(f"bad soliton data: {text}")
+
+
 def test_model_rejects_negative_size_for_every_kind(capsys):
     for kind in ("gaussian-hermitian", "unitary", "hciz", "soliton"):
         msg = usage_error(capsys, ["model", "--kind", kind, "--size", "-1"])
@@ -598,7 +639,8 @@ def test_model_soliton_uncoupled_zero_hole_point_is_no_pole(capsys):
     # the hole point 0 has an all-zero coupling row, so its kernel column
     # never enters det(I + A K); this used to exit 2 with "the point 0 is a
     # pole of z^-1" at charge 2
-    from tauforge.models import SolitonData, soliton_tau
+    from tauforge.grouplike import SolitonExponent
+    from tauforge.models import soliton_tau
     from tauforge.partitions import Partition
     from tauforge.polyring import Poly, standard_single_family
     from tauforge.schur import schur_jt
@@ -619,7 +661,7 @@ def test_model_soliton_uncoupled_zero_hole_point_is_no_pole(capsys):
     for term in json.loads(out)["terms"]:
         expansion = expansion + schur_jt(fam, Partition(term["partition"])) * F(term["coeff"])
 
-    data = SolitonData((F(1, 3), F(1, 5)), (F(1, 2), F(0)), ((F(1), F(1)), (F(0), F(0))))
+    data = SolitonExponent((F(1, 3), F(1, 5)), (F(1, 2), F(0)), ((F(1), F(1)), (F(0), F(0))))
     explicit = soliton_tau(data, 2, fam, 4, form="explicit").poly
     assert not model.is_zero
     assert model == expansion == explicit

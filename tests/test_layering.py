@@ -8,7 +8,9 @@ cycle.  Any other function-level `tauforge` import is listed in `LAZY` with
 its reason; the rest belong at module level.
 
 Every module-level memo is listed in `MEMOS` with what it holds, so a new
-global cache shows up here.
+global cache shows up here.  Every underscore name that one module imports
+from another is listed in `PRIVATE_IMPORTS` with its reason, so a new
+reach-in past a module's public names shows up here too.
 
 The monomial representation has one home: no module but `polyring` reads
 the keys of `Poly.nums`, builds a `Poly` from raw storage or touches the
@@ -47,6 +49,31 @@ MEMOS = {
 # module-level import would not turn into a cycle, with the reason it waits
 LAZY = {
     ("cli", "models"): "only `model` needs it: `expand` and `verify` never load `models`",
+}
+
+# (importing module, imported module, name) for each underscore name that
+# one module imports from another, with the reason it crosses the boundary
+_SUM = "a running sum of polynomials added in place"
+PRIVATE_IMPORTS = {
+    ("boson", "fock", "_add_into"): "the current series adds into the tree's per-level sums",
+    ("boson", "fock", "_current_tree"): "the current series walks the current exponential's tree",
+    ("boson", "fock", "_weight"): "the current expansion sizes its budget by shape weights",
+    ("fock", "polyring", "_Sum"): _SUM,
+    ("fock", "schur", "_schur_poly"): "skew Schur functions at a rational scale",
+    ("grouplike", "fock", "_check_bits_window"): "an ordered diagonal checks each state's window",
+    ("grouplike", "fock", "_occupied"): "diagonal multipliers and the minor screen read one bit",
+    ("grouplike", "fock", "_words_into"): "each minor's mode word runs on a state group's bits",
+    ("hirota", "polyring", "_Partials"): "the residue reads memoized partials of one product",
+    ("hirota", "polyring", "_Sum"): _SUM,
+    ("models", "polyring", "_Sum"): _SUM,
+    ("models", "wick", "_field_field_kernel"): "the soliton kernel entry is the two-point kernel",
+    ("polyring", "schur", "_schur_poly"): "TimeFamily.h is the one-row Schur function at a sign",
+    ("schur", "fock", "_state_of_bits"): "the raised bra's bit states name their shapes",
+    ("tau", "fock", "_check_state_window"): "a one-shape read checks its shape against the window",
+    ("tau", "fock", "_state_of_bits"): "a ket's bit states name their shapes",
+    ("tau", "grouplike", "_matmul"): "the Wick reader's coupled block M = B^-1 A",
+    ("tau", "polyring", "_Sum"): _SUM,
+    ("wick", "polyring", "_Sum"): _SUM,
 }
 
 
@@ -118,6 +145,19 @@ def test_function_level_imports_are_listed():
     _, inner = import_graphs()
     found = {(m, t) for m, targets in inner.items() for t in targets}
     assert found == UPWARD | LAZY.keys()
+
+
+def test_private_imports_are_listed():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                source = node.module.removeprefix("tauforge.")
+                if source != node.module and "." not in source:
+                    found |= {
+                        (path.stem, source, a.name) for a in node.names if a.name.startswith("_")
+                    }
+    assert found == PRIVATE_IMPORTS.keys()
 
 
 def test_schur_imports_on_its_own():

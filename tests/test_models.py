@@ -4,11 +4,10 @@ from math import factorial
 
 from tauforge import schur
 from tauforge.fock import ModeWindow, vacuum, window_for
-from tauforge.grouplike import Diagonal, apply_element, bbc_check
+from tauforge.grouplike import Diagonal, SolitonExponent, apply_element, bbc_check
 from tauforge.hirota import kp_residue_check
 from tauforge.models import (
     DiagonalModel,
-    SolitonData,
     affine_log_ratio,
     cut_and_join_element,
     cut_and_join_tau_operator,
@@ -30,7 +29,6 @@ from tauforge.models import (
     quasipoly_tau,
     quasipoly_tau_stepped,
     single_derivative_closed_form,
-    soliton_element,
     soliton_fermionic_det,
     soliton_gauge_couplings,
     soliton_gauge_factor,
@@ -41,7 +39,7 @@ from tauforge.models import (
 from tauforge.partitions import Partition, enumerate_partitions
 from tauforge.polyring import paired_family, standard_double_family, standard_single_family
 from tauforge.sampling import sample_bare_bilinear, sample_quadruples, sample_states
-from tauforge.tau import expand_2dtl, pluecker_coefficient
+from tauforge.tau import expand_2dtl, expand_mkp, pluecker_coefficient
 
 F = Fraction
 
@@ -53,25 +51,25 @@ def small_soliton(n_points, rng=None, diagonal=True):
     qs = pool[3 : 3 + n_points]
     if diagonal:
         amps = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n_points)]
-        return SolitonData.diagonal(ps, qs, amps)
+        return SolitonExponent.diagonal(ps, qs, amps)
     rows = tuple(
         tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n_points))
         for _ in range(n_points)
     )
-    return SolitonData(tuple(ps), tuple(qs), rows)
+    return SolitonExponent(tuple(ps), tuple(qs), rows)
 
 
 def test_soliton_zero_coupling_is_one():
-    data = SolitonData.diagonal([F(1, 3)], [F(1, 2)], [0])
+    data = SolitonExponent.diagonal([F(1, 3)], [F(1, 2)], [0])
     fam = standard_single_family(4)
     assert soliton_tau(data, 0, fam, 4, "determinant").poly == fam.one()
-    assert soliton_tau(data, 0, fam, 4, "schur_sum").poly == fam.one()
+    assert expand_mkp(data, 0, fam, 4).poly == fam.one()
 
 
 def test_one_soliton_closed_form():
     fam = standard_single_family(5)
     p, q, a = F(1, 3), F(1, 2), F(2)
-    data = SolitonData.diagonal([p], [q], [a])
+    data = SolitonExponent.diagonal([p], [q], [a])
     for n in (-1, 0, 2):
         tau = soliton_tau(data, n, fam, 5, "determinant").poly
         eta = (fam.xi_value(p) - fam.xi_value(q)).series_exp()
@@ -111,7 +109,7 @@ def test_soliton_three_forms_agree():
             for n in (-1, 0, 1):
                 det_form = soliton_tau(data, n, fam, 4, "determinant").poly
                 explicit = soliton_tau(data, n, fam, 4, "explicit").poly
-                schur = soliton_tau(data, n, fam, 4, "schur_sum").poly
+                schur = expand_mkp(data, n, fam, 4).poly
                 assert det_form == explicit, (size, diagonal, n)
                 assert det_form == schur, (size, diagonal, n)
 
@@ -119,14 +117,12 @@ def test_soliton_three_forms_agree():
 def test_soliton_element_is_group_like():
     rng = random.Random(7)
     data = small_soliton(2, rng)
-    w = ModeWindow(-8, 8)
-    # window-truncated soliton application: BBC holds modulo window tails,
-    # so check on the exact kernel side instead through tau identities
+    # a soliton has no window action, so the exchange identity is checked
+    # on its exact Wick reads through a tau identity
     from tauforge.tau import giambelli_coeff_check
 
-    g = soliton_element(data)
-    assert giambelli_coeff_check(g, 0, Partition([2, 2])) is True
-    assert giambelli_coeff_check(g, 0, Partition([2, 1])) is True
+    assert giambelli_coeff_check(data, 0, Partition([2, 2])) is True
+    assert giambelli_coeff_check(data, 0, Partition([2, 1])) is True
 
 
 def test_soliton_fermionic_det_matches_diagonal_form_exactly():
@@ -139,7 +135,7 @@ def test_soliton_fermionic_det_matches_diagonal_form_exactly():
         for n in (0, 1):
             fermi = soliton_fermionic_det(ps, qs, bs, n, fam)
             amps = soliton_gauge_couplings(ps, qs, bs)
-            data = SolitonData.diagonal(ps, qs, amps)
+            data = SolitonExponent.diagonal(ps, qs, amps)
             tau = soliton_tau(data, n, fam, 5, "determinant").poly
             gauge = soliton_gauge_factor(qs, n, size, fam)
             assert fermi == gauge * tau, (size, n)
@@ -451,7 +447,7 @@ def test_soliton_two_family_slice_and_toda():
     from tauforge.hirota import toda_equation_check
     from tauforge.models import soliton_tau_two_family
 
-    data = SolitonData.diagonal([F(1, 3), F(2, 5)], [F(1, 2), F(3, 5)], [F(2), F(1, 3)])
+    data = SolitonExponent.diagonal([F(1, 3), F(2, 5)], [F(1, 2), F(3, 5)], [F(2), F(1, 3)])
     plus, minus = standard_double_family(4, 4)
     fam = standard_single_family(4)
     taus = {n: soliton_tau_two_family(data, n, plus, minus) for n in (-1, 0, 1)}
@@ -507,11 +503,8 @@ def test_restricted_series_stays_kp():
 def test_soliton_two_family_matches_coefficient_expansion():
     # the closed two-family determinant equals the first-principles double
     # Schur expansion computed through the exact kernels
-    data = SolitonData.diagonal([F(1, 3)], [F(1, 2)], [F(2)])
+    data = SolitonExponent.diagonal([F(1, 3)], [F(1, 2)], [F(2)])
     plus, minus = standard_double_family(3, 3)
     closed = soliton_tau_two_family(data, 0, plus, minus)
-    from tauforge.models import soliton_element
-    from tauforge.tau import expand_2dtl
-
-    series = expand_2dtl(soliton_element(data), 0, plus, minus, 3)
+    series = expand_2dtl(data, 0, plus, minus, 3)
     assert series.poly == closed

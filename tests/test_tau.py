@@ -14,11 +14,11 @@ from tauforge.grouplike import (
     Product,
     SolitonExponent,
     StateProjector,
-    _coupling_entries,
     apply_element,
     bilinear_minors,
     charge_of,
 )
+from tauforge.models import _coupling_entries
 from tauforge.partitions import Partition, enumerate_partitions, from_frobenius
 from tauforge.polyring import (
     fraction_matrix_inverse,
@@ -440,7 +440,7 @@ def _oracle_words(g) -> list:
         return [
             (det, [(kfield("psi*", g.qs[i]),) for i in rows]
              + [(kfield("psi", g.ps[k]),) for k in reversed(cols)])
-            for (rows, cols), det in bilinear_minors(_coupling_entries(g.a_rows)).items()
+            for (rows, cols), det in bilinear_minors(_coupling_entries(g.couplings)).items()
         ]
     assert isinstance(g, Product)
     out = [(F(1), [])]
@@ -506,7 +506,7 @@ def _count_kernel_reads(monkeypatch) -> list:
 
 def _soliton(rows, ps, qs):
     rows = tuple(tuple(map(F, row)) for row in rows)
-    return SolitonExponent(rows, tuple(map(F, ps)), tuple(map(F, qs)))
+    return SolitonExponent(tuple(map(F, ps)), tuple(map(F, qs)), rows)
 
 
 def test_soliton_hook_route_matches_the_kernel_route(monkeypatch):
@@ -566,7 +566,7 @@ def _vanishing_solitons() -> list:
         ps, qs = tuple(map(F, ps)), tuple(map(F, qs))
         kernel = [[kernel_pair(n, kfield("psi*", q), kfield("psi", p)) for q in qs] for p in ps]
         a = [[-x for x in row] for row in fraction_matrix_inverse(kernel)]
-        out.append((SolitonExponent(tuple(map(tuple, a)), ps, qs), n))
+        out.append((SolitonExponent(ps, qs, tuple(map(tuple, a))), n))
     return out
 
 
@@ -597,7 +597,8 @@ def test_wick_reader_matches_the_word_by_word_pairing():
         # two one-point solitons with four distinct points
         pair = sol(rng, 2)
         first, second = (
-            SolitonExponent(((pair.a_rows[i][i],),), (pair.ps[i],), (pair.qs[i],)) for i in (0, 1)
+            SolitonExponent((pair.ps[i],), (pair.qs[i],), ((pair.couplings[i][i],),))
+            for i in (0, 1)
         )
         elements.append(Product((sample_linear_word(rng, rng.randint(-1, 1)), first, second)))
     elements += [Product((_field_word(rng), sol(rng, rng.randint(1, 2)))) for _ in range(9)]
