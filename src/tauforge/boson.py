@@ -38,7 +38,7 @@ def bosonize(v: FockVector, family: TimeFamily, depth: int) -> dict[int, Poly]:
     expectation of the sector component."""
     out: dict[int, Poly] = {}
     for l in sorted(v.charges()):
-        val = vacuum_readout(family, v.restrict_charge(l), l, depth)
+        val = vacuum_readout(family, v.restrict_charge(l), l)
         if val:
             out[l] = val
     return out
@@ -398,7 +398,7 @@ def current_expansion_prediction(
 
     deltas = {wb - wk for wb in bra_weights for wk in ket_weights}
 
-    def combo(parts_lists, eps_power, scale):
+    def add_product(parts_lists, eps_power, scale):
         # parts_lists: list of derivative orders, e.g. [1, 1] for phi'^2
         def rec(i, zexp, modes, coeff):
             if i == len(parts_lists):
@@ -421,12 +421,12 @@ def current_expansion_prediction(
 
         rec(0, 0, [], Fraction(1))
 
-    combo([1], 0, Fraction(1))
+    add_product([1], 0, Fraction(1))
     if eps_order >= 1:
-        combo([1, 1], 1, Fraction(1, 2))
-        combo([2], 1, Fraction(1, 2))
+        add_product([1, 1], 1, Fraction(1, 2))
+        add_product([2], 1, Fraction(1, 2))
     if eps_order >= 2:
-        combo([1, 1, 1], 2, Fraction(1, 6))
-        combo([1, 2], 2, Fraction(3, 6))  # ordering merges both arrangements
-        combo([3], 2, Fraction(1, 6))
+        add_product([1, 1, 1], 2, Fraction(1, 6))
+        add_product([1, 2], 2, Fraction(3, 6))  # ordering merges both arrangements
+        add_product([3], 2, Fraction(1, 6))
     return out

@@ -8,10 +8,11 @@ Coefficients are kept in wedge phase, the order of the semi-infinite wedge
 of the occupied modes.  Mode operators flip a bit and current modes hop one,
 each with the wedge sign (-1)^(occupied modes passed), one popcount; no
 operator converts a state.  Each output state's coefficient is one running
-sum (a `polyring._Sum` for polynomials) until the vector is built.  A word
-of mode letters compiles once into bit flips for a whole group of states
-(`_words_into`), and `inner_mode` reads <bra| mode |ket> by one flip and
-one lookup per state of the smaller side, building no vector.
+sum (a `polyring._Sum` for polynomials) until the vector is built.  One
+compiled kernel, `_words_into`, flips every mode operator: a word of mode
+letters (a letter's terms are one-flip words) compiles once into bit flips
+for a whole group of states.  `inner_mode` reads <bra| mode |ket> by one
+flip and one lookup per state of the smaller side, building no vector.
 
 The public basis states are (charge, shape) pairs with the phase of the
 operator construction: hole operators at the Frobenius leg positions,
@@ -312,37 +313,6 @@ def basis_vector(
     return FockVector(window, {(n, shape.parts): Fraction(1)}, dual)
 
 
-def _mode_into(out: dict, kind: str, k: int, v: FockVector, coeff=None) -> None:
-    """Add coeff * (mode operator at k) v into `out` (keyed at v's base):
-    flip bit k with the wedge sign of the occupied modes above k."""
-    window, base = v.window, v.base
-    window.require(k)
-    pos = k - base
-    bit = 1 << pos
-    filling = (kind == "psi") != v.dual
-    for bits, c in v.bits.items():
-        if (bits >> pos & 1) == filling:
-            continue
-        # k lies in the window, so only a source outside it leaves it
-        _check_bits_window(window, base, bits)
-        term = c if coeff is None else c * coeff
-        _add_into(out, bits ^ bit, -term if (bits >> (pos + 1)).bit_count() & 1 else term)
-
-
-def apply_mode(kind: str, k: int, v: FockVector) -> FockVector:
-    out: dict = {}
-    _mode_into(out, kind, k, v)
-    return v._like(out)
-
-
-def apply_psi(k: int, v: FockVector) -> FockVector:
-    return apply_mode("psi", k, v)
-
-
-def apply_psi_star(k: int, v: FockVector) -> FockVector:
-    return apply_mode("psi*", k, v)
-
-
 # A letter is a finite linear combination of same-species mode operators.
 Letter = tuple[tuple[object, str, int], ...]  # ((coeff, kind, mode), ...)
 
@@ -354,15 +324,57 @@ def letter(kind: str, k: int) -> Letter:
     return ((_ONE, kind, k),)
 
 
-def combo(parts: Iterable[tuple[object, str, int]]) -> Letter:
-    return tuple(parts)
+def _outside_window(window: ModeWindow, base: int, states: Iterable[int]) -> list[int]:
+    """The occupation ints of `states`, read from `base`, that leave the
+    window, in order."""
+    fill, top = (1 << (window.lo - base)) - 1, window.hi - base
+    return [b for b in states if b & fill != fill or b >> top]
+
+
+def _words_into(
+    out: dict, words: Iterable[tuple[list, object]], v: FockVector, states: dict
+) -> None:
+    """Add coeff * word |s> (<s| word on bras) into `out` for every (word,
+    coeff) of `words` and every state s of `states` ({bits: amplitude} at
+    v's base), the mode letters (kind, mode) of word in operator-product
+    order: each word compiled once into bit flips (mode bit, fill or
+    empty, the wedge sign of the occupied modes above it) and run on the
+    states in one integer loop.  The window rules keep their order: each
+    mode is required in action order, and a state outside the window
+    raises once the first letter acts on it."""
+    window, base, dual = v.window, v.base, v.dual
+    outside = _outside_window(window, base, states)
+    for word, coeff in words:
+        ops = []  # (mode bit, shift to the modes above it, the bit a state needs)
+        for kind, k in word if dual else word[::-1]:
+            window.require(k)
+            bit, filling = 1 << (k - base), (kind == "psi") != dual
+            if not ops:  # only the first letter meets a source state
+                for bits in outside:
+                    if bool(bits & bit) != filling:
+                        _check_bits_window(window, base, bits)
+            ops.append((bit, k - base + 1, 0 if filling else bit))
+        for bits, amp in states.items():
+            odd = 0
+            for bit, above, need in ops:
+                if bits & bit != need:
+                    break
+                odd += (bits >> above).bit_count()
+                bits ^= bit
+            else:
+                term = amp if coeff is _ONE else amp * coeff  # a mode letter's unit
+                _add_into(out, bits, -term if odd & 1 else term)
 
 
 def apply_letter(lt: Letter, v: FockVector) -> FockVector:
+    """Each term's mode operator as a one-flip word (`_words_into`)."""
     out: dict = {}
-    for coeff, kind, k in lt:
-        _mode_into(out, kind, k, v, coeff)
+    _words_into(out, [([(kind, k)], coeff) for coeff, kind, k in lt], v, v.bits)
     return v._like(out)
+
+
+def apply_mode(kind: str, k: int, v: FockVector) -> FockVector:
+    return apply_letter(letter(kind, k), v)
 
 
 def apply_word(letters: Iterable[Letter], v: FockVector) -> FockVector:
@@ -390,48 +402,6 @@ def inner(bra: FockVector, ket: FockVector):
             _add_into(total, 0, c * d)
     out = total.get(0, Fraction(0))
     return out.poly() if type(out) is _Sum else out
-
-
-def _outside_window(window: ModeWindow, base: int, states: Iterable[int]) -> list[int]:
-    """The occupation ints of `states`, read from `base`, that leave the
-    window, in order."""
-    fill, top = (1 << (window.lo - base)) - 1, window.hi - base
-    return [b for b in states if b & fill != fill or b >> top]
-
-
-def _words_into(
-    out: dict, words: Iterable[tuple[list, object]], v: FockVector, states: dict
-) -> None:
-    """Add coeff * word |s> (<s| word on bras) into `out` for every (word,
-    coeff) of `words` and every state s of `states` ({bits: amplitude} at
-    v's base), as `apply_word` of the mode letters (kind, mode) of word
-    would: each word compiled once into bit flips (mode bit, fill or
-    empty, the wedge sign of the occupied modes above it) and run on the
-    states in one integer loop.  The window rules keep their order: each
-    mode is required in action order, and a state outside the window
-    raises once the first letter acts on it."""
-    window, base, dual = v.window, v.base, v.dual
-    outside = _outside_window(window, base, states)
-    for word, coeff in words:
-        ops = []  # (mode bit, shift to the modes above it, the bit a state needs)
-        for kind, k in word if dual else word[::-1]:
-            window.require(k)
-            bit, filling = 1 << (k - base), (kind == "psi") != dual
-            if not ops:  # only the first letter meets a source state
-                for bits in outside:
-                    if bool(bits & bit) != filling:
-                        _check_bits_window(window, base, bits)
-            ops.append((bit, k - base + 1, 0 if filling else bit))
-        for bits, amp in states.items():
-            odd = 0
-            for bit, above, need in ops:
-                if bits & bit != need:
-                    break
-                odd += (bits >> above).bit_count()
-                bits ^= bit
-            else:
-                term = amp * coeff
-                _add_into(out, bits, -term if odd & 1 else term)
 
 
 def inner_mode(bra: FockVector, kind: str, k: int, ket: FockVector):
@@ -755,12 +725,12 @@ def apply_current_exp(
     return v._like({b >> lift: c for b, c in out.items()})
 
 
-def vacuum_readout(family: TimeFamily, v: FockVector, n: int, depth: int) -> Poly:
+def vacuum_readout(family: TimeFamily, v: FockVector, n: int) -> Poly:
     """<n| exp(sum_k t_k J_k) v, the raising exponential's charge-n vacuum
     component of a ket: the polynomial image of its charge-n sector, and
     the family's zero when that component is absent.  The raising side
-    does not read `depth`: the family's cutoffs truncate the result."""
-    raised = apply_current_exp("raise", family, v, depth)
+    reads no depth: the family's cutoffs truncate the result."""
+    raised = apply_current_exp("raise", family, v, 0)
     return raised.component(n, Partition([])) or family.zero()
 
 

@@ -28,7 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, prod
-from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from tauforge.fock import (
@@ -51,7 +50,7 @@ from tauforge.fock import (
     vacuum,
 )
 from tauforge.partitions import Partition, hook_shape
-from tauforge.polyring import fraction_matrix_det, fraction_matrix_inverse
+from tauforge.polyring import fraction_matmul, fraction_matrix_det, fraction_matrix_inverse
 
 
 class ModeMatrix:
@@ -88,11 +87,6 @@ class ModeMatrix:
 
     def __repr__(self):
         return f"ModeMatrix({self.entries})"
-
-
-def _matmul(a, b):
-    """The product of two dense matrices (lists of rows) of matching shapes."""
-    return [[sum(map(mul, row, col), Fraction(0)) for col in zip(*b)] for row in a]
 
 
 def _dense(mat: ModeMatrix, modes: list[int]) -> list[list[Fraction]]:
@@ -402,10 +396,6 @@ def apply_element(g, v: FockVector) -> FockVector:
     raise TypeError(f"not a group-like element: {g!r}")
 
 
-def matrix_element(bra: FockVector, g, ket: FockVector):
-    return inner(bra, apply_element(g, ket))
-
-
 # -- structure maps -----------------------------------------------------------------
 
 
@@ -532,7 +522,7 @@ def rotation_prime_of(g):
         inv = fraction_matrix_inverse(_one_plus(+1, dense, below, left=False))
     except ZeroDivisionError:
         return None, "no R': singular transform"
-    return _sparse(_matmul(inv, dense), modes, -1), None
+    return _sparse(fraction_matmul(inv, dense), modes, -1), None
 
 
 def reorder(g: NormalOrderedBilinear, target: int | None) -> tuple[Fraction, NormalOrderedBilinear]:
@@ -560,13 +550,13 @@ def reorder(g: NormalOrderedBilinear, target: int | None) -> tuple[Fraction, Nor
         scalar = fraction_matrix_det(ipb)
         if scalar == 0:
             raise ZeroDivisionError("ordering transform is singular")
-        a = _matmul(dense, fraction_matrix_inverse(ipb))
+        a = fraction_matmul(dense, fraction_matrix_inverse(ipb))
         return scalar, NormalOrderedBilinear(_sparse(a, modes), ordering=n0)
     # A given; B = (I - A P)^{-1} A; scalar = det(I - P A)
     scalar = fraction_matrix_det(_one_plus(-1, dense, above, left=True))
     if scalar == 0:
         raise ZeroDivisionError("ordering transform is singular")
-    b = _matmul(fraction_matrix_inverse(_one_plus(-1, dense, above, left=False)), dense)
+    b = fraction_matmul(fraction_matrix_inverse(_one_plus(-1, dense, above, left=False)), dense)
     return scalar, NormalOrderedBilinear(_sparse(b, modes), ordering=None)
 
 
@@ -579,7 +569,7 @@ def compose_bare_ordered(
     modes = sorted(set(gp.mat.modes()) | set(g.mat.modes()))
     bp, b = _dense(gp.mat, modes), _dense(g.mat, modes)
     total = [
-        [x + y + z for x, y, z in zip(*rows)] for rows in zip(b, bp, _matmul(bp, b))
+        [x + y + z for x, y, z in zip(*rows)] for rows in zip(b, bp, fraction_matmul(bp, b))
     ]
     return NormalOrderedBilinear(_sparse(total, modes), ordering=None)
 

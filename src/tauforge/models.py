@@ -352,7 +352,7 @@ def diagonal_model_tau_fock(
     v = project("plus", v, 0)
     mults = tuple((j, model.g(j)) for j in range(0, window.hi))
     v = apply_element(Diagonal(mults, ordered=False), v)
-    return vacuum_readout(family_plus, v, count, depth)
+    return vacuum_readout(family_plus, v, count)
 
 
 def diagonal_model_tau_closed(
@@ -451,7 +451,7 @@ def hermitian_fermionic_tau(count: int, family: TimeFamily, depth: int) -> Poly:
     bare = NormalOrderedBilinear(weight_shift_element(window).bare)
     scalar, g = reorder(bare, count)
     ket = apply_element(g, vacuum(window, count)).scale(scalar)
-    return vacuum_readout(family, ket.truncated(depth), count, depth)
+    return vacuum_readout(family, ket.truncated(depth), count)
 
 
 def hermitian_moment_element(span: int) -> NormalOrderedBilinear:
@@ -476,7 +476,7 @@ def hermitian_two_family_tau(
     v = project("plus", v, 0)
     v = apply_element(hermitian_moment_element(window.hi), v)
     v = project("plus", v, 0)
-    return vacuum_readout(family_plus, v.truncated(depth), count, depth)
+    return vacuum_readout(family_plus, v.truncated(depth), count)
 
 
 # -- cut-and-join family ---------------------------------------------------------------
@@ -519,7 +519,7 @@ def cut_and_join_tau_operator(
     window = window_for([0], depth)
     v = apply_current_exp("lower", family_minus, vacuum(window, 0), depth, scale=-1)
     v = apply_element(cut_and_join_element(e_half_beta, q), v)
-    return vacuum_readout(family_plus, v, 0, depth)
+    return vacuum_readout(family_plus, v, 0)
 
 
 # -- Hamiltonian-evolution tau in the auxiliary times -------------------------------------

@@ -1275,6 +1275,12 @@ def fraction_matrix_det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def fraction_matmul(a, b) -> list[list[Fraction]]:
+    """The product of two dense rational matrices (lists of rows) of
+    matching shapes."""
+    return [[sum(map(mul, row, col), Fraction(0)) for col in zip(*b)] for row in a]
+
+
 def fraction_matrix_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse; raises ZeroDivisionError on singular input."""
     n = len(rows)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tauforge.fock import Letter, combo
+from tauforge.fock import Letter
 from tauforge.grouplike import (
     Diagonal,
     ExponentBilinear,
@@ -43,10 +43,9 @@ def sample_states(rng, count: int, charges=(-1, 0, 1), weight: int = 3):
 
 
 def sample_letter(rng: random.Random, kind: str, lo: int = -4, hi: int = 4) -> Letter:
-    terms = []
-    for _ in range(rng.randint(1, 3)):
-        terms.append((nonzero_rational(rng, 3, 2), kind, rng.randint(lo, hi)))
-    return combo(terms)
+    return tuple(
+        (nonzero_rational(rng, 3, 2), kind, rng.randint(lo, hi)) for _ in range(rng.randint(1, 3))
+    )
 
 
 def banded_matrix(

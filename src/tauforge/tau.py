@@ -44,7 +44,6 @@ from tauforge.grouplike import (
     Product,
     ProjectorElement,
     SolitonExponent,
-    _matmul,
     apply_element,
     charge_of,
 )
@@ -53,6 +52,7 @@ from tauforge.polyring import (
     Poly,
     TimeFamily,
     _Sum,
+    fraction_matmul,
     fraction_matrix_det,
     fraction_matrix_inverse,
     poly_matrix_det,
@@ -234,7 +234,7 @@ class _WickReader:
         if got is None:
             _, b = wick_matrix(n, [s for s in self.inner if s[2] is not None])  # B = I - A P_pq
             c = fraction_matrix_det(b)
-            m = _matmul(fraction_matrix_inverse(b), self.couplings) if c else None
+            m = fraction_matmul(fraction_matrix_inverse(b), self.couplings) if c else None
             got = self.vacua[n] = (c, m)
         return got
 
@@ -394,7 +394,7 @@ def expand_mkp_direct(
         return correlator_exact(n, [g], n - q, family=family)
     window = window or window_for_element(g, (n, n - q), depth)
     ket = apply_element(g, vacuum(window, n - q))
-    return vacuum_readout(family, ket.restrict_charge(n).truncated(depth), n, depth)
+    return vacuum_readout(family, ket.restrict_charge(n).truncated(depth), n)
 
 
 def expand_2dtl(

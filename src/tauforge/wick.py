@@ -396,7 +396,7 @@ def correlator_window(
 # -- Wick determinant forms ---------------------------------------------------------
 
 
-def wick_standard(window: ModeWindow, n: int, vs: Sequence[Letter], ws: Sequence[Letter]):
+def wick_standard(n: int, vs: Sequence[Letter], ws: Sequence[Letter]):
     """<n| v_1..v_m w*_m..w*_1 |n> as the pair-correlator determinant."""
     m = len(vs)
     if len(ws) != m:
@@ -450,68 +450,55 @@ def three_term_column_identity(window: ModeWindow, g, n: int, l: int, w: Letter)
     return lhs == rhs
 
 
+# arrangement -> (its point counts (m zs, l zetas), its sign against the mixed form)
+_ARRANGEMENTS = {
+    "stars_first": (lambda m, l: m == l, lambda m, l: 1),
+    "fields_first": (lambda m, l: m == l, lambda m, l: (-1) ** m),
+    "charged_psi": (lambda m, l: l == 0, lambda m, l: 1),
+    "charged_star": (lambda m, l: m == 0, lambda m, l: (-1) ** (l * (l - 1) // 2)),
+    "mixed_charged": (lambda m, l: True, lambda m, l: 1),
+}
+
+
 def vacuum_kernel(
     n: int,
     zs: Sequence[Fraction],
     zetas: Sequence[Fraction],
     arrangement: str,
 ):
-    """Closed-form multi-point vacuum kernels at rational points.
+    """Closed-form multi-point vacuum kernels at rational points: one mixed
+    form, V(z) V(zeta reversed) / prod(zeta_j - z_i) * prod z^n * prod
+    zeta^(1-n) with V the Vandermonde prod_(i<j) (x_i - x_j), times one
+    sign per arrangement.
 
-    arrangement:
-      "stars_first":  <n| psi*(zeta_1)..psi*(zeta_m) psi(z_m)..psi(z_1) |n>
-      "fields_first": <n| psi(z_1)..psi(z_m) psi*(zeta_m)..psi*(zeta_1) |n>
-      "charged_psi":  <n+m| psi(z_1)..psi(z_m) |n>   (zetas empty)
-      "charged_star": <n-m| psi*(zeta_1)..psi*(zeta_m) |n>  (zs empty)
-      "mixed_charged": <n+l| psi*(zeta_{m-l})..psi*(zeta_1) psi(z_1)..psi(z_m) |n>
+    arrangement (sign):
+      "stars_first":  <n| psi*(zeta_1)..psi*(zeta_m) psi(z_m)..psi(z_1) |n>  (1)
+      "fields_first": <n| psi(z_1)..psi(z_m) psi*(zeta_m)..psi*(zeta_1) |n>  ((-1)^m)
+      "charged_psi":  <n+m| psi(z_1)..psi(z_m) |n>   (zetas empty; 1)
+      "charged_star": <n-l| psi*(zeta_1)..psi*(zeta_l) |n>  (zs empty; (-1)^(l(l-1)/2))
+      "mixed_charged": <n+m-l| psi*(zeta_l)..psi*(zeta_1) psi(z_1)..psi(z_m) |n>  (1)
     """
-    zs = [Fraction(z) for z in zs]
-    zetas = [Fraction(z) for z in zetas]
-
-    def vander(points):
-        out = Fraction(1)
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                out *= points[i] - points[j]
-        return out
-
-    if arrangement in ("stars_first", "fields_first"):
-        m = len(zs)
-        assert len(zetas) == m
-        num = vander(zs) * vander(list(reversed(zetas)))
-        den = Fraction(1)
-        for zet in zetas:
-            for z in zs:
-                den *= (zet - z) if arrangement == "stars_first" else (z - zet)
-        out = num / den
-        for z, zet in zip(zs, zetas):
-            out *= z**n * zet ** (1 - n)
-        return out
-    if arrangement == "charged_psi":
-        out = vander(zs)
+    if arrangement not in _ARRANGEMENTS:
+        raise ValueError(f"unknown arrangement {arrangement!r}")
+    fits, sign = _ARRANGEMENTS[arrangement]
+    zs, zetas = [Fraction(z) for z in zs], [Fraction(z) for z in zetas]
+    m, l = len(zs), len(zetas)
+    if not fits(m, l):
+        raise ValueError(f"{arrangement} takes no {m} points z and {l} points zeta")
+    out, den = Fraction(sign(m, l)), Fraction(1)
+    for points in (zs, zetas[::-1]):  # the two Vandermonde factors
+        for i, x in enumerate(points):
+            for y in points[i + 1 :]:
+                out *= x - y
+    for zet in zetas:
         for z in zs:
-            out *= z**n
-        return out
-    if arrangement == "charged_star":
-        out = vander(zetas)
-        for z in zetas:
-            out *= z ** (1 - n)
-        return out
-    if arrangement == "mixed_charged":
-        m = len(zs)
-        ml = len(zetas)
-        num = vander(zs) * vander(list(reversed(zetas)))
-        den = Fraction(1)
-        for zet in zetas:
-            for z in zs:
-                den *= zet - z
-        out = num / den
-        for z in zs:
-            out *= z**n
-        for zet in zetas:
-            out *= zet ** (1 - n)
-        return out
-    raise ValueError(f"unknown arrangement {arrangement!r}")
+            den *= zet - z
+    out /= den
+    for z in zs:
+        out *= z**n
+    for zet in zetas:
+        out *= zet ** (1 - n)
+    return out
 
 
 # side -> (charge step of each inserted letter, letters left of g)

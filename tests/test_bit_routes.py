@@ -1,15 +1,20 @@
 """Differential tests for the Fock routes on occupation bits.
 
-`grouplike._apply_ordered_exponent` compiles each minor's mode word once per
-state group into bit flips (`fock._words_into`), and `bbc_check` reads each
-exchange term <X| psi_k |Y> by one bit flip and one lookup
-(`fock.inner_mode`).  The references below are the routes these replaced,
-copied here: one `apply_word` per minor on the group's vector, and
-`inner(bra, apply_mode(kind, k, ket))` per term.  Both sides must give
-equal values, or raise the same exception with the same message, on
-exponent, bare and vacuum-ordered bilinears, kets and bras, multi-state
-vectors with polynomial coefficients, odd-sign shapes and states outside
-the window.
+Every mode operator runs on one compiled kernel (`fock._words_into`):
+`apply_letter`, `apply_mode`, `apply_word` and a `LinearWord` hand it
+one-flip words, and `grouplike._apply_ordered_exponent` compiles each
+minor's mode word once per state group.  `bbc_check` reads each exchange
+term <X| psi_k |Y> by one bit flip and one lookup (`fock.inner_mode`).
+
+The references below are the routes these replaced, copied here: the
+interpreted flip of one mode operator over a vector's states
+(`ref_mode_into`) and the letters and words built on it, one reference
+word per minor on the group's vector, and `inner(bra, ref_apply_mode(kind,
+k, ket))` per exchange term.  Both sides must give equal values, or raise
+the same exception with the same message, on exponent, bare and
+vacuum-ordered bilinears, letters with several terms and repeated modes,
+kets and bras, multi-state vectors with polynomial coefficients, odd-sign
+shapes and states outside the window.
 """
 
 from fractions import Fraction as F
@@ -21,9 +26,11 @@ from hypothesis import strategies as st
 from tauforge.fock import (
     FockVector,
     ModeWindow,
+    _add_into,
+    _check_bits_window,
     _occupied,
     accumulate,
-    apply_mode,
+    apply_letter,
     apply_word,
     basis_vector,
     creates,
@@ -52,8 +59,46 @@ assert any(sign_exponent(p) & 1 for p in SHAPES)  # odd-sign shapes are drawn
 # -- references: the routes before bit compilation ------------------------------------
 
 
+def ref_mode_into(out, kind, k, v, coeff=None):
+    """Add coeff * (mode operator at k) v into `out` (keyed at v's base):
+    flip bit k with the wedge sign of the occupied modes above k."""
+    window, base = v.window, v.base
+    window.require(k)
+    pos = k - base
+    bit = 1 << pos
+    filling = (kind == "psi") != v.dual
+    for bits, c in v.bits.items():
+        if (bits >> pos & 1) == filling:
+            continue
+        # k lies in the window, so only a source outside it leaves it
+        _check_bits_window(window, base, bits)
+        term = c if coeff is None else c * coeff
+        _add_into(out, bits ^ bit, -term if (bits >> (pos + 1)).bit_count() & 1 else term)
+
+
+def ref_apply_mode(kind, k, v):
+    out = {}
+    ref_mode_into(out, kind, k, v)
+    return v._like(out)
+
+
+def ref_apply_letter(lt, v):
+    out = {}
+    for coeff, kind, k in lt:
+        ref_mode_into(out, kind, k, v, coeff)
+    return v._like(out)
+
+
+def ref_apply_word(letters, v):
+    """Operator-product order: the rightmost letter hits a ket first."""
+    seq = list(letters)
+    for lt in seq if v.dual else seq[::-1]:
+        v = ref_apply_letter(lt, v)
+    return v
+
+
 def ref_ordered_exponent(entries, ordering, v):
-    """One `apply_word` per nonzero minor on each state group's vector."""
+    """One reference word per nonzero minor on each state group's vector."""
     top = inf if ordering is None else ordering
     base, dual = v.base, v.dual
 
@@ -79,7 +124,7 @@ def ref_ordered_exponent(entries, ordering, v):
                     passed += len(annihilated)
                 else:
                     annihilated.append(letter(kind, at))
-            accumulate(out, apply_word(created + annihilated, sv), -det if passed % 2 else det)
+            accumulate(out, ref_apply_word(created + annihilated, sv), -det if passed % 2 else det)
     return v._like(out)
 
 
@@ -95,12 +140,12 @@ def ref_bbc_check(g, window, quadruples, apply_fn=None):
         u_g, u2_g = apply_fn(g, bra_u), apply_fn(g, bra_u2)
         lhs = rhs = F(0)
         for k in range(window.lo, window.hi):
-            t1 = inner(bra_u, apply_mode("psi", k, g_v))
+            t1 = inner(bra_u, ref_apply_mode("psi", k, g_v))
             if t1 != 0:
-                lhs += t1 * inner(bra_u2, apply_mode("psi*", k, g_v2))
-            t1 = inner(u_g, apply_mode("psi", k, ket_v))
+                lhs += t1 * inner(bra_u2, ref_apply_mode("psi*", k, g_v2))
+            t1 = inner(u_g, ref_apply_mode("psi", k, ket_v))
             if t1 != 0:
-                rhs += t1 * inner(u2_g, apply_mode("psi*", k, ket_v2))
+                rhs += t1 * inner(u2_g, ref_apply_mode("psi*", k, ket_v2))
         if lhs != rhs:
             return ((nu, lu), (nu2, lu2), (nv, lv), (nv2, lv2))
     return None
@@ -172,6 +217,31 @@ def test_compiled_words_match_one_vector_per_minor(exponent, window, dual, data)
         assert got.dual == dual and got.base == v.base
 
 
+@st.composite
+def mode_letters(draw):
+    """A letter of one species with up to three terms, rational or
+    polynomial coefficients, and, one time in three, its first mode
+    repeated."""
+    kind = draw(st.sampled_from(("psi", "psi*")))
+    ks = draw(st.lists(modes, min_size=1, max_size=3))
+    if draw(st.integers(0, 2)) == 0:
+        ks.append(ks[0])
+    return tuple((draw(st.one_of(rationals, polys)), kind, k) for k in ks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows, st.booleans(), st.lists(mode_letters(), min_size=1, max_size=3), st.data())
+def test_mode_letters_match_the_interpreted_flip(window, dual, word, data):
+    v = data.draw(vectors(window, dual))
+    want = outcome(ref_apply_letter, word[0], v)
+    assert outcome(apply_letter, word[0], v) == want
+    want = outcome(ref_apply_word, word, v)
+    assert outcome(apply_word, word, v) == want
+    assert outcome(apply_element, LinearWord(tuple(word)), v) == want
+    if isinstance(want, FockVector):
+        assert apply_word(word, v).base == want.base
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     windows,
@@ -186,13 +256,13 @@ def test_mode_lookup_matches_the_built_vector(window, kind, bra_size, ket_size, 
     k = data.draw(st.integers(window.lo - 1, window.hi))
     ket = data.draw(vectors(window, False, size=ket_size))
     bra = data.draw(state_dicts(window, size=bra_size))
-    reached = outcome(lambda: apply_mode(kind, k, ket).states)
+    reached = outcome(lambda: ref_apply_mode(kind, k, ket).states)
     for state in reached if isinstance(reached, dict) else ():
         if data.draw(st.booleans()):
             bra[state] = data.draw(st.one_of(rationals, polys))
     bra = FockVector(window, bra, dual=True)
     assert outcome(inner_mode, bra, kind, k, ket) == outcome(
-        lambda: inner(bra, apply_mode(kind, k, ket))
+        lambda: inner(bra, ref_apply_mode(kind, k, ket))
     )
 
 
@@ -210,7 +280,7 @@ def test_mode_lookup_reads_each_stored_coefficient():
             for kind in ("psi", "psi*"):
                 for k in range(w.lo, w.hi):
                     got.append(inner_mode(b, kind, k, v))
-                    assert got[-1] == inner(b, apply_mode(kind, k, v))
+                    assert got[-1] == inner(b, ref_apply_mode(kind, k, v))
     assert sum(1 for x in got if x) == 8
 
 
@@ -228,7 +298,7 @@ def test_mode_lookup_keeps_the_composition_errors():
         (bra, "psi", 0, bra),
     ]:
         got = outcome(inner_mode, *args)
-        assert got == outcome(lambda: inner(args[0], apply_mode(*args[1:])))
+        assert got == outcome(lambda: inner(args[0], ref_apply_mode(*args[1:])))
     assert outcome(inner_mode, bra, "psi*", 1, spill)[0].__name__ == "WindowViolation"
     assert outcome(inner_mode, bra, "psi", 1, spill) == 0
 
@@ -249,8 +319,8 @@ def fake_apply(_, v):
     """`test_bbc_negative_control`'s non-group-like map: 1 + two bilinears."""
     return (
         v
-        + apply_word([letter("psi*", 1), letter("psi", 0)], v)
-        + apply_word([letter("psi*", -1), letter("psi", 2)], v)
+        + ref_apply_word([letter("psi*", 1), letter("psi", 0)], v)
+        + ref_apply_word([letter("psi*", -1), letter("psi", 2)], v)
     )
 
 

@@ -481,6 +481,20 @@ def test_point_field_products_take_the_kernel_route(capsys):
         assert "bad --element" in msg and "no exact route" in msg
 
 
+def test_expand_rejects_a_window_for_a_soliton(capsys):
+    # Wick's theorem reads no window: the flag used to be ignored, exit 0
+    argv = ["expand", "--cutoff", "4", "--element", json.dumps(soliton_spec()), "--window=0..1"]
+    msg = usage_error(capsys, argv)
+    assert msg == "tau-forge: error: --window does not apply to a point-field --element"
+
+
+def test_expand_rejects_a_window_for_a_product_of_solitons(capsys):
+    product = {"kind": "product", "factors": [soliton_spec(), soliton_spec("1/5", "1/7")]}
+    for window in ("0..1", "-9..9"):
+        argv = ["expand", "--cutoff", "4", "--element", json.dumps(product), f"--window={window}"]
+        assert usage_error(capsys, argv).endswith("--window does not apply to a point-field --element")
+
+
 def outcome(capsys, argv) -> tuple:
     """(exit code, stdout, stderr) of one command, usage errors included."""
     try:

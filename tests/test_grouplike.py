@@ -10,12 +10,12 @@ from tauforge import grouplike
 from tauforge.fock import (
     FockVector,
     ModeWindow,
-    apply_mode,
     apply_diagonal_multipliers,
+    apply_mode,
     apply_normal_ordered_word,
-    apply_psi_star,
     apply_word,
     basis_vector,
+    inner,
     letter,
     occupancy,
     vacuum,
@@ -35,7 +35,6 @@ from tauforge.grouplike import (
     charge_of,
     compose_bare_ordered,
     exponent_to_bare,
-    matrix_element,
     reconstruct_exponential,
     reorder,
     rotation_of,
@@ -113,12 +112,12 @@ def _check_rotation(g, rng, count=6):
     assert corr is not None, why
     for n, lam in sample_states(rng, count, weight=2):
         v = basis_vector(W, n, lam)
-        lhs = apply_element(g, apply_psi_star(n + lam.part(1) - 1, v))
+        lhs = apply_element(g, apply_mode("psi*", n + lam.part(1) - 1, v))
         k = n + lam.part(1) - 1
-        rhs = apply_psi_star(k, apply_element(g, v))
+        rhs = apply_mode("psi*", k, apply_element(g, v))
         for (l, kk), c in corr.entries.items():
             if kk == k:
-                rhs = rhs + apply_psi_star(l, apply_element(g, v)).scale(c)
+                rhs = rhs + apply_mode("psi*", l, apply_element(g, v)).scale(c)
         assert lhs == rhs
 
 
@@ -327,7 +326,7 @@ def test_charges():
 
 def test_matrix_element_helper():
     g = Diagonal(((0, F(3)),), ordered=False)
-    got = matrix_element(vacuum(W, 1, dual=True), g, vacuum(W, 1))
+    got = inner(vacuum(W, 1, dual=True), apply_element(g, vacuum(W, 1)))
     assert got == 3  # mode 0 occupied at charge 1
 
 

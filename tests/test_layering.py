@@ -19,16 +19,23 @@ and polynomials from them with `Poly.from_numerators`.
 
 The point-field mode rules have one home too: only `wick` defines or
 reads `field_mode`, `point_power` and `_falling`.
+
+The benchmark harness under `perfbench/` calls `tauforge` by name, and its
+tracer wraps named entry points in their home modules; every such name must
+still exist, so a deletion the benchmark needs fails here.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "tauforge"
+PERFBENCH = ROOT / "perfbench"
 
 # (importing module, imported module) for each import at call time that
 # points back up the module-level graph
@@ -71,7 +78,6 @@ PRIVATE_IMPORTS = {
     ("schur", "fock", "_state_of_bits"): "the raised bra's bit states name their shapes",
     ("tau", "fock", "_check_state_window"): "a one-shape read checks its shape against the window",
     ("tau", "fock", "_state_of_bits"): "a ket's bit states name their shapes",
-    ("tau", "grouplike", "_matmul"): "the Wick reader's coupled block M = B^-1 A",
     ("tau", "polyring", "_Sum"): _SUM,
     ("wick", "polyring", "_Sum"): _SUM,
 }
@@ -244,3 +250,51 @@ def module_memos(path):
 def test_module_level_memos_are_listed():
     found = set().union(*(module_memos(path) for path in PACKAGE.glob("*.py")))
     assert found == MEMOS.keys()
+
+
+def perfbench_reads(path) -> set[tuple[str, str]]:
+    """(module, attribute) for every `tauforge` module attribute a script
+    reads: `module.name` or `self.module.name` on a module it imports with
+    `from tauforge import ...`."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tauforge"
+        for a in node.names
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name):
+            module = owner.id
+        elif isinstance(owner, ast.Attribute) and ast.unparse(owner.value) == "self":
+            module = owner.attr
+        else:
+            continue
+        if module in modules:
+            found.add((module, node.attr))
+    return found
+
+
+def test_names_the_benchmark_needs_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # raises on a planned name missing from its home module
+        assert tracer._patched
+    finally:
+        tracer.uninstall()
+    assert not tracer._patched
+    reads = perfbench_reads(PERFBENCH / "worker.py") | perfbench_reads(PERFBENCH / "references.py")
+    assert len(reads) >= 20  # the scripts' reads were found at all
+    missing = [
+        f"{m}.{name}"
+        for m, name in sorted(reads)
+        if not hasattr(importlib.import_module(f"tauforge.{m}"), name)
+    ]
+    assert not missing, f"perfbench reads names tauforge no longer has: {missing}"

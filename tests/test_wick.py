@@ -180,6 +180,16 @@ def test_multipoint_kernels_and_pads():
     assert got == vacuum_kernel(0, zs[:2], zetas[:1], "mixed_charged")
 
 
+def test_vacuum_kernel_arrangements_keep_their_point_counts():
+    # stars_first and fields_first pair m points with m, charged_psi takes
+    # no zetas and charged_star no zs; only mixed_charged takes any counts
+    zs, zetas = [F(1, 3), F(1, 5)], [F(1, 2)]
+    for arrangement in ("stars_first", "fields_first", "charged_psi", "charged_star", "other"):
+        with pytest.raises(ValueError):
+            vacuum_kernel(0, zs, zetas, arrangement)
+    assert vacuum_kernel(0, zs, zetas, "mixed_charged")
+
+
 def test_dressed_mode_correlator_gives_generators():
     # <0| psi*_i [raising exp] psi_j |0> = h_{j-i}(t) for i, j >= 0
     fam = standard_single_family(6)
@@ -219,7 +229,7 @@ def test_wick_standard_matches_direct():
                 ws = [sample_letter(rng, "psi*") for _ in range(m)]
                 word = vs + list(reversed(ws))
                 direct = vev(W, n, word)
-                assert wick_standard(W, n, vs, ws) == direct
+                assert wick_standard(n, vs, ws) == direct
 
 
 def test_wick_standard_antisymmetry():
