@@ -33,7 +33,7 @@ from tauforge.polyring import Poly, TimeFamily
 # -- the polynomial-space map -------------------------------------------------
 
 
-def bosonize(v: FockVector, family: TimeFamily, depth: int) -> dict[int, Poly]:
+def bosonize(v: FockVector, family: TimeFamily) -> dict[int, Poly]:
     """Charge-indexed polynomial image: sector l maps to the raising
     expectation of the sector component."""
     out: dict[int, Poly] = {}
@@ -44,12 +44,12 @@ def bosonize(v: FockVector, family: TimeFamily, depth: int) -> dict[int, Poly]:
     return out
 
 
-def current_image_check(k: int, v: FockVector, family: TimeFamily, depth: int) -> bool:
+def current_image_check(k: int, v: FockVector, family: TimeFamily) -> bool:
     """The current mode acts on the polynomial image as: d/dt_k for k > 0,
     charge multiplication at k = 0, and multiplication by |k| t_|k| for
     k < 0 (verified sector by sector)."""
-    lhs = bosonize(apply_current(k, v), family, depth)
-    image = bosonize(v, family, depth)
+    lhs = bosonize(apply_current(k, v), family)
+    image = bosonize(v, family)
     rhs: dict[int, Poly] = {}
     for l, poly in image.items():
         if k > 0:
@@ -112,11 +112,7 @@ def vertex_apply(
 
 
 def field_image(
-    kind: str,
-    v: FockVector,
-    family: TimeFamily,
-    depth: int,
-    exp_window: tuple[int, int],
+    kind: str, v: FockVector, family: TimeFamily, exp_window: tuple[int, int]
 ) -> VertexState:
     """Spectral-coefficient family of the field applied in the fermion
     picture, then bosonized: for "psi" the coefficient of exponent e is
@@ -128,7 +124,7 @@ def field_image(
         hit = apply_mode(kind, mode, v)
         if hit.is_zero:
             continue
-        for l, poly in bosonize(hit, family, depth).items():
+        for l, poly in bosonize(hit, family).items():
             out[(l, e)] = poly
     return out
 
@@ -141,11 +137,9 @@ def correspondence_check(
 ) -> bool:
     """Both fields agree with their vertex operators on the polynomial
     image, coefficient-by-coefficient over the exponent window."""
-    image: VertexState = {
-        (l, 0): poly for l, poly in bosonize(v, family, depth).items()
-    }
+    image: VertexState = {(l, 0): poly for l, poly in bosonize(v, family).items()}
     for kind in ("psi", "psi*"):
-        via_fock = field_image(kind, v, family, depth, exp_window)
+        via_fock = field_image(kind, v, family, exp_window)
         via_vertex = vertex_apply(kind, image, family, depth, exp_window)
         if via_fock != via_vertex:
             return False

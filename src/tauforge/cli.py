@@ -383,7 +383,7 @@ WICK_DRAWS = 60
 
 
 def _suite_wick(depth: int, rng) -> list[CheckReport]:
-    window = ModeWindow(-8 - depth, 8 + depth)
+    window = _sampled_window(depth)
     ok = True
     detail = None
     for _ in range(10):
@@ -413,24 +413,14 @@ def _suite_wick(depth: int, rng) -> list[CheckReport]:
         q = charge_of(g)
 
         def evaluate(v, w):
-            items = []
-            if v is not None:
-                items.append(("letter", v))
-            if w is not None:
-                items.append(("letter", w))
-            items.append(g)
-            return correlator_window(window, n, items, n - q)
+            items = [lt for lt in (v, w) if lt is not None]
+            return correlator_window(window, n, items + [g], n - q)
 
         try:
-            predicted = wick_generalized(evaluate, n, vs, ws)
+            predicted = wick_generalized(evaluate, vs, ws)
         except ZeroDivisionError:
             continue
-        direct = correlator_window(
-            window,
-            n,
-            [("letter", v) for v in vs] + [("letter", w) for w in reversed(ws)] + [g],
-            n - q,
-        )
+        direct = correlator_window(window, n, vs + ws[::-1] + [g], n - q)
         if predicted != direct:
             ok2 = False
             break
@@ -442,7 +432,7 @@ def _suite_wick(depth: int, rng) -> list[CheckReport]:
 
 
 def _suite_bbc(depth: int, rng) -> list[CheckReport]:
-    window = ModeWindow(-8 - depth, 8 + depth)
+    window = _sampled_window(depth)
     failures = []
     for _ in range(12):
         g = sample_element(rng)
@@ -453,7 +443,7 @@ def _suite_bbc(depth: int, rng) -> list[CheckReport]:
 
 
 def _suite_charge(depth: int, rng) -> list[CheckReport]:
-    window = ModeWindow(-8 - depth, 8 + depth)
+    window = _sampled_window(depth)
     failures = []
     for _ in range(12):
         g = sample_element(rng)
@@ -476,6 +466,11 @@ def _suite_tau_routes(depth: int, rng) -> list[CheckReport]:
         if series.poly != direct:
             failures.append({"charge": n})
     return [CheckReport("tau_route_equality", not failures, depth, failures or None)]
+
+
+def _sampled_window(depth: int) -> ModeWindow:
+    """The window of the sampled suites (wick, bbc, charge) at a cutoff."""
+    return ModeWindow(-8 - depth, 8 + depth)
 
 
 # suite name -> (least --cutoff, runner); a weight cutoff is >= 0, and

@@ -313,8 +313,11 @@ def basis_vector(
     return FockVector(window, {(n, shape.parts): Fraction(1)}, dual)
 
 
-# A letter is a finite linear combination of same-species mode operators.
-Letter = tuple[tuple[object, str, int], ...]  # ((coeff, kind, mode), ...)
+# A letter is a finite linear combination of same-species fermions, the
+# package's one letter type: terms (coeff, kind, at), `at` an int mode or a
+# (point, order) pair for the order-th z-derivative of the field at a
+# rational point.  Only mode terms act on a window; `wick` pairs both.
+Letter = tuple[tuple[object, str, object], ...]
 
 _ONE = Fraction(1)  # shared by every single-mode letter
 _ZERO = Fraction(0)

@@ -217,15 +217,13 @@ class StateProjector:
     bra_shape: Partition
 
 
-FieldTerm = tuple[Fraction, str, Fraction, int]  # (coeff, kind, point, d/dz order)
-
-
 @dataclass(frozen=True)
 class FieldWord:
     """Product of linear combinations of point-evaluated fermion fields
-    (with derivative orders), read by Wick's theorem (`wick`) only."""
+    (with derivative orders), letters whose terms are at (point, order)
+    pairs, read by Wick's theorem (`wick`) only."""
 
-    letters: tuple[tuple[FieldTerm, ...], ...]
+    letters: tuple[Letter, ...]
 
 
 @dataclass(frozen=True)

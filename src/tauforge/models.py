@@ -216,7 +216,7 @@ def field_word(points_orders: Sequence[tuple[str, Fraction, Sequence[Fraction]]]
     letters = []
     for kind, point, coeffs in points_orders:
         terms = tuple(
-            (Fraction(c), kind, Fraction(point), m)
+            (Fraction(c), kind, (Fraction(point), m))
             for m, c in enumerate(coeffs)
             if c != 0
         )

@@ -6,8 +6,9 @@ reader of coefficients takes them from one `coefficient_reader`.  The
 reader picks the route once: a window-representable element is applied
 once per (charge, source) and each bra shape read off that ket; a
 point-field element (a soliton exponent, a field word, a product with
-them) is read by Wick's theorem on its layout (`wick.wick_layout`), one
-bordered determinant per read, taken as c det(P_ff + P_fq M P_pf) with
+them) is read by Wick's theorem on its layout (`wick.wick_layout`) with
+the basis letters of `fock.frobenius_word` as they are, one bordered
+determinant per read, taken as c det(P_ff + P_fq M P_pf) with
 c = det(I - A P_pq) and M = (I - A P_pq)^-1 A formed once per charge.
 Each pair value of that Schur complement is memoized in one letter table
 per (charge, source), so a read is c times one minor of the table, as in
@@ -31,6 +32,7 @@ from tauforge.fock import (
     _state_of_bits,
     basis_vector,
     frobenius_word,
+    letter,
     vacuum,
     vacuum_readout,
     window_for,
@@ -60,9 +62,7 @@ from tauforge.polyring import (
 from tauforge.schur import double_schur_sum, schur_jt
 from tauforge.wick import (
     correlator_exact,
-    from_mode_letter,
     interleave_sign,
-    kmode,
     oriented_pair,
     vacuum_pad,
     wick_layout,
@@ -98,16 +98,6 @@ def mode_support(g) -> list[int]:
 
 def window_for_element(g, charges, depth: int) -> ModeWindow:
     return window_for(list(charges) + mode_support(g), depth)
-
-
-def bra_letters(shape: Partition, n: int) -> list:
-    """Kernel letters of the basis bra, from `fock.frobenius_word`."""
-    return [from_mode_letter(lt) for lt in frobenius_word(shape, n, dual=True)]
-
-
-def ket_letters(shape: Partition, n: int) -> list:
-    """Kernel letters building the basis ket from its vacuum."""
-    return [from_mode_letter(lt) for lt in frobenius_word(shape, n)]
 
 
 _EMPTY = Partition([])
@@ -254,7 +244,7 @@ class _WickReader:
         """`letter` of the bra's psi*_(n+k) (arm k) or psi_(n-k-1) (leg k)."""
         got = self.bras.get((n, kind, k))
         if got is None:
-            slot = ((kmode(kind, n + k if kind == "psi*" else n - k - 1),), kind, None, 0)
+            slot = (letter(kind, n + k if kind == "psi*" else n - k - 1), kind, None, 0)
             got = self.bras[(n, kind, k)] = self.letter(n, slot, -1)
         return got
 
@@ -286,7 +276,7 @@ class _WickTable:
         self.n = n
         self.c = reader.vacuum_data(n)[0]
         self.sign = -1 if source.sign_exponent() & 1 else 1
-        self.outer = wick_layout(ket_letters(source, n - reader.q) + vacuum_pad(n, n - reader.q))
+        self.outer = wick_layout(frobenius_word(source, n - reader.q) + vacuum_pad(n, n - reader.q))
         slots = reader.own + [(s, len(reader.inner)) for s in self.outer]
         self.fixed = [reader.letter(n, s, at) for s, at in slots]
         self.kinds = [s[1] for s, _, _ in self.fixed]

@@ -1,6 +1,9 @@
 """Determinant evaluation of fermionic correlators.
 
-Two evaluation routes coexist and cross-check each other:
+A letter is a `fock.Letter` throughout: terms (coeff, kind, at) whose `at`
+is an int mode or a (point, order) pair, the order-th z-derivative of the
+field at a rational point.  Two evaluation routes take one item list,
+elements and bare letters, and cross-check each other:
 
 * the window route applies operators to finite Fock vectors (exact for
   mode letters and every window element; point fields have no window route);
@@ -102,50 +105,36 @@ def _field_field_kernel(
 
 # -- kernel letters -----------------------------------------------------------
 
-# ("mode", j) or ("field", point, order); terms carry rational or
-# polynomial coefficients.
-KTerm = tuple[object, str, tuple]
-KLetter = tuple[KTerm, ...]
+
+def kfield(kind: str, point, order: int = 0, coeff=Fraction(1)) -> tuple:
+    """One letter term: the order-th z-derivative of the field at `point`."""
+    return (coeff, kind, (Fraction(point), order))
 
 
-def kmode(kind: str, j: int, coeff=Fraction(1)) -> KTerm:
-    return (coeff, kind, ("mode", j))
-
-
-def kfield(kind: str, point, order: int = 0, coeff=Fraction(1)) -> KTerm:
-    return (coeff, kind, ("field", Fraction(point), order))
-
-
-def from_mode_letter(lt: Letter) -> KLetter:
-    return tuple((c, kind, ("mode", j)) for c, kind, j in lt)
-
-
-def kernel_pair(n: int, a: KTerm, b: KTerm) -> Fraction:
-    """Ordered vacuum pair value <n| a b |n> for two single terms
-    (coefficients excluded)."""
-    _, kind_a, spec_a = a
-    _, kind_b, spec_b = b
+def kernel_pair(n: int, a: tuple, b: tuple) -> Fraction:
+    """Ordered vacuum pair value <n| a b |n> for two single letter terms
+    (coefficients excluded); an int `at` is a mode, a pair a field."""
+    _, kind_a, at_a = a
+    _, kind_b, at_b = b
     if kind_a == kind_b:
         return Fraction(0)
-    if spec_a[0] == "mode" or spec_b[0] == "mode":
+    mode_a, mode_b = type(at_a) is int, type(at_b) is int
+    if mode_a or mode_b:
         # mode j pairs when the right-hand letter's mode-j part creates on
         # |n>: with its conjugate mode, or by the field's mode-j coefficient
-        j = spec_b[1] if spec_b[0] == "mode" else spec_a[1]
+        j = at_b if mode_b else at_a
         if not creates(kind_b, j, n):
             return Fraction(0)
-        if spec_a[0] == spec_b[0]:
-            return Fraction(1) if spec_a[1] == j else Fraction(0)
-        kind, (_, point, order) = (kind_a, spec_a) if spec_a[0] == "field" else (kind_b, spec_b)
+        if mode_a and mode_b:
+            return Fraction(1) if at_a == j else Fraction(0)
+        kind, (point, order) = (kind_b, at_b) if mode_a else (kind_a, at_a)
         return field_mode(kind, point, order, j)
-    # field-field
-    pa, ra = spec_a[1], spec_a[2]
-    pb, rb = spec_b[1], spec_b[2]
     if kind_a == "psi":
-        return _field_field_kernel(n, "psi", pa, ra, pb, rb)
-    return _field_field_kernel(n, "psi*", pb, rb, pa, ra)
+        return _field_field_kernel(n, "psi", *at_a, *at_b)
+    return _field_field_kernel(n, "psi*", *at_b, *at_a)
 
 
-def letter_pair(n: int, a: KLetter, b: KLetter):
+def letter_pair(n: int, a: Letter, b: Letter):
     """<n| a b |n> for two letters, their coefficients included; a rational
     coefficient 1 is not multiplied in."""
     terms = []
@@ -159,7 +148,7 @@ def letter_pair(n: int, a: KLetter, b: KLetter):
     return sum(terms[1:], terms[0]) if terms else Fraction(0)
 
 
-def kernel_vev(n: int, letters: Sequence[KLetter]):
+def kernel_vev(n: int, letters: Sequence[Letter]):
     """<n| word |n> by recursive pairing with closed-form pair kernels.
 
     The first unpaired letter pairs with each later one in turn, the sign
@@ -195,19 +184,19 @@ def kernel_vev(n: int, letters: Sequence[KLetter]):
     return rec((1 << len(letters)) - 1)
 
 
-def vacuum_pad(n_left: int, n_right: int) -> list[KLetter]:
+def vacuum_pad(n_left: int, n_right: int) -> list[Letter]:
     """Letters P with P |n_left> = |n_right>, appended at the right end so
     a cross-charge expectation becomes a single-vacuum one."""
     if n_right == n_left:
         return []
     if n_right < n_left:
         # |n_right> = psi*_{n_right} psi*_{n_right+1} ... psi*_{n_left-1} |n_left>
-        return [(kmode("psi*", j),) for j in range(n_right, n_left)]
+        return [letter("psi*", j) for j in range(n_right, n_left)]
     # |n_right> = psi_{n_right-1} ... psi_{n_left} |n_left>
-    return [(kmode("psi", j),) for j in range(n_right - 1, n_left - 1, -1)]
+    return [letter("psi", j) for j in range(n_right - 1, n_left - 1, -1)]
 
 
-def kernel_vev_between(n_left: int, letters: Sequence[KLetter], n_right: int):
+def kernel_vev_between(n_left: int, letters: Sequence[Letter], n_right: int):
     return kernel_vev(n_left, list(letters) + vacuum_pad(n_left, n_right))
 
 
@@ -232,31 +221,27 @@ def _exp_xi_jet(family: TimeFamily, point: Fraction, order: int, sign: int) -> l
     return jets
 
 
-def dress_letter(family: TimeFamily, lt: KLetter) -> KLetter:
+def dress_letter(family: TimeFamily, lt: Letter) -> Letter:
     """Conjugate one letter through the raising exponential of `family`:
     fields pick exp(+-xi) factors (with derivative Leibniz terms), modes
     convolve with the generator coefficients."""
-    out: list[KTerm] = []
-    for coeff, kind, spec in lt:
-        if spec[0] == "mode":
-            j = spec[1]
+    out = []
+    for coeff, kind, at in lt:
+        sign = +1 if kind == "psi" else -1
+        if type(at) is int:
             for a in range(0, family.depth + 1):
-                h = family.h(a, sign=+1 if kind == "psi" else -1)
-                if h.is_zero:
-                    continue
-                mode = j - a if kind == "psi" else j + a
-                out.append((coeff * h, kind, ("mode", mode)))
+                h = family.h(a, sign)
+                if not h.is_zero:
+                    out.append((coeff * h, kind, at - sign * a))
         else:
-            point, order = spec[1], spec[2]
-            sign = +1 if kind == "psi" else -1
+            point, order = at
             jets = _exp_xi_jet(family, point, order, sign)
             for j in range(order + 1):
-                factor = jets[order - j] * comb(order, j)
-                out.append((coeff * factor, kind, ("field", point, j)))
+                out.append((coeff * (jets[order - j] * comb(order, j)), kind, (point, j)))
     return tuple(out)
 
 
-def dress_word(family: TimeFamily, letters: Iterable[KLetter]) -> list[KLetter]:
+def dress_word(family: TimeFamily, letters: Iterable[Letter]) -> list[Letter]:
     return [dress_letter(family, lt) for lt in letters]
 
 
@@ -265,11 +250,11 @@ def dress_word(family: TimeFamily, letters: Iterable[KLetter]) -> list[KLetter]:
 # One slot per letter in word order: (letter, species, couplings, point).  A
 # soliton point has its soliton's couplings over the coupled points (one list
 # per occurrence) and its row (hole) or column (particle); a fixed letter None.
-Slot = tuple[KLetter, str, "list | None", int]
+Slot = tuple[Letter, str, "list | None", int]
 
 
 def wick_layout(items: Sequence[object]) -> list[Slot]:
-    """Items (elements or single KLetters) laid out in word order.
+    """Items (elements or bare letters) laid out in word order.
 
     Mode and field words give their letters; a soliton exponent
     exp(sum A_ik psi*(q_i) psi(p_k)) gives its coupled hole points, then its
@@ -278,15 +263,13 @@ def wick_layout(items: Sequence[object]) -> list[Slot]:
     form raises TypeError."""
     slots: list[Slot] = []
     for g in items:
-        if isinstance(g, tuple):  # a bare KLetter; an empty one is zero: a psi row of zeros
+        if isinstance(g, tuple):  # a bare letter; an empty one is zero: a psi row of zeros
             kinds = {kind for _, kind, _ in g} or {"psi"}
             if len(kinds) > 1:
                 raise ValueError(f"a letter needs one species, psi or psi*: {sorted(kinds)}")
             slots.append((g, kinds.pop(), None, 0))
-        elif isinstance(g, LinearWord):
-            slots += wick_layout([from_mode_letter(lt) for lt in g.letters])
-        elif isinstance(g, FieldWord):
-            slots += wick_layout([tuple(kfield(k, z, r, c) for c, k, z, r in lt) for lt in g.letters])
+        elif isinstance(g, (LinearWord, FieldWord)):
+            slots += wick_layout(g.letters)
         elif isinstance(g, SolitonExponent):
             rows = [i for i, row in enumerate(g.couplings) if any(row)]
             cols = [k for k in range(len(g.ps)) if any(row[k] for row in g.couplings)]
@@ -300,7 +283,7 @@ def wick_layout(items: Sequence[object]) -> list[Slot]:
     return slots
 
 
-def oriented_pair(n: int, a: KLetter, b: KLetter, a_first: bool):
+def oriented_pair(n: int, a: Letter, b: Letter, a_first: bool):
     """P(a, b): <a b> when a is written first, -<b a> otherwise."""
     return letter_pair(n, a, b) if a_first else -letter_pair(n, b, a)
 
@@ -359,7 +342,7 @@ def correlator_exact(
     """<n_left| undressed [raising exp] items |n_right> as one bordered
     determinant (`wick_matrix`), the right vacuum reached by `vacuum_pad`.
 
-    Items are word-expandable elements or single KLetters.  When `family`
+    Items are word-expandable elements or bare letters.  When `family`
     is given, the letters of `items` are conjugated through its raising
     exponential (which then dies on the right vacuum); `undressed` items
     sit to the left of the exponential and stay raw."""
@@ -382,14 +365,17 @@ def correlator_window(
     n_right: int,
 ):
     """<n_left| items |n_right> by direct application; items are window
-    elements or ("letter", mode letter) tags.  A point-field item raises
-    TypeError (`grouplike.apply_element`): its route is `correlator_exact`."""
+    elements or bare mode letters, the item list `correlator_exact` takes.
+    A point-field item, a field letter among them, raises TypeError (as
+    `grouplike.apply_element` does): its route is `correlator_exact`."""
     ket = vacuum(window, n_right)
     for item in reversed(list(items)):
-        if isinstance(item, tuple) and item and item[0] == "letter":
-            ket = apply_letter(item[1], ket)
-        else:
+        if not isinstance(item, tuple):
             ket = apply_element(item, ket)
+        elif all(type(at) is int for _, _, at in item):
+            ket = apply_letter(item, ket)
+        else:
+            raise TypeError("a field letter has no window action: Wick's theorem reads it")
     return inner(vacuum(window, n_left, dual=True), ket)
 
 
@@ -405,14 +391,14 @@ def wick_standard(n: int, vs: Sequence[Letter], ws: Sequence[Letter]):
     return fraction_matrix_det(mat)
 
 
-def wick_generalized(evaluate, n: int, vs: Sequence[object], ws: Sequence[object]):
+def wick_generalized(evaluate, vs: Sequence[object], ws: Sequence[object]):
     """The ratio-determinant form of the generalized pairing theorem.
 
-    `evaluate(pre, mid, post...)` -- concretely: evaluate(inserts) returns
-    the correlator <n| G' .inserts_v. G'' .inserts_w. G |n - total charge>
-    for the supplied per-slot insertions; this function only arranges the
-    determinant.  `vs` and `ws` are whatever the evaluator accepts.
-    """
+    `evaluate(v, w)` returns the correlator <n| G' v G'' w G |n - charge>
+    with the insertions v and w (None for none, so evaluate(None, None) is
+    the central value); this function only arranges the determinant
+    det[evaluate(v_j, w_i)] / central^(m-1).  `vs` and `ws` are whatever
+    the evaluator accepts."""
     m = len(vs)
     if m == 0:
         raise ValueError("need at least one insertion pair")
@@ -441,12 +427,9 @@ def three_term_column_identity(window: ModeWindow, g, n: int, l: int, w: Letter)
     def corr(nl, pre, nr):
         return correlator_window(window, nl, pre + [g], nr)
 
-    lhs = corr(n, [], n) * corr(
-        n + 1, [("letter", letter("psi", l)), ("letter", w)], n + 1
-    )
-    rhs = corr(n + 1, [], n + 1) * corr(
-        n, [("letter", letter("psi", l)), ("letter", w)], n
-    ) + corr(n + 1, [("letter", letter("psi", l))], n) * corr(n, [("letter", w)], n + 1)
+    psi = letter("psi", l)
+    lhs = corr(n, [], n) * corr(n + 1, [psi, w], n + 1)
+    rhs = corr(n + 1, [], n + 1) * corr(n, [psi, w], n) + corr(n + 1, [psi], n) * corr(n, [w], n + 1)
     return lhs == rhs
 
 
@@ -537,10 +520,9 @@ def wick_column_forms(
     def corr(shifted, word, base):
         # word lists letters outward from g: <shifted| ..w_2 w_1 g |base>
         # on the left, <base| g w_1 w_2.. |shifted> on the right
-        items = [("letter", lt) for lt in word]
         if left:
-            return correlator_window(window, shifted, items[::-1] + [g], base)
-        return correlator_window(window, base, [g] + items, shifted)
+            return correlator_window(window, shifted, [*word[::-1], g], base)
+        return correlator_window(window, base, [g, *word], shifted)
 
     central = corr(n, [], n)
     if central == 0:

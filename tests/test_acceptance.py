@@ -11,6 +11,7 @@ from tauforge.fock import (
     apply_diagonal_exp,
     apply_diagonal_multipliers,
     basis_vector,
+    letter,
     vacuum,
 )
 from tauforge.grouplike import (
@@ -168,29 +169,22 @@ def test_criterion_05_generalized_wick_all_variants():
             def evaluate(v, w):
                 items = []
                 if v is not None:
-                    items.append(("letter", v))
+                    items.append(v)
                 if w is not None:
-                    items.append(("letter", w))
+                    items.append(w)
                 items.append(g)
                 return correlator_window(window, n, items, n - q)
 
             try:
-                predicted = wick_generalized(evaluate, n, vs, ws)
+                predicted = wick_generalized(evaluate, vs, ws)
             except ZeroDivisionError:
                 continue
-            direct = correlator_window(
-                window,
-                n,
-                [("letter", v) for v in vs]
-                + [("letter", w) for w in reversed(ws)]
-                + [g],
-                n - q,
-            )
+            direct = correlator_window(window, n, list(vs) + list(reversed(ws)) + [g], n - q)
             assert predicted == direct, (name, n, m)
             done += 1
         assert done == 20, (name, done)
     # soliton variant through the exact kernel route
-    from tauforge.wick import correlator_exact, kmode
+    from tauforge.wick import correlator_exact
 
     done = 0
     attempts = 0
@@ -199,8 +193,8 @@ def test_criterion_05_generalized_wick_all_variants():
         g = sample_soliton(rng, rng.choice((1, 2)))
         n = rng.choice((-1, 0, 1))
         m = rng.choice((1, 2, 3))
-        vs = [(kmode("psi", rng.randint(-3, 3)),) for _ in range(m)]
-        ws = [(kmode("psi*", rng.randint(-3, 3)),) for _ in range(m)]
+        vs = [letter("psi", rng.randint(-3, 3)) for _ in range(m)]
+        ws = [letter("psi*", rng.randint(-3, 3)) for _ in range(m)]
 
         def evaluate(v, w):
             items = []
@@ -212,7 +206,7 @@ def test_criterion_05_generalized_wick_all_variants():
             return correlator_exact(n, items, n)
 
         try:
-            predicted = wick_generalized(evaluate, n, vs, ws)
+            predicted = wick_generalized(evaluate, vs, ws)
         except ZeroDivisionError:
             continue
         direct = correlator_exact(n, list(vs) + list(reversed(ws)) + [g], n)

@@ -15,12 +15,12 @@ from tauforge.boson import (
     right_bosonization_series,
     vertex_apply,
 )
-from tauforge.fock import ModeWindow, apply_current, basis_vector, vacuum
+from tauforge.fock import ModeWindow, apply_current, basis_vector, letter, vacuum
 from tauforge.partitions import Partition, enumerate_partitions
 from tauforge.polyring import standard_single_family
 from tauforge.schur import schur_jt
 from tauforge.tau import pluecker_coefficient
-from tauforge.wick import correlator_exact, kfield, kmode
+from tauforge.wick import correlator_exact, kfield
 
 F = Fraction
 W = ModeWindow(-11, 11)
@@ -28,10 +28,10 @@ W = ModeWindow(-11, 11)
 
 def test_bosonize_basis_states():
     fam = standard_single_family(4)
-    assert bosonize(vacuum(W, 0), fam, 4) == {0: fam.one()}
-    assert bosonize(vacuum(W, -2), fam, 4) == {-2: fam.one()}
+    assert bosonize(vacuum(W, 0), fam) == {0: fam.one()}
+    assert bosonize(vacuum(W, -2), fam) == {-2: fam.one()}
     for lam in enumerate_partitions(4):
-        got = bosonize(basis_vector(W, 0, lam), fam, 4)
+        got = bosonize(basis_vector(W, 0, lam), fam)
         want = schur_jt(fam, lam) * ((-1) ** lam.sign_exponent())
         assert got == {0: want}, lam
 
@@ -41,7 +41,7 @@ def test_bosonize_injective_on_sampled_basis():
     seen = {}
     for n in (-1, 0, 1):
         for lam in enumerate_partitions(4):
-            image = bosonize(basis_vector(W, n, lam), fam, 4)
+            image = bosonize(basis_vector(W, n, lam), fam)
             key = tuple(sorted((l, tuple(sorted(p.terms.items()))) for l, p in image.items()))
             assert key not in seen, (n, lam, seen[key]) if key in seen else None
             seen[key] = (n, lam)
@@ -54,10 +54,10 @@ def test_current_image_rules():
     for n, lam in states:
         v = basis_vector(W, n, lam)
         for k in (1, 2, 3, 0, -1, -2):
-            assert current_image_check(k, v, fam, 5), (n, lam, k)
+            assert current_image_check(k, v, fam), (n, lam, k)
     # the lowering-mode image on the vacuum fixes the multiplication sign
     fam4 = standard_single_family(4)
-    image = bosonize(apply_current(-1, vacuum(W, 0)), fam4, 4)
+    image = bosonize(apply_current(-1, vacuum(W, 0)), fam4)
     assert image == {0: fam4.time(1)}
 
 
@@ -121,8 +121,8 @@ def test_two_point_rule_against_schur_specialization():
     for n in (-1, 0, 1):
         for lam in enumerate_partitions(3):
             alphas, betas = lam.frobenius()
-            post = [(kmode("psi*", n - b - 1),) for b in betas]
-            post += [(kmode("psi", n + a),) for a in reversed(alphas)]
+            post = [letter("psi*", n - b - 1) for b in betas]
+            post += [letter("psi", n + a) for a in reversed(alphas)]
             lhs = correlator_exact(
                 n, [(kfield("psi*", zeta),), (kfield("psi", z),)] + post, n
             )

@@ -117,19 +117,19 @@ def test_pair_vev_rule():
                 assert star_first == pair_vev(n, letter("psi*", i), letter("psi", j))
                 # the kernel route's mode-mode pairs follow the same rule
                 for a, b in (("psi", "psi*"), ("psi*", "psi")):
-                    mode_pair = kernel_pair(n, (1, a, ("mode", i)), (1, b, ("mode", j)))
+                    mode_pair = kernel_pair(n, (1, a, i), (1, b, j))
                     assert mode_pair == pair_vev(n, letter(a, i), letter(b, j))
             # a field against mode j: its mode-j coefficient times the mode
             # pair value, with the field on either side
             for a, b in (("psi", "psi*"), ("psi*", "psi")):
-                field = (1, a, ("field", z, 1))
-                mode = (1, b, ("mode", i))
+                field = (1, a, (z, 1))
+                mode = (1, b, i)
                 coeff = field_mode(a, z, 1, i)
                 assert kernel_pair(n, field, mode) == coeff * pair_vev(
                     n, letter(a, i), letter(b, i)
                 )
-                field = (1, b, ("field", z, 1))
-                mode = (1, a, ("mode", i))
+                field = (1, b, (z, 1))
+                mode = (1, a, i)
                 assert kernel_pair(n, mode, field) == field_mode(b, z, 1, i) * pair_vev(
                     n, letter(a, i), letter(b, i)
                 )

@@ -18,7 +18,11 @@ packed key layout.  Other modules build keys with `VariableTable.encode`
 and polynomials from them with `Poly.from_numerators`.
 
 The point-field mode rules have one home too: only `wick` defines or
-reads `field_mode`, `point_power` and `_falling`.
+reads `field_mode`, `point_power` and `_falling`.  So has the letter
+format: `fock.Letter` is the one letter type, its terms (coeff, kind, at)
+with `at` an int mode or a (point, order) pair, so no module defines
+another letter or term type, and no tuple is tagged "mode", "field" or
+"letter".
 
 The benchmark harness under `perfbench/` calls `tauforge` by name, and its
 tracer wraps named entry points in their home modules; every such name must
@@ -210,6 +214,31 @@ def test_point_field_mode_rules_live_in_wick():
             elif isinstance(node, ast.alias) and node.name in POINT_FIELD_RULES:
                 found.add(f"{path.stem} imports {node.name}")
     assert found == {f"wick defines {name}" for name in POINT_FIELD_RULES}
+
+
+def test_one_letter_format():
+    """Mode and field letters share `fock.Letter`: no module but `fock`
+    defines a name ending in Letter or Term at module level, and no tuple
+    literal in the package starts with a "mode", "field" or "letter" tag."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.AnnAssign, ast.ClassDef)):
+                names = [getattr(node, "name", None) or ast.unparse(node.target)]
+            else:
+                names = []
+            found |= {
+                f"{path.stem} defines {name}" for name in names if name.endswith(("Letter", "Term"))
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Tuple) and node.elts:
+                head = node.elts[0]
+                if isinstance(head, ast.Constant) and head.value in ("mode", "field", "letter"):
+                    found.add(f"{path.stem} line {node.lineno}: a {head.value!r} tuple")
+    assert found == {"fock defines Letter"}
 
 
 def empty_container(value) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tauforge import schur, tau, wick
-from tauforge.fock import ModeWindow, WindowViolation, basis_vector, inner, letter
+from tauforge.fock import ModeWindow, WindowViolation, basis_vector, frobenius_word, inner, letter
 from tauforge.grouplike import (
     Diagonal,
     FieldWord,
@@ -49,7 +49,6 @@ from tauforge.tau import (
 from tauforge.wick import (
     correlator_exact,
     dress_word,
-    from_mode_letter,
     kernel_pair,
     kernel_vev,
     kernel_vev_between,
@@ -348,7 +347,7 @@ def _per_shape_coefficient(g, shape, n, window, source=Partition([])):
     legs of both shapes."""
     q = charge_of(g)
     if tau.is_field_based(g):
-        letters = tau.bra_letters(shape, n) + [g] + tau.ket_letters(source, n - q)
+        letters = frobenius_word(shape, n, dual=True) + [g] + frobenius_word(source, n - q)
         val = correlator_exact(n, letters, n - q)
     else:
         ket = apply_element(g, basis_vector(window, n - q, source))
@@ -381,8 +380,8 @@ def _per_shape_elements():
     solitons = [_soliton((("2",),), ("1/3",), ("1/2",))]
     solitons += [sample_soliton(rng, size) for size in (2, 3)]
     vanishing = _soliton((("-1/3",),), ("1/3",), ("1/2",))
-    psi = ((F(2), "psi", F(3, 17), 0), (F(1), "psi", F(3, 17), 1))
-    field_word = FieldWord((psi, ((F(1), "psi*", F(5, 17), 0),)))
+    psi = ((F(2), "psi", (F(3, 17), 0)), (F(1), "psi", (F(3, 17), 1)))
+    field_word = FieldWord((psi, ((F(1), "psi*", (F(5, 17), 0)),)))
     with_word = Product((sample_soliton(rng, 2), LinearWord((letter("psi*", -1),))))
     return _every_sampled_kind() + solitons + [vanishing, field_word, with_word]
 
@@ -431,11 +430,8 @@ def _oracle_words(g) -> list:
     det A[R, C] of its couplings, a product the products of its factors'."""
     if isinstance(g, Identity):
         return [(F(1), [])]
-    if isinstance(g, LinearWord):
-        return [(F(1), [from_mode_letter(lt) for lt in g.letters])]
-    if isinstance(g, FieldWord):
-        fields = [tuple((c, kind, ("field", F(z), r)) for c, kind, z, r in lt) for lt in g.letters]
-        return [(F(1), fields)]
+    if isinstance(g, (LinearWord, FieldWord)):
+        return [(F(1), list(g.letters))]
     if isinstance(g, SolitonExponent):
         return [
             (det, [(kfield("psi*", g.qs[i]),) for i in rows]
@@ -473,7 +469,7 @@ class _KernelCoefficients:
 
     def __call__(self, shape, n, source=Partition([])):
         m = n - self.q
-        bra, ket = self._once(tau.bra_letters, shape, n), self._once(tau.ket_letters, source, m)
+        bra, ket = self._once(frobenius_word, shape, n, True), self._once(frobenius_word, source, m)
         pad = self._once(vacuum_pad, n, m)
         formed, pairs = wick.letter_pair, self.pairs
 
@@ -577,7 +573,7 @@ def _field_word(rng) -> FieldWord:
     letters = []
     for k in rng.sample(range(1, 17), rng.randint(1, 2)):
         kind = rng.choice(("psi", "psi*"))
-        terms = [(F(rng.randint(1, 3)), kind, F(k, 17), r) for r in range(rng.randint(1, 2))]
+        terms = [(F(rng.randint(1, 3)), kind, (F(k, 17), r)) for r in range(rng.randint(1, 2))]
         letters.append(tuple(terms))
     return FieldWord(tuple(letters))
 

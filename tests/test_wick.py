@@ -29,7 +29,6 @@ from tauforge.wick import (
     kernel_vev,
     kernel_vev_between,
     kfield,
-    kmode,
     letter_pair,
     three_term_column_identity,
     vacuum_kernel,
@@ -47,9 +46,9 @@ def test_two_point_kernel_closed_form():
     # <n| psi*(zeta) psi(z) |n> = z^n zeta^(1-n)/(zeta - z)
     for n in (-1, 0, 2):
         z, zeta = F(1, 3), F(1, 2)
-        got = kernel_pair(n, (1, "psi*", ("field", zeta, 0)), (1, "psi", ("field", z, 0)))
+        got = kernel_pair(n, (1, "psi*", (zeta, 0)), (1, "psi", (z, 0)))
         assert got == z**n * zeta ** (1 - n) / (zeta - z)
-        got2 = kernel_pair(n, (1, "psi", ("field", z, 0)), (1, "psi*", ("field", zeta, 0)))
+        got2 = kernel_pair(n, (1, "psi", (z, 0)), (1, "psi*", (zeta, 0)))
         assert got2 == z**n * zeta ** (1 - n) / (z - zeta)
 
 
@@ -58,9 +57,9 @@ def test_two_point_kernel_derivatives():
     # d2F/(dzeta dz) = (zeta-z)^-2 - 2 zeta (zeta-z)^-3
     z, zeta = F(1, 3), F(1, 2)
     d = zeta - z
-    got = kernel_pair(0, (1, "psi*", ("field", zeta, 0)), (1, "psi", ("field", z, 1)))
+    got = kernel_pair(0, (1, "psi*", (zeta, 0)), (1, "psi", (z, 1)))
     assert got == zeta / d**2
-    got = kernel_pair(0, (1, "psi*", ("field", zeta, 1)), (1, "psi", ("field", z, 1)))
+    got = kernel_pair(0, (1, "psi*", (zeta, 1)), (1, "psi", (z, 1)))
     assert got == d**-2 - 2 * zeta * d**-3
 
 
@@ -69,9 +68,9 @@ def test_field_mode_kernels_match_series():
     for n in (-1, 0, 2):
         for j in range(-4, 4):
             zeta = F(3, 5)
-            got = kernel_pair(n, (1, "psi", ("mode", j)), (1, "psi*", ("field", zeta, 0)))
+            got = kernel_pair(n, (1, "psi", j), (1, "psi*", (zeta, 0)))
             assert got == (zeta**-j if j < n else 0)
-            got = kernel_pair(n, (1, "psi*", ("field", zeta, 0)), (1, "psi", ("mode", j)))
+            got = kernel_pair(n, (1, "psi*", (zeta, 0)), (1, "psi", j))
             assert got == (zeta**-j if j >= n else 0)
 
 
@@ -81,10 +80,10 @@ def test_letter_pair_skips_only_rational_unit_factors():
     # rational), other rationals, or polynomials (one of them the constant 1)
     fam = standard_single_family(3)
     coeffs = [1, F(1), F(-2, 3), F(5), fam.one(), fam.time(1) + F(1, 2), fam.time(2) * 3]
-    modes = [("mode", j) for j in (-2, -1, 0, 1, 2)]
+    modes = [-2, -1, 0, 1, 2]
     specs = {  # distinct points per species: no pole
-        "psi": modes + [("field", F(1, 2), 0), ("field", F(-2, 5), 1)],
-        "psi*": modes + [("field", F(3), 0), ("field", F(2, 7), 1)],
+        "psi": modes + [(F(1, 2), 0), (F(-2, 5), 1)],
+        "psi*": modes + [(F(3), 0), (F(2, 7), 1)],
     }
     rng = random.Random(29)
     for _ in range(400):
@@ -112,10 +111,29 @@ def test_kernel_vev_matches_window_vev_for_modes():
                     kind = rng.choice(("psi", "psi*"))
                     letters.append(sample_letter(rng, kind))
                 window_value = vev(W, n, letters)
-                kletters = [
-                    tuple((c, kind, ("mode", j)) for c, kind, j in lt) for lt in letters
-                ]
-                assert kernel_vev(n, kletters) == window_value
+                assert kernel_vev(n, letters) == window_value
+
+
+def test_one_item_list_runs_through_both_routes():
+    # mode letters (near the charge, so that some pair) and linear words,
+    # as one list of items, read alike by direct application and by Wick's
+    # theorem, the right vacuum at the charge the items carry
+    rng = random.Random(31)
+    nonzero = 0
+    for n in (-1, 0, 1):
+        for _ in range(30):
+            items = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    items.append(sample_letter(rng, rng.choice(("psi", "psi*")), n - 2, n + 2))
+                else:
+                    items.append(sample_linear_word(rng, net_charge=rng.randint(-1, 1)))
+            q = charge_of(LinearWord(tuple(x for x in items if isinstance(x, tuple))))
+            q += sum(charge_of(x) for x in items if not isinstance(x, tuple))
+            got = correlator_window(W, n, items, n - q)
+            assert got == correlator_exact(n, items, n - q), (n, items)
+            nonzero += bool(got)
+    assert nonzero >= 20  # of 90: the routes compared nonzero values
 
 
 def test_kernel_single_pair_vs_window_truncation_exact_tail():
@@ -140,14 +158,16 @@ def test_point_fields_have_no_window_action():
     # psi(z) reaches every mode, so no window applies a point field: only
     # Wick's theorem reads it, and the window route refuses it
     sol = sample_soliton(random.Random(5), size=2)
-    field = FieldWord((((F(1), "psi", F(1, 3), 0),),))
+    field = FieldWord((((F(1), "psi", (F(1, 3), 0)),),))
     mixed = Product((sol, LinearWord((letter("psi*", -1),))))
     for g in (field, sol, mixed):
         for v in (vacuum(W, 0), vacuum(W, 1, dual=True)):
             with pytest.raises(TypeError, match="Wick's theorem"):
                 apply_element(g, v)
     with pytest.raises(TypeError, match="Wick's theorem"):
-        correlator_window(W, 0, [("letter", letter("psi", 0)), sol], 1)
+        correlator_window(W, 0, [letter("psi", 0), sol], 1)
+    with pytest.raises(TypeError, match="Wick's theorem"):
+        correlator_window(W, 1, [(kfield("psi", F(1, 3)),)], 0)
 
 
 def test_multipoint_kernels_and_pads():
@@ -197,10 +217,10 @@ def test_dressed_mode_correlator_gives_generators():
         for j in range(0, 5):
             got = correlator_exact(
                 0,
-                [(kmode("psi", j),)],
+                [letter("psi", j)],
                 0,
                 family=fam,
-                undressed=[(kmode("psi*", i),)],
+                undressed=[letter("psi*", i)],
             )
             assert got == fam.h(j - i)
 
@@ -248,10 +268,10 @@ def _window_evaluator(window, gp, gpp, g, n):
     def evaluate(v, w):
         items = [gp]
         if v is not None:
-            items.append(("letter", v))
+            items.append(v)
         items.append(gpp)
         if w is not None:
-            items.append(("letter", w))
+            items.append(w)
         items.append(g)
         return correlator_window(window, n, items, n - qtot)
 
@@ -279,14 +299,10 @@ def test_wick_generalized_window_variants():
             ws = [sample_letter(rng, "psi*") for _ in range(m)]
             evaluate = _window_evaluator(W, Identity(), Identity(), g, n)
             try:
-                predicted = wick_generalized(evaluate, n, vs, ws)
+                predicted = wick_generalized(evaluate, vs, ws)
             except ZeroDivisionError:
                 continue
-            items = (
-                [("letter", v) for v in vs]
-                + [("letter", w) for w in reversed(ws)]
-                + [g]
-            )
+            items = vs + ws[::-1] + [g]
             direct = correlator_window(W, n, items, n - charge_of(g))
             assert predicted == direct
             done += 1
@@ -319,24 +335,18 @@ def test_wick_generalized_with_middle_element_and_charge():
         def evaluate(v, w):
             items = [gp]
             if v is not None:
-                items.append(("letter", v))
+                items.append(v)
             items.append(gpp)
             if w is not None:
-                items.append(("letter", w))
+                items.append(w)
             items.append(g)
             return correlator_window(W, n, items, n - qtot)
 
         try:
-            predicted = wick_generalized(evaluate, n, vs, ws)
+            predicted = wick_generalized(evaluate, vs, ws)
         except ZeroDivisionError:
             continue
-        items = (
-            [gp]
-            + [("letter", v) for v in vs]
-            + [gpp]
-            + [("letter", w) for w in reversed(ws)]
-            + [g]
-        )
+        items = [gp] + vs + [gpp] + ws[::-1] + [g]
         direct = correlator_window(W, n, items, n - qtot)
         assert predicted == direct
         done += 1
@@ -348,8 +358,8 @@ def test_wick_generalized_soliton_kernel_route():
     g = sample_soliton(rng, size=2)
     n = 0
     for m in (1, 2):
-        vs = [(kmode("psi", rng.randint(-3, 3)),) for _ in range(m)]
-        ws = [(kmode("psi*", rng.randint(-3, 3)),) for _ in range(m)]
+        vs = [letter("psi", rng.randint(-3, 3)) for _ in range(m)]
+        ws = [letter("psi*", rng.randint(-3, 3)) for _ in range(m)]
 
         def evaluate(v, w):
             items = []
@@ -361,7 +371,7 @@ def test_wick_generalized_soliton_kernel_route():
             return correlator_exact(n, items, n)
 
         try:
-            predicted = wick_generalized(evaluate, n, vs, ws)
+            predicted = wick_generalized(evaluate, vs, ws)
         except ZeroDivisionError:
             continue
         direct = correlator_exact(n, list(vs) + list(reversed(ws)) + [g], n)
@@ -434,7 +444,7 @@ def test_wick_generalized_mixes_scalar_zero_and_poly_entries():
     def evaluate(v, w):
         return fam.one() if v is None else table[w][v]
 
-    assert wick_generalized(evaluate, 0, [0, 1], [0, 1]) == -t1 * t1
+    assert wick_generalized(evaluate, [0, 1], [0, 1]) == -t1 * t1
 
 
 def test_field_field_kernel_matches_sympy_derivatives():
