@@ -14,9 +14,13 @@ bit flip per state, so each minor's word is compiled once per state group
 and run on the occupation bits (`fock._words_into`).
 
 Every constructor's output is checkable: `bbc_check` verifies the
-exchange identity on sampled matrix elements, each term <X| psi_k |Y>
-one bit flip and one lookup (`fock.inner_mode`), and `charge_of`
-verifies definite charge.
+exchange identity on sampled matrix elements and `verify_charge` the
+definite charge that `charge_of` states, each applying g once per distinct
+basis state of the call.  `bbc_check` reads each term <X| psi_k |Y> by one
+bit flip and one lookup (`fock.inner_mode`), and only at the modes where
+the quadruple's basis states differ, unless g|V> leaves the window: then
+every window mode is read, so the window error is raised where a mode
+meets the spilling state.
 
 Ordered exponents read `fock.creates`; a diagonal element's eigenvalue is
 the product of its multipliers over the occupied modes.
@@ -36,6 +40,7 @@ from tauforge.fock import (
     ModeWindow,
     _check_bits_window,
     _occupied,
+    _outside_window,
     _words_into,
     apply_charge,
     apply_diagonal_exp,
@@ -167,9 +172,19 @@ class NormalOrderedBilinear:
 
 @dataclass(frozen=True)
 class LinearWord:
-    """A finite product of linear combinations of mode operators."""
+    """A finite product of linear combinations of mode operators; a term
+    at a point is a `FieldWord`'s."""
 
     letters: tuple[Letter, ...]
+
+    def __post_init__(self):
+        for lt in self.letters:
+            for _, _, at in lt:
+                if not isinstance(at, int):
+                    raise TypeError(
+                        f"LinearWord terms act at int modes, not {at!r}:"
+                        " point fields go in a FieldWord"
+                    )
 
 
 @dataclass(frozen=True)
@@ -428,15 +443,41 @@ def charge_of(g) -> int:
 
 
 def verify_charge(g, window: ModeWindow, samples: Iterable[tuple[int, Partition]]) -> int:
-    """Check [Q, g] = q g on sample states; returns q, raises on mismatch."""
+    """Check [Q, g] = q g on sample basis states; returns q, raises
+    AssertionError on a mismatch and ValueError when there is no sample.
+    A basis state has Q|v> = n|v>, so g Q|v> = n g|v>: g is applied once
+    per distinct state, and a repeated state is checked once."""
     q = charge_of(g)
+    seen = set()
     for n, lam in samples:
-        v = basis_vector(window, n, lam)
-        gv = apply_element(g, v)
-        lhs = apply_charge(gv) - apply_element(g, apply_charge(v))
-        if lhs != gv.scale(q):
+        if (n, lam) in seen:
+            continue
+        seen.add((n, lam))
+        gv = apply_element(g, basis_vector(window, n, lam))
+        if apply_charge(gv) - gv.scale(n) != gv.scale(q):
             raise AssertionError(f"element lacks definite charge {q} on {(n, lam)}")
+    if not seen:
+        raise ValueError("verify_charge compares nothing without a sample state")
     return q
+
+
+def _modes_of(bits: int, base: int) -> list[int]:
+    """The modes an occupation int read from `base` sets, in increasing order."""
+    return [base + j for j in range(bits.bit_length()) if bits >> j & 1]
+
+
+def _exchange_sum(bra, bra2, ket, ket2, modes: Iterable[int]):
+    """sum over `modes` of <bra| psi_k |ket> <bra2| psi*_k |ket2>.
+
+    The particle-side factor is read first: it vanishes for deep sea
+    modes, so the hole-side factor (whose intermediate state would leave
+    the window down there) is never read."""
+    total = Fraction(0)
+    for k in modes:
+        t1 = inner_mode(bra, "psi", k, ket)
+        if t1:
+            total += t1 * inner_mode(bra2, "psi*", k, ket2)
+    return total
 
 
 def bbc_check(
@@ -452,36 +493,43 @@ def bbc_check(
     sum_k <U| psi_k g |V> <U'| psi*_k g |V'> =
     sum_k <U| g psi_k |V> <U'| g psi*_k |V'>
 
-    Returns None if every quadruple passes, else the failing quadruple.
-    Each factor <X| psi_k |Y> is one bit flip of the side with fewer
-    states and a lookup in the other (`fock.inner_mode`), so only g|V>
-    and <U|g are built.
+    Returns None if every quadruple passes, else the failing quadruple,
+    and raises ValueError when there is none.  Each basis vector and its
+    g|V> or <U|g is built once per call.  A factor <X| psi_k |Y> is one bit
+    flip and a lookup (`fock.inner_mode`); with basis states on both sides,
+    a left term needs k filled in U and empty in U', a right term k empty
+    in V and filled in V', and only those modes are read.  If g|V> or g|V'>
+    leaves the window, the left sum reads every window mode, so the
+    WindowViolation is raised at the mode that meets the spilling state.
+    An `apply_fn` in place of `apply_element` keeps the window and side of
+    the vector it is given.
     """
     apply_fn = apply_fn or apply_element
+    basis: dict = {}  # (charge, shape, dual) -> the basis vector
+    applied: dict = {}  # the same keys -> g applied to it
     for (nu, lu), (nu2, lu2), (nv, lv), (nv2, lv2) in quadruples:
-        bra_u = basis_vector(window, nu, lu, dual=True)
-        bra_u2 = basis_vector(window, nu2, lu2, dual=True)
-        ket_v = basis_vector(window, nv, lv)
-        ket_v2 = basis_vector(window, nv2, lv2)
-        g_v = apply_fn(g, ket_v)
-        g_v2 = apply_fn(g, ket_v2)
-        u_g = apply_fn(g, bra_u)
-        u2_g = apply_fn(g, bra_u2)
-        lhs = Fraction(0)
-        rhs = Fraction(0)
-        for k in range(window.lo, window.hi):
-            # evaluate the particle-side factor first: it vanishes for deep
-            # sea modes, so the hole-side factor (whose intermediate state
-            # would leave the window down there) is never read
-            t1 = inner_mode(bra_u, "psi", k, g_v)
-            if t1:
-                lhs += t1 * inner_mode(bra_u2, "psi*", k, g_v2)
-            # <U| g psi_k |V> = <(U g)| psi_k |V>
-            t1 = inner_mode(u_g, "psi", k, ket_v)
-            if t1:
-                rhs += t1 * inner_mode(u2_g, "psi*", k, ket_v2)
+        keys = [(nu, lu, True), (nu2, lu2, True), (nv, lv, False), (nv2, lv2, False)]
+        for key in keys:
+            if key not in basis:
+                basis[key] = basis_vector(window, *key)
+        for key in keys[2:] + keys[:2]:  # g|V>, g|V'>, <U|g, <U'|g
+            if key not in applied:
+                applied[key] = apply_fn(g, basis[key])
+        bra_u, bra_u2, ket_v, ket_v2 = (basis[key] for key in keys)
+        u_g, u2_g, g_v, g_v2 = (applied[key] for key in keys)
+        # basis states in the window all read their bits from window.lo
+        (u,), (u2,), (v,), (v2,) = bra_u.bits, bra_u2.bits, ket_v.bits, ket_v2.bits
+        if any(_outside_window(window, x.base, x.bits) for x in (g_v, g_v2)):
+            modes = range(window.lo, window.hi)
+        else:
+            modes = _modes_of(u & ~u2, window.lo)
+        lhs = _exchange_sum(bra_u, bra_u2, g_v, g_v2, modes)
+        # <U| g psi_k |V> = <(U g)| psi_k |V>
+        rhs = _exchange_sum(u_g, u2_g, ket_v, ket_v2, _modes_of(v2 & ~v, window.lo))
         if lhs != rhs:
             return ((nu, lu), (nu2, lu2), (nv, lv), (nv2, lv2))
+    if not basis:
+        raise ValueError("bbc_check compares nothing without a quadruple")
     return None
 
 

@@ -4,7 +4,9 @@ Every mode operator runs on one compiled kernel (`fock._words_into`):
 `apply_letter`, `apply_mode`, `apply_word` and a `LinearWord` hand it
 one-flip words, and `grouplike._apply_ordered_exponent` compiles each
 minor's mode word once per state group.  `bbc_check` reads each exchange
-term <X| psi_k |Y> by one bit flip and one lookup (`fock.inner_mode`).
+term <X| psi_k |Y> by one bit flip and one lookup (`fock.inner_mode`),
+only at the modes where the quadruple's basis states differ unless g|V> or
+g|V'> leaves the window.
 
 The references below are the routes these replaced, copied here: the
 interpreted flip of one mode operator over a vector's states
@@ -374,6 +376,13 @@ quadruples = st.one_of(
     ModeWindow(-5, 5),
     [((1, Partition([2])), (-1, Partition([2])), (0, Partition([])), (0, Partition([2, 1])))],
     fake_apply,
+)
+@example(  # g|V> leaves the window: every mode is read, and one empty
+    # below the top meets the spilling state, though U = U' pairs no mode
+    NormalOrderedBilinear(ModeMatrix({}), None),
+    ModeWindow(-4, 4),
+    [((0, Partition([])),) * 4],
+    spill_apply,
 )
 def test_exchange_lookups_match_the_built_vectors(g, window, quads, apply_fn):
     got = outcome(bbc_check, g, window, quads, apply_fn=apply_fn)

@@ -52,6 +52,7 @@ from tauforge.sampling import (
     sample_states,
     sample_vacuum_bilinear,
 )
+from tauforge.wick import kfield
 
 F = Fraction
 W = ModeWindow(-10, 10)
@@ -322,6 +323,60 @@ def test_charges():
         g = sample_element(rng)
         q = verify_charge(g, W, sample_states(rng, 5, weight=2))
         assert q == charge_of(g)
+
+
+def test_checks_without_samples_compare_nothing_and_fail():
+    g = sample_exponent_bilinear(random.Random(71))
+    with pytest.raises(ValueError, match="without a quadruple"):
+        bbc_check(g, W, [])
+    with pytest.raises(ValueError, match="without a sample state"):
+        verify_charge(g, W, [])
+
+
+def test_charge_negative_control(monkeypatch):
+    # a wrong claimed charge fails on the first sample state: the exponential
+    # of a nilpotent bilinear is invertible, so g|v> is never zero
+    rng = random.Random(73)
+    g = sample_exponent_bilinear(rng)
+    states = sample_states(rng, 4, weight=2)
+    q = verify_charge(g, W, states)
+    monkeypatch.setattr(grouplike, "charge_of", lambda _: q + 1)
+    with pytest.raises(AssertionError) as err:
+        verify_charge(g, W, states)
+    assert str(err.value) == f"element lacks definite charge {q + 1} on {states[0]}"
+
+
+def test_checks_apply_g_once_per_distinct_state(monkeypatch):
+    rng = random.Random(79)
+    g = sample_exponent_bilinear(rng)
+    quads = sample_quadruples(rng, 8) + sample_quadruples(random.Random(79), 2)
+    applied = []
+
+    def counting_apply(g, v):
+        applied.append(v)
+        return apply_element(g, v)
+
+    assert bbc_check(g, W, quads, apply_fn=counting_apply) is None
+    keys = {(dual, *s) for q in quads for dual, s in zip((True, True, False, False), q)}
+    assert len(applied) == len(keys) < 4 * len(quads)
+
+    calls = []
+
+    def counted(g, v):
+        calls.append(v)
+        return apply_element(g, v)
+
+    monkeypatch.setattr(grouplike, "apply_element", counted)
+    states = sample_states(rng, 8, weight=1) * 2
+    assert verify_charge(g, W, states) == 0
+    assert len(calls) == len(set(states)) < len(states)
+
+
+def test_linear_word_refuses_point_field_terms():
+    with pytest.raises(TypeError, match="FieldWord"):
+        LinearWord(((kfield("psi", F(1, 3)),),))
+    with pytest.raises(TypeError, match="FieldWord"):
+        LinearWord((letter("psi", 1), ((F(1), "psi*", 0), kfield("psi*", F(1, 2), 1))))
 
 
 def test_matrix_element_helper():

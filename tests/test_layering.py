@@ -73,6 +73,7 @@ PRIVATE_IMPORTS = {
     ("fock", "schur", "_schur_poly"): "skew Schur functions at a rational scale",
     ("grouplike", "fock", "_check_bits_window"): "an ordered diagonal checks each state's window",
     ("grouplike", "fock", "_occupied"): "diagonal multipliers and the minor screen read one bit",
+    ("grouplike", "fock", "_outside_window"): "the exchange check reads every mode when g|V> spills",
     ("grouplike", "fock", "_words_into"): "each minor's mode word runs on a state group's bits",
     ("hirota", "polyring", "_Partials"): "the residue reads memoized partials of one product",
     ("hirota", "polyring", "_Sum"): _SUM,
