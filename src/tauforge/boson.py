@@ -90,13 +90,12 @@ def vertex_apply(
     out: VertexState = {}
     for (l, e), poly in state.items():
         charge_shift = +1 if kind == "psi" else -1
+        parts = family.miwa_parts(poly, depth, sign=-1 if kind == "psi" else +1)
         for a in range(0, depth + 1):
             pref = family.h(a, sign=+1 if kind == "psi" else -1)
             if pref.is_zero:
                 continue
-            for m in range(0, depth + 1):
-                op = family.h(m, sign=-1 if kind == "psi" else +1)
-                derived = family.apply_diff(op, poly)
+            for m, derived in enumerate(parts):
                 if derived.is_zero:
                     continue
                 if kind == "psi":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from tauforge.polyring import Poly, TimeFamily, _Partials, _Sum, hirota_bilinear
+from tauforge.polyring import Poly, TimeFamily, hirota_bilinear, sum_of_products
 
 
 @dataclass
@@ -60,6 +60,14 @@ def _verdict(name: str, bad: Poly, verified: int) -> CheckReport:
     )
 
 
+def _least_cutoff(name: str, family: TimeFamily, verified: int) -> None:
+    """Refuse a check whose cutoff leaves a negative weight to verify: it
+    would compare nothing."""
+    if verified < 0:
+        cutoff = family.cutoffs[family.grading]
+        raise ValueError(f"{name} needs a cutoff of at least {cutoff - verified}, got {cutoff}")
+
+
 def residue_check(
     tau_left: Poly,
     tau_right: Poly,
@@ -70,30 +78,42 @@ def residue_check(
     """The spectral-residue identity between two series whose charges
     differ by `charge_gap` >= 0 (0 is the single-series case):
 
-    sum_{j > gap} h_{j-gap-1}(-2a) h_j(scaled d/da) [tau_l(t-a) tau_r(t+a)] = 0.
+    sum_{j > gap} h_{j-gap-1}(-2a) h_j(scaled d/da) [tau_l(t-a) tau_r(t+a)] = 0,
+
+    verified through weight cutoff - 1 - gap.  Each h_j(scaled d/da) F is
+    the coefficient of w^j in F(a + [w]) (`TimeFamily.miwa_parts`).  For a
+    single series, tau(t+a) = E + O by the parity of the degree in a, and
+    tau(t-a) tau(t+a) = E^2 - O^2.  Every term takes some a-derivative,
+    which kills the a-free square, so with E = E0 + E1, E0 the a-free
+    terms, the product formed is 2 E0 E1 + E1^2 - O^2.
     """
     if charge_gap < 0:
         raise ValueError("charge gap must be >= 0")
+    name = "kp_residue" if charge_gap == 0 else f"mkp_residue_gap{charge_gap}"
+    depth = family.cutoffs[family.grading]
+    # each term consumes gap+1 net derivative orders of the truncated input
+    verified = depth - 1 - charge_gap
+    _least_cutoff(name, family, verified)
+    total = _residue_total(tau_left, tau_right, family, shift, charge_gap)
+    return _report(name, total, verified, family.grading)
+
+
+def _residue_total(
+    tau_left: Poly, tau_right: Poly, family: TimeFamily, shift: TimeFamily, gap: int
+) -> Poly:
+    """The residue identity's left side, before its truncation to the
+    verified weight."""
     depth = family.cutoffs[family.grading]
     plus = family.shift_by(tau_right, shift, +1)
     if tau_left is tau_right:
-        # tau(t+a) = E + O by the parity of the degree in a, so
-        # tau(t-a) tau(t+a) = (E - O)(E + O) = E^2 - O^2
-        even, odd = shift.parity_parts(plus)
-        product = even * even - odd * odd
+        even, odd, free = shift.parity_parts(plus)
+        squares = [(free, even, 2), (even, even, 1), (odd, odd, -1)]
+        product = sum_of_products(plus.zero_like(), squares)
     else:
         product = family.shift_by(tau_left, shift, -1) * plus
-    partials = _Partials(product)
-    total = _Sum(partials.poly.zero_like())
-    for j in range(charge_gap + 1, depth + 2):
-        derived = shift.apply_diff(shift.h(j), partials)
-        if derived.is_zero:
-            continue
-        factor = shift.h(j - charge_gap - 1, -2)
-        total.add(factor * derived)
-    name = "kp_residue" if charge_gap == 0 else f"mkp_residue_gap{charge_gap}"
-    # each term consumes gap+1 net derivative orders of the truncated input
-    return _report(name, total.poly(), depth - 1 - charge_gap, family.grading)
+    parts = shift.miwa_parts(product, depth + 1)
+    terms = [(shift.h(j - gap - 1, -2), parts[j], 1) for j in range(gap + 1, len(parts))]
+    return sum_of_products(product.zero_like(), terms)
 
 
 def kp_residue_check(tau: Poly, family: TimeFamily, shift: TimeFamily) -> CheckReport:
@@ -113,6 +133,7 @@ def _op(family: TimeFamily, spec) -> list[tuple[Fraction, dict[str, int]]]:
 def kp_equation_check(tau: Poly, family: TimeFamily) -> CheckReport:
     """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau = 0 through weight cutoff - 4."""
     verified = family.cutoffs[family.grading] - 4
+    _least_cutoff("kp_equation", family, verified)
     residual = hirota_bilinear(_op(family, KP_BILINEAR_OP), tau, tau, {family.grading: verified})
     return _report("kp_equation", residual, verified, family.grading)
 
@@ -122,6 +143,7 @@ def mkp_equation_check(
 ) -> CheckReport:
     """(D1^2 - D2) tau_{n+1}.tau_n = 0 through weight cutoff - 2."""
     verified = family.cutoffs[family.grading] - 2
+    _least_cutoff("mkp_equation", family, verified)
     op = _op(family, [(1, {0: 2}), (-1, {1: 1})])
     residual = hirota_bilinear(op, tau_up, tau_down, {family.grading: verified})
     return _report("mkp_equation", residual, verified, family.grading)
@@ -271,6 +293,8 @@ def three_term_check_toda(
 def scalar_kp_field_check(tau: Poly, family: TimeFamily) -> CheckReport:
     """The second-log-derivative field u satisfies the scalar equation
     3 u_22 = (4 u_3 - 12 u u_1 - u_111)_1 through cutoff - 6."""
+    depth = family.cutoffs[family.grading]
+    _least_cutoff("scalar_kp_field", family, depth - 6)
     c0 = tau.constant_term()
     if c0 == 0:
         raise ValueError("series needs a nonzero constant term")
@@ -281,5 +305,4 @@ def scalar_kp_field_check(tau: Poly, family: TimeFamily) -> CheckReport:
     rhs = (
         u.derivative(t3) * 4 - u * u.derivative(t1) * 12 - u.derivative(t1, 3)
     ).derivative(t1)
-    depth = family.cutoffs[family.grading]
     return _report("scalar_kp_field", lhs - rhs, depth - 6, family.grading)

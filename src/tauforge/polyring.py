@@ -65,12 +65,16 @@ Loops that sum many polynomials add in place into one private dict over a
 running denominator (`_Sum`), rescaled to the lcm only when an addend's
 denominator does not divide it.  A sum of weighted products (a double
 Schur sum) forms no product polynomial: `sum_of_products` multiplies every
-pair's numerators into one dict over one common denominator.  Operators
-applied to one target share its partial derivatives, memoized by
-multi-index (`_Partials`), and time shifts expand each power of a shifted
-time by integer binomials instead of multiplying `Poly` powers.  A Hirota
-bilinear residual compared only through some weight (`hirota_bilinear`'s
-`within`) truncates each partial to that weight before it multiplies.
+pair's numerators into one dict over one common denominator.  The Leibniz
+terms of a Hirota bilinear share the partial derivatives of each factor,
+memoized by multi-index (`_Partials`), and time shifts expand each power
+of a shifted time by integer binomials instead of multiplying `Poly`
+powers.  The whole family h_0(+-d~), ..., h_top(+-d~) acts on a polynomial
+in one sweep over its keys (`TimeFamily.miwa_parts`): h_j(+-d~) p is the
+coefficient of w^j in p(s +- [w]), read off the binomial expansion of each
+monomial, with no derivative formed.  A Hirota bilinear residual compared
+only through some weight (`hirota_bilinear`'s `within`) truncates each
+partial to that weight before it multiplies.
 """
 
 from __future__ import annotations
@@ -1024,15 +1028,17 @@ class TimeFamily:
     def exp_xi_value(self, value: Scalar) -> Poly:
         return self.xi_value(value).series_exp()
 
-    def parity_parts(self, p: Poly) -> tuple[Poly, Poly]:
-        """The terms of `p` of even and of odd total degree in the times:
-        the parity of the sum of the exponents is that of the number of
-        odd exponents, the low bits of the times' fields."""
+    def parity_parts(self, p: Poly) -> tuple[Poly, Poly, Poly]:
+        """The terms of `p` that hold some time, split by the parity of
+        their total degree in the times (even, odd), and the terms that hold
+        none: the parity of the sum of the exponents is that of the number
+        of odd exponents, the low bits of the times' fields."""
         table = p.table
+        fields = sum(_FIELD << table.shifts[table.index[name]] for name in self.names)
         low_bits = sum(1 << table.shifts[table.index[name]] for name in self.names)
-        parts: tuple[dict, dict] = ({}, {})
+        parts: tuple[dict, dict, dict] = ({}, {}, {})
         for key, n in p.nums.items():
-            parts[(key & low_bits).bit_count() & 1][key] = n
+            parts[(key & low_bits).bit_count() & 1 if key & fields else 2][key] = n
         return tuple(Poly._reduced(table, p.cutoffs, nums, p.den) for nums in parts)
 
     def miwa_shift(self, p: Poly, sign: int, param: str) -> Poly:
@@ -1114,18 +1120,14 @@ class TimeFamily:
         nums = {k: n for k, n in nums.items() if n}
         return Poly._reduced(table, cut, nums, p.den * common)
 
-    def apply_diff(self, op: Poly, target: "Poly | _Partials") -> Poly:
+    def apply_diff(self, op: Poly, target: Poly) -> Poly:
         """Interpret `op` (a polynomial in this family's times) as a
         differential operator: t_k becomes d/dt_k divided by k (the
-        tilde-derivative convention).
-
-        `op` and `target` share one table.  `target` may be a `_Partials`
-        memo of the target, so that several operators on one target share
-        its partial derivatives."""
-        partials = target if isinstance(target, _Partials) else _Partials(target)
-        target = partials.poly
+        tilde-derivative convention).  `op` and `target` share one table,
+        and the operator's monomials share the target's partials."""
         if op.table != target.table:
             raise ValueError("operator and target live on different variable tables")
+        partials = _Partials(target)
         rank = {name: k for k, name in enumerate(self.names, start=1)}
         names = [v.name for v in op.table.variables]
         out = _Sum(target.zero_like())
@@ -1140,6 +1142,57 @@ class TimeFamily:
             if piece:
                 out.add(piece, Fraction(n, op.den * scale))
         return out.poly()
+
+    def miwa_parts(self, p: Poly, top: int, sign: int = 1) -> list[Poly]:
+        """[h_j(sign * d~) p for j = 0..top], d~_k = d/dt_k / k, as
+        `apply_diff(h(j, sign), p)` gives each, so zero beyond this family's
+        cutoff: the coefficients of w^j in p(t + sign [w]), [w]_k = w^k / k,
+        formed in one sweep over p's keys.  A monomial t^gamma adds
+        prod_k C(gamma_k, alpha_k) sign^alpha_k k^-alpha_k t^(gamma - alpha)
+        to part sum_k k alpha_k, for every alpha <= gamma, so no derivative
+        is formed.  Every part is over p's denominator times one integer L,
+        the lcm of k^(top // k): it holds every prod_k k^alpha_k with
+        sum_k k alpha_k <= top, since then each prime q divides it at most
+        top // q times.  The expansion of each distinct exponent vector in
+        the times is formed once."""
+        table = p.table
+        if table is not self.table and table != self.table:
+            raise ValueError("family and polynomial live on different variable tables")
+        bound = self.cutoffs.get(self.grading)
+        if bound is not None:
+            top = min(top, bound)
+        if top < 0 or not self.one():  # a negative cutoff zeroes every h_j
+            return []
+        den = lcm(*(k ** (top // k) for k in range(1, top + 1)))
+        times = [
+            (k, table.shifts[i], table.units[i])
+            for k, i in enumerate((table.index[name] for name in self.names), start=1)
+            if k <= top
+        ]
+        fields = sum(_FIELD << s for _, s, _ in times)
+        # exponents in the times -> [(part, key change, numerator over den)]
+        rows: dict[int, list[tuple[int, int, int]]] = {}
+        parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for key, n in p.nums.items():
+            row = rows.get(key & fields)
+            if row is None:
+                row = [(0, 0, den)]
+                for k, s, unit in times:
+                    e = key >> s & _FIELD
+                    if e:
+                        row = [
+                            (j + k * a, dk + a * unit, c * comb(e, a) * sign**a // k**a)
+                            for j, dk, c in row
+                            for a in range(min(e, (top - j) // k) + 1)
+                        ]
+                rows[key & fields] = row
+            for j, dk, c in row:
+                part = parts[j]
+                part[key - dk] = part.get(key - dk, 0) + n * c
+        return [
+            Poly._reduced(table, p.cutoffs, {k: n for k, n in part.items() if n}, p.den * den)
+            for part in parts
+        ]
 
 
 def hirota_bilinear(

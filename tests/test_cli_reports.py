@@ -99,6 +99,8 @@ LINEAR_WORD = {
     ],
 }
 
+LINEAR_WORD_JSON = json.dumps(LINEAR_WORD, separators=(",", ":"))
+
 
 # c_empty = det(I + A K) = 1 - (1/3) * 3 vanishes at charge 0
 SOLITON_VANISHING = json.dumps(
@@ -235,6 +237,17 @@ GOLDEN = [
         f"expand --charge 0 --cutoff 6 --element {diagonal_product(False)}",
         0,
         "f85405d6fd57cc573babedc24bd5e453a99d32c1010246dd12d95d4076e61ab9",
+    ),
+    # failing kp reports, counterexamples included: a soliton and a mode word
+    (
+        f"verify --suite kp --cutoff 8 --corrupt --element {SOLITON_2X2}",
+        1,
+        "080918877520c26e9ff70690f904de3079a7f2ef50f602790268ae721c27f70d",
+    ),
+    (
+        f"verify --suite kp --cutoff 8 --corrupt --element {LINEAR_WORD_JSON}",
+        1,
+        "6d578e8f8e22a673ce5e47b4ca361591cce49b5d286dc4d69d9807e4990d5414",
     ),
     (
         f"expand --charge 1 --cutoff 6 --element {diagonal_product(False)}",

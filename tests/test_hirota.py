@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from tauforge.fock import ModeWindow
 from tauforge.hirota import (
+    CheckReport,
+    _report,
+    _residue_total,
     kp_equation_check,
     kp_residue_check,
     mkp_equation_check,
@@ -15,14 +22,22 @@ from tauforge.hirota import (
 )
 from tauforge.grouplike import StateProjector
 from tauforge.partitions import Partition
+from tauforge.models import hamiltonian_families, hamiltonian_tau_eigen
 from tauforge.polyring import (
     Poly,
+    TimeFamily,
+    _Sum,
     paired_family,
     standard_double_family,
     standard_single_family,
 )
-from tauforge.sampling import sample_bare_bilinear, sample_exponent_bilinear
-from tauforge.tau import expand_mkp
+from tauforge.sampling import (
+    sample_bare_bilinear,
+    sample_element,
+    sample_exponent_bilinear,
+    sample_soliton,
+)
+from tauforge.tau import expand_mkp, window_for_element
 
 F = Fraction
 W = ModeWindow(-14, 14)
@@ -177,11 +192,10 @@ def test_charge_step_residue_fails_on_a_perturbed_series():
 
 
 def test_single_series_residue_equals_the_two_series_branch():
-    # residue_check(tau, tau) forms tau(t-a) tau(t+a) as E^2 - O^2; an equal
-    # copy as tau_right takes the general branch, two shifts and one product
+    # residue_check(tau, tau) forms tau(t-a) tau(t+a) as E^2 - O^2 less the
+    # a-free square; an equal copy as tau_right takes the general branch,
+    # two shifts and one product
     import copy
-
-    from tauforge.sampling import sample_soliton
 
     fam, shift = paired_family(7)
     rng = random.Random(13)
@@ -193,3 +207,111 @@ def test_single_series_residue_equals_the_two_series_branch():
             single = residue_check(series, series, fam, shift)
             assert single.to_json() == residue_check(series, twin, fam, shift).to_json()
             assert single.ok == (series is tau), g
+
+
+# check name -> (least cutoff, the check run on the constant series 1)
+LEAST_CUTOFFS = {
+    "kp_equation": (4, lambda fam, shift: kp_equation_check(fam.one(), fam)),
+    "mkp_equation": (2, lambda fam, shift: mkp_equation_check(fam.one(), fam.one(), fam)),
+    "kp_residue": (1, lambda fam, shift: kp_residue_check(fam.one(), fam, shift)),
+    "mkp_residue_gap5": (6, lambda fam, shift: residue_check(fam.one(), fam.one(), fam, shift, 5)),
+    "scalar_kp_field": (6, lambda fam, shift: scalar_kp_field_check(fam.one(), fam)),
+}
+
+
+@pytest.mark.parametrize("name", LEAST_CUTOFFS)
+def test_a_check_below_its_least_cutoff_refuses_to_run(name):
+    # a negative weight to verify compares nothing, so it is no pass
+    least, check = LEAST_CUTOFFS[name]
+    refusal = f"{name} needs a cutoff of at least {least}, got {least - 1}"
+    with pytest.raises(ValueError, match=refusal):
+        check(*paired_family(least - 1))
+    report = check(*paired_family(least))
+    assert report.name == name and report.ok and report.verified_weight == 0
+
+
+# -- the residue before `TimeFamily.miwa_parts`, kept as the reference ----------------
+
+
+def reference_residue(
+    tau_left: Poly, tau_right: Poly, family: TimeFamily, shift: TimeFamily, charge_gap: int
+) -> tuple[Poly, CheckReport]:
+    """The residue's unreduced total and its report, one `apply_diff` of
+    h_j(d~_a) per j on the full product: for one series E^2 - O^2, with
+    E and O the halves of tau(t+a) +- tau(t-a)."""
+    depth = family.cutoffs[family.grading]
+    plus = family.shift_by(tau_right, shift, +1)
+    if tau_left is tau_right:
+        minus = family.shift_by(tau_right, shift, -1)
+        even, odd = (plus + minus) * F(1, 2), (plus - minus) * F(1, 2)
+        product = even * even - odd * odd
+    else:
+        product = family.shift_by(tau_left, shift, -1) * plus
+    total = _Sum(product.zero_like())
+    for j in range(charge_gap + 1, depth + 2):
+        derived = shift.apply_diff(shift.h(j), product)
+        if derived.is_zero:
+            continue
+        factor = shift.h(j - charge_gap - 1, -2)
+        total.add(factor * derived)
+    name = "kp_residue" if charge_gap == 0 else f"mkp_residue_gap{charge_gap}"
+    total = total.poly()
+    return total, _report(name, total, depth - 1 - charge_gap, family.grading)
+
+
+def _sampled_taus(seed: int, source: str, depth: int, hamiltonian: bool):
+    """(family, shift, tau_0, tau_1): a sampled element's series at charges
+    0 and 1, or on the Hamiltonian families (a "w" grading beside the
+    times) the auxiliary-time tau and, as the second series of the
+    two-series branch, that tau plus winv t_1."""
+    rng = random.Random(seed)
+    if hamiltonian:
+        times, shift = hamiltonian_families(depth, rng.randint(1, 3))
+        g = sample_exponent_bilinear(rng)
+        tau = hamiltonian_tau_eigen(g, F(rng.randint(1, 5), 3), times, times.cutoffs["w"])
+        winv = Poly.variable(times.table, times.cutoffs, "winv")
+        return times, shift, tau, tau + winv * times.time(1)
+    fam, shift = paired_family(depth)
+    if source == "soliton":
+        g = sample_soliton(rng, rng.randint(1, 2))
+    else:
+        g = sample_element(rng, allow_products=False)
+    window = window_for_element(g, (-1, 0, 1), depth)
+    taus = [expand_mkp(g, n, fam, depth, window).poly for n in (0, 1)]
+    return fam, shift, *taus
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("element", "soliton")),
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from(("as drawn", "corrupt", "zero", "constant")),
+    st.integers(0, 2),
+    st.sampled_from(("one series", "equal copy", "charge pair")),
+)
+@example(7, "soliton", 8, False, "as drawn", 0, "one series")
+@example(7, "soliton", 8, False, "corrupt", 1, "charge pair")
+@example(3, "element", 6, True, "corrupt", 0, "one series")
+def test_residue_matches_the_operator_by_operator_reference(
+    seed, source, depth, hamiltonian, variant, gap, branch
+):
+    fam, shift, tau, tau1 = _sampled_taus(seed, source, depth, hamiltonian)
+    if variant == "corrupt":
+        tau = tau + fam.time(min(2, depth)) * F(1, 7)
+    elif variant != "as drawn":
+        tau = fam.zero() if variant == "zero" else fam.constant(F(-3, 2))
+    left, right = {
+        "one series": (tau, tau),
+        "equal copy": (tau, Poly.from_json(tau.to_json())),
+        "charge pair": (tau1, tau),
+    }[branch]
+    if depth - 1 - gap < 0:
+        with pytest.raises(ValueError, match="needs a cutoff of at least"):
+            residue_check(left, right, fam, shift, gap)
+        return
+    want_total, want = reference_residue(left, right, fam, shift, gap)
+    got_total = _residue_total(left, right, fam, shift, gap)
+    assert got_total == want_total and got_total.cutoffs == want_total.cutoffs
+    assert residue_check(left, right, fam, shift, gap).to_json() == want.to_json()

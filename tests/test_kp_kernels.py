@@ -1,12 +1,13 @@
 """Differential tests for the kernels the KP checks run on.
 
 `Poly.derivative` takes any order in one pass, `apply_diff` and
-`hirota_bilinear` share memoized partial derivatives, `shift_by` and
-`miwa_shift` expand binomially, and `expand_mkp` reads every coefficient
-off one application of a window element.  Each is compared here with the
+`hirota_bilinear` share memoized partial derivatives, `miwa_parts` reads
+every h_j(+-d~) p off one binomial sweep, `shift_by` and `miwa_shift`
+expand binomially, and `expand_mkp` reads every coefficient off one
+application of a window element.  Each is compared here with the
 implementation it replaced, kept below as the reference: iterated
-first-order derivatives, substitution of `Poly` powers, and one element
-application per shape.
+first-order derivatives, one operator applied at a time, substitution of
+`Poly` powers, and one element application per shape.
 """
 
 import random
@@ -223,14 +224,30 @@ def test_apply_diff_matches_the_derivative_per_monomial(op, target):
 
 
 @settings(deadline=None, max_examples=60)
-@given(polys(TABLE, ("t",)))
-def test_apply_diff_sharing_partials_over_a_family_of_operators(target):
-    from tauforge.polyring import _Partials
+@given(polys(TABLE, ("t",)), st.sampled_from((-1, 1)), st.integers(-1, DEPTH + 2))
+# t-weight 5 = a1^3 a2 beyond the family's cutoff 4: h_5 is zero there
+@example(Poly(TABLE, {"t": None}, {((DEPTH, 3), (DEPTH + 1, 1)): 1}), 1, DEPTH + 1)
+def test_miwa_parts_match_the_operators_one_by_one(target, sign, top):
+    # part j is h_j(sign d~) applied alone, the family's cutoff included
+    parts = SHIFTS.miwa_parts(target, top, sign)
+    assert len(parts) == max(min(top, DEPTH), -1) + 1
+    for j in range(top + 1):
+        want = old_apply_diff(SHIFTS, SHIFTS.h(j, sign), target)
+        if j < len(parts):
+            assert same(parts[j], want)
+        else:
+            assert want.is_zero
 
-    partials = _Partials(target)
-    for j in range(DEPTH + 2):
-        op = SHIFTS.h(j)
-        assert same(SHIFTS.apply_diff(op, partials), old_apply_diff(SHIFTS, op, target))
+
+@pytest.mark.parametrize("sign", (-1, 1))
+def test_miwa_parts_hold_every_power_of_a_rank_in_one_denominator(sign):
+    # a2^4 needs 2^4 in the common denominator at top 8, which the lcm of
+    # 1..8 (2^3 * 3 * 5 * 7) lacks
+    fam, shift = paired_family(8)
+    a1, a2, a3 = (shift.time(k) for k in (1, 2, 3))
+    target = a2**4 + a2**3 * a1 * fam.time(1) + a3**2 * a2 + a1**8 * Fraction(1, 5)
+    for j, part in enumerate(shift.miwa_parts(target, 8, sign)):
+        assert same(part, old_apply_diff(shift, shift.h(j, sign), target))
 
 
 @settings(deadline=None, max_examples=100)

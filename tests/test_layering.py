@@ -75,8 +75,6 @@ PRIVATE_IMPORTS = {
     ("grouplike", "fock", "_occupied"): "diagonal multipliers and the minor screen read one bit",
     ("grouplike", "fock", "_outside_window"): "the exchange check reads every mode when g|V> spills",
     ("grouplike", "fock", "_words_into"): "each minor's mode word runs on a state group's bits",
-    ("hirota", "polyring", "_Partials"): "the residue reads memoized partials of one product",
-    ("hirota", "polyring", "_Sum"): _SUM,
     ("models", "polyring", "_Sum"): _SUM,
     ("models", "wick", "_field_field_kernel"): "the soliton kernel entry is the two-point kernel",
     ("polyring", "schur", "_schur_poly"): "TimeFamily.h is the one-row Schur function at a sign",
