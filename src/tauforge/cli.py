@@ -32,12 +32,7 @@ from tauforge.grouplike import (
     charge_of,
     verify_charge,
 )
-from tauforge.hirota import (
-    CheckReport,
-    kp_equation_check,
-    kp_residue_check,
-    mkp_equation_check,
-)
+from tauforge.hirota import CheckReport, kp_checks, mkp_equation_check
 from tauforge.partitions import Partition, enumerate_partitions
 from tauforge.polyring import (
     FIELD_MAX,
@@ -373,8 +368,7 @@ def _suite_kp(depth: int, rng, corrupt: bool, element_json: str | None) -> list[
     if corrupt:
         tau = tau + fam.time(min(2, depth)) * Fraction(1, 7)
         tau1 = tau1 + fam.time(1) * Fraction(1, 5)
-    reports = [kp_residue_check(tau, fam, shift), kp_equation_check(tau, fam)]
-    return reports + [mkp_equation_check(tau1, tau, fam)]
+    return kp_checks(tau, fam, shift) + [mkp_equation_check(tau1, tau, fam)]
 
 
 # draws the generalized Wick check may make for its six samples; a draw

@@ -9,9 +9,13 @@ bilinear checks form no product term beyond the weight they verify.
 The residue identities are realized coefficient-wise: the spectral
 parameter is eliminated in favor of an auxiliary shift family living in
 the same grading as the times, so one cutoff bounds time weight and
-shift degree together.  The three-term identities clear their pole
-prefactors with the inverse-parameter unit variables, making each a
-polynomial identity.
+shift degree together.  Expanded in the shift, the residue total's
+coefficients are the Hirota equations, so the KP equation needs no product
+of its own: `kp_checks`, the `verify --suite kp` route, reads it off the
+total the residue check forms.  `kp_equation_check` keeps its own
+bilinear product as the independent route the tests compare it with.  The
+three-term identities clear their pole prefactors with the
+inverse-parameter unit variables, making each a polynomial identity.
 """
 
 from __future__ import annotations
@@ -120,6 +124,24 @@ def kp_residue_check(tau: Poly, family: TimeFamily, shift: TimeFamily) -> CheckR
     return residue_check(tau, tau, family, shift, 0)
 
 
+def kp_checks(tau: Poly, family: TimeFamily, shift: TimeFamily) -> list[CheckReport]:
+    """The `kp_residue` and `kp_equation` entries of one series, both read
+    off one residue total.  Expanded in the shift a, the total's
+    coefficients are the Hirota equations of the hierarchy: its part linear
+    in a_3 and free of the other a_k is -1/12 times (D1^4 + 3 D2^2 -
+    4 D1 D3) tau.tau, verified through weight cutoff - 4.  Equal, entry by
+    entry, to `kp_residue_check` and `kp_equation_check`."""
+    depth = family.cutoffs[family.grading]
+    _least_cutoff("kp_residue", family, depth - 1)
+    _least_cutoff("kp_equation", family, depth - 4)
+    total = _residue_total(tau, tau, family, shift, 0)
+    kp = shift.linear_part(total, 3) * -12
+    return [
+        _report("kp_residue", total, depth - 1, family.grading),
+        _report("kp_equation", kp, depth - 4, family.grading),
+    ]
+
+
 KP_BILINEAR_OP = [(1, {0: 4}), (3, {1: 2}), (-4, {0: 1, 2: 1})]
 
 
@@ -131,7 +153,9 @@ def _op(family: TimeFamily, spec) -> list[tuple[Fraction, dict[str, int]]]:
 
 
 def kp_equation_check(tau: Poly, family: TimeFamily) -> CheckReport:
-    """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau = 0 through weight cutoff - 4."""
+    """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau = 0 through weight cutoff - 4, by
+    its own bilinear product: the independent route that tests compare
+    `kp_checks`' read-off with."""
     verified = family.cutoffs[family.grading] - 4
     _least_cutoff("kp_equation", family, verified)
     residual = hirota_bilinear(_op(family, KP_BILINEAR_OP), tau, tau, {family.grading: verified})
@@ -158,14 +182,11 @@ def toda_equation_check(
 ) -> CheckReport:
     """(1/2) D_1 D_{-1} tau_n.tau_n + tau_{n+1} tau_{n-1} = 0, verified
     through biweight (cutoff_+ - 1, cutoff_- - 1)."""
-    op = [
-        (
-            Fraction(1, 2),
-            {family_plus.names[0]: 1, family_minus.names[0]: 1},
-        )
-    ]
     dp = family_plus.cutoffs[family_plus.grading] - 1
     dm = family_minus.cutoffs[family_minus.grading] - 1
+    _least_cutoff("toda_equation", family_plus, dp)
+    _least_cutoff("toda_equation", family_minus, dm)
+    op = [(Fraction(1, 2), {family_plus.names[0]: 1, family_minus.names[0]: 1})]
     within = {family_plus.grading: dp, family_minus.grading: dm}
     # the truncated factor bounds the product, and with it the sum, by `within`
     bad = hirota_bilinear(op, tau_mid, tau_mid, within) + tau_up.truncate(within) * tau_down

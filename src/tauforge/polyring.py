@@ -82,7 +82,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
+from inspect import signature
 from itertools import compress, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, gcd, lcm, perm, prod
@@ -957,19 +958,21 @@ class TimeFamily:
 
     `names[k-1]` is the variable of weight k.  All generating-series
     helpers live here: complete homogeneous generators, the two-variable
-    exponential series, Miwa shifts and evaluations.
+    exponential series, Miwa shifts and evaluations.  The standard
+    constructors below share one family per set of arguments, so a family
+    is never changed after it is built.
     """
 
     def __init__(
         self,
         table: VariableTable,
         cutoffs: Mapping[str, int | None],
-        names: list[str],
+        names: Iterable[str],
         grading: str,
     ):
         self.table = table
         self.cutoffs = dict(cutoffs)
-        self.names = list(names)
+        self.names = tuple(names)
         self.grading = grading
         for k, n in enumerate(self.names, start=1):
             v = table.var(n)
@@ -1040,6 +1043,18 @@ class TimeFamily:
         for key, n in p.nums.items():
             parts[(key & low_bits).bit_count() & 1 if key & fields else 2][key] = n
         return tuple(Poly._reduced(table, p.cutoffs, nums, p.den) for nums in parts)
+
+    def linear_part(self, p: Poly, k: int) -> Poly:
+        """The part of `p` linear in this family's k-th time and free of its
+        other times, with that time divided out: d p / d t_k at every time
+        of the family 0.  Its keys are those whose time fields hold exactly
+        the k-th time's unit exponent, less that time's unit."""
+        table = p.table
+        fields = sum(_FIELD << table.shifts[table.index[name]] for name in self.names)
+        i = table.index[self.names[k - 1]]
+        one, unit = 1 << table.shifts[i], table.units[i]
+        nums = {key - unit: n for key, n in p.nums.items() if key & fields == one}
+        return Poly._reduced(table, p.cutoffs, nums, p.den)
 
     def miwa_shift(self, p: Poly, sign: int, param: str) -> Poly:
         """Substitute t_k -> t_k +- param^k / k (the one-point Miwa shift)."""
@@ -1352,6 +1367,46 @@ def fraction_matrix_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
+# every family the standard constructors have built, by constructor and
+# normalized arguments: polynomials memoized on a family's table and cutoffs
+# (`schur._schur_cache`, `VariableTable._bounds`) meet those same objects
+# again in a later call, and are found by identity
+_families: dict[tuple, "TimeFamily | tuple[TimeFamily, TimeFamily]"] = {}
+
+
+def _frozen(value):
+    """An argument as part of a memo key: a mapping as its sorted items,
+    None as no items, any other iterable but a string as a tuple."""
+    if value is None:
+        return ()
+    if isinstance(value, Mapping):
+        return tuple(sorted(value.items()))
+    if isinstance(value, Iterable) and not isinstance(value, str):
+        return tuple(value)
+    return value
+
+
+def _shared(build):
+    """`build`, a family constructor, memoized in `_families` on its bound
+    arguments, each `_frozen` before `build` reads it: `extra_unit=["y"]`
+    and `extra_unit=("y",)` give the same family."""
+    bind = signature(build).bind
+
+    @wraps(build)
+    def shared(*args, **kwargs):
+        bound = bind(*args, **kwargs)
+        bound.apply_defaults()
+        frozen = {name: _frozen(v) for name, v in bound.arguments.items()}
+        key = (build.__name__, *frozen.values())
+        got = _families.get(key)
+        if got is None:
+            got = _families[key] = build(**frozen)
+        return got
+
+    return shared
+
+
+@_shared
 def standard_single_family(
     depth: int,
     extra_unit: Iterable[str] = (),
@@ -1369,6 +1424,7 @@ def standard_single_family(
     return TimeFamily(table, {"t": depth}, [f"t{k}" for k in range(1, depth + 1)], "t")
 
 
+@_shared
 def standard_double_family(
     depth_plus: int,
     depth_minus: int,
@@ -1390,6 +1446,7 @@ def standard_double_family(
     return plus, minus
 
 
+@_shared
 def paired_family(depth: int, extra_unit: Iterable[str] = ()) -> tuple[TimeFamily, TimeFamily]:
     """Two weight-graded families sharing one grading and cutoff (times
     t1, t2, ... plus an auxiliary shift family a1, a2, ...), for

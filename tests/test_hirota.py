@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tauforge import cli, hirota
 from tauforge.fock import ModeWindow
 from tauforge.hirota import (
     CheckReport,
     _report,
     _residue_total,
+    kp_checks,
     kp_equation_check,
     kp_residue_check,
     mkp_equation_check,
@@ -22,7 +25,7 @@ from tauforge.hirota import (
 )
 from tauforge.grouplike import StateProjector
 from tauforge.partitions import Partition
-from tauforge.models import hamiltonian_families, hamiltonian_tau_eigen
+from tauforge.models import hamiltonian_families, hamiltonian_tau_eigen, unitary_model_tau
 from tauforge.polyring import (
     Poly,
     TimeFamily,
@@ -228,6 +231,82 @@ def test_a_check_below_its_least_cutoff_refuses_to_run(name):
         check(*paired_family(least - 1))
     report = check(*paired_family(least))
     assert report.name == name and report.ok and report.verified_weight == 0
+
+
+def test_toda_equation_below_its_least_cutoff_refuses_to_run():
+    # a family of cutoff 0 has no time to differentiate by
+    for cut_plus, cut_minus in ((0, 0), (0, 2), (2, 0)):
+        plus, minus = standard_double_family(cut_plus, cut_minus)
+        one = plus.one()
+        with pytest.raises(ValueError, match="toda_equation needs a cutoff of at least 1, got 0"):
+            toda_equation_check(one, one, one, plus, minus)
+    plus, minus = standard_double_family(1, 1)
+    triple = [unitary_model_tau(size, plus, minus, 1) for size in (1, 2, 3)]
+    report = toda_equation_check(*triple, plus, minus)
+    assert report.name == "toda_equation" and report.ok and report.verified_weight == 0
+
+
+# -- the KP equation read off the residue total, against its own product ---------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("element", "soliton")),
+    st.integers(5, 9),
+    st.booleans(),
+    st.sampled_from(("as drawn", "plus t2/7", "plus t1^2/3 + t3", "plus y t2", "zero", "constant")),
+)
+@example(7, "soliton", 8, False, "as drawn")
+@example(7, "element", 8, True, "plus y t2")
+@example(11, "soliton", 5, False, "plus t1^2/3 + t3")
+def test_kp_read_off_matches_the_bilinear_product(seed, source, depth, extra, variant):
+    """`kp_checks` gives the entries of `kp_residue_check` and of
+    `kp_equation_check`, whose KP residual is a product of its own, byte for
+    byte: on sampled taus, corrupted ones, a constant and zero, on a family
+    with a unit variable y beside the times and shifts."""
+    fam, shift = paired_family(depth, extra_unit=("y",) if extra else ())
+    rng = random.Random(seed)
+    g = sample_soliton(rng, rng.randint(1, 2)) if source == "soliton" else sample_element(rng, False)
+    tau = expand_mkp(g, 0, fam, depth, window_for_element(g, (0,), depth)).poly
+    if variant == "plus t2/7":
+        tau = tau + fam.time(2) * F(1, 7)
+    elif variant == "plus t1^2/3 + t3":
+        tau = tau + fam.time(1) ** 2 * F(1, 3) + fam.time(3)
+    elif variant == "plus y t2" and extra:
+        tau = tau + Poly.variable(fam.table, fam.cutoffs, "y") * fam.time(2)
+    elif variant in ("zero", "constant"):
+        tau = fam.zero() if variant == "zero" else fam.constant(F(-3, 2))
+    got = [report.to_json() for report in kp_checks(tau, fam, shift)]
+    want = [kp_residue_check(tau, fam, shift).to_json(), kp_equation_check(tau, fam).to_json()]
+    assert got == want
+
+
+def test_the_kp_suite_forms_one_residue_total_and_one_bilinear_product(monkeypatch, capsys):
+    # the KP equation comes off the residue's total; only mkp_equation
+    # forms a product of its own
+    calls = []
+    for name in ("_residue_total", "hirota_bilinear"):
+        real = getattr(hirota, name)
+        monkeypatch.setattr(
+            hirota, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    assert cli.main("verify --suite kp --cutoff 8 --seed 3".split()) == 0
+    assert sorted(calls) == ["_residue_total", "hirota_bilinear"]
+    assert [r["check"] for r in json.loads(capsys.readouterr().out)["results"]] == [
+        "kp_residue",
+        "kp_equation",
+        "mkp_equation",
+    ]
+
+
+def test_kp_read_off_refuses_below_the_kp_equation_cutoff():
+    for depth, name, least in ((0, "kp_residue", 1), (3, "kp_equation", 4)):
+        fam, shift = paired_family(depth)
+        with pytest.raises(ValueError, match=f"{name} needs a cutoff of at least {least}, got"):
+            kp_checks(fam.one(), fam, shift)
+    fam, shift = paired_family(4)
+    assert [r.verified_weight for r in kp_checks(fam.one(), fam, shift)] == [3, 0]
 
 
 # -- the residue before `TimeFamily.miwa_parts`, kept as the reference ----------------

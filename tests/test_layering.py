@@ -54,6 +54,7 @@ MEMOS = {
     "schur._schur_cache": "every Schur-family polynomial, filled a raised bra at a time",
     "partitions._enumerate_cached": "the partitions enumerated at each weight and bounds",
     "cli._parser": "the argument parser, built once per process",
+    "polyring._families": "every standard time family, built once per set of arguments",
 }
 
 # (importing module, imported module) for each import at call time that a

@@ -8,6 +8,7 @@ from tauforge.polyring import (
     fraction_matrix_det,
     fraction_matrix_inverse,
     hirota_bilinear,
+    paired_family,
     poly_matrix_det,
     standard_double_family,
     standard_single_family,
@@ -54,6 +55,20 @@ def test_ring_axioms_random():
         assert p * (q + r) == p * q + p * r
         assert p + q == q + p
         assert p - p == fam.zero()
+
+
+def test_linear_part_is_the_derivative_at_zero_times():
+    # d p / d a_k at a = 0, on polynomials mixing both families and y
+    times, shift = paired_family(7, extra_unit=("y",))
+    y = Poly.variable(times.table, times.cutoffs, "y")
+    rng = random.Random(5)
+    at_zero = {name: 0 for name in shift.names}
+    for _ in range(30):
+        p = _random_poly(times, rng) * _random_poly(shift, rng, 6) * (1 + y * rng.randint(-2, 2))
+        p = p + _random_poly(shift, rng) ** 2
+        for k in range(1, 8):
+            want = p.derivative(shift.names[k - 1]).substitute(at_zero)
+            assert shift.linear_part(p, k) == want, (p, k)
 
 
 def test_h_generators_match_exponential_series():
