@@ -64,8 +64,10 @@ tightens.
 Loops that sum many polynomials add in place into one private dict over a
 running denominator (`_Sum`), rescaled to the lcm only when an addend's
 denominator does not divide it.  A sum of weighted products (a double
-Schur sum) forms no product polynomial: `sum_of_products` multiplies every
-pair's numerators into one dict over one common denominator.  The Leibniz
+Schur sum, the Leibniz terms of a Hirota bilinear) or of weighted
+polynomials (a Schur expansion) forms no polynomial per term:
+`sum_of_products` adds every term's numerators into one dict over one
+common denominator, fixed before the first addend.  The Leibniz
 terms of a Hirota bilinear share the partial derivatives of each factor,
 memoized by multi-index (`_Partials`), and time shifts expand each power
 of a shifted time by integer binomials instead of multiplying `Poly`
@@ -837,33 +839,44 @@ def _checked_sum(table: VariableTable, acc: dict[int, int]) -> dict[int, int]:
     return {k: n for k, n in acc.items() if n}
 
 
-def sum_of_products(start: Poly, terms: Iterable[tuple[Poly, Poly, Scalar]]) -> Poly:
-    """start + sum of w * a * b over the (a, b, w) of `terms`, w rational:
-    the polynomial that `_Sum(start)` adding each `a * b * w` gives, with
-    the same cutoffs (the merge of every operand's) and the same
-    ValueError on a second table, but with no polynomial formed per term.
-    Each coefficient goes over one common denominator D, the lcm of
-    start's and every w.den * a.den * b.den = d, and each product's
-    numerators are multiplied into one dict scaled by w.num * D / d, bucket
-    pairs beyond the cutoffs skipped as in `Poly.__mul__`.  Every term is
-    read, a zero-weight one included, before any product is formed."""
+def sum_of_products(start: Poly, terms: Iterable[tuple[Poly, Poly | None, Scalar]]) -> Poly:
+    """start + sum of w * a * b over the (a, b, w) of `terms`, w rational
+    and b None for w * a alone: the polynomial that `_Sum(start)` adding
+    each `a * b * w` gives, with the same cutoffs (the merge of every
+    operand's) and the same ValueError on a second table, but with no
+    polynomial formed per term.  Each coefficient goes over one common
+    denominator D, the lcm of start's and every w.den * a.den * b.den = d,
+    fixed before the first addend, and each product's numerators are
+    multiplied into one dict scaled by w.num * D / d, bucket pairs beyond
+    the cutoffs skipped as in `Poly.__mul__`.  Every term is read, a
+    zero-weight one included, before any product is formed."""
     table = start.table
     bounds = {id(start.cutoffs): start.cutoffs}
     factors = []
     for a, b, w in terms:
-        for p in (a, b):
+        for p in (a,) if b is None else (a, b):
             if p.table is not table and p.table != table:
                 raise ValueError("polynomials live on different variable tables")
             bounds.setdefault(id(p.cutoffs), p.cutoffs)
-        if w and a.nums and b.nums:
-            factors.append((a, b, w.numerator, w.denominator * a.den * b.den))
+        if w and a.nums and (b is None or b.nums):
+            d = w.denominator * a.den * (1 if b is None else b.den)
+            factors.append((a, b, w.numerator, d))
     cut, mask, add = table._bounds(_merge_cutoffs(table, *bounds.values()))
     guards = table.guards
     den = lcm(start.den, *(d for *_, d in factors))
     scale = den // start.den
     acc = {k: n * scale for k, n in start.nums.items() if not ((k & mask) + add) & guards}
+    get = acc.get
     for a, b, num, d in factors:
-        _product_into(acc, a, b, num * (den // d), mask, add, guards)
+        num *= den // d
+        if b is not None:
+            _product_into(acc, a, b, num, mask, add, guards)
+            continue
+        items = a.nums.items()
+        if a.cutoffs is not cut and a.cutoffs != cut:
+            items = [(k, n) for k, n in items if not ((k & mask) + add) & guards]
+        for k, n in items:
+            acc[k] = get(k, 0) + n * num
     return Poly._reduced(table, cut, _checked_sum(table, acc), den)
 
 
@@ -1230,6 +1243,9 @@ def hirota_bilinear(
     it multiplies, so no product term beyond it is formed.  No weight is
     negative and weights add under multiplication, so the result within
     `within` is the full one's.
+
+    The Leibniz terms are collected first and summed by `sum_of_products`
+    in one pass, so no product is formed as a polynomial of its own.
     """
     f_partials = _Partials(f)
     g_partials = f_partials if g is f else _Partials(g)
@@ -1243,7 +1259,7 @@ def hirota_bilinear(
             cut[key] = partials.get(alpha).truncate(within)
         return cut[key]
 
-    out = _Sum(f.zero_like() if within is None else f.zero_like().truncate(within))
+    terms = []
     for coeff, orders in op_terms:
         if any(a < 0 for a in orders.values()):
             raise ValueError(f"negative derivative order in {dict(orders)}")
@@ -1268,8 +1284,11 @@ def hirota_bilinear(
             # merges the cutoffs the full residual merges
             if alpha and not (f_partials.get(fa) and g_partials.get(ga)):
                 continue
-            out.add(partial(f_partials, fa) * partial(g_partials, ga), Fraction(coeff) * weight)
-    return out.poly()
+            terms.append(
+                (partial(f_partials, fa), partial(g_partials, ga), Fraction(coeff) * weight)
+            )
+    start = f.zero_like()
+    return sum_of_products(start if within is None else start.truncate(within), terms)
 
 
 def poly_matrix_det(rows: list[list[Poly | Scalar]]) -> Poly | Fraction:
@@ -1320,27 +1339,40 @@ def poly_matrix_det(rows: list[list[Poly | Scalar]]) -> Poly | Fraction:
 
 
 def fraction_matrix_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (fraction-free not needed:
-    Fraction arithmetic is already exact), by Gaussian elimination."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+    """Exact determinant of a rational matrix: each row is cleared of its
+    denominators and the integer matrix goes to `integer_matrix_det`."""
+    ints, den = [], 1
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        den *= d
+    return Fraction(integer_matrix_det(ints), den)
+
+
+def integer_matrix_det(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: each step's entries are 2 x 2 minors divided by the
+    previous pivot, a division that is always exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if not n:
+        return 1
+    sign, last = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * top[j]) // last
+        last = pivot
+    return sign * a[-1][-1]
 
 
 def fraction_matmul(a, b) -> list[list[Fraction]]:

@@ -10,19 +10,24 @@ them) is read by Wick's theorem on its layout (`wick.wick_layout`) with
 the basis letters of `fock.frobenius_word` as they are, one bordered
 determinant per read, taken as c det(P_ff + P_fq M P_pf) with
 c = det(I - A P_pq) and M = (I - A P_pq)^-1 A formed once per charge.
-Each pair value of that Schur complement is memoized in one letter table
-per (charge, source), so a read is c times one minor of the table, as in
-the generalized Wick theorem's c_0^(d-1) c_(alpha|beta) = det c_(alpha_i|beta_j).
+One letter table per (charge, source) holds each letter's pairs as one
+integer vector, so a read is c times one integer minor, as in the
+generalized Wick theorem's c_0^(d-1) c_(alpha|beta) = det c_(alpha_i|beta_j),
+and forms one `Fraction`; with c = 0 it borders that minor by B's rows.
 The identity checks read shape by shape through one reader per call.  The
 series expansions read every shape to a weight at once (`coefficient_rows`):
 a window element's coefficients are its ket's own states, so no absent
-shape is probed, and a point-field element's come from its Wick tables.
+shape is probed, and a point-field element's come from its Wick tables,
+read only where the table's rank bound lets a shape be nonzero.  A Schur
+expansion sums c_lambda s_lambda over one common denominator
+(`polyring.sum_of_products`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from operator import mul
 from typing import Mapping
 
@@ -53,11 +58,12 @@ from tauforge.partitions import Partition, enumerate_partitions, from_frobenius,
 from tauforge.polyring import (
     Poly,
     TimeFamily,
-    _Sum,
     fraction_matmul,
     fraction_matrix_det,
     fraction_matrix_inverse,
+    integer_matrix_det,
     poly_matrix_det,
+    sum_of_products,
 )
 from tauforge.schur import double_schur_sum, schur_jt
 from tauforge.wick import (
@@ -139,13 +145,17 @@ def coefficient_rows(g, n: int, depth: int, sources, window: ModeWindow):
     is the per-shape reader's, checked once after the first ket: the first
     shape in enumeration order to leave the window is (k) or (1^k) at the
     least failing weight k, (k) first, so only those two are tried.  A
-    point-field element is read shape by shape through its Wick tables."""
+    point-field element builds each source's Wick table first and reads
+    only the shapes the table admits, those whose diagonal size is within
+    its rank bound: every other shape reads 0."""
     shapes = enumerate_partitions(depth)
     q = charge_of(g)
     if is_field_based(g):
-        read = _WickReader(g, q)
+        reader = _WickReader(g, q)
         for mu in sources:
-            yield mu, {lam: c for lam in shapes if (c := read(lam, n, mu))}
+            table = reader.table(n, mu)
+            admits, read = table.admits, reader.read
+            yield mu, {lam: c for lam in shapes if admits(lam.parts) and (c := read(table, lam))}
         return
     checked = False
     for mu in sources:
@@ -162,21 +172,35 @@ def coefficient_rows(g, n: int, depth: int, sources, window: ModeWindow):
         yield mu, {lam: wedge[lam.parts] * sign for lam in shapes if lam.parts in wedge}
 
 
+def _integer_rows(matrix) -> tuple[list[list[int]], int]:
+    """A rational matrix as (integer rows, d): each entry is its integer
+    over d, the least common denominator."""
+    den = lcm(*(x.denominator for row in matrix for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in matrix], den
+
+
 class _WickReader:
     """The reader of a point-field element g of charge q by Wick's theorem
-    (`wick.wick_matrix`) over the bra's letters, g's layout and the source's
-    ket letters with the vacuum pad.
+    over the bra's letters, g's layout and the source's ket letters with the
+    vacuum pad.
 
-    Per charge n, once: B = I - A P_pq over g's points, c = det B and
-    M = B^-1 A.  With c != 0 a read is c det E over the word's psi letters
-    x and psi* letters y, E(x, y) = P(x, y) + (P(x, q) M)(P(p, y)), the
-    Schur complement of B.  The bra of (alpha | beta), psi*_(n+alpha_i) then
+    Per charge n, once: B = I - A P_pq over g's points (`wick.wick_matrix`)
+    and c = det B.  The bra of (alpha | beta), psi*_(n+alpha_i) then
     psi_(n-beta_i-1), is written before g's own letters and the source's
-    (the fixed letters) and never pairs with itself.  A `_WickTable` per
-    (charge, source) memoizes E, so a read is one minor of it: no letter
-    word is built per shape.  With c = 0 a read is the bordered determinant
-    itself.  A bra's block has rank at most min(#holes, #particles) plus
-    the number of fixed letters: a bra of larger diagonal size reads 0."""
+    (the fixed letters) and never pairs with itself.  A psi letter x has the
+    factor P(x, q), its pairs with the hole points, and a psi* letter y the
+    factor P(p, y), its pairs with the particle points.  With c != 0 x's
+    factor is taken times M = B^-1 A and a read is c det E over the word's
+    psi letters x and psi* letters y, E(x, y) = P(x, y) + (P(x, q) M)(P(p, y)),
+    the Schur complement of B.  With c = 0 y's factor is taken times -A and
+    a read is the bordered determinant det [[P, P(x, q)], [-A P(p, y), B]]
+    itself, as `wick.wick_matrix` forms it, with B's rows formed once.
+    Either way a factor is an integer vector over a denominator of its own,
+    each letter is formed once per charge, and a read's determinant is an
+    integer one (`_WickTable`).  The bra's arm columns meet its legs only
+    through g's couplings, of rank at most min(#holes, #particles), so they
+    span at most that rank plus the number of fixed psi letters: a bra of
+    larger diagonal size reads 0 and is never formed."""
 
     def __init__(self, g, q: int):
         self.q = q
@@ -191,54 +215,80 @@ class _WickReader:
             for h, _ in self.holes
         ]
         self.rank = min(len(self.holes), len(self.particles))
-        self.vacua: dict[int, tuple] = {}  # n -> (c, M)
+        self.vacua: dict[int, tuple] = {}  # n -> `vacuum_data`
         self.bras: dict[tuple, tuple] = {}  # (n, species, arm or leg) -> letter
         self.tables: dict[tuple, _WickTable] = {}  # (n, source) -> its table
 
+    def table(self, n: int, source: Partition) -> "_WickTable":
+        got = self.tables.get((n, source))
+        if got is None:
+            got = self.tables[(n, source)] = _WickTable(self, n, source)
+        return got
+
     def __call__(self, shape: Partition, n: int, source: Partition = _EMPTY):
-        table = self.tables.get((n, source))
-        if table is None:
-            table = self.tables[(n, source)] = _WickTable(self, n, source)
+        table = self.table(n, source)
+        return self.read(table, shape) if table.admits(shape.parts) else Fraction(0)
+
+    def read(self, table: "_WickTable", shape: Partition) -> Fraction:
+        """The signed coefficient of a shape the table admits: the minor of
+        its bra legs and arms and the fixed letters, bordered by the hole
+        points when c = 0, as one integer determinant over the product of
+        its letters' scales."""
         alphas, betas = shape.frobenius()
         d = len(alphas)
-        if d > self.rank + len(table.fixed):
-            return Fraction(0)
-        if not table.c:
-            bra = [self.bra_letter(n, "psi*", a)[0] for a in alphas]
-            bra += [self.bra_letter(n, "psi", b)[0] for b in reversed(betas)]
-            s, matrix = wick_matrix(n, bra + self.inner + table.outer)
-            value = s * table.sign * fraction_matrix_det(matrix) if s else Fraction(0)
-        elif len(table.rows) != len(table.cols):
-            return Fraction(0)
+        rows = [table.leg(self, b) for b in reversed(betas)] + table.fixed_rows
+        cols = [table.arm(self, a) for a in alphas] + table.fixed_cols
+        den = prod(s for _, s in rows) * prod(s for _, s in cols)
+        if table.border is None:
+            minor = [[sum(map(mul, u, v)) for v, _ in cols] for u, _ in rows]
+            det = minor[0][0] if len(minor) == 1 else integer_matrix_det(minor)
         else:
-            entry = self.entry
-            cols = [*alphas, *table.cols]
-            rows = [*reversed(betas), *table.rows]
-            minor = [[entry(table, x, y) for y in cols] for x in rows]
-            det = minor[0][0] if len(minor) == 1 else fraction_matrix_det(minor)
-            value = table.scale(d) * det
-        return -value if shape.sign_exponent() & 1 else value
+            # the first w entries of a vector are its factor
+            w, (border, bd) = len(self.holes), table.border
+            matrix = [[sum(map(mul, u[w:], v[w:])) for v, _ in cols] + u[:w] for u, _ in rows]
+            matrix += [[bd * v[h] for v, _ in cols] + b for h, b in enumerate(border)]
+            det = integer_matrix_det(matrix)
+            den *= bd**w
+        if not det:
+            return Fraction(0)
+        if (sum(betas) + d) & 1:  # the shape's sign exponent
+            det = -det
+        scale = table.scale(d)
+        return Fraction(scale.numerator * det, scale.denominator * den)
 
     def vacuum_data(self, n: int) -> tuple:
+        """(c, species, map, border) at charge n: the factor u over e of a
+        letter of that species is taken to [u . v for v in vectors] over
+        e d by the map (vectors, d), the columns of M (c != 0) or the rows
+        of -A (c = 0); the border is B as integer rows over one denominator
+        when c = 0, else None."""
         got = self.vacua.get(n)
         if got is None:
             _, b = wick_matrix(n, [s for s in self.inner if s[2] is not None])  # B = I - A P_pq
             c = fraction_matrix_det(b)
-            m = fraction_matmul(fraction_matrix_inverse(b), self.couplings) if c else None
-            got = self.vacua[n] = (c, m)
+            if c:
+                m, d = _integer_rows(fraction_matmul(fraction_matrix_inverse(b), self.couplings))
+                got = (c, "psi", (list(zip(*m)), d), None)
+            else:
+                minus_a = _integer_rows([[-x for x in row] for row in self.couplings])
+                got = (c, "psi*", minus_a, _integer_rows(b))
+            self.vacua[n] = got
         return got
 
     def letter(self, n: int, slot, at: int) -> tuple:
-        """(slot, place, factor) of a letter at place `at` of the word (-1
-        for the bra's): its factor is the row P(x, q) M of a psi letter x or
-        the column P(p, y) of a psi* letter y, None while c = 0."""
-        c, m = self.vacuum_data(n)
-        if not c:
-            return slot, at, None
+        """(slot, place, factor, e) of a letter at place `at` of the word (-1
+        for the bra's): its factor as integers over e, the row P(x, q) of a
+        psi letter x or the column P(p, y) of a psi* letter y, mapped as
+        `vacuum_data` says."""
+        _, mapped, (vectors, d), _ = self.vacuum_data(n)
         if slot[1] == "psi":
-            legs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in self.holes]
-            return slot, at, [sum(map(mul, legs, col), Fraction(0)) for col in zip(*m)]
-        return slot, at, [oriented_pair(n, p[0], slot[0], j < at) for p, j in self.particles]
+            pairs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in self.holes]
+        else:
+            pairs = [oriented_pair(n, p[0], slot[0], j < at) for p, j in self.particles]
+        (factor,), den = _integer_rows([pairs])
+        if slot[1] == mapped:
+            factor, den = [sum(map(mul, factor, v)) for v in vectors], den * d
+        return slot, at, factor, den
 
     def bra_letter(self, n: int, kind: str, k: int) -> tuple:
         """`letter` of the bra's psi*_(n+k) (arm k) or psi_(n-k-1) (leg k)."""
@@ -248,49 +298,92 @@ class _WickReader:
             got = self.bras[(n, kind, k)] = self.letter(n, slot, -1)
         return got
 
-    def entry(self, table: "_WickTable", x: int, y: int) -> Fraction:
-        """E(x, y) of a table, memoized there."""
-        got = table.values.get((x, y))
-        if got is None:
-            n = table.n
-            sx, at_x, fx = self.bra_letter(n, "psi", x) if x >= 0 else table.fixed[-1 - x]
-            sy, at_y, fy = self.bra_letter(n, "psi*", y) if y >= 0 else table.fixed[-1 - y]
-            # bra letters never pair with each other; of two fixed letters
-            # at one place, the one of lower index is written first
-            first = at_x < at_y or (at_x == at_y and x > y)
-            pair = 0 if at_x == at_y == -1 else oriented_pair(n, sx[0], sy[0], first)
-            got = table.values[(x, y)] = pair + sum(map(mul, fx, fy), Fraction(0))
-        return got
-
 
 class _WickTable:
     """A Wick reader's letter table at one (charge, source): the fixed
-    letters (g's own, then the source's ket letters and vacuum pad) with
-    their factors, the pair values E(x, y) (`_WickReader.entry`) over bra
-    legs, bra arms and fixed letters (leg or arm k is the key k, fixed
-    letter i the key -1 - i), and c times the sign of the word's species
-    order, memoized by the bra's diagonal size.  It holds no reference to
-    its reader, so the two form no cycle and are freed when reading ends."""
+    letters (g's own, then the source's ket letters and vacuum pad) and the
+    bra's legs and arms, each as (u, s), an integer vector over a scale s
+    of its own, and c times the sign of the word's species order, memoized
+    by the bra's diagonal size.
+
+    A psi letter x's vector is s times: its factor, its pairs P(x, y) with
+    the fixed psi* letters y, and (fixed letters only) its own unit among
+    the fixed psi letters.  A psi* letter y's vector is s times: its factor,
+    (fixed letters only) its own unit among the fixed psi* letters, and
+    (bra letters only) its pairs P(x, y) with the fixed psi letters x.  So
+    the dot product of x's vector and y's is s_x s_y E(x, y), each pair
+    counted once, and with c = 0, the factors left out, s_x s_y P(x, y).
+    The table holds no reference to its reader, so the two form no cycle
+    and are freed when reading ends."""
 
     def __init__(self, reader: _WickReader, n: int, source: Partition):
         self.n = n
-        self.c = reader.vacuum_data(n)[0]
+        self.c, _, _, self.border = reader.vacuum_data(n)
         self.sign = -1 if source.sign_exponent() & 1 else 1
-        self.outer = wick_layout(frobenius_word(source, n - reader.q) + vacuum_pad(n, n - reader.q))
-        slots = reader.own + [(s, len(reader.inner)) for s in self.outer]
-        self.fixed = [reader.letter(n, s, at) for s, at in slots]
-        self.kinds = [s[1] for s, _, _ in self.fixed]
-        self.rows = [-1 - i for i, k in enumerate(self.kinds) if k == "psi"]
-        self.cols = [-1 - i for i, k in enumerate(self.kinds) if k == "psi*"]
-        self.values: dict[tuple, Fraction] = {}
+        outer = wick_layout(frobenius_word(source, n - reader.q) + vacuum_pad(n, n - reader.q))
+        slots = reader.own + [(s, len(reader.inner)) for s in outer]
+        self.kinds = [s[1] for s, _ in slots]
+        # in word order: of two fixed letters at one place, the one of lower
+        # index is written first
+        fixed = list(enumerate(reader.letter(n, s, at) for s, at in slots))
+        self.psi = [(i, x) for i, x in fixed if x[0][1] == "psi"]
+        self.stars = [(i, y) for i, y in fixed if y[0][1] == "psi*"]
+        self.fixed_rows = [self._row(x, i) for i, x in self.psi]
+        self.fixed_cols = [self._col(y, i) for i, y in self.stars]
+        balanced, bound = len(self.psi) == len(self.stars), reader.rank + len(self.psi)
+        # the diagonal size exceeds the bound iff the part below the bound does
+        self.admits = lambda parts: balanced and (len(parts) <= bound or parts[bound] <= bound)
+        self.legs: dict[int, tuple] = {}
+        self.arms: dict[int, tuple] = {}
         self.scales: dict[int, Fraction] = {}
 
+    def _row(self, x: tuple, at: int | None = None) -> tuple:
+        """(u, s) of a psi letter: the fixed one of index `at`, or a bra leg."""
+        (lx, *_), _, factor, den = x
+        n = self.n
+        tail = [oriented_pair(n, lx, y[0][0], at is None or at < i) for i, y in self.stars]
+        tail += [int(i == at) for i, _ in self.psi]
+        return _scaled(factor, den, tail)
+
+    def _col(self, y: tuple, at: int | None = None) -> tuple:
+        """(u, s) of a psi* letter: the fixed one of index `at`, or a bra arm."""
+        (ly, *_), _, factor, den = y
+        if at is None:  # written before every fixed letter
+            tail = [0] * len(self.stars)
+            tail += [oriented_pair(self.n, x[0][0], ly, False) for _, x in self.psi]
+        else:
+            tail = [int(i == at) for i, _ in self.stars] + [0] * len(self.psi)
+        return _scaled(factor, den, tail)
+
+    def leg(self, reader: _WickReader, k: int) -> tuple:
+        got = self.legs.get(k)
+        if got is None:
+            got = self.legs[k] = self._row(reader.bra_letter(self.n, "psi", k))
+        return got
+
+    def arm(self, reader: _WickReader, k: int) -> tuple:
+        got = self.arms.get(k)
+        if got is None:
+            got = self.arms[k] = self._col(reader.bra_letter(self.n, "psi*", k))
+        return got
+
     def scale(self, d: int) -> Fraction:
+        """c, or 1 when c = 0 (the bordered determinant is the whole
+        value), times the sign of the word's species order at diagonal
+        size d."""
         got = self.scales.get(d)
         if got is None:
             kinds = ["psi*"] * d + ["psi"] * d + self.kinds
-            got = self.scales[d] = self.c * self.sign * interleave_sign(kinds)
+            got = self.scales[d] = (self.c or 1) * self.sign * interleave_sign(kinds)
         return got
+
+
+def _scaled(factor: list[int], den: int, tail: list) -> tuple:
+    """(s * (factor / den + tail), s) for the least s that makes every entry
+    an integer; `tail` holds rationals."""
+    s = lcm(den, *(v.denominator for v in tail))
+    f = s // den
+    return [x * f for x in factor] + [v.numerator * (s // v.denominator) for v in tail], s
 
 
 def pluecker_coefficient(g, shape: Partition, n: int, window: ModeWindow | None = None):
@@ -361,12 +454,10 @@ def expand_mkp(
     window: ModeWindow | None = None,
 ) -> TauSeries:
     """tau_n as the Schur expansion sum c_lambda s_lambda(t) over
-    `mkp_coefficients`."""
+    `mkp_coefficients`, summed over one common denominator."""
     coeffs = mkp_coefficients(g, n, depth, window)
-    total = _Sum(family.zero())
-    for lam, c in coeffs.items():
-        total.add(schur_jt(family, lam), c)
-    return TauSeries("MKP", n, total.poly(), coeffs, depth)
+    terms = [(schur_jt(family, lam), None, c) for lam, c in coeffs.items()]
+    return TauSeries("MKP", n, sum_of_products(family.zero(), terms), coeffs, depth)
 
 
 def expand_mkp_direct(

@@ -109,6 +109,18 @@ SOLITON_VANISHING = json.dumps(
 )
 
 
+# one-point solitons: c_empty = 1 + A K = 1 - (1/2) * 2 vanishes at charge
+# 1, which the kp suite's mKP check reads; and a generic one
+SOLITON_VANISHING_AT_ONE = json.dumps(
+    {"kind": "soliton", "couplings": [["-1/2"]], "ps": ["1/3"], "qs": ["1/2"]},
+    separators=(",", ":"),
+)
+SOLITON_ONE_POINT = json.dumps(
+    {"kind": "soliton", "couplings": [["2/3"]], "ps": ["2/5"], "qs": ["5/6"]},
+    separators=(",", ":"),
+)
+
+
 SOLITON_BY_WORD = soliton_product(SOLITON_2X2, LINEAR_WORD)
 SOLITON_4X4_BY_IDENTITY = soliton_product(SOLITON_4X4, {"kind": "identity"})
 
@@ -329,6 +341,18 @@ GOLDEN = [
         f"expand --charge 1 --cutoff 8 --element {SOLITON_4X4_BY_IDENTITY}",
         0,
         "cf3c56877f31e26a156a924e41af85d8d487a1e53b3879d558cb097f47f8e082",
+    ),
+    # the Wick reads of one-point solitons: the kp suite through a vanishing
+    # vacuum value, and an expansion to weight 12
+    (
+        f"verify --suite kp --cutoff 8 --element {SOLITON_VANISHING_AT_ONE}",
+        0,
+        "624c864b45f53993ac442541f603b49c38f406ba4a471a9e74de4ae91d979ca6",
+    ),
+    (
+        f"expand --charge 1 --cutoff 12 --element {SOLITON_ONE_POINT}",
+        0,
+        "0e133e8ab6fce55621cec9ee200520571db57cb78ce0ec65cb5377ef22a28532",
     ),
     # the diagonal models at their default parameters
     (

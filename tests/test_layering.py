@@ -82,7 +82,6 @@ PRIVATE_IMPORTS = {
     ("schur", "fock", "_state_of_bits"): "the raised bra's bit states name their shapes",
     ("tau", "fock", "_check_state_window"): "a one-shape read checks its shape against the window",
     ("tau", "fock", "_state_of_bits"): "a ket's bit states name their shapes",
-    ("tau", "polyring", "_Sum"): _SUM,
     ("wick", "polyring", "_Sum"): _SUM,
 }
 

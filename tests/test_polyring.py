@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -8,6 +10,7 @@ from tauforge.polyring import (
     fraction_matrix_det,
     fraction_matrix_inverse,
     hirota_bilinear,
+    integer_matrix_det,
     paired_family,
     poly_matrix_det,
     standard_double_family,
@@ -235,6 +238,27 @@ def test_fraction_matrix_helpers():
     assert inv == [[F(4), F(-1)], [F(-7), F(2)]]
     with pytest.raises(ZeroDivisionError):
         fraction_matrix_inverse([[F(1), F(2)], [F(2), F(4)]])
+
+
+def _leibniz(mat):
+    size = len(mat)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for j in range(size) for i in range(j))
+        total += (-1) ** inversions * prod(mat[i][perm[i]] for i in range(size))
+    return total
+
+
+def test_fraction_free_determinant_matches_the_permutation_sum():
+    # Bareiss elimination against the Leibniz sum, with zeros that force
+    # row swaps and singular matrices among the draws
+    rng = random.Random(53)
+    for size in range(6):
+        for _ in range(12):
+            mat = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(size)] for _ in range(size)]
+            assert integer_matrix_det(mat) == _leibniz(mat), mat
+            scaled = [[F(x, rng.randint(1, 3)) for x in row] for row in mat]
+            assert fraction_matrix_det(scaled) == _leibniz(scaled), scaled
 
 
 def test_double_family_and_embedding():

@@ -412,6 +412,31 @@ def test_coefficient_reader_matches_the_per_shape_route():
             assert list(got.items()) == list(want.items()), (g, n)
 
 
+def test_wick_tables_skip_only_shapes_that_read_zero():
+    # a table reads no shape whose diagonal size passes g's rank plus its
+    # fixed psi letters: every shape it skips, through weight 8 and at the
+    # least skipped square (b + 1)^(b + 1) and that square with a box more,
+    # reads 0 by the words' pairing, with the vacuum and the sources (1) and
+    # (2, 1) as fixed letters, for solitons of one and two point pairs
+    # (the one whose vacuum value vanishes at charge 0 among them)
+    solitons = [g for g in _per_shape_elements() if type(g) is SolitonExponent and len(g.ps) <= 2]
+    assert [len(g.ps) for g in solitons] == [2, 1, 2, 1]
+    shapes = enumerate_partitions(8)
+    skipped = 0
+    for g in solitons:
+        reader, want = tau._WickReader(g, charge_of(g)), _KernelCoefficients(g)
+        for n in (-1, 0, 1):
+            for source in (Partition([]), Partition([1]), Partition([2, 1])):
+                table = reader.table(n, source)
+                b = len(g.ps) + (source != Partition([]))
+                beyond = [Partition([b + 1] * (b + 1)), Partition([b + 2] + [b + 1] * b)]
+                assert table.admits((b,) * b) and not any(table.admits(lam.parts) for lam in beyond)
+                for lam in [lam for lam in shapes if not table.admits(lam.parts)] + beyond:
+                    assert want(lam, n, source) == 0, (g, n, source, lam)
+                    skipped += 1
+    assert skipped == 4 * 3 * 3 * 2 + 2 * 3 * 30  # 30 shapes of weight <= 8 have d >= 2
+
+
 def test_2dtl_bra_outside_an_explicit_window_raises():
     # every charge-0 source of weight <= 3 fits [-3, 3), the charge-1 bra of
     # shape (3) reaches mode 3 and does not
@@ -540,13 +565,58 @@ def test_soliton_with_a_vanishing_vacuum_value_takes_the_kernel_route(monkeypatc
     shapes = enumerate_partitions(7)
     for n in (0, 1):
         calls = _count_kernel_reads(monkeypatch)
+        matrices = _count_calls(monkeypatch, tau, "wick_matrix")
         read = tau.coefficient_reader(g, W)
         got = [read(lam, n) for lam in shapes]
         assert calls == []
+        # B's rows and every letter's pairs are formed once per charge, and
+        # each read forms only its bra's rows and columns
+        assert matrices == [1]
         monkeypatch.undo()
         want = _KernelCoefficients(g)
         assert got == [want(lam, n) for lam in shapes]
         assert bool(got[0]) == bool(n)  # c_empty vanishes at charge 0 only
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """[calls so far] of `owner.name`, counted while the patch lasts."""
+    counted, formed = [0], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counted[0] += 1
+        return formed(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return counted
+
+
+def test_one_point_soliton_reads_each_hook_once(monkeypatch):
+    # at cutoff 8 only the empty shape and the 36 hooks can read nonzero for
+    # a one-point soliton; each of the bra's 8 legs and 8 arms is formed
+    # once, and each read is one integer product: the only rational
+    # determinant is c_empty's and the only integer one the empty shape's,
+    # of size 0
+    g = _soliton((("2/3",),), ("2/5",), ("5/6",))
+    for n in (0, 1):
+        counts = {
+            name: _count_calls(monkeypatch, owner, name)
+            for owner, name in (
+                (tau._WickReader, "read"),
+                (tau._WickReader, "letter"),
+                (tau, "fraction_matrix_det"),
+                (tau, "integer_matrix_det"),
+            )
+        }
+        coefficients = tau.mkp_coefficients(g, n, 8)
+        monkeypatch.undo()
+        assert {name: c[0] for name, c in counts.items()} == {
+            "read": 37,
+            "letter": 16,
+            "fraction_matrix_det": 1,
+            "integer_matrix_det": 1,
+        }
+        hooks = [lam for lam in enumerate_partitions(8) if len(lam.frobenius().alphas) <= 1]
+        assert list(coefficients) == hooks
 
 
 def _vanishing_solitons() -> list:
