@@ -196,7 +196,7 @@ class _WickReader:
     a read is the bordered determinant det [[P, P(x, q)], [-A P(p, y), B]]
     itself, as `wick.wick_matrix` forms it, with B's rows formed once.
     Either way a factor is an integer vector over a denominator of its own,
-    each letter is formed once per charge, and a read's determinant is an
+    each letter is formed once per table, and a read's determinant is an
     integer one (`_WickTable`).  The bra's arm columns meet its legs only
     through g's couplings, of rank at most min(#holes, #particles), so they
     span at most that rank plus the number of fixed psi letters: a bra of
@@ -216,7 +216,6 @@ class _WickReader:
         ]
         self.rank = min(len(self.holes), len(self.particles))
         self.vacua: dict[int, tuple] = {}  # n -> `vacuum_data`
-        self.bras: dict[tuple, tuple] = {}  # (n, species, arm or leg) -> letter
         self.tables: dict[tuple, _WickTable] = {}  # (n, source) -> its table
 
     def table(self, n: int, source: Partition) -> "_WickTable":
@@ -236,8 +235,8 @@ class _WickReader:
         its letters' scales."""
         alphas, betas = shape.frobenius()
         d = len(alphas)
-        rows = [table.leg(self, b) for b in reversed(betas)] + table.fixed_rows
-        cols = [table.arm(self, a) for a in alphas] + table.fixed_cols
+        rows = [table.bra(self, "psi", b) for b in reversed(betas)] + table.fixed_rows
+        cols = [table.bra(self, "psi*", a) for a in alphas] + table.fixed_cols
         den = prod(s for _, s in rows) * prod(s for _, s in cols)
         if table.border is None:
             minor = [[sum(map(mul, u, v)) for v, _ in cols] for u, _ in rows]
@@ -290,14 +289,6 @@ class _WickReader:
             factor, den = [sum(map(mul, factor, v)) for v in vectors], den * d
         return slot, at, factor, den
 
-    def bra_letter(self, n: int, kind: str, k: int) -> tuple:
-        """`letter` of the bra's psi*_(n+k) (arm k) or psi_(n-k-1) (leg k)."""
-        got = self.bras.get((n, kind, k))
-        if got is None:
-            slot = (letter(kind, n + k if kind == "psi*" else n - k - 1), kind, None, 0)
-            got = self.bras[(n, kind, k)] = self.letter(n, slot, -1)
-        return got
-
 
 class _WickTable:
     """A Wick reader's letter table at one (charge, source): the fixed
@@ -333,8 +324,7 @@ class _WickTable:
         balanced, bound = len(self.psi) == len(self.stars), reader.rank + len(self.psi)
         # the diagonal size exceeds the bound iff the part below the bound does
         self.admits = lambda parts: balanced and (len(parts) <= bound or parts[bound] <= bound)
-        self.legs: dict[int, tuple] = {}
-        self.arms: dict[int, tuple] = {}
+        self.bras: dict[tuple, tuple] = {}  # (species, arm or leg) -> (u, s)
         self.scales: dict[int, Fraction] = {}
 
     def _row(self, x: tuple, at: int | None = None) -> tuple:
@@ -355,16 +345,14 @@ class _WickTable:
             tail = [int(i == at) for i, _ in self.stars] + [0] * len(self.psi)
         return _scaled(factor, den, tail)
 
-    def leg(self, reader: _WickReader, k: int) -> tuple:
-        got = self.legs.get(k)
+    def bra(self, reader: _WickReader, kind: str, k: int) -> tuple:
+        """(u, s) of the bra's psi*_(n+k) (arm k) or psi_(n-k-1) (leg k)."""
+        got = self.bras.get((kind, k))
         if got is None:
-            got = self.legs[k] = self._row(reader.bra_letter(self.n, "psi", k))
-        return got
-
-    def arm(self, reader: _WickReader, k: int) -> tuple:
-        got = self.arms.get(k)
-        if got is None:
-            got = self.arms[k] = self._col(reader.bra_letter(self.n, "psi*", k))
+            n = self.n
+            slot = (letter(kind, n + k if kind == "psi*" else n - k - 1), kind, None, 0)
+            x = reader.letter(n, slot, -1)
+            got = self.bras[(kind, k)] = self._row(x) if kind == "psi" else self._col(x)
         return got
 
     def scale(self, d: int) -> Fraction:
