@@ -812,7 +812,11 @@ def _product_into(
 ) -> None:
     """Add scale * (a's numerators times b's) into `acc`, bucket pair by
     bucket pair: only the weight buckets whose sums lie within the bounds
-    (`mask`, `add` from `VariableTable._bounds`) are multiplied."""
+    (`mask`, `add` from `VariableTable._bounds`) are multiplied.  A square
+    (`a is b`) goes to `_square_into`."""
+    if a is b:
+        _square_into(acc, a, scale, mask, add, guards)
+        return
     get = acc.get
     right = b._buckets_by(mask)
     for w1, left in a._buckets_by(mask):
@@ -829,6 +833,33 @@ def _product_into(
             for k2, c2 in fit:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
+
+
+def _square_into(acc: dict[int, int], a: Poly, scale: int, mask: int, add: int, guards: int) -> None:
+    """`_product_into` of a with itself, each unordered pair of terms
+    formed once: a bucket meets itself and the buckets of larger weight key
+    only, a term itself and the terms after it in its bucket, and every
+    pair of two distinct terms is added twice."""
+    get = acc.get
+    buckets = a._buckets_by(mask)
+    for w1, left in buckets:
+        room = w1 + add
+        if room & guards:
+            continue
+        later = [t for w2, ts in buckets if w2 > w1 and not (room + w2) & guards for t in ts]
+        own = not (room + w1) & guards
+        for i, (k1, c1) in enumerate(left):
+            c1 *= scale
+            twice = 2 * c1
+            if own:
+                k = k1 + k1
+                acc[k] = get(k, 0) + c1 * left[i][1]
+                for k2, c2 in left[i + 1 :]:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + twice * c2
+            for k2, c2 in later:
+                k = k1 + k2
+                acc[k] = get(k, 0) + twice * c2
 
 
 def _checked_sum(table: VariableTable, acc: dict[int, int]) -> dict[int, int]:

@@ -101,6 +101,7 @@ def test_ring_operations_match_the_tuple_reference(drawn, c):
     _, [(a, ra), (b, rb)] = drawn
     same(a, ra)
     same(a * b, ra * rb)
+    same(a * a, ra * ra)  # a square forms each unordered pair of terms once
     same(a + b, ra + rb)
     same(a - b, ra - rb)
     same(a * c, ra.scaled(c))
