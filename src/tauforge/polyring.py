@@ -835,7 +835,9 @@ def _product_into(
                 acc[k] = get(k, 0) + c1 * c2
 
 
-def _square_into(acc: dict[int, int], a: Poly, scale: int, mask: int, add: int, guards: int) -> None:
+def _square_into(
+    acc: dict[int, int], a: Poly, scale: int, mask: int, add: int, guards: int
+) -> None:
     """`_product_into` of a with itself, each unordered pair of terms
     formed once: a bucket meets itself and the buckets of larger weight key
     only, a term itself and the terms after it in its bucket, and every
