@@ -63,20 +63,20 @@ tightens.
 
 Loops that sum many polynomials add in place into one private dict over a
 running denominator (`_Sum`), rescaled to the lcm only when an addend's
-denominator does not divide it.  A sum of weighted products (a double
-Schur sum, the Leibniz terms of a Hirota bilinear) or of weighted
-polynomials (a Schur expansion) forms no polynomial per term:
-`sum_of_products` adds every term's numerators into one dict over one
-common denominator, fixed before the first addend.  The Leibniz
-terms of a Hirota bilinear share the partial derivatives of each factor,
-memoized by multi-index (`_Partials`), and time shifts expand each power
-of a shifted time by integer binomials instead of multiplying `Poly`
-powers.  The whole family h_0(+-d~), ..., h_top(+-d~) acts on a polynomial
-in one sweep over its keys (`TimeFamily.miwa_parts`): h_j(+-d~) p is the
-coefficient of w^j in p(s +- [w]), read off the binomial expansion of each
-monomial, with no derivative formed.  A Hirota bilinear residual compared
-only through some weight (`hirota_bilinear`'s `within`) truncates each
-partial to that weight before it multiplies.
+denominator does not divide it; a Schur expansion sums on one.  A sum of
+weighted products (a double Schur sum, the Leibniz terms of a Hirota
+bilinear) forms no product polynomial: `sum_of_products` multiplies every
+pair's numerators into one dict over one common denominator, fixed before
+the first addend.  The Leibniz terms of a Hirota bilinear share the
+partial derivatives of each factor, memoized by multi-index (`_Partials`),
+and time shifts expand each power of a shifted time by integer binomials
+instead of multiplying `Poly` powers.  The whole family h_0(+-d~), ...,
+h_top(+-d~) acts on a polynomial in one sweep over its keys
+(`TimeFamily.miwa_parts`): h_j(+-d~) p is the coefficient of w^j in
+p(s +- [w]), read off the binomial expansion of each monomial, with no
+derivative formed.  A Hirota bilinear residual compared only through some
+weight (`hirota_bilinear`'s `within`) truncates each partial to that
+weight before it multiplies.
 """
 
 from __future__ import annotations
@@ -872,44 +872,34 @@ def _checked_sum(table: VariableTable, acc: dict[int, int]) -> dict[int, int]:
     return {k: n for k, n in acc.items() if n}
 
 
-def sum_of_products(start: Poly, terms: Iterable[tuple[Poly, Poly | None, Scalar]]) -> Poly:
-    """start + sum of w * a * b over the (a, b, w) of `terms`, w rational
-    and b None for w * a alone: the polynomial that `_Sum(start)` adding
-    each `a * b * w` gives, with the same cutoffs (the merge of every
-    operand's) and the same ValueError on a second table, but with no
-    polynomial formed per term.  Each coefficient goes over one common
-    denominator D, the lcm of start's and every w.den * a.den * b.den = d,
-    fixed before the first addend, and each product's numerators are
-    multiplied into one dict scaled by w.num * D / d, bucket pairs beyond
-    the cutoffs skipped as in `Poly.__mul__`.  Every term is read, a
-    zero-weight one included, before any product is formed."""
+def sum_of_products(start: Poly, terms: Iterable[tuple[Poly, Poly, Scalar]]) -> Poly:
+    """start + sum of w * a * b over the (a, b, w) of `terms`, w rational:
+    the polynomial that `_Sum(start)` adding each `a * b * w` gives, with
+    the same cutoffs (the merge of every operand's) and the same
+    ValueError on a second table, but with no polynomial formed per term.
+    Each coefficient goes over one common denominator D, the lcm of start's
+    and every w.den * a.den * b.den = d, fixed before the first addend, and
+    each product's numerators are multiplied into one dict scaled by
+    w.num * D / d, bucket pairs beyond the cutoffs skipped as in
+    `Poly.__mul__`.  Every term is read, a zero-weight one included, before
+    any product is formed."""
     table = start.table
     bounds = {id(start.cutoffs): start.cutoffs}
     factors = []
     for a, b, w in terms:
-        for p in (a,) if b is None else (a, b):
+        for p in (a, b):
             if p.table is not table and p.table != table:
                 raise ValueError("polynomials live on different variable tables")
             bounds.setdefault(id(p.cutoffs), p.cutoffs)
-        if w and a.nums and (b is None or b.nums):
-            d = w.denominator * a.den * (1 if b is None else b.den)
-            factors.append((a, b, w.numerator, d))
+        if w and a.nums and b.nums:
+            factors.append((a, b, w.numerator, w.denominator * a.den * b.den))
     cut, mask, add = table._bounds(_merge_cutoffs(table, *bounds.values()))
     guards = table.guards
     den = lcm(start.den, *(d for *_, d in factors))
     scale = den // start.den
     acc = {k: n * scale for k, n in start.nums.items() if not ((k & mask) + add) & guards}
-    get = acc.get
     for a, b, num, d in factors:
-        num *= den // d
-        if b is not None:
-            _product_into(acc, a, b, num, mask, add, guards)
-            continue
-        items = a.nums.items()
-        if a.cutoffs is not cut and a.cutoffs != cut:
-            items = [(k, n) for k, n in items if not ((k & mask) + add) & guards]
-        for k, n in items:
-            acc[k] = get(k, 0) + n * num
+        _product_into(acc, a, b, num * (den // d), mask, add, guards)
     return Poly._reduced(table, cut, _checked_sum(table, acc), den)
 
 

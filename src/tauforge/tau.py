@@ -9,8 +9,8 @@ point-field element (a soliton exponent, a field word, a product with
 them) is read by Wick's theorem on its layout (`wick.wick_layout`) with
 the basis letters of `fock.frobenius_word` as they are, one bordered
 determinant per read, taken as c det(P_ff + P_fq M P_pf) with
-c = det(I - A P_pq) and M = (I - A P_pq)^-1 A formed once per charge.
-One letter table per (charge, source) holds each letter's pairs as one
+c = det(I - A P_pq) and M = (I - A P_pq)^-1 A.  One Wick table per
+(charge, source) forms c and M once and holds each letter's pairs as one
 integer vector, so a read is c times one integer minor, as in the
 generalized Wick theorem's c_0^(d-1) c_(alpha|beta) = det c_(alpha_i|beta_j),
 and forms one `Fraction`; with c = 0 it borders that minor by B's rows.
@@ -19,8 +19,7 @@ series expansions read every shape to a weight at once (`coefficient_rows`):
 a window element's coefficients are its ket's own states, so no absent
 shape is probed, and a point-field element's come from its Wick tables,
 read only where the table's rank bound lets a shape be nonzero.  A Schur
-expansion sums c_lambda s_lambda over one common denominator
-(`polyring.sum_of_products`).
+expansion sums c_lambda s_lambda on one running sum (`polyring._Sum`).
 """
 
 from __future__ import annotations
@@ -58,12 +57,12 @@ from tauforge.partitions import Partition, enumerate_partitions, from_frobenius,
 from tauforge.polyring import (
     Poly,
     TimeFamily,
+    _Sum,
     fraction_matmul,
     fraction_matrix_det,
     fraction_matrix_inverse,
     integer_matrix_det,
     poly_matrix_det,
-    sum_of_products,
 )
 from tauforge.schur import double_schur_sum, schur_jt
 from tauforge.wick import (
@@ -113,24 +112,29 @@ def coefficient_reader(g, window: ModeWindow):
     """read(shape, n, source=empty) -> the signed coefficient
     (-1)^(sign exponents of shape and source) <shape, n| g |source, n - charge>.
 
-    A window element is applied to each (charge, source) ket once, kept
-    for the reader's lifetime only, and every bra shape must fit the
+    One dict, kept for the reader's lifetime only, holds what each
+    (charge, source) reads from, formed on its first read.  A window element
+    is applied to the source ket once, and every bra shape must fit the
     window (else WindowViolation, as for a basis bra).  A point-field
-    element does not read the window: it is read by Wick's theorem
-    (`_WickReader`), through one letter table per (charge, source)."""
+    element does not read the window: it is read by Wick's theorem on its
+    `_WickTable`."""
     q = charge_of(g)
-    if is_field_based(g):
-        return _WickReader(g, q)
-
-    kets = {}
+    field = is_field_based(g)
+    held = {}  # (n, source) -> its ket or Wick table
 
     def read(shape: Partition, n: int, source: Partition = _EMPTY):
-        # the bra's shape sign cancels the ket's: read the wedge phase
-        ket = kets.get((n, source))
-        if ket is None:
-            ket = kets[(n, source)] = apply_element(g, basis_vector(window, n - q, source))
+        got = held.get((n, source))
+        if got is None:
+            if field:
+                got = _WickTable(g, q, n, source)
+            else:
+                got = apply_element(g, basis_vector(window, n - q, source))
+            held[(n, source)] = got
+        if field:
+            return got.read(shape) if got.admits(shape.parts) else Fraction(0)
         _check_state_window(window, n, shape.parts)
-        return ket.wedge_component(n, shape.parts) * (-1) ** source.sign_exponent()
+        # the bra's shape sign cancels the ket's: read the wedge phase
+        return got.wedge_component(n, shape.parts) * (-1) ** source.sign_exponent()
 
     return read
 
@@ -151,11 +155,10 @@ def coefficient_rows(g, n: int, depth: int, sources, window: ModeWindow):
     shapes = enumerate_partitions(depth)
     q = charge_of(g)
     if is_field_based(g):
-        reader = _WickReader(g, q)
         for mu in sources:
-            table = reader.table(n, mu)
-            admits, read = table.admits, reader.read
-            yield mu, {lam: c for lam in shapes if admits(lam.parts) and (c := read(table, lam))}
+            table = _WickTable(g, q, n, mu)
+            admits, read = table.admits, table.read
+            yield mu, {lam: c for lam in shapes if admits(lam.parts) and (c := read(lam))}
         return
     checked = False
     for mu in sources:
@@ -179,13 +182,13 @@ def _integer_rows(matrix) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in matrix], den
 
 
-class _WickReader:
-    """The reader of a point-field element g of charge q by Wick's theorem
-    over the bra's letters, g's layout and the source's ket letters with the
-    vacuum pad.
+class _WickTable:
+    """The Wick table of a point-field element g of charge q at one (charge
+    n, source): Wick's theorem over the bra's letters, g's layout and the
+    source's ket letters with the vacuum pad.
 
-    Per charge n, once: B = I - A P_pq over g's points (`wick.wick_matrix`)
-    and c = det B.  The bra of (alpha | beta), psi*_(n+alpha_i) then
+    Once per table: B = I - A P_pq over g's points (`wick.wick_matrix`) and
+    c = det B.  The bra of (alpha | beta), psi*_(n+alpha_i) then
     psi_(n-beta_i-1), is written before g's own letters and the source's
     (the fixed letters) and never pairs with itself.  A psi letter x has the
     factor P(x, q), its pairs with the hole points, and a psi* letter y the
@@ -195,55 +198,94 @@ class _WickReader:
     the Schur complement of B.  With c = 0 y's factor is taken times -A and
     a read is the bordered determinant det [[P, P(x, q)], [-A P(p, y), B]]
     itself, as `wick.wick_matrix` forms it, with B's rows formed once.
-    Either way a factor is an integer vector over a denominator of its own,
-    each letter is formed once per table, and a read's determinant is an
-    integer one (`_WickTable`).  The bra's arm columns meet its legs only
-    through g's couplings, of rank at most min(#holes, #particles), so they
-    span at most that rank plus the number of fixed psi letters: a bra of
-    larger diagonal size reads 0 and is never formed."""
 
-    def __init__(self, g, q: int):
-        self.q = q
-        self.inner = inner = wick_layout([g])
-        self.own = [(s, j) for j, s in enumerate(inner) if s[2] is None]
-        self.holes = [(s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi*"]
-        self.particles = [
-            (s, j) for j, s in enumerate(inner) if s[2] is not None and s[1] == "psi"
-        ]
-        self.couplings = [
+    Every letter a read meets, the fixed letters and the bra's legs and arms
+    (each formed once), is held as (u, s), an integer vector over a scale s
+    of its own.  A psi letter x's vector is s times: its factor, its pairs
+    P(x, y) with the fixed psi* letters y, and (fixed letters only) its own
+    unit among the fixed psi letters.  A psi* letter y's vector is s times:
+    its factor, (fixed letters only) its own unit among the fixed psi*
+    letters, and (bra letters only) its pairs P(x, y) with the fixed psi
+    letters x.  So the dot product of x's vector and y's is s_x s_y E(x, y),
+    each pair counted once, and with c = 0, the factors left out,
+    s_x s_y P(x, y); a read's determinant is an integer one.  The bra's arm
+    columns meet its legs only through g's couplings, of rank at most
+    min(#holes, #particles), so they span at most that rank plus the number
+    of fixed psi letters: a bra of larger diagonal size reads 0 and is never
+    formed."""
+
+    def __init__(self, g, q: int, n: int, source: Partition):
+        self.n = n
+        inner = wick_layout([g])
+        points = [(s, j) for j, s in enumerate(inner) if s[2] is not None]
+        self.holes = [(s, j) for s, j in points if s[1] == "psi*"]
+        self.particles = [(s, j) for s, j in points if s[1] == "psi"]
+        couplings = [
             [h[2][h[3]][p[3]] if p[2] is h[2] else 0 for p, _ in self.particles]
             for h, _ in self.holes
         ]
-        self.rank = min(len(self.holes), len(self.particles))
-        self.vacua: dict[int, tuple] = {}  # n -> `vacuum_data`
-        self.tables: dict[tuple, _WickTable] = {}  # (n, source) -> its table
+        _, b = wick_matrix(n, [s for s, _ in points])  # B = I - A P_pq
+        self.c = fraction_matrix_det(b)
+        # a letter of the mapped species has its factor u over e taken to
+        # [u . v for v in vectors] over e d: the columns of M, or the rows of -A
+        if self.c:
+            m, d = _integer_rows(fraction_matmul(fraction_matrix_inverse(b), couplings))
+            self.mapped, self.map, self.border = "psi", (list(zip(*m)), d), None
+        else:
+            self.mapped = "psi*"
+            self.map = _integer_rows([[-x for x in row] for row in couplings])
+            self.border = _integer_rows(b)
+        self.sign = -1 if source.sign_exponent() & 1 else 1
+        outer = wick_layout(frobenius_word(source, n - q) + vacuum_pad(n, n - q))
+        slots = [(s, j) for j, s in enumerate(inner) if s[2] is None]
+        slots += [(s, len(inner)) for s in outer]
+        self.kinds = [s[1] for s, _ in slots]
+        # in word order: of two fixed letters at one place, the one of lower
+        # index is written first
+        fixed = list(enumerate(self.letter(s, at) for s, at in slots))
+        self.psi = [(i, x) for i, x in fixed if x[0][1] == "psi"]
+        self.stars = [(i, y) for i, y in fixed if y[0][1] == "psi*"]
+        self.fixed_rows = [self._row(x, i) for i, x in self.psi]
+        self.fixed_cols = [self._col(y, i) for i, y in self.stars]
+        balanced = len(self.psi) == len(self.stars)
+        bound = min(len(self.holes), len(self.particles)) + len(self.psi)
+        # the diagonal size exceeds the bound iff the part below the bound does
+        self.admits = lambda parts: balanced and (len(parts) <= bound or parts[bound] <= bound)
+        self.bras: dict[tuple, tuple] = {}  # (species, arm or leg) -> (u, s)
+        self.scales: dict[int, Fraction] = {}
 
-    def table(self, n: int, source: Partition) -> "_WickTable":
-        got = self.tables.get((n, source))
-        if got is None:
-            got = self.tables[(n, source)] = _WickTable(self, n, source)
-        return got
+    def letter(self, slot, at: int) -> tuple:
+        """(slot, place, factor, e) of a letter at place `at` of the word (-1
+        for the bra's): its factor as integers over e, the row P(x, q) of a
+        psi letter x or the column P(p, y) of a psi* letter y, mapped as the
+        table's species says."""
+        n = self.n
+        if slot[1] == "psi":
+            pairs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in self.holes]
+        else:
+            pairs = [oriented_pair(n, p[0], slot[0], j < at) for p, j in self.particles]
+        (factor,), den = _integer_rows([pairs])
+        if slot[1] == self.mapped:
+            vectors, d = self.map
+            factor, den = [sum(map(mul, factor, v)) for v in vectors], den * d
+        return slot, at, factor, den
 
-    def __call__(self, shape: Partition, n: int, source: Partition = _EMPTY):
-        table = self.table(n, source)
-        return self.read(table, shape) if table.admits(shape.parts) else Fraction(0)
-
-    def read(self, table: "_WickTable", shape: Partition) -> Fraction:
+    def read(self, shape: Partition) -> Fraction:
         """The signed coefficient of a shape the table admits: the minor of
         its bra legs and arms and the fixed letters, bordered by the hole
         points when c = 0, as one integer determinant over the product of
         its letters' scales."""
         alphas, betas = shape.frobenius()
         d = len(alphas)
-        rows = [table.bra(self, "psi", b) for b in reversed(betas)] + table.fixed_rows
-        cols = [table.bra(self, "psi*", a) for a in alphas] + table.fixed_cols
+        rows = [self.bra("psi", b) for b in reversed(betas)] + self.fixed_rows
+        cols = [self.bra("psi*", a) for a in alphas] + self.fixed_cols
         den = prod(s for _, s in rows) * prod(s for _, s in cols)
-        if table.border is None:
+        if self.border is None:
             minor = [[sum(map(mul, u, v)) for v, _ in cols] for u, _ in rows]
             det = minor[0][0] if len(minor) == 1 else integer_matrix_det(minor)
         else:
             # the first w entries of a vector are its factor
-            w, (border, bd) = len(self.holes), table.border
+            w, (border, bd) = len(self.holes), self.border
             matrix = [[sum(map(mul, u[w:], v[w:])) for v, _ in cols] + u[:w] for u, _ in rows]
             matrix += [[bd * v[h] for v, _ in cols] + b for h, b in enumerate(border)]
             det = integer_matrix_det(matrix)
@@ -252,80 +294,8 @@ class _WickReader:
             return Fraction(0)
         if (sum(betas) + d) & 1:  # the shape's sign exponent
             det = -det
-        scale = table.scale(d)
+        scale = self.scale(d)
         return Fraction(scale.numerator * det, scale.denominator * den)
-
-    def vacuum_data(self, n: int) -> tuple:
-        """(c, species, map, border) at charge n: the factor u over e of a
-        letter of that species is taken to [u . v for v in vectors] over
-        e d by the map (vectors, d), the columns of M (c != 0) or the rows
-        of -A (c = 0); the border is B as integer rows over one denominator
-        when c = 0, else None."""
-        got = self.vacua.get(n)
-        if got is None:
-            _, b = wick_matrix(n, [s for s in self.inner if s[2] is not None])  # B = I - A P_pq
-            c = fraction_matrix_det(b)
-            if c:
-                m, d = _integer_rows(fraction_matmul(fraction_matrix_inverse(b), self.couplings))
-                got = (c, "psi", (list(zip(*m)), d), None)
-            else:
-                minus_a = _integer_rows([[-x for x in row] for row in self.couplings])
-                got = (c, "psi*", minus_a, _integer_rows(b))
-            self.vacua[n] = got
-        return got
-
-    def letter(self, n: int, slot, at: int) -> tuple:
-        """(slot, place, factor, e) of a letter at place `at` of the word (-1
-        for the bra's): its factor as integers over e, the row P(x, q) of a
-        psi letter x or the column P(p, y) of a psi* letter y, mapped as
-        `vacuum_data` says."""
-        _, mapped, (vectors, d), _ = self.vacuum_data(n)
-        if slot[1] == "psi":
-            pairs = [oriented_pair(n, slot[0], h[0], at < j) for h, j in self.holes]
-        else:
-            pairs = [oriented_pair(n, p[0], slot[0], j < at) for p, j in self.particles]
-        (factor,), den = _integer_rows([pairs])
-        if slot[1] == mapped:
-            factor, den = [sum(map(mul, factor, v)) for v in vectors], den * d
-        return slot, at, factor, den
-
-
-class _WickTable:
-    """A Wick reader's letter table at one (charge, source): the fixed
-    letters (g's own, then the source's ket letters and vacuum pad) and the
-    bra's legs and arms, each as (u, s), an integer vector over a scale s
-    of its own, and c times the sign of the word's species order, memoized
-    by the bra's diagonal size.
-
-    A psi letter x's vector is s times: its factor, its pairs P(x, y) with
-    the fixed psi* letters y, and (fixed letters only) its own unit among
-    the fixed psi letters.  A psi* letter y's vector is s times: its factor,
-    (fixed letters only) its own unit among the fixed psi* letters, and
-    (bra letters only) its pairs P(x, y) with the fixed psi letters x.  So
-    the dot product of x's vector and y's is s_x s_y E(x, y), each pair
-    counted once, and with c = 0, the factors left out, s_x s_y P(x, y).
-    The table holds no reference to its reader, so the two form no cycle
-    and are freed when reading ends."""
-
-    def __init__(self, reader: _WickReader, n: int, source: Partition):
-        self.n = n
-        self.c, _, _, self.border = reader.vacuum_data(n)
-        self.sign = -1 if source.sign_exponent() & 1 else 1
-        outer = wick_layout(frobenius_word(source, n - reader.q) + vacuum_pad(n, n - reader.q))
-        slots = reader.own + [(s, len(reader.inner)) for s in outer]
-        self.kinds = [s[1] for s, _ in slots]
-        # in word order: of two fixed letters at one place, the one of lower
-        # index is written first
-        fixed = list(enumerate(reader.letter(n, s, at) for s, at in slots))
-        self.psi = [(i, x) for i, x in fixed if x[0][1] == "psi"]
-        self.stars = [(i, y) for i, y in fixed if y[0][1] == "psi*"]
-        self.fixed_rows = [self._row(x, i) for i, x in self.psi]
-        self.fixed_cols = [self._col(y, i) for i, y in self.stars]
-        balanced, bound = len(self.psi) == len(self.stars), reader.rank + len(self.psi)
-        # the diagonal size exceeds the bound iff the part below the bound does
-        self.admits = lambda parts: balanced and (len(parts) <= bound or parts[bound] <= bound)
-        self.bras: dict[tuple, tuple] = {}  # (species, arm or leg) -> (u, s)
-        self.scales: dict[int, Fraction] = {}
 
     def _row(self, x: tuple, at: int | None = None) -> tuple:
         """(u, s) of a psi letter: the fixed one of index `at`, or a bra leg."""
@@ -345,13 +315,13 @@ class _WickTable:
             tail = [int(i == at) for i, _ in self.stars] + [0] * len(self.psi)
         return _scaled(factor, den, tail)
 
-    def bra(self, reader: _WickReader, kind: str, k: int) -> tuple:
+    def bra(self, kind: str, k: int) -> tuple:
         """(u, s) of the bra's psi*_(n+k) (arm k) or psi_(n-k-1) (leg k)."""
         got = self.bras.get((kind, k))
         if got is None:
             n = self.n
             slot = (letter(kind, n + k if kind == "psi*" else n - k - 1), kind, None, 0)
-            x = reader.letter(n, slot, -1)
+            x = self.letter(slot, -1)
             got = self.bras[(kind, k)] = self._row(x) if kind == "psi" else self._col(x)
         return got
 
@@ -442,10 +412,12 @@ def expand_mkp(
     window: ModeWindow | None = None,
 ) -> TauSeries:
     """tau_n as the Schur expansion sum c_lambda s_lambda(t) over
-    `mkp_coefficients`, summed over one common denominator."""
+    `mkp_coefficients`, on one running sum."""
     coeffs = mkp_coefficients(g, n, depth, window)
-    terms = [(schur_jt(family, lam), None, c) for lam, c in coeffs.items()]
-    return TauSeries("MKP", n, sum_of_products(family.zero(), terms), coeffs, depth)
+    total = _Sum(family.zero())
+    for lam, c in coeffs.items():
+        total.add(schur_jt(family, lam), c)
+    return TauSeries("MKP", n, total.poly(), coeffs, depth)
 
 
 def expand_mkp_direct(

@@ -6,8 +6,9 @@ here forms every term as `Poly.__mul__` products added into a `_Sum`, the
 loop that `models` and `tau.expand_2dtl` ran before: the two must give the
 same numerators, denominator and cutoffs, and raise the same errors.
 
-`tau.expand_mkp`'s single sum c_lam s_lam(t) goes through the same
-builder with one factor per term, against the running `_Sum` it replaced.
+`tau.expand_mkp`'s single sum c_lam s_lam(t) runs on a `_Sum`, and is
+compared with the independent operator and dressed-correlator route,
+`tau.expand_mkp_direct`.
 
 Negative control: with the minus-side Schur function taken at +t instead of
 -t, or with each product's numerators left unscaled by D / d (D the common
@@ -33,11 +34,16 @@ from tauforge.polyring import (
     paired_family,
     standard_double_family,
     standard_single_family,
-    sum_of_products,
 )
 from tauforge.sampling import sample_element, sample_soliton
 from tauforge.schur import _schur_neg, double_schur_sum, schur_jt
-from tauforge.tau import coefficient_reader, expand_2dtl, expand_mkp, window_for_element
+from tauforge.tau import (
+    coefficient_reader,
+    expand_2dtl,
+    expand_mkp,
+    expand_mkp_direct,
+    window_for_element,
+)
 
 F = Fraction
 
@@ -219,42 +225,34 @@ def test_expand_2dtl_matches_the_pair_loop(n):
     assert seen
 
 
-def running_sum(start, terms):
-    """sum of w p over (p, w) by one running `_Sum`, rescaled at each new
-    denominator: the loop `expand_mkp` ran."""
-    total = _Sum(start)
-    for p, w in terms:
-        total.add(p, w)
-    return total.poly()
-
-
 @pytest.mark.parametrize("n", [-1, 0, 1])
-def test_expand_mkp_matches_the_running_sum(n):
+def test_expand_mkp_matches_the_direct_route(n):
+    # window elements through the operator route, solitons through the
+    # dressed correlator: numerators, denominator and cutoffs
     rng = random.Random(30 + n)
     family = standard_single_family(6)
     elements = [sample_element(rng) for _ in range(4)]
     for g in elements + [sample_soliton(rng, size) for size in (1, 2)]:
-        series = expand_mkp(g, n, family, 6)
-        terms = [(schur_jt(family, lam), c) for lam, c in series.coefficients.items()]
-        assert_same(series.poly, running_sum(family.zero(), terms))
+        assert_same(expand_mkp(g, n, family, 6).poly, expand_mkp_direct(g, n, family, 6))
 
 
-def test_weighted_polynomials_merge_cutoffs_as_the_running_sum():
+def test_running_sum_merges_cutoffs_and_refuses_a_second_table():
     # zero weights and a second family's tighter cutoffs on one table
     plus, minus = standard_double_family(6, 6)
     plus = TimeFamily(plus.table, {"tp": 6, "tm": 3}, plus.names, "tp")
     minus = TimeFamily(plus.table, {"tp": 4, "tm": 6}, minus.names, "tm")
     rng = random.Random(6)
-    terms = [
-        (schur_jt(family, lam), F(rng.randint(-2, 2), rng.randint(1, 4)))
-        for family in (plus, minus)
-        for lam in enumerate_partitions(4)
-    ]
-    got = sum_of_products(plus.one(), [(p, None, w) for p, w in terms])
-    assert_same(got, running_sum(plus.one(), terms))
+    total, want = _Sum(plus.one()), plus.one()
+    for family in (plus, minus):
+        for lam in enumerate_partitions(4):
+            p, w = schur_jt(family, lam), F(rng.randint(-2, 2), rng.randint(1, 4))
+            total.add(p, w)
+            want = want + p * w
+    got = total.poly()
+    assert_same(got, want)
     assert got.cutoffs == {"tp": 4, "tm": 3}
     _, other = standard_double_family(5, 5)
-    terms = [(plus.one(), None, F(1)), (schur_jt(other, Partition([1])), None, F(0))]
-    assert raised(lambda: sum_of_products(plus.zero(), terms)) == raised(
-        lambda: running_sum(plus.zero(), [(p, w) for p, _, w in terms])
+    total = _Sum(plus.zero())
+    assert raised(lambda: total.add(schur_jt(other, Partition([1])), F(0))) == (
+        "polynomials live on different variable tables"
     )

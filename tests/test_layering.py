@@ -10,7 +10,10 @@ its reason; the rest belong at module level.
 Every module-level memo is listed in `MEMOS` with what it holds, so a new
 global cache shows up here.  Every underscore name that one module imports
 from another is listed in `PRIVATE_IMPORTS` with its reason, so a new
-reach-in past a module's public names shows up here too.
+reach-in past a module's public names shows up here too.  Every top-level
+`def` and `class` whose name occurs nowhere else in `src/` is listed in
+`UNCALLED`, by module, so a new definition with no caller in the package,
+or the deletion of one, shows up here as well.
 
 The monomial representation has one home: no module but `polyring` reads
 the keys of `Poly.nums`, builds a `Poly` from raw storage or touches the
@@ -32,8 +35,10 @@ still exist, so a deletion the benchmark needs fails here.
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,7 +87,52 @@ PRIVATE_IMPORTS = {
     ("schur", "fock", "_state_of_bits"): "the raised bra's bit states name their shapes",
     ("tau", "fock", "_check_state_window"): "a one-shape read checks its shape against the window",
     ("tau", "fock", "_state_of_bits"): "a ket's bit states name their shapes",
+    ("tau", "polyring", "_Sum"): _SUM,
     ("wick", "polyring", "_Sum"): _SUM,
+}
+
+# every top-level def and class whose name occurs nowhere else in `src/`,
+# not even in a docstring: kept for the tests, the benchmark or the
+# library's own callers
+UNCALLED = {
+    "boson": {
+        "bra_field_series", "correspondence_check", "current_expansion_prediction",
+        "current_image_check", "ket_field_series", "left_bosonization_series",
+        "merged_point_bra_series", "merged_point_prediction", "normal_ordered_pair_element",
+        "right_bosonization_series",
+    },
+    "fock": {
+        "apply_diagonal_multipliers", "apply_normal_ordered_word", "apply_scaled_current_schur",
+        "basis_state_via_creation", "occupancy",
+    },
+    "grouplike": {
+        "compose_bare_ordered", "exponent_to_bare", "reconstruct_exponential", "rotation_of",
+        "rotation_prime_of",
+    },
+    "hirota": {
+        "scalar_kp_field_check", "three_term_check_kp", "three_term_check_kp4",
+        "three_term_check_mkp", "three_term_check_toda", "toda_equation_check",
+    },
+    "models": {
+        "affine_log_ratio", "cut_and_join_tau_operator", "cut_and_join_tau_sum",
+        "diagonal_model_tau_fock", "field_word", "gaussian_coefficient_ratio",
+        "hamiltonian_families", "hamiltonian_tau_eigen", "hamiltonian_tau_soliton",
+        "hciz_coefficient_ratio", "hermitian_fermionic_tau", "hermitian_two_family_tau",
+        "log_squared_coefficient_ratio", "quasipoly_tau", "quasipoly_tau_stepped",
+        "single_derivative_closed_form", "soliton_fermionic_det", "soliton_gauge_couplings",
+        "soliton_gauge_factor", "soliton_tau_two_family",
+    },
+    "partitions": {"maya_canonicalize", "maya_set", "pochhammer_content_frobenius"},
+    "sampling": {"sample_soliton"},
+    "schur": {
+        "hook_schur_alt", "schur_content_eval", "schur_content_eval_frobenius",
+        "schur_orthonormality", "skew_via_derivatives",
+    },
+    "tau": {
+        "expand_2dtl", "giambelli_coeff_check", "pluecker_check", "pluecker_coefficient",
+        "quantum_jt_check", "rectangular_three_term_check", "restricted_series",
+    },
+    "wick": {"kernel_vev_between", "three_term_column_identity", "wick_column_forms"},
 }
 
 
@@ -167,6 +217,18 @@ def test_private_imports_are_listed():
                         (path.stem, source, a.name) for a in node.names if a.name.startswith("_")
                     }
     assert found == PRIVATE_IMPORTS.keys()
+
+
+def test_uncalled_definitions_are_listed():
+    texts = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    words = Counter(re.findall(r"\w+", "\n".join(texts.values())))
+    found = {}
+    for m, text in texts.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if words[node.name] == 1:
+                    found.setdefault(m, set()).add(node.name)
+    assert found == UNCALLED
 
 
 def test_schur_imports_on_its_own():

@@ -412,6 +412,23 @@ def test_coefficient_reader_matches_the_per_shape_route():
             assert list(got.items()) == list(want.items()), (g, n)
 
 
+def test_coefficient_reader_matches_the_rows():
+    # the reader's one dict of kets or Wick tables, shape by shape, against
+    # the rows read all at once, for every source and charge
+    shapes, sources = enumerate_partitions(5), [Partition([]), Partition([1]), Partition([2, 1])]
+    compared = 0
+    for g in _per_shape_elements():
+        q = charge_of(g)
+        for n in (-1, 0, 1):
+            window = tau.window_for_element(g, (n, n - q), 5)
+            read = tau.coefficient_reader(g, window)
+            for mu, row in tau.coefficient_rows(g, n, 5, sources, window):
+                got = {lam: c for lam in shapes if (c := read(lam, n, mu))}
+                assert list(got.items()) == list(row.items()), (g, n, mu)
+                compared += len(row)
+    assert compared
+
+
 def test_wick_tables_skip_only_shapes_that_read_zero():
     # a table reads no shape whose diagonal size passes g's rank plus its
     # fixed psi letters: every shape it skips, through weight 8 and at the
@@ -424,10 +441,10 @@ def test_wick_tables_skip_only_shapes_that_read_zero():
     shapes = enumerate_partitions(8)
     skipped = 0
     for g in solitons:
-        reader, want = tau._WickReader(g, charge_of(g)), _KernelCoefficients(g)
+        want = _KernelCoefficients(g)
         for n in (-1, 0, 1):
             for source in (Partition([]), Partition([1]), Partition([2, 1])):
-                table = reader.table(n, source)
+                table = tau._WickTable(g, charge_of(g), n, source)
                 b = len(g.ps) + (source != Partition([]))
                 beyond = [Partition([b + 1] * (b + 1)), Partition([b + 2] + [b + 1] * b)]
                 assert table.admits((b,) * b) and not any(table.admits(lam.parts) for lam in beyond)
@@ -601,8 +618,8 @@ def test_one_point_soliton_reads_each_hook_once(monkeypatch):
         counts = {
             name: _count_calls(monkeypatch, owner, name)
             for owner, name in (
-                (tau._WickReader, "read"),
-                (tau._WickReader, "letter"),
+                (tau._WickTable, "read"),
+                (tau._WickTable, "letter"),
                 (tau, "fraction_matrix_det"),
                 (tau, "integer_matrix_det"),
             )
