@@ -258,7 +258,6 @@ def cmd_model(args) -> int:
         DiagonalModel,
         diagonal_model_tau_closed,
         hermitian_moment_tau,
-        soliton_tau,
         unitary_model_tau,
     )
 
@@ -281,8 +280,8 @@ def cmd_model(args) -> int:
         except ValueError as err:
             raise InputError(f"bad soliton data: {err}") from None
         with _kernel_route(g, f"bad soliton data at --charge {args.charge}"):
-            series = soliton_tau(g, args.charge, fam, depth, "determinant")
-        payload = {"schema": 1, "kind": "soliton", "tau": series.poly}
+            poly = expand_mkp(g, args.charge, fam, depth).poly
+        payload = {"schema": 1, "kind": "soliton", "tau": poly}
         _emit(args, payload)
         return 0
     plus, minus = standard_double_family(depth, depth)
@@ -574,7 +573,10 @@ def _json_key(key) -> str:
 def _emit(args, payload: dict):
     text = report_text(payload)
     out = getattr(args, "out", None)
-    stream = open(out, "w") if out and out != "-" else contextlib.nullcontext(sys.stdout)
+    try:
+        stream = open(out, "w") if out and out != "-" else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        raise InputError(f"cannot write --out {out!r}: {err.strerror}") from None
     with stream as fh:
         fh.write(text)  # the newline apart, so the report is not copied to add it
         fh.write("\n")

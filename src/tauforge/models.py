@@ -88,9 +88,9 @@ def soliton_tau(
     depth: int,
     form: str = "determinant",
 ) -> TauSeries:
-    """The soliton family in two forms: "determinant" (identity plus
-    coupling times kernel matrix) and "explicit" (subset expansion with
-    closed-form minors).  Its Schur expansion is `tau.expand_mkp`."""
+    """The soliton family in two forms kept as oracles for `tau.expand_mkp`,
+    its production route: "determinant" (identity plus coupling times
+    kernel matrix) and "explicit" (subset expansion with closed-form minors)."""
     if form == "determinant":
         poly = _coupled_kernel_det(data, lambda k, j: _exp_eta(family, data, k, j, n), family)
         return TauSeries("MKP", n, poly, {}, depth)

@@ -1,25 +1,24 @@
 """Tau-series as Schur expansions with determinant coefficient identities.
 
 Every tau coefficient is one signed matrix element of a group-like
-element, (-1)^(sign exponents) <shape, n| g |source, n - charge>, and every
-reader of coefficients takes them from one `coefficient_reader`.  The
-reader picks the route once: a window-representable element is applied
-once per (charge, source) and each bra shape read off that ket; a
-point-field element (a soliton exponent, a field word, a product with
-them) is read by Wick's theorem on its layout (`wick.wick_layout`) with
-the basis letters of `fock.frobenius_word` as they are, one bordered
-determinant per read, taken as c det(P_ff + P_fq M P_pf) with
-c = det(I - A P_pq) and M = (I - A P_pq)^-1 A.  One Wick table per
-(charge, source) forms c and M once and holds each letter's pairs as one
-integer vector, so a read is c times one integer minor, as in the
-generalized Wick theorem's c_0^(d-1) c_(alpha|beta) = det c_(alpha_i|beta_j),
-and forms one `Fraction`; with c = 0 it borders that minor by B's rows.
-The identity checks read shape by shape through one reader per call.  The
-series expansions read every shape to a weight at once (`coefficient_rows`):
-a window element's coefficients are its ket's own states, so no absent
-shape is probed, and a point-field element's come from its Wick tables,
-read only where the table's rank bound lets a shape be nonzero.  A Schur
-expansion sums c_lambda s_lambda on one running sum (`polyring._Sum`).
+element, (-1)^(sign exponents) <shape, n| g |source, n - charge>.  A
+window element is applied once per (charge, source) and each bra shape
+read off that ket.  A point-field element (a soliton exponent, a field
+word, a product with them) is read by Wick's theorem on its layout
+(`wick.wick_layout`) with the basis letters of `fock.frobenius_word`,
+taken as c det(P_ff + P_fq M P_pf), c = det(I - A P_pq) and
+M = (I - A P_pq)^-1 A: one Wick table per (charge, source) forms c and M
+once and holds each letter's pairs as one integer vector, so a read is c
+times one integer minor (c_0^(d-1) c_(alpha|beta) = det c_(alpha_i|beta_j)
+of the generalized Wick theorem), bordered by B's rows when c = 0.  The
+identity checks, the one-shape Pluecker read and the Hamiltonian routes of
+`models` read shape by shape through one `coefficient_reader` per call.
+The series expansions (single and double; so `expand`, `model --kind
+soliton` and `verify --suite kp`) call no reader: `coefficient_rows`
+reads every shape to a weight at once, a window element's from its ket's
+own states, a point-field element's from its Wick tables where their rank
+bound lets a shape be nonzero.  A Schur expansion sums c_lambda s_lambda
+on one running sum (`polyring._Sum`).
 """
 
 from __future__ import annotations

@@ -145,6 +145,33 @@ def test_output_file(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+def out_error(capsys, argv, target) -> str:
+    """Run argv with an --out it cannot open; return the one-line message."""
+    msg = usage_error(capsys, [*argv, "--out", str(target)])
+    assert msg.startswith(f"tau-forge: error: cannot write --out {str(target)!r}: ")
+    return msg
+
+
+def test_expand_rejects_an_out_in_a_missing_directory(tmp_path, capsys):
+    # this used to end in a FileNotFoundError traceback, exit 1, after the expansion ran
+    element = '{"kind":"exponent_bilinear","entries":[{"row":-1,"col":0,"value":"1"}]}'
+    target = tmp_path / "missing" / "x.json"
+    out_error(capsys, ["expand", "--cutoff", "3", "--element", element], target)
+    assert not target.parent.exists()
+
+
+def test_model_rejects_an_out_in_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    out_error(capsys, ["model", "--kind", "unitary"], target)
+    assert not target.parent.exists()
+
+
+def test_verify_rejects_an_out_that_is_a_directory(tmp_path, capsys):
+    # this used to end in an IsADirectoryError traceback, exit 1
+    out_error(capsys, ["verify", "--suite", "kp", "--cutoff", "5"], tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_row_major_matrix_and_stdin(capsys, monkeypatch):
     spec = (
         '{"kind": "exponent_bilinear", "matrix": '
@@ -615,8 +642,9 @@ def test_model_rejects_soliton_pole_at_zero_hole_point(capsys):
 
 
 def test_model_and_expand_report_one_soliton_pole_alike(capsys):
-    # both routes take the prefactor p^n q^(1-n)/(q - p) from the one
-    # two-point kernel, so its pole reads the same from either
+    # `model --kind soliton` and `expand` read the soliton through one Wick
+    # table, whose pair kernel p^n q^(1-n)/(q - p) raises the pole: only the
+    # flag the message names differs
     for p, q, charge in (("0", "1/2", "-1"), ("1/3", "0", "2")):
         model = usage_error(capsys, ["model", "--kind", "soliton", "--points-p", p,
                                      "--points-q", q, "--charge", charge])
@@ -650,9 +678,9 @@ def test_model_soliton_zero_point_without_coupling_is_no_pole(capsys):
 
 
 def test_model_soliton_uncoupled_zero_hole_point_is_no_pole(capsys):
-    # the hole point 0 has an all-zero coupling row, so its kernel column
-    # never enters det(I + A K); this used to exit 2 with "the point 0 is a
-    # pole of z^-1" at charge 2
+    # the hole point 0 has an all-zero coupling row, so no pair with it
+    # enters the tau; this used to exit 2 with "the point 0 is a pole of
+    # z^-1" at charge 2
     from tauforge.grouplike import SolitonExponent
     from tauforge.models import soliton_tau
     from tauforge.partitions import Partition
@@ -690,6 +718,80 @@ def test_model_soliton_zero_point_at_charge_without_pole(capsys):
     assert report_digest(capsys, argv) == (
         0, "ea96f8be1346ec4583b1faf0acda6e4bfc317809f72a2072bc47ee27c3ac20ad"
     )
+
+
+# (--points-p, --points-q, --couplings): two and three points, one point
+# whose vacuum value c_empty vanishes at charge 0 and one where it vanishes
+# at charge 1, a zero particle point whose coupling column is zero, a zero
+# hole point whose coupling row is zero, and both poles
+SOLITON_MODEL_DATA = [
+    ("1/3,2/5", "1/2,1/7", "1,-1/2;2/3,2"),
+    ("1/3,1/5,3/4", "1/2,2/7,5/6", "1,0,2;0,1/2,0;1,1,1"),
+    ("1/3", "1/2", "-1/3"),
+    ("1/3", "1/2", "-1/2"),
+    ("0,1/3", "1/2,1/5", "0,1;0,2"),
+    ("1/3,1/5", "1/2,0", "1,1;0,0"),
+    ("0", "1/2", "1"),
+    ("1/3", "0", "1"),
+]
+
+
+def test_model_soliton_matches_the_determinant_oracle(capsys):
+    # `model --kind soliton` sums the Wick table's coefficients; the dressed
+    # det(I + A K) of `models.soliton_tau` is an independent route to that tau
+    from tauforge.grouplike import SolitonExponent
+    from tauforge.models import soliton_tau
+    from tauforge.polyring import Poly, standard_single_family
+
+    poles = 0
+    for ps, qs, couplings in SOLITON_MODEL_DATA:
+        flags = ["--points-p", ps, "--points-q", qs, f"--couplings={couplings}"]
+        data = SolitonExponent(
+            tuple(map(F, ps.split(","))),
+            tuple(map(F, qs.split(","))),
+            tuple(tuple(map(F, row.split(","))) for row in couplings.split(";")),
+        )
+        for cutoff in (0, 4, 8):
+            fam = standard_single_family(cutoff)
+            for charge in range(-2, 4):
+                argv = ["model", "--kind", "soliton", "--cutoff", str(cutoff),
+                        f"--charge={charge}", *flags]
+                try:
+                    oracle = soliton_tau(data, charge, fam, cutoff, "determinant").poly
+                except ZeroDivisionError as err:
+                    msg = usage_error(capsys, argv)
+                    assert msg.endswith(f"bad soliton data at --charge {charge}: {err}")
+                    poles += 1
+                    continue
+                code, out = run(capsys, argv)
+                assert code == 0
+                tau = json.loads(out)["tau"]
+                assert tau["cutoff"] == {"t": cutoff}
+                assert Poly.from_json(tau) == oracle, (argv, oracle)
+    # the two coupled zero points are poles at charges -2, -1 and 2, 3
+    assert poles == 2 * 2 * 3
+
+
+def test_model_soliton_reads_through_expand_mkp(capsys, monkeypatch):
+    import tauforge.cli as cli
+    import tauforge.models as models
+
+    calls = []
+    expand_mkp, det = cli.expand_mkp, models._coupled_kernel_det
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "expand_mkp", spy("expand_mkp", expand_mkp))
+    monkeypatch.setattr(models, "_coupled_kernel_det", spy("det", det))
+    argv = ["model", "--kind", "soliton", "--cutoff", "6", "--points-p", "1/3,2/5",
+            "--points-q", "1/2,1/7", "--couplings=1,-1/2;2/3,2"]
+    code, _ = run(capsys, argv)
+    assert code == 0 and calls == ["expand_mkp"]
 
 
 def test_model_rejects_charge_for_a_kind_that_ignores_it(capsys):

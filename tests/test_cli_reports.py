@@ -125,6 +125,18 @@ SOLITON_BY_WORD = soliton_product(SOLITON_2X2, LINEAR_WORD)
 SOLITON_4X4_BY_IDENTITY = soliton_product(SOLITON_4X4, {"kind": "identity"})
 
 
+def soliton_model(soliton: str, charge: int, cutoff: int) -> str:
+    """`model --kind soliton` on the points and couplings of `soliton` (its
+    --element JSON)."""
+    spec = json.loads(soliton)
+    couplings = ";".join(",".join(row) for row in spec["couplings"])
+    return (
+        f"model --kind soliton --cutoff {cutoff} --charge={charge}"
+        f" --points-p {','.join(spec['ps'])} --points-q {','.join(spec['qs'])}"
+        f" --couplings={couplings}"
+    )
+
+
 GOLDEN = [
     (
         "verify --suite all --cutoff 6 --seed 1",
@@ -380,6 +392,35 @@ GOLDEN = [
         "model --kind unitary --size 4 --cutoff 10",
         0,
         "9ca612f8a0d609dabcdbad99d2027e3187affdfdac6db65743335903a91046aa",
+    ),
+    # soliton models, read through the Wick table that `expand` reads: a
+    # vanishing vacuum value (the table's bordered branch), the 4x4 soliton
+    # to weight 12, and three points with zero couplings
+    (
+        "model --kind soliton --cutoff 8 --points-p 1/3 --points-q 1/2 --couplings=-1/3",
+        0,
+        "dce15ae35eddecc18381c7990cb37f2b36524a7d2d5822ee3fe905ab87ba56b0",
+    ),
+    (
+        soliton_model(SOLITON_4X4, -1, 12),
+        0,
+        "03f407f6a6d9f5f4bbed66a64c4966642d8b0f05a193a0c3b19b0db0f9e60766",
+    ),
+    (
+        soliton_model(SOLITON_4X4, 0, 12),
+        0,
+        "439917b41ec07bf885647ba75d111847d77dd92e24f1b568a9fd12a63626260a",
+    ),
+    (
+        soliton_model(SOLITON_4X4, 1, 12),
+        0,
+        "46ac29f3e1c6b39d1fec0f5cf705f5e34228c55310ac6f902bf58d4b15494432",
+    ),
+    (
+        "model --kind soliton --charge=-1 --cutoff 8 --points-p 1/3,1/5,3/4"
+        " --points-q 1/2,2/7,5/6 --couplings 1,0,2;0,1/2,0;1,1,1",
+        0,
+        "ce8f00731e403e631becdd487e956c77f12025845669c302a088d6cbd4665068",
     ),
 ]
 

@@ -120,7 +120,7 @@ UNCALLED = {
         "hciz_coefficient_ratio", "hermitian_fermionic_tau", "hermitian_two_family_tau",
         "log_squared_coefficient_ratio", "quasipoly_tau", "quasipoly_tau_stepped",
         "single_derivative_closed_form", "soliton_fermionic_det", "soliton_gauge_couplings",
-        "soliton_gauge_factor", "soliton_tau_two_family",
+        "soliton_gauge_factor", "soliton_tau", "soliton_tau_two_family",
     },
     "partitions": {"maya_canonicalize", "maya_set", "pochhammer_content_frobenius"},
     "sampling": {"sample_soliton"},
