@@ -153,7 +153,6 @@ def out_error(capsys, argv, target) -> str:
 
 
 def test_expand_rejects_an_out_in_a_missing_directory(tmp_path, capsys):
-    # this used to end in a FileNotFoundError traceback, exit 1, after the expansion ran
     element = '{"kind":"exponent_bilinear","entries":[{"row":-1,"col":0,"value":"1"}]}'
     target = tmp_path / "missing" / "x.json"
     out_error(capsys, ["expand", "--cutoff", "3", "--element", element], target)
@@ -167,7 +166,6 @@ def test_model_rejects_an_out_in_a_missing_directory(tmp_path, capsys):
 
 
 def test_verify_rejects_an_out_that_is_a_directory(tmp_path, capsys):
-    # this used to end in an IsADirectoryError traceback, exit 1
     out_error(capsys, ["verify", "--suite", "kp", "--cutoff", "5"], tmp_path)
     assert list(tmp_path.iterdir()) == []
 
@@ -766,7 +764,7 @@ def test_model_soliton_matches_the_determinant_oracle(capsys):
                 code, out = run(capsys, argv)
                 assert code == 0
                 tau = json.loads(out)["tau"]
-                assert tau["cutoff"] == {"t": cutoff}
+                assert tau["cutoff"] == {"t": cutoff}  # the family's cutoff, at 0 too
                 assert Poly.from_json(tau) == oracle, (argv, oracle)
     # the two coupled zero points are poles at charges -2, -1 and 2, 3
     assert poles == 2 * 2 * 3
